@@ -17,12 +17,42 @@ degrevlex and is bit-reproducible:
     factor := name | name "^" exponent
 
 Example: "2 * a^2 * c + -1/3 * b".
+
+Kernel.  Exact division, the determinant and products whose factors both
+have several terms run on packed monomials (a monomial factor just adds its
+exponents to each term): each call packs the exponent vectors of its
+operands into single ints, works on dicts {packed monomial -> coeff} and
+unpacks only its result.  With n variables and fields of w bits, variable i
+occupies bits i*w to i*w + w - 1 and the packed monomial is
+
+    low - (deg << n*w),    low = sum (e_i - o_i) << i*w,    deg = sum (e_i - o_i).
+
+The offset o_i = min(0, smallest exponent of variable i among the operands)
+makes every field nonnegative, so negative (Laurent) exponents pack too.
+The field width is sized from a bound on the total degree of every
+monomial the call can form, so the top bit of each field (its guard) stays
+clear and no carry crosses fields.  Then the product of two monomials is
+one int addition, and the packed int is itself the degrevlex key negated:
+a smaller int is a larger monomial, higher total degree first and, within
+a degree, the smaller last exponent.  Monomial m divides monomial t exactly
+when t - m borrows from no field, that is when (t - m) has no guard bit set.
+
+Exact division keeps the remainder in a dict with a min-heap of its packed
+monomials, deleted lazily: the leading remainder term is the heap top
+(Monagan & Pearce, "Sparse polynomial division using a heap", J. Symbolic
+Comput. 46, 2011).  `exact_div` returns None as soon as the leading
+remainder term is not a multiple of the divisor's leading term, that is
+when the divisor does not divide, or when the quotient would need a
+negative exponent.  The determinant packs the matrix once and runs
+fraction-free Bareiss elimination on packed dicts.
 """
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 Coeff = int | Fraction
@@ -41,6 +71,129 @@ def cnorm(c: Coeff) -> Coeff:
 def drl_key(exp: Expo) -> tuple:
     # sorting by this key ascending puts smaller monomials first
     return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+# -- packed monomials -------------------------------------------------------------
+
+Packed = dict[int, Coeff]
+
+
+def _offset(n: int, polys: Iterable[Mapping[Expo, Coeff]]) -> Expo:
+    """Per-variable min(0, smallest exponent) over the terms of polys."""
+    off = (0,) * n
+    for terms in polys:
+        for e in terms:
+            if min(e, default=0) < 0:
+                off = tuple(map(min, off, e))
+    return off
+
+
+def _top_degree(terms: Mapping[Expo, Coeff], offset: Expo) -> int:
+    """Largest total degree of the terms once shifted by -offset (0 if none)."""
+    return max(map(sum, terms), default=sum(offset)) - sum(offset)
+
+
+class _Packing:
+    """Field layout of one kernel call: offset per variable and field width
+    sized so that total degree `bound` fits below each field's guard bit."""
+
+    __slots__ = ("offset", "shifts", "top", "low", "mask", "guards")
+
+    def __init__(self, offset: Expo, bound: int):
+        w = bound.bit_length() + 1
+        self.offset = offset
+        self.shifts = tuple(range(0, len(offset) * w, w))
+        self.top = len(offset) * w
+        self.low = (1 << self.top) - 1
+        self.mask = (1 << w) - 1
+        self.guards = sum(1 << (s + w - 1) for s in self.shifts)
+
+    def pack(self, terms: Mapping[Expo, Coeff]) -> Packed:
+        shifts, offset, top = self.shifts, self.offset, self.top
+        out: Packed = {}
+        for e, c in terms.items():
+            low = deg = 0
+            for x, o, s in zip(e, offset, shifts):
+                x -= o
+                low |= x << s
+                deg += x
+            out[low - (deg << top)] = c
+        return out
+
+    def unpack(self, packed: Packed, times: int) -> dict[Expo, Coeff]:
+        """Exponent tuples of packed monomials whose offset is times*offset."""
+        offset = [o * times for o in self.offset]
+        shifts, low, mask = self.shifts, self.low, self.mask
+        out: dict[Expo, Coeff] = {}
+        for m, c in packed.items():
+            m &= low
+            out[tuple(((m >> s) & mask) + o for s, o in zip(shifts, offset))] = c
+        return out
+
+
+def _addmul(out: Packed, a: Packed, b: Packed, sign: int) -> None:
+    """out += sign * a * b; cancelled terms stay in out as zeros."""
+    if len(a) > len(b):
+        a, b = b, a
+    items = list(b.items())
+    get = out.get
+    for ma, ca in a.items():
+        if sign < 0:
+            ca = -ca
+        for mb, cb in items:
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+
+
+def _nonzero(p: Packed) -> Packed:
+    return {m: c for m, c in p.items() if c}
+
+
+def _cdiv(a: Coeff, b: Coeff) -> Coeff:
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return cnorm(Fraction(a) / b)
+
+
+def _exact_div(a: Packed, d: Packed, guards: int) -> Packed | None:
+    """Quotient a/d with offset zero, or None when d does not divide a.
+
+    The remainder's monomials sit in a min-heap, so its top is the leading
+    term; a monomial cancelled to zero leaves a stale heap entry that is
+    skipped when popped."""
+    lead = min(d)
+    lc = d[lead]
+    rest = [(m - lead, c) for m, c in d.items() if m != lead]
+    rem = dict(a)
+    heap = list(rem)
+    heapify(heap)
+    q: Packed = {}
+    # each step removes the leading remainder term; new terms are smaller
+    while heap:
+        m = heappop(heap)
+        c = rem.pop(m, 0)
+        if not c:
+            continue
+        t = m - lead
+        if t & guards:
+            return None
+        tc = _cdiv(c, lc)
+        q[t] = tc
+        for dm, dc in rest:
+            mm = m + dm
+            s = rem.get(mm)
+            if s is None:
+                rem[mm] = -tc * dc
+                heappush(heap, mm)
+            else:
+                s -= tc * dc
+                if s:
+                    rem[mm] = s
+                else:
+                    del rem[mm]
+    return q
 
 
 class SparsePoly:
@@ -170,16 +323,16 @@ class SparsePoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Expo, Coeff] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return SparsePoly(self.vars, out)
+        if len(a) == 1:
+            # a monomial times b: the products are distinct, nothing to collect
+            [(ea, ca)] = a.items()
+            return SparsePoly(self.vars, {tuple(map(add, ea, e)): ca * c
+                                          for e, c in b.items()})
+        off = _offset(len(self.vars), (a, b))
+        pk = _Packing(off, _top_degree(a, off) + _top_degree(b, off))
+        out: Packed = {}
+        _addmul(out, pk.pack(a), pk.pack(b), 1)
+        return SparsePoly(self.vars, pk.unpack(_nonzero(out), 2))
 
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
@@ -192,11 +345,6 @@ class SparsePoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def shift(self, exp: Expo) -> "SparsePoly":
-        """Multiply by the monomial x^exp (exp may be negative: Laurent shift)."""
-        return SparsePoly(self.vars, {tuple(a + b for a, b in zip(e, exp)): c
-                                      for e, c in self.terms.items()})
 
     def diff(self, name: str) -> "SparsePoly":
         i = self.vars.index(name)
@@ -211,31 +359,18 @@ class SparsePoly:
     # -- division ----------------------------------------------------------
 
     def exact_div(self, d: "SparsePoly") -> "SparsePoly | None":
-        """Exact quotient self/d, or None when d does not divide self."""
+        """Exact quotient self/d, or None when d does not divide self or the
+        quotient would need a negative exponent."""
         self._check(d)
         if not d.terms:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.terms:
             return SparsePoly.zero(self.vars)
-        de, dc = d.leading()
-        rem = dict(self.terms)
-        q: dict[Expo, Coeff] = {}
-        # each step strictly lowers the leading monomial of the remainder
-        while rem:
-            re_ = max(rem, key=drl_key)
-            te = tuple(a - b for a, b in zip(re_, de))
-            if any(x < 0 for x in te):
-                return None
-            tc = cnorm(Fraction(rem[re_]) / Fraction(dc))
-            q[te] = tc
-            for e2, c2 in d.terms.items():
-                e = tuple(a + b for a, b in zip(te, e2))
-                s = rem.get(e, 0) - tc * c2
-                if s:
-                    rem[e] = s
-                elif e in rem:
-                    del rem[e]
-        return SparsePoly(self.vars, q)
+        a, b = self.terms, d.terms
+        off = _offset(len(self.vars), (a, b))
+        pk = _Packing(off, max(_top_degree(a, off), _top_degree(b, off)))
+        q = _exact_div(pk.pack(a), pk.pack(b), pk.guards)
+        return None if q is None else SparsePoly(self.vars, pk.unpack(q, 0))
 
     # -- evaluation / substitution ------------------------------------------
 
@@ -322,26 +457,20 @@ def same_up_to_sign(p: SparsePoly, q: SparsePoly) -> bool:
 
 def _int_kth_root(n: int, k: int) -> int | None:
     """Exact k-th root of n >= 0, or None."""
-    if n < 0:
-        return None
-    r = round(n ** (1.0 / k)) if n else 0
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    # float guess can be off for big n; bisect
-    lo, hi = 0, 1
-    while hi ** k < n:
-        hi *= 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        m = mid ** k
-        if m == n:
-            return mid
-        if m < n:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+    if n < 2:
+        return n if n >= 0 else None
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        # integer Newton from above: 2^ceil(bits/k) >= n^(1/k), and each
+        # step decreases until it reaches floor(n^(1/k))
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    return r if r ** k == n else None
 
 
 def _coeff_kth_root(c: Coeff, k: int) -> Coeff | None:
@@ -536,15 +665,26 @@ class PolyMatrix:
         return cls(n, m, variables, rows)
 
     def det(self) -> SparsePoly:
-        """Fraction-free Bareiss determinant with sparsest-entry pivoting."""
+        """Fraction-free Bareiss determinant with sparsest-entry pivoting.
+
+        The entries are packed once, with one offset for the whole matrix:
+        that multiplies every entry by the monomial x^-offset, so the
+        packed determinant carries offset n*offset.  Every intermediate
+        entry is a minor of the shifted matrix, so its degree is at most B,
+        the smaller of the sums of the row and of the column top degrees;
+        products before the exact division have degree at most 2B."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         if n == 0:
             return SparsePoly.const(self.vars, 1)
-        a = [list(r) for r in self.rows]
+        off = _offset(len(self.vars), (p.terms for row in self.rows for p in row))
+        tops = [[_top_degree(p.terms, off) for p in row] for row in self.rows]
+        bound = min(sum(map(max, tops)), sum(map(max, zip(*tops))))
+        pk = _Packing(off, 2 * bound)
+        a = [[pk.pack(p.terms) for p in row] for row in self.rows]
         sign = 1
-        prev = SparsePoly.const(self.vars, 1)
+        prev: Packed | None = None          # the previous pivot; None is 1
         for k in range(n - 1):
             # full pivoting on the fewest-term nonzero entry
             best = None
@@ -552,7 +692,7 @@ class PolyMatrix:
                 for j in range(k, n):
                     p = a[i][j]
                     if p:
-                        score = (p.num_terms(), i, j)
+                        score = (len(p), i, j)
                         if best is None or score < best[0]:
                             best = (score, i, j)
             if best is None:
@@ -567,23 +707,22 @@ class PolyMatrix:
                 sign = -sign
             piv = a[k][k]
             for i in range(k + 1, n):
+                row = a[i]
                 for j in range(k + 1, n):
-                    num = a[i][j] * piv - a[i][k] * a[k][j]
-                    if num:
-                        q = num.exact_div(prev)
-                        if q is None:
-                            raise ArithmeticError("non-exact division in fraction-free elimination")
-                        a[i][j] = q
-                    else:
-                        a[i][j] = SparsePoly.zero(self.vars)
-                a[i][k] = SparsePoly.zero(self.vars)
+                    num: Packed = {}
+                    if row[j]:
+                        _addmul(num, row[j], piv, 1)
+                    if row[k] and a[k][j]:
+                        _addmul(num, row[k], a[k][j], -1)
+                    num = _nonzero(num)
+                    if num and prev is not None:
+                        num = _exact_div(num, prev, pk.guards)
+                        if num is None:
+                            raise ArithmeticError(
+                                "non-exact division in fraction-free elimination")
+                    row[j] = num
+                row[k] = {}
             prev = piv
         d = a[n - 1][n - 1]
-        return d if sign > 0 else -d
-
-
-def poly_sum(polys: Iterable[SparsePoly], variables: Sequence[str]) -> SparsePoly:
-    out = SparsePoly.zero(variables)
-    for p in polys:
-        out = out + p
-    return out
+        return SparsePoly(self.vars, pk.unpack(d if sign > 0 else
+                                               {m: -c for m, c in d.items()}, n))

@@ -142,17 +142,16 @@ def _det_once(span: list[int], ranks: dict[int, int],
         cols = [c for c in range(ranks[i]) if c not in taken]
     if cols:
         raise _Retry("complex has nonzero generic homology")
+    # the determinant is prod det(M_i)^((-1)^(i+1)): odd degrees multiply
     one = SparsePoly.const(pv, 1)
     num, den = one, one
     for i, minor in minors:
         d = minor.det()
         if i % 2:
-            den = den * d
-        else:
             num = num * d
+        else:
+            den = den * d
     out = num.exact_div(den)
-    if out is None:
-        out = den.exact_div(num)
     if out is None:
         raise _Retry("alternating product of minors did not clear to a polynomial")
     return out, subsets

@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toricres.qpoly import (
     PolyMatrix,
@@ -17,6 +17,39 @@ from toricres.qpoly import (
 )
 
 V = ("x", "y", "z")
+
+
+# -- reference kernel: tuple exponents, leading term found by a full scan --------
+
+def ref_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return SparsePoly(a.vars, out)
+
+
+def ref_exact_div(a: SparsePoly, d: SparsePoly) -> SparsePoly | None:
+    de = max(d.terms, key=drl_key)
+    dc = d.terms[de]
+    rem = dict(a.terms)
+    q = {}
+    while rem:
+        re_ = max(rem, key=drl_key)
+        te = tuple(x - y for x, y in zip(re_, de))
+        if any(x < 0 for x in te):
+            return None
+        tc = Fraction(rem[re_]) / Fraction(dc)
+        q[te] = tc
+        for e2, c2 in d.terms.items():
+            e = tuple(x + y for x, y in zip(te, e2))
+            s = rem.get(e, 0) - tc * c2
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return SparsePoly(a.vars, q)
 
 
 def P(text: str, variables=V) -> SparsePoly:
@@ -116,6 +149,13 @@ def test_kth_root_fractional_leading():
     assert kth_root(h * h, 2) == h
 
 
+def test_kth_root_of_coefficients_beyond_float_range():
+    h = SparsePoly.variable(V, "x").scale(10 ** 200) + SparsePoly.const(V, 7)
+    assert kth_root(h ** 2, 2) == h
+    assert kth_root(h ** 3, 3) == h
+    assert kth_root(h ** 2 + SparsePoly.const(V, 1), 2) is None
+
+
 coord = st.integers(min_value=0, max_value=3)
 coefficient = st.integers(min_value=-9, max_value=9)
 
@@ -212,3 +252,69 @@ def test_published_matrix_determinant_is_eliminant():
     d = sturmfels_matrix().det()
     e = sturmfels_eliminant()
     assert d == e or d == -e
+
+
+# -- packed kernel against the reference -------------------------------------------
+
+VARS4 = ("w", "x", "y", "z")
+# exponents on both sides of the packed field widths 2^k
+WIDE = sorted({s * (2 ** k + d) for k in range(1, 7) for d in (-1, 0, 1) for s in (1, -1)})
+rational = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+@st.composite
+def ring_polys(draw, count, max_terms=4):
+    """`count` polynomials over one ring of 0-4 variables."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    expo = st.one_of(st.integers(min_value=-3, max_value=3), st.sampled_from(WIDE))
+    out = []
+    for _ in range(count):
+        terms = draw(st.dictionaries(st.tuples(*[expo] * n), rational,
+                                     max_size=max_terms))
+        out.append(SparsePoly(VARS4[:n], terms))
+    return out
+
+
+def nonnegative(p: SparsePoly) -> bool:
+    return all(x >= 0 for e in p.terms for x in e)
+
+
+@given(ring_polys(2))
+@settings(max_examples=100, deadline=None)
+def test_product_matches_reference(ab):
+    a, b = ab
+    assert a * b == ref_mul(a, b)
+
+
+@given(ring_polys(2))
+@settings(max_examples=100, deadline=None)
+def test_product_divided_by_a_factor_gives_the_other(ab):
+    a, b = ab
+    assume(not b.is_zero())
+    # a quotient with a negative exponent is not a polynomial: None
+    assert (a * b).exact_div(b) == (a if nonnegative(a) else None)
+
+
+@given(ring_polys(3), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_division_returns_none_exactly_when_the_reference_does(abr, multiple):
+    a, d, r = abr
+    assume(not d.is_zero())
+    num = a * d + r if multiple else a
+    assert num.exact_div(d) == ref_exact_div(num, d)
+
+
+@st.composite
+def poly_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    cells = draw(ring_polys(n * n, max_terms=2))
+    return PolyMatrix.from_rows([cells[i * n:(i + 1) * n] for i in range(n)],
+                                cells[0].vars)
+
+
+@given(poly_matrices())
+@settings(max_examples=60, deadline=None)
+def test_det_matches_cofactor_expansion_property(m):
+    assert m.det() == _naive_det([list(r) for r in m.rows])

@@ -28,6 +28,8 @@ from toricres.cech import stabilization_level
 from toricres.errors import StabilizationError
 from toricres.fixtures import (
     M33_E1,
+    M33_ELIMINANT_TEXT,
+    M33_MULTIPLICITY,
     STURMFELS_E1_UNIT,
     STURMFELS_STABLE_SHAPE,
     m33_problem,
@@ -36,7 +38,14 @@ from toricres.fixtures import (
     sturmfels_twist,
 )
 from toricres.qlinalg import QMatrix
-from toricres.qpoly import PolyMatrix, SparsePoly, same_up_to_sign
+from toricres.qpoly import (
+    PolyMatrix,
+    SparsePoly,
+    poly_from_text,
+    primitive_part,
+    same_up_to_sign,
+)
+from toricres.resultant import _multiplicity, determinant_of_complex
 from toricres.toric import variety_of
 from toricres.weyman import (
     E1Page,
@@ -175,6 +184,15 @@ def test_m33_page_and_term_ranks(m33_weyman):
         assert W.e1.row(q, -4, 0) == row
     assert {i: W.rank(i) for i in W.degrees()} == {-1: 42, 0: 44, 1: 2}
     W.validate()
+
+
+def test_m33_multiplicity_and_eliminant(m33_weyman):
+    _, W = m33_weyman
+    delta = primitive_part(determinant_of_complex(W))
+    m, root = _multiplicity(delta)
+    assert m == M33_MULTIPLICITY
+    assert same_up_to_sign(primitive_part(root),
+                           poly_from_text(M33_ELIMINANT_TEXT, delta.vars))
 
 
 def test_m33_named_staircase_blocks(m33_weyman):

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,9 +41,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ResourceGuard, StabilizationError, UnsupportedGeometryError
-from .qlinalg import QMatrix, _frac_str, int_kernel_basis, solve_int
+from .qlinalg import QMatrix, _frac_str, int_rank, rank_mod
 from .qpoly import cnorm
-from .toric import ToricVariety, _fm_eliminate, _interval
+from .toric import ToricVariety, degree_fiber, fiber_points
 
 FORMAT_VERSION = 3
 
@@ -91,87 +90,12 @@ def _window_bound(gens, subset: tuple[int, ...], e: Sequence[int]) -> tuple[int,
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _degree_fiber(x: ToricVariety, target: Class):
-    """Particular exponent and kernel lattice for degree(w) = target."""
-    if x.torsion:
-        raise UnsupportedGeometryError("torsion class groups are not supported")
-    g_rows = [[g[i] for g in x.grading] for i in range(x.class_rank)]
-    u0 = solve_int(g_rows, list(target))
-    kernel = tuple(tuple(k) for k in int_kernel_basis(g_rows))
-    if u0 is not None and len(kernel) != x.dim:
-        raise AssertionError("kernel rank mismatch")
-    return (tuple(u0) if u0 is not None else None), kernel
-
-
-def _fiber_points(x: ToricVariety, u0: tuple[int, ...],
-                  kernel, lower: Sequence[int]) -> list[tuple[int, ...]]:
-    """All w = u0 + kernel combination with w >= lower, exact enumeration."""
-    m = len(kernel)
-    if m == 0:
-        return [u0] if all(a >= b for a, b in zip(u0, lower)) else []
-    ineqs = []
-    for rho in range(x.n_rays):
-        c = tuple(Fraction(kernel[i][rho]) for i in range(m))
-        ineqs.append((c, Fraction(lower[rho] - u0[rho])))
-    return _walk_fiber(x, u0, kernel, ineqs)
-
-
-def _fiber_points_signed(x: ToricVariety, u0: tuple[int, ...],
-                         kernel, neg: Sequence[int]) -> list[tuple[int, ...]]:
-    """Fiber points with w < 0 exactly on the rays in neg."""
-    m = len(kernel)
-    neg_set = set(neg)
-    if m == 0:
-        ok = all((u0[rho] <= -1) == (rho in neg_set) for rho in range(x.n_rays))
-        return [u0] if ok else []
-    ineqs = []
-    for rho in range(x.n_rays):
-        c = tuple(Fraction(kernel[i][rho]) for i in range(m))
-        if rho in neg_set:
-            # u0 + t.k <= -1, flipped into >= form
-            ineqs.append((tuple(-v for v in c), Fraction(1 + u0[rho])))
-        else:
-            ineqs.append((c, Fraction(-u0[rho])))
-    return _walk_fiber(x, u0, kernel, ineqs)
-
-
-def _walk_fiber(x: ToricVariety, u0, kernel, ineqs) -> list[tuple[int, ...]]:
-    m = len(kernel)
-    systems: list = [ineqs]
-    for var in range(m - 1, 0, -1):
-        nxt = _fm_eliminate(systems[-1], var)
-        if nxt is None:
-            return []
-        systems.append(nxt)
-    systems.reverse()
-    out: list[tuple[int, ...]] = []
-    point = [Fraction(0)] * m
-
-    def walk(level: int) -> None:
-        lo, hi = _interval(systems[level], level, point)
-        if lo is None or hi is None:
-            raise UnsupportedGeometryError("unbounded strand window")
-        for t in range(math.ceil(lo), math.floor(hi) + 1):
-            point[level] = Fraction(t)
-            if level + 1 == m:
-                out.append(tuple(
-                    u0[rho] + sum(kernel[i][rho] * int(point[i]) for i in range(m))
-                    for rho in range(x.n_rays)))
-            else:
-                walk(level + 1)
-        point[level] = Fraction(0)
-
-    walk(0)
-    return out
-
-
 def _strand_blocks(x: ToricVariety, alpha: Class, e: Sequence[int]):
     """Per-exponent blocks of the strand: for each w, the upward-closed
     family of subsets whose window contains w, grouped by Cech degree."""
     gens, subsets, depth = _subset_data(x)
     target = tuple(-a for a in alpha)
-    u0, kernel = _degree_fiber(x, target)
+    u0, kernel = degree_fiber(x, target)
     if u0 is None:
         return depth, []
     bounds = {T: _window_bound(gens, T, e) for T in subsets}
@@ -179,8 +103,7 @@ def _strand_blocks(x: ToricVariety, alpha: Class, e: Sequence[int]):
     seen: set[tuple[int, ...]] = set()
     for T in subsets:
         if len(T) == top_size:
-            for w in _fiber_points(x, u0, kernel, bounds[T]):
-                seen.add(w)
+            seen.update(fiber_points(u0, kernel, [(1, b) for b in bounds[T]]))
     blocks = []
     for w in sorted(seen):
         fam = tuple(T for T in subsets
@@ -361,8 +284,9 @@ def _reduce_block(per_q: list[list[tuple[int, ...]]],
     return active, iota, rho, h
 
 
-def _block_entries(fam: list[tuple[int, ...]], depth: int):
-    """Per-degree coordinates and signed incidence entries of one block."""
+def _block_entries(fam: list[tuple[int, ...]], depth: int, n_diffs: int | None = None):
+    """Per-degree coordinates and signed incidence entries of one block;
+    with n_diffs, entries of the differentials d_0..d_{n_diffs-1} only."""
     per_q: list[list[tuple[int, ...]]] = [[] for _ in range(depth + 1)]
     for T in fam:
         per_q[len(T) - 1].append(T)
@@ -375,7 +299,7 @@ def _block_entries(fam: list[tuple[int, ...]], depth: int):
     fam_set = set(fam)
     gen_ids = sorted({j for T in fam for j in T})
     entries: list[dict[tuple[int, int], int]] = [dict() for _ in range(depth)]
-    for q in range(depth):
+    for q in range(depth if n_diffs is None else n_diffs):
         for T in per_q[q]:
             for j in gen_ids:
                 if j in T:
@@ -460,40 +384,50 @@ def _reduced_family(fam: tuple[tuple[int, ...], ...], depth: int, policy: str):
     hit = (per_q, entries, active, iota, rho, h)
     cache_counters["built"] += 1
     _reduce_memo[key] = hit
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = _family_to_obj(hit)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps({"payload": payload,
-                                   "sha": _stable_key(payload)}))
-        tmp.replace(path)
-    except OSError:
-        pass  # cache is best-effort
+    _cache_write(path, _family_to_obj(hit))
     return hit
 
 
 _fam_dims_memo: dict = {}
 
 
-def _family_dims(fam: tuple[tuple[int, ...], ...], depth: int) -> tuple[int, ...]:
-    """Cohomology dimensions of one subset family, by ranks only."""
+def _family_dims(fam: tuple[tuple[int, ...], ...], depth: int,
+                 q_top: int | None = None) -> tuple[int, ...] | None:
+    """Cohomology dimensions of one subset family, by exact integer ranks:
+    in every degree, or in degrees 0..q_top only.
+
+    With q_top, a one-sided screen runs first: ranks modulo a prime are at
+    most the ranks over Q, so the dims modulo the prime are at least the
+    dims over Q.  If they vanish in every degree q <= q_top, so do the dims
+    over Q, and None is returned.  Only full dims are memoized."""
     key = (fam, depth)
     hit = _fam_dims_memo.get(key)
-    if hit is None:
-        per_q, entries = _block_entries(list(fam), depth)
-        sizes = [len(v) for v in per_q]
-        ranks = [0] * depth
-        for q in range(depth):
-            if entries[q]:
-                m = QMatrix(sizes[q], sizes[q + 1])
-                for (i, j), c in entries[q].items():
-                    m.rows[i][j] = c
-                ranks[q] = m.rank()
-        hit = tuple(sizes[q] - (ranks[q] if q < depth else 0)
-                    - (ranks[q - 1] if q > 0 else 0)
-                    for q in range(depth + 1))
-        _fam_dims_memo[key] = hit
-    return hit
+    if hit is not None:
+        return hit if q_top is None else hit[:q_top + 1]
+    top = depth if q_top is None else q_top
+    n_diffs = min(top + 1, depth)   # degrees 0..top need d_0..d_top
+    per_q, entries = _block_entries(list(fam), depth, n_diffs)
+    sizes = [len(v) for v in per_q[:top + 1]]
+    mats = []
+    for q in range(n_diffs):
+        rows: list[dict[int, int]] = [{} for _ in range(sizes[q])]
+        for (i, j), c in entries[q].items():
+            rows[i][j] = c
+        mats.append(rows)
+    mod = [rank_mod(m) for m in mats]
+    if q_top is not None and not any(_dims(sizes, mod)):
+        return None
+    dims = _dims(sizes, [int_rank(m, r) for m, r in zip(mats, mod)])
+    if q_top is None:
+        _fam_dims_memo[key] = dims
+    return dims
+
+
+def _dims(sizes: list[int], ranks: list[int]) -> tuple[int, ...]:
+    """dims[q] = sizes[q] - rank d_q - rank d_{q-1}; d_q is absent past ranks."""
+    n = len(ranks)
+    return tuple(size - (ranks[q] if q < n else 0) - (ranks[q - 1] if q else 0)
+                 for q, size in enumerate(sizes))
 
 
 def build_reduced_strand(x: ToricVariety, alpha: Class, e: Sequence[int],
@@ -630,8 +564,8 @@ def _support_patterns(x: ToricVariety):
         fam = tuple(T for T in subsets if not (neg & common[T]))
         if not fam:
             continue
-        dims = _family_dims(fam, depth)
-        if any(dims[q] for q in range(q_top + 1)):
+        dims = _family_dims(fam, depth, q_top)
+        if dims is not None and any(dims):
             out.append(tuple(sorted(neg)))
     return tuple(out)
 
@@ -650,12 +584,13 @@ def contributing_points(x: ToricVariety,
     hit = _points_cache.get(key)
     if hit is None:
         target = tuple(-a for a in alpha)
-        u0, kernel = _degree_fiber(x, target)
+        u0, kernel = degree_fiber(x, target)
         pts = []
         if u0 is not None:
             for neg in _support_patterns(x):
-                for w in _fiber_points_signed(x, u0, kernel, neg):
-                    pts.append((w, neg))
+                # w <= -1 on the rays in neg, w >= 0 on the others
+                signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
+                pts.extend((w, neg) for w in fiber_points(u0, kernel, signs))
         pts.sort()
         hit = tuple(pts)
         _points_cache[key] = hit
@@ -758,6 +693,18 @@ def _stable_key(payload) -> str:
     ).hexdigest()
 
 
+def _cache_write(path: Path, payload) -> None:
+    """Best-effort atomic write of a hashed cache entry.  The temp name
+    carries the pid, so concurrent writers never share a temp file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        tmp.write_text(json.dumps({"payload": payload, "sha": _stable_key(payload)}))
+        tmp.replace(path)
+    except OSError:
+        pass  # cache is best-effort
+
+
 def strand_key(x: ToricVariety, alpha: Class, e: Sequence[int], policy: str) -> str:
     return _stable_key({
         "v": FORMAT_VERSION,
@@ -789,15 +736,7 @@ def reduced_strand(x: ToricVariety, alpha: Class, e: Sequence[int],
     s = build_reduced_strand(x, alpha, e, policy)
     _memory_cache[mk] = s
     if use_disk:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = s.to_obj()
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps({"payload": payload,
-                                       "sha": _stable_key(payload)}))
-            tmp.replace(path)
-        except OSError:
-            pass  # cache is best-effort
+        _cache_write(path, s.to_obj())
     return s
 
 

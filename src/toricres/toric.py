@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InputError, UnsupportedGeometryError
@@ -170,6 +170,8 @@ class ToricVariety:
 def variety_from_points(points: Iterable[Point]) -> ToricVariety:
     """Normal fan of conv(points) with its class-group presentation."""
     pts = sorted(set(points))
+    if not pts:
+        raise InputError("empty point set")
     dim = len(pts[0])
     rays = tuple(facet_normals(pts))
 
@@ -288,7 +290,7 @@ def homogenized_exponent(x: ToricVariety, support: Support, point: Point) -> tup
     a = support_levels(x, support)
     e = tuple(_dot(point, u) + a[r] for r, u in enumerate(x.rays))
     if any(c < 0 for c in e):
-        raise AssertionError("negative homogenized exponent")
+        raise InputError(f"point {point} is not in the support")
     return e
 
 
@@ -310,10 +312,33 @@ def codimension(supports: Sequence[Support]) -> int:
     return best
 
 
-# -- lattice points of a degree window ----------------------------------------------
+# -- lattice points of a degree fiber ------------------------------------------------
 
-def _fm_eliminate(ineqs: list[tuple[tuple[Fraction, ...], Fraction]],
-                  var: int) -> list[tuple[tuple[Fraction, ...], Fraction]] | None:
+# An inequality sum_i c[i] * t_i >= r on integer points t, with int c and r.
+Ineq = tuple[tuple[int, ...], int]
+
+
+def _tighten(rows: Iterable[Ineq]) -> list[Ineq] | None:
+    """Divide each row by the gcd of its coefficients, round its right-hand
+    side up (t is integral) and keep the tightest row per coefficient vector.
+
+    Drops trivially true rows; returns None when a row is infeasible."""
+    best: dict[tuple[int, ...], int] = {}
+    for c, r in rows:
+        g = math.gcd(*c)
+        if not g:
+            if r > 0:
+                return None
+            continue
+        if g > 1:
+            c = tuple(v // g for v in c)
+            r = -(-r // g)
+        if c not in best or r > best[c]:
+            best[c] = r
+    return list(best.items())
+
+
+def _fm_eliminate(ineqs: list[Ineq], var: int) -> list[Ineq] | None:
     """Project out variable `var` from the system sum(c*t) >= rhs.
 
     Returns None when the system is infeasible.
@@ -328,84 +353,93 @@ def _fm_eliminate(ineqs: list[tuple[tuple[Fraction, ...], Fraction]],
             keep.append((c, r))
     for cl, rl in lowers:
         for cu, ru in uppers:
-            # cl[var]*a + cu[var]*b with weights to cancel var
+            # positive weights that cancel var
             wl, wu = -cu[var], cl[var]
-            c = tuple(wl * a + wu * b for a, b in zip(cl, cu))
-            keep.append((c, wl * rl + wu * ru))
-    # drop trivially true rows, fail on infeasible ones
-    out = []
-    for c, r in keep:
-        if any(c):
-            out.append((c, r))
-        elif r > 0:
-            return None
-    return out
+            keep.append((tuple(wl * a + wu * b for a, b in zip(cl, cu)),
+                         wl * rl + wu * ru))
+    return _tighten(keep)
 
 
-def _interval(ineqs, var: int, point: list[Fraction]) -> tuple[Fraction | None, Fraction | None]:
-    lo: Fraction | None = None
-    hi: Fraction | None = None
+def _interval(ineqs: list[Ineq], var: int,
+              point: list[int]) -> tuple[int | None, int | None]:
+    """Integer range of t_var allowed by the rows, given the other t."""
+    lo: int | None = None
+    hi: int | None = None
     for c, r in ineqs:
-        if not c[var]:
+        a = c[var]
+        if not a:
             continue
         rest = r - sum(ci * ti for i, (ci, ti) in enumerate(zip(c, point)) if i != var and ci)
-        bound = rest / c[var]
-        if c[var] > 0:
-            lo = bound if lo is None or bound > lo else lo
+        if a > 0:
+            b = -(-rest // a)
+            lo = b if lo is None or b > lo else lo
         else:
-            hi = bound if hi is None or bound < hi else hi
+            b = rest // a
+            hi = b if hi is None or b < hi else hi
     return lo, hi
 
 
-def lattice_points_in_window(x: ToricVariety, alpha: Sequence[int],
-                             lower: Sequence[int]) -> list[tuple[int, ...]]:
-    """All u in Z^rays with degree(u) = alpha and u >= lower componentwise."""
+@lru_cache(maxsize=None)
+def degree_fiber(x: ToricVariety, target: tuple[int, ...]):
+    """Particular exponent u0 (None if there is none) and kernel lattice
+    basis of the fiber {u in Z^rays : degree(u) = target}."""
     if x.torsion:
         raise UnsupportedGeometryError("torsion class groups are not supported")
     g_rows = [[g[i] for g in x.grading] for i in range(x.class_rank)]
-    u0 = solve_int(g_rows, list(alpha))
-    if u0 is None:
-        return []
-    kernel = int_kernel_basis(g_rows)
+    u0 = solve_int(g_rows, list(target))
+    kernel = tuple(tuple(k) for k in int_kernel_basis(g_rows))
+    if u0 is not None and len(kernel) != x.dim:
+        raise UnsupportedGeometryError(
+            f"degree kernel has rank {len(kernel)}, the variety dimension {x.dim}")
+    return (tuple(u0) if u0 is not None else None), kernel
+
+
+def fiber_points(u0: Sequence[int], kernel: Sequence[Sequence[int]],
+                 bounds: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """All w = u0 + sum_i t_i kernel[i] (t integral) with s * w[rho] >= b for
+    each (s, b) = bounds[rho], in increasing order of t.
+
+    Fourier-Motzkin elimination on integer rows, then a walk over the
+    nested intervals of t_0, t_1, ..."""
     m = len(kernel)
-    if m != x.dim:
-        raise AssertionError("kernel rank does not match the variety dimension")
+    n = len(u0)
     if m == 0:
-        u = tuple(u0)
-        return [u] if all(a >= b for a, b in zip(u, lower)) else []
-
-    # inequalities sum_i kernel[i][rho] * t_i >= lower[rho] - u0[rho]
-    ineqs = []
-    for rho in range(x.n_rays):
-        c = tuple(Fraction(kernel[i][rho]) for i in range(m))
-        ineqs.append((c, Fraction(lower[rho] - u0[rho])))
-
-    systems: list = [ineqs]
+        ok = all(s * u0[rho] >= b for rho, (s, b) in enumerate(bounds))
+        return [tuple(u0)] if ok else []
+    # s * (u0 + t.k)[rho] >= b  <=>  sum_i s * k[i][rho] * t_i >= b - s * u0[rho]
+    systems = [_tighten((tuple(s * kernel[i][rho] for i in range(m)), b - s * u0[rho])
+                        for rho, (s, b) in enumerate(bounds))]
     for var in range(m - 1, 0, -1):
-        nxt = _fm_eliminate(systems[-1], var)
-        if nxt is None:
+        if systems[-1] is None:
             return []
-        systems.append(nxt)
+        systems.append(_fm_eliminate(systems[-1], var))
+    if systems[-1] is None:
+        return []
     systems.reverse()  # systems[i] constrains t_0..t_i
-
     out: list[tuple[int, ...]] = []
-    point = [Fraction(0)] * m
+    point = [0] * m
 
     def walk(level: int) -> None:
         lo, hi = _interval(systems[level], level, point)
         if lo is None or hi is None:
             raise UnsupportedGeometryError("unbounded degree window")
-        ilo = math.ceil(lo)
-        ihi = math.floor(hi)
-        for t in range(ilo, ihi + 1):
-            point[level] = Fraction(t)
+        for t in range(lo, hi + 1):
+            point[level] = t
             if level + 1 == m:
-                u = tuple(u0[rho] + sum(kernel[i][rho] * int(point[i]) for i in range(m))
-                          for rho in range(x.n_rays))
-                out.append(u)
+                out.append(tuple(u0[rho] + sum(kernel[i][rho] * point[i] for i in range(m))
+                                 for rho in range(n)))
             else:
                 walk(level + 1)
-        point[level] = Fraction(0)
+        point[level] = 0
 
     walk(0)
-    return sorted(out)
+    return out
+
+
+def lattice_points_in_window(x: ToricVariety, alpha: Sequence[int],
+                             lower: Sequence[int]) -> list[tuple[int, ...]]:
+    """All u in Z^rays with degree(u) = alpha and u >= lower componentwise."""
+    u0, kernel = degree_fiber(x, tuple(alpha))
+    if u0 is None:
+        return []
+    return sorted(fiber_points(u0, kernel, [(1, b) for b in lower]))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+from fractions import Fraction
 
 import pytest
 
@@ -183,3 +186,177 @@ def test_sturmfels_variety_strand_smoke():
     assert t.dims()[:3] == (0, 0, 1)
     # dimensions hold still past the exact level
     assert strand_dims(x, beta, tuple(c + 1 for c in e))[:3] == (0, 0, 1)
+
+
+# -- the pattern table and its points against a Fraction reference -------------
+
+def _reference_patterns(x):
+    """The support pattern table with every rank taken over Q (QMatrix)."""
+    from toricres import cech
+    gens, subsets, depth = cech._subset_data(x)
+    cones = [frozenset(c) for c in x.max_cones]
+    common = {T: frozenset.intersection(*(cones[j] for j in T)) for T in subsets}
+    q_top = min(x.dim, depth)
+    out = {}
+    for bits in range(1 << x.n_rays):
+        neg = frozenset(r for r in range(x.n_rays) if bits >> r & 1)
+        fam = tuple(T for T in subsets if not (neg & common[T]))
+        if not fam:
+            continue
+        per_q, entries = cech._block_entries(list(fam), depth)
+        sizes = [len(v) for v in per_q]
+        ranks = []
+        for q in range(depth):
+            m = QMatrix(sizes[q], sizes[q + 1])
+            for (i, j), c in entries[q].items():
+                m.rows[i][j] = c
+            ranks.append(m.rank())
+        dims = cech._dims(sizes, ranks)
+        if any(dims[:q_top + 1]):
+            out[tuple(sorted(neg))] = (fam, depth, dims)
+    return out
+
+
+def _reference_fiber_points(x, u0, kernel, neg):
+    """Fiber points with w < 0 exactly on neg: Fourier-Motzkin over Fraction."""
+    m = len(kernel)
+    if m == 0:
+        ok = all((u0[r] <= -1) == (r in neg) for r in range(x.n_rays))
+        return [tuple(u0)] if ok else []
+    rows = []
+    for r in range(x.n_rays):
+        c = tuple(Fraction(kernel[i][r]) for i in range(m))
+        if r in neg:
+            rows.append((tuple(-v for v in c), Fraction(1 + u0[r])))
+        else:
+            rows.append((c, Fraction(-u0[r])))
+    systems = [rows]
+    for var in range(m - 1, 0, -1):
+        lowers = [(c, b) for c, b in systems[-1] if c[var] > 0]
+        uppers = [(c, b) for c, b in systems[-1] if c[var] < 0]
+        keep = [(c, b) for c, b in systems[-1] if not c[var]]
+        for cl, bl in lowers:
+            for cu, bu in uppers:
+                wl, wu = -cu[var], cl[var]
+                keep.append((tuple(wl * a + wu * b for a, b in zip(cl, cu)), wl * bl + wu * bu))
+        if any(not any(c) and b > 0 for c, b in keep):
+            return []
+        systems.append([(c, b) for c, b in keep if any(c)])
+    systems.reverse()
+    out, point = [], [Fraction(0)] * m
+
+    def walk(level):
+        lo = hi = None
+        for c, b in systems[level]:
+            if c[level]:
+                rest = b - sum(ci * ti for i, (ci, ti) in enumerate(zip(c, point))
+                               if i != level and ci)
+                bound = rest / c[level]
+                if c[level] > 0:
+                    lo = bound if lo is None else max(lo, bound)
+                else:
+                    hi = bound if hi is None else min(hi, bound)
+        for t in range(math.ceil(lo), math.floor(hi) + 1):
+            point[level] = Fraction(t)
+            if level + 1 == m:
+                out.append(tuple(u0[r] + sum(kernel[i][r] * int(point[i]) for i in range(m))
+                                 for r in range(x.n_rays)))
+            else:
+                walk(level + 1)
+        point[level] = Fraction(0)
+
+    walk(0)
+    return out
+
+
+def _squares_variety():
+    from toricres.toric import support_problem, variety_of
+    sq = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    return variety_of(support_problem([sq] * 3))
+
+
+def _sturmfels_variety():
+    from toricres.fixtures import STURMFELS_SUPPORTS
+    from toricres.toric import support_problem, variety_of
+    return variety_of(support_problem(STURMFELS_SUPPORTS))
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P1P1", "squares", "sturmfels"])
+def test_pattern_table_and_points_match_fraction_reference(name):
+    from toricres import cech
+    from toricres.toric import degree_fiber
+
+    x = {"P1": lambda: P1, "P2": lambda: P2, "P1P1": lambda: P1P1,
+         "squares": _squares_variety, "sturmfels": _sturmfels_variety}[name]()
+    ref = _reference_patterns(x)
+    assert cech._support_patterns(x) == tuple(sorted(ref, key=lambda neg: sum(1 << r for r in neg)))
+    # the integer path gives the dims over Q in every degree, and so do
+    # the reduced certificates (built here only where they are cheap)
+    for neg, (fam, depth, dims) in ref.items():
+        assert cech._family_dims(fam, depth) == dims
+        if x.n_rays <= 4:
+            assert cech.family_certs(x, neg).dims == dims
+    # classes: multiples of the anticanonical class and of each ray's class
+    classes = {x.anticanonical_class()}
+    for r in range(x.n_rays):
+        unit = [0] * x.n_rays
+        unit[r] = 1
+        classes.add(x.degree_of(unit))
+    for k in (-2, 0, 1, 2):
+        for base in list(classes):
+            classes.add(tuple(k * c for c in base))
+    for alpha in sorted(classes):
+        u0, kernel = degree_fiber(x, tuple(-a for a in alpha))
+        want = sorted((w, neg) for neg in ref
+                      for w in _reference_fiber_points(x, u0, kernel, set(neg)))
+        assert list(cech.contributing_points(x, alpha)) == want
+
+
+# -- guards and the disk cache -------------------------------------------------------
+
+def test_generator_cap_raises_resource_guard(monkeypatch):
+    from toricres import cech
+    from toricres.errors import ResourceGuard
+
+    monkeypatch.setattr(cech, "_GENERATOR_CAP", 2)
+    with pytest.raises(ResourceGuard):
+        cech._subset_data.__wrapped__(P2)   # three generators, past the memo
+
+
+def test_pattern_ray_cap_raises_unsupported_geometry(monkeypatch):
+    from toricres import cech
+    from toricres.errors import UnsupportedGeometryError
+
+    monkeypatch.setattr(cech, "_PATTERN_RAY_CAP", 2)
+    with pytest.raises(UnsupportedGeometryError):
+        cech._support_patterns.__wrapped__(P2)   # three rays, past the memo
+
+
+def test_kernel_rank_mismatch_is_unsupported_geometry():
+    from toricres import cech
+    from toricres.errors import UnsupportedGeometryError
+    from toricres.toric import ToricVariety
+
+    # a grading of rank 2 on three rays leaves a rank-1 kernel, not dim 2
+    bad = ToricVariety(dim=2, rays=((1, 0), (0, 1), (-1, -1)),
+                       max_cones=((0, 1), (0, 2), (1, 2)),
+                       grading=((1, 0), (0, 1), (0, 0)))
+    with pytest.raises(UnsupportedGeometryError):
+        cech.contributing_points(bad, (0, 0))
+    with pytest.raises(UnsupportedGeometryError):
+        strand_dims(bad, (0, 0), (0, 0, 0))
+
+
+def test_strand_cache_write_ignores_another_writers_temp_file(tmp_path, monkeypatch):
+    from toricres import cech
+    from toricres.cech import strand_key
+
+    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(cech, "_memory_cache", {})
+    alpha, e = cls_of_degree(P2, 2), (1, 1, 1)
+    path = tmp_path / f"{strand_key(P2, alpha, e, 'sparse')}.json"
+    # a concurrent writer's pid-less temp name must not block this write
+    path.with_suffix(".tmp").mkdir()
+    reduced_strand(P2, alpha, e)
+    assert path.exists()
+    assert not list(tmp_path.glob(f"*.{os.getpid()}.tmp"))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricres.errors import UnsupportedGeometryError
+from toricres.errors import InputError, UnsupportedGeometryError
 from toricres.fixtures import M33_SUPPORTS, STURMFELS_PAPER_RAYS, STURMFELS_SUPPORTS
 from toricres.toric import (
+    ToricVariety,
     codimension,
     divisor_class,
     facet_normals,
@@ -127,6 +130,41 @@ def test_lattice_points_projective_plane():
     assert lattice_points_in_window(x, alpha, (3, 3, 3)) == []
 
 
+def _window_box(x, alpha, lower):
+    """A priori ranges holding every w >= lower of degree alpha.  For a
+    functional phi positive on every ray class, phi(deg e_r) * (w_r -
+    lower_r) <= phi(alpha) - phi(deg lower); take the least such bound."""
+    hi = [None] * x.n_rays
+    for phi in itertools.product(range(-3, 4), repeat=x.class_rank):
+        wts = [sum(p * g for p, g in zip(phi, row)) for row in x.grading]
+        if all(v > 0 for v in wts):
+            slack = (sum(p * a for p, a in zip(phi, alpha))
+                     - sum(v * lo for v, lo in zip(wts, lower)))
+            hi = [b if h is None else min(h, b)
+                  for h, b in zip(hi, (lo + slack // v for lo, v in zip(lower, wts)))]
+    assert None not in hi, "no positive functional found"
+    return [range(lo, h + 1) for lo, h in zip(lower, hi)]
+
+
+@pytest.mark.parametrize("points", [
+    SIMPLEX2,
+    ((0, 0), (1, 0), (0, 1), (1, 1)),
+    ((0, 0), (1, 0), (0, 1), (2, 2)),
+    ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1)),
+    ((0,), (3,)),
+])
+def test_lattice_points_match_brute_force_in_a_box(points):
+    x = variety_from_points(points)
+    lowers = [(0,) * x.n_rays, (-1,) * x.n_rays,
+              tuple((-1) ** r * (r % 3) for r in range(x.n_rays))]
+    for u in itertools.product(range(-1, 2), repeat=x.n_rays):
+        alpha = x.degree_of(u)
+        for lower in lowers:
+            brute = [w for w in itertools.product(*_window_box(x, alpha, lower))
+                     if x.degree_of(w) == alpha]
+            assert lattice_points_in_window(x, alpha, lower) == brute
+
+
 def test_lattice_points_interval():
     x = variety_from_points(((0,), (3,)))
     alpha = x.degree_of([1, 2])
@@ -171,3 +209,23 @@ def test_homogenization_lands_in_divisor_class(points):
         e = homogenized_exponent(x, sup, p)
         assert all(c >= 0 for c in e)
         assert x.degree_of(e) == cls
+
+
+def test_empty_point_set_is_an_input_error():
+    with pytest.raises(InputError):
+        variety_from_points([])
+
+
+def test_point_outside_the_support_is_an_input_error():
+    x = variety_from_points(SIMPLEX2)
+    with pytest.raises(InputError):
+        homogenized_exponent(x, SIMPLEX2, (2, 2))
+
+
+def test_kernel_rank_mismatch_is_unsupported_geometry():
+    # a grading of rank 2 on three rays leaves a rank-1 kernel, not dim 2
+    bad = ToricVariety(dim=2, rays=((1, 0), (0, 1), (-1, -1)),
+                       max_cones=((0, 1), (0, 2), (1, 2)),
+                       grading=((1, 0), (0, 1), (0, 0)))
+    with pytest.raises(UnsupportedGeometryError):
+        lattice_points_in_window(bad, (0, 0), (0, 0, 0))

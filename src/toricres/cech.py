@@ -23,7 +23,18 @@ projection rho, homotopy h, and the original differential D satisfy
 
 all in the row convention (composition left to right along arrows).  The
 reduced differential is identically zero, so model dimensions are the
-cohomology dimensions of the truncated strand.
+cohomology dimensions of the truncated strand.  The certificates depend
+only on the pivot rule: a unit entry first, then the sparsest row, then
+the least (degree, row, column).  A lazily invalidated min-heap of each
+row's least key finds every pivot without rescanning the block, and a
+column mirror finds the rows a pivot touches (see _reduce_block).
+
+Which exponents carry cohomology at all is decided once per variety and
+negative-support pattern, without building a family: by the nerve lemma a
+pattern's family has the reduced cohomology, shifted by one, of a small
+simplicial complex on the negated rays (Eisenbud, Mustata and Stillman,
+"Cohomology on toric varieties and local cohomology with monomial
+supports", J. Symbolic Comput. 29, 2000; see _support_patterns).
 
 Strands are cached in memory and optionally on disk (TORICRES_CACHE_DIR,
 default ~/.cache/toricres).
@@ -31,6 +42,7 @@ default ~/.cache/toricres).
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import json
 import os
@@ -41,7 +53,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ResourceGuard, StabilizationError, UnsupportedGeometryError
-from .qlinalg import QMatrix, _frac_str, int_rank, rank_mod
+from .qlinalg import QMatrix, _frac_str, int_rank
 from .qpoly import cnorm
 from .toric import ToricVariety, degree_fiber, fiber_points
 
@@ -173,42 +185,55 @@ def _reduce_block(per_q: list[list[tuple[int, ...]]],
     Coordinates are kept by original local index throughout; dropped ones
     simply leave the active sets.  Returns surviving indices per degree and
     the certificates as index-keyed sparse structures.
+
+    The pivot is the nonzero entry with the least key (unit, fill, q, i, j)
+    under policy "sparse" (unit 0 for a +-1 entry, fill the number of other
+    entries in its row), or (0, 0, q, i, j) under "first".  Entries of one
+    row share fill, q and i, so the least key overall is the least of the
+    rows' least keys.  Those sit in a lazily invalidated min-heap: a row
+    pushes its least key when it is built and again whenever it changes,
+    and a popped key whose entry, unit flag or fill no longer matches its
+    row is dropped.  A key that still matches is its row's least: the
+    row's newest key is no larger and would have been popped, and the row
+    pivoted away, before it.
     """
     depth1 = len(per_q)
     sizes = [len(v) for v in per_q]
     active = [set(range(s)) for s in sizes]
-    # d[q]: row -> {col: coeff}; cols[q]: col -> {row: coeff} mirrors for pivots
+    # d[q]: row -> {col: coeff}; cols[q]: col -> rows with a nonzero there
     d = [dict() for _ in range(depth1 - 1)]
+    cols = [dict() for _ in range(depth1 - 1)]
     for q, ent in enumerate(entries):
-        dq = d[q]
+        dq, cq = d[q], cols[q]
         for (i, j), c in ent.items():
             dq.setdefault(i, {})[j] = c
+            cq.setdefault(j, set()).add(i)
     iota = [{i: {i: 1} for i in range(s)} for s in sizes]   # model row -> chain covector
     rho = [{i: {i: 1} for i in range(s)} for s in sizes]    # model col -> chain vector
     h = [dict() for _ in range(depth1 - 1)]                 # chain(q+1) -> {chain(q): c}
 
-    def pick_pivot():
-        best = None
-        for q in range(depth1 - 1):
-            for i, row in d[q].items():
-                for j, a in row.items():
-                    if policy == "first":
-                        cand = (0, 0, q, i, j, a)
-                    else:
-                        fill = (len(row) - 1)
-                        cand = (0 if abs(a) == 1 else 1, fill, q, i, j, a)
-                    if best is None or cand[:5] < best[:5]:
-                        best = cand
-        return best
+    sparse = policy != "first"
 
-    while True:
-        piv = pick_pivot()
-        if piv is None:
-            break
-        _, _, q, pi, pj, a = piv
-        inv_a = Fraction(1, 1) / Fraction(a)
-        row_piv = d[q].get(pi, {})
-        col_entries = [(i, r[pj]) for i, r in d[q].items() if pj in r and i != pi]
+    def least_key(q, i, row):
+        if not sparse:
+            return (0, 0, q, i, min(row))
+        units = [j for j, a in row.items() if a in (1, -1)]
+        return (0 if units else 1, len(row) - 1, q, i, min(units or row))
+
+    heap = [least_key(q, i, row) for q in range(depth1 - 1) for i, row in d[q].items()]
+    heapq.heapify(heap)
+
+    while heap:
+        unit, fill, q, pi, pj = heapq.heappop(heap)
+        dq, cq = d[q], cols[q]
+        row_piv = dq.get(pi)
+        if row_piv is None or pj not in row_piv:
+            continue   # the entry is gone
+        a = row_piv[pj]
+        if sparse and (unit != (a not in (1, -1)) or fill != len(row_piv) - 1):
+            continue   # the row changed since this key was pushed
+        inv_a = a if a in (1, -1) else Fraction(1) / Fraction(a)   # ints stay ints
+        col_entries = [(i, dq[i][pj]) for i in cq.pop(pj) if i != pi]
         row_entries = [(j, c) for j, c in row_piv.items() if j != pj]
 
         iota_piv = iota[q][pi]
@@ -248,45 +273,53 @@ def _reduce_block(per_q: list[list[tuple[int, ...]]],
                 else:
                     tgt.pop(c1, None)
 
-        # Schur complement on d[q]
+        # Schur complement on d[q]; the pivot column leaves every row
         for i, cval in col_entries:
             fi = cval * inv_a
-            ri = d[q].setdefault(i, {})
+            ri = dq[i]
+            del ri[pj]
             for j, bval in row_entries:
                 s = ri.get(j, 0) - fi * bval
                 if s:
+                    if j not in ri:
+                        cq[j].add(i)
                     ri[j] = cnorm(s)
-                else:
-                    ri.pop(j, None)
-            if not ri:
-                del d[q][i]
+                elif j in ri:
+                    del ri[j]
+                    cq[j].discard(i)
+            if ri:
+                heapq.heappush(heap, least_key(q, i, ri))
+            else:
+                del dq[i]
 
-        # drop pivot row/col everywhere
+        # drop the pivot row and column everywhere
         active[q].discard(pi)
         active[q + 1].discard(pj)
         iota[q].pop(pi, None)
         rho[q].pop(pi, None)
         iota[q + 1].pop(pj, None)
         rho[q + 1].pop(pj, None)
-        d[q].pop(pi, None)
-        for i in list(d[q]):
-            d[q][i].pop(pj, None)
-            if not d[q][i]:
-                del d[q][i]
+        del dq[pi]
+        for j, _ in row_entries:
+            cq[j].discard(pi)
         if q + 1 < depth1 - 1:
-            d[q + 1].pop(pj, None)
+            for j in d[q + 1].pop(pj, ()):
+                cols[q + 1][j].discard(pj)
         if q - 1 >= 0:
-            for i in list(d[q - 1]):
-                d[q - 1][i].pop(pi, None)
-                if not d[q - 1][i]:
-                    del d[q - 1][i]
+            dm = d[q - 1]
+            for i in cols[q - 1].pop(pi, ()):
+                ri = dm[i]
+                del ri[pi]
+                if ri:
+                    heapq.heappush(heap, least_key(q - 1, i, ri))
+                else:
+                    del dm[i]
 
     return active, iota, rho, h
 
 
-def _block_entries(fam: list[tuple[int, ...]], depth: int, n_diffs: int | None = None):
-    """Per-degree coordinates and signed incidence entries of one block;
-    with n_diffs, entries of the differentials d_0..d_{n_diffs-1} only."""
+def _block_entries(fam: list[tuple[int, ...]], depth: int):
+    """Per-degree coordinates and signed incidence entries of one block."""
     per_q: list[list[tuple[int, ...]]] = [[] for _ in range(depth + 1)]
     for T in fam:
         per_q[len(T) - 1].append(T)
@@ -299,7 +332,7 @@ def _block_entries(fam: list[tuple[int, ...]], depth: int, n_diffs: int | None =
     fam_set = set(fam)
     gen_ids = sorted({j for T in fam for j in T})
     entries: list[dict[tuple[int, int], int]] = [dict() for _ in range(depth)]
-    for q in range(depth if n_diffs is None else n_diffs):
+    for q in range(depth):
         for T in per_q[q]:
             for j in gen_ids:
                 if j in T:
@@ -391,36 +424,22 @@ def _reduced_family(fam: tuple[tuple[int, ...], ...], depth: int, policy: str):
 _fam_dims_memo: dict = {}
 
 
-def _family_dims(fam: tuple[tuple[int, ...], ...], depth: int,
-                 q_top: int | None = None) -> tuple[int, ...] | None:
-    """Cohomology dimensions of one subset family, by exact integer ranks:
-    in every degree, or in degrees 0..q_top only.
-
-    With q_top, a one-sided screen runs first: ranks modulo a prime are at
-    most the ranks over Q, so the dims modulo the prime are at least the
-    dims over Q.  If they vanish in every degree q <= q_top, so do the dims
-    over Q, and None is returned.  Only full dims are memoized."""
+def _family_dims(fam: tuple[tuple[int, ...], ...], depth: int) -> tuple[int, ...]:
+    """Cohomology dimensions of one subset family in every degree, by exact
+    integer ranks of its incidence matrices."""
     key = (fam, depth)
     hit = _fam_dims_memo.get(key)
-    if hit is not None:
-        return hit if q_top is None else hit[:q_top + 1]
-    top = depth if q_top is None else q_top
-    n_diffs = min(top + 1, depth)   # degrees 0..top need d_0..d_top
-    per_q, entries = _block_entries(list(fam), depth, n_diffs)
-    sizes = [len(v) for v in per_q[:top + 1]]
-    mats = []
-    for q in range(n_diffs):
-        rows: list[dict[int, int]] = [{} for _ in range(sizes[q])]
-        for (i, j), c in entries[q].items():
-            rows[i][j] = c
-        mats.append(rows)
-    mod = [rank_mod(m) for m in mats]
-    if q_top is not None and not any(_dims(sizes, mod)):
-        return None
-    dims = _dims(sizes, [int_rank(m, r) for m, r in zip(mats, mod)])
-    if q_top is None:
-        _fam_dims_memo[key] = dims
-    return dims
+    if hit is None:
+        per_q, entries = _block_entries(list(fam), depth)
+        sizes = [len(v) for v in per_q]
+        mats = []
+        for q in range(depth):
+            rows: list[dict[int, int]] = [{} for _ in range(sizes[q])]
+            for (i, j), c in entries[q].items():
+                rows[i][j] = c
+            mats.append(rows)
+        hit = _fam_dims_memo[key] = _dims(sizes, [int_rank(m) for m in mats])
+    return hit
 
 
 def _dims(sizes: list[int], ranks: list[int]) -> tuple[int, ...]:
@@ -541,6 +560,24 @@ def strand_invariants_ok(s: ReducedStrand) -> bool:
 _PATTERN_RAY_CAP = 16
 
 
+def _nerve_dims(x: ToricVariety, neg: tuple[int, ...]) -> tuple[int, ...]:
+    """Cohomology dimensions of the family of pattern neg, q = 0..depth, from
+    the nerve N = {S subset of neg, S nonempty, S inside some max cone}:
+    dims[q] is the reduced h^{q-1} of N (see _support_patterns)."""
+    negs = set(neg)
+    faces: set[tuple[int, ...]] = set()
+    for cone in x.max_cones:
+        inside = sorted(negs.intersection(cone))
+        for k in range(1, len(inside) + 1):
+            faces.update(itertools.combinations(inside, k))
+    n = len(x.max_cones)   # depth + 1 degrees; the nerve has none above depth
+    if not faces:
+        return (1,) + (0,) * (n - 1)   # reduced h^{-1} of the empty complex
+    # a face complex is a subset family too: its h^k, reduced in degree 0
+    h = _family_dims(tuple(sorted(faces)), max(map(len, faces)) - 1)
+    return ((0, h[0] - 1) + h[1:] + (0,) * n)[:n]
+
+
 @lru_cache(maxsize=None)
 def _support_patterns(x: ToricVariety):
     """Negative-support patterns whose blocks carry cohomology in q <= dim.
@@ -549,24 +586,30 @@ def _support_patterns(x: ToricVariety):
     the full family {T : no common ray of the T-cones has w < 0} once c
     reaches depth(w) = -min(w), and empty before that.  The family, hence
     the block cohomology, depends on w only through its negative-ray set,
-    so one table per variety decides which exponents can contribute."""
+    so one table per variety decides which exponents can contribute.
+
+    The table does not build the families.  The family of a pattern neg is
+    the relative cochain complex of the simplex on the max cones modulo the
+    subcomplex Sigma of cone sets sharing a negated ray, so its dims are
+    h^q(simplex, Sigma) = reduced h^{q-1}(Sigma).  Sigma is covered by one
+    full simplex per ray in neg (the cones containing it); all their
+    intersections are simplices or empty, so by the nerve lemma Sigma has
+    the cohomology of the nerve N = {S subset of neg : S in some max cone},
+    a complex on at most #rays vertices (the small complexes on rays of
+    Eisenbud, Mustata and Stillman, "Cohomology on toric varieties and
+    local cohomology with monomial supports", J. Symbolic Comput. 29, 2000).
+    _nerve_dims ranks the nerve's coboundaries exactly, as a subset family
+    of its own."""
     if x.n_rays > _PATTERN_RAY_CAP:
         raise UnsupportedGeometryError(
             f"support pattern table needs 2^{x.n_rays} entries; "
             f"cap is 2^{_PATTERN_RAY_CAP}")
-    gens, subsets, depth = _subset_data(x)
-    cones = [frozenset(c) for c in x.max_cones]
-    common = {T: frozenset.intersection(*(cones[j] for j in T)) for T in subsets}
-    q_top = min(x.dim, depth)
+    q_top = min(x.dim, cech_depth(x))
     out = []
     for bits in range(0, 1 << x.n_rays):
-        neg = frozenset(rho for rho in range(x.n_rays) if bits >> rho & 1)
-        fam = tuple(T for T in subsets if not (neg & common[T]))
-        if not fam:
-            continue
-        dims = _family_dims(fam, depth, q_top)
-        if dims is not None and any(dims):
-            out.append(tuple(sorted(neg)))
+        neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
+        if any(_nerve_dims(x, neg)[:q_top + 1]):
+            out.append(neg)
     return tuple(out)
 
 
@@ -757,6 +800,18 @@ def cache_clear() -> int:
             f.unlink()
             n += 1
     return n
+
+
+def clear_caches() -> None:
+    """Empty every in-process memo of this module and zero cache_counters.
+
+    The memos grow for the life of the process; the disk cache is left as
+    it is (cache_clear empties that)."""
+    for memo in (_reduce_memo, _fam_dims_memo, _points_cache, _memory_cache):
+        memo.clear()
+    cache_counters_reset()
+    for fn in (_subset_data, _support_patterns, _pattern_family, family_certs):
+        fn.cache_clear()
 
 
 # -- transport between truncation levels -------------------------------------------

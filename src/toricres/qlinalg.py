@@ -155,13 +155,6 @@ class QMatrix:
                 out.rows[j][i] = c
         return out
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
-        cmap = {j: jj for jj, j in enumerate(col_idx)}
-        rows: list[Row] = []
-        for i in row_idx:
-            rows.append({cmap[j]: c for j, c in self.rows[i].items() if j in cmap})
-        return QMatrix(len(row_idx), len(col_idx), rows)
-
     # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
@@ -353,8 +346,7 @@ def rank_mod(rows: Sequence[Mapping[int, int]], p: int = FIRST_PRIME) -> int:
     return rank
 
 
-def int_rank(a: IntMat | Sequence[Mapping[int, int]],
-             first_rank: int | None = None) -> int:
+def int_rank(a: IntMat | Sequence[Mapping[int, int]]) -> int:
     """Exact rank over Q of an integer matrix, dense or as sparse rows.
 
     The rank is the max of its ranks modulo the primes _prime(0), _prime(1),
@@ -362,8 +354,7 @@ def int_rank(a: IntMat | Sequence[Mapping[int, int]],
     of the k = min(rows, cols) largest row norms, or column norms, whichever
     is smaller), or until the rank is full.  A prime lowers the rank r only
     if it divides every nonzero r x r minor, each at most H in absolute
-    value, so primes with product above H cannot all lower it.  first_rank
-    is the rank modulo _prime(0), when the caller already has it.
+    value, so primes with product above H cannot all lower it.
     """
     rows = [r if isinstance(r, Mapping) else dict(enumerate(r)) for r in a]
     row_sq: list[int] = []
@@ -384,8 +375,7 @@ def int_rank(a: IntMat | Sequence[Mapping[int, int]],
     best, modulus = 0, 1
     for i in itertools.count():
         p = _prime(i)
-        r = first_rank if i == 0 and first_rank is not None else rank_mod(rows, p)
-        best = max(best, r)
+        best = max(best, rank_mod(rows, p))
         modulus *= p
         if best == k or modulus * modulus > bound_sq:
             return best

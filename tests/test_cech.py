@@ -6,6 +6,8 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers_cohomology import bott_pn, kunneth_p1p1
 from toricres.cech import (
@@ -21,6 +23,7 @@ from toricres.cech import (
 )
 from toricres.complexes import variety_from_simplex
 from toricres.qlinalg import QMatrix
+from toricres.qpoly import cnorm
 from toricres.toric import variety_from_points
 
 
@@ -281,13 +284,22 @@ def _sturmfels_variety():
     return variety_of(support_problem(STURMFELS_SUPPORTS))
 
 
-@pytest.mark.parametrize("name", ["P1", "P2", "P1P1", "squares", "sturmfels"])
+VARIETIES = {"P1": lambda: P1, "P2": lambda: P2, "P3": lambda: variety_from_simplex(3),
+             "P1P1": lambda: P1P1, "squares": _squares_variety,
+             "sturmfels": _sturmfels_variety}
+
+
+def _all_patterns(x):
+    return [tuple(r for r in range(x.n_rays) if bits >> r & 1)
+            for bits in range(1 << x.n_rays)]
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P1P1", "squares", "sturmfels"])
 def test_pattern_table_and_points_match_fraction_reference(name):
     from toricres import cech
     from toricres.toric import degree_fiber
 
-    x = {"P1": lambda: P1, "P2": lambda: P2, "P1P1": lambda: P1P1,
-         "squares": _squares_variety, "sturmfels": _sturmfels_variety}[name]()
+    x = VARIETIES[name]()
     ref = _reference_patterns(x)
     assert cech._support_patterns(x) == tuple(sorted(ref, key=lambda neg: sum(1 << r for r in neg)))
     # the integer path gives the dims over Q in every degree, and so do
@@ -296,6 +308,13 @@ def test_pattern_table_and_points_match_fraction_reference(name):
         assert cech._family_dims(fam, depth) == dims
         if x.n_rays <= 4:
             assert cech.family_certs(x, neg).dims == dims
+    # the nerve of every pattern has the cohomology of its family, in
+    # every degree, including the patterns the table leaves out
+    depth = cech.cech_depth(x)
+    for neg in _all_patterns(x):
+        fam = cech._pattern_family(x, neg)
+        want = cech._family_dims(fam, depth) if fam else (0,) * (depth + 1)
+        assert cech._nerve_dims(x, neg) == want
     # classes: multiples of the anticanonical class and of each ray's class
     classes = {x.anticanonical_class()}
     for r in range(x.n_rays):
@@ -310,6 +329,195 @@ def test_pattern_table_and_points_match_fraction_reference(name):
         want = sorted((w, neg) for neg in ref
                       for w in _reference_fiber_points(x, u0, kernel, set(neg)))
         assert list(cech.contributing_points(x, alpha)) == want
+
+
+# M33's pattern table as computed from the ranks of the full Cech families
+M33_PATTERNS = (
+    (), (0, 2), (3, 4), (0, 2, 3, 4), (1, 5), (2, 5), (0, 2, 5), (1, 2, 5),
+    (1, 3, 4, 5), (2, 3, 4, 5), (0, 2, 3, 4, 5), (1, 2, 3, 4, 5), (0, 6), (1, 6),
+    (0, 1, 6), (0, 2, 6), (0, 3, 4, 6), (1, 3, 4, 6), (0, 1, 3, 4, 6),
+    (0, 2, 3, 4, 6), (1, 5, 6), (0, 1, 2, 5, 6), (1, 3, 4, 5, 6),
+    (0, 1, 2, 3, 4, 5, 6),
+)
+
+
+def test_m33_pattern_table_is_frozen():
+    from toricres import cech
+    from toricres.fixtures import m33_problem
+    from toricres.toric import variety_of
+
+    assert cech._support_patterns(variety_of(m33_problem())) == M33_PATTERNS
+
+
+# -- the heap pivot order against the full-rescan reduction ---------------------
+
+def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
+                            entries: list[dict[tuple[int, int], int]],
+                            policy: str):
+    """The block reduction with a full rescan of every nonzero per pivot."""
+    depth1 = len(per_q)
+    sizes = [len(v) for v in per_q]
+    active = [set(range(s)) for s in sizes]
+    # d[q]: row -> {col: coeff}
+    d = [dict() for _ in range(depth1 - 1)]
+    for q, ent in enumerate(entries):
+        dq = d[q]
+        for (i, j), c in ent.items():
+            dq.setdefault(i, {})[j] = c
+    iota = [{i: {i: 1} for i in range(s)} for s in sizes]   # model row -> chain covector
+    rho = [{i: {i: 1} for i in range(s)} for s in sizes]    # model col -> chain vector
+    h = [dict() for _ in range(depth1 - 1)]                 # chain(q+1) -> {chain(q): c}
+
+    def pick_pivot():
+        best = None
+        for q in range(depth1 - 1):
+            for i, row in d[q].items():
+                for j, a in row.items():
+                    if policy == "first":
+                        cand = (0, 0, q, i, j, a)
+                    else:
+                        fill = (len(row) - 1)
+                        cand = (0 if abs(a) == 1 else 1, fill, q, i, j, a)
+                    if best is None or cand[:5] < best[:5]:
+                        best = cand
+        return best
+
+    while True:
+        piv = pick_pivot()
+        if piv is None:
+            break
+        _, _, q, pi, pj, a = piv
+        inv_a = Fraction(1, 1) / Fraction(a)
+        row_piv = d[q].get(pi, {})
+        col_entries = [(i, r[pj]) for i, r in d[q].items() if pj in r and i != pi]
+        row_entries = [(j, c) for j, c in row_piv.items() if j != pj]
+
+        iota_piv = iota[q][pi]
+        rho_piv = rho[q + 1][pj]
+
+        # homotopy gains 1/a * (rho column at pivot) x (iota row at pivot)
+        hq = h[q]
+        for c1, v1 in rho_piv.items():
+            dst = hq.setdefault(c1, {})
+            for c0, v0 in iota_piv.items():
+                s = dst.get(c0, 0) + v1 * v0 * inv_a
+                if s:
+                    dst[c0] = cnorm(s)
+                else:
+                    del dst[c0]
+            if not dst:
+                del hq[c1]
+
+        # iota rows at q: subtract (C/a) * pivot row
+        for i, cval in col_entries:
+            f = cval * inv_a
+            tgt = iota[q][i]
+            for c0, v0 in iota_piv.items():
+                s = tgt.get(c0, 0) - f * v0
+                if s:
+                    tgt[c0] = cnorm(s)
+                else:
+                    tgt.pop(c0, None)
+        # rho columns at q+1: subtract (B/a) * pivot column
+        for j, bval in row_entries:
+            f = bval * inv_a
+            tgt = rho[q + 1][j]
+            for c1, v1 in rho_piv.items():
+                s = tgt.get(c1, 0) - f * v1
+                if s:
+                    tgt[c1] = cnorm(s)
+                else:
+                    tgt.pop(c1, None)
+
+        # Schur complement on d[q]
+        for i, cval in col_entries:
+            fi = cval * inv_a
+            ri = d[q].setdefault(i, {})
+            for j, bval in row_entries:
+                s = ri.get(j, 0) - fi * bval
+                if s:
+                    ri[j] = cnorm(s)
+                else:
+                    ri.pop(j, None)
+            if not ri:
+                del d[q][i]
+
+        # drop pivot row/col everywhere
+        active[q].discard(pi)
+        active[q + 1].discard(pj)
+        iota[q].pop(pi, None)
+        rho[q].pop(pi, None)
+        iota[q + 1].pop(pj, None)
+        rho[q + 1].pop(pj, None)
+        d[q].pop(pi, None)
+        for i in list(d[q]):
+            d[q][i].pop(pj, None)
+            if not d[q][i]:
+                del d[q][i]
+        if q + 1 < depth1 - 1:
+            d[q + 1].pop(pj, None)
+        if q - 1 >= 0:
+            for i in list(d[q - 1]):
+                d[q - 1][i].pop(pi, None)
+                if not d[q - 1][i]:
+                    del d[q - 1][i]
+
+    return active, iota, rho, h
+
+
+@pytest.mark.parametrize("policy", ["sparse", "first"])
+@pytest.mark.parametrize("name", ["P2", "P1P1", "squares", "sturmfels"])
+def test_heap_pivots_match_full_rescan_reference(name, policy):
+    from toricres import cech
+
+    x = VARIETIES[name]()
+    depth = cech.cech_depth(x)
+    fams = {cech._pattern_family(x, neg) for neg in _all_patterns(x)}
+    for fam in sorted(fams):
+        if fam:
+            per_q, entries = cech._block_entries(list(fam), depth)
+            want = _reference_reduce_block(per_q, entries, policy)
+            assert cech._reduce_block(per_q, entries, policy) == want
+
+
+_SIZES = st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=4)
+_ENTRY = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -3])
+
+
+def _block(sizes, entries):
+    return [[(q, i) for i in range(n)] for q, n in enumerate(sizes)], entries
+
+
+@st.composite
+def _random_blocks(draw):
+    """Blocks of random sparse integer maps (not complexes): non-unit pivots
+    and Fraction entries occur."""
+    sizes = draw(_SIZES)
+    entries = []
+    for q in range(len(sizes) - 1):
+        cells = [(i, j) for i in range(sizes[q]) for j in range(sizes[q + 1])]
+        values = draw(st.lists(_ENTRY, min_size=len(cells), max_size=len(cells)))
+        entries.append({ij: v for ij, v in zip(cells, values) if v})
+    return _block(sizes, entries)
+
+
+@given(_random_blocks(), st.sampled_from(["sparse", "first"]))
+@settings(max_examples=200, deadline=None)
+# a row grows under a pivot while the entry of its old key is still a unit:
+# the key's stale fill must not let that entry pivot early
+@example(_block([4, 5], [{(0, 2): 2, (0, 3): -1, (0, 4): 1, (1, 0): 2, (1, 1): 2,
+                          (1, 2): 2, (1, 3): -1, (2, 1): 1, (2, 3): 1, (2, 4): 2,
+                          (3, 3): 2}]), "sparse")
+# the unit of row 1's old key becomes -2 at the same fill, so row 2 wins
+# column 1
+@example(_block([3, 7], [{(0, 0): 1, (0, 1): 1, (0, 3): 1, (1, 0): 3, (1, 1): 1,
+                          (1, 2): 5, (2, 1): 1, (2, 5): 1, (2, 6): 1}]), "sparse")
+def test_heap_pivots_match_full_rescan_reference_on_random_blocks(block, policy):
+    from toricres import cech
+
+    per_q, entries = block
+    want = _reference_reduce_block(per_q, entries, policy)
+    assert cech._reduce_block(per_q, entries, policy) == want
 
 
 # -- guards and the disk cache -------------------------------------------------------
@@ -345,6 +553,33 @@ def test_kernel_rank_mismatch_is_unsupported_geometry():
         cech.contributing_points(bad, (0, 0))
     with pytest.raises(UnsupportedGeometryError):
         strand_dims(bad, (0, 0), (0, 0, 0))
+
+
+def _certs_obj(c):
+    return (c.depth, c.per_q, c.pos, c.active, c.dims, c.iota, c.rho_t, c.h)
+
+
+def test_clear_caches_then_rebuild_gives_identical_family_certs(tmp_path, monkeypatch):
+    from toricres import cech
+
+    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
+    x = _sturmfels_variety()
+    cech.clear_caches()
+    negs = cech._support_patterns(x)[:12]
+    before = {neg: cech.family_certs(x, neg) for neg in negs}
+    assert cech.cache_counters["built"] > 0
+    cech.clear_caches()
+    assert not (cech._reduce_memo or cech._fam_dims_memo or cech._points_cache
+                or cech._memory_cache or any(cech.cache_counters.values()))
+    for fn in (cech._subset_data, cech._support_patterns, cech._pattern_family,
+               cech.family_certs):
+        assert fn.cache_info().currsize == 0
+    assert cache_clear() > 0   # and the disk: everything is built again
+    for neg, c in before.items():
+        again = cech.family_certs(x, neg)
+        assert again is not c
+        assert _certs_obj(again) == _certs_obj(c)
+    assert cech.cache_counters["disk"] == 0
 
 
 def test_strand_cache_write_ignores_another_writers_temp_file(tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from toricres.complexes import (
     variety_from_simplex,
 )
 from toricres.cech import stabilization_level
-from toricres.errors import StabilizationError
+from toricres.errors import ResourceGuard, StabilizationError
 from toricres.fixtures import (
     M33_E1,
     M33_ELIMINANT_TEXT,
@@ -387,6 +387,12 @@ def test_oracle_agrees_on_cotangent_family():
 
 def test_oracle_agrees_at_a_larger_level():
     assert homologies_agree(cotangent_family_complex(2), 2, seed=3, pad=1)
+
+
+def test_direct_total_complex_label_cap_raises_resource_guard():
+    C = cotangent_family_complex(1)
+    with pytest.raises(ResourceGuard):
+        total_complex_direct(C, max_level(C), label_cap=1)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))

@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InputError
-from .qlinalg import solve_int
+from .qlinalg import int_kernel_basis, solve_int
 from .qpoly import PolyMatrix, SparsePoly, poly_from_text
 from .toric import SupportProblem, ToricVariety, support_problem
 
@@ -82,7 +82,7 @@ STURMFELS_MATRIX_CELLS: list[list[str]] = [
 ]
 
 # facet normals and class-group grading of the associated surface, as
-# published (the column-to-ray pairing is recovered by permutation search)
+# published (the column-to-ray pairing is recovered from the grading's kernel)
 STURMFELS_PAPER_RAYS: tuple[tuple[int, int], ...] = (
     (-1, -2), (-2, -1), (-1, -1), (2, -1), (3, -1), (0, 1), (-1, 1), (1, 2),
 )
@@ -187,31 +187,70 @@ def linear3_problem() -> SupportProblem:
     return support_problem(LINEAR3_SUPPORTS)
 
 
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[Fraction]]]:
+    """Pivot columns and rows of the reduced row echelon form over Q."""
+    out: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for row in rows:
+        v = [Fraction(c) for c in row]
+        for piv, r in zip(pivots, out):
+            if v[piv]:
+                v = [a - v[piv] * b for a, b in zip(v, r)]
+        j = next((j for j, a in enumerate(v) if a), None)
+        if j is None:
+            continue
+        v = [a / v[j] for a in v]
+        for r in out:
+            if r[j]:
+                r[:] = [a - r[j] * b for a, b in zip(r, v)]
+        pivots.append(j)
+        out.append(v)
+    return pivots, out
+
+
 @lru_cache(maxsize=None)
 def _published_rows_for(x: ToricVariety, published_rays, published_grading):
     """Published grading row attached to each of x's rays.
 
     Printed grading tables do not fix which column belongs to which ray, so
     the pairing is recovered as the unique row assignment under which every
-    linear relation among the rays maps to zero."""
+    linear relation among the rays maps to zero.  In published-row order
+    each ray coordinate vector then lies in the left kernel L of the
+    grading, and a vector of L is fixed by its entries at the echelon
+    pivots of L.  So it is enough to place rays at the pivot rows, in
+    n!/(n - dim L)! ways: that forces every other row, which must then be
+    one of the rays not yet placed."""
     for s in (1, -1):
         if {tuple(s * v for v in r) for r in published_rays} == set(x.rays):
             break
     else:
         raise InputError("published rays do not match this fan")
     n = x.n_rays
-    width = len(published_grading[0])
+    if len(published_grading) != n:
+        raise InputError(
+            f"published grading has {len(published_grading)} rows for {n} rays")
+    gt = [[published_grading[j][c] for j in range(n)]
+          for c in range(len(published_grading[0]))]
+    pivots, basis = _echelon(int_kernel_basis(gt))
+    ray_at = {r: i for i, r in enumerate(x.rays)}
     sols = []
-    for pi in itertools.permutations(range(n)):
-        if all(sum(x.rays[i][k] * published_grading[pi[i]][c]
-                   for i in range(n)) == 0
-               for k in range(x.dim) for c in range(width)):
+    for placed in itertools.permutations(range(n), len(pivots)):
+        pi = [None] * n                  # pi[ray] = published row
+        for j in range(n):
+            forced = tuple(sum(x.rays[i][k] * b[j] for i, b in zip(placed, basis))
+                           for k in range(x.dim))
+            i = ray_at.get(forced)
+            if i is None or pi[i] is not None:
+                break
+            pi[i] = j
+        else:
             sols.append(pi)
             if len(sols) > 1:
                 break
-    if len(sols) != 1:
-        raise InputError(
-            f"published grading pairing not unique ({len(sols)} candidates)")
+    if not sols:
+        raise InputError("published grading matches no pairing with the rays")
+    if len(sols) > 1:
+        raise InputError("published grading pairing not unique")
     pi = sols[0]
     return tuple(tuple(published_grading[pi[i]]) for i in range(n))
 

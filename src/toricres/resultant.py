@@ -23,8 +23,8 @@ from .qpoly import (
     poly_to_text,
     primitive_part,
 )
-from .toric import SupportProblem, ToricVariety, codimension, variety_of
-from .weyman import E1Page, WeymanComplex, weyman_differential
+from .toric import SupportProblem, codimension, variety_of
+from .weyman import E1Page, WeymanComplex, weyman_differential, weyman_terms
 
 Class = tuple[int, ...]
 
@@ -210,10 +210,42 @@ class ResultantOutput:
         }
 
 
-def resolve_twist(x: ToricVariety, twist) -> Class:
-    """Accept the "default" keyword or an explicit class vector."""
+def _largest_minor(ranks: Mapping[int, int]) -> int:
+    """Size of the largest minor _det_once takes, from the term ranks alone:
+    every column of the top degree, then at each lower degree the rows that
+    the minor above left over."""
+    largest = cols = 0
+    for i in range(max(ranks, default=0), min(ranks, default=0) - 1, -1):
+        cols = ranks.get(i, 0) - cols
+        largest = max(largest, cols)
+    return largest
+
+
+def _twist_cost(K: FreeGradedComplex, tw: Class) -> tuple[int, int, int]:
+    """Cost key of a candidate twist, read from its rank-only E1 page."""
+    terms, _ = weyman_terms(K.twist(tw))
+    ranks = {i: sum(s.dim for s in ss) for i, ss in terms.items()}
+    higher = sum(s.dim for ss in terms.values() for s in ss if s.q > 0)
+    return higher, _largest_minor(ranks), sum(ranks.values())
+
+
+def resolve_twist(K: FreeGradedComplex, twist) -> Class:
+    """Accept the "default" keyword or an explicit class vector.
+
+    The determinant of the direct image does not depend on the twist; only
+    the size of the complex does.  The default is the cheapest of 2A, A and
+    0 (A the anticanonical class of K's variety), judged from each rank-only
+    E1 page, without building a differential: first the total dimension of
+    the summands with q > 0, then the largest minor of the determinant, then
+    the sum of the term ranks; ties go to the earlier candidate.  Summands
+    with q = 0 are global sections, whose maps are plain multiplications
+    that need no Cech certificate family, walk or disk-cache entry, which
+    is why that key comes first."""
+    x = K.x
     if twist is None or twist == "default":
-        return tuple(2 * c for c in x.anticanonical_class())
+        a = x.anticanonical_class()
+        candidates = [tuple(2 * c for c in a), tuple(a), (0,) * len(a)]
+        return min(candidates, key=lambda tw: _twist_cost(K, tw))
     try:
         t = tuple(int(c) for c in twist)
     except (TypeError, ValueError) as err:
@@ -241,7 +273,12 @@ def a_resultant(problem: SupportProblem, twist="default", policy: str = "sparse"
 
     The eliminant variety must be a hypersurface; the determinant of the
     twisted direct-image complex is normalized to a primitive integer
-    polynomial and factored as root**multiplicity."""
+    polynomial and factored as root**multiplicity.  The twist changes only
+    the size of the complex: the default is the cheapest of twice the
+    anticanonical class, the anticanonical class and zero, fewest q > 0
+    summand dimensions first (they alone need Cech certificates), then the
+    smallest largest minor (see resolve_twist); an explicit twist is used
+    as given."""
     n = len(problem.supports[0][0])
     if len(problem.supports) != n + 1:
         raise InputError(
@@ -253,8 +290,9 @@ def a_resultant(problem: SupportProblem, twist="default", policy: str = "sparse"
             f"the eliminant variety has codimension {cod}; "
             "the resultant is defined only in codimension one")
     x = variety_of(problem)
-    tw = resolve_twist(x, twist)
-    C = koszul_generic(problem, x).twist(tw)
+    K = koszul_generic(problem, x)
+    tw = resolve_twist(K, twist)
+    C = K.twist(tw)
     W = weyman_differential(C, policy=policy, e=e)
     try:
         raw, subsets = _determinant_with_subsets(W, seed)

@@ -39,6 +39,7 @@ from .cech import (
     family_certs,
     pattern_of,
     stabilization_level,
+    _nerve_dims,
     _strand_blocks,
 )
 from .complexes import ComplexMorphism, FreeGradedComplex, x_split
@@ -158,24 +159,14 @@ def _specialized_rank(d: PolyMatrix, assign: dict[str, Fraction]) -> int:
     return m.rank()
 
 
-def _summand_basis(x: ToricVariety, alpha: Class, q: int,
-                   policy: str) -> list[tuple[tuple[int, ...], int]]:
-    """Ordered model labels (exponent, position) of one summand."""
-    out = []
-    for w, neg in contributing_points(x, alpha):
-        d = family_certs(x, neg, policy).dims[q]
-        for mpos in range(d):
-            out.append((w, mpos))
-    return out
-
-
-def weyman_terms(C: FreeGradedComplex,
-                 policy: str = "sparse") -> tuple[dict[int, tuple[Summand, ...]], E1Page]:
+def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], E1Page]:
     """Summands of the direct-image complex and the page of sheaf ranks.
 
     Each summand (p, q, k) has the dimension of the degree-q cohomology
     model of the class of the k-th summand of C^p; only q up to dim X can
-    contribute."""
+    contribute.  The dimensions are read from the nerve of each
+    contributing pattern, so no certificate family is built, and nothing
+    is written to the disk cache."""
     x = C.x
     table: dict[tuple[int, int], int] = {}
     terms: dict[int, list[Summand]] = {}
@@ -183,7 +174,7 @@ def weyman_terms(C: FreeGradedComplex,
         for k, alpha in enumerate(C.degrees[p]):
             dims = [0] * (x.dim + 1)
             for w, neg in contributing_points(x, alpha):
-                fd = family_certs(x, neg, policy).dims
+                fd = _nerve_dims(x, neg)
                 for q in range(x.dim + 1):
                     dims[q] += fd[q]
             for q in range(x.dim + 1):
@@ -331,7 +322,7 @@ def weyman_differential(C: FreeGradedComplex, policy: str = "sparse",
     C.validate()
     x = C.x
     pv = C.param_vars
-    terms, page = weyman_terms(C, policy)
+    terms, page = weyman_terms(C)
     levels = {}
     for p in sorted(C.degrees):
         for k, alpha in enumerate(C.degrees[p]):
@@ -344,13 +335,22 @@ def weyman_differential(C: FreeGradedComplex, policy: str = "sparse",
                 f"level {tuple(e)} is below the stabilization level "
                 f"{(need,) * len(x.max_cones)}")
 
+    # the summand dims come from the nerves, the basis from the certificate
+    # families the walks use: they must agree, or the matrices get the
+    # wrong shape
     basis: dict[int, list[tuple]] = {}
     pos: dict[int, dict[tuple, int]] = {}
     for i, summands in terms.items():
         labels = []
         for s in summands:
-            for w, mpos in _summand_basis(x, s.alpha, s.q, policy):
-                labels.append((s.p, s.q, s.k, w, mpos))
+            for w, neg in contributing_points(x, s.alpha):
+                dims = family_certs(x, neg, policy).dims
+                if dims != _nerve_dims(x, neg):
+                    raise MathFailure(
+                        f"pattern {neg}: certificate family dims {dims} differ "
+                        f"from its nerve dims {_nerve_dims(x, neg)}")
+                labels.extend((s.p, s.q, s.k, w, mpos)
+                              for mpos in range(dims[s.q]))
         basis[i] = labels
         pos[i] = {lab: n for n, lab in enumerate(labels)}
 

@@ -21,10 +21,12 @@ from toricres.qpoly import (
     PolyMatrix,
     SparsePoly,
     poly_from_text,
+    poly_to_text,
     primitive_part,
     same_up_to_sign,
 )
 from toricres.resultant import (
+    _twist_cost,
     a_resultant,
     determinant_of_complex,
     implicitize_curve,
@@ -143,7 +145,8 @@ def test_determinant_unchanged_by_an_invertible_split_summand():
 def test_determinant_is_seed_independent_up_to_sign():
     prob = linear3_problem()
     x = variety_of(prob)
-    W = weyman_differential(koszul_generic(prob, x).twist(resolve_twist(x, "default")))
+    K = koszul_generic(prob, x)
+    W = weyman_differential(K.twist(resolve_twist(K, "default")))
     a = determinant_of_complex(W, seed=0)
     b = determinant_of_complex(W, seed=7)
     assert same_up_to_sign(primitive_part(a), primitive_part(b))
@@ -257,10 +260,51 @@ def test_resultant_does_not_depend_on_the_twist():
     prob = support_problem([list(sq)] * 3)
     ref = a_resultant(prob)
     assert ref.delta.total_degree() == 6
-    for tw in ((-1, 2), (3, -1)):
+    two_a = tuple(2 * c for c in variety_of(prob).anticanonical_class())
+    for tw in (two_a, (-1, 2), (3, -1)):
         out = a_resultant(prob, twist=tw)
-        assert out.term_ranks != ref.term_ranks
+        if tw == two_a:
+            assert out.term_ranks != ref.term_ranks
         assert same_up_to_sign(embed(out.delta, ref.delta.vars), ref.delta)
+
+
+def largest_minor(out) -> int:
+    return max((len(s["cols"]) for s in out.subsets.values()), default=0)
+
+
+UNIT_SQUARES = [[(0, 0), (1, 0), (0, 1), (1, 1)]] * 3
+
+DEFAULT_TWIST_CASES = {
+    **{f"uni{d1}{d2}": [[(k,) for k in range(d1 + 1)], [(k,) for k in range(d2 + 1)]]
+       for d1, d2 in itertools.product(range(1, 5), repeat=2)},
+    "linear3": linear3_problem().supports,
+    "squares": UNIT_SQUARES,
+    "power": [[(0,), (2,)], [(0,), (2,)]],
+}
+
+
+def test_default_twist_prefers_summands_without_higher_cohomology():
+    """Three unit squares: the zero twist has the smallest minor, 4x4, but 7
+    summand dimensions with q > 0, which need certificate families; the
+    anticanonical class has none, and a 9x9 minor."""
+    prob = support_problem(UNIT_SQUARES)
+    x = variety_of(prob)
+    K = koszul_generic(prob, x)
+    assert _twist_cost(K, (0, 0)) == (7, 4, 8)
+    assert _twist_cost(K, x.anticanonical_class()) == (0, 9, 24)
+    assert resolve_twist(K, "default") == x.anticanonical_class()
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_TWIST_CASES))
+def test_default_twist_matches_twice_the_anticanonical_class(name):
+    """The chosen twist gives the old default's answer from a minor no larger."""
+    prob = support_problem(DEFAULT_TWIST_CASES[name])
+    two_a = tuple(2 * c for c in variety_of(prob).anticanonical_class())
+    old = a_resultant(prob, twist=two_a)
+    new = a_resultant(prob)
+    assert poly_to_text(new.delta) == poly_to_text(old.delta)
+    assert new.multiplicity == old.multiplicity
+    assert largest_minor(new) <= largest_minor(old)
 
 
 def test_resultant_output_serializes():

@@ -24,15 +24,18 @@ from toricres.complexes import (
     koszul_vs_unit_fixture,
     variety_from_simplex,
 )
+from toricres import cech, weyman
 from toricres.cech import stabilization_level
-from toricres.errors import ResourceGuard, StabilizationError
+from toricres.errors import MathFailure, ResourceGuard, StabilizationError
 from toricres.fixtures import (
     M33_E1,
     M33_ELIMINANT_TEXT,
     M33_MULTIPLICITY,
+    M34_K8_RANKS,
     STURMFELS_E1_UNIT,
     STURMFELS_STABLE_SHAPE,
     m33_problem,
+    m34_problem,
     sturmfels_eliminant,
     sturmfels_problem,
     sturmfels_twist,
@@ -45,7 +48,12 @@ from toricres.qpoly import (
     primitive_part,
     same_up_to_sign,
 )
-from toricres.resultant import _multiplicity, determinant_of_complex
+from toricres.resultant import (
+    _multiplicity,
+    a_resultant,
+    determinant_of_complex,
+    resolve_twist,
+)
 from toricres.toric import variety_of
 from toricres.weyman import (
     E1Page,
@@ -117,6 +125,26 @@ def test_e1_diagonal_sums_match_term_ranks(sturmfels_unit):
 def test_e1_page_round_trip():
     page = E1Page({(-2, 1): 3, (0, 0): 1})
     assert E1Page.from_obj(page.to_obj()).table == page.table
+
+
+def test_weyman_terms_builds_and_writes_no_certificate(tmp_path, monkeypatch):
+    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
+    cech.clear_caches()
+    prob = sturmfels_problem()
+    x = variety_of(prob)
+    _, page = weyman_terms(koszul_generic(prob, x).twist(sturmfels_twist(x, "unit")))
+    assert cech.cache_counters["built"] == 0
+    assert list(tmp_path.iterdir()) == []
+    for q, row in STURMFELS_E1_UNIT.items():
+        assert page.row(q, -3, 0) == row
+
+
+def test_nerve_dims_disagreeing_with_the_families_is_a_math_failure(monkeypatch):
+    nerve = cech._nerve_dims
+    monkeypatch.setattr(weyman, "_nerve_dims",
+                        lambda x, neg: tuple(d + 1 for d in nerve(x, neg)))
+    with pytest.raises(MathFailure, match=r"pattern \("):
+        weyman_differential(one_term(P1, (-2,)))
 
 
 def test_sturmfels_unit_page_and_ranks(sturmfels_unit):
@@ -193,6 +221,30 @@ def test_m33_multiplicity_and_eliminant(m33_weyman):
     assert m == M33_MULTIPLICITY
     assert same_up_to_sign(primitive_part(root),
                            poly_from_text(M33_ELIMINANT_TEXT, delta.vars))
+
+
+def test_m33_resultant_at_the_default_twist(m33_weyman):
+    """The default twist picks the fixture's zero-twist complex and gives
+    the printed root with multiplicity 14."""
+    C, W = m33_weyman
+    out = a_resultant(m33_problem())
+    assert out.term_ranks == {i: W.rank(i) for i in W.degrees()}
+    assert out.multiplicity == M33_MULTIPLICITY
+    assert same_up_to_sign(out.root,
+                           poly_from_text(M33_ELIMINANT_TEXT, out.root.vars))
+
+
+def test_m34_k8_ranks_at_twice_the_anticanonical_class():
+    """The printed k = 8 ranks, read from degree 1 down, belong to 2A; the
+    default twist keeps 2A there (fewest q > 0 summand dimensions)."""
+    prob = m34_problem(8)
+    x = variety_of(prob)
+    K = koszul_generic(prob, x)
+    two_a = tuple(2 * c for c in x.anticanonical_class())
+    assert resolve_twist(K, "default") == two_a
+    terms, _ = weyman_terms(K.twist(two_a))
+    ranks = tuple(sum(s.dim for s in terms[i]) for i in sorted(terms, reverse=True))
+    assert ranks == M34_K8_RANKS
 
 
 def test_m33_named_staircase_blocks(m33_weyman):

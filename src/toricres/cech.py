@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ResourceGuard, StabilizationError, UnsupportedGeometryError
-from .qlinalg import QMatrix, _frac_str, int_rank
+from .qlinalg import QMatrix, _frac_str, int_kernel_basis, int_rank
 from .qpoly import cnorm
 from .toric import ToricVariety, degree_fiber, fiber_points
 
@@ -613,6 +613,38 @@ def _support_patterns(x: ToricVariety):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _ray_circuits(x: ToricVariety) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+    """Every circuit of the ray configuration, in both signs.
+
+    A circuit is a primitive integer relation sum a_rho u_rho = 0 whose
+    support holds no smaller relation; it has at most dim + 1 rays.  The
+    rays are read as the columns of the degree kernel (the rays in a basis
+    of the character lattice), so a circuit is exactly a minimal-support
+    vector orthogonal to the kernel, and a . u is constant on every degree
+    fiber.  Each entry is (a, positive-support mask, negative-support mask,
+    c_a), with c_a the sum of |a_rho| over a_rho < 0."""
+    _, kernel = degree_fiber(x, (0,) * x.class_rank)
+    found: list[int] = []   # supports of the circuits so far, as bitmasks
+    out = []
+    for size in range(1, x.dim + 2):
+        for S in itertools.combinations(range(x.n_rays), size):
+            bits = sum(1 << rho for rho in S)
+            if any(c & bits == c for c in found):
+                continue   # holds a smaller circuit
+            basis = int_kernel_basis([[k[rho] for rho in S] for k in kernel])
+            if len(basis) != 1 or not all(basis[0]):
+                continue
+            found.append(bits)
+            a = [0] * x.n_rays
+            for rho, v in zip(S, basis[0]):
+                a[rho] = v
+            for sa in (a, [-v for v in a]):
+                pos = sum(1 << rho for rho, v in enumerate(sa) if v > 0)
+                out.append((tuple(sa), pos, bits & ~pos, sum(-v for v in sa if v < 0)))
+    return tuple(out)
+
+
 _points_cache: dict = {}
 
 
@@ -622,7 +654,22 @@ def contributing_points(x: ToricVariety,
 
     These exponents support every cohomology model of the class, at any
     uniform level at least the stabilization level; deeper fiber exponents
-    have patterns with no cohomology in any degree and reduce to nothing."""
+    have patterns with no cohomology in any degree and reduce to nothing.
+
+    Each table pattern neg is walked by fiber_points unless a ray circuit
+    shows that its real sign polyhedron P = {u <= -1 on neg, u >= 0 off
+    neg} misses the real fiber u0 + L, L the span of the degree kernel.
+    By Farkas' lemma P misses u0 + L exactly when some a orthogonal to L,
+    with a <= 0 on neg and a >= 0 off neg, has a . u0 < sum over neg of
+    -a_rho: the least a . u on P is that sum, and a . u0 is a . u on
+    the fiber.  These a form a pointed cone whose extreme rays are the
+    circuits conformal to the sign pattern (Rockafellar, "The elementary
+    vectors of a subspace of R^N", 1969), and the test is linear in a, so
+    it holds for some a exactly when it holds for such a circuit: negative
+    support inside neg, positive support outside neg, and a . u0 < c_a.
+    A skipped pattern therefore has no real fiber point, let alone a
+    lattice point, and the walk that decides every other pattern is
+    unchanged, so the points are the same as walking the whole table."""
     key = (x, tuple(alpha))
     hit = _points_cache.get(key)
     if hit is None:
@@ -630,7 +677,13 @@ def contributing_points(x: ToricVariety,
         u0, kernel = degree_fiber(x, target)
         pts = []
         if u0 is not None:
-            for neg in _support_patterns(x):
+            patterns = _support_patterns(x)   # checks the ray cap first
+            violated = [(pos, negs) for a, pos, negs, c in _ray_circuits(x)
+                        if sum(v * u for v, u in zip(a, u0)) < c]
+            for neg in patterns:
+                bits = sum(1 << rho for rho in neg)
+                if any(negs & bits == negs and not pos & bits for pos, negs in violated):
+                    continue   # no real point of the fiber has this pattern
                 # w <= -1 on the rays in neg, w >= 0 on the others
                 signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
                 pts.extend((w, neg) for w in fiber_points(u0, kernel, signs))
@@ -810,7 +863,8 @@ def clear_caches() -> None:
     for memo in (_reduce_memo, _fam_dims_memo, _points_cache, _memory_cache):
         memo.clear()
     cache_counters_reset()
-    for fn in (_subset_data, _support_patterns, _pattern_family, family_certs):
+    for fn in (_subset_data, _support_patterns, _ray_circuits, _pattern_family,
+               family_certs):
         fn.cache_clear()
 
 

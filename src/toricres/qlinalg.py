@@ -134,20 +134,6 @@ class QMatrix:
                 acc[j] = cnorm(acc[j])
         return out
 
-    def apply_row(self, v: Mapping[int, Coeff]) -> Row:
-        """Row vector times matrix: returns w with w[j] = sum v[i]*M[i][j]."""
-        out: Row = {}
-        for i, c in v.items():
-            if not c:
-                continue
-            for j, d in self.rows[i].items():
-                s = out.get(j, 0) + c * d
-                if s:
-                    out[j] = s
-                else:
-                    del out[j]
-        return {j: cnorm(c) for j, c in out.items()}
-
     def transpose(self) -> "QMatrix":
         out = QMatrix(self.ncols, self.nrows)
         for i, r in enumerate(self.rows):
@@ -183,29 +169,6 @@ class QMatrix:
                     rest.append(r)
             work = rest
         return rank
-
-    def inverse(self) -> "QMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        a = [[Fraction(self.get(i, j)) for j in range(n)] for i in range(n)]
-        inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                inv[col], inv[piv] = inv[piv], inv[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return QMatrix.from_dense(inv, n)
 
     # -- serialization ---------------------------------------------------------
 
@@ -381,29 +344,6 @@ def int_rank(a: IntMat | Sequence[Mapping[int, int]]) -> int:
             return best
 
 
-def int_det(a: IntMat) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     """Smith form with transforms: returns (d, l, r) with l @ a @ r = d.
 
@@ -551,6 +491,3 @@ def int_kernel_basis(a: IntMat) -> list[list[int]]:
     rank = sum(1 for i in range(min(n, m)) if d[i][i])
     return [[r[i][j] for i in range(m)] for j in range(rank, m)]
 
-
-def is_unimodular(a: IntMat) -> bool:
-    return len(a) > 0 and len(a) == len(a[0]) and int_det(a) in (1, -1)

@@ -372,7 +372,7 @@ class SparsePoly:
         q = _exact_div(pk.pack(a), pk.pack(b), pk.guards)
         return None if q is None else SparsePoly(self.vars, pk.unpack(q, 0))
 
-    # -- evaluation / substitution ------------------------------------------
+    # -- evaluation -------------------------------------------------------
 
     def eval(self, assign: Mapping[str, Coeff]) -> Coeff:
         idx = [assign[v] for v in self.vars]
@@ -384,36 +384,6 @@ class SparsePoly:
                     val = val * x ** k
             total = total + val
         return cnorm(Fraction(total)) if isinstance(total, Fraction) else total
-
-    def substitute(self, images: Mapping[str, "SparsePoly"],
-                   variables: Sequence[str]) -> "SparsePoly":
-        """Ring map sending each variable to images[name] over a new variable set."""
-        new_vars = tuple(variables)
-        pows: list[dict[int, SparsePoly]] = []
-        imgs: list[SparsePoly] = []
-        for v in self.vars:
-            img = images[v]
-            if img.vars != new_vars:
-                raise ValueError("image variables out of step")
-            imgs.append(img)
-            pows.append({0: SparsePoly.const(new_vars, 1)})
-        out = SparsePoly.zero(new_vars)
-        for e, c in self.terms.items():
-            term = SparsePoly.const(new_vars, c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                cache = pows[i]
-                if k not in cache:
-                    kk = max(cache)
-                    acc = cache[kk]
-                    while kk < k:
-                        acc = acc * imgs[i]
-                        kk += 1
-                        cache[kk] = acc
-                term = term * cache[k]
-            out = out + term
-        return out
 
     def rename(self, variables: Sequence[str]) -> "SparsePoly":
         """Same exponents, new variable names (lengths must match)."""

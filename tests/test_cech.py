@@ -6,10 +6,11 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers_cohomology import bott_pn, kunneth_p1p1
+from helpers_reference import inverse
 from toricres.cech import (
     build_reduced_strand,
     cache_clear,
@@ -133,7 +134,7 @@ def test_model_transfer_invertible():
     for q, t in enumerate(ts):
         assert t.nrows == t.ncols == len(small.model_labels[q])
         if t.nrows:
-            inv = t.inverse()  # raises if singular
+            inv = inverse(t)  # raises if singular
             assert t.matmul(inv) == QMatrix.identity(t.nrows)
 
 
@@ -349,6 +350,155 @@ def test_m33_pattern_table_is_frozen():
     assert cech._support_patterns(variety_of(m33_problem())) == M33_PATTERNS
 
 
+# -- the ray-circuit screen against walking every pattern ------------------------
+
+def _unscreened_points(x, alpha):
+    """contributing_points without the circuit screen: walk every pattern."""
+    from toricres import cech
+    from toricres.toric import degree_fiber, fiber_points
+
+    u0, kernel = degree_fiber(x, tuple(-a for a in alpha))
+    pts = []
+    if u0 is not None:
+        for neg in cech._support_patterns(x):
+            signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
+            pts.extend((w, neg) for w in fiber_points(u0, kernel, signs))
+    return tuple(sorted(pts))
+
+
+def _fixture_problem(name):
+    from toricres import fixtures
+    return {"sturmfels": fixtures.sturmfels_problem, "m33": fixtures.m33_problem,
+            "m34_1": lambda: fixtures.m34_problem(1),
+            "m34_2": lambda: fixtures.m34_problem(2),
+            "m34_8": lambda: fixtures.m34_problem(8)}[name]()
+
+
+@pytest.mark.parametrize("name,multiples", [
+    ("sturmfels", (2, 1, 0)), ("m33", (2, 1, 0)), ("m34_1", (2, 1, 0)),
+    ("m34_2", (2, 1, 0)), ("m34_8", (2,)),
+])
+def test_screened_points_match_walking_every_pattern(name, multiples, monkeypatch):
+    from toricres import cech, weyman
+    from toricres.complexes import koszul_generic
+    from toricres.toric import variety_of
+
+    problem = _fixture_problem(name)
+    x = variety_of(problem)
+    K = koszul_generic(problem, x)
+    asked = []
+
+    def checked(x_, alpha):
+        got = cech.contributing_points(x_, alpha)
+        assert got == _unscreened_points(x_, alpha), alpha
+        asked.append(alpha)
+        return got
+
+    monkeypatch.setattr(weyman, "contributing_points", checked)
+    a = x.anticanonical_class()
+    for k in multiples:   # the default twist's candidates 2A, A and 0
+        weyman.weyman_terms(K.twist(tuple(k * c for c in a)))
+    assert len(asked) >= 8 * len(multiples)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "P1P1", "squares", "sturmfels", "m33", "m34_8"])
+def test_ray_circuits_are_the_minimal_primitive_relations(name):
+    from toricres import cech
+    from toricres.qlinalg import int_rank
+    from toricres.toric import degree_fiber, variety_of
+
+    x = VARIETIES[name]() if name in VARIETIES else variety_of(_fixture_problem(name))
+    n = x.n_rays
+    _, kernel = degree_fiber(x, (0,) * x.class_rank)
+
+    def rank(rays):
+        return int_rank([list(x.rays[r]) for r in rays]) if rays else 0
+
+    circuits = cech._ray_circuits(x)
+    vectors = {a for a, _, _, _ in circuits}
+    supports = set()
+    for a, pos, negs, c in circuits:
+        supp = [r for r in range(n) if a[r]]
+        assert math.gcd(*a) == 1 and len(supp) <= x.dim + 1
+        assert all(sum(a[r] * x.rays[r][i] for r in range(n)) == 0 for i in range(x.dim))
+        assert all(sum(v * k[r] for r, v in enumerate(a)) == 0 for k in kernel)
+        assert pos == sum(1 << r for r in supp if a[r] > 0)
+        assert negs == sum(1 << r for r in supp if a[r] < 0)
+        assert c == sum(-v for v in a if v < 0)
+        assert tuple(-v for v in a) in vectors
+        # no smaller relation on the support: every proper subset is independent
+        assert rank(supp) == len(supp) - 1
+        assert all(rank([s for s in supp if s != r]) == len(supp) - 1 for r in supp)
+        supports.add(frozenset(supp))
+    # and every minimal dependent set of rays is there, once in each sign
+    want = set()
+    for bits in range(1, 1 << n):
+        S = [r for r in range(n) if bits >> r & 1]
+        if rank(S) == len(S) - 1 and all(rank([s for s in S if s != r]) == len(S) - 1
+                                         for r in S):
+            want.add(frozenset(S))
+    assert supports == want
+    assert len(circuits) == len(vectors) == 2 * len(want)
+
+
+def test_warm_sturmfels_walks_only_the_fibers_with_points(tmp_path, monkeypatch):
+    from toricres import cech, resultant
+    from toricres.fixtures import sturmfels_problem, sturmfels_twist
+    from toricres.toric import fiber_points, variety_of
+
+    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
+    problem = sturmfels_problem()
+    x = variety_of(problem)
+    twists = [sturmfels_twist(x, which) for which in ("unit", "stable")]
+    for tw in twists:   # fill the disk cache
+        resultant.a_resultant(problem, twist=tw)
+    cech.clear_caches()   # a warm process: disk cache full, memos empty
+    walks = []
+
+    def counted(u0, kernel, bounds):
+        out = fiber_points(u0, kernel, bounds)
+        walks.append(len(out))
+        return out
+
+    monkeypatch.setattr(cech, "fiber_points", counted)
+    for tw in twists:
+        resultant.a_resultant(problem, twist=tw)
+    # 16 classes times 200 table patterns without the screen
+    assert len(walks) == 13 and all(walks)
+
+
+@st.composite
+def _small_supports(draw):
+    """n + 1 supports of 2-3 distinct points in [0, 3]^n, n = 1 or 2 (mostly
+    2: a line has two rays and few patterns)."""
+    n = draw(st.sampled_from((2, 1, 2, 2)))
+    point = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    return [draw(st.lists(point, min_size=2, max_size=3, unique=True)) for _ in range(n + 1)]
+
+
+@given(_small_supports(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_screened_points_match_walking_every_pattern_on_random_supports(supports, data):
+    from toricres import cech
+    from toricres.errors import UnsupportedGeometryError
+    from toricres.toric import support_problem, variety_of
+
+    try:
+        x = variety_of(support_problem(supports))
+    except UnsupportedGeometryError:
+        assume(False)   # a flat Minkowski sum: no complete fan
+    if x.torsion:
+        with pytest.raises(UnsupportedGeometryError):
+            cech.contributing_points(x, x.anticanonical_class())
+        return
+    box = st.lists(st.integers(min_value=-3, max_value=3),
+                   min_size=x.n_rays, max_size=x.n_rays)
+    classes = {x.degree_of(data.draw(box)) for _ in range(6)}
+    classes.update(tuple(k * c for c in x.anticanonical_class()) for k in range(-2, 3))
+    for alpha in sorted(classes):
+        assert cech.contributing_points(x, alpha) == _unscreened_points(x, alpha)
+
+
 # -- the heap pivot order against the full-rescan reduction ---------------------
 
 def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
@@ -540,6 +690,20 @@ def test_pattern_ray_cap_raises_unsupported_geometry(monkeypatch):
         cech._support_patterns.__wrapped__(P2)   # three rays, past the memo
 
 
+def test_pattern_ray_cap_stops_contributing_points_before_any_circuit(monkeypatch):
+    from toricres import cech
+    from toricres.errors import UnsupportedGeometryError
+
+    # a pentagon no other test builds, so no memo holds its pattern table
+    x = variety_from_points(((0, 0), (3, 0), (4, 1), (2, 3), (0, 2)))
+    enumerated = []
+    monkeypatch.setattr(cech, "_ray_circuits", lambda x_: enumerated.append(x_) or ())
+    monkeypatch.setattr(cech, "_PATTERN_RAY_CAP", 2)
+    with pytest.raises(UnsupportedGeometryError):
+        cech.contributing_points(x, x.anticanonical_class())
+    assert not enumerated
+
+
 def test_kernel_rank_mismatch_is_unsupported_geometry():
     from toricres import cech
     from toricres.errors import UnsupportedGeometryError
@@ -567,12 +731,14 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs(tmp_path, monkey
     cech.clear_caches()
     negs = cech._support_patterns(x)[:12]
     before = {neg: cech.family_certs(x, neg) for neg in negs}
+    points = cech.contributing_points(x, x.anticanonical_class())
+    circuits = cech._ray_circuits(x)
     assert cech.cache_counters["built"] > 0
     cech.clear_caches()
     assert not (cech._reduce_memo or cech._fam_dims_memo or cech._points_cache
                 or cech._memory_cache or any(cech.cache_counters.values()))
-    for fn in (cech._subset_data, cech._support_patterns, cech._pattern_family,
-               cech.family_certs):
+    for fn in (cech._subset_data, cech._support_patterns, cech._ray_circuits,
+               cech._pattern_family, cech.family_certs):
         assert fn.cache_info().currsize == 0
     assert cache_clear() > 0   # and the disk: everything is built again
     for neg, c in before.items():
@@ -580,6 +746,8 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs(tmp_path, monkey
         assert again is not c
         assert _certs_obj(again) == _certs_obj(c)
     assert cech.cache_counters["disk"] == 0
+    assert cech.contributing_points(x, x.anticanonical_class()) == points
+    assert cech._ray_circuits(x) == circuits
 
 
 def test_strand_cache_write_ignores_another_writers_temp_file(tmp_path, monkeypatch):

@@ -29,15 +29,24 @@ the least (degree, row, column).  A lazily invalidated min-heap of each
 row's least key finds every pivot without rescanning the block, and a
 column mirror finds the rows a pivot touches (see _reduce_block).
 
-Which exponents carry cohomology at all is decided once per variety and
+Which exponents carry cohomology at all is decided per variety and
 negative-support pattern, without building a family: by the nerve lemma a
 pattern's family has the reduced cohomology, shifted by one, of a small
 simplicial complex on the negated rays (Eisenbud, Mustata and Stillman,
 "Cohomology on toric varieties and local cohomology with monomial
-supports", J. Symbolic Comput. 29, 2000; see _support_patterns).
+supports", J. Symbolic Comput. 29, 2000; see _nerve_dims).  Only the
+patterns that pass the ray-circuit screen of contributing_points are ranked.
 
-Strands are cached in memory and optionally on disk (TORICRES_CACHE_DIR,
-default ~/.cache/toricres).
+Family reductions are memoized in memory and kept on disk, one file per
+family (TORICRES_CACHE_DIR, default ~/.cache/toricres), named by the sha256
+of (FORMAT_VERSION, family, depth, policy).  A file is the sha256 hex of its
+body, a newline, then the body: compact JSON holding the surviving indices
+per degree and the iota, rho and h rows as flat [column, value, ...] lists,
+integers as JSON numbers and only non-integers as "n/d" strings (format 4).
+The per-degree subset lists and the incidence entries are recomputed from
+the family in the key.  A file whose hash line does not match its bytes is
+rebuilt.  Any change to the layout must bump FORMAT_VERSION.  Whole strands
+are memoized in memory only.
 """
 from __future__ import annotations
 
@@ -53,11 +62,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ResourceGuard, StabilizationError, UnsupportedGeometryError
-from .qlinalg import QMatrix, _frac_str, int_kernel_basis, int_rank
+from .qlinalg import QMatrix, int_kernel_basis, int_rank
 from .qpoly import cnorm
 from .toric import ToricVariety, degree_fiber, fiber_points
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 Class = tuple[int, ...]
 Label = tuple[tuple[int, ...], tuple[int, ...]]  # (generator subset, exponent)
@@ -318,13 +327,19 @@ def _reduce_block(per_q: list[list[tuple[int, ...]]],
     return active, iota, rho, h
 
 
-def _block_entries(fam: list[tuple[int, ...]], depth: int):
-    """Per-degree coordinates and signed incidence entries of one block."""
+def _per_degree(fam: Sequence[tuple[int, ...]], depth: int) -> list[list[tuple[int, ...]]]:
+    """The subsets of a family grouped by Cech degree, each group sorted."""
     per_q: list[list[tuple[int, ...]]] = [[] for _ in range(depth + 1)]
     for T in fam:
         per_q[len(T) - 1].append(T)
     for q in range(depth + 1):
         per_q[q].sort()
+    return per_q
+
+
+def _block_entries(fam: list[tuple[int, ...]], depth: int):
+    """Per-degree coordinates and signed incidence entries of one block."""
+    per_q = _per_degree(fam, depth)
     index: dict[tuple[int, ...], int] = {}
     for q in range(depth + 1):
         for i, T in enumerate(per_q[q]):
@@ -355,69 +370,67 @@ def cache_counters_reset() -> None:
         cache_counters[k] = 0
 
 
-def _family_to_obj(hit) -> dict:
-    per_q, entries, active, iota, rho, h = hit
+def _family_to_obj(red) -> dict:
+    """The disk form of a reduction (active, iota, rho, h) of _reduce_block.
 
-    def certs(cc):
-        return [{str(i): {str(j): _frac_str(v) for j, v in sorted(row.items())}
-                 for i, row in sorted(level.items())} for level in cc]
+    Certificate rows are flat lists [column, value, column, value, ...];
+    iota and rho keep one row per surviving index, in the order of "active",
+    and each h row is led by its row index.  Integers stay JSON numbers, and
+    only non-integers become "n/d" strings."""
+    active, iota, rho, h = red
 
+    def flat(row):
+        return [x for j, v in sorted(row.items())
+                for x in (j, v if v.__class__ is int else f"{v.numerator}/{v.denominator}")]
+
+    keep = [sorted(a) for a in active]
     return {
-        "per_q": [[list(T) for T in level] for level in per_q],
-        "entries": [{f"{i},{j}": c for (i, j), c in sorted(ent.items())}
-                    for ent in entries],
-        "active": [sorted(a) for a in active],
-        "iota": certs(iota),
-        "rho": certs(rho),
-        "h": certs(h),
+        "active": keep,
+        "iota": [[flat(level[i]) for i in a] for level, a in zip(iota, keep)],
+        "rho": [[flat(level[i]) for i in a] for level, a in zip(rho, keep)],
+        "h": [[[i] + flat(row) for i, row in sorted(level.items())] for level in h],
     }
 
 
-def _family_from_obj(obj: dict):
-    def certs(cc):
-        return [{int(i): {int(j): cnorm(Fraction(v)) for j, v in row.items()}
-                 for i, row in level.items()} for level in cc]
+def _flat_row(flat: list) -> dict:
+    it = iter(flat)
+    return {j: v if v.__class__ is int else Fraction(v) for j, v in zip(it, it)}
 
-    per_q = [[tuple(T) for T in level] for level in obj["per_q"]]
-    entries = [{(int(i), int(j)): c
-                for ij, c in ent.items()
-                for i, j in [ij.split(",")]} for ent in obj["entries"]]
-    active = [set(a) for a in obj["active"]]
-    return per_q, entries, active, certs(obj["iota"]), certs(obj["rho"]), certs(obj["h"])
+
+def _family_from_obj(obj: dict):
+    """Inverse of _family_to_obj."""
+    return (
+        [set(a) for a in obj["active"]],
+        [dict(zip(a, map(_flat_row, rows))) for a, rows in zip(obj["active"], obj["iota"])],
+        [dict(zip(a, map(_flat_row, rows))) for a, rows in zip(obj["active"], obj["rho"])],
+        [{row[0]: _flat_row(row[1:]) for row in level} for level in obj["h"]],
+    )
 
 
 def _reduced_family(fam: tuple[tuple[int, ...], ...], depth: int, policy: str):
-    """Memoized reduction of one subset family.
+    """Memoized reduction of one subset family: (per_q, active, iota, rho, h).
 
     The block of an exponent depends on the exponent only through its family,
     so identical families across exponents and strands share one reduction.
-    Reductions persist on disk keyed by content hash; a corrupt or stale
-    entry fails its hash check and is rebuilt."""
+    Reductions persist on disk under a hash of the key (see the module
+    docstring); a corrupt entry fails its hash check and is rebuilt."""
     key = (fam, depth, policy)
     hit = _reduce_memo.get(key)
     if hit is not None:
         cache_counters["memory"] += 1
         return hit
-    dkey = _stable_key({"v": FORMAT_VERSION, "kind": "family",
-                        "fam": [list(T) for T in fam],
-                        "depth": depth, "policy": policy})
-    path = cache_root() / f"{dkey}.json"
-    if path.exists():
-        try:
-            obj = json.loads(path.read_text())
-            if obj.get("sha") == _stable_key(obj["payload"]):
-                hit = _family_from_obj(obj["payload"])
-                cache_counters["disk"] += 1
-                _reduce_memo[key] = hit
-                return hit
-        except (KeyError, ValueError, json.JSONDecodeError):
-            pass  # corrupt entry: fall through and rebuild
-    per_q, entries = _block_entries(list(fam), depth)
-    active, iota, rho, h = _reduce_block(per_q, entries, policy)
-    hit = (per_q, entries, active, iota, rho, h)
-    cache_counters["built"] += 1
-    _reduce_memo[key] = hit
-    _cache_write(path, _family_to_obj(hit))
+    name = hashlib.sha256(json.dumps([FORMAT_VERSION, fam, depth, policy]).encode())
+    path = cache_root() / f"{name.hexdigest()}.json"
+    obj = _cache_read(path)
+    if obj is None:
+        per_q, entries = _block_entries(list(fam), depth)
+        red = _reduce_block(per_q, entries, policy)
+        cache_counters["built"] += 1
+        _cache_write(path, _family_to_obj(red))
+    else:
+        per_q, red = _per_degree(fam, depth), _family_from_obj(obj)
+        cache_counters["disk"] += 1
+    hit = _reduce_memo[key] = (per_q, *red)
     return hit
 
 
@@ -459,7 +472,8 @@ def build_reduced_strand(x: ToricVariety, alpha: Class, e: Sequence[int],
     # collect per-block results, then assemble in global sorted label order
     per_block = []
     for w, fam in blocks:
-        per_q, entries, active, iota, rho, h = _reduced_family(fam, depth, policy)
+        per_q, active, iota, rho, h = _reduced_family(fam, depth, policy)
+        entries = _block_entries(list(fam), depth)[1]
         per_block.append((w, per_q, entries, active, iota, rho, h))
         for q in range(depth + 1):
             for T in per_q[q]:
@@ -560,10 +574,27 @@ def strand_invariants_ok(s: ReducedStrand) -> bool:
 _PATTERN_RAY_CAP = 16
 
 
+@lru_cache(maxsize=None)
 def _nerve_dims(x: ToricVariety, neg: tuple[int, ...]) -> tuple[int, ...]:
     """Cohomology dimensions of the family of pattern neg, q = 0..depth, from
     the nerve N = {S subset of neg, S nonempty, S inside some max cone}:
-    dims[q] is the reduced h^{q-1} of N (see _support_patterns)."""
+    dims[q] is the reduced h^{q-1} of N.
+
+    At a uniform level c the block of an exponent w is all-or-nothing: it is
+    the full family {T : no common ray of the T-cones has w < 0} once c
+    reaches depth(w) = -min(w), and empty before that.  The family, hence
+    the block cohomology, depends on w only through its negative-ray set.
+
+    The family of a pattern neg is the relative cochain complex of the
+    simplex on the max cones modulo the subcomplex Sigma of cone sets
+    sharing a negated ray, so its dims are h^q(simplex, Sigma) = reduced
+    h^{q-1}(Sigma).  Sigma is covered by one full simplex per ray in neg
+    (the cones containing it); all their intersections are simplices or
+    empty, so by the nerve lemma Sigma has the cohomology of the nerve N, a
+    complex on at most #rays vertices (the small complexes on rays of
+    Eisenbud, Mustata and Stillman, "Cohomology on toric varieties and local
+    cohomology with monomial supports", J. Symbolic Comput. 29, 2000).  The
+    nerve's coboundaries are ranked exactly, as a subset family of its own."""
     negs = set(neg)
     faces: set[tuple[int, ...]] = set()
     for cone in x.max_cones:
@@ -576,41 +607,6 @@ def _nerve_dims(x: ToricVariety, neg: tuple[int, ...]) -> tuple[int, ...]:
     # a face complex is a subset family too: its h^k, reduced in degree 0
     h = _family_dims(tuple(sorted(faces)), max(map(len, faces)) - 1)
     return ((0, h[0] - 1) + h[1:] + (0,) * n)[:n]
-
-
-@lru_cache(maxsize=None)
-def _support_patterns(x: ToricVariety):
-    """Negative-support patterns whose blocks carry cohomology in q <= dim.
-
-    At a uniform level c the block of an exponent w is all-or-nothing: it is
-    the full family {T : no common ray of the T-cones has w < 0} once c
-    reaches depth(w) = -min(w), and empty before that.  The family, hence
-    the block cohomology, depends on w only through its negative-ray set,
-    so one table per variety decides which exponents can contribute.
-
-    The table does not build the families.  The family of a pattern neg is
-    the relative cochain complex of the simplex on the max cones modulo the
-    subcomplex Sigma of cone sets sharing a negated ray, so its dims are
-    h^q(simplex, Sigma) = reduced h^{q-1}(Sigma).  Sigma is covered by one
-    full simplex per ray in neg (the cones containing it); all their
-    intersections are simplices or empty, so by the nerve lemma Sigma has
-    the cohomology of the nerve N = {S subset of neg : S in some max cone},
-    a complex on at most #rays vertices (the small complexes on rays of
-    Eisenbud, Mustata and Stillman, "Cohomology on toric varieties and
-    local cohomology with monomial supports", J. Symbolic Comput. 29, 2000).
-    _nerve_dims ranks the nerve's coboundaries exactly, as a subset family
-    of its own."""
-    if x.n_rays > _PATTERN_RAY_CAP:
-        raise UnsupportedGeometryError(
-            f"support pattern table needs 2^{x.n_rays} entries; "
-            f"cap is 2^{_PATTERN_RAY_CAP}")
-    q_top = min(x.dim, cech_depth(x))
-    out = []
-    for bits in range(0, 1 << x.n_rays):
-        neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
-        if any(_nerve_dims(x, neg)[:q_top + 1]):
-            out.append(neg)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -656,9 +652,12 @@ def contributing_points(x: ToricVariety,
     uniform level at least the stabilization level; deeper fiber exponents
     have patterns with no cohomology in any degree and reduce to nothing.
 
-    Each table pattern neg is walked by fiber_points unless a ray circuit
-    shows that its real sign polyhedron P = {u <= -1 on neg, u >= 0 off
-    neg} misses the real fiber u0 + L, L the span of the degree kernel.
+    All 2^#rays patterns are screened by the ray circuits first; only a
+    survivor has its nerve ranked (_nerve_dims, memoized per variety and
+    pattern), and a survivor with cohomology in some q <= dim is walked by
+    fiber_points.  A pattern neg is skipped when a ray circuit shows that
+    its real sign polyhedron P = {u <= -1 on neg, u >= 0 off neg} misses
+    the real fiber u0 + L, L the span of the degree kernel.
     By Farkas' lemma P misses u0 + L exactly when some a orthogonal to L,
     with a <= 0 on neg and a >= 0 off neg, has a . u0 < sum over neg of
     -a_rho: the least a . u on P is that sum, and a . u0 is a . u on
@@ -669,21 +668,28 @@ def contributing_points(x: ToricVariety,
     support inside neg, positive support outside neg, and a . u0 < c_a.
     A skipped pattern therefore has no real fiber point, let alone a
     lattice point, and the walk that decides every other pattern is
-    unchanged, so the points are the same as walking the whole table."""
+    unchanged, so the points are the same as walking every pattern whose
+    family carries cohomology."""
     key = (x, tuple(alpha))
     hit = _points_cache.get(key)
     if hit is None:
+        if x.n_rays > _PATTERN_RAY_CAP:
+            raise UnsupportedGeometryError(
+                f"support patterns need 2^{x.n_rays} checks; "
+                f"cap is 2^{_PATTERN_RAY_CAP}")
         target = tuple(-a for a in alpha)
         u0, kernel = degree_fiber(x, target)
         pts = []
         if u0 is not None:
-            patterns = _support_patterns(x)   # checks the ray cap first
+            q_top = min(x.dim, cech_depth(x))
             violated = [(pos, negs) for a, pos, negs, c in _ray_circuits(x)
                         if sum(v * u for v, u in zip(a, u0)) < c]
-            for neg in patterns:
-                bits = sum(1 << rho for rho in neg)
+            for bits in range(1 << x.n_rays):
                 if any(negs & bits == negs and not pos & bits for pos, negs in violated):
                     continue   # no real point of the fiber has this pattern
+                neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
+                if not any(_nerve_dims(x, neg)[:q_top + 1]):
+                    continue   # no cohomology in q <= dim
                 # w <= -1 on the rays in neg, w >= 0 on the others
                 signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
                 pts.extend((w, neg) for w in fiber_points(u0, kernel, signs))
@@ -745,7 +751,7 @@ class FamilyCerts:
             self.rho_t = [{} for _ in range(depth + 1)]
             self.h = [{} for _ in range(depth)]
             return
-        per_q, entries, active, iota, rho, h = _reduced_family(fam, depth, policy)
+        per_q, active, iota, rho, h = _reduced_family(fam, depth, policy)
         self.per_q = per_q
         self.pos = [{T: i for i, T in enumerate(per_q[q])} for q in range(depth + 1)]
         self.active = [sorted(active[q]) for q in range(depth + 1)]
@@ -783,76 +789,64 @@ def cache_root() -> Path:
     return Path.home() / ".cache" / "toricres"
 
 
-def _stable_key(payload) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-def _cache_write(path: Path, payload) -> None:
-    """Best-effort atomic write of a hashed cache entry.  The temp name
-    carries the pid, so concurrent writers never share a temp file."""
+def _cache_write(path: Path, obj) -> None:
+    """Best-effort atomic write of a cache entry: the sha256 hex of the body,
+    a newline, then the body, compact JSON.  The temp name carries the pid,
+    so concurrent writers never share a temp file; a failed write removes
+    its own."""
+    body = json.dumps(obj, separators=(",", ":")).encode()
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps({"payload": payload, "sha": _stable_key(payload)}))
+        tmp.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
         tmp.replace(path)
     except OSError:
-        pass  # cache is best-effort
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass  # cache is best-effort
 
 
-def strand_key(x: ToricVariety, alpha: Class, e: Sequence[int], policy: str) -> str:
-    return _stable_key({
-        "v": FORMAT_VERSION,
-        "kind": "strand",
-        "x": x.to_obj(),
-        "alpha": list(alpha),
-        "e": list(e),
-        "policy": policy,
-    })
+def _cache_read(path: Path):
+    """The parsed body of a cache entry whose hash line matches the bytes as
+    read; None for a missing, corrupt, truncated or foreign file."""
+    try:
+        head, _, body = path.read_bytes().partition(b"\n")
+    except OSError:
+        return None
+    if head != hashlib.sha256(body).hexdigest().encode():
+        return None
+    return json.loads(body)
 
 
 def reduced_strand(x: ToricVariety, alpha: Class, e: Sequence[int],
-                   policy: str = "sparse", use_disk: bool = True) -> ReducedStrand:
+                   policy: str = "sparse") -> ReducedStrand:
+    """build_reduced_strand, memoized in memory; its families come from the
+    family cache."""
     mk = (x.rays, x.max_cones, x.grading, tuple(alpha), tuple(e), policy)
     hit = _memory_cache.get(mk)
-    if hit is not None:
-        return hit
-    key = strand_key(x, alpha, e, policy)
-    path = cache_root() / f"{key}.json"
-    if use_disk and path.exists():
-        try:
-            obj = json.loads(path.read_text())
-            if obj.get("sha") == _stable_key(obj["payload"]):
-                s = ReducedStrand.from_obj(obj["payload"])
-                _memory_cache[mk] = s
-                return s
-        except (KeyError, ValueError, json.JSONDecodeError):
-            pass  # corrupt entry: fall through and rebuild
-    s = build_reduced_strand(x, alpha, e, policy)
-    _memory_cache[mk] = s
-    if use_disk:
-        _cache_write(path, s.to_obj())
-    return s
+    if hit is None:
+        hit = _memory_cache[mk] = build_reduced_strand(x, alpha, e, policy)
+    return hit
+
+
+def _cache_files() -> list[Path]:
+    """Cache entries and temp files, stale ones of failed writers included."""
+    root = cache_root()
+    return [f for pattern in ("*.json", "*.tmp") for f in root.glob(pattern) if f.is_file()]
 
 
 def cache_stats() -> dict:
-    root = cache_root()
-    if not root.exists():
-        return {"dir": str(root), "files": 0, "bytes": 0}
-    files = list(root.glob("*.json"))
-    return {"dir": str(root), "files": len(files),
+    files = _cache_files()
+    return {"dir": str(cache_root()), "files": len(files),
             "bytes": sum(f.stat().st_size for f in files)}
 
 
 def cache_clear() -> int:
-    root = cache_root()
-    n = 0
-    if root.exists():
-        for f in root.glob("*.json"):
-            f.unlink()
-            n += 1
-    return n
+    files = _cache_files()
+    for f in files:
+        f.unlink(missing_ok=True)
+    return len(files)
 
 
 def clear_caches() -> None:
@@ -863,7 +857,7 @@ def clear_caches() -> None:
     for memo in (_reduce_memo, _fam_dims_memo, _points_cache, _memory_cache):
         memo.clear()
     cache_counters_reset()
-    for fn in (_subset_data, _support_patterns, _ray_circuits, _pattern_family,
+    for fn in (_subset_data, _nerve_dims, _ray_circuits, _pattern_family,
                family_certs):
         fn.cache_clear()
 

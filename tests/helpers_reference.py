@@ -1,10 +1,12 @@
 """Plain reference routines that only tests use: dense inverses and
-determinants, row-vector products and polynomial substitution."""
+determinants, row-vector products, polynomial substitution and the eager
+Cech support-pattern table."""
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from toricres import cech
 from toricres.qlinalg import QMatrix
 from toricres.qpoly import SparsePoly, cnorm
 
@@ -82,3 +84,16 @@ def substitute(p: SparsePoly, images: Mapping[str, SparsePoly],
                 term = term * images[v]
         out = out + term
     return out
+
+
+def support_patterns(x) -> tuple[tuple[int, ...], ...]:
+    """Every negative-support pattern whose family carries cohomology in some
+    degree q <= dim, in bitmask order: the nerve of each of the 2^#rays
+    patterns ranked, with no screen."""
+    q_top = min(x.dim, cech.cech_depth(x))
+    out = []
+    for bits in range(1 << x.n_rays):
+        neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
+        if any(cech._nerve_dims(x, neg)[:q_top + 1]):
+            out.append(neg)
+    return tuple(out)

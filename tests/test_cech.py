@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers_cohomology import bott_pn, kunneth_p1p1
-from helpers_reference import inverse
+from helpers_reference import inverse, support_patterns
 from toricres.cech import (
     build_reduced_strand,
     cache_clear,
@@ -151,22 +153,30 @@ def test_strand_round_trip_serialization():
 
 
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
+    """A strand is memoized in memory only; its certificate families go to
+    disk, one file each, load back equal, and corrupt entries are rebuilt."""
     from toricres import cech
-    cech._memory_cache.clear()
+
+    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
+    cech.clear_caches()
     alpha = cls_of_degree(P2, 3)
     s1 = reduced_strand(P2, alpha, (1, 1, 1))
-    assert cache_stats()["files"] == 1
-    cech._memory_cache.clear()
+    assert reduced_strand(P2, alpha, (1, 1, 1)) is s1
+    built = cech.cache_counters["built"]
+    assert built > 0 and cache_stats()["files"] == built
+    cech.clear_caches()
     s2 = reduced_strand(P2, alpha, (1, 1, 1))
-    assert s2.model_labels == s1.model_labels
-    # corrupt the entry: loader must rebuild rather than fail
-    f = next(tmp_path.glob("*.json"))
-    f.write_text(f.read_text()[:-30] + "}")
-    cech._memory_cache.clear()
+    assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (built, 0)
+    assert s2 == s1 and strand_invariants_ok(s2)
+    # corrupt every entry: the loader must rebuild rather than fail
+    for f in tmp_path.glob("*.json"):
+        f.write_bytes(f.read_bytes()[:-30] + b"}")
+    cech.clear_caches()
     s3 = reduced_strand(P2, alpha, (1, 1, 1))
-    assert s3.model_labels == s1.model_labels
-    assert cache_clear() >= 1
+    assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (0, built)
+    assert s3 == s1
+    assert cache_clear() == built
+    assert cache_stats()["files"] == 0
 
 
 def test_sturmfels_variety_strand_smoke():
@@ -302,7 +312,7 @@ def test_pattern_table_and_points_match_fraction_reference(name):
 
     x = VARIETIES[name]()
     ref = _reference_patterns(x)
-    assert cech._support_patterns(x) == tuple(sorted(ref, key=lambda neg: sum(1 << r for r in neg)))
+    assert support_patterns(x) == tuple(sorted(ref, key=lambda neg: sum(1 << r for r in neg)))
     # the integer path gives the dims over Q in every degree, and so do
     # the reduced certificates (built here only where they are cheap)
     for neg, (fam, depth, dims) in ref.items():
@@ -343,24 +353,23 @@ M33_PATTERNS = (
 
 
 def test_m33_pattern_table_is_frozen():
-    from toricres import cech
     from toricres.fixtures import m33_problem
     from toricres.toric import variety_of
 
-    assert cech._support_patterns(variety_of(m33_problem())) == M33_PATTERNS
+    assert support_patterns(variety_of(m33_problem())) == M33_PATTERNS
 
 
 # -- the ray-circuit screen against walking every pattern ------------------------
 
 def _unscreened_points(x, alpha):
-    """contributing_points without the circuit screen: walk every pattern."""
-    from toricres import cech
+    """contributing_points without the circuit screen: walk every pattern of
+    the eager table."""
     from toricres.toric import degree_fiber, fiber_points
 
     u0, kernel = degree_fiber(x, tuple(-a for a in alpha))
     pts = []
     if u0 is not None:
-        for neg in cech._support_patterns(x):
+        for neg in support_patterns(x):
             signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
             pts.extend((w, neg) for w in fiber_points(u0, kernel, signs))
     return tuple(sorted(pts))
@@ -615,6 +624,20 @@ def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
     return active, iota, rho, h
 
 
+def _assert_disk_form_round_trips(red):
+    """The family cache's JSON form of a reduction reads back equal, with
+    ints as ints and every other value a non-integer Fraction."""
+    from toricres import cech
+
+    body = json.dumps(cech._family_to_obj(red), separators=(",", ":"))
+    back = cech._family_from_obj(json.loads(body))
+    assert back == red
+    values = [v for certs in back[1:] for level in certs
+              for row in level.values() for v in row.values()]
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in values)
+
+
 @pytest.mark.parametrize("policy", ["sparse", "first"])
 @pytest.mark.parametrize("name", ["P2", "P1P1", "squares", "sturmfels"])
 def test_heap_pivots_match_full_rescan_reference(name, policy):
@@ -627,7 +650,9 @@ def test_heap_pivots_match_full_rescan_reference(name, policy):
         if fam:
             per_q, entries = cech._block_entries(list(fam), depth)
             want = _reference_reduce_block(per_q, entries, policy)
-            assert cech._reduce_block(per_q, entries, policy) == want
+            got = cech._reduce_block(per_q, entries, policy)
+            assert got == want
+            _assert_disk_form_round_trips(got)
 
 
 _SIZES = st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=4)
@@ -667,7 +692,9 @@ def test_heap_pivots_match_full_rescan_reference_on_random_blocks(block, policy)
 
     per_q, entries = block
     want = _reference_reduce_block(per_q, entries, policy)
-    assert cech._reduce_block(per_q, entries, policy) == want
+    got = cech._reduce_block(per_q, entries, policy)
+    assert got == want
+    _assert_disk_form_round_trips(got)
 
 
 # -- guards and the disk cache -------------------------------------------------------
@@ -685,9 +712,13 @@ def test_pattern_ray_cap_raises_unsupported_geometry(monkeypatch):
     from toricres import cech
     from toricres.errors import UnsupportedGeometryError
 
+    alpha = cls_of_degree(P2, 3)
+    monkeypatch.setattr(cech, "_points_cache", {})   # past the memo
     monkeypatch.setattr(cech, "_PATTERN_RAY_CAP", 2)
     with pytest.raises(UnsupportedGeometryError):
-        cech._support_patterns.__wrapped__(P2)   # three rays, past the memo
+        cech.contributing_points(P2, alpha)   # three rays
+    monkeypatch.setattr(cech, "_PATTERN_RAY_CAP", 3)
+    assert cech.contributing_points(P2, alpha)
 
 
 def test_pattern_ray_cap_stops_contributing_points_before_any_circuit(monkeypatch):
@@ -698,6 +729,7 @@ def test_pattern_ray_cap_stops_contributing_points_before_any_circuit(monkeypatc
     x = variety_from_points(((0, 0), (3, 0), (4, 1), (2, 3), (0, 2)))
     enumerated = []
     monkeypatch.setattr(cech, "_ray_circuits", lambda x_: enumerated.append(x_) or ())
+    monkeypatch.setattr(cech, "_nerve_dims", lambda *a: enumerated.append(a) or (1,))
     monkeypatch.setattr(cech, "_PATTERN_RAY_CAP", 2)
     with pytest.raises(UnsupportedGeometryError):
         cech.contributing_points(x, x.anticanonical_class())
@@ -729,7 +761,7 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs(tmp_path, monkey
     monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
     x = _sturmfels_variety()
     cech.clear_caches()
-    negs = cech._support_patterns(x)[:12]
+    negs = support_patterns(x)[:12]
     before = {neg: cech.family_certs(x, neg) for neg in negs}
     points = cech.contributing_points(x, x.anticanonical_class())
     circuits = cech._ray_circuits(x)
@@ -737,7 +769,7 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs(tmp_path, monkey
     cech.clear_caches()
     assert not (cech._reduce_memo or cech._fam_dims_memo or cech._points_cache
                 or cech._memory_cache or any(cech.cache_counters.values()))
-    for fn in (cech._subset_data, cech._support_patterns, cech._ray_circuits,
+    for fn in (cech._subset_data, cech._nerve_dims, cech._ray_circuits,
                cech._pattern_family, cech.family_certs):
         assert fn.cache_info().currsize == 0
     assert cache_clear() > 0   # and the disk: everything is built again
@@ -750,16 +782,113 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs(tmp_path, monkey
     assert cech._ray_circuits(x) == circuits
 
 
-def test_strand_cache_write_ignores_another_writers_temp_file(tmp_path, monkeypatch):
+def _p2_family_file(tmp_path, monkeypatch):
+    """Certificates of P2's all-nonnegative pattern, built cold in an empty
+    cache dir, and the one file they leave there."""
     from toricres import cech
-    from toricres.cech import strand_key
 
     monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(cech, "_memory_cache", {})
-    alpha, e = cls_of_degree(P2, 2), (1, 1, 1)
-    path = tmp_path / f"{strand_key(P2, alpha, e, 'sparse')}.json"
+    cech.clear_caches()
+    certs = _certs_obj(cech.family_certs(P2, ()))
+    (path,) = tmp_path.iterdir()
+    cech.clear_caches()
+    return certs, path
+
+
+def test_family_cache_write_ignores_another_writers_temp_file(tmp_path, monkeypatch):
+    from toricres import cech
+
+    certs, path = _p2_family_file(tmp_path, monkeypatch)
+    path.unlink()
     # a concurrent writer's pid-less temp name must not block this write
     path.with_suffix(".tmp").mkdir()
-    reduced_strand(P2, alpha, e)
+    assert _certs_obj(cech.family_certs(P2, ())) == certs
+    assert cech.cache_counters["built"] == 1
     assert path.exists()
     assert not list(tmp_path.glob(f"*.{os.getpid()}.tmp"))
+    cech.clear_caches()
+    assert _certs_obj(cech.family_certs(P2, ())) == certs
+    assert cech.cache_counters["disk"] == 1
+
+
+def test_failed_cache_write_removes_its_temp_file(tmp_path, monkeypatch):
+    from toricres import cech
+
+    def fail(self, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "replace", fail)
+    cech._cache_write(tmp_path / "entry.json", {"active": []})
+    assert not list(tmp_path.iterdir())
+
+
+def test_cache_clear_removes_stale_temp_files(tmp_path, monkeypatch):
+    _, path = _p2_family_file(tmp_path, monkeypatch)
+    stale = path.with_suffix(".4242.tmp")   # left by a writer that was killed
+    stale.write_bytes(b"half an entry")
+    assert cache_stats()["files"] == 2
+    assert cache_stats()["bytes"] == path.stat().st_size + len(b"half an entry")
+    assert cache_clear() == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("damage", ["flipped body byte", "truncated", "header only"])
+def test_damaged_family_entry_is_rebuilt(tmp_path, monkeypatch, damage):
+    from toricres import cech
+
+    certs, path = _p2_family_file(tmp_path, monkeypatch)
+    data = path.read_bytes()
+    head, body = data.split(b"\n", 1)
+    if damage == "flipped body byte":
+        i = body.rindex(b"1")   # still valid JSON, with a different value
+        data = head + b"\n" + body[:i] + b"0" + body[i + 1:]
+        json.loads(data.split(b"\n", 1)[1])
+    elif damage == "truncated":
+        data = data[:-7]
+    else:
+        data = head + b"\n"
+    path.write_bytes(data)
+    assert _certs_obj(cech.family_certs(P2, ())) == certs
+    assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (0, 1)
+    cech.clear_caches()   # the rebuild rewrote the entry
+    assert _certs_obj(cech.family_certs(P2, ())) == certs
+    assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (1, 0)
+
+
+# Bump FORMAT_VERSION with any change to the bytes of a family file, then
+# update this hash: a stale file would otherwise load as certificates.
+P2_FAMILY_FILE_SHA256 = "3055b1bde932746a9606975f0bd93db60314d12cd669e91c7880b3efb6dd4dee"
+
+
+def test_family_file_bytes_are_frozen_with_the_format_version(tmp_path, monkeypatch):
+    from toricres import cech
+
+    _, path = _p2_family_file(tmp_path, monkeypatch)
+    assert cech.FORMAT_VERSION == 4
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == P2_FAMILY_FILE_SHA256
+
+
+def test_warm_sturmfels_family_certs_equal_a_cold_build(tmp_path, monkeypatch):
+    from toricres import cech, resultant, weyman
+    from toricres.fixtures import sturmfels_problem, sturmfels_twist
+    from toricres.toric import variety_of
+
+    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
+    cech.clear_caches()
+    asked = set()
+
+    def recorded(x, neg, policy="sparse"):
+        asked.add((x, neg, policy))
+        return cech.family_certs(x, neg, policy)
+
+    monkeypatch.setattr(weyman, "family_certs", recorded)
+    problem = sturmfels_problem()
+    x = variety_of(problem)
+    for which in ("unit", "stable"):
+        resultant.a_resultant(problem, twist=sturmfels_twist(x, which))
+    assert cech.cache_counters["built"] == len(cech._reduce_memo) == 38
+    cold = {key: _certs_obj(cech.family_certs(*key)) for key in asked}
+    cech.clear_caches()   # a warm process: disk cache full, memos empty
+    for key, want in cold.items():
+        assert _certs_obj(cech.family_certs(*key)) == want
+    assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (38, 0)

@@ -1,4 +1,4 @@
-"""Truncated Cech strands of graded-module classes, with reduction data.
+"""Cech complexes of graded-module classes, with reduction data.
 
 For a class alpha, the strand complex has, in Cech degree q, one basis
 vector per pair (T, w): T a size-(q+1) set of irrelevant generators and w a
@@ -10,12 +10,16 @@ Subsets run over the full range of sizes 1..#generators, so at exact
 levels every model dimension above dim X vanishes and every homotopy is
 honest.  The differential inserts a generator with the usual alternating
 sign and never changes w, so the whole strand splits as a direct sum of
-small complexes, one per exponent vector w, which keeps exact reduction
-cheap; identical subset families share one memoized reduction.
+small complexes, one per exponent vector w.  strand_dims ranks these
+blocks level by level; it is the independent check of the stabilization
+level, and its blocks are the chains of the direct total complex.
 
-Reduction is plain Gauss elimination over Q, one pivot at a time, tracked
-as a deformation retract: inclusion iota (model rows to chain columns),
-projection rho, homotopy h, and the original differential D satisfy
+At any uniform level past the depth of w, the block of w is the pattern
+family of w's negative-support pattern (_pattern_family), so the direct
+image needs one reduction per family.  Reduction is plain Gauss
+elimination over Q, one pivot at a time, tracked as a deformation retract:
+inclusion iota (model rows to chain columns), projection rho, homotopy h,
+and the family's incidence differential D satisfy
 
     iota . D = 0,      D . rho = 0,        iota . rho = id,
     D_q h_q + h_{q-1} D_{q-1} = id - rho_q iota_q,
@@ -23,11 +27,12 @@ projection rho, homotopy h, and the original differential D satisfy
 
 all in the row convention (composition left to right along arrows).  The
 reduced differential is identically zero, so model dimensions are the
-cohomology dimensions of the truncated strand.  The certificates depend
-only on the pivot rule: a unit entry first, then the sparsest row, then
-the least (degree, row, column).  A lazily invalidated min-heap of each
-row's least key finds every pivot without rescanning the block, and a
-column mirror finds the rows a pivot touches (see _reduce_block).
+cohomology dimensions of the family.  Chains are indexed by the sorted
+subsets of each degree, and the pivot is the least nonzero entry under a
+fixed rule: a unit entry first, then the sparsest row, then the least
+(degree, row, column).  A lazily invalidated min-heap of each row's least
+key finds every pivot without rescanning the block, and a column mirror
+finds the rows a pivot touches (see _reduce_block).
 
 Which exponents carry cohomology at all is decided per variety and
 negative-support pattern, without building a family: by the nerve lemma a
@@ -39,14 +44,13 @@ patterns that pass the ray-circuit screen of contributing_points are ranked.
 
 Family reductions are memoized in memory and kept on disk, one file per
 family (TORICRES_CACHE_DIR, default ~/.cache/toricres), named by the sha256
-of (FORMAT_VERSION, family, depth, policy).  A file is the sha256 hex of its
-body, a newline, then the body: compact JSON holding the surviving indices
-per degree and the iota, rho and h rows as flat [column, value, ...] lists,
+of (FORMAT_VERSION, family, depth).  A file is the sha256 hex of its body,
+a newline, then the body: compact JSON holding the surviving indices per
+degree and the iota, rho and h rows as flat [column, value, ...] lists,
 integers as JSON numbers and only non-integers as "n/d" strings (format 4).
 The per-degree subset lists and the incidence entries are recomputed from
 the family in the key.  A file whose hash line does not match its bytes is
-rebuilt.  Any change to the layout must bump FORMAT_VERSION.  Whole strands
-are memoized in memory only.
+rebuilt.  Any change to the layout must bump FORMAT_VERSION.
 """
 from __future__ import annotations
 
@@ -55,21 +59,19 @@ import heapq
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ResourceGuard, StabilizationError, UnsupportedGeometryError
-from .qlinalg import QMatrix, int_kernel_basis, int_rank
+from .errors import ResourceGuard, UnsupportedGeometryError
+from .qlinalg import int_kernel_basis, int_rank
 from .qpoly import cnorm
 from .toric import ToricVariety, degree_fiber, fiber_points
 
 FORMAT_VERSION = 4
 
 Class = tuple[int, ...]
-Label = tuple[tuple[int, ...], tuple[int, ...]]  # (generator subset, exponent)
 
 
 _GENERATOR_CAP = 16
@@ -96,6 +98,15 @@ def _subset_data(x: ToricVariety):
     for size in range(1, depth + 2):
         subsets.extend(itertools.combinations(range(len(gens)), size))
     return gens, tuple(subsets), depth
+
+
+@lru_cache(maxsize=None)
+def _subset_rays(x: ToricVariety) -> tuple[int, ...]:
+    """For each subset of _subset_data, the bitmask of the rays that all of
+    its cones contain."""
+    _, subsets, _ = _subset_data(x)
+    cones = [sum(1 << rho for rho in c) for c in x.max_cones]
+    return tuple(reduce(int.__and__, (cones[j] for j in T)) for T in subsets)
 
 
 def _window_bound(gens, subset: tuple[int, ...], e: Sequence[int]) -> tuple[int, ...]:
@@ -134,77 +145,23 @@ def _strand_blocks(x: ToricVariety, alpha: Class, e: Sequence[int]):
     return depth, blocks
 
 
-@dataclass
-class ReducedStrand:
-    """Strand complex of one class at one truncation level, fully reduced."""
-
-    alpha: Class
-    e: tuple[int, ...]
-    depth: int
-    chain_labels: list[list[Label]]
-    model_labels: list[list[Label]]
-    diff: list[QMatrix]   # q -> chains_q x chains_{q+1}, q = 0..depth-1
-    iota: list[QMatrix]   # q -> model_q x chains_q
-    rho: list[QMatrix]    # q -> chains_q x model_q
-    h: list[QMatrix]      # q -> chains_{q+1} x chains_q, q = 0..depth-1
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(m) for m in self.model_labels)
-
-    def chain_dims(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.chain_labels)
-
-    def to_obj(self) -> dict:
-        return {
-            "alpha": list(self.alpha),
-            "e": list(self.e),
-            "depth": self.depth,
-            "chain_labels": [[[list(t), list(w)] for t, w in labels]
-                             for labels in self.chain_labels],
-            "model_labels": [[[list(t), list(w)] for t, w in labels]
-                             for labels in self.model_labels],
-            "diff": [m.to_obj() for m in self.diff],
-            "iota": [m.to_obj() for m in self.iota],
-            "rho": [m.to_obj() for m in self.rho],
-            "h": [m.to_obj() for m in self.h],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ReducedStrand":
-        return cls(
-            alpha=tuple(obj["alpha"]),
-            e=tuple(obj["e"]),
-            depth=obj["depth"],
-            chain_labels=[[(tuple(t), tuple(w)) for t, w in labels]
-                          for labels in obj["chain_labels"]],
-            model_labels=[[(tuple(t), tuple(w)) for t, w in labels]
-                          for labels in obj["model_labels"]],
-            diff=[QMatrix.from_obj(o) for o in obj["diff"]],
-            iota=[QMatrix.from_obj(o) for o in obj["iota"]],
-            rho=[QMatrix.from_obj(o) for o in obj["rho"]],
-            h=[QMatrix.from_obj(o) for o in obj["h"]],
-        )
-
-
 def _reduce_block(per_q: list[list[tuple[int, ...]]],
-                  entries: list[dict[tuple[int, int], int]],
-                  policy: str):
+                  entries: list[dict[tuple[int, int], int]]):
     """Fully reduce one block over Q, tracking the retract certificates.
 
     Coordinates are kept by original local index throughout; dropped ones
     simply leave the active sets.  Returns surviving indices per degree and
     the certificates as index-keyed sparse structures.
 
-    The pivot is the nonzero entry with the least key (unit, fill, q, i, j)
-    under policy "sparse" (unit 0 for a +-1 entry, fill the number of other
-    entries in its row), or (0, 0, q, i, j) under "first".  Entries of one
-    row share fill, q and i, so the least key overall is the least of the
-    rows' least keys.  Those sit in a lazily invalidated min-heap: a row
-    pushes its least key when it is built and again whenever it changes,
-    and a popped key whose entry, unit flag or fill no longer matches its
-    row is dropped.  A key that still matches is its row's least: the
-    row's newest key is no larger and would have been popped, and the row
-    pivoted away, before it.
+    The pivot is the nonzero entry with the least key (unit, fill, q, i, j):
+    unit 0 for a +-1 entry, fill the number of other entries in its row.
+    Entries of one row share fill, q and i, so the least key overall is the
+    least of the rows' least keys.  Those sit in a lazily invalidated
+    min-heap: a row pushes its least key when it is built and again
+    whenever it changes, and a popped key whose entry, unit flag or fill no
+    longer matches its row is dropped.  A key that still matches is its
+    row's least: the row's newest key is no larger and would have been
+    popped, and the row pivoted away, before it.
     """
     depth1 = len(per_q)
     sizes = [len(v) for v in per_q]
@@ -221,11 +178,7 @@ def _reduce_block(per_q: list[list[tuple[int, ...]]],
     rho = [{i: {i: 1} for i in range(s)} for s in sizes]    # model col -> chain vector
     h = [dict() for _ in range(depth1 - 1)]                 # chain(q+1) -> {chain(q): c}
 
-    sparse = policy != "first"
-
     def least_key(q, i, row):
-        if not sparse:
-            return (0, 0, q, i, min(row))
         units = [j for j, a in row.items() if a in (1, -1)]
         return (0 if units else 1, len(row) - 1, q, i, min(units or row))
 
@@ -239,7 +192,7 @@ def _reduce_block(per_q: list[list[tuple[int, ...]]],
         if row_piv is None or pj not in row_piv:
             continue   # the entry is gone
         a = row_piv[pj]
-        if sparse and (unit != (a not in (1, -1)) or fill != len(row_piv) - 1):
+        if unit != (a not in (1, -1)) or fill != len(row_piv) - 1:
             continue   # the row changed since this key was pushed
         inv_a = a if a in (1, -1) else Fraction(1) / Fraction(a)   # ints stay ints
         col_entries = [(i, dq[i][pj]) for i in cq.pop(pj) if i != pi]
@@ -407,24 +360,24 @@ def _family_from_obj(obj: dict):
     )
 
 
-def _reduced_family(fam: tuple[tuple[int, ...], ...], depth: int, policy: str):
+def _reduced_family(fam: tuple[tuple[int, ...], ...], depth: int):
     """Memoized reduction of one subset family: (per_q, active, iota, rho, h).
 
     The block of an exponent depends on the exponent only through its family,
     so identical families across exponents and strands share one reduction.
     Reductions persist on disk under a hash of the key (see the module
     docstring); a corrupt entry fails its hash check and is rebuilt."""
-    key = (fam, depth, policy)
+    key = (fam, depth)
     hit = _reduce_memo.get(key)
     if hit is not None:
         cache_counters["memory"] += 1
         return hit
-    name = hashlib.sha256(json.dumps([FORMAT_VERSION, fam, depth, policy]).encode())
+    name = hashlib.sha256(json.dumps([FORMAT_VERSION, fam, depth]).encode())
     path = cache_root() / f"{name.hexdigest()}.json"
     obj = _cache_read(path)
     if obj is None:
         per_q, entries = _block_entries(list(fam), depth)
-        red = _reduce_block(per_q, entries, policy)
+        red = _reduce_block(per_q, entries)
         cache_counters["built"] += 1
         _cache_write(path, _family_to_obj(red))
     else:
@@ -462,65 +415,6 @@ def _dims(sizes: list[int], ranks: list[int]) -> tuple[int, ...]:
                  for q, size in enumerate(sizes))
 
 
-def build_reduced_strand(x: ToricVariety, alpha: Class, e: Sequence[int],
-                         policy: str = "sparse") -> ReducedStrand:
-    e = tuple(int(v) for v in e)
-    depth, blocks = _strand_blocks(x, alpha, e)
-
-    chain_labels: list[list[Label]] = [[] for _ in range(depth + 1)]
-    model_labels: list[list[Label]] = [[] for _ in range(depth + 1)]
-    # collect per-block results, then assemble in global sorted label order
-    per_block = []
-    for w, fam in blocks:
-        per_q, active, iota, rho, h = _reduced_family(fam, depth, policy)
-        entries = _block_entries(list(fam), depth)[1]
-        per_block.append((w, per_q, entries, active, iota, rho, h))
-        for q in range(depth + 1):
-            for T in per_q[q]:
-                chain_labels[q].append((T, w))
-            for i in sorted(active[q]):
-                model_labels[q].append((per_q[q][i], w))
-    for q in range(depth + 1):
-        chain_labels[q].sort()
-        model_labels[q].sort()
-    chain_pos = [{lab: i for i, lab in enumerate(labels)}
-                 for labels in chain_labels]
-    model_pos = [{lab: i for i, lab in enumerate(labels)}
-                 for labels in model_labels]
-
-    cd = [len(v) for v in chain_labels]
-    md = [len(v) for v in model_labels]
-    diff = [QMatrix(cd[q], cd[q + 1]) for q in range(depth)]
-    hmat = [QMatrix(cd[q + 1], cd[q]) for q in range(depth)]
-    iota = [QMatrix(md[q], cd[q]) for q in range(depth + 1)]
-    rho = [QMatrix(cd[q], md[q]) for q in range(depth + 1)]
-
-    for w, per_q, entries, active, biota, brho, bh in per_block:
-        gchain = [  # local index -> global chain index per degree
-            [chain_pos[q][(T, w)] for T in per_q[q]] for q in range(depth + 1)]
-        for q in range(depth):
-            dq = diff[q]
-            for (i, j), c in entries[q].items():
-                dq.rows[gchain[q][i]][gchain[q + 1][j]] = c
-            hq = hmat[q]
-            for c1, rowv in bh[q].items():
-                out = hq.rows[gchain[q + 1][c1]]
-                for c0, v in rowv.items():
-                    out[gchain[q][c0]] = v
-        for q in range(depth + 1):
-            for i in active[q]:
-                gm = model_pos[q][(per_q[q][i], w)]
-                out = iota[q].rows[gm]
-                for c0, v in biota[q][i].items():
-                    out[gchain[q][c0]] = v
-                for c0, v in brho[q][i].items():
-                    rho[q].rows[gchain[q][c0]][gm] = v
-
-    return ReducedStrand(alpha=tuple(alpha), e=e, depth=depth,
-                         chain_labels=chain_labels, model_labels=model_labels,
-                         diff=diff, iota=iota, rho=rho, h=hmat)
-
-
 def strand_dims(x: ToricVariety, alpha: Class, e: Sequence[int]) -> tuple[int, ...]:
     """Cohomology dimensions of the truncated strand, one per Cech degree.
 
@@ -531,42 +425,6 @@ def strand_dims(x: ToricVariety, alpha: Class, e: Sequence[int]) -> tuple[int, .
         for q, v in enumerate(_family_dims(fam, depth)):
             dims[q] += v
     return tuple(dims)
-
-
-def strand_invariants_ok(s: ReducedStrand) -> bool:
-    """All retract identities, checked exactly on the assembled matrices."""
-    depth = s.depth
-    for q in range(depth - 1):
-        if not s.diff[q].matmul(s.diff[q + 1]).is_zero():
-            return False
-    for q in range(depth + 1):
-        md = len(s.model_labels[q])
-        if not s.iota[q].matmul(s.rho[q]) == QMatrix.identity(md):
-            return False
-        if q < depth and not s.iota[q].matmul(s.diff[q]).is_zero():
-            return False
-        if q < depth and not s.diff[q].matmul(s.rho[q + 1]).is_zero():
-            return False
-    for q in range(depth + 1):
-        cd = len(s.chain_labels[q])
-        acc = QMatrix.zero(cd, cd)
-        if q < depth:
-            acc = acc + s.diff[q].matmul(s.h[q])
-        if q > 0:
-            acc = acc + s.h[q - 1].matmul(s.diff[q - 1])
-        want = QMatrix.identity(cd) - s.rho[q].matmul(s.iota[q])
-        if acc != want:
-            return False
-    for q in range(1, depth + 1):
-        if not s.iota[q].matmul(s.h[q - 1]).is_zero():
-            return False
-    for q in range(depth):
-        if not s.h[q].matmul(s.rho[q]).is_zero():
-            return False
-    for q in range(1, depth):
-        if not s.h[q].matmul(s.h[q - 1]).is_zero():
-            return False
-    return True
 
 
 # -- truncation level search ---------------------------------------------------
@@ -722,11 +580,9 @@ def _pattern_family(x: ToricVariety, neg: tuple[int, ...]):
 
     At any uniform level c, the family of an exponent w with depth(w) <= c
     is exactly the family of its negative-support pattern."""
-    gens, subsets, depth = _subset_data(x)
-    cones = [frozenset(c) for c in x.max_cones]
-    negs = frozenset(neg)
-    return tuple(T for T in subsets
-                 if not (negs & frozenset.intersection(*(cones[j] for j in T))))
+    _, subsets, _ = _subset_data(x)
+    bits = sum(1 << rho for rho in neg)
+    return tuple(T for T, common in zip(subsets, _subset_rays(x)) if not bits & common)
 
 
 class FamilyCerts:
@@ -738,7 +594,7 @@ class FamilyCerts:
 
     __slots__ = ("depth", "per_q", "pos", "active", "dims", "iota", "rho_t", "h")
 
-    def __init__(self, x: ToricVariety, neg: tuple[int, ...], policy: str):
+    def __init__(self, x: ToricVariety, neg: tuple[int, ...]):
         _, _, depth = _subset_data(x)
         self.depth = depth
         fam = _pattern_family(x, neg)
@@ -751,7 +607,7 @@ class FamilyCerts:
             self.rho_t = [{} for _ in range(depth + 1)]
             self.h = [{} for _ in range(depth)]
             return
-        per_q, active, iota, rho, h = _reduced_family(fam, depth, policy)
+        per_q, active, iota, rho, h = _reduced_family(fam, depth)
         self.per_q = per_q
         self.pos = [{T: i for i, T in enumerate(per_q[q])} for q in range(depth + 1)]
         self.active = [sorted(active[q]) for q in range(depth + 1)]
@@ -768,9 +624,8 @@ class FamilyCerts:
 
 
 @lru_cache(maxsize=None)
-def family_certs(x: ToricVariety, neg: tuple[int, ...],
-                 policy: str = "sparse") -> FamilyCerts:
-    return FamilyCerts(x, neg, policy)
+def family_certs(x: ToricVariety, neg: tuple[int, ...]) -> FamilyCerts:
+    return FamilyCerts(x, neg)
 
 
 def pattern_of(w: Sequence[int]) -> tuple[int, ...]:
@@ -778,9 +633,6 @@ def pattern_of(w: Sequence[int]) -> tuple[int, ...]:
 
 
 # -- caching ---------------------------------------------------------------------
-
-_memory_cache: dict = {}
-
 
 def cache_root() -> Path:
     env = os.environ.get("TORICRES_CACHE_DIR")
@@ -819,17 +671,6 @@ def _cache_read(path: Path):
     return json.loads(body)
 
 
-def reduced_strand(x: ToricVariety, alpha: Class, e: Sequence[int],
-                   policy: str = "sparse") -> ReducedStrand:
-    """build_reduced_strand, memoized in memory; its families come from the
-    family cache."""
-    mk = (x.rays, x.max_cones, x.grading, tuple(alpha), tuple(e), policy)
-    hit = _memory_cache.get(mk)
-    if hit is None:
-        hit = _memory_cache[mk] = build_reduced_strand(x, alpha, e, policy)
-    return hit
-
-
 def _cache_files() -> list[Path]:
     """Cache entries and temp files, stale ones of failed writers included."""
     root = cache_root()
@@ -854,32 +695,9 @@ def clear_caches() -> None:
 
     The memos grow for the life of the process; the disk cache is left as
     it is (cache_clear empties that)."""
-    for memo in (_reduce_memo, _fam_dims_memo, _points_cache, _memory_cache):
+    for memo in (_reduce_memo, _fam_dims_memo, _points_cache):
         memo.clear()
     cache_counters_reset()
-    for fn in (_subset_data, _nerve_dims, _ray_circuits, _pattern_family,
-               family_certs):
+    for fn in (_subset_data, _subset_rays, _nerve_dims, _ray_circuits,
+               _pattern_family, family_certs):
         fn.cache_clear()
-
-
-# -- transport between truncation levels -------------------------------------------
-
-def inclusion_matrix(small: ReducedStrand, big: ReducedStrand, q: int) -> QMatrix:
-    """0/1 matrix of the label-preserving inclusion of chain spaces."""
-    pos = {lab: i for i, lab in enumerate(big.chain_labels[q])}
-    m = QMatrix(len(small.chain_labels[q]), len(big.chain_labels[q]))
-    for i, lab in enumerate(small.chain_labels[q]):
-        j = pos.get(lab)
-        if j is None:
-            raise StabilizationError("levels are not nested")
-        m.rows[i][j] = 1
-    return m
-
-
-def model_transfer(small: ReducedStrand, big: ReducedStrand) -> list[QMatrix]:
-    """Per degree: model(small) -> model(big) through the chain inclusion."""
-    out = []
-    for q in range(small.depth + 1):
-        nu = inclusion_matrix(small, big, q)
-        out.append(small.iota[q].matmul(nu).matmul(big.rho[q]))
-    return out

@@ -24,7 +24,3 @@ class ResourceGuard(ToricresError):
 
 class UnsupportedGeometryError(MathFailure):
     """Geometry outside the supported range (torsion classes, bad span...)."""
-
-
-class StabilizationError(MathFailure):
-    """A truncation level could not be stabilized or transferred."""

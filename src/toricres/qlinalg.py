@@ -41,38 +41,12 @@ class QMatrix:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [{i: 1} for i in range(n)])
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls(nrows, ncols)
-
-    @classmethod
     def from_dense(cls, dense: Sequence[Sequence[Coeff]], ncols: int | None = None) -> "QMatrix":
         n = len(dense)
         m = ncols if ncols is not None else (len(dense[0]) if n else 0)
         return cls(n, m, [{j: c for j, c in enumerate(row) if c} for row in dense])
 
-    def to_dense(self) -> list[list[Coeff]]:
-        return [[r.get(j, 0) for j in range(self.ncols)] for r in self.rows]
-
-    def copy(self) -> "QMatrix":
-        return QMatrix(self.nrows, self.ncols, [dict(r) for r in self.rows])
-
     # -- queries --------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return (self.nrows, self.ncols) == (other.nrows, other.ncols) \
-            and self.rows == other.rows
-
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
 
     def get(self, i: int, j: int) -> Coeff:
         return self.rows[i].get(j, 0)
@@ -83,63 +57,6 @@ class QMatrix:
             self.rows[i][j] = c
         else:
             self.rows[i].pop(j, None)
-
-    def __repr__(self) -> str:
-        return f"QMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
-
-    # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        out = self.copy()
-        for i, r in enumerate(other.rows):
-            tr = out.rows[i]
-            for j, c in r.items():
-                s = tr.get(j, 0) + c
-                if s:
-                    tr[j] = cnorm(s)
-                else:
-                    del tr[j]
-        return out
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(self.nrows, self.ncols,
-                       [{j: -c for j, c in r.items()} for r in self.rows])
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + (-other)
-
-    def scale(self, c: Coeff) -> "QMatrix":
-        if not c:
-            return QMatrix.zero(self.nrows, self.ncols)
-        return QMatrix(self.nrows, self.ncols,
-                       [{j: cc * c for j, cc in r.items()} for r in self.rows])
-
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
-                             f"{other.nrows}x{other.ncols}")
-        out = QMatrix(self.nrows, other.ncols)
-        for i, r in enumerate(self.rows):
-            acc: Row = out.rows[i]
-            for k, c in r.items():
-                for j, d in other.rows[k].items():
-                    s = acc.get(j, 0) + c * d
-                    if s:
-                        acc[j] = s
-                    else:
-                        del acc[j]
-            for j in list(acc):
-                acc[j] = cnorm(acc[j])
-        return out
-
-    def transpose(self) -> "QMatrix":
-        out = QMatrix(self.ncols, self.nrows)
-        for i, r in enumerate(self.rows):
-            for j, c in r.items():
-                out.rows[j][i] = c
-        return out
 
     # -- elimination ---------------------------------------------------------
 
@@ -170,49 +87,10 @@ class QMatrix:
             work = rest
         return rank
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_obj(self) -> dict:
-        rows = {}
-        for i, r in enumerate(self.rows):
-            if r:
-                rows[str(i)] = {str(j): _frac_str(c) for j, c in sorted(r.items())}
-        return {"nrows": self.nrows, "ncols": self.ncols, "rows": rows}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "QMatrix":
-        m = cls(obj["nrows"], obj["ncols"])
-        for i, r in obj["rows"].items():
-            for j, s in r.items():
-                m.rows[int(i)][int(j)] = cnorm(Fraction(s))
-        return m
-
-
-def _frac_str(c: Coeff) -> str:
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
 
 # -- integer matrices ----------------------------------------------------------
 
 IntMat = list[list[int]]
-
-
-def int_matmul(a: IntMat, b: IntMat) -> IntMat:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for kk in range(k):
-            c = ai[kk]
-            if c:
-                bk = b[kk]
-                for j in range(m):
-                    oi[j] += c * bk[j]
-    return out
 
 
 # -- ranks by multi-modular elimination ----------------------------------------

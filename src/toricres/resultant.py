@@ -193,7 +193,6 @@ class ResultantOutput:
     e1: E1Page
     term_ranks: dict[int, int]
     twist: Class
-    policy: str
     subsets: dict[int, dict[str, list[int]]]
 
     def to_obj(self) -> dict:
@@ -205,7 +204,6 @@ class ResultantOutput:
             "e1": self.e1.to_obj(),
             "term_ranks": {str(i): n for i, n in sorted(self.term_ranks.items())},
             "twist": list(self.twist),
-            "policy": self.policy,
             "index_subsets": {str(i): s for i, s in sorted(self.subsets.items())},
         }
 
@@ -267,8 +265,7 @@ def _multiplicity(delta: SparsePoly) -> tuple[int, SparsePoly]:
     return 1, delta
 
 
-def a_resultant(problem: SupportProblem, twist="default", policy: str = "sparse",
-                e: Sequence[int] | None = None, seed: int = 0) -> ResultantOutput:
+def a_resultant(problem: SupportProblem, twist="default", seed: int = 0) -> ResultantOutput:
     """The resultant of the generic system with the given supports.
 
     The eliminant variety must be a hypersurface; the determinant of the
@@ -278,7 +275,10 @@ def a_resultant(problem: SupportProblem, twist="default", policy: str = "sparse"
     anticanonical class, the anticanonical class and zero, fewest q > 0
     summand dimensions first (they alone need Cech certificates), then the
     smallest largest minor (see resolve_twist); an explicit twist is used
-    as given."""
+    as given.  The seed draws the two rational points that pick and certify
+    the index subsets of the Cayley determinant (see _det_once); a failed
+    draw is repeated once with fresh points, and a second failure raises
+    MathFailure."""
     n = len(problem.supports[0][0])
     if len(problem.supports) != n + 1:
         raise InputError(
@@ -293,7 +293,7 @@ def a_resultant(problem: SupportProblem, twist="default", policy: str = "sparse"
     K = koszul_generic(problem, x)
     tw = resolve_twist(K, twist)
     C = K.twist(tw)
-    W = weyman_differential(C, policy=policy, e=e)
+    W = weyman_differential(C)
     try:
         raw, subsets = _determinant_with_subsets(W, seed)
     except MathFailure as err:
@@ -307,7 +307,7 @@ def a_resultant(problem: SupportProblem, twist="default", policy: str = "sparse"
     return ResultantOutput(
         delta=delta, multiplicity=m, root=primitive_part(root),
         e1=W.e1, term_ranks={i: W.rank(i) for i in W.degrees()},
-        twist=tw, policy=policy, subsets=subsets)
+        twist=tw, subsets=subsets)
 
 
 # -- univariate oracle ---------------------------------------------------------------
@@ -470,8 +470,7 @@ def _common_factor_generically(forms: list[SparsePoly], params: tuple[str, ...],
 
 
 def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly,
-                      u: str = "u", v: str = "v", policy: str = "sparse",
-                      seed: int = 0) -> SparsePoly:
+                      u: str = "u", v: str = "v", seed: int = 0) -> SparsePoly:
     """Implicit equation of the plane curve (f1/f0, f2/f0) on the line.
 
     The forms share a variable tuple whose last two entries parametrize the
@@ -518,7 +517,7 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly,
         degrees={-2: ((2 * d,),), -1: ((d,), (d,)), 0: ((0,),)},
         diffs={-2: PolyMatrix.from_rows([[-g2, g1]], variables, ncols=2),
                -1: PolyMatrix.from_rows([[g1], [g2]], variables)})
-    W = weyman_differential(K.twist((2 * d - 1,)), policy=policy)
+    W = weyman_differential(K.twist((2 * d - 1,)))
     out = primitive_part(determinant_of_complex(W, seed=seed))
     if out.is_constant():
         raise MathFailure("implicit equation degenerated to a constant")

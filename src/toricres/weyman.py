@@ -43,7 +43,7 @@ from .cech import (
     _strand_blocks,
 )
 from .complexes import ComplexMorphism, FreeGradedComplex, x_split
-from .errors import MathFailure, ResourceGuard, StabilizationError
+from .errors import MathFailure, ResourceGuard
 from .qlinalg import QMatrix
 from .qpoly import PolyMatrix, SparsePoly
 from .toric import ToricVariety
@@ -82,7 +82,6 @@ class E1Page:
 @dataclass
 class WeymanComplex:
     source: FreeGradedComplex
-    policy: str
     terms: dict[int, tuple[Summand, ...]]
     e1: E1Page
     levels: dict[tuple[int, int], int]       # (p, k) -> uniform model level
@@ -137,7 +136,6 @@ class WeymanComplex:
 
     def to_obj(self) -> dict:
         return {
-            "policy": self.policy,
             "terms": {str(i): [[s.p, s.q, s.k, s.dim, list(s.alpha)]
                                for s in self.terms[i]]
                       for i in sorted(self.terms)},
@@ -207,7 +205,7 @@ def _split_matrix(m: PolyMatrix, n_params: int, param_vars: Sequence[str]):
     return out
 
 
-def _apply_split(x: ToricVariety, splits, v: dict, q: int, policy: str) -> dict:
+def _apply_split(x: ToricVariety, splits, v: dict, q: int) -> dict:
     """Push a walk vector through one matrix of the source complex.
 
     Multiplication by a polynomial shifts exponents upward, so the subset
@@ -217,11 +215,11 @@ def _apply_split(x: ToricVariety, splits, v: dict, q: int, policy: str) -> dict:
         row = splits.get(k)
         if not row:
             continue
-        src = family_certs(x, pattern_of(w), policy).per_q[q]
+        src = family_certs(x, pattern_of(w)).per_q[q]
         for l, pieces in row.items():
             for nu, g in pieces:
                 w2 = tuple(a + b for a, b in zip(w, nu))
-                dst = family_certs(x, pattern_of(w2), policy).pos[q]
+                dst = family_certs(x, pattern_of(w2)).pos[q]
                 blk = out.setdefault((l, w2), {})
                 for c, poly in chains.items():
                     c2 = dst[src[c]]
@@ -231,11 +229,11 @@ def _apply_split(x: ToricVariety, splits, v: dict, q: int, policy: str) -> dict:
     return _drop_zeros(out)
 
 
-def _apply_h(x: ToricVariety, v: dict, q: int, policy: str) -> dict:
+def _apply_h(x: ToricVariety, v: dict, q: int) -> dict:
     """Homotopy step from Cech degree q down to q - 1, blockwise."""
     out: dict = {}
     for (k, w), chains in v.items():
-        hq = family_certs(x, pattern_of(w), policy).h[q - 1]
+        hq = family_certs(x, pattern_of(w)).h[q - 1]
         blk: dict = {}
         for c, poly in chains.items():
             for c0, coef in hq.get(c, {}).items():
@@ -247,11 +245,11 @@ def _apply_h(x: ToricVariety, v: dict, q: int, policy: str) -> dict:
     return _drop_zeros(out)
 
 
-def _project(x: ToricVariety, v: dict, q: int, policy: str) -> dict:
+def _project(x: ToricVariety, v: dict, q: int) -> dict:
     """Project a walk vector onto the cohomology models at Cech degree q."""
     out: dict = {}
     for (k, w), chains in v.items():
-        rho_t = family_certs(x, pattern_of(w), policy).rho_t[q]
+        rho_t = family_certs(x, pattern_of(w)).rho_t[q]
         for c, poly in chains.items():
             for mpos, coef in rho_t.get(c, []):
                 key = (k, w, mpos)
@@ -271,54 +269,45 @@ def _drop_zeros(v: dict) -> dict:
 
 
 def _embed(x: ToricVariety, k: int, w: tuple[int, ...], mpos: int, q: int,
-           policy: str, variables: Sequence[str]) -> dict:
-    row = family_certs(x, pattern_of(w), policy).iota[q][mpos]
+           variables: Sequence[str]) -> dict:
+    row = family_certs(x, pattern_of(w)).iota[q][mpos]
     return {(k, w): {c: SparsePoly.const(variables, coef)
                      for c, coef in row.items()}}
 
 
-def staircase_projections(C: FreeGradedComplex, p0: int, q0: int, k0: int,
-                          w0: tuple[int, ...], m0: int, r_cap: int,
-                          policy: str = "sparse") -> dict[int, dict]:
-    """Unsigned staircase projections of one model basis element.
+def _staircase(x: ToricVariety, splits, label: tuple, variables: Sequence[str]):
+    """The staircase walk of one model basis element (p0, q0, k0, w0, m0).
 
-    Returns r -> {(k, w, mpos) -> R polynomial} for r = 1..r_cap, where the
-    r-th projection lives in the summands of C^(p0+r) at Cech degree
-    q0 - r + 1."""
-    x = C.x
-    pv = C.param_vars
-    splits = {p: _split_matrix(C.diff_at(p), C.n_params, pv)
-              for p in C.diffs}
-    out: dict[int, dict] = {}
-    v = _embed(x, k0, w0, m0, q0, policy, pv)
+    Yields (r, projection) for r = 1..q0 + 1 with a nonzero projection:
+    an unsigned dict (k, w, mpos) -> R polynomial in the degree-(q0-r+1)
+    models of the summands of C^(p0+r)."""
+    p0, q0, k0, w0, m0 = label
+    v = _embed(x, k0, w0, m0, q0, variables)
     q = q0
-    for r in range(1, r_cap + 1):
-        if q < 0 or not v or (p0 + r - 1) not in splits:
-            break
-        v = _apply_split(x, splits[p0 + r - 1], v, q, policy)
-        if not v:
-            break
-        proj = _project(x, v, q, policy)
+    for r in range(1, q0 + 2):
+        if not v or (p0 + r - 1) not in splits:
+            return
+        v = _apply_split(x, splits[p0 + r - 1], v, q)
+        proj = _project(x, v, q)
         if proj:
-            out[r] = proj
-        if q == 0:
-            break
-        v = _apply_h(x, v, q, policy)
-        q -= 1
-    return out
+            yield r, proj
+        if q:
+            v = _apply_h(x, v, q)
+            q -= 1
 
 
-def weyman_differential(C: FreeGradedComplex, policy: str = "sparse",
-                        e: Sequence[int] | None = None) -> WeymanComplex:
+def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
     """The direct-image complex of C, with exact matrices over R.
 
-    Every basis element of every summand is embedded at its class's exact
-    model level, walked down the staircase, and projected; the (p, q) ->
-    (p+r, q-r+1) block enters with sign (-1)^((i-1)(r-1)), i = p + q.
+    Every basis element of every summand is embedded into the certificate
+    family of its exponent's pattern, walked down the staircase, and
+    projected; the (p, q) -> (p+r, q-r+1) block enters with sign
+    (-1)^((i-1)(r-1)), i = p + q.
 
-    The models carry every cohomology class at any level past stabilization,
-    and the walks stay inside them, so the result does not depend on the
-    truncation level; an explicit e is only checked for validity."""
+    A pattern's family is the Cech block of each of its exponents at every
+    uniform level past that exponent's depth, so the result does not depend
+    on a truncation level; WeymanComplex.levels records the stabilization
+    level of each summand's class."""
     C.validate()
     x = C.x
     pv = C.param_vars
@@ -327,13 +316,6 @@ def weyman_differential(C: FreeGradedComplex, policy: str = "sparse",
     for p in sorted(C.degrees):
         for k, alpha in enumerate(C.degrees[p]):
             levels[(p, k)] = stabilization_level(x, alpha)[0]
-    if e is not None:
-        need = max(levels.values(), default=0)
-        low = [v for v in e if v < need]
-        if low:
-            raise StabilizationError(
-                f"level {tuple(e)} is below the stabilization level "
-                f"{(need,) * len(x.max_cones)}")
 
     # the summand dims come from the nerves, the basis from the certificate
     # families the walks use: they must agree, or the matrices get the
@@ -344,7 +326,7 @@ def weyman_differential(C: FreeGradedComplex, policy: str = "sparse",
         labels = []
         for s in summands:
             for w, neg in contributing_points(x, s.alpha):
-                dims = family_certs(x, neg, policy).dims
+                dims = family_certs(x, neg).dims
                 if dims != _nerve_dims(x, neg):
                     raise MathFailure(
                         f"pattern {neg}: certificate family dims {dims} differ "
@@ -361,30 +343,20 @@ def weyman_differential(C: FreeGradedComplex, policy: str = "sparse",
             continue
         m = PolyMatrix(len(basis[i]), len(basis[i + 1]), pv)
         tpos = pos[i + 1]
-        for rown, (p0, q0, k0, w0, m0) in enumerate(basis[i]):
-            v = _embed(x, k0, w0, m0, q0, policy, pv)
-            q = q0
-            for r in range(1, q0 + 2):
-                if not v or (p0 + r - 1) not in splits:
-                    break
-                v = _apply_split(x, splits[p0 + r - 1], v, q, policy)
-                if not v:
-                    break
+        for rown, label in enumerate(basis[i]):
+            p0, q0 = label[:2]
+            for r, proj in _staircase(x, splits, label, pv):
                 sgn = -1 if ((i - 1) * (r - 1)) % 2 else 1
-                for (k2, w2, mpos2), poly in _project(x, v, q, policy).items():
-                    col = tpos.get((p0 + r, q, k2, w2, mpos2))
+                for (k2, w2, mpos2), poly in proj.items():
+                    col = tpos.get((p0 + r, q0 - r + 1, k2, w2, mpos2))
                     if col is None:
                         raise MathFailure(
                             "staircase projection left the recorded models")
                     pg = poly if sgn > 0 else -poly
                     m.rows[rown][col] = m.rows[rown][col] + pg
-                if q == 0:
-                    break
-                v = _apply_h(x, v, q, policy)
-                q -= 1
         diffs[i] = m
 
-    return WeymanComplex(source=C, policy=policy, terms=terms, e1=page,
+    return WeymanComplex(source=C, terms=terms, e1=page,
                          levels=levels, basis=basis, diffs=diffs)
 
 
@@ -406,8 +378,7 @@ def staircase_block(W: WeymanComplex, p: int, q: int, r: int) -> PolyMatrix:
 
 # -- the functor on morphisms --------------------------------------------------------
 
-def weyman_on_morphism(theta: ComplexMorphism,
-                       policy: str = "sparse") -> dict[int, PolyMatrix]:
+def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
     """Matrices of the induced map between direct-image complexes.
 
     For each basis element of the source: spread the embedded chain element
@@ -420,8 +391,8 @@ def weyman_on_morphism(theta: ComplexMorphism,
     M, N = theta.source, theta.target
     x = M.x
     pv = M.param_vars
-    WM = weyman_differential(M, policy)
-    WN = weyman_differential(N, policy)
+    WM = weyman_differential(M)
+    WN = weyman_differential(N)
     m_splits = {p: _split_matrix(M.diff_at(p), M.n_params, pv) for p in M.diffs}
     n_splits = {p: _split_matrix(N.diff_at(p), N.n_params, pv) for p in N.diffs}
     t_splits = {p: _split_matrix(theta.map_at(p), M.n_params, pv)
@@ -434,26 +405,24 @@ def weyman_on_morphism(theta: ComplexMorphism,
         mat = PolyMatrix(len(rows), len(cols), pv)
         npos = {lab: n for n, lab in enumerate(cols)}
         for rown, (p0, q0, k0, w0, m0) in enumerate(rows):
-            v = _embed(x, k0, w0, m0, q0, policy, pv)
+            v = _embed(x, k0, w0, m0, q0, pv)
             wprime: dict = {}
             p, q = p0, q0
             while q >= 0:
                 # codomain correction: psi(h(w')) with column sign
                 if wprime:
-                    wprime = _apply_h(x, wprime, q + 1, policy)
-                    wprime = _apply_split(x, n_splits.get(p - 1, {}), wprime,
-                                          q, policy)
+                    wprime = _apply_h(x, wprime, q + 1)
+                    wprime = _apply_split(x, n_splits.get(p - 1, {}), wprime, q)
                     if (p - 1) % 2:
                         wprime = _scale(wprime, -1)
                 # domain contribution through theta
                 if v and p in t_splits:
-                    add = _apply_split(x, t_splits[p], v, q, policy)
+                    add = _apply_split(x, t_splits[p], v, q)
                     wprime = _merge(wprime, add, pv)
                 if wprime:
                     s = q0 - q
                     sgn = -1 if (s * q0 + s * (s - 1) // 2) % 2 else 1
-                    for (k2, w2, mpos2), poly in _project(x, wprime, q,
-                                                          policy).items():
+                    for (k2, w2, mpos2), poly in _project(x, wprime, q).items():
                         col = npos.get((p, q, k2, w2, mpos2))
                         if col is None:
                             raise MathFailure(
@@ -462,8 +431,8 @@ def weyman_on_morphism(theta: ComplexMorphism,
                         mat.rows[rown][col] = mat.rows[rown][col] + pg
                 # spread the domain element one step down the staircase
                 if v and p in m_splits and q >= 1:
-                    v = _apply_split(x, m_splits[p], v, q, policy)
-                    v = _apply_h(x, v, q, policy)
+                    v = _apply_split(x, m_splits[p], v, q)
+                    v = _apply_h(x, v, q)
                     if (p + 1) % 2:
                         v = _scale(v, -1)
                 else:
@@ -521,8 +490,7 @@ class TotalComplex:
         return out
 
 
-def total_complex_direct(C: FreeGradedComplex, e: Sequence[int],
-                         label_cap: int = _ORACLE_LABEL_CAP) -> TotalComplex:
+def total_complex_direct(C: FreeGradedComplex, e: Sequence[int]) -> TotalComplex:
     """Assemble the double complex of truncated Cech chains directly.
 
     Vertical maps are the Cech differentials weighted by (-1)^p per column,
@@ -542,10 +510,10 @@ def total_complex_direct(C: FreeGradedComplex, e: Sequence[int],
                 for T in fam:
                     basis.setdefault(p + len(T) - 1, []).append((p, k, T, w))
     total = sum(len(v) for v in basis.values())
-    if total > label_cap:
+    if total > _ORACLE_LABEL_CAP:
         raise ResourceGuard(
             f"direct total complex needs {total} chain labels (cap "
-            f"{label_cap}); use the staircase construction instead")
+            f"{_ORACLE_LABEL_CAP}); use the staircase construction instead")
     pos = {i: {lab: n for n, lab in enumerate(labs)}
            for i, labs in basis.items()}
     splits = {p: _split_matrix(C.diff_at(p), C.n_params, pv) for p in C.diffs}

@@ -1,6 +1,7 @@
-"""Plain reference routines that only tests use: dense inverses and
-determinants, row-vector products, polynomial substitution and the eager
-Cech support-pattern table."""
+"""Plain reference routines that only tests use: matrix products, dense
+inverses and determinants, row-vector products, polynomial substitution,
+the eager Cech support-pattern table and the retract identities of a
+reduced Cech family."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -9,6 +10,28 @@ from typing import Mapping, Sequence
 from toricres import cech
 from toricres.qlinalg import QMatrix
 from toricres.qpoly import SparsePoly, cnorm
+
+
+def identity(n: int) -> QMatrix:
+    return QMatrix(n, n, [{i: 1} for i in range(n)])
+
+
+def to_dense(m: QMatrix) -> list[list]:
+    return [[r.get(j, 0) for j in range(m.ncols)] for r in m.rows]
+
+
+def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
+    """The product a @ b in the row convention."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"shape mismatch {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
+    rows = dict(enumerate(b.rows))
+    return QMatrix(a.nrows, b.ncols, [_row_times(r, rows) for r in a.rows])
+
+
+def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    if not a or not b:
+        return []
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def apply_row(m: QMatrix, v: Mapping[int, Fraction | int]) -> dict:
@@ -97,3 +120,84 @@ def support_patterns(x) -> tuple[tuple[int, ...], ...]:
         if any(cech._nerve_dims(x, neg)[:q_top + 1]):
             out.append(neg)
     return tuple(out)
+
+
+# -- retract identities of one reduced Cech family -------------------------------
+
+def _row_times(row: Mapping, m: Mapping) -> dict:
+    """A sparse row vector times a sparse matrix given as row -> {col: value}."""
+    out: dict = {}
+    for k, c in row.items():
+        for j, d in m.get(k, {}).items():
+            out[j] = out.get(j, 0) + c * d
+    return {j: v for j, v in out.items() if v}
+
+
+def _product(a: Mapping, b: Mapping) -> dict:
+    out = {i: _row_times(r, b) for i, r in a.items()}
+    return {i: r for i, r in out.items() if r}
+
+
+def _plus(a: Mapping, b: Mapping) -> dict:
+    out = {i: dict(r) for i, r in a.items()}
+    for i, r in b.items():
+        dst = out.setdefault(i, {})
+        for j, v in r.items():
+            dst[j] = dst.get(j, 0) + v
+    out = {i: {j: v for j, v in r.items() if v} for i, r in out.items()}
+    return {i: r for i, r in out.items() if r}
+
+
+def retract_identity_failures(per_q, entries, active, iota, rho, h) -> list[str]:
+    """The retract identities that a reduced family breaks, checked exactly.
+
+    The family is given as its per-degree chain subsets and incidence
+    entries (D_q: chains_q -> chains_(q+1), entries[q][(i, j)]) and as the
+    reduction of _reduce_block: surviving indices, iota (model row ->
+    chain covector), rho (model column -> chain vector) and h (chain of
+    degree q+1 -> chain covector of degree q).  In the row convention,
+    with I_q = iota, R_q = rho and H_q = h as matrices, it checks
+    D_q D_(q+1) = 0, I D = 0, D R = 0, I R = id,
+    D_q H_q + H_(q-1) D_(q-1) = id - R_q I_q, I H = 0, H R = 0 and
+    H H = 0.  Returns the names of the failing identities with their
+    degree; an empty list means all hold."""
+    n = len(per_q)
+    D = [{} for _ in range(n - 1)]
+    for q, ent in enumerate(entries):
+        for (i, j), c in ent.items():
+            D[q].setdefault(i, {})[j] = c
+    I = [{m: iota[q][m] for m in active[q]} for q in range(n)]
+    R = [{} for _ in range(n)]
+    for q in range(n):
+        for m in active[q]:
+            for c, v in rho[q][m].items():
+                R[q].setdefault(c, {})[m] = v
+    H = [{i: r for i, r in level.items() if r} for level in h]
+
+    def ident(keys):
+        return {k: {k: 1} for k in keys}
+
+    bad = []
+
+    def check(name, q, got, want):
+        if got != want:
+            bad.append(f"{name} at q={q}")
+
+    for q in range(n):
+        check("model indices", q, (set(iota[q]), set(rho[q])), (active[q], active[q]))
+        check("iota rho = id", q, _product(I[q], R[q]), ident(active[q]))
+        if q < n - 1:
+            check("iota D = 0", q, _product(I[q], D[q]), {})
+            check("D rho = 0", q, _product(D[q], R[q + 1]), {})
+            check("h rho = 0", q, _product(H[q], R[q]), {})
+        if q < n - 2:
+            check("D D = 0", q, _product(D[q], D[q + 1]), {})
+        if q > 0:
+            check("iota h = 0", q, _product(I[q], H[q - 1]), {})
+        if 0 < q < n - 1:
+            check("h h = 0", q, _product(H[q], H[q - 1]), {})
+        lhs = _plus(_product(D[q], H[q]) if q < n - 1 else {},
+                    _product(H[q - 1], D[q - 1]) if q else {})
+        check("Dh + hD = id - rho iota", q, _plus(lhs, _product(R[q], I[q])),
+              ident(range(len(per_q[q]))))
+    return bad

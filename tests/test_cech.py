@@ -12,17 +12,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers_cohomology import bott_pn, kunneth_p1p1
-from helpers_reference import inverse, support_patterns
+from helpers_reference import retract_identity_failures, support_patterns
+from toricres import cech
 from toricres.cech import (
-    build_reduced_strand,
     cache_clear,
     cache_stats,
     cech_depth,
-    model_transfer,
-    reduced_strand,
     stabilization_level,
     strand_dims,
-    strand_invariants_ok,
 )
 from toricres.complexes import variety_from_simplex
 from toricres.qlinalg import QMatrix
@@ -90,91 +87,76 @@ def test_stabilization_level_projective_plane():
     assert stabilization_level(P2, cls_of_degree(P2, 6)) == (4, 4, 4)
 
 
+def _checked_strand_dims(x, alpha, e):
+    """Model dimensions of the strand at level e from the certificates of its
+    blocks, each distinct block family checked against the retract
+    identities; they must equal the rank-only strand_dims."""
+    depth, blocks = cech._strand_blocks(x, alpha, e)
+    dims = [0] * (depth + 1)
+    checked = set()
+    for w, fam in blocks:
+        per_q, *red = cech._reduced_family(fam, depth)
+        if fam not in checked:
+            entries = cech._block_entries(list(fam), depth)[1]
+            assert retract_identity_failures(per_q, entries, *red) == [], w
+            checked.add(fam)
+        for q, survivors in enumerate(red[0]):
+            dims[q] += len(survivors)
+    assert tuple(dims) == strand_dims(x, alpha, e)
+    return tuple(dims)
+
+
 def test_reduced_strand_invariants_p2():
     for a in (0, 1, 3, 4, -2):
         alpha = cls_of_degree(P2, a)
-        s = build_reduced_strand(P2, alpha, stabilization_level(P2, alpha))
-        assert strand_invariants_ok(s)
-        assert list(s.dims()[:3]) == bott_pn(2, -a)
+        dims = _checked_strand_dims(P2, alpha, stabilization_level(P2, alpha))
+        assert list(dims[:3]) == bott_pn(2, -a)
 
 
 def test_reduced_strand_invariants_larger_level():
-    s = build_reduced_strand(P2, cls_of_degree(P2, 4), (2, 2, 2))
-    assert strand_invariants_ok(s)
-    assert list(s.dims()[:3]) == bott_pn(2, -4)
+    # past the exact level, and with blocks truncated below their depth
+    dims = _checked_strand_dims(P2, cls_of_degree(P2, 4), (2, 2, 2))
+    assert list(dims[:3]) == bott_pn(2, -4)
+    dims = _checked_strand_dims(P2, cls_of_degree(P2, 6), (2, 2, 2))
+    assert dims[2] < bott_pn(2, -6)[2]
 
 
 def test_reduced_strand_empty():
-    s = build_reduced_strand(P2, cls_of_degree(P2, 1), (0, 0, 0))
-    assert s.dims() == (0, 0, 0)
-    assert strand_invariants_ok(s)
-
-
-def test_both_pivot_policies_agree_on_dims():
-    alpha = cls_of_degree(P2, 3)
-    a = build_reduced_strand(P2, alpha, (1, 1, 1), policy="sparse")
-    b = build_reduced_strand(P2, alpha, (1, 1, 1), policy="first")
-    assert a.dims() == b.dims()
-    assert strand_invariants_ok(a) and strand_invariants_ok(b)
+    assert cech._strand_blocks(P2, cls_of_degree(P2, 1), (0, 0, 0)) == (2, [])
+    assert _checked_strand_dims(P2, cls_of_degree(P2, 1), (0, 0, 0)) == (0, 0, 0)
 
 
 def test_strand_determinism():
-    alpha = cls_of_degree(P2, 3)
-    a = build_reduced_strand(P2, alpha, (1, 1, 1))
-    b = build_reduced_strand(P2, alpha, (1, 1, 1))
-    assert a.model_labels == b.model_labels
-    assert a.chain_labels == b.chain_labels
-    assert all(x == y for x, y in zip(a.h, b.h))
-    assert all(x == y for x, y in zip(a.iota, b.iota))
-
-
-def test_model_transfer_invertible():
-    alpha = cls_of_degree(P2, 3)
-    small = build_reduced_strand(P2, alpha, (1, 1, 1))
-    big = build_reduced_strand(P2, alpha, (2, 2, 2))
-    ts = model_transfer(small, big)
-    for q, t in enumerate(ts):
-        assert t.nrows == t.ncols == len(small.model_labels[q])
-        if t.nrows:
-            inv = inverse(t)  # raises if singular
-            assert t.matmul(inv) == QMatrix.identity(t.nrows)
-
-
-def test_strand_round_trip_serialization():
-    from toricres.cech import ReducedStrand
-
-    s = build_reduced_strand(P2, cls_of_degree(P2, 3), (1, 1, 1))
-    obj = json.loads(json.dumps(s.to_obj()))
-    s2 = ReducedStrand.from_obj(obj)
-    assert s2.model_labels == s.model_labels
-    assert s2.chain_labels == s.chain_labels
-    assert all(a == b for a, b in zip(s.diff, s2.diff))
-    assert all(a == b for a, b in zip(s.h, s2.h))
+    depth, blocks = cech._strand_blocks(P2, cls_of_degree(P2, 3), (1, 1, 1))
+    assert blocks
+    first = [cech._reduce_block(*cech._block_entries(list(fam), depth)) for _, fam in blocks]
+    again = [cech._reduce_block(*cech._block_entries(list(fam), depth)) for _, fam in blocks]
+    assert first == again
 
 
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    """A strand is memoized in memory only; its certificate families go to
-    disk, one file each, load back equal, and corrupt entries are rebuilt."""
-    from toricres import cech
-
+    """Certificate families go to disk, one file each, load back equal, and
+    corrupt entries are rebuilt."""
     monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
     cech.clear_caches()
-    alpha = cls_of_degree(P2, 3)
-    s1 = reduced_strand(P2, alpha, (1, 1, 1))
-    assert reduced_strand(P2, alpha, (1, 1, 1)) is s1
+    negs = _all_patterns(P2)
+    c1 = [_certs_obj(cech.family_certs(P2, neg)) for neg in negs]
     built = cech.cache_counters["built"]
     assert built > 0 and cache_stats()["files"] == built
     cech.clear_caches()
-    s2 = reduced_strand(P2, alpha, (1, 1, 1))
+    c2 = [_certs_obj(cech.family_certs(P2, neg)) for neg in negs]
     assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (built, 0)
-    assert s2 == s1 and strand_invariants_ok(s2)
+    assert c2 == c1
+    for (fam, depth), (per_q, *red) in cech._reduce_memo.items():
+        entries = cech._block_entries(list(fam), depth)[1]
+        assert retract_identity_failures(per_q, entries, *red) == []
     # corrupt every entry: the loader must rebuild rather than fail
     for f in tmp_path.glob("*.json"):
         f.write_bytes(f.read_bytes()[:-30] + b"}")
     cech.clear_caches()
-    s3 = reduced_strand(P2, alpha, (1, 1, 1))
+    c3 = [_certs_obj(cech.family_certs(P2, neg)) for neg in negs]
     assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (0, built)
-    assert s3 == s1
+    assert c3 == c1
     assert cache_clear() == built
     assert cache_stats()["files"] == 0
 
@@ -189,32 +171,32 @@ def test_sturmfels_variety_strand_smoke():
     # sections of the nef class: strand of -beta; 5 = lattice points of the
     # first support triangle, and no higher cohomology
     neg = tuple(-c for c in beta)
-    s = build_reduced_strand(x, neg, stabilization_level(x, neg))
-    assert strand_invariants_ok(s)
-    assert s.dims()[:3] == (5, 0, 0)
+    assert _checked_strand_dims(x, neg, stabilization_level(x, neg))[:3] == (5, 0, 0)
     # dual orientation: only the top group survives, one interior point
     e = stabilization_level(x, beta)
     assert e == (5,) * 8
-    t = build_reduced_strand(x, beta, e)
-    assert strand_invariants_ok(t)
-    assert t.dims()[:3] == (0, 0, 1)
+    assert _checked_strand_dims(x, beta, e)[:3] == (0, 0, 1)
     # dimensions hold still past the exact level
     assert strand_dims(x, beta, tuple(c + 1 for c in e))[:3] == (0, 0, 1)
 
 
 # -- the pattern table and its points against a Fraction reference -------------
 
-def _reference_patterns(x):
-    """The support pattern table with every rank taken over Q (QMatrix)."""
-    from toricres import cech
-    gens, subsets, depth = cech._subset_data(x)
+def _reference_families(x):
+    """Every pattern's family, from intersections of cone frozensets."""
+    _, subsets, _ = cech._subset_data(x)
     cones = [frozenset(c) for c in x.max_cones]
     common = {T: frozenset.intersection(*(cones[j] for j in T)) for T in subsets}
+    return {neg: tuple(T for T in subsets if not (set(neg) & common[T]))
+            for neg in _all_patterns(x)}
+
+
+def _reference_patterns(x):
+    """The support pattern table with every rank taken over Q (QMatrix)."""
+    depth = cech.cech_depth(x)
     q_top = min(x.dim, depth)
     out = {}
-    for bits in range(1 << x.n_rays):
-        neg = frozenset(r for r in range(x.n_rays) if bits >> r & 1)
-        fam = tuple(T for T in subsets if not (neg & common[T]))
+    for neg, fam in _reference_families(x).items():
         if not fam:
             continue
         per_q, entries = cech._block_entries(list(fam), depth)
@@ -227,7 +209,7 @@ def _reference_patterns(x):
             ranks.append(m.rank())
         dims = cech._dims(sizes, ranks)
         if any(dims[:q_top + 1]):
-            out[tuple(sorted(neg))] = (fam, depth, dims)
+            out[neg] = (fam, depth, dims)
     return out
 
 
@@ -303,6 +285,13 @@ VARIETIES = {"P1": lambda: P1, "P2": lambda: P2, "P3": lambda: variety_from_simp
 def _all_patterns(x):
     return [tuple(r for r in range(x.n_rays) if bits >> r & 1)
             for bits in range(1 << x.n_rays)]
+
+
+@pytest.mark.parametrize("name", sorted(VARIETIES))
+def test_pattern_family_bitmasks_match_the_cone_intersections(name):
+    x = VARIETIES[name]()
+    for neg, fam in _reference_families(x).items():
+        assert cech._pattern_family(x, neg) == fam
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P1P1", "squares", "sturmfels"])
@@ -511,8 +500,7 @@ def test_screened_points_match_walking_every_pattern_on_random_supports(supports
 # -- the heap pivot order against the full-rescan reduction ---------------------
 
 def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
-                            entries: list[dict[tuple[int, int], int]],
-                            policy: str):
+                            entries: list[dict[tuple[int, int], int]]):
     """The block reduction with a full rescan of every nonzero per pivot."""
     depth1 = len(per_q)
     sizes = [len(v) for v in per_q]
@@ -532,11 +520,7 @@ def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
         for q in range(depth1 - 1):
             for i, row in d[q].items():
                 for j, a in row.items():
-                    if policy == "first":
-                        cand = (0, 0, q, i, j, a)
-                    else:
-                        fill = (len(row) - 1)
-                        cand = (0 if abs(a) == 1 else 1, fill, q, i, j, a)
+                    cand = (0 if abs(a) == 1 else 1, len(row) - 1, q, i, j, a)
                     if best is None or cand[:5] < best[:5]:
                         best = cand
         return best
@@ -638,21 +622,32 @@ def _assert_disk_form_round_trips(red):
                for v in values)
 
 
-@pytest.mark.parametrize("policy", ["sparse", "first"])
 @pytest.mark.parametrize("name", ["P2", "P1P1", "squares", "sturmfels"])
-def test_heap_pivots_match_full_rescan_reference(name, policy):
-    from toricres import cech
-
+def test_heap_pivots_match_full_rescan_reference(name):
     x = VARIETIES[name]()
     depth = cech.cech_depth(x)
     fams = {cech._pattern_family(x, neg) for neg in _all_patterns(x)}
     for fam in sorted(fams):
         if fam:
             per_q, entries = cech._block_entries(list(fam), depth)
-            want = _reference_reduce_block(per_q, entries, policy)
-            got = cech._reduce_block(per_q, entries, policy)
+            want = _reference_reduce_block(per_q, entries)
+            got = cech._reduce_block(per_q, entries)
             assert got == want
             _assert_disk_form_round_trips(got)
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
+@pytest.mark.parametrize("name", ["P2", "P1P1", "squares", "sturmfels"])
+def test_every_pattern_family_satisfies_the_retract_identities(name, order, request):
+    if order == "reversed":
+        request.getfixturevalue("reversed_subset_order")
+    x = VARIETIES[name]()
+    depth = cech.cech_depth(x)
+    for neg in _all_patterns(x):
+        per_q, entries = cech._block_entries(list(cech._pattern_family(x, neg)), depth)
+        red = cech._reduce_block(per_q, entries)
+        assert retract_identity_failures(per_q, entries, *red) == [], neg
+        assert tuple(map(len, red[0])) == cech._nerve_dims(x, neg)
 
 
 _SIZES = st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=4)
@@ -676,23 +671,21 @@ def _random_blocks(draw):
     return _block(sizes, entries)
 
 
-@given(_random_blocks(), st.sampled_from(["sparse", "first"]))
+@given(_random_blocks())
 @settings(max_examples=200, deadline=None)
 # a row grows under a pivot while the entry of its old key is still a unit:
 # the key's stale fill must not let that entry pivot early
 @example(_block([4, 5], [{(0, 2): 2, (0, 3): -1, (0, 4): 1, (1, 0): 2, (1, 1): 2,
                           (1, 2): 2, (1, 3): -1, (2, 1): 1, (2, 3): 1, (2, 4): 2,
-                          (3, 3): 2}]), "sparse")
+                          (3, 3): 2}]))
 # the unit of row 1's old key becomes -2 at the same fill, so row 2 wins
 # column 1
 @example(_block([3, 7], [{(0, 0): 1, (0, 1): 1, (0, 3): 1, (1, 0): 3, (1, 1): 1,
-                          (1, 2): 5, (2, 1): 1, (2, 5): 1, (2, 6): 1}]), "sparse")
-def test_heap_pivots_match_full_rescan_reference_on_random_blocks(block, policy):
-    from toricres import cech
-
+                          (1, 2): 5, (2, 1): 1, (2, 5): 1, (2, 6): 1}]))
+def test_heap_pivots_match_full_rescan_reference_on_random_blocks(block):
     per_q, entries = block
-    want = _reference_reduce_block(per_q, entries, policy)
-    got = cech._reduce_block(per_q, entries, policy)
+    want = _reference_reduce_block(per_q, entries)
+    got = cech._reduce_block(per_q, entries)
     assert got == want
     _assert_disk_form_round_trips(got)
 
@@ -768,9 +761,9 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs(tmp_path, monkey
     assert cech.cache_counters["built"] > 0
     cech.clear_caches()
     assert not (cech._reduce_memo or cech._fam_dims_memo or cech._points_cache
-                or cech._memory_cache or any(cech.cache_counters.values()))
-    for fn in (cech._subset_data, cech._nerve_dims, cech._ray_circuits,
-               cech._pattern_family, cech.family_certs):
+                or any(cech.cache_counters.values()))
+    for fn in (cech._subset_data, cech._subset_rays, cech._nerve_dims,
+               cech._ray_circuits, cech._pattern_family, cech.family_certs):
         assert fn.cache_info().currsize == 0
     assert cache_clear() > 0   # and the disk: everything is built again
     for neg, c in before.items():
@@ -877,9 +870,9 @@ def test_warm_sturmfels_family_certs_equal_a_cold_build(tmp_path, monkeypatch):
     cech.clear_caches()
     asked = set()
 
-    def recorded(x, neg, policy="sparse"):
-        asked.add((x, neg, policy))
-        return cech.family_certs(x, neg, policy)
+    def recorded(x, neg):
+        asked.add((x, neg))
+        return cech.family_certs(x, neg)
 
     monkeypatch.setattr(weyman, "family_certs", recorded)
     problem = sturmfels_problem()

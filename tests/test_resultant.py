@@ -312,7 +312,7 @@ def test_resultant_output_serializes():
     obj = out.to_obj()
     assert obj["multiplicity"] == 1
     assert set(obj) >= {"delta", "root", "e1", "term_ranks", "twist",
-                        "policy", "index_subsets"}
+                        "index_subsets"}
     back = poly_from_text(obj["delta"], tuple(obj["coefficients"]))
     assert back == out.delta.rename(tuple(obj["coefficients"]))
 

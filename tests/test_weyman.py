@@ -16,6 +16,7 @@ from helpers_complexes import (
     random_two_term,
     rescale_morphism,
 )
+from helpers_reference import retract_identity_failures
 from toricres.complexes import (
     ComplexMorphism,
     FreeGradedComplex,
@@ -26,7 +27,7 @@ from toricres.complexes import (
 )
 from toricres import cech, weyman
 from toricres.cech import stabilization_level
-from toricres.errors import MathFailure, ResourceGuard, StabilizationError
+from toricres.errors import MathFailure, ResourceGuard
 from toricres.fixtures import (
     M33_E1,
     M33_ELIMINANT_TEXT,
@@ -58,7 +59,6 @@ from toricres.toric import variety_of
 from toricres.weyman import (
     E1Page,
     staircase_block,
-    staircase_projections,
     total_complex_direct,
     weyman_differential,
     weyman_on_morphism,
@@ -178,19 +178,37 @@ def test_sturmfels_column_entry_degree_equals_step_count(sturmfels_unit):
                 assert sum(exp) == r
 
 
-def test_sturmfels_policy_and_level_naturality(sturmfels_unit):
+def _labelled_certs(c):
+    """A family's iota and h rows keyed by subsets, not chain positions."""
+    T = c.per_q
+    iota = [{T[q][i]: {T[q][j]: v for j, v in row.items()}
+             for i, row in zip(c.active[q], c.iota[q])} for q in range(c.depth + 1)]
+    h = [{T[q + 1][i]: {T[q][j]: v for j, v in row.items()} for i, row in c.h[q].items()}
+         for q in range(c.depth)]
+    return iota, h
+
+
+def test_sturmfels_pivot_order_naturality(sturmfels_unit, request):
+    """Reversing the order of each degree's subsets changes the pivots, hence
+    the certificates and the matrices, but not the complex up to a change
+    of basis: the same page, term ranks and determinant up to sign."""
     C, W = sturmfels_unit
-    W2 = weyman_differential(C, policy="first")
+    x = C.x
+    negs = sorted({cech.pattern_of(lab[3]) for labs in W.basis.values() for lab in labs})
+    before = [_labelled_certs(cech.family_certs(x, neg)) for neg in negs]
+    request.getfixturevalue("reversed_subset_order")
+    W2 = weyman_differential(C)
+    after = [_labelled_certs(cech.family_certs(x, neg)) for neg in negs]
+    for (fam, depth), (per_q, *red) in cech._reduce_memo.items():
+        entries = cech._block_entries(list(fam), depth)[1]
+        assert retract_identity_failures(per_q, entries, *red) == []
     assert W2.e1.table == W.e1.table
     assert {i: W2.rank(i) for i in W2.degrees()} == \
         {i: W.rank(i) for i in W.degrees()}
     assert same_up_to_sign(W2.diff_at(-1).det(), W.diff_at(-1).det())
-    # any level at or above stabilization yields the identical complex
-    lev = max(W.levels.values())
-    W3 = weyman_differential(C, e=(lev + 2,) * len(C.x.max_cones))
-    assert all(pm_equal(W3.diff_at(i), W.diff_at(i)) for i in W.degrees())
-    with pytest.raises(StabilizationError):
-        weyman_differential(C, e=(lev - 1,) * len(C.x.max_cones))
+    # not vacuous: the reversed order took other pivots
+    assert any(b != a for b, a in zip(before, after))
+    assert any(not pm_equal(W2.diff_at(i), W.diff_at(i)) for i in W.degrees())
 
 
 def test_sturmfels_stable_twist_shape():
@@ -270,9 +288,10 @@ def test_staircase_stops_at_the_bottom_row(m33_weyman):
             lab = (p, q, k, w, mpos)
             break
     assert lab is not None
-    p, q, k, w, mpos = lab
-    projs = staircase_projections(C, p, q, k, w, mpos, r_cap=8)
-    assert set(projs) <= {1, 2}
+    splits = {p: weyman._split_matrix(C.diff_at(p), C.n_params, C.param_vars)
+              for p in C.diffs}
+    projs = dict(weyman._staircase(C.x, splits, lab, C.param_vars))
+    assert projs and set(projs) <= {1, 2}
 
 
 def test_koszul_vs_unit_morphism_is_invertible_in_degree_zero():
@@ -441,10 +460,11 @@ def test_oracle_agrees_at_a_larger_level():
     assert homologies_agree(cotangent_family_complex(2), 2, seed=3, pad=1)
 
 
-def test_direct_total_complex_label_cap_raises_resource_guard():
+def test_direct_total_complex_label_cap_raises_resource_guard(monkeypatch):
     C = cotangent_family_complex(1)
+    monkeypatch.setattr(weyman, "_ORACLE_LABEL_CAP", 1)
     with pytest.raises(ResourceGuard):
-        total_complex_direct(C, max_level(C), label_cap=1)
+        total_complex_direct(C, max_level(C))
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))

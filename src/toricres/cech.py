@@ -16,10 +16,10 @@ level, and its blocks are the chains of the direct total complex.
 
 At any uniform level past the depth of w, the block of w is the pattern
 family of w's negative-support pattern (_pattern_family), so the direct
-image needs one reduction per family.  Reduction is plain Gauss
-elimination over Q, one pivot at a time, tracked as a deformation retract:
-inclusion iota (model rows to chain columns), projection rho, homotopy h,
-and the family's incidence differential D satisfy
+image needs one reduction per family.  A reduction is a deformation
+retract onto the family's cohomology: inclusion iota (model rows to chain
+columns), projection rho, homotopy h, and the family's incidence
+differential D satisfy
 
     iota . D = 0,      D . rho = 0,        iota . rho = id,
     D_q h_q + h_{q-1} D_{q-1} = id - rho_q iota_q,
@@ -28,11 +28,34 @@ and the family's incidence differential D satisfy
 all in the row convention (composition left to right along arrows).  The
 reduced differential is identically zero, so model dimensions are the
 cohomology dimensions of the family.  Chains are indexed by the sorted
-subsets of each degree, and the pivot is the least nonzero entry under a
-fixed rule: a unit entry first, then the sparsest row, then the least
-(degree, row, column).  A lazily invalidated min-heap of each row's least
-key finds every pivot without rescanning the block, and a column mirror
-finds the rows a pivot touches (see _reduce_block).
+subsets of each degree.
+
+A family F is upward closed: it holds every subset outside the
+downward-closed Sigma of cone sets that share a negated ray (see
+_nerve_dims).  So generator 0 is a cone point, and pairing each S in F
+without 0 with S + {0}, also in F, is an acyclic matching of discrete
+Morse theory (Forman, "Morse theory for cell complexes", Adv. Math. 134,
+1998; Skoldberg, "Morse theory from an algebraic viewpoint", Trans. AMS
+358, 2006).  Each pair's incidence is +1, as 0 comes first in S + {0}.
+_cone_reduction reduces F in two stages:
+
+1. Cone contraction, in closed form: h1[S + {0}] = {S: +1}.  The critical
+   cells K = {T in F : 0 in T, T - {0} not in F}, {0} among them when it
+   is in F, survive; rho1 is the coordinate projection onto K, and
+   iota1[T] = e_T - sum_j eps(j, T + {j}) e_(T - {0} + {j}) over the j
+   outside T with T - {0} + {j} in F, eps the incidence sign.  On every
+   other cell the signs cancel in pairs, so D h1 + h1 D = id - rho1 iota1,
+   and the differential induced on K is D restricted to K.
+2. Gauss elimination over Q on K alone (_reduce_block), one pivot at a
+   time, the least nonzero entry under a fixed rule: a unit entry first,
+   then the sparsest row, then the least (degree, row, column).  A lazily
+   invalidated min-heap of each row's least key finds every pivot without
+   rescanning the block, and a column mirror finds the rows a pivot
+   touches.
+
+The two retracts compose to iota = iota_K iota1, rho = rho1 rho_K (rho_K
+on chain indices) and h = h1 + rho1 h_K iota1 (h_K iota1 on the rows of K),
+and every index stays a chain index of F.
 
 Which exponents carry cohomology at all is decided per variety and
 negative-support pattern, without building a family: by the nerve lemma a
@@ -47,7 +70,7 @@ family (TORICRES_CACHE_DIR, default ~/.cache/toricres), named by the sha256
 of (FORMAT_VERSION, family, depth).  A file is the sha256 hex of its body,
 a newline, then the body: compact JSON holding the surviving indices per
 degree and the iota, rho and h rows as flat [column, value, ...] lists,
-integers as JSON numbers and only non-integers as "n/d" strings (format 4).
+integers as JSON numbers and only non-integers as "n/d" strings (format 5).
 The per-degree subset lists and the incidence entries are recomputed from
 the family in the key.  A file whose hash line does not match its bytes is
 rebuilt.  Any change to the layout must bump FORMAT_VERSION.
@@ -64,12 +87,12 @@ from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ResourceGuard, UnsupportedGeometryError
+from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
 from .qlinalg import int_kernel_basis, int_rank
 from .qpoly import cnorm
 from .toric import ToricVariety, degree_fiber, fiber_points
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 Class = tuple[int, ...]
 
@@ -149,6 +172,9 @@ def _reduce_block(per_q: list[list[tuple[int, ...]]],
                   entries: list[dict[tuple[int, int], int]]):
     """Fully reduce one block over Q, tracking the retract certificates.
 
+    This is stage 2 of a family reduction (see the module docstring): it
+    runs on the critical cells that the cone contraction of _cone_reduction
+    leaves, and it reduces any block of sparse maps, complex or not.
     Coordinates are kept by original local index throughout; dropped ones
     simply leave the active sets.  Returns surviving indices per degree and
     the certificates as index-keyed sparse structures.
@@ -360,11 +386,61 @@ def _family_from_obj(obj: dict):
     )
 
 
+def _cone_reduction(fam: Sequence[tuple[int, ...]], depth: int):
+    """Reduce an upward-closed family in the two stages of the module
+    docstring: per_q and (active, iota, rho, h) in chain indices, in the
+    form _reduce_block gives.  A family that some S without 0 belongs to
+    while S + {0} does not raises MathFailure."""
+    per_q = _per_degree(fam, depth)
+    index = {T: i for level in per_q for i, T in enumerate(level)}
+    gen_ids = sorted({j for T in fam for j in T})
+    h = [dict() for _ in range(depth)]
+    iota1 = {}   # critical cell -> its iota1 row, a chain covector
+    for T in fam:
+        if T[0] != 0:
+            up = index.get((0,) + T)
+            if up is None:
+                raise MathFailure(f"subset family not closed under adding generator 0 at {T}")
+            h[len(T) - 1][up] = {index[T]: 1}
+        elif T[1:] not in index:
+            row = iota1[T] = {index[T]: 1}
+            for j in gen_ids:
+                if j in T:
+                    continue
+                side = index.get(tuple(sorted(T[1:] + (j,))))
+                if side is not None:
+                    # minus the incidence sign of j in T + {j}
+                    row[side] = 1 if sum(t < j for t in T) % 2 else -1
+    per_k, entries = _block_entries(list(iota1), depth)
+    active_k, iota_k, rho_k, h_k = _reduce_block(per_k, entries)
+    chain = [[index[T] for T in level] for level in per_k]
+    rows1 = [[iota1[T] for T in level] for level in per_k]
+
+    def through(q, row):
+        """A covector on the degree-q cells of K, composed with iota1."""
+        out: dict = {}
+        for k, c in row.items():
+            for i, v in rows1[q][k].items():
+                out[i] = out.get(i, 0) + c * v
+        return {i: cnorm(v) for i, v in out.items() if v}
+
+    active = [{chain[q][i] for i in a} for q, a in enumerate(active_k)]
+    iota = [{chain[q][i]: through(q, row) for i, row in level.items()}
+            for q, level in enumerate(iota_k)]
+    rho = [{chain[q][i]: {chain[q][k]: v for k, v in row.items()} for i, row in level.items()}
+           for q, level in enumerate(rho_k)]
+    for q, level in enumerate(h_k):
+        for t, row in level.items():
+            h[q][chain[q + 1][t]] = through(q, row)
+    return per_q, (active, iota, rho, h)
+
+
 def _reduced_family(fam: tuple[tuple[int, ...], ...], depth: int):
     """Memoized reduction of one subset family: (per_q, active, iota, rho, h).
 
     The block of an exponent depends on the exponent only through its family,
     so identical families across exponents and strands share one reduction.
+    Every such family is upward closed, and _cone_reduction reduces it.
     Reductions persist on disk under a hash of the key (see the module
     docstring); a corrupt entry fails its hash check and is rebuilt."""
     key = (fam, depth)
@@ -376,8 +452,7 @@ def _reduced_family(fam: tuple[tuple[int, ...], ...], depth: int):
     path = cache_root() / f"{name.hexdigest()}.json"
     obj = _cache_read(path)
     if obj is None:
-        per_q, entries = _block_entries(list(fam), depth)
-        red = _reduce_block(per_q, entries)
+        per_q, red = _cone_reduction(fam, depth)
         cache_counters["built"] += 1
         _cache_write(path, _family_to_obj(red))
     else:

@@ -31,10 +31,6 @@ def class_sub(a: Class, b: Class) -> Class:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def class_add(a: Class, b: Class) -> Class:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 @dataclass
 class FreeGradedComplex:
     """Finite complex of free graded modules, differentials of degree +1."""
@@ -56,10 +52,6 @@ class FreeGradedComplex:
     @property
     def param_vars(self) -> tuple[str, ...]:
         return self.variables[:self.n_params]
-
-    @property
-    def x_vars(self) -> tuple[str, ...]:
-        return self.variables[self.n_params:]
 
     def rank(self, p: int) -> int:
         return len(self.degrees.get(p, ()))

@@ -15,7 +15,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .qpoly import Coeff, cnorm
 

@@ -617,10 +617,6 @@ class PolyMatrix:
                 out.rows[j][i] = self.rows[i][j]
         return out
 
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(self.nrows, self.ncols, self.vars,
-                          [[fn(p) for p in row] for row in self.rows])
-
     def eval(self, assign: Mapping[str, Coeff]) -> list[list[Coeff]]:
         return [[p.eval(assign) for p in row] for row in self.rows]
 

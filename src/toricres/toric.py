@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -434,12 +434,3 @@ def fiber_points(u0: Sequence[int], kernel: Sequence[Sequence[int]],
 
     walk(0)
     return out
-
-
-def lattice_points_in_window(x: ToricVariety, alpha: Sequence[int],
-                             lower: Sequence[int]) -> list[tuple[int, ...]]:
-    """All u in Z^rays with degree(u) = alpha and u >= lower componentwise."""
-    u0, kernel = degree_fiber(x, tuple(alpha))
-    if u0 is None:
-        return []
-    return sorted(fiber_points(u0, kernel, [(1, b) for b in lower]))

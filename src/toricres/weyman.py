@@ -29,7 +29,6 @@ with the assembled differentials exactly.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -91,14 +90,6 @@ class WeymanComplex:
     @property
     def x(self) -> ToricVariety:
         return self.source.x
-
-    @property
-    def i_min(self) -> int:
-        return min(self.terms) if self.terms else 0
-
-    @property
-    def i_max(self) -> int:
-        return max(self.terms) if self.terms else 0
 
     def rank(self, i: int) -> int:
         return sum(s.dim for s in self.terms.get(i, ()))

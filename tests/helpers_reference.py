@@ -1,7 +1,7 @@
 """Plain reference routines that only tests use: matrix products, dense
 inverses and determinants, row-vector products, polynomial substitution,
-the eager Cech support-pattern table and the retract identities of a
-reduced Cech family."""
+the lattice points of a degree window, the eager Cech support-pattern table
+and the retract identities of a reduced Cech family."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -10,6 +10,7 @@ from typing import Mapping, Sequence
 from toricres import cech
 from toricres.qlinalg import QMatrix
 from toricres.qpoly import SparsePoly, cnorm
+from toricres.toric import degree_fiber, fiber_points
 
 
 def identity(n: int) -> QMatrix:
@@ -107,6 +108,15 @@ def substitute(p: SparsePoly, images: Mapping[str, SparsePoly],
                 term = term * images[v]
         out = out + term
     return out
+
+
+def lattice_points_in_window(x, alpha: Sequence[int],
+                             lower: Sequence[int]) -> list[tuple[int, ...]]:
+    """All u in Z^rays with degree(u) = alpha and u >= lower componentwise."""
+    u0, kernel = degree_fiber(x, tuple(alpha))
+    if u0 is None:
+        return []
+    return sorted(fiber_points(u0, kernel, [(1, b) for b in lower]))
 
 
 def support_patterns(x) -> tuple[tuple[int, ...], ...]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from toricres.cech import (
     strand_dims,
 )
 from toricres.complexes import variety_from_simplex
+from toricres.errors import MathFailure
 from toricres.qlinalg import QMatrix
 from toricres.qpoly import cnorm
 from toricres.toric import variety_from_points
@@ -644,10 +646,39 @@ def test_every_pattern_family_satisfies_the_retract_identities(name, order, requ
     x = VARIETIES[name]()
     depth = cech.cech_depth(x)
     for neg in _all_patterns(x):
-        per_q, entries = cech._block_entries(list(cech._pattern_family(x, neg)), depth)
-        red = cech._reduce_block(per_q, entries)
-        assert retract_identity_failures(per_q, entries, *red) == [], neg
-        assert tuple(map(len, red[0])) == cech._nerve_dims(x, neg)
+        fam = cech._pattern_family(x, neg)
+        per_q, entries = cech._block_entries(list(fam), depth)
+        # the whole family by heap elimination, and the production reduction
+        for red in (cech._reduce_block(per_q, entries), cech._cone_reduction(fam, depth)[1]):
+            assert retract_identity_failures(per_q, entries, *red) == [], neg
+            assert tuple(map(len, red[0])) == cech._nerve_dims(x, neg)
+
+
+@st.composite
+def _upward_closed_families(draw):
+    """An upward-closed family on 1-6 generators with its depth: every
+    nonempty subset outside a random downward-closed Sigma, the subsets of
+    a few drawn facets."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    subsets = [T for k in range(1, n + 1) for T in itertools.combinations(range(n), k)]
+    facets = [set(f) for f in draw(st.lists(st.sampled_from(subsets), max_size=6))]
+    return tuple(T for T in subsets if not any(f.issuperset(T) for f in facets)), n - 1
+
+
+@given(_upward_closed_families())
+@settings(max_examples=200, deadline=None)
+def test_cone_reduction_of_random_upward_closed_families(family):
+    fam, depth = family
+    per_q, red = cech._cone_reduction(fam, depth)
+    entries = cech._block_entries(list(fam), depth)[1]
+    assert retract_identity_failures(per_q, entries, *red) == []
+    assert tuple(map(len, red[0])) == cech._family_dims(fam, depth)
+    _assert_disk_form_round_trips(red)
+
+
+def test_cone_reduction_rejects_a_family_not_closed_under_generator_0():
+    with pytest.raises(MathFailure):
+        cech._cone_reduction(((1,),), 1)
 
 
 _SIZES = st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=4)
@@ -850,14 +881,14 @@ def test_damaged_family_entry_is_rebuilt(tmp_path, monkeypatch, damage):
 
 # Bump FORMAT_VERSION with any change to the bytes of a family file, then
 # update this hash: a stale file would otherwise load as certificates.
-P2_FAMILY_FILE_SHA256 = "3055b1bde932746a9606975f0bd93db60314d12cd669e91c7880b3efb6dd4dee"
+P2_FAMILY_FILE_SHA256 = "7b99737aa497a6db0e77e59aa0e6c1753b6ffe933c7ee033f763a0eec649078c"
 
 
 def test_family_file_bytes_are_frozen_with_the_format_version(tmp_path, monkeypatch):
     from toricres import cech
 
     _, path = _p2_family_file(tmp_path, monkeypatch)
-    assert cech.FORMAT_VERSION == 4
+    assert cech.FORMAT_VERSION == 5
     assert hashlib.sha256(path.read_bytes()).hexdigest() == P2_FAMILY_FILE_SHA256
 
 

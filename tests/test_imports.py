@@ -1,11 +1,15 @@
-"""The runtime needs nothing beyond the standard library."""
+"""The runtime needs nothing beyond the standard library, and every
+declared console script imports."""
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import toricres
 
@@ -30,3 +34,15 @@ def test_every_module_imports_without_numpy_sympy_or_hypothesis():
     out = json.loads(run.stdout)
     assert "toricres.cech" in out["modules"] and len(out["modules"]) >= 8
     assert out["third_party"] == []
+
+
+def test_every_console_script_target_imports():
+    """Each [project.scripts] entry names a callable that exists, so an
+    installed command does not crash on import."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["name"] == "toricres"
+    for command, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), command

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers_reference import lattice_points_in_window
 from toricres.errors import InputError, UnsupportedGeometryError
 from toricres.fixtures import M33_SUPPORTS, STURMFELS_PAPER_RAYS, STURMFELS_SUPPORTS
 from toricres.toric import (
@@ -13,7 +14,6 @@ from toricres.toric import (
     divisor_class,
     facet_normals,
     homogenized_exponent,
-    lattice_points_in_window,
     minkowski_points,
     support_problem,
     variety_from_points,

@@ -65,34 +65,20 @@ simplicial complex on the negated rays (Eisenbud, Mustata and Stillman,
 supports", J. Symbolic Comput. 29, 2000; see _nerve_dims).  Only the
 patterns that pass the ray-circuit screen of contributing_points are ranked.
 
-Family reductions are memoized in memory and kept on disk, one file per
-family (TORICRES_CACHE_DIR, default ~/.cache/toricres), named by the sha256
-of (FORMAT_VERSION, family, depth).  A file is the sha256 hex of its body,
-a newline, then the body: compact JSON holding the surviving indices per
-degree and the iota, rho and h rows as flat [column, value, ...] lists,
-integers as JSON numbers and only non-integers as "n/d" strings (format 5).
-The per-degree subset lists and the incidence entries are recomputed from
-the family in the key.  A file whose hash line does not match its bytes is
-rebuilt.  Any change to the layout must bump FORMAT_VERSION.
+Family reductions are memoized per process (_reduced_family).
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
-import json
-import os
 from fractions import Fraction
 from functools import lru_cache, reduce
-from pathlib import Path
 from typing import Sequence
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
 from .qlinalg import int_kernel_basis, int_rank
 from .qpoly import cnorm
 from .toric import ToricVariety, degree_fiber, fiber_points
-
-FORMAT_VERSION = 5
 
 Class = tuple[int, ...]
 
@@ -341,49 +327,9 @@ def _block_entries(fam: list[tuple[int, ...]], depth: int):
 
 _reduce_memo: dict = {}
 
+# Family reductions by source.  Nothing is kept on disk, so "disk" is always
+# 0; it stays because perfbench/trace.py reads all three keys.
 cache_counters = {"memory": 0, "disk": 0, "built": 0}
-
-
-def cache_counters_reset() -> None:
-    for k in cache_counters:
-        cache_counters[k] = 0
-
-
-def _family_to_obj(red) -> dict:
-    """The disk form of a reduction (active, iota, rho, h) of _reduce_block.
-
-    Certificate rows are flat lists [column, value, column, value, ...];
-    iota and rho keep one row per surviving index, in the order of "active",
-    and each h row is led by its row index.  Integers stay JSON numbers, and
-    only non-integers become "n/d" strings."""
-    active, iota, rho, h = red
-
-    def flat(row):
-        return [x for j, v in sorted(row.items())
-                for x in (j, v if v.__class__ is int else f"{v.numerator}/{v.denominator}")]
-
-    keep = [sorted(a) for a in active]
-    return {
-        "active": keep,
-        "iota": [[flat(level[i]) for i in a] for level, a in zip(iota, keep)],
-        "rho": [[flat(level[i]) for i in a] for level, a in zip(rho, keep)],
-        "h": [[[i] + flat(row) for i, row in sorted(level.items())] for level in h],
-    }
-
-
-def _flat_row(flat: list) -> dict:
-    it = iter(flat)
-    return {j: v if v.__class__ is int else Fraction(v) for j, v in zip(it, it)}
-
-
-def _family_from_obj(obj: dict):
-    """Inverse of _family_to_obj."""
-    return (
-        [set(a) for a in obj["active"]],
-        [dict(zip(a, map(_flat_row, rows))) for a, rows in zip(obj["active"], obj["iota"])],
-        [dict(zip(a, map(_flat_row, rows))) for a, rows in zip(obj["active"], obj["rho"])],
-        [{row[0]: _flat_row(row[1:]) for row in level} for level in obj["h"]],
-    )
 
 
 def _cone_reduction(fam: Sequence[tuple[int, ...]], depth: int):
@@ -440,24 +386,14 @@ def _reduced_family(fam: tuple[tuple[int, ...], ...], depth: int):
 
     The block of an exponent depends on the exponent only through its family,
     so identical families across exponents and strands share one reduction.
-    Every such family is upward closed, and _cone_reduction reduces it.
-    Reductions persist on disk under a hash of the key (see the module
-    docstring); a corrupt entry fails its hash check and is rebuilt."""
+    Every such family is upward closed, and _cone_reduction reduces it."""
     key = (fam, depth)
     hit = _reduce_memo.get(key)
     if hit is not None:
         cache_counters["memory"] += 1
         return hit
-    name = hashlib.sha256(json.dumps([FORMAT_VERSION, fam, depth]).encode())
-    path = cache_root() / f"{name.hexdigest()}.json"
-    obj = _cache_read(path)
-    if obj is None:
-        per_q, red = _cone_reduction(fam, depth)
-        cache_counters["built"] += 1
-        _cache_write(path, _family_to_obj(red))
-    else:
-        per_q, red = _per_degree(fam, depth), _family_from_obj(obj)
-        cache_counters["disk"] += 1
+    per_q, red = _cone_reduction(fam, depth)
+    cache_counters["built"] += 1
     hit = _reduce_memo[key] = (per_q, *red)
     return hit
 
@@ -672,17 +608,7 @@ class FamilyCerts:
     def __init__(self, x: ToricVariety, neg: tuple[int, ...]):
         _, _, depth = _subset_data(x)
         self.depth = depth
-        fam = _pattern_family(x, neg)
-        if not fam:
-            self.per_q = [[] for _ in range(depth + 1)]
-            self.pos = [{} for _ in range(depth + 1)]
-            self.active = [[] for _ in range(depth + 1)]
-            self.dims = (0,) * (depth + 1)
-            self.iota = [[] for _ in range(depth + 1)]
-            self.rho_t = [{} for _ in range(depth + 1)]
-            self.h = [{} for _ in range(depth)]
-            return
-        per_q, active, iota, rho, h = _reduced_family(fam, depth)
+        per_q, active, iota, rho, h = _reduced_family(_pattern_family(x, neg), depth)
         self.per_q = per_q
         self.pos = [{T: i for i, T in enumerate(per_q[q])} for q in range(depth + 1)]
         self.active = [sorted(active[q]) for q in range(depth + 1)]
@@ -707,72 +633,14 @@ def pattern_of(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(w) if v < 0)
 
 
-# -- caching ---------------------------------------------------------------------
-
-def cache_root() -> Path:
-    env = os.environ.get("TORICRES_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "toricres"
-
-
-def _cache_write(path: Path, obj) -> None:
-    """Best-effort atomic write of a cache entry: the sha256 hex of the body,
-    a newline, then the body, compact JSON.  The temp name carries the pid,
-    so concurrent writers never share a temp file; a failed write removes
-    its own."""
-    body = json.dumps(obj, separators=(",", ":")).encode()
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
-        tmp.replace(path)
-    except OSError:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass  # cache is best-effort
-
-
-def _cache_read(path: Path):
-    """The parsed body of a cache entry whose hash line matches the bytes as
-    read; None for a missing, corrupt, truncated or foreign file."""
-    try:
-        head, _, body = path.read_bytes().partition(b"\n")
-    except OSError:
-        return None
-    if head != hashlib.sha256(body).hexdigest().encode():
-        return None
-    return json.loads(body)
-
-
-def _cache_files() -> list[Path]:
-    """Cache entries and temp files, stale ones of failed writers included."""
-    root = cache_root()
-    return [f for pattern in ("*.json", "*.tmp") for f in root.glob(pattern) if f.is_file()]
-
-
-def cache_stats() -> dict:
-    files = _cache_files()
-    return {"dir": str(cache_root()), "files": len(files),
-            "bytes": sum(f.stat().st_size for f in files)}
-
-
-def cache_clear() -> int:
-    files = _cache_files()
-    for f in files:
-        f.unlink(missing_ok=True)
-    return len(files)
-
-
 def clear_caches() -> None:
     """Empty every in-process memo of this module and zero cache_counters.
 
-    The memos grow for the life of the process; the disk cache is left as
-    it is (cache_clear empties that)."""
+    The memos grow for the life of the process."""
     for memo in (_reduce_memo, _fam_dims_memo, _points_cache):
         memo.clear()
-    cache_counters_reset()
+    for k in cache_counters:
+        cache_counters[k] = 0
     for fn in (_subset_data, _subset_rays, _nerve_dims, _ray_circuits,
                _pattern_family, family_certs):
         fn.cache_clear()

@@ -237,8 +237,8 @@ def resolve_twist(K: FreeGradedComplex, twist) -> Class:
     the summands with q > 0, then the largest minor of the determinant, then
     the sum of the term ranks; ties go to the earlier candidate.  Summands
     with q = 0 are global sections, whose maps are plain multiplications
-    that need no Cech certificate family, walk or disk-cache entry, which
-    is why that key comes first."""
+    that need no Cech certificate family or walk, which is why that key
+    comes first."""
     x = K.x
     if twist is None or twist == "default":
         a = x.anticanonical_class()

@@ -154,8 +154,7 @@ def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], 
     Each summand (p, q, k) has the dimension of the degree-q cohomology
     model of the class of the k-th summand of C^p; only q up to dim X can
     contribute.  The dimensions are read from the nerve of each
-    contributing pattern, so no certificate family is built, and nothing
-    is written to the disk cache."""
+    contributing pattern, so no certificate family is built."""
     x = C.x
     table: dict[tuple[int, int], int] = {}
     terms: dict[int, list[Summand]] = {}

@@ -1,12 +1,8 @@
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
-import os
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,8 +12,6 @@ from helpers_cohomology import bott_pn, kunneth_p1p1
 from helpers_reference import retract_identity_failures, support_patterns
 from toricres import cech
 from toricres.cech import (
-    cache_clear,
-    cache_stats,
     cech_depth,
     stabilization_level,
     strand_dims,
@@ -134,33 +128,6 @@ def test_strand_determinism():
     first = [cech._reduce_block(*cech._block_entries(list(fam), depth)) for _, fam in blocks]
     again = [cech._reduce_block(*cech._block_entries(list(fam), depth)) for _, fam in blocks]
     assert first == again
-
-
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    """Certificate families go to disk, one file each, load back equal, and
-    corrupt entries are rebuilt."""
-    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
-    cech.clear_caches()
-    negs = _all_patterns(P2)
-    c1 = [_certs_obj(cech.family_certs(P2, neg)) for neg in negs]
-    built = cech.cache_counters["built"]
-    assert built > 0 and cache_stats()["files"] == built
-    cech.clear_caches()
-    c2 = [_certs_obj(cech.family_certs(P2, neg)) for neg in negs]
-    assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (built, 0)
-    assert c2 == c1
-    for (fam, depth), (per_q, *red) in cech._reduce_memo.items():
-        entries = cech._block_entries(list(fam), depth)[1]
-        assert retract_identity_failures(per_q, entries, *red) == []
-    # corrupt every entry: the loader must rebuild rather than fail
-    for f in tmp_path.glob("*.json"):
-        f.write_bytes(f.read_bytes()[:-30] + b"}")
-    cech.clear_caches()
-    c3 = [_certs_obj(cech.family_certs(P2, neg)) for neg in negs]
-    assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (0, built)
-    assert c3 == c1
-    assert cache_clear() == built
-    assert cache_stats()["files"] == 0
 
 
 def test_sturmfels_variety_strand_smoke():
@@ -292,8 +259,12 @@ def _all_patterns(x):
 @pytest.mark.parametrize("name", sorted(VARIETIES))
 def test_pattern_family_bitmasks_match_the_cone_intersections(name):
     x = VARIETIES[name]()
+    # the max cones of a complete fan share no ray, so no pattern's family
+    # is empty: each holds the subset of all generators
+    top = tuple(range(len(x.max_cones)))
     for neg, fam in _reference_families(x).items():
         assert cech._pattern_family(x, neg) == fam
+        assert top in fam, neg
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P1P1", "squares", "sturmfels"])
@@ -441,18 +412,15 @@ def test_ray_circuits_are_the_minimal_primitive_relations(name):
     assert len(circuits) == len(vectors) == 2 * len(want)
 
 
-def test_warm_sturmfels_walks_only_the_fibers_with_points(tmp_path, monkeypatch):
+def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch):
     from toricres import cech, resultant
     from toricres.fixtures import sturmfels_problem, sturmfels_twist
     from toricres.toric import fiber_points, variety_of
 
-    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
     problem = sturmfels_problem()
     x = variety_of(problem)
     twists = [sturmfels_twist(x, which) for which in ("unit", "stable")]
-    for tw in twists:   # fill the disk cache
-        resultant.a_resultant(problem, twist=tw)
-    cech.clear_caches()   # a warm process: disk cache full, memos empty
+    cech.clear_caches()   # memos empty: with nothing on disk, a warm process is a cold one
     walks = []
 
     def counted(u0, kernel, bounds):
@@ -465,6 +433,7 @@ def test_warm_sturmfels_walks_only_the_fibers_with_points(tmp_path, monkeypatch)
         resultant.a_resultant(problem, twist=tw)
     # 16 classes times 200 table patterns without the screen
     assert len(walks) == 13 and all(walks)
+    assert cech.cache_counters["built"] == len(cech._reduce_memo) == 38
 
 
 @st.composite
@@ -610,15 +579,10 @@ def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
     return active, iota, rho, h
 
 
-def _assert_disk_form_round_trips(red):
-    """The family cache's JSON form of a reduction reads back equal, with
-    ints as ints and every other value a non-integer Fraction."""
-    from toricres import cech
-
-    body = json.dumps(cech._family_to_obj(red), separators=(",", ":"))
-    back = cech._family_from_obj(json.loads(body))
-    assert back == red
-    values = [v for certs in back[1:] for level in certs
+def _assert_ints_stay_ints(red):
+    """Every certificate value of a reduction is an int or a non-integer
+    Fraction."""
+    values = [v for certs in red[1:] for level in certs
               for row in level.values() for v in row.values()]
     assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
                for v in values)
@@ -635,7 +599,7 @@ def test_heap_pivots_match_full_rescan_reference(name):
             want = _reference_reduce_block(per_q, entries)
             got = cech._reduce_block(per_q, entries)
             assert got == want
-            _assert_disk_form_round_trips(got)
+            _assert_ints_stay_ints(got)
 
 
 @pytest.mark.parametrize("order", ["sorted", "reversed"])
@@ -673,7 +637,7 @@ def test_cone_reduction_of_random_upward_closed_families(family):
     entries = cech._block_entries(list(fam), depth)[1]
     assert retract_identity_failures(per_q, entries, *red) == []
     assert tuple(map(len, red[0])) == cech._family_dims(fam, depth)
-    _assert_disk_form_round_trips(red)
+    _assert_ints_stay_ints(red)
 
 
 def test_cone_reduction_rejects_a_family_not_closed_under_generator_0():
@@ -718,10 +682,10 @@ def test_heap_pivots_match_full_rescan_reference_on_random_blocks(block):
     want = _reference_reduce_block(per_q, entries)
     got = cech._reduce_block(per_q, entries)
     assert got == want
-    _assert_disk_form_round_trips(got)
+    _assert_ints_stay_ints(got)
 
 
-# -- guards and the disk cache -------------------------------------------------------
+# -- guards and the memos -------------------------------------------------------------
 
 def test_generator_cap_raises_resource_guard(monkeypatch):
     from toricres import cech
@@ -779,140 +743,27 @@ def _certs_obj(c):
     return (c.depth, c.per_q, c.pos, c.active, c.dims, c.iota, c.rho_t, c.h)
 
 
-def test_clear_caches_then_rebuild_gives_identical_family_certs(tmp_path, monkeypatch):
+def test_clear_caches_then_rebuild_gives_identical_family_certs():
     from toricres import cech
 
-    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
     x = _sturmfels_variety()
     cech.clear_caches()
     negs = support_patterns(x)[:12]
     before = {neg: cech.family_certs(x, neg) for neg in negs}
     points = cech.contributing_points(x, x.anticanonical_class())
     circuits = cech._ray_circuits(x)
-    assert cech.cache_counters["built"] > 0
+    built = cech.cache_counters["built"]
+    assert built > 0
     cech.clear_caches()
     assert not (cech._reduce_memo or cech._fam_dims_memo or cech._points_cache
                 or any(cech.cache_counters.values()))
     for fn in (cech._subset_data, cech._subset_rays, cech._nerve_dims,
                cech._ray_circuits, cech._pattern_family, cech.family_certs):
         assert fn.cache_info().currsize == 0
-    assert cache_clear() > 0   # and the disk: everything is built again
     for neg, c in before.items():
         again = cech.family_certs(x, neg)
         assert again is not c
         assert _certs_obj(again) == _certs_obj(c)
-    assert cech.cache_counters["disk"] == 0
+    assert cech.cache_counters["built"] == built   # everything is built again
     assert cech.contributing_points(x, x.anticanonical_class()) == points
     assert cech._ray_circuits(x) == circuits
-
-
-def _p2_family_file(tmp_path, monkeypatch):
-    """Certificates of P2's all-nonnegative pattern, built cold in an empty
-    cache dir, and the one file they leave there."""
-    from toricres import cech
-
-    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
-    cech.clear_caches()
-    certs = _certs_obj(cech.family_certs(P2, ()))
-    (path,) = tmp_path.iterdir()
-    cech.clear_caches()
-    return certs, path
-
-
-def test_family_cache_write_ignores_another_writers_temp_file(tmp_path, monkeypatch):
-    from toricres import cech
-
-    certs, path = _p2_family_file(tmp_path, monkeypatch)
-    path.unlink()
-    # a concurrent writer's pid-less temp name must not block this write
-    path.with_suffix(".tmp").mkdir()
-    assert _certs_obj(cech.family_certs(P2, ())) == certs
-    assert cech.cache_counters["built"] == 1
-    assert path.exists()
-    assert not list(tmp_path.glob(f"*.{os.getpid()}.tmp"))
-    cech.clear_caches()
-    assert _certs_obj(cech.family_certs(P2, ())) == certs
-    assert cech.cache_counters["disk"] == 1
-
-
-def test_failed_cache_write_removes_its_temp_file(tmp_path, monkeypatch):
-    from toricres import cech
-
-    def fail(self, target):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "replace", fail)
-    cech._cache_write(tmp_path / "entry.json", {"active": []})
-    assert not list(tmp_path.iterdir())
-
-
-def test_cache_clear_removes_stale_temp_files(tmp_path, monkeypatch):
-    _, path = _p2_family_file(tmp_path, monkeypatch)
-    stale = path.with_suffix(".4242.tmp")   # left by a writer that was killed
-    stale.write_bytes(b"half an entry")
-    assert cache_stats()["files"] == 2
-    assert cache_stats()["bytes"] == path.stat().st_size + len(b"half an entry")
-    assert cache_clear() == 2
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("damage", ["flipped body byte", "truncated", "header only"])
-def test_damaged_family_entry_is_rebuilt(tmp_path, monkeypatch, damage):
-    from toricres import cech
-
-    certs, path = _p2_family_file(tmp_path, monkeypatch)
-    data = path.read_bytes()
-    head, body = data.split(b"\n", 1)
-    if damage == "flipped body byte":
-        i = body.rindex(b"1")   # still valid JSON, with a different value
-        data = head + b"\n" + body[:i] + b"0" + body[i + 1:]
-        json.loads(data.split(b"\n", 1)[1])
-    elif damage == "truncated":
-        data = data[:-7]
-    else:
-        data = head + b"\n"
-    path.write_bytes(data)
-    assert _certs_obj(cech.family_certs(P2, ())) == certs
-    assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (0, 1)
-    cech.clear_caches()   # the rebuild rewrote the entry
-    assert _certs_obj(cech.family_certs(P2, ())) == certs
-    assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (1, 0)
-
-
-# Bump FORMAT_VERSION with any change to the bytes of a family file, then
-# update this hash: a stale file would otherwise load as certificates.
-P2_FAMILY_FILE_SHA256 = "7b99737aa497a6db0e77e59aa0e6c1753b6ffe933c7ee033f763a0eec649078c"
-
-
-def test_family_file_bytes_are_frozen_with_the_format_version(tmp_path, monkeypatch):
-    from toricres import cech
-
-    _, path = _p2_family_file(tmp_path, monkeypatch)
-    assert cech.FORMAT_VERSION == 5
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == P2_FAMILY_FILE_SHA256
-
-
-def test_warm_sturmfels_family_certs_equal_a_cold_build(tmp_path, monkeypatch):
-    from toricres import cech, resultant, weyman
-    from toricres.fixtures import sturmfels_problem, sturmfels_twist
-    from toricres.toric import variety_of
-
-    monkeypatch.setenv("TORICRES_CACHE_DIR", str(tmp_path))
-    cech.clear_caches()
-    asked = set()
-
-    def recorded(x, neg):
-        asked.add((x, neg))
-        return cech.family_certs(x, neg)
-
-    monkeypatch.setattr(weyman, "family_certs", recorded)
-    problem = sturmfels_problem()
-    x = variety_of(problem)
-    for which in ("unit", "stable"):
-        resultant.a_resultant(problem, twist=sturmfels_twist(x, which))
-    assert cech.cache_counters["built"] == len(cech._reduce_memo) == 38
-    cold = {key: _certs_obj(cech.family_certs(*key)) for key in asked}
-    cech.clear_caches()   # a warm process: disk cache full, memos empty
-    for key, want in cold.items():
-        assert _certs_obj(cech.family_certs(*key)) == want
-    assert (cech.cache_counters["disk"], cech.cache_counters["built"]) == (38, 0)

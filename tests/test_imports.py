@@ -1,5 +1,5 @@
-"""The runtime needs nothing beyond the standard library, and every
-declared console script imports."""
+"""The runtime needs nothing beyond the standard library, a run writes no
+file, and every declared console script imports."""
 from __future__ import annotations
 
 import importlib
@@ -34,6 +34,29 @@ def test_every_module_imports_without_numpy_sympy_or_hypothesis():
     out = json.loads(run.stdout)
     assert "toricres.cech" in out["modules"] and len(out["modules"]) >= 8
     assert out["third_party"] == []
+
+
+RESULTANT_RUN = """
+import hashlib
+from toricres.fixtures import sturmfels_problem
+from toricres.qpoly import poly_to_text
+from toricres.resultant import a_resultant
+delta = a_resultant(sturmfels_problem()).delta
+print(hashlib.sha256(poly_to_text(delta).encode()).hexdigest()[:16])
+"""
+
+
+def test_a_resultant_run_writes_no_file(tmp_path):
+    """A full run in a fresh process, with HOME, TMPDIR and the working
+    directory in one empty dir and no other variable set, leaves that dir
+    empty, and its result is the one every other run gets."""
+    src = str(Path(toricres.__file__).resolve().parent.parent)
+    env = {"PYTHONPATH": src, "HOME": str(tmp_path), "TMPDIR": str(tmp_path)}
+    run = subprocess.run([sys.executable, "-c", RESULTANT_RUN], capture_output=True,
+                         text=True, cwd=tmp_path, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "9c93f61499ad08e3"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_console_script_target_imports():

@@ -1,25 +1,14 @@
-"""Cech complexes of graded-module classes, with reduction data.
+"""Cech pattern families of graded-module classes, with reduction data.
 
-For a class alpha, the strand complex has, in Cech degree q, one basis
-vector per pair (T, w): T a size-(q+1) set of irrelevant generators and w a
-Laurent exponent vector of degree -alpha lying in the window w >= L_T,
-where L_T = -exp(lcm of f_j^{e_j} over j in T) is the truncation bound at
-level e (the dual Taylor term of the generator powers f_j^{e_j}; unlike
-the product-localization window this one stabilizes level by level).
-Subsets run over the full range of sizes 1..#generators, so at exact
-levels every model dimension above dim X vanishes and every homotopy is
-honest.  The differential inserts a generator with the usual alternating
-sign and never changes w, so the whole strand splits as a direct sum of
-small complexes, one per exponent vector w.  strand_dims ranks these
-blocks level by level; it is the independent check of the stabilization
-level, and its blocks are the chains of the direct total complex.
-
-At any uniform level past the depth of w, the block of w is the pattern
-family of w's negative-support pattern (_pattern_family), so the direct
-image needs one reduction per family.  A reduction is a deformation
-retract onto the family's cohomology: inclusion iota (model rows to chain
-columns), projection rho, homotopy h, and the family's incidence
-differential D satisfy
+The Cech block of a class alpha at a Laurent exponent w of degree -alpha is
+a family of nonempty subsets of the irrelevant generators, graded by size
+minus one, with the incidence differential that inserts a generator with
+the usual alternating sign.  At any uniform truncation level past the
+depth of w, that family is the pattern family of w's negative-support
+pattern (_pattern_family), so the direct image needs one reduction per
+family.  A reduction is a deformation retract onto the family's
+cohomology: inclusion iota (model rows to chain columns), projection rho,
+homotopy h, and the family's incidence differential D satisfy
 
     iota . D = 0,      D . rho = 0,        iota . rho = id,
     D_q h_q + h_{q-1} D_{q-1} = id - rho_q iota_q,
@@ -116,42 +105,6 @@ def _subset_rays(x: ToricVariety) -> tuple[int, ...]:
     _, subsets, _ = _subset_data(x)
     cones = [sum(1 << rho for rho in c) for c in x.max_cones]
     return tuple(reduce(int.__and__, (cones[j] for j in T)) for T in subsets)
-
-
-def _window_bound(gens, subset: tuple[int, ...], e: Sequence[int]) -> tuple[int, ...]:
-    # lcm of the f_j^{e_j} over j in the subset, negated: the term for the
-    # subset is Hom of the corresponding Taylor summand, not the product
-    # localization (the product window breaks level-by-level stabilization).
-    r = len(gens[0])
-    out = [0] * r
-    for j in subset:
-        g = gens[j]
-        for rho in range(r):
-            out[rho] = min(out[rho], -e[j] * g[rho])
-    return tuple(out)
-
-
-def _strand_blocks(x: ToricVariety, alpha: Class, e: Sequence[int]):
-    """Per-exponent blocks of the strand: for each w, the upward-closed
-    family of subsets whose window contains w, grouped by Cech degree."""
-    gens, subsets, depth = _subset_data(x)
-    target = tuple(-a for a in alpha)
-    u0, kernel = degree_fiber(x, target)
-    if u0 is None:
-        return depth, []
-    bounds = {T: _window_bound(gens, T, e) for T in subsets}
-    top_size = depth + 1
-    seen: set[tuple[int, ...]] = set()
-    for T in subsets:
-        if len(T) == top_size:
-            seen.update(fiber_points(u0, kernel, [(1, b) for b in bounds[T]]))
-    blocks = []
-    for w in sorted(seen):
-        fam = tuple(T for T in subsets
-                    if all(a >= b for a, b in zip(w, bounds[T])))
-        if fam:
-            blocks.append((w, fam))
-    return depth, blocks
 
 
 def _reduce_block(per_q: list[list[tuple[int, ...]]],
@@ -385,7 +338,7 @@ def _reduced_family(fam: tuple[tuple[int, ...], ...], depth: int):
     """Memoized reduction of one subset family: (per_q, active, iota, rho, h).
 
     The block of an exponent depends on the exponent only through its family,
-    so identical families across exponents and strands share one reduction.
+    so identical families across exponents and classes share one reduction.
     Every such family is upward closed, and _cone_reduction reduces it."""
     key = (fam, depth)
     hit = _reduce_memo.get(key)
@@ -426,19 +379,7 @@ def _dims(sizes: list[int], ranks: list[int]) -> tuple[int, ...]:
                  for q, size in enumerate(sizes))
 
 
-def strand_dims(x: ToricVariety, alpha: Class, e: Sequence[int]) -> tuple[int, ...]:
-    """Cohomology dimensions of the truncated strand, one per Cech degree.
-
-    Rank-only fast path: no certificates are produced."""
-    depth, blocks = _strand_blocks(x, alpha, e)
-    dims = [0] * (depth + 1)
-    for w, fam in blocks:
-        for q, v in enumerate(_family_dims(fam, depth)):
-            dims[q] += v
-    return tuple(dims)
-
-
-# -- truncation level search ---------------------------------------------------
+# -- contributing patterns and points ------------------------------------------
 
 _PATTERN_RAY_CAP = 16
 
@@ -517,9 +458,10 @@ def contributing_points(x: ToricVariety,
                         alpha: Class) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """All (exponent, pattern) pairs whose blocks carry cohomology.
 
-    These exponents support every cohomology model of the class, at any
-    uniform level at least the stabilization level; deeper fiber exponents
-    have patterns with no cohomology in any degree and reduce to nothing.
+    These exponents support every cohomology model of the class: the block
+    of each is the family of its pattern, and every other exponent of the
+    degree fiber has a pattern whose family carries no cohomology in degrees
+    up to dim X, so it reduces to nothing there.
 
     All 2^#rays patterns are screened by the ray circuits first; only a
     survivor has its nerve ranked (_nerve_dims, memoized per variety and
@@ -566,21 +508,6 @@ def contributing_points(x: ToricVariety,
         hit = tuple(pts)
         _points_cache[key] = hit
     return hit
-
-
-def stabilization_level(x: ToricVariety, alpha: Class) -> tuple[int, ...]:
-    """Smallest uniform level at which the strand dimensions are exact.
-
-    The strand at level c*(1,..,1) is the direct sum of the full blocks of
-    the fiber exponents of depth at most c, so dimensions are nondecreasing
-    in c and constant once c reaches the deepest exponent whose support
-    pattern carries cohomology.  That depth is computed exactly: enumerate
-    each contributing pattern's fiber polytope and take the max depth."""
-    r = len(x.max_cones)
-    c = 0
-    for w, neg in contributing_points(x, alpha):
-        c = max(c, -min(w))
-    return (c,) * r
 
 
 # -- block-level access ------------------------------------------------------------

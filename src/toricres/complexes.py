@@ -65,9 +65,6 @@ class FreeGradedComplex:
     def x_degree(self, term_exp: Sequence[int]) -> Class:
         return self.x.degree_of(term_exp[self.n_params:])
 
-    def classes(self) -> set[Class]:
-        return {a for pa in self.degrees.values() for a in pa}
-
     def validate(self) -> None:
         ps = sorted(self.degrees)
         if ps != list(range(ps[0], ps[-1] + 1)):
@@ -98,37 +95,6 @@ class FreeGradedComplex:
             degrees={p: tuple(class_sub(a, beta) for a in pa)
                      for p, pa in self.degrees.items()},
             diffs=dict(self.diffs),
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "x": self.x.to_obj(),
-            "variables": list(self.variables),
-            "n_params": self.n_params,
-            "degrees": {str(p): [list(a) for a in pa]
-                        for p, pa in sorted(self.degrees.items())},
-            "diffs": {str(p): {"shape": [m.nrows, m.ncols], "cells": m.to_text()}
-                      for p, m in sorted(self.diffs.items())},
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "FreeGradedComplex":
-        variables = tuple(obj["variables"])
-        diffs = {}
-        for p, d in obj["diffs"].items():
-            n, m = d["shape"]
-            mat = PolyMatrix.from_text(d["cells"], variables) if d["cells"] \
-                else PolyMatrix(n, m, variables)
-            if (mat.nrows, mat.ncols) != (n, m):
-                raise InputError(f"differential shape mismatch at degree {p}")
-            diffs[int(p)] = mat
-        return cls(
-            x=ToricVariety.from_obj(obj["x"]),
-            variables=variables,
-            n_params=obj["n_params"],
-            degrees={int(p): tuple(tuple(a) for a in pa)
-                     for p, pa in obj["degrees"].items()},
-            diffs=diffs,
         )
 
 

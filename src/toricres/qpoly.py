@@ -580,12 +580,6 @@ class PolyMatrix:
         m = ncols if ncols is not None else (len(rows[0]) if rows else 0)
         return cls(n, m, variables, [list(r) for r in rows])
 
-    def __getitem__(self, rc: tuple[int, int]) -> SparsePoly:
-        return self.rows[rc[0]][rc[1]]
-
-    def set(self, r: int, c: int, p: SparsePoly) -> None:
-        self.rows[r][c] = p
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented

@@ -147,25 +147,6 @@ class ToricVariety:
     def var_names(self) -> tuple[str, ...]:
         return tuple(f"x{r + 1}" for r in range(self.n_rays))
 
-    def to_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "rays": [list(r) for r in self.rays],
-            "max_cones": [list(c) for c in self.max_cones],
-            "grading": [list(g) for g in self.grading],
-            "torsion": list(self.torsion),
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ToricVariety":
-        return cls(
-            dim=obj["dim"],
-            rays=tuple(tuple(r) for r in obj["rays"]),
-            max_cones=tuple(tuple(c) for c in obj["max_cones"]),
-            grading=tuple(tuple(g) for g in obj["grading"]),
-            torsion=tuple(obj.get("torsion", ())),
-        )
-
 
 def variety_from_points(points: Iterable[Point]) -> ToricVariety:
     """Normal fan of conv(points) with its class-group presentation."""
@@ -221,22 +202,6 @@ class SupportProblem:
 
     def all_labels(self) -> tuple[str, ...]:
         return tuple(name for group in self.labels for name in group)
-
-    def to_obj(self) -> dict:
-        return {
-            "supports": [[list(p) for p in s] for s in self.supports],
-            "labels": [list(g) for g in self.labels],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "SupportProblem":
-        supports = tuple(tuple(tuple(p) for p in s) for s in obj["supports"])
-        if "labels" in obj and obj["labels"]:
-            labels = tuple(tuple(g) for g in obj["labels"])
-        else:
-            labels = tuple(tuple(default_label(j, p) for p in s)
-                           for j, s in enumerate(supports))
-        return cls(supports=supports, labels=labels)
 
 
 def support_problem(supports: Sequence[Sequence[Sequence[int]]],

@@ -13,11 +13,13 @@ walks down the staircase
 
     v_1 = phi(iota(u)),   v_{t+1} = phi(h(v_t)),   w_r = rho(v_r),
 
-where phi is the complex differential acting on chains (shifting exponents,
-never leaving any block window) and h is the reduction homotopy.  The r-th
-projection w_r lands in the (p+r, q-r+1) summands and enters the matrix with
-sign (-1)^((i-1)(r-1)).  All strand-level work happens blockwise over Q;
-only the phi steps carry R coefficients.
+where phi is the complex differential acting on chains (shifting exponents
+upward, so every chain subset stays inside its destination's pattern
+family) and h is the reduction homotopy.  The r-th projection w_r lands in
+the (p+r, q-r+1) summands and enters the matrix with sign
+(-1)^((i-1)(r-1)).  The certificates iota, h and rho act blockwise over Q,
+one pattern family per exponent; only the phi steps carry R
+coefficients.
 
 The action on a morphism theta: M -> N of complexes is the induced map on
 reduced models: spread the embedded element across the staircase of M,
@@ -30,20 +32,16 @@ with the assembled differentials exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .cech import (
     contributing_points,
     family_certs,
     pattern_of,
-    stabilization_level,
     _nerve_dims,
-    _strand_blocks,
 )
 from .complexes import ComplexMorphism, FreeGradedComplex, x_split
-from .errors import MathFailure, ResourceGuard
-from .qlinalg import QMatrix
+from .errors import MathFailure
 from .qpoly import PolyMatrix, SparsePoly
 from .toric import ToricVariety
 
@@ -83,7 +81,6 @@ class WeymanComplex:
     source: FreeGradedComplex
     terms: dict[int, tuple[Summand, ...]]
     e1: E1Page
-    levels: dict[tuple[int, int], int]       # (p, k) -> uniform model level
     basis: dict[int, list[tuple]]            # i -> [(p, q, k, w, mpos)]
     diffs: dict[int, PolyMatrix]             # i -> W^i x W^{i+1} over R
 
@@ -115,37 +112,15 @@ class WeymanComplex:
                 if not prod.is_zero():
                     raise MathFailure("direct-image differential does not square to zero")
 
-    def specialized_homology(self, assign: dict[str, Fraction]) -> dict[int, int]:
-        """Homology dimensions after evaluating all parameters."""
-        ranks: dict[int, int] = {}
-        for i in self.degrees():
-            ranks[i] = _specialized_rank(self.diff_at(i), assign)
-        out = {}
-        for i in self.degrees():
-            out[i] = self.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0)
-        return out
-
     def to_obj(self) -> dict:
         return {
             "terms": {str(i): [[s.p, s.q, s.k, s.dim, list(s.alpha)]
                                for s in self.terms[i]]
                       for i in sorted(self.terms)},
             "e1": self.e1.to_obj(),
-            "levels": [[p, k, c] for (p, k), c in sorted(self.levels.items())],
             "diffs": {str(i): m.to_text() for i, m in sorted(self.diffs.items())},
             "param_vars": list(self.source.param_vars),
         }
-
-
-def _specialized_rank(d: PolyMatrix, assign: dict[str, Fraction]) -> int:
-    m = QMatrix(d.nrows, d.ncols)
-    for r in range(d.nrows):
-        for c, p in enumerate(d.rows[r]):
-            if p:
-                v = p.eval(assign)
-                if v:
-                    m.rows[r][c] = Fraction(v)
-    return m.rank()
 
 
 def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], E1Page]:
@@ -296,16 +271,11 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
 
     A pattern's family is the Cech block of each of its exponents at every
     uniform level past that exponent's depth, so the result does not depend
-    on a truncation level; WeymanComplex.levels records the stabilization
-    level of each summand's class."""
+    on a truncation level."""
     C.validate()
     x = C.x
     pv = C.param_vars
     terms, page = weyman_terms(C)
-    levels = {}
-    for p in sorted(C.degrees):
-        for k, alpha in enumerate(C.degrees[p]):
-            levels[(p, k)] = stabilization_level(x, alpha)[0]
 
     # the summand dims come from the nerves, the basis from the certificate
     # families the walks use: they must agree, or the matrices get the
@@ -346,8 +316,7 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
                     m.rows[rown][col] = m.rows[rown][col] + pg
         diffs[i] = m
 
-    return WeymanComplex(source=C, terms=terms, e1=page,
-                         levels=levels, basis=basis, diffs=diffs)
+    return WeymanComplex(source=C, terms=terms, e1=page, basis=basis, diffs=diffs)
 
 
 def staircase_block(W: WeymanComplex, p: int, q: int, r: int) -> PolyMatrix:
@@ -448,93 +417,3 @@ def _merge(a: dict, b: dict, variables: Sequence[str]) -> dict:
             acc = dst.get(c)
             dst[c] = p if acc is None else acc + p
     return _drop_zeros(out)
-
-
-# -- direct total-complex oracle ---------------------------------------------------
-
-_ORACLE_LABEL_CAP = 400000
-
-
-@dataclass
-class TotalComplex:
-    """The unreduced total complex over R, on truncated Cech chains."""
-
-    source: FreeGradedComplex
-    e: tuple[int, ...]
-    basis: dict[int, list[tuple]]           # i -> [(p, k, T, w)]
-    diffs: dict[int, PolyMatrix]
-
-    def rank(self, i: int) -> int:
-        return len(self.basis.get(i, []))
-
-    def degrees(self) -> list[int]:
-        return sorted(self.basis)
-
-    def specialized_homology(self, assign: dict[str, Fraction]) -> dict[int, int]:
-        ranks: dict[int, int] = {}
-        for i, d in self.diffs.items():
-            ranks[i] = _specialized_rank(d, assign)
-        out = {}
-        for i in self.degrees():
-            out[i] = self.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0)
-        return out
-
-
-def total_complex_direct(C: FreeGradedComplex, e: Sequence[int]) -> TotalComplex:
-    """Assemble the double complex of truncated Cech chains directly.
-
-    Vertical maps are the Cech differentials weighted by (-1)^p per column,
-    horizontal maps the complex differentials acting on exponents; this is
-    the independent reference point for the staircase construction, with the
-    same homology in every degree."""
-    C.validate()
-    x = C.x
-    pv = C.param_vars
-    e = tuple(int(v) for v in e)
-
-    basis: dict[int, list[tuple]] = {}
-    for p in sorted(C.degrees):
-        for k, alpha in enumerate(C.degrees[p]):
-            depth, blocks = _strand_blocks(x, alpha, e)
-            for w, fam in blocks:
-                for T in fam:
-                    basis.setdefault(p + len(T) - 1, []).append((p, k, T, w))
-    total = sum(len(v) for v in basis.values())
-    if total > _ORACLE_LABEL_CAP:
-        raise ResourceGuard(
-            f"direct total complex needs {total} chain labels (cap "
-            f"{_ORACLE_LABEL_CAP}); use the staircase construction instead")
-    pos = {i: {lab: n for n, lab in enumerate(labs)}
-           for i, labs in basis.items()}
-    splits = {p: _split_matrix(C.diff_at(p), C.n_params, pv) for p in C.diffs}
-
-    diffs: dict[int, PolyMatrix] = {}
-    for i in sorted(basis):
-        if i + 1 not in basis:
-            continue
-        m = PolyMatrix(len(basis[i]), len(basis[i + 1]), pv)
-        tpos = pos[i + 1]
-        for rown, (p, k, T, w) in enumerate(basis[i]):
-            # vertical: insert one generator, alternating sign, column sign
-            csign = -1 if p % 2 else 1
-            for j in range(len(x.max_cones)):
-                if j in T:
-                    continue
-                T2 = tuple(sorted(T + (j,)))
-                col = tpos.get((p, k, T2, w))
-                if col is None:
-                    raise MathFailure("chain label missing from the window")
-                sgn = csign * (-1 if T2.index(j) % 2 else 1)
-                m.rows[rown][col] = SparsePoly.const(pv, sgn)
-            # horizontal: multiply by the complex differential entries
-            row = splits.get(p, {}).get(k)
-            if row:
-                for l, pieces in row.items():
-                    for nu, g in pieces:
-                        w2 = tuple(a + b for a, b in zip(w, nu))
-                        col = tpos.get((p + 1, l, T, w2))
-                        if col is None:
-                            raise MathFailure("exponent left the window")
-                        m.rows[rown][col] = m.rows[rown][col] + g
-        diffs[i] = m
-    return TotalComplex(source=C, e=e, basis=basis, diffs=diffs)

@@ -1,8 +1,21 @@
+import os
 import sys
+import tempfile
 
 import pytest
 
 sys.path.insert(0, 'tests')
+
+
+def pytest_configure(config):
+    """A test run writes nothing into the checkout: no bytecode next to the
+    sources, and Hypothesis keeps its example database in a temp dir that
+    is removed when the run ends.  Hypothesis reads the variable the first
+    time it opens its storage, which is after this hook runs."""
+    sys.dont_write_bytecode = True
+    home = tempfile.TemporaryDirectory(prefix="toricres-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = home.name
 
 
 @pytest.fixture

@@ -1,16 +1,37 @@
 """Plain reference routines that only tests use: matrix products, dense
 inverses and determinants, row-vector products, polynomial substitution,
-the lattice points of a degree window, the eager Cech support-pattern table
-and the retract identities of a reduced Cech family."""
+the lattice points of a degree window, the eager Cech support-pattern
+table, the retract identities of a reduced Cech family, and the direct
+total complex on window-truncated Cech strands.
+
+The strand of a class alpha at a truncation level e has, in Cech degree
+q, one basis vector per pair (T, w): T a size-(q+1) set of irrelevant
+generators and w a Laurent exponent vector of degree -alpha lying in the
+window w >= L_T, where L_T = -exp(lcm of f_j^{e_j} over j in T) is the
+truncation bound at level e (the dual Taylor term of the generator powers
+f_j^{e_j}; unlike the product-localization window this one stabilizes
+level by level).  Subsets run over the full range of sizes
+1..#generators, so at exact levels every model dimension above dim X
+vanishes.  The differential inserts a generator with the usual
+alternating sign and never changes w, so the whole strand splits as a
+direct sum of small complexes, one per exponent vector w.  strand_dims
+ranks these blocks level by level; it is the independent check of the
+stabilization level, and its blocks are the chains of the direct total
+complex, the independent check of the staircase construction.
+"""
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from toricres import cech
+from toricres.complexes import FreeGradedComplex
+from toricres.errors import MathFailure, ResourceGuard
 from toricres.qlinalg import QMatrix
-from toricres.qpoly import SparsePoly, cnorm
-from toricres.toric import degree_fiber, fiber_points
+from toricres.qpoly import PolyMatrix, SparsePoly, cnorm
+from toricres.toric import ToricVariety, degree_fiber, fiber_points
+from toricres.weyman import _split_matrix
 
 
 def identity(n: int) -> QMatrix:
@@ -211,3 +232,167 @@ def retract_identity_failures(per_q, entries, active, iota, rho, h) -> list[str]
         check("Dh + hD = id - rho iota", q, _plus(lhs, _product(R[q], I[q])),
               ident(range(len(per_q[q]))))
     return bad
+
+
+# -- window-truncated Cech strands ------------------------------------------------
+
+def _window_bound(gens, subset: tuple[int, ...], e: Sequence[int]) -> tuple[int, ...]:
+    # lcm of the f_j^{e_j} over j in the subset, negated: the term for the
+    # subset is Hom of the corresponding Taylor summand, not the product
+    # localization (the product window breaks level-by-level stabilization).
+    r = len(gens[0])
+    out = [0] * r
+    for j in subset:
+        g = gens[j]
+        for rho in range(r):
+            out[rho] = min(out[rho], -e[j] * g[rho])
+    return tuple(out)
+
+
+def strand_blocks(x: ToricVariety, alpha: Sequence[int], e: Sequence[int]):
+    """Per-exponent blocks of the strand: for each w, the upward-closed
+    family of subsets whose window contains w, grouped by Cech degree."""
+    gens, subsets, depth = cech._subset_data(x)
+    target = tuple(-a for a in alpha)
+    u0, kernel = degree_fiber(x, target)
+    if u0 is None:
+        return depth, []
+    bounds = {T: _window_bound(gens, T, e) for T in subsets}
+    top_size = depth + 1
+    seen: set[tuple[int, ...]] = set()
+    for T in subsets:
+        if len(T) == top_size:
+            seen.update(fiber_points(u0, kernel, [(1, b) for b in bounds[T]]))
+    blocks = []
+    for w in sorted(seen):
+        fam = tuple(T for T in subsets
+                    if all(a >= b for a, b in zip(w, bounds[T])))
+        if fam:
+            blocks.append((w, fam))
+    return depth, blocks
+
+
+def strand_dims(x: ToricVariety, alpha: Sequence[int], e: Sequence[int]) -> tuple[int, ...]:
+    """Cohomology dimensions of the truncated strand, one per Cech degree.
+
+    Rank-only: no certificates are produced."""
+    depth, blocks = strand_blocks(x, alpha, e)
+    dims = [0] * (depth + 1)
+    for w, fam in blocks:
+        for q, v in enumerate(cech._family_dims(fam, depth)):
+            dims[q] += v
+    return tuple(dims)
+
+
+def stabilization_level(x: ToricVariety, alpha: Sequence[int]) -> tuple[int, ...]:
+    """Smallest uniform level at which the strand dimensions are exact.
+
+    The strand at level c*(1,..,1) is the direct sum of the full blocks of
+    the fiber exponents of depth at most c, so dimensions are nondecreasing
+    in c and constant once c reaches the deepest exponent whose support
+    pattern carries cohomology.  That depth is computed exactly: enumerate
+    each contributing pattern's fiber polytope and take the max depth."""
+    c = 0
+    for w, neg in cech.contributing_points(x, alpha):
+        c = max(c, -min(w))
+    return (c,) * len(x.max_cones)
+
+
+# -- the direct total complex ---------------------------------------------------
+
+ORACLE_LABEL_CAP = 400000
+
+
+def _specialized_rank(d: PolyMatrix, assign: Mapping[str, Fraction]) -> int:
+    m = QMatrix(d.nrows, d.ncols)
+    for r in range(d.nrows):
+        for c, p in enumerate(d.rows[r]):
+            if p:
+                v = p.eval(assign)
+                if v:
+                    m.rows[r][c] = Fraction(v)
+    return m.rank()
+
+
+def specialized_homology(complex_, assign: Mapping[str, Fraction]) -> dict[int, int]:
+    """Homology dimensions of a WeymanComplex or a TotalComplex after
+    evaluating all parameters."""
+    ranks = {i: _specialized_rank(d, assign) for i, d in complex_.diffs.items()}
+    return {i: complex_.rank(i) - ranks.get(i, 0) - ranks.get(i - 1, 0)
+            for i in complex_.degrees()}
+
+
+@dataclass
+class TotalComplex:
+    """The unreduced total complex over R, on truncated Cech chains."""
+
+    source: FreeGradedComplex
+    e: tuple[int, ...]
+    basis: dict[int, list[tuple]]           # i -> [(p, k, T, w)]
+    diffs: dict[int, PolyMatrix]
+
+    def rank(self, i: int) -> int:
+        return len(self.basis.get(i, []))
+
+    def degrees(self) -> list[int]:
+        return sorted(self.basis)
+
+
+def total_complex_direct(C: FreeGradedComplex, e: Sequence[int]) -> TotalComplex:
+    """Assemble the double complex of truncated Cech chains directly.
+
+    Vertical maps are the Cech differentials weighted by (-1)^p per column,
+    horizontal maps the complex differentials acting on exponents; this is
+    the independent reference point for the staircase construction, with the
+    same homology in every degree."""
+    C.validate()
+    x = C.x
+    pv = C.param_vars
+    e = tuple(int(v) for v in e)
+
+    basis: dict[int, list[tuple]] = {}
+    for p in sorted(C.degrees):
+        for k, alpha in enumerate(C.degrees[p]):
+            depth, blocks = strand_blocks(x, alpha, e)
+            for w, fam in blocks:
+                for T in fam:
+                    basis.setdefault(p + len(T) - 1, []).append((p, k, T, w))
+    total = sum(len(v) for v in basis.values())
+    if total > ORACLE_LABEL_CAP:
+        raise ResourceGuard(
+            f"direct total complex needs {total} chain labels (cap "
+            f"{ORACLE_LABEL_CAP}); use the staircase construction instead")
+    pos = {i: {lab: n for n, lab in enumerate(labs)}
+           for i, labs in basis.items()}
+    splits = {p: _split_matrix(C.diff_at(p), C.n_params, pv) for p in C.diffs}
+
+    diffs: dict[int, PolyMatrix] = {}
+    for i in sorted(basis):
+        if i + 1 not in basis:
+            continue
+        m = PolyMatrix(len(basis[i]), len(basis[i + 1]), pv)
+        tpos = pos[i + 1]
+        for rown, (p, k, T, w) in enumerate(basis[i]):
+            # vertical: insert one generator, alternating sign, column sign
+            csign = -1 if p % 2 else 1
+            for j in range(len(x.max_cones)):
+                if j in T:
+                    continue
+                T2 = tuple(sorted(T + (j,)))
+                col = tpos.get((p, k, T2, w))
+                if col is None:
+                    raise MathFailure("chain label missing from the window")
+                sgn = csign * (-1 if T2.index(j) % 2 else 1)
+                m.rows[rown][col] = SparsePoly.const(pv, sgn)
+            # horizontal: multiply by the complex differential entries
+            row = splits.get(p, {}).get(k)
+            if row:
+                for l, pieces in row.items():
+                    for nu, g in pieces:
+                        w2 = tuple(a + b for a, b in zip(w, nu))
+                        col = tpos.get((p + 1, l, T, w2))
+                        if col is None:
+                            raise MathFailure("exponent left the window")
+                        m.rows[rown][col] = m.rows[rown][col] + g
+        diffs[i] = m
+    return TotalComplex(source=C, e=e, basis=basis, diffs=diffs)

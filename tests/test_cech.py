@@ -8,26 +8,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers_cohomology import bott_pn, kunneth_p1p1
-from helpers_reference import retract_identity_failures, support_patterns
-from toricres import cech
-from toricres.cech import (
-    cech_depth,
+from helpers_cohomology import bott_pn, cls_of_degree, kunneth_p1p1, p1p1_class
+from helpers_reference import (
+    retract_identity_failures,
     stabilization_level,
+    strand_blocks,
     strand_dims,
+    support_patterns,
 )
+from toricres import cech
+from toricres.cech import cech_depth
 from toricres.complexes import variety_from_simplex
 from toricres.errors import MathFailure
 from toricres.qlinalg import QMatrix
 from toricres.qpoly import cnorm
 from toricres.toric import variety_from_points
-
-
-def cls_of_degree(x, a: int):
-    """Class a * deg(x_1); on projective space this is the degree-a twist."""
-    unit = [0] * x.n_rays
-    unit[0] = 1
-    return tuple(a * c for c in x.degree_of(unit))
 
 
 P2 = variety_from_simplex(2)
@@ -62,13 +57,7 @@ def test_p1_strand_dims_match_closed_form(a):
 @pytest.mark.parametrize("bi", [(0, 0), (1, 2), (-2, 1), (2, 3), (-2, -3), (-1, -1)])
 def test_p1p1_strand_dims_match_kunneth(bi):
     d1, d2 = bi
-    # build a class of bidegree (d1, d2) from an explicit monomial
-    horizontal = [r for r, u in enumerate(P1P1.rays) if u[0] != 0]
-    vertical = [r for r, u in enumerate(P1P1.rays) if u[1] != 0]
-    expo = [0] * 4
-    expo[horizontal[0]] = d1
-    expo[vertical[0]] = d2
-    alpha = P1P1.degree_of(expo)
+    alpha = p1p1_class(P1P1, d1, d2)
     dims = strand_dims(P1P1, alpha, stabilization_level(P1P1, alpha))
     assert list(dims[:3]) == kunneth_p1p1(-d1, -d2)
 
@@ -87,7 +76,7 @@ def _checked_strand_dims(x, alpha, e):
     """Model dimensions of the strand at level e from the certificates of its
     blocks, each distinct block family checked against the retract
     identities; they must equal the rank-only strand_dims."""
-    depth, blocks = cech._strand_blocks(x, alpha, e)
+    depth, blocks = strand_blocks(x, alpha, e)
     dims = [0] * (depth + 1)
     checked = set()
     for w, fam in blocks:
@@ -118,12 +107,12 @@ def test_reduced_strand_invariants_larger_level():
 
 
 def test_reduced_strand_empty():
-    assert cech._strand_blocks(P2, cls_of_degree(P2, 1), (0, 0, 0)) == (2, [])
+    assert strand_blocks(P2, cls_of_degree(P2, 1), (0, 0, 0)) == (2, [])
     assert _checked_strand_dims(P2, cls_of_degree(P2, 1), (0, 0, 0)) == (0, 0, 0)
 
 
 def test_strand_determinism():
-    depth, blocks = cech._strand_blocks(P2, cls_of_degree(P2, 3), (1, 1, 1))
+    depth, blocks = strand_blocks(P2, cls_of_degree(P2, 3), (1, 1, 1))
     assert blocks
     first = [cech._reduce_block(*cech._block_entries(list(fam), depth)) for _, fam in blocks]
     again = [cech._reduce_block(*cech._block_entries(list(fam), depth)) for _, fam in blocks]

@@ -28,7 +28,7 @@ print(json.dumps({{"modules": names,
 
 def test_every_module_imports_without_numpy_sympy_or_hypothesis():
     src = str(Path(toricres.__file__).resolve().parent.parent)
-    run = subprocess.run([sys.executable, "-c", IMPORT_ALL], capture_output=True, text=True,
+    run = subprocess.run([sys.executable, "-B", "-c", IMPORT_ALL], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
@@ -49,14 +49,18 @@ print(hashlib.sha256(poly_to_text(delta).encode()).hexdigest()[:16])
 def test_a_resultant_run_writes_no_file(tmp_path):
     """A full run in a fresh process, with HOME, TMPDIR and the working
     directory in one empty dir and no other variable set, leaves that dir
-    empty, and its result is the one every other run gets."""
-    src = str(Path(toricres.__file__).resolve().parent.parent)
-    env = {"PYTHONPATH": src, "HOME": str(tmp_path), "TMPDIR": str(tmp_path)}
-    run = subprocess.run([sys.executable, "-c", RESULTANT_RUN], capture_output=True,
+    empty and the source tree as it was (the child runs with -B, as the
+    tests do, so no bytecode lands next to the sources), and its result is
+    the one every other run gets."""
+    src = Path(toricres.__file__).resolve().parent.parent
+    before = sorted(src.rglob("*"))
+    env = {"PYTHONPATH": str(src), "HOME": str(tmp_path), "TMPDIR": str(tmp_path)}
+    run = subprocess.run([sys.executable, "-B", "-c", RESULTANT_RUN], capture_output=True,
                          text=True, cwd=tmp_path, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "9c93f61499ad08e3"
     assert list(tmp_path.iterdir()) == []
+    assert sorted(src.rglob("*")) == before
 
 
 def test_every_console_script_target_imports():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_cohomology import bott_pn, cls_of_degree, kunneth_p1p1, p1p1_class
 from helpers_complexes import (
     P1,
     binary_form,
@@ -16,7 +17,13 @@ from helpers_complexes import (
     random_two_term,
     rescale_morphism,
 )
-from helpers_reference import retract_identity_failures
+import helpers_reference
+from helpers_reference import (
+    retract_identity_failures,
+    specialized_homology,
+    stabilization_level,
+    total_complex_direct,
+)
 from toricres.complexes import (
     ComplexMorphism,
     FreeGradedComplex,
@@ -26,7 +33,6 @@ from toricres.complexes import (
     variety_from_simplex,
 )
 from toricres import cech, weyman
-from toricres.cech import stabilization_level
 from toricres.errors import MathFailure, ResourceGuard
 from toricres.fixtures import (
     M33_E1,
@@ -55,11 +61,10 @@ from toricres.resultant import (
     determinant_of_complex,
     resolve_twist,
 )
-from toricres.toric import variety_of
+from toricres.toric import variety_from_points, variety_of
 from toricres.weyman import (
     E1Page,
     staircase_block,
-    total_complex_direct,
     weyman_differential,
     weyman_on_morphism,
     weyman_terms,
@@ -113,6 +118,28 @@ def test_one_term_unit_sheaf_has_rank_one_in_degree_zero():
         W = weyman_differential(C)
         assert {i: W.rank(i) for i in W.degrees()} == {0: 1}
         assert W.e1.table == {(0, 0): 1}
+
+
+P2 = variety_from_simplex(2)
+P1P1 = variety_from_points(((0, 0), (1, 0), (0, 1), (1, 1)))
+_CLOSED_FORMS = (
+    [pytest.param(P1, cls_of_degree(P1, a), bott_pn(1, -a), id=f"P1-{a}")
+     for a in range(-6, 7)]
+    + [pytest.param(P2, cls_of_degree(P2, a), bott_pn(2, -a), id=f"P2-{a}")
+       for a in range(-6, 7)]
+    + [pytest.param(P1P1, p1p1_class(P1P1, d1, d2), kunneth_p1p1(-d1, -d2),
+                    id=f"P1P1-{d1},{d2}")
+       for d1, d2 in [(0, 0), (1, 2), (-2, 1), (2, 3), (-2, -3), (-1, -1)]])
+
+
+@pytest.mark.parametrize("x, alpha, want", _CLOSED_FORMS)
+def test_one_term_e1_page_matches_closed_form_cohomology(x, alpha, want):
+    """The shipped dims, from the nerves of the contributing patterns,
+    against Bott's formula on P1 and P2 and Kunneth on P1 x P1: the E1 page
+    of the one-term complex of alpha holds the cohomology of O(-alpha)."""
+    _, page = weyman_terms(one_term(x, alpha))
+    assert [page.rank(0, q) for q in range(x.dim + 1)] == want
+    assert all(p == 0 for p, q in page.table)
 
 
 def test_e1_diagonal_sums_match_term_ranks(sturmfels_unit):
@@ -466,8 +493,8 @@ def homologies_agree(C, n_spec: int, seed: int, pad: int = 0) -> bool:
     for _ in range(n_spec):
         assign = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                   for v in C.param_vars}
-        hw = W.specialized_homology(assign)
-        ho = T.specialized_homology(assign)
+        hw = specialized_homology(W, assign)
+        ho = specialized_homology(T, assign)
         for i in set(hw) | set(ho):
             if hw.get(i, 0) != ho.get(i, 0):
                 return False
@@ -485,7 +512,7 @@ def test_oracle_agrees_at_a_larger_level():
 
 def test_direct_total_complex_label_cap_raises_resource_guard(monkeypatch):
     C = cotangent_family_complex(1)
-    monkeypatch.setattr(weyman, "_ORACLE_LABEL_CAP", 1)
+    monkeypatch.setattr(helpers_reference, "ORACLE_LABEL_CAP", 1)
     with pytest.raises(ResourceGuard):
         total_complex_direct(C, max_level(C))
 
@@ -500,8 +527,8 @@ def test_oracle_agrees_on_random_two_term_complexes(seed):
     T = total_complex_direct(C, max_level(C))
     for _ in range(2):
         assign = random_specialization(rng)
-        hw = W.specialized_homology(assign)
-        ho = T.specialized_homology(assign)
+        hw = specialized_homology(W, assign)
+        ho = specialized_homology(T, assign)
         for i in set(hw) | set(ho):
             assert hw.get(i, 0) == ho.get(i, 0)
 

@@ -243,14 +243,6 @@ class SparsePoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Coeff:
-        if not self.terms:
-            return 0
-        [(e, c)] = self.terms.items()
-        if any(e):
-            raise ValueError("not a constant")
-        return c
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -384,12 +376,6 @@ class SparsePoly:
                     val = val * x ** k
             total = total + val
         return cnorm(Fraction(total)) if isinstance(total, Fraction) else total
-
-    def rename(self, variables: Sequence[str]) -> "SparsePoly":
-        """Same exponents, new variable names (lengths must match)."""
-        if len(variables) != len(self.vars):
-            raise ValueError("length mismatch")
-        return SparsePoly(variables, dict(self.terms))
 
 
 # -- content and normalization ---------------------------------------------
@@ -603,19 +589,6 @@ class PolyMatrix:
                     if q:
                         out.rows[i][j] = out.rows[i][j] + p * q
         return out
-
-    def transpose(self) -> "PolyMatrix":
-        out = PolyMatrix(self.ncols, self.nrows, self.vars)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                out.rows[j][i] = self.rows[i][j]
-        return out
-
-    def eval(self, assign: Mapping[str, Coeff]) -> list[list[Coeff]]:
-        return [[p.eval(assign) for p in row] for row in self.rows]
-
-    def to_text(self) -> list[list[str]]:
-        return [[poly_to_text(p) for p in row] for row in self.rows]
 
     @classmethod
     def from_text(cls, cells: list[list[str]], variables: Sequence[str]) -> "PolyMatrix":

@@ -3,7 +3,7 @@
 Pipeline: Koszul complex of the generic system, twist, direct image, then
 the determinant of the resulting based complex over the coefficient ring.
 The determinant is taken with the Cayley recipe: nested row/column index
-subsets picked by rank profiling at a random rational specialization,
+subsets picked by rank profiling modulo a prime at a random integer point,
 exact polynomial minors, alternating product cleared to a polynomial.
 Multiplicity is recovered afterwards by perfect-power extraction."""
 from __future__ import annotations
@@ -11,12 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Mapping, Sequence
 
 from .complexes import FreeGradedComplex, koszul_generic, variety_from_simplex
 from .errors import InputError, MathFailure
-from .qlinalg import QMatrix
+from .qlinalg import FIRST_PRIME, rank_mod
 from .qpoly import (
+    Coeff,
     PolyMatrix,
     SparsePoly,
     kth_root,
@@ -67,39 +69,82 @@ def _based_view(C) -> tuple[list[int], dict[int, int], dict[int, PolyMatrix],
     raise InputError("not a based complex")
 
 
-def _rand_assign(pv: Sequence[str], rng: random.Random) -> dict[str, Fraction]:
-    return {v: Fraction(rng.choice((-1, 1)) * rng.randint(1, 97),
-                        rng.randint(1, 19)) for v in pv}
+def _rand_assign(pv: Sequence[str], rng: random.Random) -> dict[str, int]:
+    return {v: rng.randrange(1, FIRST_PRIME) for v in pv}
 
 
-def _eval_q(m: PolyMatrix, assign: Mapping[str, Fraction]) -> QMatrix:
-    out = QMatrix(m.nrows, m.ncols)
-    for r in range(m.nrows):
-        for c, p in enumerate(m.rows[r]):
-            if p:
-                v = p.eval(assign)
-                if v:
-                    out.set(r, c, Fraction(v))
+def _coeff_mod(c: Coeff) -> int:
+    if type(c) is int:
+        return c
+    if not c.denominator % FIRST_PRIME:
+        raise MathFailure("a coefficient's denominator is divisible by the modulus")
+    return c.numerator * pow(c.denominator, -1, FIRST_PRIME)
+
+
+def _eval_mod(m: PolyMatrix, assign: Mapping[str, int]) -> list[dict[int, int]]:
+    """Sparse rows (column -> value) of m at an integer point, mod FIRST_PRIME."""
+    p = FIRST_PRIME
+    point = [assign[v] % p for v in m.vars]
+    monos: dict[tuple[int, ...], int] = {}
+    out = []
+    for row in m.rows:
+        vals = {}
+        for c, poly in enumerate(row):
+            if not poly:
+                continue
+            v = 0
+            for e, coef in poly.terms.items():
+                mono = monos.get(e)
+                if mono is None:
+                    mono = 1
+                    for a, k in zip(point, e):
+                        if k:
+                            mono = mono * pow(a, k, p) % p
+                    monos[e] = mono
+                v += _coeff_mod(coef) * mono
+            v %= p
+            if v:
+                vals[c] = v
+        out.append(vals)
     return out
 
 
-def _row_profile(dq: QMatrix, cols: Sequence[int], need: int) -> list[int] | None:
-    """First `need` rows whose restriction to `cols` is of full rank."""
+def _row_profile(rows: Sequence[Mapping[int, int]], cols: Sequence[int],
+                 need: int) -> list[int] | None:
+    """First `need` rows whose restriction to `cols` has full rank mod
+    FIRST_PRIME, or None if there are fewer.
+
+    Incremental sparse elimination: each kept row is stored with its
+    smallest column as pivot, scaled to 1 there, so reducing a new row
+    pivot by pivot in increasing column order only fills larger columns."""
     if need == 0:
         return []
+    p = FIRST_PRIME
+    keep = set(cols)
+    echelon: dict[int, dict[int, int]] = {}   # pivot -> the row's other entries
     chosen: list[int] = []
-    echelon: list[tuple[int, list[Fraction]]] = []   # (pivot position, row)
-    for rn in range(dq.nrows):
-        vec = [Fraction(dq.get(rn, c)) for c in cols]
-        for piv, row in echelon:
-            f = vec[piv]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        piv = next((j for j, a in enumerate(vec) if a), None)
+    for rn, row in enumerate(rows):
+        vec = {c: v for c, v in row.items() if c in keep}
+        todo = [c for c in vec if c in echelon]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            f = vec.pop(c, 0)
+            if not f:
+                continue   # cancelled, or a column pushed twice
+            for j, a in echelon[c].items():
+                s = (vec.get(j, 0) - f * a) % p
+                if not s:
+                    vec.pop(j, None)
+                    continue
+                if j not in vec and j in echelon:
+                    heappush(todo, j)
+                vec[j] = s
+        piv = min(vec, default=None)
         if piv is None:
             continue
-        inv = vec[piv]
-        echelon.append((piv, [a / inv for a in vec]))
+        inv = pow(vec.pop(piv), -1, p)
+        echelon[piv] = {j: a * inv % p for j, a in vec.items()}
         chosen.append(rn)
         if len(chosen) == need:
             return chosen
@@ -116,10 +161,26 @@ def _pm_minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> PolyMa
 
 def _det_once(span: list[int], ranks: dict[int, int],
               diffs: dict[int, PolyMatrix], pv: tuple[str, ...],
-              a_profile: dict[str, Fraction], a_certify: dict[str, Fraction],
+              a_profile: Mapping[str, int], a_certify: Mapping[str, int],
               ) -> tuple[SparsePoly, dict[int, dict[str, list[int]]]]:
-    spec = {i: _eval_q(diffs[i], a_profile) for i in span[:-1]}
-    r = {i: m.rank() for i, m in spec.items()}
+    """One attempt at the Cayley determinant, its index subsets chosen and
+    certified at two integer points.
+
+    Every rank is taken modulo p = FIRST_PRIME, and a rank mod p at a point
+    never exceeds the generic rank: a minor that is nonzero mod p at the
+    point is a nonzero polynomial.  Two exact proofs follow:
+
+    - at a_profile, ranks that add up to the term ranks prove the complex
+      generically exact; the nested subsets are read off there;
+    - at a_certify, each chosen minor of full rank mod p proves that its
+      determinant is a nonzero polynomial.
+
+    A bad draw, where some minor vanishes mod p, can only lower a rank, so
+    it fails a check and raises _Retry; it never yields wrong subsets.  By
+    Schwartz-Zippel a minor of degree deg vanishes at a random point with
+    probability at most deg/(p - 1)."""
+    spec = {i: _eval_mod(diffs[i], a_profile) for i in span[:-1]}
+    r = {i: rank_mod(m) for i, m in spec.items()}
     for i in span:
         if ranks.get(i, 0) != r.get(i, 0) + r.get(i - 1, 0):
             raise _Retry("complex has nonzero generic homology")
@@ -133,8 +194,7 @@ def _det_once(span: list[int], ranks: dict[int, int],
             raise _Retry("complex has nonzero generic homology")
         if cols:
             minor = _pm_minor(diffs[i], rows, cols)
-            size = len(cols)
-            if QMatrix.from_dense(minor.eval(a_certify)).rank() != size:
+            if rank_mod(_eval_mod(minor, a_certify)) != len(cols):
                 raise _Retry("index subsets fail the certifying specialization")
             minors.append((i, minor))
             subsets[i] = {"rows": list(rows), "cols": list(cols)}
@@ -275,9 +335,11 @@ def a_resultant(problem: SupportProblem, twist="default", seed: int = 0) -> Resu
     anticanonical class, the anticanonical class and zero, fewest q > 0
     summand dimensions first (they alone need Cech certificates), then the
     smallest largest minor (see resolve_twist); an explicit twist is used
-    as given.  The seed draws the two rational points that pick and certify
-    the index subsets of the Cayley determinant (see _det_once); a failed
-    draw is repeated once with fresh points, and a second failure raises
+    as given.  The seed draws the two integer points at which _det_once
+    proves, by ranks modulo a prime, that the complex is generically exact
+    and that every chosen minor is a nonzero polynomial.  A bad draw can
+    only lower a rank, so it fails a proof and never passes one wrongly; it
+    is repeated once with fresh points, and a second failure raises
     MathFailure."""
     n = len(problem.supports[0][0])
     if len(problem.supports) != n + 1:

@@ -32,6 +32,7 @@ with the assembled differentials exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .cech import (
@@ -71,10 +72,6 @@ class E1Page:
     def to_obj(self) -> list[list[int]]:
         return [[p, q, r] for (p, q), r in sorted(self.table.items())]
 
-    @classmethod
-    def from_obj(cls, obj: list[list[int]]) -> "E1Page":
-        return cls({(p, q): r for p, q, r in obj})
-
 
 @dataclass
 class WeymanComplex:
@@ -112,15 +109,6 @@ class WeymanComplex:
                 if not prod.is_zero():
                     raise MathFailure("direct-image differential does not square to zero")
 
-    def to_obj(self) -> dict:
-        return {
-            "terms": {str(i): [[s.p, s.q, s.k, s.dim, list(s.alpha)]
-                               for s in self.terms[i]]
-                      for i in sorted(self.terms)},
-            "e1": self.e1.to_obj(),
-            "diffs": {str(i): m.to_text() for i, m in sorted(self.diffs.items())},
-            "param_vars": list(self.source.param_vars),
-        }
 
 
 def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], E1Page]:
@@ -154,23 +142,46 @@ def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], 
 
 # -- staircase walks ---------------------------------------------------------------
 
-# Walk vectors are dicts (k, w) -> {chain position -> R polynomial}, grouped
-# by summand index and exponent so every certificate lookup is block-local.
+class _Certs(dict):
+    """Certificate families by exponent w, for one variety: one assembly
+    walks the same exponents many times, so each is looked up once."""
+
+    def __init__(self, x: ToricVariety):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, w: tuple[int, ...]):
+        fam = self[w] = family_certs(self.x, pattern_of(w))
+        return fam
+
+
+# Walk vectors are dicts (k, w) -> {chain position -> {parameter exponent ->
+# coefficient}}, grouped by summand index and exponent so every certificate
+# lookup is block-local.  Coefficients are ints, or Fractions where a
+# certificate has one; a SparsePoly is built only for a matrix entry.
 
 def _split_matrix(m: PolyMatrix, n_params: int, param_vars: Sequence[str]):
-    """Per-entry x-exponent splits of a matrix over the full ring."""
-    out: dict[int, dict[int, list[tuple[tuple[int, ...], SparsePoly]]]] = {}
+    """Per-entry x-exponent splits of a matrix over the full ring, each
+    piece's coefficient in R as a list of (parameter exponent, coeff)."""
+    out: dict[int, dict[int, list[tuple[tuple[int, ...], list]]]] = {}
     for r in range(m.nrows):
         row = {}
         for c, p in enumerate(m.rows[r]):
             if p:
-                row[c] = sorted(x_split(p, n_params, param_vars).items())
+                row[c] = [(nu, list(g.terms.items())) for nu, g in
+                          sorted(x_split(p, n_params, param_vars).items())]
         if row:
             out[r] = row
     return out
 
 
-def _apply_split(x: ToricVariety, splits, v: dict, q: int) -> dict:
+def _add_scaled(acc: dict, terms: dict, c) -> None:
+    """acc += c * terms, on {parameter exponent -> coefficient} dicts."""
+    for e, a in terms.items():
+        acc[e] = acc.get(e, 0) + a * c
+
+
+def _apply_split(certs: _Certs, splits, v: dict, q: int) -> dict:
     """Push a walk vector through one matrix of the source complex.
 
     Multiplication by a polynomial shifts exponents upward, so the subset
@@ -180,84 +191,87 @@ def _apply_split(x: ToricVariety, splits, v: dict, q: int) -> dict:
         row = splits.get(k)
         if not row:
             continue
-        src = family_certs(x, pattern_of(w)).per_q[q]
+        src = certs[w].per_q[q]
         for l, pieces in row.items():
             for nu, g in pieces:
-                w2 = tuple(a + b for a, b in zip(w, nu))
-                dst = family_certs(x, pattern_of(w2)).pos[q]
+                w2 = tuple(map(add, w, nu))
+                dst = certs[w2].pos[q]
                 blk = out.setdefault((l, w2), {})
-                for c, poly in chains.items():
-                    c2 = dst[src[c]]
-                    pg = poly * g
-                    acc = blk.get(c2)
-                    blk[c2] = pg if acc is None else acc + pg
+                for c, terms in chains.items():
+                    acc = blk.setdefault(dst[src[c]], {})
+                    for e1, a in terms.items():
+                        for e2, b in g:
+                            e = tuple(map(add, e1, e2))
+                            acc[e] = acc.get(e, 0) + a * b
     return _drop_zeros(out)
 
 
-def _apply_h(x: ToricVariety, v: dict, q: int) -> dict:
+def _apply_h(certs: _Certs, v: dict, q: int) -> dict:
     """Homotopy step from Cech degree q down to q - 1, blockwise."""
     out: dict = {}
     for (k, w), chains in v.items():
-        hq = family_certs(x, pattern_of(w)).h[q - 1]
+        hq = certs[w].h[q - 1]
         blk: dict = {}
-        for c, poly in chains.items():
+        for c, terms in chains.items():
             for c0, coef in hq.get(c, {}).items():
-                pg = poly.scale(coef)
-                acc = blk.get(c0)
-                blk[c0] = pg if acc is None else acc + pg
-        if blk:
-            out[(k, w)] = blk
+                _add_scaled(blk.setdefault(c0, {}), terms, coef)
+        out[(k, w)] = blk
     return _drop_zeros(out)
 
 
-def _project(x: ToricVariety, v: dict, q: int) -> dict:
-    """Project a walk vector onto the cohomology models at Cech degree q."""
+def _project(certs: _Certs, v: dict, q: int) -> dict:
+    """Project a walk vector onto the cohomology models at Cech degree q:
+    a dict (k, w, mpos) -> {parameter exponent -> coefficient}."""
     out: dict = {}
     for (k, w), chains in v.items():
-        rho_t = family_certs(x, pattern_of(w)).rho_t[q]
-        for c, poly in chains.items():
+        rho_t = certs[w].rho_t[q]
+        for c, terms in chains.items():
             for mpos, coef in rho_t.get(c, []):
-                key = (k, w, mpos)
-                pg = poly.scale(coef)
-                acc = out.get(key)
-                out[key] = pg if acc is None else acc + pg
-    return {k: p for k, p in out.items() if not p.is_zero()}
+                _add_scaled(out.setdefault((k, w, mpos), {}), terms, coef)
+    out = {key: {e: a for e, a in terms.items() if a} for key, terms in out.items()}
+    return {key: terms for key, terms in out.items() if terms}
 
 
 def _drop_zeros(v: dict) -> dict:
     out = {}
     for key, chains in v.items():
-        blk = {c: p for c, p in chains.items() if not p.is_zero()}
+        blk = {}
+        for c, terms in chains.items():
+            if 0 in terms.values():   # only a cancellation leaves a zero
+                terms = {e: a for e, a in terms.items() if a}
+                if not terms:
+                    continue
+            blk[c] = terms
         if blk:
             out[key] = blk
     return out
 
 
-def _embed(x: ToricVariety, k: int, w: tuple[int, ...], mpos: int, q: int,
+def _embed(certs: _Certs, k: int, w: tuple[int, ...], mpos: int, q: int,
            variables: Sequence[str]) -> dict:
-    row = family_certs(x, pattern_of(w)).iota[q][mpos]
-    return {(k, w): {c: SparsePoly.const(variables, coef)
-                     for c, coef in row.items()}}
+    row = certs[w].iota[q][mpos]
+    one = (0,) * len(variables)
+    return {(k, w): {c: {one: coef} for c, coef in row.items()}}
 
 
-def _staircase(x: ToricVariety, splits, label: tuple, variables: Sequence[str]):
+def _staircase(certs: _Certs, splits, label: tuple, variables: Sequence[str]):
     """The staircase walk of one model basis element (p0, q0, k0, w0, m0).
 
     Yields (r, projection) for r = 1..q0 + 1 with a nonzero projection:
-    an unsigned dict (k, w, mpos) -> R polynomial in the degree-(q0-r+1)
-    models of the summands of C^(p0+r)."""
+    an unsigned dict (k, w, mpos) -> {parameter exponent -> coefficient} in
+    the degree-(q0-r+1) models of the summands of C^(p0+r)."""
     p0, q0, k0, w0, m0 = label
-    v = _embed(x, k0, w0, m0, q0, variables)
+    v = _embed(certs, k0, w0, m0, q0, variables)
     q = q0
     for r in range(1, q0 + 2):
         if not v or (p0 + r - 1) not in splits:
             return
-        v = _apply_split(x, splits[p0 + r - 1], v, q)
-        proj = _project(x, v, q)
+        v = _apply_split(certs, splits[p0 + r - 1], v, q)
+        proj = _project(certs, v, q)
         if proj:
             yield r, proj
         if q:
-            v = _apply_h(x, v, q)
+            v = _apply_h(certs, v, q)
             q -= 1
 
 
@@ -297,6 +311,7 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
         pos[i] = {lab: n for n, lab in enumerate(labels)}
 
     splits = {p: _split_matrix(C.diff_at(p), C.n_params, pv) for p in C.diffs}
+    certs = _Certs(x)
     diffs: dict[int, PolyMatrix] = {}
     for i in sorted(terms):
         if i + 1 not in terms:
@@ -305,15 +320,16 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
         tpos = pos[i + 1]
         for rown, label in enumerate(basis[i]):
             p0, q0 = label[:2]
-            for r, proj in _staircase(x, splits, label, pv):
+            entries: dict[int, dict] = {}
+            for r, proj in _staircase(certs, splits, label, pv):
                 sgn = -1 if ((i - 1) * (r - 1)) % 2 else 1
-                for (k2, w2, mpos2), poly in proj.items():
+                for (k2, w2, mpos2), part in proj.items():
                     col = tpos.get((p0 + r, q0 - r + 1, k2, w2, mpos2))
                     if col is None:
                         raise MathFailure(
                             "staircase projection left the recorded models")
-                    pg = poly if sgn > 0 else -poly
-                    m.rows[rown][col] = m.rows[rown][col] + pg
+                    _add_scaled(entries.setdefault(col, {}), part, sgn)
+            _fill_row(m, rown, entries)
         diffs[i] = m
 
     return WeymanComplex(source=C, terms=terms, e1=page, basis=basis, diffs=diffs)
@@ -348,7 +364,6 @@ def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
     the squares with both differentials commute exactly over R."""
     theta.validate()
     M, N = theta.source, theta.target
-    x = M.x
     pv = M.param_vars
     WM = weyman_differential(M)
     WN = weyman_differential(N)
@@ -356,6 +371,7 @@ def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
     n_splits = {p: _split_matrix(N.diff_at(p), N.n_params, pv) for p in N.diffs}
     t_splits = {p: _split_matrix(theta.map_at(p), M.n_params, pv)
                 for p in set(M.degrees) & set(N.degrees)}
+    certs = _Certs(M.x)
 
     out: dict[int, PolyMatrix] = {}
     for i in sorted(set(WM.terms) | set(WN.terms)):
@@ -364,34 +380,34 @@ def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
         mat = PolyMatrix(len(rows), len(cols), pv)
         npos = {lab: n for n, lab in enumerate(cols)}
         for rown, (p0, q0, k0, w0, m0) in enumerate(rows):
-            v = _embed(x, k0, w0, m0, q0, pv)
+            v = _embed(certs, k0, w0, m0, q0, pv)
             wprime: dict = {}
+            entries: dict[int, dict] = {}
             p, q = p0, q0
             while q >= 0:
                 # codomain correction: psi(h(w')) with column sign
                 if wprime:
-                    wprime = _apply_h(x, wprime, q + 1)
-                    wprime = _apply_split(x, n_splits.get(p - 1, {}), wprime, q)
+                    wprime = _apply_h(certs, wprime, q + 1)
+                    wprime = _apply_split(certs, n_splits.get(p - 1, {}), wprime, q)
                     if (p - 1) % 2:
                         wprime = _scale(wprime, -1)
                 # domain contribution through theta
                 if v and p in t_splits:
-                    add = _apply_split(x, t_splits[p], v, q)
-                    wprime = _merge(wprime, add, pv)
+                    more = _apply_split(certs, t_splits[p], v, q)
+                    wprime = _merge(wprime, more)
                 if wprime:
                     s = q0 - q
                     sgn = -1 if (s * q0 + s * (s - 1) // 2) % 2 else 1
-                    for (k2, w2, mpos2), poly in _project(x, wprime, q).items():
+                    for (k2, w2, mpos2), part in _project(certs, wprime, q).items():
                         col = npos.get((p, q, k2, w2, mpos2))
                         if col is None:
                             raise MathFailure(
                                 "morphism projection left the recorded models")
-                        pg = poly if sgn > 0 else -poly
-                        mat.rows[rown][col] = mat.rows[rown][col] + pg
+                        _add_scaled(entries.setdefault(col, {}), part, sgn)
                 # spread the domain element one step down the staircase
                 if v and p in m_splits and q >= 1:
-                    v = _apply_split(x, m_splits[p], v, q)
-                    v = _apply_h(x, v, q)
+                    v = _apply_split(certs, m_splits[p], v, q)
+                    v = _apply_h(certs, v, q)
                     if (p + 1) % 2:
                         v = _scale(v, -1)
                 else:
@@ -399,21 +415,29 @@ def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
                 p, q = p + 1, q - 1
                 if not v and not wprime:
                     break
+            _fill_row(mat, rown, entries)
         out[i] = mat
     return out
+
+
+def _fill_row(m: PolyMatrix, rown: int, entries: dict[int, dict]) -> None:
+    """Write one row's accumulated {column -> parameter terms} into m."""
+    for col, terms in entries.items():
+        m.rows[rown][col] = SparsePoly(m.vars, terms)
 
 
 def _scale(v: dict, c: int) -> dict:
     if c == 1:
         return v
-    return {key: {cc: -p for cc, p in blk.items()} for key, blk in v.items()}
+    return {key: {cc: {e: -a for e, a in terms.items()}
+                  for cc, terms in blk.items()} for key, blk in v.items()}
 
 
-def _merge(a: dict, b: dict, variables: Sequence[str]) -> dict:
-    out = {k: dict(blk) for k, blk in a.items()}
+def _merge(a: dict, b: dict) -> dict:
+    out = {key: {c: dict(terms) for c, terms in blk.items()}
+           for key, blk in a.items()}
     for key, blk in b.items():
         dst = out.setdefault(key, {})
-        for c, p in blk.items():
-            acc = dst.get(c)
-            dst[c] = p if acc is None else acc + p
+        for c, terms in blk.items():
+            _add_scaled(dst.setdefault(c, {}), terms, 1)
     return _drop_zeros(out)

@@ -26,12 +26,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from toricres import cech
-from toricres.complexes import FreeGradedComplex
+from toricres.complexes import FreeGradedComplex, x_split
 from toricres.errors import MathFailure, ResourceGuard
 from toricres.qlinalg import QMatrix
 from toricres.qpoly import PolyMatrix, SparsePoly, cnorm
 from toricres.toric import ToricVariety, degree_fiber, fiber_points
-from toricres.weyman import _split_matrix
 
 
 def identity(n: int) -> QMatrix:
@@ -364,7 +363,6 @@ def total_complex_direct(C: FreeGradedComplex, e: Sequence[int]) -> TotalComplex
             f"{ORACLE_LABEL_CAP}); use the staircase construction instead")
     pos = {i: {lab: n for n, lab in enumerate(labs)}
            for i, labs in basis.items()}
-    splits = {p: _split_matrix(C.diff_at(p), C.n_params, pv) for p in C.diffs}
 
     diffs: dict[int, PolyMatrix] = {}
     for i in sorted(basis):
@@ -385,10 +383,11 @@ def total_complex_direct(C: FreeGradedComplex, e: Sequence[int]) -> TotalComplex
                 sgn = csign * (-1 if T2.index(j) % 2 else 1)
                 m.rows[rown][col] = SparsePoly.const(pv, sgn)
             # horizontal: multiply by the complex differential entries
-            row = splits.get(p, {}).get(k)
-            if row:
-                for l, pieces in row.items():
-                    for nu, g in pieces:
+            if p in C.diffs:
+                for l, f in enumerate(C.diff_at(p).rows[k]):
+                    if not f:
+                        continue
+                    for nu, g in x_split(f, C.n_params, pv).items():
                         w2 = tuple(a + b for a, b in zip(w, nu))
                         col = tpos.get((p + 1, l, T, w2))
                         if col is None:

@@ -1,4 +1,5 @@
 """Determinants of based complexes and the resultant pipeline."""
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,16 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_poly import constant_value, renamed
+from toricres import resultant
 from toricres.complexes import koszul_generic
 from toricres.errors import InputError, MathFailure
 from toricres.fixtures import (
     M33_ELIMINANT_TEXT,
     linear3_problem,
     m33_problem,
+    m34_problem,
     sturmfels_eliminant,
     sturmfels_problem,
     sturmfels_twist,
 )
+from toricres.qlinalg import QMatrix
 from toricres.qpoly import (
     PolyMatrix,
     SparsePoly,
@@ -110,8 +115,8 @@ def test_sylvester_is_multiplicative_in_the_second_slot(ca, cb, cc):
         return SparsePoly(vs, {(k,): c for k, c in enumerate(cs[:-1] + [cs[-1] or 1])})
 
     f, g, h = mk(ca), mk(cb), mk(cc)
-    lhs = sylvester_resultant(f, g * h, "x").constant_value()
-    rhs = (sylvester_resultant(f, g, "x") * sylvester_resultant(f, h, "x")).constant_value()
+    lhs = constant_value(sylvester_resultant(f, g * h, "x"))
+    rhs = constant_value(sylvester_resultant(f, g, "x") * sylvester_resultant(f, h, "x"))
     assert abs(Fraction(lhs)) == abs(Fraction(rhs))
 
 
@@ -150,6 +155,108 @@ def test_determinant_is_seed_independent_up_to_sign():
     a = determinant_of_complex(W, seed=0)
     b = determinant_of_complex(W, seed=7)
     assert same_up_to_sign(primitive_part(a), primitive_part(b))
+
+
+def greedy_rows_over_q(rows, cols, need):
+    """Reference for _row_profile: the first rows that raise the rank over Q
+    of the restriction to cols, ranked by QMatrix."""
+    chosen = []
+    for rn, row in enumerate(rows):
+        trial = chosen + [rn]
+        m = QMatrix(len(trial), len(cols),
+                    [{j: rows[r].get(c, 0) for j, c in enumerate(cols)} for r in trial])
+        if m.rank() == len(trial):
+            chosen = trial
+            if len(chosen) == need:
+                return chosen
+    return None if need else []
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_modular_row_profile_picks_rows_of_full_rank_over_q(seed):
+    """Random integer rows, some planted as combinations of up to three
+    drawn rows with coefficients +-1, +-2.  Entries stay at most 30 on at
+    most 8 columns, so every minor is below (30 * 8 ** 0.5) ** 8 < 2 ** 61 - 1
+    in absolute value: a minor is zero mod FIRST_PRIME only if it is zero,
+    and the modular profile must pick exactly the greedy rows over Q."""
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 8)
+    drawn: list[list[int]] = []
+    rows = []
+    for _ in range(rng.randint(1, 10)):
+        if drawn and rng.random() < 0.4:
+            picks = [(rng.choice((-2, -1, 1, 2)), r) for r in
+                     rng.sample(drawn, min(len(drawn), rng.randint(1, 3)))]
+            dense = [sum(c * r[j] for c, r in picks) for j in range(ncols)]
+        else:
+            dense = [rng.randint(-5, 5) if rng.random() < 0.6 else 0
+                     for _ in range(ncols)]
+            drawn.append(dense)
+        rows.append({j: v for j, v in enumerate(dense) if v})
+    cols = sorted(rng.sample(range(ncols), rng.randint(1, ncols)))
+    full = QMatrix(len(rows), len(cols),
+                   [{j: r.get(c, 0) for j, c in enumerate(cols)} for r in rows]).rank()
+    for need in (full, full + 1):
+        got = resultant._row_profile(rows, cols, need)
+        assert got == greedy_rows_over_q(rows, cols, need)
+        if got is not None:
+            picked = QMatrix(len(got), len(cols),
+                             [{j: rows[r].get(c, 0) for j, c in enumerate(cols)}
+                              for r in got])
+            assert len(got) == need == picked.rank()
+
+
+def delta_hash(out) -> str:
+    return hashlib.sha256(poly_to_text(out.delta).encode()).hexdigest()[:16]
+
+
+def test_a_bad_draw_is_detected_and_drawn_again(monkeypatch):
+    """The zero point lowers every rank mod p: as the profiling point it
+    fails the exactness proof, as the certifying point the minor proof.
+    Either way one fresh draw gives the pinned resultant; two bad draws
+    raise MathFailure."""
+    draw = resultant._rand_assign
+    prob = sturmfels_problem()
+    for zero_at in ({1}, {2}):
+        calls = []
+
+        def zero_first(pv, rng):
+            calls.append(draw(pv, rng))
+            return dict.fromkeys(pv, 0) if len(calls) in zero_at else calls[-1]
+
+        monkeypatch.setattr(resultant, "_rand_assign", zero_first)
+        out = a_resultant(prob)
+        assert delta_hash(out) == "9c93f61499ad08e3"
+        assert len(calls) == 4
+    monkeypatch.setattr(resultant, "_rand_assign",
+                        lambda pv, rng: dict.fromkeys(pv, 0))
+    K = koszul_generic(prob, variety_of(prob))
+    W = weyman_differential(K.twist(resolve_twist(K, "default")))
+    with pytest.raises(MathFailure, match="homology"):
+        determinant_of_complex(W)
+    with pytest.raises(MathFailure) as err:
+        a_resultant(prob)
+    assert "homology" in str(err.value.__cause__)
+
+
+def test_a_coefficient_the_modulus_cannot_invert_is_refused():
+    vm = ("p",)
+    m = PolyMatrix.from_rows(
+        [[SparsePoly(vm, {(1,): Fraction(1, resultant.FIRST_PRIME)})]], vm)
+    with pytest.raises(MathFailure, match="modulus"):
+        determinant_of_complex({-1: m})
+
+
+def test_the_pipeline_takes_no_rational_rank(monkeypatch):
+    """Ranks in the resultant pipeline are modular; QMatrix is a test
+    reference only."""
+    def refuse(self):
+        raise AssertionError("QMatrix.rank called")
+
+    monkeypatch.setattr(QMatrix, "rank", refuse)
+    out = a_resultant(sturmfels_problem())
+    assert delta_hash(out) == "9c93f61499ad08e3"
 
 
 def test_determinant_rejects_a_complex_with_homology():
@@ -192,10 +299,10 @@ def test_relabeled_problems_give_the_same_resultant():
                   for j, sup in enumerate(base.supports)]
         prob = univariate_problem(2, 3, labels=labels)
         out = a_resultant(prob)
-        renamed = ref.delta.rename(
-            tuple(dict(zip(base.all_labels(), prob.all_labels()))[v]
-                  for v in ref.delta.vars))
-        assert same_up_to_sign(embed(renamed, prob.all_labels()),
+        moved = renamed(ref.delta,
+                        tuple(dict(zip(base.all_labels(), prob.all_labels()))[v]
+                              for v in ref.delta.vars))
+        assert same_up_to_sign(embed(moved, prob.all_labels()),
                                embed(out.delta, prob.all_labels()))
 
 
@@ -314,7 +421,7 @@ def test_resultant_output_serializes():
     assert set(obj) >= {"delta", "root", "e1", "term_ranks", "twist",
                         "index_subsets"}
     back = poly_from_text(obj["delta"], tuple(obj["coefficients"]))
-    assert back == out.delta.rename(tuple(obj["coefficients"]))
+    assert back == renamed(out.delta, tuple(obj["coefficients"]))
 
 
 # -- printed fixtures ---------------------------------------------------------------
@@ -337,6 +444,22 @@ def test_stable_twist_gives_the_same_determinant():
     assert out.term_ranks == {-2: 4, -1: 27, 0: 23}
     eli = sturmfels_eliminant()
     assert same_up_to_sign(embed(out.delta, eli.vars), eli)
+
+
+# sha256 prefix of poly_to_text(delta) at the default twist, and multiplicity
+DELTA_PINS = {
+    "squares": ("e5c29648953b1bf6", 1),
+    "m33": ("b6b0a8107ab89b2c", 14),
+    "m34 k=1": ("7c07cece59af03c3", 1),
+}
+
+
+def test_delta_hashes_match_their_pins():
+    problems = {"squares": support_problem(UNIT_SQUARES), "m33": m33_problem(),
+                "m34 k=1": m34_problem(1)}
+    for name, prob in problems.items():
+        out = a_resultant(prob)
+        assert (delta_hash(out), out.multiplicity) == DELTA_PINS[name], name
 
 
 def test_m33_eliminant_vanishes_on_incidence_samples():
@@ -436,4 +559,4 @@ def test_implicitization_validates_its_input():
     with pytest.raises(InputError):
         implicitize_curve(f0, f1, SparsePoly.zero(LINE))
     with pytest.raises(InputError):
-        implicitize_curve(f0, f1, f1.rename(("s", "u")))
+        implicitize_curve(f0, f1, renamed(f1, ("s", "u")))

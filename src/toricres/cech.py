@@ -53,6 +53,10 @@ simplicial complex on the negated rays (Eisenbud, Mustata and Stillman,
 "Cohomology on toric varieties and local cohomology with monomial
 supports", J. Symbolic Comput. 29, 2000; see _nerve_dims).  Only the
 patterns that pass the ray-circuit screen of contributing_points are ranked.
+The screen is integer work: each circuit of the rays becomes, once per
+variety, a bitset over all sign patterns of those it can exclude, and the
+patterns a class's fiber misses are the OR of the bitsets of the circuits
+that fiber violates.
 
 Family reductions are memoized per process (_reduced_family).
 """
@@ -62,6 +66,7 @@ import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import mul
 from typing import Sequence
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
@@ -451,6 +456,31 @@ def _ray_circuits(x: ToricVariety) -> tuple[tuple[tuple[int, ...], int, int, int
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _circuit_patterns(x: ToricVariety) -> tuple[int, ...]:
+    """For each circuit of _ray_circuits, in order, the patterns it can
+    exclude, as a bitset over all 2^#rays patterns: bit b is set when the
+    circuit's negative support is inside b and its positive support misses
+    it.  Each bitset is the AND of one mask per ray of the circuit's
+    support, at most dim + 1 of them, so no pattern is enumerated."""
+    n_pat = 1 << x.n_rays
+    full = (1 << n_pat) - 1
+    # negates[rho]: the patterns holding rho, a run of 2^rho zeros then
+    # 2^rho ones, repeated by multiplying with 1 + 2^L + 2^2L + ...
+    negates = [(((1 << (1 << rho)) - 1) << (1 << rho)) * (full // ((1 << (2 << rho)) - 1))
+               for rho in range(x.n_rays)]
+    out = []
+    for _, pos, negs, _ in _ray_circuits(x):
+        bits = full
+        for rho in range(x.n_rays):
+            if negs >> rho & 1:
+                bits &= negates[rho]
+            elif pos >> rho & 1:
+                bits &= ~negates[rho]
+        out.append(bits)
+    return tuple(out)
+
+
 _points_cache: dict = {}
 
 
@@ -463,12 +493,15 @@ def contributing_points(x: ToricVariety,
     degree fiber has a pattern whose family carries no cohomology in degrees
     up to dim X, so it reduces to nothing there.
 
-    All 2^#rays patterns are screened by the ray circuits first; only a
-    survivor has its nerve ranked (_nerve_dims, memoized per variety and
-    pattern), and a survivor with cohomology in some q <= dim is walked by
-    fiber_points.  A pattern neg is skipped when a ray circuit shows that
-    its real sign polyhedron P = {u <= -1 on neg, u >= 0 off neg} misses
-    the real fiber u0 + L, L the span of the degree kernel.
+    All 2^#rays patterns are screened by the ray circuits first: the
+    patterns excluded for this class are the OR of the pattern bitsets
+    (_circuit_patterns, built once per variety) of the circuits the fiber
+    violates, and each pattern is one bit of it.  Only a survivor has its
+    nerve ranked (_nerve_dims, memoized per variety and pattern), and a
+    survivor with cohomology in some q <= dim is walked by fiber_points.
+    A pattern neg is excluded when a ray circuit shows that its real sign
+    polyhedron P = {u <= -1 on neg, u >= 0 off neg} misses the real fiber
+    u0 + L, L the span of the degree kernel.
     By Farkas' lemma P misses u0 + L exactly when some a orthogonal to L,
     with a <= 0 on neg and a >= 0 off neg, has a . u0 < sum over neg of
     -a_rho: the least a . u on P is that sum, and a . u0 is a . u on
@@ -477,7 +510,7 @@ def contributing_points(x: ToricVariety,
     vectors of a subspace of R^N", 1969), and the test is linear in a, so
     it holds for some a exactly when it holds for such a circuit: negative
     support inside neg, positive support outside neg, and a . u0 < c_a.
-    A skipped pattern therefore has no real fiber point, let alone a
+    An excluded pattern therefore has no real fiber point, let alone a
     lattice point, and the walk that decides every other pattern is
     unchanged, so the points are the same as walking every pattern whose
     family carries cohomology."""
@@ -493,10 +526,14 @@ def contributing_points(x: ToricVariety,
         pts = []
         if u0 is not None:
             q_top = min(x.dim, cech_depth(x))
-            violated = [(pos, negs) for a, pos, negs, c in _ray_circuits(x)
-                        if sum(v * u for v, u in zip(a, u0)) < c]
-            for bits in range(1 << x.n_rays):
-                if any(negs & bits == negs and not pos & bits for pos, negs in violated):
+            excluded = 0
+            for (a, _, _, c), patterns in zip(_ray_circuits(x), _circuit_patterns(x)):
+                if sum(map(mul, a, u0)) < c:
+                    excluded |= patterns
+            # flags[bits] == "1": some circuit shows the fiber misses pattern bits
+            flags = bin(excluded)[:1:-1].ljust(1 << x.n_rays, "0")
+            for bits, flag in enumerate(flags):
+                if flag == "1":
                     continue   # no real point of the fiber has this pattern
                 neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
                 if not any(_nerve_dims(x, neg)[:q_top + 1]):
@@ -569,5 +606,5 @@ def clear_caches() -> None:
     for k in cache_counters:
         cache_counters[k] = 0
     for fn in (_subset_data, _subset_rays, _nerve_dims, _ray_circuits,
-               _pattern_family, family_certs):
+               _circuit_patterns, _pattern_family, family_certs):
         fn.cache_clear()

@@ -7,7 +7,8 @@ composition reads left to right along arrows.
 Integer routines work on plain list-of-list matrices.  smith_normal_form
 returns (D, L, R) with L @ A @ R = D, L and R unimodular and the diagonal
 entries in divisibility order; solve_int and int_kernel_basis are built on
-top of it.
+top of it, through solve_smith and smith_kernel, which take a Smith form
+already computed.
 """
 from __future__ import annotations
 
@@ -341,11 +342,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def solve_int(a: IntMat, b: Sequence[int]) -> list[int] | None:
     """One integer solution x of a @ x = b, or None."""
-    n = len(a)
-    m = len(a[0]) if n else 0
-    if n == 0:
-        return [0] * m
-    d, l, r = smith_normal_form(a)
+    return solve_smith(smith_normal_form(a), b)
+
+
+def solve_smith(snf: tuple[IntMat, IntMat, IntMat], b: Sequence[int]) -> list[int] | None:
+    """solve_int from snf = smith_normal_form(a), so that one Smith form
+    serves every right-hand side: l a r = d, so x = r y with d y = l b."""
+    d, l, r = snf
+    n, m = len(d), len(r)
     lb = [sum(l[i][j] * b[j] for j in range(n)) for i in range(n)]
     y = [0] * m
     for i in range(n):
@@ -361,11 +365,13 @@ def solve_int(a: IntMat, b: Sequence[int]) -> list[int] | None:
 
 def int_kernel_basis(a: IntMat) -> list[list[int]]:
     """Basis of the saturated kernel {x in Z^m : a @ x = 0}, as columns."""
-    n = len(a)
-    m = len(a[0]) if n else 0
-    if n == 0 or m == 0:
-        return [[int(i == j) for i in range(m)] for j in range(m)]
-    d, _, r = smith_normal_form(a)
-    rank = sum(1 for i in range(min(n, m)) if d[i][i])
-    return [[r[i][j] for i in range(m)] for j in range(rank, m)]
+    return smith_kernel(smith_normal_form(a))
 
+
+def smith_kernel(snf: tuple[IntMat, IntMat, IntMat]) -> list[list[int]]:
+    """int_kernel_basis from snf = smith_normal_form(a): the columns of r
+    past the rank."""
+    d, _, r = snf
+    m = len(r)
+    rank = sum(1 for i in range(min(len(d), m)) if d[i][i])
+    return [[r[i][j] for i in range(m)] for j in range(rank, m)]

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InputError, UnsupportedGeometryError
-from .qlinalg import int_kernel_basis, int_rank, smith_normal_form, solve_int
+from .qlinalg import int_rank, smith_kernel, smith_normal_form, solve_smith
 
 Point = tuple[int, ...]
 Support = tuple[Point, ...]
@@ -119,6 +119,16 @@ class ToricVariety:
     max_cones: tuple[tuple[int, ...], ...]
     grading: tuple[tuple[int, ...], ...]   # class of D_ray, one per ray
     torsion: tuple[int, ...] = ()
+
+    def __hash__(self) -> int:
+        # the hash of the fields, computed once: every memo keyed by the
+        # variety hashes it on each hit.  Equality still compares the fields.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.dim, self.rays, self.max_cones, self.grading, self.torsion))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @property
     def n_rays(self) -> int:
@@ -345,14 +355,21 @@ def _interval(ineqs: list[Ineq], var: int,
 
 
 @lru_cache(maxsize=None)
+def _grading_smith(x: ToricVariety):
+    """Smith form of the grading (one row per class coordinate, one column
+    per ray) and the degree kernel it gives, once per variety."""
+    snf = smith_normal_form([[g[i] for g in x.grading] for i in range(x.class_rank)])
+    return snf, tuple(tuple(k) for k in smith_kernel(snf))
+
+
+@lru_cache(maxsize=None)
 def degree_fiber(x: ToricVariety, target: tuple[int, ...]):
     """Particular exponent u0 (None if there is none) and kernel lattice
     basis of the fiber {u in Z^rays : degree(u) = target}."""
     if x.torsion:
         raise UnsupportedGeometryError("torsion class groups are not supported")
-    g_rows = [[g[i] for g in x.grading] for i in range(x.class_rank)]
-    u0 = solve_int(g_rows, list(target))
-    kernel = tuple(tuple(k) for k in int_kernel_basis(g_rows))
+    snf, kernel = _grading_smith(x)
+    u0 = solve_smith(snf, target)
     if u0 is not None and len(kernel) != x.dim:
         raise UnsupportedGeometryError(
             f"degree kernel has rank {len(kernel)}, the variety dimension {x.dim}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .cech import (
     contributing_points,
@@ -43,7 +43,7 @@ from .cech import (
 )
 from .complexes import ComplexMorphism, FreeGradedComplex, x_split
 from .errors import MathFailure
-from .qpoly import PolyMatrix, SparsePoly
+from .qpoly import PolyMatrix, SparsePoly, _Packing
 from .toric import ToricVariety
 
 Class = tuple[int, ...]
@@ -157,18 +157,45 @@ class _Certs(dict):
 
 # Walk vectors are dicts (k, w) -> {chain position -> {parameter exponent ->
 # coefficient}}, grouped by summand index and exponent so every certificate
-# lookup is block-local.  Coefficients are ints, or Fractions where a
-# certificate has one; a SparsePoly is built only for a matrix entry.
+# lookup is block-local.  A parameter exponent is one packed int of a
+# qpoly._Packing with offset 0 (_walk_packing), so a product of monomials is
+# an int add; exponent tuples come back only in _fill_row.  Coefficients are
+# ints, or Fractions where a certificate has one; a SparsePoly is built only
+# for a matrix entry.
 
-def _split_matrix(m: PolyMatrix, n_params: int, param_vars: Sequence[str]):
+def _walk_packing(x: ToricVariety, mats: Iterable[PolyMatrix], n_params: int) -> _Packing:
+    """Packing of the parameter exponents of every walk through the
+    matrices mats, whose first n_params variables are the parameters.
+
+    A walk applies at most dim X + 1 of the matrices, one per staircase
+    step (q0 <= dim X), and a morphism's walk swaps one step for theta; each
+    application adds one piece's parameter exponent.  So the largest piece
+    degree times dim X + 1 bounds the total degree of every walk exponent,
+    and fields sized for it never carry.  The packing has no offset, so a
+    negative parameter exponent raises MathFailure."""
+    top = 0
+    for m in mats:
+        for row in m.rows:
+            for p in row:
+                for e in p.terms:
+                    pe = e[:n_params]
+                    if min(pe, default=0) < 0:
+                        raise MathFailure(f"negative parameter exponent {pe} in a walk matrix")
+                    top = max(top, sum(pe))
+    return _Packing((0,) * n_params, top * (x.dim + 1))
+
+
+def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing):
     """Per-entry x-exponent splits of a matrix over the full ring, each
-    piece's coefficient in R as a list of (parameter exponent, coeff)."""
+    piece's coefficient in R as a list of (packed parameter exponent,
+    coeff)."""
     out: dict[int, dict[int, list[tuple[tuple[int, ...], list]]]] = {}
+    param_vars = m.vars[:n_params]
     for r in range(m.nrows):
         row = {}
         for c, p in enumerate(m.rows[r]):
             if p:
-                row[c] = [(nu, list(g.terms.items())) for nu, g in
+                row[c] = [(nu, list(pk.pack(g.terms).items())) for nu, g in
                           sorted(x_split(p, n_params, param_vars).items())]
         if row:
             out[r] = row
@@ -201,7 +228,7 @@ def _apply_split(certs: _Certs, splits, v: dict, q: int) -> dict:
                     acc = blk.setdefault(dst[src[c]], {})
                     for e1, a in terms.items():
                         for e2, b in g:
-                            e = tuple(map(add, e1, e2))
+                            e = e1 + e2
                             acc[e] = acc.get(e, 0) + a * b
     return _drop_zeros(out)
 
@@ -221,7 +248,7 @@ def _apply_h(certs: _Certs, v: dict, q: int) -> dict:
 
 def _project(certs: _Certs, v: dict, q: int) -> dict:
     """Project a walk vector onto the cohomology models at Cech degree q:
-    a dict (k, w, mpos) -> {parameter exponent -> coefficient}."""
+    a dict (k, w, mpos) -> {packed parameter exponent -> coefficient}."""
     out: dict = {}
     for (k, w), chains in v.items():
         rho_t = certs[w].rho_t[q]
@@ -247,21 +274,19 @@ def _drop_zeros(v: dict) -> dict:
     return out
 
 
-def _embed(certs: _Certs, k: int, w: tuple[int, ...], mpos: int, q: int,
-           variables: Sequence[str]) -> dict:
-    row = certs[w].iota[q][mpos]
-    one = (0,) * len(variables)
-    return {(k, w): {c: {one: coef} for c, coef in row.items()}}
+def _embed(certs: _Certs, k: int, w: tuple[int, ...], mpos: int, q: int) -> dict:
+    # 0 packs the exponent of the constant monomial
+    return {(k, w): {c: {0: coef} for c, coef in certs[w].iota[q][mpos].items()}}
 
 
-def _staircase(certs: _Certs, splits, label: tuple, variables: Sequence[str]):
+def _staircase(certs: _Certs, splits, label: tuple):
     """The staircase walk of one model basis element (p0, q0, k0, w0, m0).
 
     Yields (r, projection) for r = 1..q0 + 1 with a nonzero projection:
-    an unsigned dict (k, w, mpos) -> {parameter exponent -> coefficient} in
+    an unsigned dict (k, w, mpos) -> {packed parameter exponent -> coefficient} in
     the degree-(q0-r+1) models of the summands of C^(p0+r)."""
     p0, q0, k0, w0, m0 = label
-    v = _embed(certs, k0, w0, m0, q0, variables)
+    v = _embed(certs, k0, w0, m0, q0)
     q = q0
     for r in range(1, q0 + 2):
         if not v or (p0 + r - 1) not in splits:
@@ -310,7 +335,8 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
         basis[i] = labels
         pos[i] = {lab: n for n, lab in enumerate(labels)}
 
-    splits = {p: _split_matrix(C.diff_at(p), C.n_params, pv) for p in C.diffs}
+    pk = _walk_packing(x, C.diffs.values(), C.n_params)
+    splits = {p: _split_matrix(C.diff_at(p), C.n_params, pk) for p in C.diffs}
     certs = _Certs(x)
     diffs: dict[int, PolyMatrix] = {}
     for i in sorted(terms):
@@ -321,7 +347,7 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
         for rown, label in enumerate(basis[i]):
             p0, q0 = label[:2]
             entries: dict[int, dict] = {}
-            for r, proj in _staircase(certs, splits, label, pv):
+            for r, proj in _staircase(certs, splits, label):
                 sgn = -1 if ((i - 1) * (r - 1)) % 2 else 1
                 for (k2, w2, mpos2), part in proj.items():
                     col = tpos.get((p0 + r, q0 - r + 1, k2, w2, mpos2))
@@ -329,7 +355,7 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
                         raise MathFailure(
                             "staircase projection left the recorded models")
                     _add_scaled(entries.setdefault(col, {}), part, sgn)
-            _fill_row(m, rown, entries)
+            _fill_row(m, rown, entries, pk)
         diffs[i] = m
 
     return WeymanComplex(source=C, terms=terms, e1=page, basis=basis, diffs=diffs)
@@ -367,10 +393,12 @@ def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
     pv = M.param_vars
     WM = weyman_differential(M)
     WN = weyman_differential(N)
-    m_splits = {p: _split_matrix(M.diff_at(p), M.n_params, pv) for p in M.diffs}
-    n_splits = {p: _split_matrix(N.diff_at(p), N.n_params, pv) for p in N.diffs}
-    t_splits = {p: _split_matrix(theta.map_at(p), M.n_params, pv)
-                for p in set(M.degrees) & set(N.degrees)}
+    t_maps = {p: theta.map_at(p) for p in set(M.degrees) & set(N.degrees)}
+    pk = _walk_packing(M.x, [*M.diffs.values(), *N.diffs.values(), *t_maps.values()],
+                       M.n_params)
+    m_splits = {p: _split_matrix(M.diff_at(p), M.n_params, pk) for p in M.diffs}
+    n_splits = {p: _split_matrix(N.diff_at(p), N.n_params, pk) for p in N.diffs}
+    t_splits = {p: _split_matrix(t, M.n_params, pk) for p, t in t_maps.items()}
     certs = _Certs(M.x)
 
     out: dict[int, PolyMatrix] = {}
@@ -380,7 +408,7 @@ def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
         mat = PolyMatrix(len(rows), len(cols), pv)
         npos = {lab: n for n, lab in enumerate(cols)}
         for rown, (p0, q0, k0, w0, m0) in enumerate(rows):
-            v = _embed(certs, k0, w0, m0, q0, pv)
+            v = _embed(certs, k0, w0, m0, q0)
             wprime: dict = {}
             entries: dict[int, dict] = {}
             p, q = p0, q0
@@ -415,15 +443,25 @@ def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
                 p, q = p + 1, q - 1
                 if not v and not wprime:
                     break
-            _fill_row(mat, rown, entries)
+            _fill_row(mat, rown, entries, pk)
         out[i] = mat
     return out
 
 
-def _fill_row(m: PolyMatrix, rown: int, entries: dict[int, dict]) -> None:
-    """Write one row's accumulated {column -> parameter terms} into m."""
+def _fill_row(m: PolyMatrix, rown: int, entries: dict[int, dict], pk: _Packing) -> None:
+    """Write one row's accumulated {column -> packed parameter terms} into m.
+
+    A packed exponent whose fields do not add up to the total degree above
+    them, or that sets a guard bit, passed the degree bound of pk: that
+    raises MathFailure instead of reading a carried field as an exponent."""
     for col, terms in entries.items():
-        m.rows[rown][col] = SparsePoly(m.vars, terms)
+        unpacked = pk.unpack(terms, 0)
+        # unpack keeps the order, so without a collision the pairs line up
+        if len(unpacked) != len(terms) or any(
+                packed & pk.guards or sum(e) != -(packed >> pk.top)
+                for packed, e in zip(terms, unpacked)):
+            raise MathFailure("a walk's parameter exponent passed its degree bound")
+        m.rows[rown][col] = SparsePoly(m.vars, unpacked)
 
 
 def _scale(v: dict, c: int) -> dict:

@@ -401,6 +401,20 @@ def test_ray_circuits_are_the_minimal_primitive_relations(name):
     assert len(circuits) == len(vectors) == 2 * len(want)
 
 
+@pytest.mark.parametrize("name", ["P1", "P2", "P1P1", "sturmfels", "m33", "m34_1"])
+def test_circuit_pattern_bitsets_match_enumerating_the_patterns(name):
+    from toricres import cech
+    from toricres.toric import variety_of
+
+    x = VARIETIES[name]() if name in VARIETIES else variety_of(_fixture_problem(name))
+    bitsets = cech._circuit_patterns(x)
+    assert len(bitsets) == len(cech._ray_circuits(x))
+    for (_, pos, negs, _), got in zip(cech._ray_circuits(x), bitsets):
+        want = sum(1 << bits for bits in range(1 << x.n_rays)
+                   if negs & bits == negs and not pos & bits)
+        assert got == want
+
+
 def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch):
     from toricres import cech, resultant
     from toricres.fixtures import sturmfels_problem, sturmfels_twist
@@ -741,13 +755,15 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs():
     before = {neg: cech.family_certs(x, neg) for neg in negs}
     points = cech.contributing_points(x, x.anticanonical_class())
     circuits = cech._ray_circuits(x)
+    patterns = cech._circuit_patterns(x)
     built = cech.cache_counters["built"]
     assert built > 0
     cech.clear_caches()
     assert not (cech._reduce_memo or cech._fam_dims_memo or cech._points_cache
                 or any(cech.cache_counters.values()))
     for fn in (cech._subset_data, cech._subset_rays, cech._nerve_dims,
-               cech._ray_circuits, cech._pattern_family, cech.family_certs):
+               cech._ray_circuits, cech._circuit_patterns, cech._pattern_family,
+               cech.family_certs):
         assert fn.cache_info().currsize == 0
     for neg, c in before.items():
         again = cech.family_certs(x, neg)
@@ -756,3 +772,4 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs():
     assert cech.cache_counters["built"] == built   # everything is built again
     assert cech.contributing_points(x, x.anticanonical_class()) == points
     assert cech._ray_circuits(x) == circuits
+    assert cech._circuit_patterns(x) == patterns

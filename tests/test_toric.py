@@ -1,16 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers_reference import lattice_points_in_window
 from toricres.errors import InputError, UnsupportedGeometryError
-from toricres.fixtures import M33_SUPPORTS, STURMFELS_PAPER_RAYS, STURMFELS_SUPPORTS
+from toricres.fixtures import (
+    M33_SUPPORTS,
+    STURMFELS_PAPER_RAYS,
+    STURMFELS_SUPPORTS,
+    m34_supports,
+)
+from toricres.qlinalg import int_kernel_basis, solve_int
 from toricres.toric import (
     ToricVariety,
     codimension,
+    degree_fiber,
     divisor_class,
     facet_normals,
     homogenized_exponent,
@@ -229,3 +238,57 @@ def test_kernel_rank_mismatch_is_unsupported_geometry():
                        grading=((1, 0), (0, 1), (0, 0)))
     with pytest.raises(UnsupportedGeometryError):
         lattice_points_in_window(bad, (0, 0), (0, 0, 0))
+
+
+FIXTURE_VARIETIES = {
+    "P1": lambda: variety_from_points(((0,), (1,))),
+    "P2": lambda: variety_from_points(SIMPLEX2),
+    "P3": lambda: variety_from_points(((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    "P1P1": lambda: variety_from_points(((0, 0), (1, 0), (0, 1), (1, 1))),
+    "sturmfels": lambda: variety_of(support_problem(STURMFELS_SUPPORTS)),
+    "m33": lambda: variety_of(support_problem(M33_SUPPORTS)),
+    "m34_1": lambda: variety_of(support_problem(m34_supports(1))),
+    "m34_8": lambda: variety_of(support_problem(m34_supports(8))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_VARIETIES))
+def test_degree_fiber_matches_solve_int_and_kernel_reference(name):
+    """degree_fiber solves every target from one Smith form per variety; the
+    reference solves each target from scratch.  The doubled grading's first
+    class coordinate is even on every exponent, so an odd one has no
+    solution."""
+    x = FIXTURE_VARIETIES[name]()
+    doubled = dataclasses.replace(
+        x, grading=tuple((2 * g[0],) + g[1:] for g in x.grading))
+    draw = random.Random(7)
+    targets = [tuple(draw.randint(-6, 6) for _ in range(x.class_rank)) for _ in range(24)]
+    unsolvable = 0
+    for y in (x, doubled):
+        g_rows = [[g[i] for g in y.grading] for i in range(y.class_rank)]
+        kernel = tuple(tuple(k) for k in int_kernel_basis(g_rows))
+        for t in targets:
+            u0 = solve_int(g_rows, list(t))
+            want = (tuple(u0) if u0 is not None else None), kernel
+            assert degree_fiber(y, t) == want, (y, t)
+            unsolvable += u0 is None
+    assert unsolvable >= 10
+
+
+def test_equal_varieties_built_separately_share_hash_and_memo_entries():
+    from toricres import cech
+
+    a = variety_of(support_problem(STURMFELS_SUPPORTS))
+    b = variety_of(support_problem(STURMFELS_SUPPORTS))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.dim, a.rays, a.max_cones, a.grading, a.torsion))
+    assert a != dataclasses.replace(a, torsion=(2,))
+    neg = (0, 2)
+    cech._nerve_dims(a, neg)
+    degree_fiber(a, (0,) * a.class_rank)
+    before = (cech._nerve_dims.cache_info(), degree_fiber.cache_info())
+    assert cech._nerve_dims(b, neg) == cech._nerve_dims(a, neg)
+    assert degree_fiber(b, (0,) * b.class_rank) == degree_fiber(a, (0,) * a.class_rank)
+    after = (cech._nerve_dims.cache_info(), degree_fiber.cache_info())
+    for old, new in zip(before, after):
+        assert (new.hits, new.misses, new.currsize) == (old.hits + 2, old.misses, old.currsize)

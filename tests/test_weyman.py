@@ -339,10 +339,50 @@ def test_staircase_stops_at_the_bottom_row(m33_weyman):
             lab = (p, q, k, w, mpos)
             break
     assert lab is not None
-    splits = {p: weyman._split_matrix(C.diff_at(p), C.n_params, C.param_vars)
-              for p in C.diffs}
-    projs = dict(weyman._staircase(weyman._Certs(C.x), splits, lab, C.param_vars))
+    pk = weyman._walk_packing(C.x, C.diffs.values(), C.n_params)
+    splits = {p: weyman._split_matrix(C.diff_at(p), C.n_params, pk) for p in C.diffs}
+    projs = dict(weyman._staircase(weyman._Certs(C.x), splits, lab))
     assert projs and set(projs) <= {1, 2}
+
+
+def test_walk_packing_rejects_a_negative_parameter_exponent():
+    """Walk exponents are packed with no offset, so a Laurent parameter in a
+    differential is refused before any walk, as a typed error."""
+    v = ("a",) + P1.var_names()
+    d = PolyMatrix.from_rows([[SparsePoly(v, {(-1, 1, 0): 1})]], v)   # x1 / a
+    with pytest.raises(MathFailure, match="negative parameter exponent"):
+        weyman._walk_packing(P1, [d], 1)
+    C = FreeGradedComplex(x=P1, variables=v, n_params=1,
+                          degrees={-1: ((1,),), 0: ((0,),)}, diffs={-1: d})
+    C.validate()
+    with pytest.raises(MathFailure, match="negative parameter exponent"):
+        weyman_differential(C)
+
+
+def test_walk_exponent_past_its_degree_bound_is_a_typed_error(monkeypatch):
+    """An exponent past the packing's degree bound is caught on unpacking,
+    both when it sets a guard bit and when it carries into the next field,
+    where the guard bit alone would miss it."""
+    from toricres.qpoly import _Packing
+
+    pk = _Packing((0, 0), 1)   # two-bit fields, the high one a guard
+    m = PolyMatrix(1, 1, ("a", "b"))
+    for past in ((2, 0), (0, 3), (4, 0)):   # guard bit, guard bit, carry
+        with pytest.raises(MathFailure, match="degree bound"):
+            weyman._fill_row(m, 0, {0: pk.pack({past: 1})}, pk)
+    weyman._fill_row(m, 0, {0: pk.pack({(1, 1): 3, (0, 0): -1})}, pk)
+    assert m.rows[0][0].terms == {(1, 1): 3, (0, 0): -1}
+
+    prob = sturmfels_problem()
+    x = variety_of(prob)
+    C = koszul_generic(prob, x).twist(sturmfels_twist(x, "unit"))
+    pk = weyman._walk_packing(x, C.diffs.values(), C.n_params)
+    # Koszul pieces have parameter degree 1, and a walk takes dim + 1 steps
+    assert pk.mask == _Packing((0,) * C.n_params, x.dim + 1).mask
+    monkeypatch.setattr(weyman, "_walk_packing",
+                        lambda x_, mats, n: _Packing((0,) * n, 0))
+    with pytest.raises(MathFailure, match="degree bound"):
+        weyman_differential(C)
 
 
 def test_koszul_vs_unit_morphism_is_invertible_in_degree_zero():

@@ -5,10 +5,10 @@ a family of nonempty subsets of the irrelevant generators, graded by size
 minus one, with the incidence differential that inserts a generator with
 the usual alternating sign.  At any uniform truncation level past the
 depth of w, that family is the pattern family of w's negative-support
-pattern (_pattern_family), so the direct image needs one reduction per
-family.  A reduction is a deformation retract onto the family's
-cohomology: inclusion iota (model rows to chain columns), projection rho,
-homotopy h, and the family's incidence differential D satisfy
+pattern, so the direct image needs one reduction per family.  A reduction
+is a deformation retract onto the family's cohomology: inclusion iota
+(model rows to chain columns), projection rho, homotopy h, and the
+family's incidence differential D satisfy
 
     iota . D = 0,      D . rho = 0,        iota . rho = id,
     D_q h_q + h_{q-1} D_{q-1} = id - rho_q iota_q,
@@ -16,35 +16,37 @@ homotopy h, and the family's incidence differential D satisfy
 
 all in the row convention (composition left to right along arrows).  The
 reduced differential is identically zero, so model dimensions are the
-cohomology dimensions of the family.  Chains are indexed by the sorted
-subsets of each degree.
+cohomology dimensions of the family.  A chain coordinate is the bitmask of
+its generator subset, the same in every family.
 
-A family F is upward closed: it holds every subset outside the
-downward-closed Sigma of cone sets that share a negated ray (see
-_nerve_dims).  So generator 0 is a cone point, and pairing each S in F
-without 0 with S + {0}, also in F, is an acyclic matching of discrete
-Morse theory (Forman, "Morse theory for cell complexes", Adv. Math. 134,
-1998; Skoldberg, "Morse theory from an algebraic viewpoint", Trans. AMS
-358, 2006).  Each pair's incidence is +1, as 0 comes first in S + {0}.
-_cone_reduction reduces F in two stages:
+A family F is upward closed: it holds every nonempty subset outside the
+downward-closed Sigma of cone sets that share a negated ray (_sigma; see
+_nerve_dims), so it is never enumerated.  Generator 0 is a cone point, and
+pairing each S in F without 0 with S + {0}, also in F, is an acyclic
+matching of discrete Morse theory (Forman, "Morse theory for cell
+complexes", Adv. Math. 134, 1998; Skoldberg, "Morse theory from an
+algebraic viewpoint", Trans. AMS 358, 2006).  Each pair's incidence is +1,
+as 0 comes first in S + {0}.  FamilyCerts reduces F in two stages:
 
 1. Cone contraction, in closed form: h1[S + {0}] = {S: +1}.  The critical
-   cells K = {T in F : 0 in T, T - {0} not in F}, {0} among them when it
-   is in F, survive; rho1 is the coordinate projection onto K, and
-   iota1[T] = e_T - sum_j eps(j, T + {j}) e_(T - {0} + {j}) over the j
-   outside T with T - {0} + {j} in F, eps the incidence sign.  On every
-   other cell the signs cancel in pairs, so D h1 + h1 D = id - rho1 iota1,
-   and the differential induced on K is D restricted to K.
+   cells K = {T in F : 0 in T, T - {0} not in F} are {0}, when it is in F,
+   and the S + {0} in F with S in Sigma: a handful, read off Sigma.  rho1
+   is the coordinate projection onto K, and iota1[T] = e_T - sum_j
+   eps(j, T + {j}) e_(T - {0} + {j}) over the j outside T with
+   T - {0} + {j} in F, eps the incidence sign.  On every other cell the
+   signs cancel in pairs, so D h1 + h1 D = id - rho1 iota1, and the
+   differential induced on K is D restricted to K.  Only K is built; h1 is
+   never stored, and the walks apply it in closed form.
 2. Gauss elimination over Q on K alone (_reduce_block), one pivot at a
    time, the least nonzero entry under a fixed rule: a unit entry first,
-   then the sparsest row, then the least (degree, row, column).  A lazily
+   then the sparsest row, then the least (degree, row, column), rows and
+   columns indexed by K's cells in (size, lex) order.  A lazily
    invalidated min-heap of each row's least key finds every pivot without
    rescanning the block, and a column mirror finds the rows a pivot
    touches.
 
-The two retracts compose to iota = iota_K iota1, rho = rho1 rho_K (rho_K
-on chain indices) and h = h1 + rho1 h_K iota1 (h_K iota1 on the rows of K),
-and every index stays a chain index of F.
+The two retracts compose to iota = iota_K iota1, rho = rho1 rho_K and
+h = h1 + rho1 h_K iota1.
 
 Which exponents carry cohomology at all is decided per variety and
 negative-support pattern, without building a family: by the nerve lemma a
@@ -58,7 +60,8 @@ variety, a bitset over all sign patterns of those it can exclude, and the
 patterns a class's fiber misses are the OR of the bitsets of the circuits
 that fiber violates.
 
-Family reductions are memoized per process (_reduced_family).
+Family reductions are memoized per process, by Sigma and the number of
+generators (_reduce_memo).
 """
 from __future__ import annotations
 
@@ -66,8 +69,8 @@ import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import mul
-from typing import Sequence
+from operator import mul, or_
+from typing import Iterable, Sequence
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
 from .qlinalg import int_kernel_basis, int_rank
@@ -88,37 +91,46 @@ def cech_depth(x: ToricVariety) -> int:
     return len(x.max_cones) - 1
 
 
+def _down_closure(masks: Iterable[int]) -> frozenset[int]:
+    """Every nonempty submask of the given bitmasks: the simplicial complex
+    they span as facets."""
+    out: set[int] = set()
+    for m in masks:
+        s = m
+        while s:
+            out.add(s)
+            s = (s - 1) & m
+    return frozenset(out)
+
+
 @lru_cache(maxsize=None)
-def _subset_data(x: ToricVariety):
-    """Generator exponents, all nonempty generator subsets, and the depth."""
-    gens = x.irrelevant_exponents()
-    if len(gens) > _GENERATOR_CAP:
+def _ray_cones(x: ToricVariety) -> tuple[int, ...]:
+    """For each ray, the bitmask of the max cones (the irrelevant
+    generators) that contain it."""
+    n = len(x.max_cones)
+    if n > _GENERATOR_CAP:
         raise ResourceGuard(
-            f"{len(gens)} irrelevant generators need 2^{len(gens)} Cech "
-            f"subsets; cap is 2^{_GENERATOR_CAP}")
-    depth = cech_depth(x)
-    subsets: list[tuple[int, ...]] = []
-    for size in range(1, depth + 2):
-        subsets.extend(itertools.combinations(range(len(gens)), size))
-    return gens, tuple(subsets), depth
+            f"{n} irrelevant generators need 2^{n} Cech subsets; "
+            f"cap is 2^{_GENERATOR_CAP}")
+    return tuple(sum(1 << j for j, cone in enumerate(x.max_cones) if rho in cone)
+                 for rho in range(x.n_rays))
 
 
-@lru_cache(maxsize=None)
-def _subset_rays(x: ToricVariety) -> tuple[int, ...]:
-    """For each subset of _subset_data, the bitmask of the rays that all of
-    its cones contain."""
-    _, subsets, _ = _subset_data(x)
-    cones = [sum(1 << rho for rho in c) for c in x.max_cones]
-    return tuple(reduce(int.__and__, (cones[j] for j in T)) for T in subsets)
+def _sigma(x: ToricVariety, neg: tuple[int, ...]) -> frozenset[int]:
+    """Sigma of pattern neg: the nonempty generator subsets whose cones share
+    a ray of neg.  The pattern's family is every other nonempty subset: at
+    any uniform level c, the family of an exponent w with depth(w) <= c is
+    the family of its negative-support pattern."""
+    cones = _ray_cones(x)
+    return _down_closure(cones[rho] for rho in neg)
 
 
-def _reduce_block(per_q: list[list[tuple[int, ...]]],
-                  entries: list[dict[tuple[int, int], int]]):
+def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
     """Fully reduce one block over Q, tracking the retract certificates.
 
     This is stage 2 of a family reduction (see the module docstring): it
-    runs on the critical cells that the cone contraction of _cone_reduction
-    leaves, and it reduces any block of sparse maps, complex or not.
+    runs on the critical cells that the cone contraction leaves, and it
+    reduces any block of sparse maps, complex or not.
     Coordinates are kept by original local index throughout; dropped ones
     simply leave the active sets.  Returns surviving indices per degree and
     the certificates as index-keyed sparse structures.
@@ -250,122 +262,46 @@ def _reduce_block(per_q: list[list[tuple[int, ...]]],
     return active, iota, rho, h
 
 
-def _per_degree(fam: Sequence[tuple[int, ...]], depth: int) -> list[list[tuple[int, ...]]]:
-    """The subsets of a family grouped by Cech degree, each group sorted."""
-    per_q: list[list[tuple[int, ...]]] = [[] for _ in range(depth + 1)]
-    for T in fam:
-        per_q[len(T) - 1].append(T)
-    for q in range(depth + 1):
-        per_q[q].sort()
+def _per_degree(cells: Iterable[int], depth: int) -> list[list[int]]:
+    """Subset bitmasks grouped by Cech degree, each group in lex order of
+    the subsets."""
+    per_q: list[list[int]] = [[] for _ in range(depth + 1)]
+    for T in cells:
+        per_q[T.bit_count() - 1].append(T)
+    for group in per_q:
+        group.sort(key=lambda T: [j for j in range(T.bit_length()) if T >> j & 1])
     return per_q
 
 
-def _block_entries(fam: list[tuple[int, ...]], depth: int):
-    """Per-degree coordinates and signed incidence entries of one block."""
-    per_q = _per_degree(fam, depth)
-    index: dict[tuple[int, ...], int] = {}
-    for q in range(depth + 1):
-        for i, T in enumerate(per_q[q]):
-            index[T] = i
-    fam_set = set(fam)
-    gen_ids = sorted({j for T in fam for j in T})
-    entries: list[dict[tuple[int, int], int]] = [dict() for _ in range(depth)]
-    for q in range(depth):
-        for T in per_q[q]:
-            for j in gen_ids:
-                if j in T:
-                    continue
-                T2 = tuple(sorted(T + (j,)))
-                if T2 not in fam_set:
-                    continue
-                sign = -1 if T2.index(j) % 2 else 1
-                entries[q][(index[T], index[T2])] = sign
-    return per_q, entries
-
-
-_reduce_memo: dict = {}
-
-# Family reductions by source.  Nothing is kept on disk, so "disk" is always
-# 0; it stays because perfbench/trace.py reads all three keys.
-cache_counters = {"memory": 0, "disk": 0, "built": 0}
-
-
-def _cone_reduction(fam: Sequence[tuple[int, ...]], depth: int):
-    """Reduce an upward-closed family in the two stages of the module
-    docstring: per_q and (active, iota, rho, h) in chain indices, in the
-    form _reduce_block gives.  A family that some S without 0 belongs to
-    while S + {0} does not raises MathFailure."""
-    per_q = _per_degree(fam, depth)
-    index = {T: i for level in per_q for i, T in enumerate(level)}
-    gen_ids = sorted({j for T in fam for j in T})
-    h = [dict() for _ in range(depth)]
-    iota1 = {}   # critical cell -> its iota1 row, a chain covector
-    for T in fam:
-        if T[0] != 0:
-            up = index.get((0,) + T)
-            if up is None:
-                raise MathFailure(f"subset family not closed under adding generator 0 at {T}")
-            h[len(T) - 1][up] = {index[T]: 1}
-        elif T[1:] not in index:
-            row = iota1[T] = {index[T]: 1}
-            for j in gen_ids:
-                if j in T:
-                    continue
-                side = index.get(tuple(sorted(T[1:] + (j,))))
-                if side is not None:
-                    # minus the incidence sign of j in T + {j}
-                    row[side] = 1 if sum(t < j for t in T) % 2 else -1
-    per_k, entries = _block_entries(list(iota1), depth)
-    active_k, iota_k, rho_k, h_k = _reduce_block(per_k, entries)
-    chain = [[index[T] for T in level] for level in per_k]
-    rows1 = [[iota1[T] for T in level] for level in per_k]
-
-    def through(q, row):
-        """A covector on the degree-q cells of K, composed with iota1."""
-        out: dict = {}
-        for k, c in row.items():
-            for i, v in rows1[q][k].items():
-                out[i] = out.get(i, 0) + c * v
-        return {i: cnorm(v) for i, v in out.items() if v}
-
-    active = [{chain[q][i] for i in a} for q, a in enumerate(active_k)]
-    iota = [{chain[q][i]: through(q, row) for i, row in level.items()}
-            for q, level in enumerate(iota_k)]
-    rho = [{chain[q][i]: {chain[q][k]: v for k, v in row.items()} for i, row in level.items()}
-           for q, level in enumerate(rho_k)]
-    for q, level in enumerate(h_k):
-        for t, row in level.items():
-            h[q][chain[q + 1][t]] = through(q, row)
-    return per_q, (active, iota, rho, h)
-
-
-def _reduced_family(fam: tuple[tuple[int, ...], ...], depth: int):
-    """Memoized reduction of one subset family: (per_q, active, iota, rho, h).
-
-    The block of an exponent depends on the exponent only through its family,
-    so identical families across exponents and classes share one reduction.
-    Every such family is upward closed, and _cone_reduction reduces it."""
-    key = (fam, depth)
-    hit = _reduce_memo.get(key)
-    if hit is not None:
-        cache_counters["memory"] += 1
-        return hit
-    per_q, red = _cone_reduction(fam, depth)
-    cache_counters["built"] += 1
-    hit = _reduce_memo[key] = (per_q, *red)
-    return hit
+def _block_entries(per_q: list[list[int]]) -> list[dict[tuple[int, int], int]]:
+    """Signed incidence entries of a block of subset bitmasks, by position in
+    per_q: inserting generator j into T has sign (-1)^#{t in T : t < j}."""
+    gens = reduce(or_, (T for level in per_q for T in level), 0)
+    bits = [1 << j for j in range(gens.bit_length()) if gens >> j & 1]
+    entries: list[dict[tuple[int, int], int]] = []
+    for lower, upper in zip(per_q, per_q[1:]):
+        index = {T: i for i, T in enumerate(upper)}
+        ent = {}
+        for i, T in enumerate(lower):
+            for b in bits:
+                k = index.get(T | b)   # None when b is in T: T itself is one degree down
+                if k is not None:
+                    ent[(i, k)] = -1 if (T & (b - 1)).bit_count() % 2 else 1
+        entries.append(ent)
+    return entries
 
 
 _fam_dims_memo: dict = {}
 
 
-def _family_dims(fam: tuple[tuple[int, ...], ...], depth: int) -> tuple[int, ...]:
-    """Cohomology dimensions of one subset family in every degree, by exact
-    integer ranks of its incidence matrices."""
+def _family_dims(fam: tuple[int, ...], depth: int) -> tuple[int, ...]:
+    """Cohomology dimensions of one family of subset bitmasks in every
+    degree, by exact integer ranks of its incidence matrices."""
     key = (fam, depth)
     hit = _fam_dims_memo.get(key)
     if hit is None:
-        per_q, entries = _block_entries(list(fam), depth)
+        per_q = _per_degree(fam, depth)
+        entries = _block_entries(per_q)
         sizes = [len(v) for v in per_q]
         mats = []
         for q in range(depth):
@@ -410,17 +346,13 @@ def _nerve_dims(x: ToricVariety, neg: tuple[int, ...]) -> tuple[int, ...]:
     Eisenbud, Mustata and Stillman, "Cohomology on toric varieties and local
     cohomology with monomial supports", J. Symbolic Comput. 29, 2000).  The
     nerve's coboundaries are ranked exactly, as a subset family of its own."""
-    negs = set(neg)
-    faces: set[tuple[int, ...]] = set()
-    for cone in x.max_cones:
-        inside = sorted(negs.intersection(cone))
-        for k in range(1, len(inside) + 1):
-            faces.update(itertools.combinations(inside, k))
+    bits = sum(1 << rho for rho in neg)
+    faces = _down_closure(bits & sum(1 << rho for rho in cone) for cone in x.max_cones)
     n = len(x.max_cones)   # depth + 1 degrees; the nerve has none above depth
     if not faces:
         return (1,) + (0,) * (n - 1)   # reduced h^{-1} of the empty complex
     # a face complex is a subset family too: its h^k, reduced in degree 0
-    h = _family_dims(tuple(sorted(faces)), max(map(len, faces)) - 1)
+    h = _family_dims(tuple(sorted(faces)), max(T.bit_count() for T in faces) - 1)
     return ((0, h[0] - 1) + h[1:] + (0,) * n)[:n]
 
 
@@ -549,48 +481,84 @@ def contributing_points(x: ToricVariety,
 
 # -- block-level access ------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pattern_family(x: ToricVariety, neg: tuple[int, ...]):
-    """Subsets whose cones have no common ray that the pattern negates.
+_reduce_memo: dict = {}
 
-    At any uniform level c, the family of an exponent w with depth(w) <= c
-    is exactly the family of its negative-support pattern."""
-    _, subsets, _ = _subset_data(x)
-    bits = sum(1 << rho for rho in neg)
-    return tuple(T for T, common in zip(subsets, _subset_rays(x)) if not bits & common)
+# Family reductions by source.  Nothing is kept on disk, so "disk" is always
+# 0; it stays because perfbench/trace.py reads all three keys.
+cache_counters = {"memory": 0, "disk": 0, "built": 0}
 
 
 class FamilyCerts:
-    """Reduction certificates of one pattern family, with index maps.
+    """Reduction certificates of the family of one Sigma on n generators,
+    built in the two stages of the module docstring.
 
-    Model coordinates are positions in the sorted surviving-index list;
-    chain coordinates are positions in the sorted per-degree subset lists.
-    Instances are shared and must be treated as read-only."""
+    Chain coordinates are subset bitmasks.  Model coordinates of degree q
+    are positions in active[q], the surviving critical cells in the order
+    the reduction saw them.  iota[q][m] is model m's chain covector,
+    rho_t[q] maps a chain to its (model, value) pairs, and h[q] holds the
+    nonzero rows of rho1 h_K iota1, on critical cells of degree q + 1;
+    every other homotopy row is h1, which the walks apply in closed form.  A Sigma that holds some U with generator 0 but not U - {0}
+    (its family is then not closed under adding generator 0) raises
+    MathFailure.  Instances are shared and must be treated as read-only."""
 
-    __slots__ = ("depth", "per_q", "pos", "active", "dims", "iota", "rho_t", "h")
+    __slots__ = ("sigma", "active", "dims", "iota", "rho_t", "h")
 
-    def __init__(self, x: ToricVariety, neg: tuple[int, ...]):
-        _, _, depth = _subset_data(x)
-        self.depth = depth
-        per_q, active, iota, rho, h = _reduced_family(_pattern_family(x, neg), depth)
-        self.per_q = per_q
-        self.pos = [{T: i for i, T in enumerate(per_q[q])} for q in range(depth + 1)]
-        self.active = [sorted(active[q]) for q in range(depth + 1)]
-        self.dims = tuple(len(a) for a in self.active)
-        self.iota = [[iota[q][i] for i in self.active[q]] for q in range(depth + 1)]
+    def __init__(self, sigma: frozenset[int], n: int):
+        if any(U & 1 and U != 1 and U ^ 1 not in sigma for U in sigma):
+            raise MathFailure("subset family not closed under adding generator 0")
+        self.sigma = sigma
+        # the critical cells: each S + {0} in the family, S in Sigma or
+        # empty, with its iota1 row
+        iota1: dict[int, dict[int, int]] = {}
+        for S in (0, *sigma):
+            T = S | 1
+            if T in sigma:
+                continue
+            row = iota1[T] = {T: 1}
+            for j in range(1, n):
+                b = 1 << j
+                if not T & b and S | b not in sigma:
+                    # minus the incidence sign of j in T + {j}
+                    row[S | b] = 1 if (T & (b - 1)).bit_count() % 2 else -1
+        per_k = _per_degree(iota1, n - 1)
+        active, iota_k, rho_k, h_k = _reduce_block(per_k, _block_entries(per_k))
+
+        def through(q, row):
+            """A covector on the degree-q cells of K, composed with iota1."""
+            out: dict = {}
+            for k, c in row.items():
+                for i, v in iota1[per_k[q][k]].items():
+                    out[i] = out.get(i, 0) + c * v
+            return {i: cnorm(v) for i, v in out.items() if v}
+
+        models = [sorted(a) for a in active]   # positions in per_k
+        self.active = [[per_k[q][i] for i in m] for q, m in enumerate(models)]
+        self.dims = tuple(map(len, models))
+        self.iota = [[through(q, iota_k[q][i]) for i in m] for q, m in enumerate(models)]
         self.rho_t = []
-        for q in range(depth + 1):
+        for q, m in enumerate(models):
             t: dict[int, list[tuple[int, Fraction]]] = {}
-            for mpos, i in enumerate(self.active[q]):
-                for c, v in rho[q][i].items():
-                    t.setdefault(c, []).append((mpos, v))
+            for mpos, i in enumerate(m):
+                for k, v in rho_k[q][i].items():
+                    t.setdefault(per_k[q][k], []).append((mpos, v))
             self.rho_t.append(t)
-        self.h = h
+        self.h = [{per_k[q + 1][t]: through(q, row) for t, row in level.items()}
+                  for q, level in enumerate(h_k)]
 
 
 @lru_cache(maxsize=None)
 def family_certs(x: ToricVariety, neg: tuple[int, ...]) -> FamilyCerts:
-    return FamilyCerts(x, neg)
+    """The certificates of pattern neg's family.  Families are memoized by
+    Sigma and the number of generators, so equal families of different
+    patterns share one reduction."""
+    key = (_sigma(x, neg), len(x.max_cones))
+    hit = _reduce_memo.get(key)
+    if hit is not None:
+        cache_counters["memory"] += 1
+        return hit
+    hit = _reduce_memo[key] = FamilyCerts(*key)
+    cache_counters["built"] += 1
+    return hit
 
 
 def pattern_of(w: Sequence[int]) -> tuple[int, ...]:
@@ -605,6 +573,6 @@ def clear_caches() -> None:
         memo.clear()
     for k in cache_counters:
         cache_counters[k] = 0
-    for fn in (_subset_data, _subset_rays, _nerve_dims, _ray_circuits,
-               _circuit_patterns, _pattern_family, family_certs):
+    for fn in (_ray_cones, _nerve_dims, _ray_circuits, _circuit_patterns,
+               family_certs):
         fn.cache_clear()

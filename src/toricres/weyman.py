@@ -155,9 +155,11 @@ class _Certs(dict):
         return fam
 
 
-# Walk vectors are dicts (k, w) -> {chain position -> {parameter exponent ->
+# Walk vectors are dicts (k, w) -> {chain -> {parameter exponent ->
 # coefficient}}, grouped by summand index and exponent so every certificate
-# lookup is block-local.  A parameter exponent is one packed int of a
+# lookup is block-local.  A chain is the bitmask of its generator subset, the
+# same coordinate in every family, so a phi step keeps it as it is.  A
+# parameter exponent is one packed int of a
 # qpoly._Packing with offset 0 (_walk_packing), so a product of monomials is
 # an int add; exponent tuples come back only in _fill_row.  Coefficients are
 # ints, or Fractions where a certificate has one; a SparsePoly is built only
@@ -188,15 +190,23 @@ def _walk_packing(x: ToricVariety, mats: Iterable[PolyMatrix], n_params: int) ->
 def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing):
     """Per-entry x-exponent splits of a matrix over the full ring, each
     piece's coefficient in R as a list of (packed parameter exponent,
-    coeff)."""
+    coeff).
+
+    A walk keeps a chain's subset across a step by x^nu, which is sound
+    because nu >= 0 makes the pattern of w + nu part of the pattern of w,
+    so the source family sits inside the destination family.  A piece with
+    a negative Cox exponent raises MathFailure."""
     out: dict[int, dict[int, list[tuple[tuple[int, ...], list]]]] = {}
     param_vars = m.vars[:n_params]
     for r in range(m.nrows):
         row = {}
         for c, p in enumerate(m.rows[r]):
             if p:
-                row[c] = [(nu, list(pk.pack(g.terms).items())) for nu, g in
-                          sorted(x_split(p, n_params, param_vars).items())]
+                pieces = sorted(x_split(p, n_params, param_vars).items())
+                for nu, _ in pieces:
+                    if min(nu, default=0) < 0:
+                        raise MathFailure(f"negative Cox exponent {nu} in a walk matrix")
+                row[c] = [(nu, list(pk.pack(g.terms).items())) for nu, g in pieces]
         if row:
             out[r] = row
     return out
@@ -208,24 +218,22 @@ def _add_scaled(acc: dict, terms: dict, c) -> None:
         acc[e] = acc.get(e, 0) + a * c
 
 
-def _apply_split(certs: _Certs, splits, v: dict, q: int) -> dict:
+def _apply_split(splits, v: dict) -> dict:
     """Push a walk vector through one matrix of the source complex.
 
-    Multiplication by a polynomial shifts exponents upward, so the subset
-    of every chain label stays inside its (larger) destination family."""
+    Multiplication by a polynomial shifts exponents upward, so every chain
+    stays inside its (larger) destination family (see _split_matrix)."""
     out: dict = {}
     for (k, w), chains in v.items():
         row = splits.get(k)
         if not row:
             continue
-        src = certs[w].per_q[q]
         for l, pieces in row.items():
             for nu, g in pieces:
                 w2 = tuple(map(add, w, nu))
-                dst = certs[w2].pos[q]
                 blk = out.setdefault((l, w2), {})
                 for c, terms in chains.items():
-                    acc = blk.setdefault(dst[src[c]], {})
+                    acc = blk.setdefault(c, {})
                     for e1, a in terms.items():
                         for e2, b in g:
                             e = e1 + e2
@@ -234,13 +242,23 @@ def _apply_split(certs: _Certs, splits, v: dict, q: int) -> dict:
 
 
 def _apply_h(certs: _Certs, v: dict, q: int) -> dict:
-    """Homotopy step from Cech degree q down to q - 1, blockwise."""
+    """Homotopy step from Cech degree q down to q - 1, blockwise.
+
+    A chain c with generator 0 whose c - {0} is a family member (nonempty,
+    as q >= 1, and outside Sigma) takes the cone contraction's row
+    {c - {0}: 1}; a critical cell takes its stored row."""
     out: dict = {}
     for (k, w), chains in v.items():
-        hq = certs[w].h[q - 1]
+        fam = certs[w]
+        hq, sigma = fam.h[q - 1], fam.sigma
         blk: dict = {}
         for c, terms in chains.items():
-            for c0, coef in hq.get(c, {}).items():
+            row = hq.get(c)
+            if row is None:
+                if not c & 1 or c ^ 1 in sigma:
+                    continue
+                row = {c ^ 1: 1}
+            for c0, coef in row.items():
                 _add_scaled(blk.setdefault(c0, {}), terms, coef)
         out[(k, w)] = blk
     return _drop_zeros(out)
@@ -291,7 +309,7 @@ def _staircase(certs: _Certs, splits, label: tuple):
     for r in range(1, q0 + 2):
         if not v or (p0 + r - 1) not in splits:
             return
-        v = _apply_split(certs, splits[p0 + r - 1], v, q)
+        v = _apply_split(splits[p0 + r - 1], v)
         proj = _project(certs, v, q)
         if proj:
             yield r, proj
@@ -416,12 +434,12 @@ def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
                 # codomain correction: psi(h(w')) with column sign
                 if wprime:
                     wprime = _apply_h(certs, wprime, q + 1)
-                    wprime = _apply_split(certs, n_splits.get(p - 1, {}), wprime, q)
+                    wprime = _apply_split(n_splits.get(p - 1, {}), wprime)
                     if (p - 1) % 2:
                         wprime = _scale(wprime, -1)
                 # domain contribution through theta
                 if v and p in t_splits:
-                    more = _apply_split(certs, t_splits[p], v, q)
+                    more = _apply_split(t_splits[p], v)
                     wprime = _merge(wprime, more)
                 if wprime:
                     s = q0 - q
@@ -434,7 +452,7 @@ def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
                         _add_scaled(entries.setdefault(col, {}), part, sgn)
                 # spread the domain element one step down the staircase
                 if v and p in m_splits and q >= 1:
-                    v = _apply_split(certs, m_splits[p], v, q)
+                    v = _apply_split(m_splits[p], v)
                     v = _apply_h(certs, v, q)
                     if (p + 1) % 2:
                         v = _scale(v, -1)

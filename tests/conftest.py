@@ -20,14 +20,15 @@ def pytest_configure(config):
 
 @pytest.fixture
 def reversed_subset_order(monkeypatch):
-    """Index each Cech degree's subsets in reversed order, which changes the
-    pivots of every reduction.  Memos are emptied before and after, so no
-    certificate built in one order is reused in the other."""
+    """Order each Cech degree's cells in reversed order, so a family
+    reduction sees its critical cells reversed, which changes the pivots of
+    every reduction.  Memos are emptied before and after, so no certificate
+    built in one order is reused in the other."""
     from toricres import cech
 
     per_degree = cech._per_degree
     monkeypatch.setattr(cech, "_per_degree",
-                        lambda fam, depth: [group[::-1] for group in per_degree(fam, depth)])
+                        lambda cells, depth: [group[::-1] for group in per_degree(cells, depth)])
     cech.clear_caches()
     yield
     cech.clear_caches()

@@ -1,8 +1,8 @@
 """Plain reference routines that only tests use: matrix products, dense
 inverses and determinants, row-vector products, polynomial substitution,
 the lattice points of a degree window, the eager Cech support-pattern
-table, the retract identities of a reduced Cech family, and the direct
-total complex on window-truncated Cech strands.
+table, explicit Cech subset families, the retract identities of a reduced
+Cech family, and the direct total complex on window-truncated Cech strands.
 
 The strand of a class alpha at a truncation level e has, in Cech degree
 q, one basis vector per pair (T, w): T a size-(q+1) set of irrelevant
@@ -21,6 +21,7 @@ complex, the independent check of the staircase construction.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -152,6 +153,87 @@ def support_patterns(x) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+# -- explicit Cech subset families ------------------------------------------------
+
+def generator_subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every nonempty subset of n generators, by size, then in lex order."""
+    return tuple(T for size in range(1, n + 1)
+                 for T in itertools.combinations(range(n), size))
+
+
+def subset_mask(T) -> int:
+    return sum(1 << j for j in T)
+
+
+def pattern_family(x, neg) -> tuple[tuple[int, ...], ...]:
+    """The subsets whose cones have no common ray that the pattern negates,
+    enumerated from intersections of cone frozensets."""
+    cones = [frozenset(c) for c in x.max_cones]
+    return tuple(T for T in generator_subsets(len(cones))
+                 if not set(neg) & frozenset.intersection(*(cones[j] for j in T)))
+
+
+def family_sigma(fam, n: int) -> frozenset[int]:
+    """Sigma of an upward-closed family on n generators: the bitmasks of the
+    nonempty subsets outside it."""
+    members = set(fam)
+    return frozenset(subset_mask(T) for T in generator_subsets(n) if T not in members)
+
+
+def family_block(per_q) -> list[dict[tuple[int, int], int]]:
+    """Incidence entries between consecutive degrees of subsets given per
+    degree, by position: inserting j into T, with sign (-1)^(position of
+    j in T + {j})."""
+    entries = []
+    for lower, upper in zip(per_q, per_q[1:]):
+        index = {T: i for i, T in enumerate(upper)}
+        ent = {}
+        for i, T in enumerate(lower):
+            for j in range(len(per_q)):
+                T2 = tuple(sorted(T + (j,)))
+                if j not in T and T2 in index:
+                    ent[(i, index[T2])] = -1 if T2.index(j) % 2 else 1
+        entries.append(ent)
+    return entries
+
+
+def by_degree(fam, n: int) -> list[list[tuple[int, ...]]]:
+    return [sorted(T for T in fam if len(T) == q + 1) for q in range(n)]
+
+
+def expanded_certs(c: cech.FamilyCerts):
+    """A FamilyCerts spelled out on its whole family, as the arguments of
+    retract_identity_failures: the family's subsets per degree in sorted
+    order, its incidence entries, and active, iota, rho and h keyed by
+    position, where h gains the closed-form cone rows h1[S + {0}] = {S: 1}
+    for every nonempty family member S without generator 0."""
+    n = len(c.active)
+    fam = [T for T in generator_subsets(n) if subset_mask(T) not in c.sigma]
+    per_q = by_degree(fam, n)
+    pos = [{subset_mask(T): i for i, T in enumerate(level)} for level in per_q]
+
+    def at(q, row):
+        return {pos[q][chain]: v for chain, v in row.items()}
+
+    active = [{pos[q][T] for T in c.active[q]} for q in range(n)]
+    iota = [{pos[q][T]: at(q, row) for T, row in zip(c.active[q], c.iota[q])}
+            for q in range(n)]
+    rho = [{pos[q][T]: {} for T in c.active[q]} for q in range(n)]
+    for q in range(n):
+        for chain, pairs in c.rho_t[q].items():
+            for mpos, v in pairs:
+                rho[q][pos[q][c.active[q][mpos]]][pos[q][chain]] = v
+    h = [{pos[q + 1][T]: at(q, row) for T, row in c.h[q].items()} for q in range(n - 1)]
+    for q in range(n - 1):
+        for T in per_q[q + 1]:
+            S = T[1:]
+            if T[0] == 0 and subset_mask(S) in pos[q]:
+                if pos[q + 1][subset_mask(T)] in h[q]:
+                    raise MathFailure(f"stored homotopy row on the cone pair {T}")
+                h[q][pos[q + 1][subset_mask(T)]] = {pos[q][subset_mask(S)]: 1}
+    return per_q, family_block(per_q), active, iota, rho, h
+
+
 # -- retract identities of one reduced Cech family -------------------------------
 
 def _row_times(row: Mapping, m: Mapping) -> dict:
@@ -251,7 +333,8 @@ def _window_bound(gens, subset: tuple[int, ...], e: Sequence[int]) -> tuple[int,
 def strand_blocks(x: ToricVariety, alpha: Sequence[int], e: Sequence[int]):
     """Per-exponent blocks of the strand: for each w, the upward-closed
     family of subsets whose window contains w, grouped by Cech degree."""
-    gens, subsets, depth = cech._subset_data(x)
+    gens, depth = x.irrelevant_exponents(), cech.cech_depth(x)
+    subsets = generator_subsets(depth + 1)
     target = tuple(-a for a in alpha)
     u0, kernel = degree_fiber(x, target)
     if u0 is None:
@@ -278,7 +361,7 @@ def strand_dims(x: ToricVariety, alpha: Sequence[int], e: Sequence[int]) -> tupl
     depth, blocks = strand_blocks(x, alpha, e)
     dims = [0] * (depth + 1)
     for w, fam in blocks:
-        for q, v in enumerate(cech._family_dims(fam, depth)):
+        for q, v in enumerate(cech._family_dims(tuple(map(subset_mask, fam)), depth)):
             dims[q] += v
     return tuple(dims)
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -10,10 +9,17 @@ from hypothesis import strategies as st
 
 from helpers_cohomology import bott_pn, cls_of_degree, kunneth_p1p1, p1p1_class
 from helpers_reference import (
+    by_degree,
+    expanded_certs,
+    family_block,
+    family_sigma,
+    generator_subsets,
+    pattern_family,
     retract_identity_failures,
     stabilization_level,
     strand_blocks,
     strand_dims,
+    subset_mask,
     support_patterns,
 )
 from toricres import cech
@@ -80,13 +86,14 @@ def _checked_strand_dims(x, alpha, e):
     dims = [0] * (depth + 1)
     checked = set()
     for w, fam in blocks:
-        per_q, *red = cech._reduced_family(fam, depth)
+        c = cech.FamilyCerts(family_sigma(fam, depth + 1), depth + 1)
         if fam not in checked:
-            entries = cech._block_entries(list(fam), depth)[1]
+            per_q, entries, *red = expanded_certs(c)
+            assert per_q == by_degree(fam, depth + 1)
             assert retract_identity_failures(per_q, entries, *red) == [], w
             checked.add(fam)
-        for q, survivors in enumerate(red[0]):
-            dims[q] += len(survivors)
+        for q, d in enumerate(c.dims):
+            dims[q] += d
     assert tuple(dims) == strand_dims(x, alpha, e)
     return tuple(dims)
 
@@ -114,8 +121,9 @@ def test_reduced_strand_empty():
 def test_strand_determinism():
     depth, blocks = strand_blocks(P2, cls_of_degree(P2, 3), (1, 1, 1))
     assert blocks
-    first = [cech._reduce_block(*cech._block_entries(list(fam), depth)) for _, fam in blocks]
-    again = [cech._reduce_block(*cech._block_entries(list(fam), depth)) for _, fam in blocks]
+    pers = [by_degree(fam, depth + 1) for _, fam in blocks]
+    first = [cech._reduce_block(per_q, family_block(per_q)) for per_q in pers]
+    again = [cech._reduce_block(per_q, family_block(per_q)) for per_q in pers]
     assert first == again
 
 
@@ -142,7 +150,7 @@ def test_sturmfels_variety_strand_smoke():
 
 def _reference_families(x):
     """Every pattern's family, from intersections of cone frozensets."""
-    _, subsets, _ = cech._subset_data(x)
+    subsets = generator_subsets(len(x.max_cones))
     cones = [frozenset(c) for c in x.max_cones]
     common = {T: frozenset.intersection(*(cones[j] for j in T)) for T in subsets}
     return {neg: tuple(T for T in subsets if not (set(neg) & common[T]))
@@ -157,7 +165,8 @@ def _reference_patterns(x):
     for neg, fam in _reference_families(x).items():
         if not fam:
             continue
-        per_q, entries = cech._block_entries(list(fam), depth)
+        per_q = by_degree(fam, depth + 1)
+        entries = family_block(per_q)
         sizes = [len(v) for v in per_q]
         ranks = []
         for q in range(depth):
@@ -252,7 +261,10 @@ def test_pattern_family_bitmasks_match_the_cone_intersections(name):
     # is empty: each holds the subset of all generators
     top = tuple(range(len(x.max_cones)))
     for neg, fam in _reference_families(x).items():
-        assert cech._pattern_family(x, neg) == fam
+        assert pattern_family(x, neg) == fam
+        sigma = cech._sigma(x, neg)
+        assert tuple(T for T in generator_subsets(len(top))
+                     if subset_mask(T) not in sigma) == fam
         assert top in fam, neg
 
 
@@ -267,14 +279,14 @@ def test_pattern_table_and_points_match_fraction_reference(name):
     # the integer path gives the dims over Q in every degree, and so do
     # the reduced certificates (built here only where they are cheap)
     for neg, (fam, depth, dims) in ref.items():
-        assert cech._family_dims(fam, depth) == dims
+        assert cech._family_dims(tuple(map(subset_mask, fam)), depth) == dims
         if x.n_rays <= 4:
             assert cech.family_certs(x, neg).dims == dims
     # the nerve of every pattern has the cohomology of its family, in
     # every degree, including the patterns the table leaves out
     depth = cech.cech_depth(x)
     for neg in _all_patterns(x):
-        fam = cech._pattern_family(x, neg)
+        fam = tuple(map(subset_mask, pattern_family(x, neg)))
         want = cech._family_dims(fam, depth) if fam else (0,) * (depth + 1)
         assert cech._nerve_dims(x, neg) == want
     # classes: multiples of the anticanonical class and of each ray's class
@@ -595,10 +607,11 @@ def _assert_ints_stay_ints(red):
 def test_heap_pivots_match_full_rescan_reference(name):
     x = VARIETIES[name]()
     depth = cech.cech_depth(x)
-    fams = {cech._pattern_family(x, neg) for neg in _all_patterns(x)}
+    fams = {pattern_family(x, neg) for neg in _all_patterns(x)}
     for fam in sorted(fams):
         if fam:
-            per_q, entries = cech._block_entries(list(fam), depth)
+            per_q = by_degree(fam, depth + 1)
+            entries = family_block(per_q)
             want = _reference_reduce_block(per_q, entries)
             got = cech._reduce_block(per_q, entries)
             assert got == want
@@ -611,41 +624,51 @@ def test_every_pattern_family_satisfies_the_retract_identities(name, order, requ
     if order == "reversed":
         request.getfixturevalue("reversed_subset_order")
     x = VARIETIES[name]()
-    depth = cech.cech_depth(x)
+    n = len(x.max_cones)
     for neg in _all_patterns(x):
-        fam = cech._pattern_family(x, neg)
-        per_q, entries = cech._block_entries(list(fam), depth)
-        # the whole family by heap elimination, and the production reduction
-        for red in (cech._reduce_block(per_q, entries), cech._cone_reduction(fam, depth)[1]):
-            assert retract_identity_failures(per_q, entries, *red) == [], neg
-            assert tuple(map(len, red[0])) == cech._nerve_dims(x, neg)
+        fam = pattern_family(x, neg)
+        per_q = by_degree(fam, n)
+        if order == "reversed":
+            per_q = [level[::-1] for level in per_q]
+        entries = family_block(per_q)
+        # the whole family by heap elimination
+        red = cech._reduce_block(per_q, entries)
+        assert retract_identity_failures(per_q, entries, *red) == [], neg
+        assert tuple(map(len, red[0])) == cech._nerve_dims(x, neg)
+        # the production reduction, on the critical cells of Sigma alone
+        per_q, entries, *red = expanded_certs(cech.family_certs(x, neg))
+        assert per_q == by_degree(fam, n)
+        assert retract_identity_failures(per_q, entries, *red) == [], neg
+        assert tuple(map(len, red[0])) == cech._nerve_dims(x, neg)
 
 
 @st.composite
-def _upward_closed_families(draw):
-    """An upward-closed family on 1-6 generators with its depth: every
-    nonempty subset outside a random downward-closed Sigma, the subsets of
-    a few drawn facets."""
+def _random_sigmas(draw):
+    """A downward-closed Sigma on 1-6 generators, the subsets of a few drawn
+    facets, with the number of generators: its family, every nonempty
+    subset outside it, is a random upward-closed family."""
     n = draw(st.integers(min_value=1, max_value=6))
-    subsets = [T for k in range(1, n + 1) for T in itertools.combinations(range(n), k)]
-    facets = [set(f) for f in draw(st.lists(st.sampled_from(subsets), max_size=6))]
-    return tuple(T for T in subsets if not any(f.issuperset(T) for f in facets)), n - 1
+    facets = draw(st.lists(st.sampled_from(generator_subsets(n)), max_size=6))
+    return frozenset(subset_mask(T) for T in generator_subsets(n)
+                     if any(set(f).issuperset(T) for f in facets)), n
 
 
-@given(_upward_closed_families())
+@given(_random_sigmas())
 @settings(max_examples=200, deadline=None)
-def test_cone_reduction_of_random_upward_closed_families(family):
-    fam, depth = family
-    per_q, red = cech._cone_reduction(fam, depth)
-    entries = cech._block_entries(list(fam), depth)[1]
+def test_cone_reduction_of_random_upward_closed_families(drawn):
+    sigma, n = drawn
+    c = cech.FamilyCerts(sigma, n)
+    per_q, entries, *red = expanded_certs(c)
     assert retract_identity_failures(per_q, entries, *red) == []
-    assert tuple(map(len, red[0])) == cech._family_dims(fam, depth)
+    fam = tuple(subset_mask(T) for level in per_q for T in level)
+    assert c.dims == tuple(map(len, red[0])) == cech._family_dims(fam, n - 1)
     _assert_ints_stay_ints(red)
 
 
 def test_cone_reduction_rejects_a_family_not_closed_under_generator_0():
+    # the family {{1}} on two generators: Sigma holds {0, 1} but not {1}
     with pytest.raises(MathFailure):
-        cech._cone_reduction(((1,),), 1)
+        cech.FamilyCerts(frozenset({0b01, 0b11}), 2)
 
 
 _SIZES = st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=4)
@@ -696,7 +719,11 @@ def test_generator_cap_raises_resource_guard(monkeypatch):
 
     monkeypatch.setattr(cech, "_GENERATOR_CAP", 2)
     with pytest.raises(ResourceGuard):
-        cech._subset_data.__wrapped__(P2)   # three generators, past the memo
+        cech._ray_cones.__wrapped__(P2)   # three generators, past the memo
+    # and on the path that builds a family
+    monkeypatch.setattr(cech, "_ray_cones", cech._ray_cones.__wrapped__)
+    with pytest.raises(ResourceGuard):
+        cech.family_certs.__wrapped__(P2, (0,))
 
 
 def test_pattern_ray_cap_raises_unsupported_geometry(monkeypatch):
@@ -743,7 +770,7 @@ def test_kernel_rank_mismatch_is_unsupported_geometry():
 
 
 def _certs_obj(c):
-    return (c.depth, c.per_q, c.pos, c.active, c.dims, c.iota, c.rho_t, c.h)
+    return (c.sigma, c.active, c.dims, c.iota, c.rho_t, c.h)
 
 
 def test_clear_caches_then_rebuild_gives_identical_family_certs():
@@ -761,9 +788,8 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs():
     cech.clear_caches()
     assert not (cech._reduce_memo or cech._fam_dims_memo or cech._points_cache
                 or any(cech.cache_counters.values()))
-    for fn in (cech._subset_data, cech._subset_rays, cech._nerve_dims,
-               cech._ray_circuits, cech._circuit_patterns, cech._pattern_family,
-               cech.family_certs):
+    for fn in (cech._ray_cones, cech._nerve_dims, cech._ray_circuits,
+               cech._circuit_patterns, cech.family_certs):
         assert fn.cache_info().currsize == 0
     for neg, c in before.items():
         again = cech.family_certs(x, neg)

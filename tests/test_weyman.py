@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from helpers_complexes import (
 from helpers_poly import constant_value, e1_page_from_obj, matrix_text
 import helpers_reference
 from helpers_reference import (
+    expanded_certs,
     retract_identity_failures,
     specialized_homology,
     stabilization_level,
@@ -53,6 +55,7 @@ from toricres.qpoly import (
     PolyMatrix,
     SparsePoly,
     poly_from_text,
+    poly_to_text,
     primitive_part,
     same_up_to_sign,
 )
@@ -205,13 +208,8 @@ def test_sturmfels_column_entry_degree_equals_step_count(sturmfels_unit):
 
 
 def _labelled_certs(c):
-    """A family's iota and h rows keyed by subsets, not chain positions."""
-    T = c.per_q
-    iota = [{T[q][i]: {T[q][j]: v for j, v in row.items()}
-             for i, row in zip(c.active[q], c.iota[q])} for q in range(c.depth + 1)]
-    h = [{T[q + 1][i]: {T[q][j]: v for j, v in row.items()} for i, row in c.h[q].items()}
-         for q in range(c.depth)]
-    return iota, h
+    """A family's iota rows keyed by their surviving cells, and its h."""
+    return [dict(zip(active, iota)) for active, iota in zip(c.active, c.iota)], c.h
 
 
 def test_sturmfels_pivot_order_naturality(sturmfels_unit, request):
@@ -225,9 +223,8 @@ def test_sturmfels_pivot_order_naturality(sturmfels_unit, request):
     request.getfixturevalue("reversed_subset_order")
     W2 = weyman_differential(C)
     after = [_labelled_certs(cech.family_certs(x, neg)) for neg in negs]
-    for (fam, depth), (per_q, *red) in cech._reduce_memo.items():
-        entries = cech._block_entries(list(fam), depth)[1]
-        assert retract_identity_failures(per_q, entries, *red) == []
+    for c in cech._reduce_memo.values():
+        assert retract_identity_failures(*expanded_certs(c)) == []
     assert W2.e1.table == W.e1.table
     assert {i: W2.rank(i) for i in W2.degrees()} == \
         {i: W.rank(i) for i in W.degrees()}
@@ -324,10 +321,9 @@ def test_m33_family_certificates_satisfy_the_retract_identities(m33_weyman):
     cech.clear_caches()
     assert weyman_differential(C).e1.table == W.e1.table
     assert len(cech._reduce_memo) == cech.cache_counters["built"] == 72
-    for (fam, depth), (per_q, *red) in cech._reduce_memo.items():
-        assert depth == 9
-        entries = cech._block_entries(list(fam), depth)[1]
-        assert retract_identity_failures(per_q, entries, *red) == []
+    for (sigma, n), c in cech._reduce_memo.items():
+        assert n == 10
+        assert retract_identity_failures(*expanded_certs(c)) == []
 
 
 def test_staircase_stops_at_the_bottom_row(m33_weyman):
@@ -357,6 +353,45 @@ def test_walk_packing_rejects_a_negative_parameter_exponent():
     C.validate()
     with pytest.raises(MathFailure, match="negative parameter exponent"):
         weyman_differential(C)
+
+
+def test_split_matrix_rejects_a_negative_cox_exponent():
+    """A walk keeps each chain's subset across a step by x^nu, which needs
+    nu >= 0: then the source family sits inside the destination family.
+    A Laurent Cox exponent is refused as a typed error."""
+    from toricres.qpoly import _Packing
+
+    v = ("a",) + P1.var_names()
+    pk = _Packing((0,), 1)
+    # a x1 + 2a x2 / x1
+    d = PolyMatrix.from_rows([[SparsePoly(v, {(1, 1, 0): 1, (1, -1, 1): 2})]], v)
+    with pytest.raises(MathFailure, match="negative Cox exponent"):
+        weyman._split_matrix(d, 1, pk)
+    d = PolyMatrix.from_rows([[SparsePoly(v, {(1, 1, 0): 1, (1, 0, 1): 2})]], v)
+    assert [nu for nu, _ in weyman._split_matrix(d, 1, pk)[0][0]] == [(0, 1), (1, 0)]
+
+
+def _weyman_hash(W) -> str:
+    """sha256 prefix of W's basis followed by the text of every entry of
+    each differential, in sorted degree and row-major order."""
+    h = hashlib.sha256(repr(sorted(W.basis.items())).encode())
+    for i in sorted(W.diffs):
+        for row in W.diffs[i].rows:
+            for p in row:
+                h.update(poly_to_text(p).encode())
+    return h.hexdigest()[:16]
+
+
+def test_weyman_complexes_match_their_pins(sturmfels_unit, m33_weyman):
+    """The basis labels and every matrix entry of three direct-image
+    complexes, frozen: a change of certificate or walk that keeps the
+    determinant but moves a pivot, a model order or an entry shows here."""
+    prob = sturmfels_problem()
+    x = variety_of(prob)
+    stable = weyman_differential(koszul_generic(prob, x).twist(sturmfels_twist(x, "stable")))
+    assert _weyman_hash(sturmfels_unit[1]) == "0a9b43dd12175106"
+    assert _weyman_hash(stable) == "72ce60113a91decf"
+    assert _weyman_hash(m33_weyman[1]) == "bbf41bdbbdf80108"
 
 
 def test_walk_exponent_past_its_degree_bound_is_a_typed_error(monkeypatch):

@@ -26,27 +26,32 @@ pairing each S in F without 0 with S + {0}, also in F, is an acyclic
 matching of discrete Morse theory (Forman, "Morse theory for cell
 complexes", Adv. Math. 134, 1998; Skoldberg, "Morse theory from an
 algebraic viewpoint", Trans. AMS 358, 2006).  Each pair's incidence is +1,
-as 0 comes first in S + {0}.  FamilyCerts reduces F in two stages:
-
-1. Cone contraction, in closed form: h1[S + {0}] = {S: +1}.  The critical
-   cells K = {T in F : 0 in T, T - {0} not in F} are {0}, when it is in F,
-   and the S + {0} in F with S in Sigma: a handful, read off Sigma.  rho1
-   is the coordinate projection onto K, and iota1[T] = e_T - sum_j
-   eps(j, T + {j}) e_(T - {0} + {j}) over the j outside T with
-   T - {0} + {j} in F, eps the incidence sign.  On every other cell the
-   signs cancel in pairs, so D h1 + h1 D = id - rho1 iota1, and the
-   differential induced on K is D restricted to K.  Only K is built; h1 is
-   never stored, and the walks apply it in closed form.
-2. Gauss elimination over Q on K alone (_reduce_block), one pivot at a
-   time, the least nonzero entry under a fixed rule: a unit entry first,
-   then the sparsest row, then the least (degree, row, column), rows and
-   columns indexed by K's cells in (size, lex) order.  A lazily
-   invalidated min-heap of each row's least key finds every pivot without
-   rescanning the block, and a column mirror finds the rows a pivot
-   touches.
-
-The two retracts compose to iota = iota_K iota1, rho = rho1 rho_K and
+as 0 comes first in S + {0}.  The critical cells K = {T in F : 0 in T,
+T - {0} not in F} are {0}, when it is in F, and the S + {0} in F with S in
+Sigma: a handful, read off Sigma.  The matching retracts F onto K by the
+cone contraction h1[S + {0}] = {S: +1}, rho1 the coordinate projection onto
+K, and iota1[T] = e_T - sum_j eps(j, T + {j}) e_(T - {0} + {j}) over the j
+outside T with T - {0} + {j} in F, eps the incidence sign; the differential
+it induces on K is D restricted to K.  A retract of K (iota_K, rho_K, h_K)
+composes with it to iota = iota_K iota1, rho = rho1 rho_K and
 h = h1 + rho1 h_K iota1.
+
+FamilyCerts builds K alone and keeps iota_K, rho_K and h_K on it, which is
+all the walks need.  Every cell of K holds generator 0, so rho and h vanish
+on a chain without it, and the side entries of iota1 are such chains.  On
+a chain that holds 0 but lies outside K, rho is 0 and h gives only
+h1[c] = {c - {0}: 1}, a chain without 0.  A walk's phi step keeps every
+chain's bitmask, and so does a morphism's theta.  So a chain outside the
+current family's K never contributes to a later projection, and a walk
+drops it.  The tests compose iota1 and h1 back in and check the identities
+above on the whole family.
+
+K is reduced by Gauss elimination over Q (_reduce_block), one pivot at a
+time, the least nonzero entry under a fixed rule: a unit entry first, then
+the sparsest row, then the least (degree, row, column), rows and columns
+indexed by K's cells in (size, lex) order.  A lazily invalidated min-heap
+of each row's least key finds every pivot without rescanning the block, and
+a column mirror finds the rows a pivot touches.
 
 Which exponents carry cohomology at all is decided per variety and
 negative-support pattern, without building a family: by the nerve lemma a
@@ -128,9 +133,8 @@ def _sigma(x: ToricVariety, neg: tuple[int, ...]) -> frozenset[int]:
 def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
     """Fully reduce one block over Q, tracking the retract certificates.
 
-    This is stage 2 of a family reduction (see the module docstring): it
-    runs on the critical cells that the cone contraction leaves, and it
-    reduces any block of sparse maps, complex or not.
+    A family reduction runs it on the critical cells K (see the module
+    docstring); it reduces any block of sparse maps, complex or not.
     Coordinates are kept by original local index throughout; dropped ones
     simply leave the active sets.  Returns surviving indices per degree and
     the certificates as index-keyed sparse structures.
@@ -490,51 +494,34 @@ cache_counters = {"memory": 0, "disk": 0, "built": 0}
 
 class FamilyCerts:
     """Reduction certificates of the family of one Sigma on n generators,
-    built in the two stages of the module docstring.
+    on its critical cells K alone (see the module docstring).
 
-    Chain coordinates are subset bitmasks.  Model coordinates of degree q
-    are positions in active[q], the surviving critical cells in the order
-    the reduction saw them.  iota[q][m] is model m's chain covector,
+    Every chain is a subset bitmask in K.  Model coordinates of degree q
+    are positions in active[q], the surviving cells of K in the order the
+    reduction saw them.  iota[q][m] is model m's covector iota_K,
     rho_t[q] maps a chain to its (model, value) pairs, and h[q] holds the
-    nonzero rows of rho1 h_K iota1, on critical cells of degree q + 1;
-    every other homotopy row is h1, which the walks apply in closed form.  A Sigma that holds some U with generator 0 but not U - {0}
-    (its family is then not closed under adding generator 0) raises
-    MathFailure.  Instances are shared and must be treated as read-only."""
+    nonzero rows of h_K, from cells of degree q + 1 to cells of degree q.
 
-    __slots__ = ("sigma", "active", "dims", "iota", "rho_t", "h")
+    A Sigma that holds some U with generator 0 but not U - {0} raises
+    MathFailure: its family is then not closed under adding generator 0,
+    and K would not be the critical cells.  Instances are shared and must
+    be treated as read-only."""
+
+    __slots__ = ("active", "dims", "iota", "rho_t", "h")
 
     def __init__(self, sigma: frozenset[int], n: int):
         if any(U & 1 and U != 1 and U ^ 1 not in sigma for U in sigma):
             raise MathFailure("subset family not closed under adding generator 0")
-        self.sigma = sigma
-        # the critical cells: each S + {0} in the family, S in Sigma or
-        # empty, with its iota1 row
-        iota1: dict[int, dict[int, int]] = {}
-        for S in (0, *sigma):
-            T = S | 1
-            if T in sigma:
-                continue
-            row = iota1[T] = {T: 1}
-            for j in range(1, n):
-                b = 1 << j
-                if not T & b and S | b not in sigma:
-                    # minus the incidence sign of j in T + {j}
-                    row[S | b] = 1 if (T & (b - 1)).bit_count() % 2 else -1
-        per_k = _per_degree(iota1, n - 1)
+        per_k = _per_degree({S | 1 for S in (0, *sigma)} - sigma, n - 1)
         active, iota_k, rho_k, h_k = _reduce_block(per_k, _block_entries(per_k))
 
-        def through(q, row):
-            """A covector on the degree-q cells of K, composed with iota1."""
-            out: dict = {}
-            for k, c in row.items():
-                for i, v in iota1[per_k[q][k]].items():
-                    out[i] = out.get(i, 0) + c * v
-            return {i: cnorm(v) for i, v in out.items() if v}
+        def cells(q, row):
+            return {per_k[q][k]: v for k, v in row.items()}
 
         models = [sorted(a) for a in active]   # positions in per_k
         self.active = [[per_k[q][i] for i in m] for q, m in enumerate(models)]
         self.dims = tuple(map(len, models))
-        self.iota = [[through(q, iota_k[q][i]) for i in m] for q, m in enumerate(models)]
+        self.iota = [[cells(q, iota_k[q][i]) for i in m] for q, m in enumerate(models)]
         self.rho_t = []
         for q, m in enumerate(models):
             t: dict[int, list[tuple[int, Fraction]]] = {}
@@ -542,7 +529,7 @@ class FamilyCerts:
                 for k, v in rho_k[q][i].items():
                     t.setdefault(per_k[q][k], []).append((mpos, v))
             self.rho_t.append(t)
-        self.h = [{per_k[q + 1][t]: through(q, row) for t, row in level.items()}
+        self.h = [{per_k[q + 1][t]: cells(q, row) for t, row in level.items()}
                   for q, level in enumerate(h_k)]
 
 

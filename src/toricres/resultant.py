@@ -3,8 +3,9 @@
 Pipeline: Koszul complex of the generic system, twist, direct image, then
 the determinant of the resulting based complex over the coefficient ring.
 The determinant is taken with the Cayley recipe: nested row/column index
-subsets picked by rank profiling modulo a prime at a random integer point,
-exact polynomial minors, alternating product cleared to a polynomial.
+subsets picked, and proven, by rank profiling modulo a prime at one random
+integer point, exact polynomial minors, alternating product cleared to a
+polynomial.
 Multiplicity is recovered afterwards by perfect-power extraction."""
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .complexes import FreeGradedComplex, koszul_generic, variety_from_simplex
 from .errors import InputError, MathFailure
-from .qlinalg import FIRST_PRIME, rank_mod
+from .qlinalg import FIRST_PRIME
 from .qpoly import (
     Coeff,
     PolyMatrix,
@@ -161,29 +162,26 @@ def _pm_minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> PolyMa
 
 def _det_once(span: list[int], ranks: dict[int, int],
               diffs: dict[int, PolyMatrix], pv: tuple[str, ...],
-              a_profile: Mapping[str, int], a_certify: Mapping[str, int],
+              a_profile: Mapping[str, int],
               ) -> tuple[SparsePoly, dict[int, dict[str, list[int]]]]:
     """One attempt at the Cayley determinant, its index subsets chosen and
-    certified at two integer points.
+    proven at one integer point.
 
-    Every rank is taken modulo p = FIRST_PRIME, and a rank mod p at a point
-    never exceeds the generic rank: a minor that is nonzero mod p at the
-    point is a nonzero polynomial.  Two exact proofs follow:
-
-    - at a_profile, ranks that add up to the term ranks prove the complex
-      generically exact; the nested subsets are read off there;
-    - at a_certify, each chosen minor of full rank mod p proves that its
-      determinant is a nonzero polynomial.
+    The nested subsets are read off the differentials modulo
+    p = FIRST_PRIME at a_profile, from the right end leftwards: at each
+    degree i, _row_profile picks s_i rows of d_i whose minor on the columns
+    left over from degree i + 1 is nonsingular mod p, and the leftmost term
+    must be used up.  A minor that is nonsingular mod p at a point has a
+    nonzero polynomial determinant, so the generic rank r_i of d_i is at
+    least s_i; the subsets give s_i + s_(i-1) = n_i, the term rank, and
+    d . d = 0 gives r_i + r_(i-1) <= n_i.  So r_i = s_i: the complex is
+    generically exact, and every chosen minor's determinant is nonzero.
 
     A bad draw, where some minor vanishes mod p, can only lower a rank, so
-    it fails a check and raises _Retry; it never yields wrong subsets.  By
+    the profile fails and raises _Retry; it never yields wrong subsets.  By
     Schwartz-Zippel a minor of degree deg vanishes at a random point with
     probability at most deg/(p - 1)."""
     spec = {i: _eval_mod(diffs[i], a_profile) for i in span[:-1]}
-    r = {i: rank_mod(m) for i, m in spec.items()}
-    for i in span:
-        if ranks.get(i, 0) != r.get(i, 0) + r.get(i - 1, 0):
-            raise _Retry("complex has nonzero generic homology")
     # nested subsets from the right end leftwards
     cols = list(range(ranks[span[-1]]))
     subsets: dict[int, dict[str, list[int]]] = {}
@@ -193,10 +191,7 @@ def _det_once(span: list[int], ranks: dict[int, int],
         if rows is None:
             raise _Retry("complex has nonzero generic homology")
         if cols:
-            minor = _pm_minor(diffs[i], rows, cols)
-            if rank_mod(_eval_mod(minor, a_certify)) != len(cols):
-                raise _Retry("index subsets fail the certifying specialization")
-            minors.append((i, minor))
+            minors.append((i, _pm_minor(diffs[i], rows, cols)))
             subsets[i] = {"rows": list(rows), "cols": list(cols)}
         taken = set(rows)
         cols = [c for c in range(ranks[i]) if c not in taken]
@@ -225,10 +220,8 @@ def _determinant_with_subsets(C, seed: int = 0,
     rng = random.Random(seed)
     last = "unreachable"
     for _ in range(2):
-        a1 = _rand_assign(pv, rng)
-        a2 = _rand_assign(pv, rng)
         try:
-            return _det_once(span, ranks, diffs, pv, a1, a2)
+            return _det_once(span, ranks, diffs, pv, _rand_assign(pv, rng))
         except _Retry as err:
             last = str(err)
     raise MathFailure(last)
@@ -335,11 +328,11 @@ def a_resultant(problem: SupportProblem, twist="default", seed: int = 0) -> Resu
     anticanonical class, the anticanonical class and zero, fewest q > 0
     summand dimensions first (they alone need Cech certificates), then the
     smallest largest minor (see resolve_twist); an explicit twist is used
-    as given.  The seed draws the two integer points at which _det_once
-    proves, by ranks modulo a prime, that the complex is generically exact
-    and that every chosen minor is a nonzero polynomial.  A bad draw can
-    only lower a rank, so it fails a proof and never passes one wrongly; it
-    is repeated once with fresh points, and a second failure raises
+    as given.  The seed draws the integer point at which _det_once proves,
+    by ranks modulo a prime, that the complex is generically exact and
+    that every chosen minor is a nonzero polynomial.  A bad draw can only
+    lower a rank, so it fails the proof and never passes it wrongly; it is
+    repeated once with a fresh point, and a second failure raises
     MathFailure."""
     n = len(problem.supports[0][0])
     if len(problem.supports) != n + 1:

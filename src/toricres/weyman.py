@@ -158,12 +158,13 @@ class _Certs(dict):
 # Walk vectors are dicts (k, w) -> {chain -> {parameter exponent ->
 # coefficient}}, grouped by summand index and exponent so every certificate
 # lookup is block-local.  A chain is the bitmask of its generator subset, the
-# same coordinate in every family, so a phi step keeps it as it is.  A
-# parameter exponent is one packed int of a
-# qpoly._Packing with offset 0 (_walk_packing), so a product of monomials is
-# an int add; exponent tuples come back only in _fill_row.  Coefficients are
-# ints, or Fractions where a certificate has one; a SparsePoly is built only
-# for a matrix entry.
+# same coordinate in every family, so a phi step keeps it as it is.  Every
+# chain holds generator 0: it enters through iota or h, whose chains are the
+# critical cells of a family (see the cech module docstring).  A parameter
+# exponent is one packed int of a qpoly._Packing with offset 0
+# (_walk_packing), so a product of monomials is an int add; exponent tuples
+# come back only in _fill_row.  Coefficients are ints, or Fractions where a
+# certificate has one; a SparsePoly is built only for a matrix entry.
 
 def _walk_packing(x: ToricVariety, mats: Iterable[PolyMatrix], n_params: int) -> _Packing:
     """Packing of the parameter exponents of every walk through the
@@ -244,20 +245,18 @@ def _apply_split(splits, v: dict) -> dict:
 def _apply_h(certs: _Certs, v: dict, q: int) -> dict:
     """Homotopy step from Cech degree q down to q - 1, blockwise.
 
-    A chain c with generator 0 whose c - {0} is a family member (nonempty,
-    as q >= 1, and outside Sigma) takes the cone contraction's row
-    {c - {0}: 1}; a critical cell takes its stored row."""
+    A chain takes its stored row of h_K.  A chain without one is dropped:
+    either h_K's row there is zero, or the chain lies outside the critical
+    cells of w's family, where the full homotopy gives only chains that no
+    later projection sees (see the cech module docstring)."""
     out: dict = {}
     for (k, w), chains in v.items():
-        fam = certs[w]
-        hq, sigma = fam.h[q - 1], fam.sigma
+        hq = certs[w].h[q - 1]
         blk: dict = {}
         for c, terms in chains.items():
             row = hq.get(c)
             if row is None:
-                if not c & 1 or c ^ 1 in sigma:
-                    continue
-                row = {c ^ 1: 1}
+                continue
             for c0, coef in row.items():
                 _add_scaled(blk.setdefault(c0, {}), terms, coef)
         out[(k, w)] = blk

@@ -201,19 +201,37 @@ def by_degree(fam, n: int) -> list[list[tuple[int, ...]]]:
     return [sorted(T for T in fam if len(T) == q + 1) for q in range(n)]
 
 
-def expanded_certs(c: cech.FamilyCerts):
-    """A FamilyCerts spelled out on its whole family, as the arguments of
-    retract_identity_failures: the family's subsets per degree in sorted
-    order, its incidence entries, and active, iota, rho and h keyed by
-    position, where h gains the closed-form cone rows h1[S + {0}] = {S: 1}
-    for every nonempty family member S without generator 0."""
+def expanded_certs(c: cech.FamilyCerts, sigma: frozenset[int]):
+    """A FamilyCerts of Sigma spelled out on its whole family, as the
+    arguments of retract_identity_failures: the family's subsets per degree
+    in sorted order, its incidence entries, and active, iota, rho and h
+    keyed by position.  The certificates live on the critical cells K; this
+    composes the cone contraction back in, iota = iota_K iota1 and
+    h = h1 + rho1 h_K iota1 with
+    iota1[T] = e_T - sum_j eps(j, T + {j}) e_(T - {0} + {j}) over the j
+    outside T with T - {0} + {j} in the family, and the cone rows
+    h1[S + {0}] = {S: 1} for every nonempty family member S without
+    generator 0; rho is rho_K, as rho1 is the coordinate projection onto K."""
     n = len(c.active)
-    fam = [T for T in generator_subsets(n) if subset_mask(T) not in c.sigma]
+    fam = [T for T in generator_subsets(n) if subset_mask(T) not in sigma]
     per_q = by_degree(fam, n)
     pos = [{subset_mask(T): i for i, T in enumerate(level)} for level in per_q]
 
     def at(q, row):
-        return {pos[q][chain]: v for chain, v in row.items()}
+        """A covector on cells of K, composed with iota1, by position."""
+        out: dict = {}
+        for T, v in row.items():
+            if not T & 1 or T != 1 and T ^ 1 not in sigma:
+                raise MathFailure(f"certificate chain {T:b} is not a critical cell")
+            terms = {T: 1}
+            for j in range(1, n):
+                b = 1 << j
+                if not T & b and T ^ 1 | b not in sigma:
+                    # minus the incidence sign of j in T + {j}
+                    terms[T ^ 1 | b] = 1 if (T & (b - 1)).bit_count() % 2 else -1
+            for chain, e in terms.items():
+                out[pos[q][chain]] = out.get(pos[q][chain], 0) + v * e
+        return {i: cnorm(v) for i, v in out.items() if v}
 
     active = [{pos[q][T] for T in c.active[q]} for q in range(n)]
     iota = [{pos[q][T]: at(q, row) for T, row in zip(c.active[q], c.iota[q])}

@@ -86,9 +86,10 @@ def _checked_strand_dims(x, alpha, e):
     dims = [0] * (depth + 1)
     checked = set()
     for w, fam in blocks:
-        c = cech.FamilyCerts(family_sigma(fam, depth + 1), depth + 1)
+        sigma = family_sigma(fam, depth + 1)
+        c = cech.FamilyCerts(sigma, depth + 1)
         if fam not in checked:
-            per_q, entries, *red = expanded_certs(c)
+            per_q, entries, *red = expanded_certs(c, sigma)
             assert per_q == by_degree(fam, depth + 1)
             assert retract_identity_failures(per_q, entries, *red) == [], w
             checked.add(fam)
@@ -448,7 +449,9 @@ def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch):
         resultant.a_resultant(problem, twist=tw)
     # 16 classes times 200 table patterns without the screen
     assert len(walks) == 13 and all(walks)
-    assert cech.cache_counters["built"] == len(cech._reduce_memo) == 38
+    # every walk chain holds generator 0, as the certificates live on the
+    # critical cells, so a family is looked up only where such a chain lands
+    assert cech.cache_counters["built"] == len(cech._reduce_memo) == 36
 
 
 @st.composite
@@ -636,7 +639,7 @@ def test_every_pattern_family_satisfies_the_retract_identities(name, order, requ
         assert retract_identity_failures(per_q, entries, *red) == [], neg
         assert tuple(map(len, red[0])) == cech._nerve_dims(x, neg)
         # the production reduction, on the critical cells of Sigma alone
-        per_q, entries, *red = expanded_certs(cech.family_certs(x, neg))
+        per_q, entries, *red = expanded_certs(cech.family_certs(x, neg), cech._sigma(x, neg))
         assert per_q == by_degree(fam, n)
         assert retract_identity_failures(per_q, entries, *red) == [], neg
         assert tuple(map(len, red[0])) == cech._nerve_dims(x, neg)
@@ -658,7 +661,7 @@ def _random_sigmas(draw):
 def test_cone_reduction_of_random_upward_closed_families(drawn):
     sigma, n = drawn
     c = cech.FamilyCerts(sigma, n)
-    per_q, entries, *red = expanded_certs(c)
+    per_q, entries, *red = expanded_certs(c, sigma)
     assert retract_identity_failures(per_q, entries, *red) == []
     fam = tuple(subset_mask(T) for level in per_q for T in level)
     assert c.dims == tuple(map(len, red[0])) == cech._family_dims(fam, n - 1)
@@ -669,6 +672,42 @@ def test_cone_reduction_rejects_a_family_not_closed_under_generator_0():
     # the family {{1}} on two generators: Sigma holds {0, 1} but not {1}
     with pytest.raises(MathFailure):
         cech.FamilyCerts(frozenset({0b01, 0b11}), 2)
+
+
+@pytest.mark.parametrize("name", ["sturmfels", "m33"])
+def test_every_certificate_chain_is_a_critical_cell(name):
+    """The certificates live on the critical cells K of the cone-point
+    matching: in the family of every pattern, which includes every family a
+    walk reaches, each chain of an iota row, a rho_t key and an h row, key
+    or value, is a family member that holds generator 0, with T - {0} empty
+    or in Sigma."""
+    from toricres.toric import variety_of
+
+    x = variety_of(_fixture_problem(name))
+    seen = 0
+    for neg in _all_patterns(x):
+        sigma = cech._sigma(x, neg)
+        c = cech.family_certs(x, neg)
+        chains = {T for level in c.iota for row in level for T in row}
+        chains.update(T for level in c.rho_t for T in level)
+        for level in c.h:
+            for T, row in level.items():
+                chains.add(T)
+                chains.update(row)
+        assert all(T & 1 and T not in sigma and (T == 1 or T ^ 1 in sigma)
+                   for T in chains), neg
+        seen += bool(chains)
+    assert seen
+
+
+def test_models_keep_the_order_the_reduction_saw_them():
+    """Two degree-2 models whose lex order, the order of K's cells, is not
+    their bitmask order: {0, 2, 6} before {0, 4, 5}."""
+    sigma = cech._down_closure([18, 34, 52, 70])
+    c = cech.FamilyCerts(sigma, 7)
+    assert c.dims == (0, 0, 2, 0, 0, 0, 0)
+    assert c.active[2] == [0b1000101, 0b0110001]
+    assert retract_identity_failures(*expanded_certs(c, sigma)) == []
 
 
 _SIZES = st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=4)
@@ -770,7 +809,7 @@ def test_kernel_rank_mismatch_is_unsupported_geometry():
 
 
 def _certs_obj(c):
-    return (c.sigma, c.active, c.dims, c.iota, c.rho_t, c.h)
+    return (c.active, c.dims, c.iota, c.rho_t, c.h)
 
 
 def test_clear_caches_then_rebuild_gives_identical_family_certs():

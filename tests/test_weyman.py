@@ -223,8 +223,8 @@ def test_sturmfels_pivot_order_naturality(sturmfels_unit, request):
     request.getfixturevalue("reversed_subset_order")
     W2 = weyman_differential(C)
     after = [_labelled_certs(cech.family_certs(x, neg)) for neg in negs]
-    for c in cech._reduce_memo.values():
-        assert retract_identity_failures(*expanded_certs(c)) == []
+    for (sigma, _), c in cech._reduce_memo.items():
+        assert retract_identity_failures(*expanded_certs(c, sigma)) == []
     assert W2.e1.table == W.e1.table
     assert {i: W2.rank(i) for i in W2.degrees()} == \
         {i: W.rank(i) for i in W.degrees()}
@@ -323,7 +323,7 @@ def test_m33_family_certificates_satisfy_the_retract_identities(m33_weyman):
     assert len(cech._reduce_memo) == cech.cache_counters["built"] == 72
     for (sigma, n), c in cech._reduce_memo.items():
         assert n == 10
-        assert retract_identity_failures(*expanded_certs(c)) == []
+        assert retract_identity_failures(*expanded_certs(c, sigma)) == []
 
 
 def test_staircase_stops_at_the_bottom_row(m33_weyman):

@@ -41,10 +41,9 @@ all the walks need.  Every cell of K holds generator 0, so rho and h vanish
 on a chain without it, and the side entries of iota1 are such chains.  On
 a chain that holds 0 but lies outside K, rho is 0 and h gives only
 h1[c] = {c - {0}: 1}, a chain without 0.  A walk's phi step keeps every
-chain's bitmask, and so does a morphism's theta.  So a chain outside the
-current family's K never contributes to a later projection, and a walk
-drops it.  The tests compose iota1 and h1 back in and check the identities
-above on the whole family.
+chain's bitmask.  So a chain outside the current family's K never
+contributes to a later projection, and a walk drops it.  The tests compose
+iota1 and h1 back in and check the identities above on the whole family.
 
 K is reduced by Gauss elimination over Q (_reduce_block), one pivot at a
 time, the least nonzero entry under a fixed rule: a unit entry first, then
@@ -295,26 +294,20 @@ def _block_entries(per_q: list[list[int]]) -> list[dict[tuple[int, int], int]]:
     return entries
 
 
-_fam_dims_memo: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _family_dims(fam: tuple[int, ...], depth: int) -> tuple[int, ...]:
     """Cohomology dimensions of one family of subset bitmasks in every
     degree, by exact integer ranks of its incidence matrices."""
-    key = (fam, depth)
-    hit = _fam_dims_memo.get(key)
-    if hit is None:
-        per_q = _per_degree(fam, depth)
-        entries = _block_entries(per_q)
-        sizes = [len(v) for v in per_q]
-        mats = []
-        for q in range(depth):
-            rows: list[dict[int, int]] = [{} for _ in range(sizes[q])]
-            for (i, j), c in entries[q].items():
-                rows[i][j] = c
-            mats.append(rows)
-        hit = _fam_dims_memo[key] = _dims(sizes, [int_rank(m) for m in mats])
-    return hit
+    per_q = _per_degree(fam, depth)
+    entries = _block_entries(per_q)
+    sizes = [len(v) for v in per_q]
+    mats = []
+    for q in range(depth):
+        rows: list[dict[int, int]] = [{} for _ in range(sizes[q])]
+        for (i, j), c in entries[q].items():
+            rows[i][j] = c
+        mats.append(rows)
+    return _dims(sizes, [int_rank(m) for m in mats])
 
 
 def _dims(sizes: list[int], ranks: list[int]) -> tuple[int, ...]:
@@ -417,9 +410,7 @@ def _circuit_patterns(x: ToricVariety) -> tuple[int, ...]:
     return tuple(out)
 
 
-_points_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def contributing_points(x: ToricVariety,
                         alpha: Class) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """All (exponent, pattern) pairs whose blocks carry cohomology.
@@ -450,37 +441,31 @@ def contributing_points(x: ToricVariety,
     lattice point, and the walk that decides every other pattern is
     unchanged, so the points are the same as walking every pattern whose
     family carries cohomology."""
-    key = (x, tuple(alpha))
-    hit = _points_cache.get(key)
-    if hit is None:
-        if x.n_rays > _PATTERN_RAY_CAP:
-            raise UnsupportedGeometryError(
-                f"support patterns need 2^{x.n_rays} checks; "
-                f"cap is 2^{_PATTERN_RAY_CAP}")
-        target = tuple(-a for a in alpha)
-        u0, kernel = degree_fiber(x, target)
-        pts = []
-        if u0 is not None:
-            q_top = min(x.dim, cech_depth(x))
-            excluded = 0
-            for (a, _, _, c), patterns in zip(_ray_circuits(x), _circuit_patterns(x)):
-                if sum(map(mul, a, u0)) < c:
-                    excluded |= patterns
-            # flags[bits] == "1": some circuit shows the fiber misses pattern bits
-            flags = bin(excluded)[:1:-1].ljust(1 << x.n_rays, "0")
-            for bits, flag in enumerate(flags):
-                if flag == "1":
-                    continue   # no real point of the fiber has this pattern
-                neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
-                if not any(_nerve_dims(x, neg)[:q_top + 1]):
-                    continue   # no cohomology in q <= dim
-                # w <= -1 on the rays in neg, w >= 0 on the others
-                signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
-                pts.extend((w, neg) for w in fiber_points(u0, kernel, signs))
-        pts.sort()
-        hit = tuple(pts)
-        _points_cache[key] = hit
-    return hit
+    if x.n_rays > _PATTERN_RAY_CAP:
+        raise UnsupportedGeometryError(
+            f"support patterns need 2^{x.n_rays} checks; "
+            f"cap is 2^{_PATTERN_RAY_CAP}")
+    target = tuple(-a for a in alpha)
+    u0, kernel = degree_fiber(x, target)
+    pts = []
+    if u0 is not None:
+        q_top = min(x.dim, cech_depth(x))
+        excluded = 0
+        for (a, _, _, c), patterns in zip(_ray_circuits(x), _circuit_patterns(x)):
+            if sum(map(mul, a, u0)) < c:
+                excluded |= patterns
+        # flags[bits] == "1": some circuit shows the fiber misses pattern bits
+        flags = bin(excluded)[:1:-1].ljust(1 << x.n_rays, "0")
+        for bits, flag in enumerate(flags):
+            if flag == "1":
+                continue   # no real point of the fiber has this pattern
+            neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
+            if not any(_nerve_dims(x, neg)[:q_top + 1]):
+                continue   # no cohomology in q <= dim
+            # w <= -1 on the rays in neg, w >= 0 on the others
+            signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
+            pts.extend((w, neg) for w in fiber_points(u0, kernel, signs))
+    return tuple(sorted(pts))
 
 
 # -- block-level access ------------------------------------------------------------
@@ -556,10 +541,9 @@ def clear_caches() -> None:
     """Empty every in-process memo of this module and zero cache_counters.
 
     The memos grow for the life of the process."""
-    for memo in (_reduce_memo, _fam_dims_memo, _points_cache):
-        memo.clear()
+    _reduce_memo.clear()
     for k in cache_counters:
         cache_counters[k] = 0
-    for fn in (_ray_cones, _nerve_dims, _ray_circuits, _circuit_patterns,
-               family_certs):
+    for fn in (_ray_cones, _family_dims, _nerve_dims, _ray_circuits,
+               _circuit_patterns, contributing_points, family_certs):
         fn.cache_clear()

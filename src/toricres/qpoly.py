@@ -575,6 +575,11 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(not p for row in self.rows for p in row)
 
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "PolyMatrix":
+        """The entries at the given row and column positions, in that order."""
+        return PolyMatrix(len(rows), len(cols), self.vars,
+                          [[self.rows[r][c] for c in cols] for r in rows])
+
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")

@@ -152,14 +152,6 @@ def _row_profile(rows: Sequence[Mapping[int, int]], cols: Sequence[int],
     return None
 
 
-def _pm_minor(m: PolyMatrix, rows: Sequence[int], cols: Sequence[int]) -> PolyMatrix:
-    out = PolyMatrix(len(rows), len(cols), m.vars)
-    for a, r in enumerate(rows):
-        for b, c in enumerate(cols):
-            out.rows[a][b] = m.rows[r][c]
-    return out
-
-
 def _det_once(span: list[int], ranks: dict[int, int],
               diffs: dict[int, PolyMatrix], pv: tuple[str, ...],
               a_profile: Mapping[str, int],
@@ -191,7 +183,7 @@ def _det_once(span: list[int], ranks: dict[int, int],
         if rows is None:
             raise _Retry("complex has nonzero generic homology")
         if cols:
-            minors.append((i, _pm_minor(diffs[i], rows, cols)))
+            minors.append((i, diffs[i].submatrix(rows, cols)))
             subsets[i] = {"rows": list(rows), "cols": list(cols)}
         taken = set(rows)
         cols = [c for c in range(ranks[i]) if c not in taken]
@@ -212,12 +204,11 @@ def _det_once(span: list[int], ranks: dict[int, int],
     return out, subsets
 
 
-def _determinant_with_subsets(C, seed: int = 0,
-                              ) -> tuple[SparsePoly, dict[int, dict[str, list[int]]]]:
+def _determinant_with_subsets(C) -> tuple[SparsePoly, dict[int, dict[str, list[int]]]]:
     span, ranks, diffs, pv = _based_view(C)
     if not span or all(ranks.get(i, 0) == 0 for i in span):
         return SparsePoly.const(pv, 1), {}
-    rng = random.Random(seed)
+    rng = random.Random(0)
     last = "unreachable"
     for _ in range(2):
         try:
@@ -227,13 +218,13 @@ def _determinant_with_subsets(C, seed: int = 0,
     raise MathFailure(last)
 
 
-def determinant_of_complex(C, seed: int = 0) -> SparsePoly:
+def determinant_of_complex(C) -> SparsePoly:
     """Determinant of a generically exact based complex, up to sign.
 
     For a two-term square complex this is the plain matrix determinant;
     in general it is the alternating product of the exact minors attached
     to nested index subsets, cleared to a polynomial."""
-    return _determinant_with_subsets(C, seed)[0]
+    return _determinant_with_subsets(C)[0]
 
 
 # -- the resultant pipeline ----------------------------------------------------------
@@ -318,7 +309,7 @@ def _multiplicity(delta: SparsePoly) -> tuple[int, SparsePoly]:
     return 1, delta
 
 
-def a_resultant(problem: SupportProblem, twist="default", seed: int = 0) -> ResultantOutput:
+def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
     """The resultant of the generic system with the given supports.
 
     The eliminant variety must be a hypersurface; the determinant of the
@@ -328,12 +319,12 @@ def a_resultant(problem: SupportProblem, twist="default", seed: int = 0) -> Resu
     anticanonical class, the anticanonical class and zero, fewest q > 0
     summand dimensions first (they alone need Cech certificates), then the
     smallest largest minor (see resolve_twist); an explicit twist is used
-    as given.  The seed draws the integer point at which _det_once proves,
-    by ranks modulo a prime, that the complex is generically exact and
-    that every chosen minor is a nonzero polynomial.  A bad draw can only
-    lower a rank, so it fails the proof and never passes it wrongly; it is
-    repeated once with a fresh point, and a second failure raises
-    MathFailure."""
+    as given.  A fixed generator, random.Random(0), draws the integer
+    point at which _det_once proves, by ranks modulo a prime, that the
+    complex is generically exact and that every chosen minor is a nonzero
+    polynomial.  A bad draw can only lower a rank, so it fails the proof
+    and never passes it wrongly; it is repeated once with a fresh point,
+    and a second failure raises MathFailure."""
     n = len(problem.supports[0][0])
     if len(problem.supports) != n + 1:
         raise InputError(
@@ -350,7 +341,7 @@ def a_resultant(problem: SupportProblem, twist="default", seed: int = 0) -> Resu
     C = K.twist(tw)
     W = weyman_differential(C)
     try:
-        raw, subsets = _determinant_with_subsets(W, seed)
+        raw, subsets = _determinant_with_subsets(W)
     except MathFailure as err:
         if "homology" in str(err):
             raise MathFailure("degenerate twist or support configuration") from err
@@ -525,7 +516,7 @@ def _common_factor_generically(forms: list[SparsePoly], params: tuple[str, ...],
 
 
 def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly,
-                      u: str = "u", v: str = "v", seed: int = 0) -> SparsePoly:
+                      u: str = "u", v: str = "v") -> SparsePoly:
     """Implicit equation of the plane curve (f1/f0, f2/f0) on the line.
 
     The forms share a variable tuple whose last two entries parametrize the
@@ -549,7 +540,7 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly,
         raise InputError("forms must share one degree")
     if d < 1:
         raise InputError("degree must be positive")
-    rng = random.Random(seed + 1)
+    rng = random.Random(1)
     if _common_factor_generically([f0, f1, f2], params, rng):
         raise MathFailure("the forms share a common factor; "
                           "the image curve degenerates")
@@ -573,7 +564,7 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly,
         diffs={-2: PolyMatrix.from_rows([[-g2, g1]], variables, ncols=2),
                -1: PolyMatrix.from_rows([[g1], [g2]], variables)})
     W = weyman_differential(K.twist((2 * d - 1,)))
-    out = primitive_part(determinant_of_complex(W, seed=seed))
+    out = primitive_part(determinant_of_complex(W))
     if out.is_constant():
         raise MathFailure("implicit equation degenerated to a constant")
     return out

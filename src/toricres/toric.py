@@ -206,10 +206,6 @@ class SupportProblem:
     supports: tuple[Support, ...]
     labels: tuple[tuple[str, ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.supports[0][0])
-
     def all_labels(self) -> tuple[str, ...]:
         return tuple(name for group in self.labels for name in group)
 

@@ -21,13 +21,17 @@ the (p+r, q-r+1) summands and enters the matrix with sign
 one pattern family per exponent; only the phi steps carry R
 coefficients.
 
-The action on a morphism theta: M -> N of complexes is the induced map on
-reduced models: spread the embedded element across the staircase of M,
-apply theta, invert the codomain's triangular change of basis, and project.
-The per-step signs follow the column-signed totalization (vertical maps
-weighted by (-1)^p), conjugated to the differential's sign convention by the
-diagonal (-1)^(q(q+1)/2); composites of chain-level retract maps commute
-with the assembled differentials exactly.
+A morphism theta: M -> N acts through its mapping cone C, whose degree p
+holds M^(p+1) + N^p with differential [[-d_M, theta], [0, d_N]]: the
+transfer argument of the homological perturbation lemma (Crainic, "On the
+perturbation lemma, and deformations", 2004).  The M-type summands of C at
+degree i - 1 are those of W(M)^i, and its N-type summands at degree i those
+of W(N)^i.  A walk inside M takes r steps of -d_M, a factor (-1)^r, and the
+staircase sign at degree i - 1 differs from the one at i by (-1)^(r-1); so
+that block of W(C) is -d_W(M).  A walk inside N sees d_N at its own degree,
+so that block is d_W(N), and no walk goes from N to M.  The block F from
+the M-type to the N-type summands is the induced map, and d.d = 0 on W(C)
+gives d_W(M) F = F d_W(N) exactly.
 """
 from __future__ import annotations
 
@@ -80,10 +84,6 @@ class WeymanComplex:
     e1: E1Page
     basis: dict[int, list[tuple]]            # i -> [(p, q, k, w, mpos)]
     diffs: dict[int, PolyMatrix]             # i -> W^i x W^{i+1} over R
-
-    @property
-    def x(self) -> ToricVariety:
-        return self.source.x
 
     def rank(self, i: int) -> int:
         return sum(s.dim for s in self.terms.get(i, ()))
@@ -171,11 +171,11 @@ def _walk_packing(x: ToricVariety, mats: Iterable[PolyMatrix], n_params: int) ->
     matrices mats, whose first n_params variables are the parameters.
 
     A walk applies at most dim X + 1 of the matrices, one per staircase
-    step (q0 <= dim X), and a morphism's walk swaps one step for theta; each
-    application adds one piece's parameter exponent.  So the largest piece
-    degree times dim X + 1 bounds the total degree of every walk exponent,
-    and fields sized for it never carry.  The packing has no offset, so a
-    negative parameter exponent raises MathFailure."""
+    step (q0 <= dim X), and each application adds one piece's parameter
+    exponent.  So the largest piece degree times dim X + 1 bounds the total
+    degree of every walk exponent, and fields sized for it never carry.
+    The packing has no offset, so a negative parameter exponent raises
+    MathFailure."""
     top = 0
     for m in mats:
         for row in m.rows:
@@ -386,82 +386,31 @@ def staircase_block(W: WeymanComplex, p: int, q: int, r: int) -> PolyMatrix:
             if lab[0] == p and lab[1] == q]
     cols = [n for n, lab in enumerate(W.basis.get(i + 1, []))
             if lab[0] == p + r and lab[1] == q - r + 1]
-    d = W.diff_at(i)
-    out = PolyMatrix(len(rows), len(cols), d.vars)
-    for a, rn in enumerate(rows):
-        for b, cn in enumerate(cols):
-            out.rows[a][b] = d.rows[rn][cn]
-    return out
+    return W.diff_at(i).submatrix(rows, cols)
 
 
 # -- the functor on morphisms --------------------------------------------------------
 
 def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
-    """Matrices of the induced map between direct-image complexes.
+    """Matrices of the induced map W(M)^i -> W(N)^i, one per degree i where
+    either side is nonzero, read off the direct image of the cone of theta.
 
-    For each basis element of the source: spread the embedded chain element
-    across the staircase of the source complex (vertical steps weighted by
-    (-1)^p), map through theta, undo the codomain's triangular base change,
-    and project to the codomain models.  Emitted blocks are rescaled by the
-    diagonal sign (-1)^(q(q+1)/2) to match the differential convention, and
-    the squares with both differentials commute exactly over R."""
-    theta.validate()
-    M, N = theta.source, theta.target
-    pv = M.param_vars
-    WM = weyman_differential(M)
-    WN = weyman_differential(N)
-    t_maps = {p: theta.map_at(p) for p in set(M.degrees) & set(N.degrees)}
-    pk = _walk_packing(M.x, [*M.diffs.values(), *N.diffs.values(), *t_maps.values()],
-                       M.n_params)
-    m_splits = {p: _split_matrix(M.diff_at(p), M.n_params, pk) for p in M.diffs}
-    n_splits = {p: _split_matrix(N.diff_at(p), N.n_params, pk) for p in N.diffs}
-    t_splits = {p: _split_matrix(t, M.n_params, pk) for p, t in t_maps.items()}
-    certs = _Certs(M.x)
+    The cone's M-type summands (k below the rank of M^(p+1)) at degree
+    i - 1 are the summands of W(M)^i, and its N-type summands at degree i
+    those of W(N)^i, in the same basis order; the induced map is the block
+    of the cone's differential between them (see the module docstring)."""
+    M = theta.source
+    W = weyman_differential(theta.cone())
+
+    def positions(i: int, m_type: bool) -> list[int]:
+        return [n for n, (p, _, k, _, _) in enumerate(W.basis.get(i, []))
+                if (k < M.rank(p + 1)) == m_type]
 
     out: dict[int, PolyMatrix] = {}
-    for i in sorted(set(WM.terms) | set(WN.terms)):
-        rows = WM.basis.get(i, [])
-        cols = WN.basis.get(i, [])
-        mat = PolyMatrix(len(rows), len(cols), pv)
-        npos = {lab: n for n, lab in enumerate(cols)}
-        for rown, (p0, q0, k0, w0, m0) in enumerate(rows):
-            v = _embed(certs, k0, w0, m0, q0)
-            wprime: dict = {}
-            entries: dict[int, dict] = {}
-            p, q = p0, q0
-            while q >= 0:
-                # codomain correction: psi(h(w')) with column sign
-                if wprime:
-                    wprime = _apply_h(certs, wprime, q + 1)
-                    wprime = _apply_split(n_splits.get(p - 1, {}), wprime)
-                    if (p - 1) % 2:
-                        wprime = _scale(wprime, -1)
-                # domain contribution through theta
-                if v and p in t_splits:
-                    more = _apply_split(t_splits[p], v)
-                    wprime = _merge(wprime, more)
-                if wprime:
-                    s = q0 - q
-                    sgn = -1 if (s * q0 + s * (s - 1) // 2) % 2 else 1
-                    for (k2, w2, mpos2), part in _project(certs, wprime, q).items():
-                        col = npos.get((p, q, k2, w2, mpos2))
-                        if col is None:
-                            raise MathFailure(
-                                "morphism projection left the recorded models")
-                        _add_scaled(entries.setdefault(col, {}), part, sgn)
-                # spread the domain element one step down the staircase
-                if v and p in m_splits and q >= 1:
-                    v = _apply_split(m_splits[p], v)
-                    v = _apply_h(certs, v, q)
-                    if (p + 1) % 2:
-                        v = _scale(v, -1)
-                else:
-                    v = {}
-                p, q = p + 1, q - 1
-                if not v and not wprime:
-                    break
-            _fill_row(mat, rown, entries, pk)
-        out[i] = mat
+    for i in sorted({j + 1 for j in W.terms} | set(W.terms)):
+        rows, cols = positions(i - 1, True), positions(i, False)
+        if rows or cols:
+            out[i] = W.diff_at(i - 1).submatrix(rows, cols)
     return out
 
 
@@ -479,20 +428,3 @@ def _fill_row(m: PolyMatrix, rown: int, entries: dict[int, dict], pk: _Packing) 
                 for packed, e in zip(terms, unpacked)):
             raise MathFailure("a walk's parameter exponent passed its degree bound")
         m.rows[rown][col] = SparsePoly(m.vars, unpacked)
-
-
-def _scale(v: dict, c: int) -> dict:
-    if c == 1:
-        return v
-    return {key: {cc: {e: -a for e, a in terms.items()}
-                  for cc, terms in blk.items()} for key, blk in v.items()}
-
-
-def _merge(a: dict, b: dict) -> dict:
-    out = {key: {c: dict(terms) for c, terms in blk.items()}
-           for key, blk in a.items()}
-    for key, blk in b.items():
-        dst = out.setdefault(key, {})
-        for c, terms in blk.items():
-            _add_scaled(dst.setdefault(c, {}), terms, 1)
-    return _drop_zeros(out)

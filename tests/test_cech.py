@@ -770,7 +770,7 @@ def test_pattern_ray_cap_raises_unsupported_geometry(monkeypatch):
     from toricres.errors import UnsupportedGeometryError
 
     alpha = cls_of_degree(P2, 3)
-    monkeypatch.setattr(cech, "_points_cache", {})   # past the memo
+    cech.contributing_points.cache_clear()   # past the memo
     monkeypatch.setattr(cech, "_PATTERN_RAY_CAP", 2)
     with pytest.raises(UnsupportedGeometryError):
         cech.contributing_points(P2, alpha)   # three rays
@@ -825,10 +825,10 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs():
     built = cech.cache_counters["built"]
     assert built > 0
     cech.clear_caches()
-    assert not (cech._reduce_memo or cech._fam_dims_memo or cech._points_cache
-                or any(cech.cache_counters.values()))
-    for fn in (cech._ray_cones, cech._nerve_dims, cech._ray_circuits,
-               cech._circuit_patterns, cech.family_certs):
+    assert not (cech._reduce_memo or any(cech.cache_counters.values()))
+    for fn in (cech._ray_cones, cech._family_dims, cech._nerve_dims,
+               cech._ray_circuits, cech._circuit_patterns,
+               cech.contributing_points, cech.family_certs):
         assert fn.cache_info().currsize == 0
     for neg, c in before.items():
         again = cech.family_certs(x, neg)

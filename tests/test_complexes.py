@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from helpers_complexes import binary_form, rescale_morphism
+
 from toricres.complexes import (
+    ComplexMorphism,
     cotangent_family_complex,
     generic_sections,
     koszul_generic,
@@ -104,3 +109,32 @@ def test_validate_catches_inhomogeneous_entry():
     k.diffs[-1].rows[0][0] = SparsePoly.const(k.variables, 7)
     with pytest.raises(InputError):
         k.validate()
+
+
+def test_morphism_validate_rejects_each_broken_morphism():
+    u = binary_form([1, 1])
+    f = binary_form([2, -1])
+    g = binary_form([1, 3, 2])
+    theta = rescale_morphism(f, g, u, 1, 2, 2)
+    theta.validate()
+    M, N, maps = theta.source, theta.target, theta.maps
+    xv = M.variables
+    one = SparsePoly.const(xv, 1)
+
+    def broken(changed, target=N):
+        return ComplexMorphism(source=M, target=target, maps={**maps, **changed})
+
+    other_ring = dataclasses.replace(N, variables=("y0", "y1"))
+    with pytest.raises(InputError, match="different rings"):
+        broken({}, other_ring).validate()
+    with pytest.raises(InputError, match="shape mismatch"):
+        broken({-1: PolyMatrix.from_rows([[one]], xv)}).validate()
+    no_d1 = dataclasses.replace(N, diffs={-2: N.diffs[-2]})
+    with pytest.raises(InputError, match="missing differential"):
+        broken({}, no_d1).validate()
+    # x0 has degree 1, but theta^0 must have degree 0
+    with pytest.raises(InputError, match="inhomogeneous"):
+        broken({0: PolyMatrix.from_rows([[SparsePoly.variable(xv, xv[0])]], xv)}).validate()
+    # homogeneous, but d_M theta^(-1) != theta^(-2) d_N
+    with pytest.raises(InputError, match="compose to zero"):
+        broken({-2: PolyMatrix.from_rows([[u + u]], xv)}).validate()

@@ -147,13 +147,24 @@ def test_determinant_unchanged_by_an_invertible_split_summand():
     assert same_up_to_sign(padded, m.det())
 
 
-def test_determinant_is_seed_independent_up_to_sign():
+def test_determinant_is_seed_independent_up_to_sign(monkeypatch):
     prob = linear3_problem()
     x = variety_of(prob)
     K = koszul_generic(prob, x)
     W = weyman_differential(K.twist(resolve_twist(K, "default")))
-    a = determinant_of_complex(W, seed=0)
-    b = determinant_of_complex(W, seed=7)
+    draw = resultant._rand_assign
+    points = []
+
+    def drawn(pv, rng):
+        points.append(draw(pv, rng))
+        return points[-1]
+
+    monkeypatch.setattr(resultant, "_rand_assign", drawn)
+    a = determinant_of_complex(W)
+    other = random.Random(7)
+    monkeypatch.setattr(resultant, "_rand_assign", lambda pv, rng: drawn(pv, other))
+    b = determinant_of_complex(W)
+    assert len(points) == 2 and points[0] != points[1]
     assert same_up_to_sign(primitive_part(a), primitive_part(b))
 
 

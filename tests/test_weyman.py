@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -459,6 +460,62 @@ def test_morphism_squares_commute_exactly():
         theta.validate()
         mats = weyman_on_morphism(theta)
         assert squares_commute(theta, mats)
+
+
+def _morphism_fixtures() -> list[ComplexMorphism]:
+    f = binary_form([2, -1])
+    g = binary_form([1, 3, 2])
+    u = binary_form([1, 1])
+    return ([koszul_vs_unit_fixture(n) for n in (1, 2, 3)]
+            + [identity_morphism(koszul_two(f, g, 1, 2, 3))]
+            + [rescale_morphism(f, g, u, 1, 2, t) for t in (2, 3, 4)])
+
+
+def test_morphism_functor_matches_its_pin():
+    """Keys, shapes and entry texts of the induced maps on every morphism
+    fixture, frozen."""
+    obj = [{str(i): [m.nrows, m.ncols, [[poly_to_text(p) for p in row] for row in m.rows]]
+            for i, m in weyman_on_morphism(theta).items()}
+           for theta in _morphism_fixtures()]
+    digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == "4e54043a760cf404"
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_cone_direct_image_has_the_block_form(n):
+    """W of the cone of theta: M M (-d_W(M)), N N (d_W(N)) and N M (zero)
+    blocks, with the cone's M-type labels at i - 1 those of W(M)^i and its
+    N-type labels at i those of W(N)^i, in basis order."""
+    theta = _morphism_fixtures()[n]
+    M, N = theta.source, theta.target
+    W = weyman_differential(theta.cone())
+    WM, WN = weyman_differential(M), weyman_differential(N)
+
+    def split(i):
+        ms, ns = [], []
+        for pos, (p, q, k, w, mpos) in enumerate(W.basis.get(i, [])):
+            if k < M.rank(p + 1):
+                ms.append((pos, (p + 1, q, k, w, mpos)))
+            else:
+                ns.append((pos, (p, q, k - M.rank(p + 1), w, mpos)))
+        return ms, ns
+
+    degrees = set(W.terms) | {i - 1 for i in WM.terms} | set(WN.terms)
+    for i in sorted(degrees):
+        (ms, ns), (ms1, ns1) = split(i), split(i + 1)
+        assert [lab for _, lab in ms] == WM.basis.get(i + 1, [])
+        assert [lab for _, lab in ns] == WN.basis.get(i, [])
+        d = W.diff_at(i)
+
+        def block(rows, cols):
+            return d.submatrix([r for r, _ in rows], [c for c, _ in cols])
+
+        mm = block(ms, ms1)
+        want = WM.diff_at(i + 1)
+        assert (mm.nrows, mm.ncols) == (want.nrows, want.ncols)
+        assert all(a == -b for ra, rb in zip(mm.rows, want.rows) for a, b in zip(ra, rb))
+        assert pm_equal(block(ns, ns1), WN.diff_at(i))
+        assert block(ns, ms1).is_zero()
 
 
 def constant_q(m: PolyMatrix) -> QMatrix:

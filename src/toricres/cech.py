@@ -57,8 +57,10 @@ negative-support pattern, without building a family: by the nerve lemma a
 pattern's family has the reduced cohomology, shifted by one, of a small
 simplicial complex on the negated rays (Eisenbud, Mustata and Stillman,
 "Cohomology on toric varieties and local cohomology with monomial
-supports", J. Symbolic Comput. 29, 2000; see _nerve_dims).  Only the
-patterns that pass the ray-circuit screen of contributing_points are ranked.
+supports", J. Symbolic Comput. 29, 2000; see _nerve_dims).  The nerve's
+coboundaries are reduced by _reduce_block, the elimination that builds the
+certificates, and only for the patterns that pass the ray-circuit screen of
+contributing_points.
 The screen is integer work: each circuit of the rays becomes, once per
 variety, a bitset over all sign patterns of those it can exclude, and the
 patterns a class's fiber misses are the OR of the bitsets of the circuits
@@ -77,7 +79,7 @@ from operator import mul, or_
 from typing import Iterable, Sequence
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
-from .qlinalg import int_kernel_basis, int_rank
+from .qlinalg import int_kernel_basis
 from .qpoly import cnorm
 from .toric import ToricVariety, degree_fiber, fiber_points
 
@@ -133,7 +135,8 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
     """Fully reduce one block over Q, tracking the retract certificates.
 
     A family reduction runs it on the critical cells K (see the module
-    docstring); it reduces any block of sparse maps, complex or not.
+    docstring), and _family_dims on a whole nerve; it reduces any block of
+    sparse maps, complex or not.
     Coordinates are kept by original local index throughout; dropped ones
     simply leave the active sets.  Returns surviving indices per degree and
     the certificates as index-keyed sparse structures.
@@ -297,24 +300,9 @@ def _block_entries(per_q: list[list[int]]) -> list[dict[tuple[int, int], int]]:
 @lru_cache(maxsize=None)
 def _family_dims(fam: tuple[int, ...], depth: int) -> tuple[int, ...]:
     """Cohomology dimensions of one family of subset bitmasks in every
-    degree, by exact integer ranks of its incidence matrices."""
+    degree: the cells that survive its full reduction (_reduce_block)."""
     per_q = _per_degree(fam, depth)
-    entries = _block_entries(per_q)
-    sizes = [len(v) for v in per_q]
-    mats = []
-    for q in range(depth):
-        rows: list[dict[int, int]] = [{} for _ in range(sizes[q])]
-        for (i, j), c in entries[q].items():
-            rows[i][j] = c
-        mats.append(rows)
-    return _dims(sizes, [int_rank(m) for m in mats])
-
-
-def _dims(sizes: list[int], ranks: list[int]) -> tuple[int, ...]:
-    """dims[q] = sizes[q] - rank d_q - rank d_{q-1}; d_q is absent past ranks."""
-    n = len(ranks)
-    return tuple(size - (ranks[q] if q < n else 0) - (ranks[q - 1] if q else 0)
-                 for q, size in enumerate(sizes))
+    return tuple(map(len, _reduce_block(per_q, _block_entries(per_q))[0]))
 
 
 # -- contributing patterns and points ------------------------------------------
@@ -342,7 +330,7 @@ def _nerve_dims(x: ToricVariety, neg: tuple[int, ...]) -> tuple[int, ...]:
     complex on at most #rays vertices (the small complexes on rays of
     Eisenbud, Mustata and Stillman, "Cohomology on toric varieties and local
     cohomology with monomial supports", J. Symbolic Comput. 29, 2000).  The
-    nerve's coboundaries are ranked exactly, as a subset family of its own."""
+    nerve is a subset family of its own, reduced by _reduce_block."""
     bits = sum(1 << rho for rho in neg)
     faces = _down_closure(bits & sum(1 << rho for rho in cone) for cone in x.max_cones)
     n = len(x.max_cones)   # depth + 1 degrees; the nerve has none above depth
@@ -424,7 +412,7 @@ def contributing_points(x: ToricVariety,
     patterns excluded for this class are the OR of the pattern bitsets
     (_circuit_patterns, built once per variety) of the circuits the fiber
     violates, and each pattern is one bit of it.  Only a survivor has its
-    nerve ranked (_nerve_dims, memoized per variety and pattern), and a
+    nerve reduced (_nerve_dims, memoized per variety and pattern), and a
     survivor with cohomology in some q <= dim is walked by fiber_points.
     A pattern neg is excluded when a ray circuit shows that its real sign
     polyhedron P = {u <= -1 on neg, u >= 0 off neg} misses the real fiber

@@ -1,20 +1,19 @@
 """Exact linear algebra: sparse matrices over Q and lattice algebra over Z.
 
-QMatrix follows the row convention used everywhere in this package: vectors
-are rows and act on the left, (v @ M)[j] = sum_i v[i] * M[i][j], so matrix
-composition reads left to right along arrows.
+QMatrix is the Fraction reference that tests check the pipeline against;
+no pipeline stage ranks with it.  It follows the row convention used
+everywhere in this package: vectors are rows and act on the left,
+(v @ M)[j] = sum_i v[i] * M[i][j], so matrix composition reads left to
+right along arrows.
 
 Integer routines work on plain list-of-list matrices.  smith_normal_form
 returns (D, L, R) with L @ A @ R = D, L and R unimodular and the diagonal
-entries in divisibility order; solve_int and int_kernel_basis are built on
-top of it, through solve_smith and smith_kernel, which take a Smith form
-already computed.
+entries in divisibility order; int_rank, solve_int and int_kernel_basis are
+built on top of it, through smith_rank, solve_smith and smith_kernel, which
+take a Smith form already computed.  Nothing here ranks modulo a prime.
 """
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -94,133 +93,14 @@ class QMatrix:
 IntMat = list[list[int]]
 
 
-# -- ranks by multi-modular elimination ----------------------------------------
-
-FIRST_PRIME = (1 << 61) - 1
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def int_rank(a: IntMat) -> int:
+    """Exact rank over Q of a dense integer matrix, from its Smith form."""
+    return smith_rank(smith_normal_form(a)[0])
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for b in _MR_BASES:
-        y = pow(b, d, n)
-        if y in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            y = y * y % n
-            if y == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-_primes: list[int] = [FIRST_PRIME]
-
-
-def _prime(i: int) -> int:
-    """The i-th prime walking down from 2^61 - 1 (i = 0 is 2^61 - 1)."""
-    while len(_primes) <= i:
-        n = _primes[-1] - 2
-        while not _is_prime(n):
-            n -= 2
-        _primes.append(n)
-    return _primes[i]
-
-
-def rank_mod(rows: Sequence[Mapping[int, int]], p: int = FIRST_PRIME) -> int:
-    """Rank modulo the prime p of an integer matrix given as sparse rows
-    (column -> value).
-
-    Sparse Gauss elimination: the sparsest remaining row is the next pivot
-    row, its pivot column the one shared with the fewest other rows, and a
-    column index limits each step to the rows the pivot touches."""
-    work: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        d = {j: c % p for j, c in r.items() if c % p}
-        if d:
-            work[i] = d
-            for j in d:
-                cols.setdefault(j, set()).add(i)
-    heap = [(len(d), i) for i, d in work.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        n, i = heapq.heappop(heap)
-        row = work.get(i)
-        if row is None or len(row) != n:
-            continue  # stale entry: the row changed or is gone
-        del work[i]
-        rank += 1
-        for j in row:
-            cols[j].discard(i)
-        piv = min(row, key=lambda j: (len(cols[j]), j))
-        inv = pow(row[piv], -1, p)
-        row = {j: v * inv % p for j, v in row.items()}
-        for k in list(cols[piv]):
-            r = work[k]
-            f = r[piv]
-            for j, v in row.items():
-                old = r.get(j)
-                s = ((old or 0) - f * v) % p
-                if s:
-                    if old is None:
-                        cols[j].add(k)
-                    r[j] = s
-                elif old is not None:
-                    del r[j]
-                    cols[j].discard(k)
-            if r:
-                heapq.heappush(heap, (len(r), k))
-            else:
-                del work[k]
-    return rank
-
-
-def int_rank(a: IntMat | Sequence[Mapping[int, int]]) -> int:
-    """Exact rank over Q of an integer matrix, dense or as sparse rows.
-
-    The rank is the max of its ranks modulo the primes _prime(0), _prime(1),
-    ... taken until their product exceeds the Hadamard bound H (the product
-    of the k = min(rows, cols) largest row norms, or column norms, whichever
-    is smaller), or until the rank is full.  A prime lowers the rank r only
-    if it divides every nonzero r x r minor, each at most H in absolute
-    value, so primes with product above H cannot all lower it.
-    """
-    rows = [r if isinstance(r, Mapping) else dict(enumerate(r)) for r in a]
-    row_sq: list[int] = []
-    col_sq: dict[int, int] = {}
-    for r in rows:
-        n = 0
-        for j, c in r.items():
-            if c:
-                n += c * c
-                col_sq[j] = col_sq.get(j, 0) + c * c
-        if n:
-            row_sq.append(n)
-    k = min(len(row_sq), len(col_sq))
-    if k == 0:
-        return 0
-    row_sq.sort()
-    bound_sq = min(math.prod(row_sq[-k:]), math.prod(sorted(col_sq.values())[-k:]))
-    best, modulus = 0, 1
-    for i in itertools.count():
-        p = _prime(i)
-        best = max(best, rank_mod(rows, p))
-        modulus *= p
-        if best == k or modulus * modulus > bound_sq:
-            return best
+def smith_rank(d: IntMat) -> int:
+    """Rank of a from the diagonal d of its Smith form: the nonzero entries."""
+    return sum(1 for i, row in enumerate(d) if i < len(row) and row[i])
 
 
 def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
@@ -373,5 +253,4 @@ def smith_kernel(snf: tuple[IntMat, IntMat, IntMat]) -> list[list[int]]:
     past the rank."""
     d, _, r = snf
     m = len(r)
-    rank = sum(1 for i in range(min(len(d), m)) if d[i][i])
-    return [[r[i][j] for i in range(m)] for j in range(rank, m)]
+    return [[r[i][j] for i in range(m)] for j in range(smith_rank(d), m)]

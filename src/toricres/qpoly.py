@@ -55,6 +55,8 @@ from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
+from .errors import MathFailure
+
 Coeff = int | Fraction
 Expo = tuple[int, ...]
 
@@ -656,7 +658,7 @@ class PolyMatrix:
                     if num and prev is not None:
                         num = _exact_div(num, prev, pk.guards)
                         if num is None:
-                            raise ArithmeticError(
+                            raise MathFailure(
                                 "non-exact division in fraction-free elimination")
                     row[j] = num
                 row[k] = {}

@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 
 from .complexes import FreeGradedComplex, koszul_generic, variety_from_simplex
 from .errors import InputError, MathFailure
-from .qlinalg import FIRST_PRIME
 from .qpoly import (
     Coeff,
     PolyMatrix,
@@ -30,6 +29,9 @@ from .toric import SupportProblem, codimension, variety_of
 from .weyman import E1Page, WeymanComplex, weyman_differential, weyman_terms
 
 Class = tuple[int, ...]
+
+# The Cayley subsets are proven modulo this number; the proof needs a prime.
+FIRST_PRIME = (1 << 61) - 1
 
 
 # -- determinant of a based complex --------------------------------------------------

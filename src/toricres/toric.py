@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InputError, UnsupportedGeometryError
-from .qlinalg import int_rank, smith_kernel, smith_normal_form, solve_smith
+from .qlinalg import int_rank, smith_kernel, smith_normal_form, smith_rank, solve_smith
 
 Point = tuple[int, ...]
 Support = tuple[Point, ...]
@@ -181,7 +181,7 @@ def variety_from_points(points: Iterable[Point]) -> ToricVariety:
     # ray matrix; rows m..R-1 of the left transform present the class group
     b = [list(r) for r in rays]
     d, l, _ = smith_normal_form(b)
-    rank = sum(1 for i in range(min(len(b), dim)) if d[i][i])
+    rank = smith_rank(d)
     if rank != dim:
         raise UnsupportedGeometryError("rays do not span the dual lattice")
     torsion = tuple(d[i][i] for i in range(rank) if d[i][i] > 1)
@@ -278,8 +278,7 @@ def codimension(supports: Sequence[Support]) -> int:
             pts = [p for j in js for p in supports[j]]
             base = pts[0]
             diffs = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
-            r = int_rank(diffs) if diffs else 0
-            best = max(best, size - r)
+            best = max(best, size - int_rank(diffs))
     return best
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from toricres import cech
@@ -201,6 +202,30 @@ def by_degree(fam, n: int) -> list[list[tuple[int, ...]]]:
     return [sorted(T for T in fam if len(T) == q + 1) for q in range(n)]
 
 
+def rank_dims(per_q, entries) -> tuple[int, ...]:
+    """Cohomology dimensions of a block given per degree with its incidence
+    entries (family_block), every rank taken over Q by QMatrix.rank:
+    dims[q] = size q - rank d_q - rank d_(q-1)."""
+    sizes = [len(level) for level in per_q]
+    ranks = []
+    for q, ent in enumerate(entries):
+        m = QMatrix(sizes[q], sizes[q + 1])
+        for (i, j), c in ent.items():
+            m.rows[i][j] = c
+        ranks.append(m.rank())
+    ranks.append(0)   # no map leaves the top degree
+    return tuple(size - ranks[q] - (ranks[q - 1] if q else 0)
+                 for q, size in enumerate(sizes))
+
+
+@lru_cache(maxsize=None)
+def family_rank_dims(fam: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
+    """rank_dims of a family of generator subsets on n generators, memoized
+    so that each distinct family is ranked once per test session."""
+    per_q = by_degree(fam, n)
+    return rank_dims(per_q, family_block(per_q))
+
+
 def expanded_certs(c: cech.FamilyCerts, sigma: frozenset[int]):
     """A FamilyCerts of Sigma spelled out on its whole family, as the
     arguments of retract_identity_failures: the family's subsets per degree
@@ -375,11 +400,11 @@ def strand_blocks(x: ToricVariety, alpha: Sequence[int], e: Sequence[int]):
 def strand_dims(x: ToricVariety, alpha: Sequence[int], e: Sequence[int]) -> tuple[int, ...]:
     """Cohomology dimensions of the truncated strand, one per Cech degree.
 
-    Rank-only: no certificates are produced."""
+    Rank-only: no certificates are produced (family_rank_dims)."""
     depth, blocks = strand_blocks(x, alpha, e)
     dims = [0] * (depth + 1)
     for w, fam in blocks:
-        for q, v in enumerate(cech._family_dims(tuple(map(subset_mask, fam)), depth)):
+        for q, v in enumerate(family_rank_dims(fam, depth + 1)):
             dims[q] += v
     return tuple(dims)
 

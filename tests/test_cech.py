@@ -12,9 +12,11 @@ from helpers_reference import (
     by_degree,
     expanded_certs,
     family_block,
+    family_rank_dims,
     family_sigma,
     generator_subsets,
     pattern_family,
+    rank_dims,
     retract_identity_failures,
     stabilization_level,
     strand_blocks,
@@ -26,7 +28,6 @@ from toricres import cech
 from toricres.cech import cech_depth
 from toricres.complexes import variety_from_simplex
 from toricres.errors import MathFailure
-from toricres.qlinalg import QMatrix
 from toricres.qpoly import cnorm
 from toricres.toric import variety_from_points
 
@@ -166,16 +167,7 @@ def _reference_patterns(x):
     for neg, fam in _reference_families(x).items():
         if not fam:
             continue
-        per_q = by_degree(fam, depth + 1)
-        entries = family_block(per_q)
-        sizes = [len(v) for v in per_q]
-        ranks = []
-        for q in range(depth):
-            m = QMatrix(sizes[q], sizes[q + 1])
-            for (i, j), c in entries[q].items():
-                m.rows[i][j] = c
-            ranks.append(m.rank())
-        dims = cech._dims(sizes, ranks)
+        dims = family_rank_dims(fam, depth + 1)
         if any(dims[:q_top + 1]):
             out[neg] = (fam, depth, dims)
     return out
@@ -277,8 +269,9 @@ def test_pattern_table_and_points_match_fraction_reference(name):
     x = VARIETIES[name]()
     ref = _reference_patterns(x)
     assert support_patterns(x) == tuple(sorted(ref, key=lambda neg: sum(1 << r for r in neg)))
-    # the integer path gives the dims over Q in every degree, and so do
-    # the reduced certificates (built here only where they are cheap)
+    # the family reducer gives the Fraction reference's dims in every
+    # degree, and so do the certificates (built here only where they are
+    # cheap)
     for neg, (fam, depth, dims) in ref.items():
         assert cech._family_dims(tuple(map(subset_mask, fam)), depth) == dims
         if x.n_rays <= 4:
@@ -287,8 +280,7 @@ def test_pattern_table_and_points_match_fraction_reference(name):
     # every degree, including the patterns the table leaves out
     depth = cech.cech_depth(x)
     for neg in _all_patterns(x):
-        fam = tuple(map(subset_mask, pattern_family(x, neg)))
-        want = cech._family_dims(fam, depth) if fam else (0,) * (depth + 1)
+        want = family_rank_dims(pattern_family(x, neg), depth + 1)
         assert cech._nerve_dims(x, neg) == want
     # classes: multiples of the anticanonical class and of each ray's class
     classes = {x.anticanonical_class()}
@@ -634,15 +626,17 @@ def test_every_pattern_family_satisfies_the_retract_identities(name, order, requ
         if order == "reversed":
             per_q = [level[::-1] for level in per_q]
         entries = family_block(per_q)
+        want = family_rank_dims(fam, n)
+        assert cech._nerve_dims(x, neg) == want
         # the whole family by heap elimination
         red = cech._reduce_block(per_q, entries)
         assert retract_identity_failures(per_q, entries, *red) == [], neg
-        assert tuple(map(len, red[0])) == cech._nerve_dims(x, neg)
+        assert tuple(map(len, red[0])) == want
         # the production reduction, on the critical cells of Sigma alone
         per_q, entries, *red = expanded_certs(cech.family_certs(x, neg), cech._sigma(x, neg))
         assert per_q == by_degree(fam, n)
         assert retract_identity_failures(per_q, entries, *red) == [], neg
-        assert tuple(map(len, red[0])) == cech._nerve_dims(x, neg)
+        assert tuple(map(len, red[0])) == want
 
 
 @st.composite
@@ -663,8 +657,7 @@ def test_cone_reduction_of_random_upward_closed_families(drawn):
     c = cech.FamilyCerts(sigma, n)
     per_q, entries, *red = expanded_certs(c, sigma)
     assert retract_identity_failures(per_q, entries, *red) == []
-    fam = tuple(subset_mask(T) for level in per_q for T in level)
-    assert c.dims == tuple(map(len, red[0])) == cech._family_dims(fam, n - 1)
+    assert c.dims == tuple(map(len, red[0])) == rank_dims(per_q, entries)
     _assert_ints_stay_ints(red)
 
 

@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers_poly import matrix_text, transpose
 from helpers_reference import substitute
+from toricres import qpoly
+from toricres.errors import MathFailure
 from toricres.qpoly import (
     PolyMatrix,
     SparsePoly,
@@ -227,6 +229,17 @@ def test_det_singular_and_transpose():
     cells2 = [["1 * x", "1"], ["0", "1 * y"]]
     m2 = PolyMatrix.from_text(cells2, V)
     assert m2.det() == transpose(m2).det()
+
+
+def test_det_raises_math_failure_on_a_non_exact_division(monkeypatch):
+    m = PolyMatrix.from_text([
+        ["1 * x", "2", "0"],
+        ["1 * y", "1 * x + 1", "3"],
+        ["0", "1 * z", "1 * x * y"],
+    ], V)
+    monkeypatch.setattr(qpoly, "_exact_div", lambda *args: None)
+    with pytest.raises(MathFailure, match="non-exact division"):
+        m.det()
 
 
 @given(st.lists(st.lists(st.integers(min_value=-5, max_value=5),

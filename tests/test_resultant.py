@@ -257,9 +257,15 @@ def test_a_coefficient_the_modulus_cannot_invert_is_refused():
         determinant_of_complex({-1: m})
 
 
+def test_first_prime_is_the_prime_2_61_minus_1():
+    assert resultant.FIRST_PRIME == 2**61 - 1
+    assert pytest.importorskip("sympy").isprime(resultant.FIRST_PRIME)
+
+
 def test_the_pipeline_takes_no_rational_rank(monkeypatch):
-    """Ranks in the resultant pipeline are modular; QMatrix is a test
-    reference only."""
+    """The pipeline's ranks come from the Smith form (lattices), the family
+    reducer _reduce_block (Cech families and nerves) and the profile mod p
+    (Cayley subsets); QMatrix is a test reference only."""
     def refuse(self):
         raise AssertionError("QMatrix.rank called")
 

@@ -20,8 +20,8 @@ cohomology dimensions of the family.  A chain coordinate is the bitmask of
 its generator subset, the same in every family.
 
 A family F is upward closed: it holds every nonempty subset outside the
-downward-closed Sigma of cone sets that share a negated ray (_sigma; see
-_nerve_dims), so it is never enumerated.  Generator 0 is a cone point, and
+downward-closed Sigma of cone sets that share a negated ray (_sigma), so
+it is never enumerated.  Generator 0 is a cone point, and
 pairing each S in F without 0 with S + {0}, also in F, is an acyclic
 matching of discrete Morse theory (Forman, "Morse theory for cell
 complexes", Adv. Math. 134, 1998; Skoldberg, "Morse theory from an
@@ -53,15 +53,9 @@ of each row's least key finds every pivot without rescanning the block, and
 a column mirror finds the rows a pivot touches.
 
 Which exponents carry cohomology at all is decided per variety and
-negative-support pattern, without building a family: by the nerve lemma a
-pattern's family has the reduced cohomology, shifted by one, of a small
-simplicial complex on the negated rays (Eisenbud, Mustata and Stillman,
-"Cohomology on toric varieties and local cohomology with monomial
-supports", J. Symbolic Comput. 29, 2000; see _nerve_dims).  The nerve's
-coboundaries are reduced by _reduce_block, the elimination that builds the
-certificates, and only for the patterns that pass the ray-circuit screen of
-contributing_points.
-The screen is integer work: each circuit of the rays becomes, once per
+negative-support pattern by the family reduction itself, and only for the
+patterns that pass the ray-circuit screen of contributing_points.  The
+screen is integer work: each circuit of the rays becomes, once per
 variety, a bitset over all sign patterns of those it can exclude, and the
 patterns a class's fiber misses are the OR of the bitsets of the circuits
 that fiber violates.
@@ -135,8 +129,7 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
     """Fully reduce one block over Q, tracking the retract certificates.
 
     A family reduction runs it on the critical cells K (see the module
-    docstring), and _family_dims on a whole nerve; it reduces any block of
-    sparse maps, complex or not.
+    docstring); it reduces any block of sparse maps, complex or not.
     Coordinates are kept by original local index throughout; dropped ones
     simply leave the active sets.  Returns surviving indices per degree and
     the certificates as index-keyed sparse structures.
@@ -297,48 +290,9 @@ def _block_entries(per_q: list[list[int]]) -> list[dict[tuple[int, int], int]]:
     return entries
 
 
-@lru_cache(maxsize=None)
-def _family_dims(fam: tuple[int, ...], depth: int) -> tuple[int, ...]:
-    """Cohomology dimensions of one family of subset bitmasks in every
-    degree: the cells that survive its full reduction (_reduce_block)."""
-    per_q = _per_degree(fam, depth)
-    return tuple(map(len, _reduce_block(per_q, _block_entries(per_q))[0]))
-
-
 # -- contributing patterns and points ------------------------------------------
 
 _PATTERN_RAY_CAP = 16
-
-
-@lru_cache(maxsize=None)
-def _nerve_dims(x: ToricVariety, neg: tuple[int, ...]) -> tuple[int, ...]:
-    """Cohomology dimensions of the family of pattern neg, q = 0..depth, from
-    the nerve N = {S subset of neg, S nonempty, S inside some max cone}:
-    dims[q] is the reduced h^{q-1} of N.
-
-    At a uniform level c the block of an exponent w is all-or-nothing: it is
-    the full family {T : no common ray of the T-cones has w < 0} once c
-    reaches depth(w) = -min(w), and empty before that.  The family, hence
-    the block cohomology, depends on w only through its negative-ray set.
-
-    The family of a pattern neg is the relative cochain complex of the
-    simplex on the max cones modulo the subcomplex Sigma of cone sets
-    sharing a negated ray, so its dims are h^q(simplex, Sigma) = reduced
-    h^{q-1}(Sigma).  Sigma is covered by one full simplex per ray in neg
-    (the cones containing it); all their intersections are simplices or
-    empty, so by the nerve lemma Sigma has the cohomology of the nerve N, a
-    complex on at most #rays vertices (the small complexes on rays of
-    Eisenbud, Mustata and Stillman, "Cohomology on toric varieties and local
-    cohomology with monomial supports", J. Symbolic Comput. 29, 2000).  The
-    nerve is a subset family of its own, reduced by _reduce_block."""
-    bits = sum(1 << rho for rho in neg)
-    faces = _down_closure(bits & sum(1 << rho for rho in cone) for cone in x.max_cones)
-    n = len(x.max_cones)   # depth + 1 degrees; the nerve has none above depth
-    if not faces:
-        return (1,) + (0,) * (n - 1)   # reduced h^{-1} of the empty complex
-    # a face complex is a subset family too: its h^k, reduced in degree 0
-    h = _family_dims(tuple(sorted(faces)), max(T.bit_count() for T in faces) - 1)
-    return ((0, h[0] - 1) + h[1:] + (0,) * n)[:n]
 
 
 @lru_cache(maxsize=None)
@@ -412,8 +366,8 @@ def contributing_points(x: ToricVariety,
     patterns excluded for this class are the OR of the pattern bitsets
     (_circuit_patterns, built once per variety) of the circuits the fiber
     violates, and each pattern is one bit of it.  Only a survivor has its
-    nerve reduced (_nerve_dims, memoized per variety and pattern), and a
-    survivor with cohomology in some q <= dim is walked by fiber_points.
+    family reduced (family_certs, memoized by Sigma), and a survivor with
+    cohomology in some q <= dim is walked by fiber_points.
     A pattern neg is excluded when a ray circuit shows that its real sign
     polyhedron P = {u <= -1 on neg, u >= 0 off neg} misses the real fiber
     u0 + L, L the span of the degree kernel.
@@ -448,7 +402,7 @@ def contributing_points(x: ToricVariety,
             if flag == "1":
                 continue   # no real point of the fiber has this pattern
             neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
-            if not any(_nerve_dims(x, neg)[:q_top + 1]):
+            if not any(family_certs(x, neg).dims[:q_top + 1]):
                 continue   # no cohomology in q <= dim
             # w <= -1 on the rays in neg, w >= 0 on the others
             signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
@@ -532,6 +486,6 @@ def clear_caches() -> None:
     _reduce_memo.clear()
     for k in cache_counters:
         cache_counters[k] = 0
-    for fn in (_ray_cones, _family_dims, _nerve_dims, _ray_circuits,
-               _circuit_patterns, contributing_points, family_certs):
+    for fn in (_ray_cones, _ray_circuits, _circuit_patterns,
+               contributing_points, family_certs):
         fn.cache_clear()

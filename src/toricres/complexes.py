@@ -197,10 +197,16 @@ def koszul_generic(problem: SupportProblem,
     The summand of degree -i indexed by a size-i subset J has class
     sum_{j in J} of the class of the j-th support; the differential is
     contraction, e_J -> sum (-1)^l f_{j_l} e_{J minus j_l}.
+
+    A coefficient label that is also a Cox variable name of x raises
+    InputError: the two would share one variable of the ring.
     """
     if x is None:
         x = variety_of(problem)
     params = problem.all_labels()
+    clash = sorted(set(params) & set(x.var_names()))
+    if clash:
+        raise InputError(f"coefficient labels {clash} are Cox variable names")
     variables = params + x.var_names()
     n_params = len(params)
     fs = generic_sections(problem, x, variables)

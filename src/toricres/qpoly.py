@@ -304,12 +304,6 @@ class SparsePoly:
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
-    def scale(self, c: Coeff) -> "SparsePoly":
-        c = cnorm(c)
-        if not c:
-            return SparsePoly.zero(self.vars)
-        return SparsePoly(self.vars, {e: cc * c for e, cc in self.terms.items()})
-
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check(other)
         if not self.terms or not other.terms:

@@ -9,6 +9,7 @@ polynomial.
 Multiplicity is recovered afterwards by perfect-power extraction."""
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -291,8 +292,8 @@ def resolve_twist(K: FreeGradedComplex, twist) -> Class:
         candidates = [tuple(2 * c for c in a), tuple(a), (0,) * len(a)]
         return min(candidates, key=lambda tw: _twist_cost(K, tw))
     try:
-        t = tuple(int(c) for c in twist)
-    except (TypeError, ValueError) as err:
+        t = tuple(map(operator.index, twist))
+    except TypeError as err:
         raise InputError(f"twist must be 'default' or an integer vector: {twist!r}") from err
     if len(t) != x.class_rank:
         raise InputError(

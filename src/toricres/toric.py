@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -212,7 +213,10 @@ class SupportProblem:
 
 def support_problem(supports: Sequence[Sequence[Sequence[int]]],
                     labels: Sequence[Sequence[str]] | None = None) -> SupportProblem:
-    sup = tuple(tuple(tuple(int(c) for c in p) for p in s) for s in supports)
+    try:
+        sup = tuple(tuple(tuple(map(operator.index, p)) for p in s) for s in supports)
+    except TypeError as err:
+        raise InputError(f"support points must be integer vectors: {err}") from err
     if not sup or not sup[0]:
         raise InputError("need at least one nonempty support")
     dim = len(sup[0][0])

@@ -39,12 +39,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, NamedTuple
 
-from .cech import (
-    contributing_points,
-    family_certs,
-    pattern_of,
-    _nerve_dims,
-)
+from .cech import contributing_points, family_certs, pattern_of
 from .complexes import ComplexMorphism, FreeGradedComplex, x_split
 from .errors import MathFailure
 from .qpoly import PolyMatrix, SparsePoly, _Packing
@@ -116,8 +111,8 @@ def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], 
 
     Each summand (p, q, k) has the dimension of the degree-q cohomology
     model of the class of the k-th summand of C^p; only q up to dim X can
-    contribute.  The dimensions are read from the nerve of each
-    contributing pattern, so no certificate family is built."""
+    contribute.  The dimensions are those of each contributing pattern's
+    certificate family, the one its walks use."""
     x = C.x
     table: dict[tuple[int, int], int] = {}
     terms: dict[int, list[Summand]] = {}
@@ -125,7 +120,7 @@ def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], 
         for k, alpha in enumerate(C.degrees[p]):
             dims = [0] * (x.dim + 1)
             for w, neg in contributing_points(x, alpha):
-                fd = _nerve_dims(x, neg)
+                fd = family_certs(x, neg).dims
                 for q in range(x.dim + 1):
                     dims[q] += fd[q]
             for q in range(x.dim + 1):
@@ -333,22 +328,14 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
     pv = C.param_vars
     terms, page = weyman_terms(C)
 
-    # the summand dims come from the nerves, the basis from the certificate
-    # families the walks use: they must agree, or the matrices get the
-    # wrong shape
     basis: dict[int, list[tuple]] = {}
     pos: dict[int, dict[tuple, int]] = {}
     for i, summands in terms.items():
         labels = []
         for s in summands:
             for w, neg in contributing_points(x, s.alpha):
-                dims = family_certs(x, neg).dims
-                if dims != _nerve_dims(x, neg):
-                    raise MathFailure(
-                        f"pattern {neg}: certificate family dims {dims} differ "
-                        f"from its nerve dims {_nerve_dims(x, neg)}")
                 labels.extend((s.p, s.q, s.k, w, mpos)
-                              for mpos in range(dims[s.q]))
+                              for mpos in range(family_certs(x, neg).dims[s.q]))
         basis[i] = labels
         pos[i] = {lab: n for n, lab in enumerate(labels)}
 

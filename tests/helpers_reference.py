@@ -143,13 +143,13 @@ def lattice_points_in_window(x, alpha: Sequence[int],
 
 def support_patterns(x) -> tuple[tuple[int, ...], ...]:
     """Every negative-support pattern whose family carries cohomology in some
-    degree q <= dim, in bitmask order: the nerve of each of the 2^#rays
-    patterns ranked, with no screen."""
+    degree q <= dim, in bitmask order: the certificate family of each of
+    the 2^#rays patterns reduced, with no screen."""
     q_top = min(x.dim, cech.cech_depth(x))
     out = []
     for bits in range(1 << x.n_rays):
         neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
-        if any(cech._nerve_dims(x, neg)[:q_top + 1]):
+        if any(cech.family_certs(x, neg).dims[:q_top + 1]):
             out.append(neg)
     return tuple(out)
 

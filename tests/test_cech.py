@@ -269,19 +269,12 @@ def test_pattern_table_and_points_match_fraction_reference(name):
     x = VARIETIES[name]()
     ref = _reference_patterns(x)
     assert support_patterns(x) == tuple(sorted(ref, key=lambda neg: sum(1 << r for r in neg)))
-    # the family reducer gives the Fraction reference's dims in every
-    # degree, and so do the certificates (built here only where they are
-    # cheap)
-    for neg, (fam, depth, dims) in ref.items():
-        assert cech._family_dims(tuple(map(subset_mask, fam)), depth) == dims
-        if x.n_rays <= 4:
-            assert cech.family_certs(x, neg).dims == dims
-    # the nerve of every pattern has the cohomology of its family, in
-    # every degree, including the patterns the table leaves out
+    # the certificates of every pattern, in the table or not, have the
+    # Fraction reference's dims in every degree
     depth = cech.cech_depth(x)
     for neg in _all_patterns(x):
         want = family_rank_dims(pattern_family(x, neg), depth + 1)
-        assert cech._nerve_dims(x, neg) == want
+        assert cech.family_certs(x, neg).dims == want
     # classes: multiples of the anticanonical class and of each ray's class
     classes = {x.anticanonical_class()}
     for r in range(x.n_rays):
@@ -441,9 +434,10 @@ def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch):
         resultant.a_resultant(problem, twist=tw)
     # 16 classes times 200 table patterns without the screen
     assert len(walks) == 13 and all(walks)
-    # every walk chain holds generator 0, as the certificates live on the
-    # critical cells, so a family is looked up only where such a chain lands
-    assert cech.cache_counters["built"] == len(cech._reduce_memo) == 36
+    # a family is built for each pattern that passes the screen, as its
+    # dims size W, and for each pattern where a walk chain lands; every walk
+    # chain holds generator 0, as the certificates live on the critical cells
+    assert cech.cache_counters["built"] == len(cech._reduce_memo) == 50
 
 
 @st.composite
@@ -627,7 +621,6 @@ def test_every_pattern_family_satisfies_the_retract_identities(name, order, requ
             per_q = [level[::-1] for level in per_q]
         entries = family_block(per_q)
         want = family_rank_dims(fam, n)
-        assert cech._nerve_dims(x, neg) == want
         # the whole family by heap elimination
         red = cech._reduce_block(per_q, entries)
         assert retract_identity_failures(per_q, entries, *red) == [], neg
@@ -779,7 +772,7 @@ def test_pattern_ray_cap_stops_contributing_points_before_any_circuit(monkeypatc
     x = variety_from_points(((0, 0), (3, 0), (4, 1), (2, 3), (0, 2)))
     enumerated = []
     monkeypatch.setattr(cech, "_ray_circuits", lambda x_: enumerated.append(x_) or ())
-    monkeypatch.setattr(cech, "_nerve_dims", lambda *a: enumerated.append(a) or (1,))
+    monkeypatch.setattr(cech, "family_certs", lambda *a: enumerated.append(a))
     monkeypatch.setattr(cech, "_PATTERN_RAY_CAP", 2)
     with pytest.raises(UnsupportedGeometryError):
         cech.contributing_points(x, x.anticanonical_class())
@@ -809,8 +802,8 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs():
     from toricres import cech
 
     x = _sturmfels_variety()
-    cech.clear_caches()
     negs = support_patterns(x)[:12]
+    cech.clear_caches()
     before = {neg: cech.family_certs(x, neg) for neg in negs}
     points = cech.contributing_points(x, x.anticanonical_class())
     circuits = cech._ray_circuits(x)
@@ -819,15 +812,14 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs():
     assert built > 0
     cech.clear_caches()
     assert not (cech._reduce_memo or any(cech.cache_counters.values()))
-    for fn in (cech._ray_cones, cech._family_dims, cech._nerve_dims,
-               cech._ray_circuits, cech._circuit_patterns,
+    for fn in (cech._ray_cones, cech._ray_circuits, cech._circuit_patterns,
                cech.contributing_points, cech.family_certs):
         assert fn.cache_info().currsize == 0
     for neg, c in before.items():
         again = cech.family_certs(x, neg)
         assert again is not c
         assert _certs_obj(again) == _certs_obj(c)
-    assert cech.cache_counters["built"] == built   # everything is built again
     assert cech.contributing_points(x, x.anticanonical_class()) == points
+    assert cech.cache_counters["built"] == built   # everything is built again
     assert cech._ray_circuits(x) == circuits
     assert cech._circuit_patterns(x) == patterns

@@ -92,6 +92,17 @@ def test_koszul_vs_unit_fixture_commutes():
              for p in range(-n, 1)]
 
 
+def test_coefficient_label_equal_to_a_cox_variable_is_an_input_error():
+    """A label x1 would share the Cox variable x1 and silently change the
+    sections: delta came out b0 - b1, not x2*b0 - x1*b1."""
+    sup = [[(0,), (1,)], [(0,), (1,)]]
+    prob = support_problem(sup, labels=[["x1", "x2"], ["b0", "b1"]])
+    with pytest.raises(InputError, match="Cox variable"):
+        koszul_generic(prob)
+    prob = support_problem(sup, labels=[["a0", "a1"], ["b0", "b1"]])
+    assert koszul_generic(prob).n_params == 4
+
+
 def test_validate_catches_bad_square():
     prob = support_problem((((0, 0), (1, 0), (0, 1)),) * 2)
     k = koszul_generic(prob)

@@ -264,7 +264,7 @@ def test_first_prime_is_the_prime_2_61_minus_1():
 
 def test_the_pipeline_takes_no_rational_rank(monkeypatch):
     """The pipeline's ranks come from the Smith form (lattices), the family
-    reducer _reduce_block (Cech families and nerves) and the profile mod p
+    reducer _reduce_block (Cech families) and the profile mod p
     (Cayley subsets); QMatrix is a test reference only."""
     def refuse(self):
         raise AssertionError("QMatrix.rank called")
@@ -403,6 +403,15 @@ DEFAULT_TWIST_CASES = {
     "squares": UNIT_SQUARES,
     "power": [[(0,), (2,)], [(0,), (2,)]],
 }
+
+
+def test_non_integer_twist_is_an_input_error():
+    prob = support_problem([[(0,), (1,)], [(0,), (1,)]])
+    K = koszul_generic(prob)
+    for bad in ([0.9], ["a"], [None], 3):
+        with pytest.raises(InputError, match="twist"):
+            resolve_twist(K, bad)
+    assert resolve_twist(K, [True]) == (1,)
 
 
 def test_default_twist_prefers_summands_without_higher_cohomology():

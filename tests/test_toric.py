@@ -220,6 +220,12 @@ def test_homogenization_lands_in_divisor_class(points):
         assert x.degree_of(e) == cls
 
 
+def test_non_integer_support_point_is_an_input_error():
+    for bad in ([[(0.5,), (1.9,)], [(0,), (1,)]], [[("a",)]], [[0, 1]]):
+        with pytest.raises(InputError, match="integer vectors"):
+            support_problem(bad)
+
+
 def test_empty_point_set_is_an_input_error():
     with pytest.raises(InputError):
         variety_from_points([])
@@ -284,11 +290,11 @@ def test_equal_varieties_built_separately_share_hash_and_memo_entries():
     assert hash(a) == hash((a.dim, a.rays, a.max_cones, a.grading, a.torsion))
     assert a != dataclasses.replace(a, torsion=(2,))
     neg = (0, 2)
-    cech._nerve_dims(a, neg)
+    cech.family_certs(a, neg)
     degree_fiber(a, (0,) * a.class_rank)
-    before = (cech._nerve_dims.cache_info(), degree_fiber.cache_info())
-    assert cech._nerve_dims(b, neg) == cech._nerve_dims(a, neg)
+    before = (cech.family_certs.cache_info(), degree_fiber.cache_info())
+    assert cech.family_certs(b, neg) is cech.family_certs(a, neg)
     assert degree_fiber(b, (0,) * b.class_rank) == degree_fiber(a, (0,) * a.class_rank)
-    after = (cech._nerve_dims.cache_info(), degree_fiber.cache_info())
+    after = (cech.family_certs.cache_info(), degree_fiber.cache_info())
     for old, new in zip(before, after):
         assert (new.hits, new.misses, new.currsize) == (old.hits + 2, old.misses, old.currsize)

@@ -43,8 +43,10 @@ monomials, deleted lazily: the leading remainder term is the heap top
 Comput. 46, 2011).  `exact_div` returns None as soon as the leading
 remainder term is not a multiple of the divisor's leading term, that is
 when the divisor does not divide, or when the quotient would need a
-negative exponent.  The determinant packs the matrix once and runs
-fraction-free Bareiss elimination on packed dicts.
+negative exponent; a one-term divisor needs no heap.  The determinant
+packs the matrix once and runs fraction-free Bareiss elimination on packed
+dicts, leaving each row alone while it has a zero in the pivot column (see
+`PolyMatrix.det`).
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MathFailure
+from .errors import InputError, MathFailure
 
 Coeff = int | Fraction
 Expo = tuple[int, ...]
@@ -164,7 +166,18 @@ def _exact_div(a: Packed, d: Packed, guards: int) -> Packed | None:
 
     The remainder's monomials sit in a min-heap, so its top is the leading
     term; a monomial cancelled to zero leaves a stale heap entry that is
-    skipped when popped."""
+    skipped when popped.  A one-term divisor leaves no remainder: each
+    nonzero term is shifted and divided on its own."""
+    if len(d) == 1:
+        [(lead, lc)] = d.items()
+        q: Packed = {}
+        for m, c in a.items():
+            if c:
+                t = m - lead
+                if t & guards:
+                    return None
+                q[t] = _cdiv(c, lc)
+        return q
     lead = min(d)
     lc = d[lead]
     rest = [(m - lead, c) for m, c in d.items() if m != lead]
@@ -517,16 +530,16 @@ def poly_from_text(text: str, variables: Sequence[str]) -> SparsePoly:
         factors = [f.strip() for f in raw.strip().split("*")]
         head = factors[0]
         if not _COEFF_RE.match(head):
-            raise ValueError(f"bad coefficient token {head!r}")
+            raise InputError(f"bad coefficient token {head!r}")
         c: Coeff = Fraction(head) if "/" in head else int(head)
         e = [0] * len(variables)
         for f in factors[1:]:
             m = _FACTOR_RE.match(f)
             if not m:
-                raise ValueError(f"bad factor token {f!r}")
+                raise InputError(f"bad factor token {f!r}")
             name, _, kk = m.groups()
             if name not in vi:
-                raise ValueError(f"unknown variable {name!r}")
+                raise InputError(f"unknown variable {name!r}")
             e[vi[name]] += int(kk) if kk else 1
         key = tuple(e)
         s = terms.get(key, 0) + c
@@ -578,7 +591,7 @@ class PolyMatrix:
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
+            raise InputError("shape mismatch")
         out = PolyMatrix(self.nrows, other.ncols, self.vars)
         for i in range(self.nrows):
             for k in range(self.ncols):
@@ -599,64 +612,108 @@ class PolyMatrix:
         return cls(n, m, variables, rows)
 
     def det(self) -> SparsePoly:
-        """Fraction-free Bareiss determinant with sparsest-entry pivoting.
+        """Sparse fraction-free (Bareiss) determinant with lazy rows.
+
+        Step k of Bareiss elimination brings every row below the pivot
+        from level k to level k + 1:
+
+            a_ij <- (a_ij * p_k - a_ik * a_kj) / p_(k-1),    p_(-1) = 1,
+
+        and then a_ij is the minor on rows 0..k, i and columns 0..k, j.  A
+        row with a_ik = 0 would only be scaled by p_k / p_(k-1).  Such a
+        row is left as it is, and it records the pivot p_(s-1) it was last
+        brought up to (None for 1).  Its skipped scalings telescope: from
+        step s to step t they multiply to p_(t-1) / p_(s-1).  So when the
+        row next meets a nonzero in the pivot column, at step t, it takes
+        the Bareiss step with its stored entries and divides by its own
+        recorded pivot p_(s-1) instead of p_(t-1); the result is the same
+        level-(t+1) minor.  The pivot row itself, which at the last step
+        is the last diagonal entry, is first brought up to date: each
+        entry times p_(t-1), divided by its recorded pivot.
+
+        The pivot is the nonzero entry of the active submatrix with the
+        smallest len(a_ij) * ((r_i - 1) * (c_j - 1) + 1), r_i and c_j the
+        nonzero counts of its row and column there (Markowitz's fill
+        count, weighted by term count), ties to the smaller (i, j).  Rows
+        and columns are swapped into place, each swap flipping the sign.
 
         The entries are packed once, with one offset for the whole matrix:
         that multiplies every entry by the monomial x^-offset, so the
-        packed determinant carries offset n*offset.  Every intermediate
-        entry is a minor of the shifted matrix, so its degree is at most B,
-        the smaller of the sums of the row and of the column top degrees;
-        products before the exact division have degree at most 2B."""
+        packed determinant carries offset n*offset.  Every stored entry,
+        lazy or not, is a minor of the shifted matrix, so its degree is at
+        most B, the smaller of the sums of the row and of the column top
+        degrees; every product formed before an exact division has two
+        such factors, so degree at most 2B, the packing bound."""
         n = self.nrows
         if n != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
+            raise InputError("determinant of a non-square matrix")
         if n == 0:
             return SparsePoly.const(self.vars, 1)
         off = _offset(len(self.vars), (p.terms for row in self.rows for p in row))
         tops = [[_top_degree(p.terms, off) for p in row] for row in self.rows]
         bound = min(sum(map(max, tops)), sum(map(max, zip(*tops))))
         pk = _Packing(off, 2 * bound)
+        guards = pk.guards
+
+        def exact(num: Packed, d: Packed | None) -> Packed:
+            if not num or d is None:
+                return num
+            q = _exact_div(num, d, guards)
+            if q is None:
+                raise MathFailure("non-exact division in fraction-free elimination")
+            return q
+
         a = [[pk.pack(p.terms) for p in row] for row in self.rows]
+        lag: list[Packed | None] = [None] * n   # pivot each row was brought up to
         sign = 1
         prev: Packed | None = None          # the previous pivot; None is 1
-        for k in range(n - 1):
-            # full pivoting on the fewest-term nonzero entry
+        for k in range(n):
+            active = [row[k:] for row in a[k:]]
+            rcount = [sum(map(bool, row)) - 1 for row in active]
+            ccount = [sum(map(bool, col)) - 1 for col in zip(*active)]
             best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    p = a[i][j]
+            for i, row in enumerate(active):
+                ri = rcount[i]
+                for j, p in enumerate(row):
                     if p:
-                        score = (len(p), i, j)
-                        if best is None or score < best[0]:
-                            best = (score, i, j)
+                        score = (len(p) * (ri * ccount[j] + 1), i, j)
+                        if best is None or score < best:
+                            best = score
             if best is None:
                 return SparsePoly.zero(self.vars)
             _, pi, pj = best
+            pi += k
+            pj += k
             if pi != k:
                 a[k], a[pi] = a[pi], a[k]
+                lag[k], lag[pi] = lag[pi], lag[k]
                 sign = -sign
             if pj != k:
                 for row in a:
                     row[k], row[pj] = row[pj], row[k]
                 sign = -sign
-            piv = a[k][k]
+            prow = a[k]
+            if lag[k] is not prev:
+                for j in range(k, n):
+                    if prow[j]:
+                        num: Packed = {}
+                        _addmul(num, prow[j], prev, 1)
+                        prow[j] = exact(_nonzero(num), lag[k])
+            piv = prow[k]
             for i in range(k + 1, n):
                 row = a[i]
+                x = row[k]
+                if not x:
+                    continue
                 for j in range(k + 1, n):
-                    num: Packed = {}
+                    num = {}
                     if row[j]:
                         _addmul(num, row[j], piv, 1)
-                    if row[k] and a[k][j]:
-                        _addmul(num, row[k], a[k][j], -1)
-                    num = _nonzero(num)
-                    if num and prev is not None:
-                        num = _exact_div(num, prev, pk.guards)
-                        if num is None:
-                            raise MathFailure(
-                                "non-exact division in fraction-free elimination")
-                    row[j] = num
+                    if prow[j]:
+                        _addmul(num, x, prow[j], -1)
+                    row[j] = exact(_nonzero(num), lag[i])
                 row[k] = {}
+                lag[i] = piv
             prev = piv
-        d = a[n - 1][n - 1]
-        return SparsePoly(self.vars, pk.unpack(d if sign > 0 else
-                                               {m: -c for m, c in d.items()}, n))
+        return SparsePoly(self.vars, pk.unpack(prev if sign > 0 else
+                                               {m: -c for m, c in prev.items()}, n))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers_poly import matrix_text, transpose
 from helpers_reference import substitute
 from toricres import qpoly
-from toricres.errors import MathFailure
+from toricres.errors import InputError, MathFailure
 from toricres.qpoly import (
     PolyMatrix,
     SparsePoly,
@@ -200,16 +200,24 @@ def test_kth_root_recovers_power(p, k):
 
 
 def _naive_det(rows):
+    """Laplace expansion along the rows, skipping zero entries, with the
+    minor on each set of remaining columns computed once."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    out = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _naive_det(minor)
-        term = term if j % 2 == 0 else -term
-        out = term if out is None else out + term
-    return out
+    variables = rows[0][0].vars
+    memo = {(): SparsePoly.const(variables, 1)}
+
+    def minor(cols):
+        if cols not in memo:
+            i = n - len(cols)
+            out = SparsePoly.zero(variables)
+            for pos, j in enumerate(cols):
+                if rows[i][j]:
+                    term = rows[i][j] * minor(cols[:pos] + cols[pos + 1:])
+                    out = out - term if pos % 2 else out + term
+            memo[cols] = out
+        return memo[cols]
+
+    return minor(tuple(range(n)))
 
 
 def test_det_matches_cofactor_expansion():
@@ -232,10 +240,12 @@ def test_det_singular_and_transpose():
 
 
 def test_det_raises_math_failure_on_a_non_exact_division(monkeypatch):
+    # dense and generic: after step 0 every row below the pivot has a
+    # nonzero in the pivot column, so step 1 divides by the first pivot
     m = PolyMatrix.from_text([
-        ["1 * x", "2", "0"],
+        ["1 * x", "2", "1 * y"],
         ["1 * y", "1 * x + 1", "3"],
-        ["0", "1 * z", "1 * x * y"],
+        ["1", "1 * z", "1 * x * y"],
     ], V)
     monkeypatch.setattr(qpoly, "_exact_div", lambda *args: None)
     with pytest.raises(MathFailure, match="non-exact division"):
@@ -251,6 +261,29 @@ def test_det_integer_matrices_property(raw):
     got = m.det()
     want = _naive_det([list(r) for r in m.rows])
     assert got == want
+
+
+def test_det_of_a_non_square_matrix_is_an_input_error():
+    m = PolyMatrix.from_text([["1 * x", "1"]], V)
+    with pytest.raises(InputError, match="non-square"):
+        m.det()
+
+
+def test_matmul_shape_mismatch_is_an_input_error():
+    a = PolyMatrix.from_text([["1 * x", "1"]], V)
+    with pytest.raises(InputError, match="shape mismatch"):
+        a.matmul(a)
+
+
+def test_bad_token_in_polynomial_text_is_an_input_error():
+    for text in ("x", "2 * 3", "1 * x^y", "1 + "):
+        with pytest.raises(InputError, match="bad"):
+            P(text)
+
+
+def test_unknown_variable_in_polynomial_text_is_an_input_error():
+    with pytest.raises(InputError, match="unknown variable 'w'"):
+        P("1 * x * w")
 
 
 def test_matmul_row_convention():
@@ -333,3 +366,49 @@ def poly_matrices(draw):
 @settings(max_examples=60, deadline=None)
 def test_det_matches_cofactor_expansion_property(m):
     assert m.det() == _naive_det([list(r) for r in m.rows])
+
+
+# -- sparse matrices: rows that skip elimination steps ----------------------------
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 7x7, a half to two thirds of the entries zero, the others
+    monomials and binomials with rational coefficients and exponents in
+    -2..3; a quarter of them made singular by replacing a row with a
+    monomial multiple of another."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    expo = st.tuples(*[st.integers(min_value=-2, max_value=3)] * len(V))
+    nonzero = st.dictionaries(expo, rational.filter(bool), min_size=1, max_size=2)
+    cell = st.one_of(*[st.just({})] * draw(st.integers(min_value=1, max_value=2)),
+                     nonzero)
+    rows = [[SparsePoly(V, draw(cell)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.integers(min_value=0, max_value=3)) == 0:
+        src, dst = draw(st.permutations(range(n)))[:2]
+        f = SparsePoly.monomial(V, draw(expo), draw(rational.filter(bool)))
+        rows[dst] = [f * p for p in rows[src]]
+    return PolyMatrix.from_rows(rows, V)
+
+
+@given(sparse_matrices())
+@settings(max_examples=120, deadline=None)
+def test_sparse_det_matches_cofactor_expansion(m):
+    assert m.det() == _naive_det(m.rows)
+
+
+def test_block_diagonal_det_is_the_product_of_the_block_dets():
+    """A's monomial entries win every pivot choice, its last pivot a 3x3
+    minor of at most 6 terms against 2 * 5 for a binomial of B, so B's rows
+    keep a zero in the pivot column through all three steps of A and are
+    brought up to date only when B's first pivot is taken."""
+    a = [["1 * x", "1 * y", "1 * z"],
+         ["1 * y^2", "1 * x * z", "1"],
+         ["1 * z", "1 * x^2", "1 * y * z"]]
+    b = [["1 * x + 1", "1 * y + -2", "1 * z + 1 * x"],
+         ["1/2 * y + 1", "1 * x * y + 1 * z", "2 * x + -1 * y^-1"],
+         ["3 * z + 1 * y", "1 * x + -1/3", "1 * z^2 + 1 * x^-1"]]
+    zero = ["0"] * 3
+    blocks = [r + zero for r in a] + [zero + r for r in b]
+    am, bm = PolyMatrix.from_text(a, V), PolyMatrix.from_text(b, V)
+    da, db = _naive_det(am.rows), _naive_det(bm.rows)
+    assert not da.is_zero() and not db.is_zero()
+    assert PolyMatrix.from_text(blocks, V).det() == da * db

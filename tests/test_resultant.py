@@ -470,17 +470,45 @@ def test_stable_twist_gives_the_same_determinant():
     assert same_up_to_sign(embed(out.delta, eli.vars), eli)
 
 
+def _permutation_sign(p) -> int:
+    inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+    return -1 if inversions % 2 else 1
+
+
+def test_permuting_the_stable_twist_cayley_minor_changes_only_the_sign():
+    """The 23x23 minor of the Sturmfels stable twist, its rows and columns
+    shuffled: the pivots and the rows that skip steps change, the
+    determinant only by the signs of the two permutations."""
+    prob = sturmfels_problem()
+    x = variety_of(prob)
+    tw = sturmfels_twist(x, "stable")
+    out = a_resultant(prob, twist=tw)
+    W = weyman_differential(koszul_generic(prob, x).twist(tw))
+    [(i, sub)] = [(i, s) for i, s in out.subsets.items() if len(s["cols"]) == 23]
+    minor = W.diff_at(i).submatrix(sub["rows"], sub["cols"])
+    ref = minor.det()
+    assert not ref.is_zero()
+    rng = random.Random(23)
+    for _ in range(4):
+        rp, cp = rng.sample(range(23), 23), rng.sample(range(23), 23)
+        shuffled = PolyMatrix.from_rows([[minor.rows[r][c] for c in cp] for r in rp],
+                                        minor.vars)
+        sign = _permutation_sign(rp) * _permutation_sign(cp)
+        assert shuffled.det() == (ref if sign > 0 else -ref)
+
+
 # sha256 prefix of poly_to_text(delta) at the default twist, and multiplicity
 DELTA_PINS = {
     "squares": ("e5c29648953b1bf6", 1),
     "m33": ("b6b0a8107ab89b2c", 14),
     "m34 k=1": ("7c07cece59af03c3", 1),
+    "m34 k=2": ("ed11df8f4a31806c", 1),
 }
 
 
 def test_delta_hashes_match_their_pins():
     problems = {"squares": support_problem(UNIT_SQUARES), "m33": m33_problem(),
-                "m34 k=1": m34_problem(1)}
+                "m34 k=1": m34_problem(1), "m34 k=2": m34_problem(2)}
     for name, prob in problems.items():
         out = a_resultant(prob)
         assert (delta_hash(out), out.multiplicity) == DELTA_PINS[name], name

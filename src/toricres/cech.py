@@ -48,9 +48,9 @@ iota1 and h1 back in and check the identities above on the whole family.
 K is reduced by Gauss elimination over Q (_reduce_block), one pivot at a
 time, the least nonzero entry under a fixed rule: a unit entry first, then
 the sparsest row, then the least (degree, row, column), rows and columns
-indexed by K's cells in (size, lex) order.  A lazily invalidated min-heap
-of each row's least key finds every pivot without rescanning the block, and
-a column mirror finds the rows a pivot touches.
+indexed by K's cells in (size, lex) order.  Each nonzero row keeps its
+least key, so a pivot is the least of those keys, and only the rows a pivot
+changes are keyed again.
 
 Which exponents carry cohomology at all is decided per variety and
 negative-support pattern by the family reduction itself, and only for the
@@ -65,7 +65,6 @@ generators (_reduce_memo).
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -130,57 +129,53 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
 
     A family reduction runs it on the critical cells K (see the module
     docstring); it reduces any block of sparse maps, complex or not.
-    Coordinates are kept by original local index throughout; dropped ones
-    simply leave the active sets.  Returns surviving indices per degree and
-    the certificates as index-keyed sparse structures.
+    Coordinates are kept by original local index throughout.  Returns the
+    surviving indices per degree and the certificates as index-keyed sparse
+    structures.
 
     The pivot is the nonzero entry with the least key (unit, fill, q, i, j):
     unit 0 for a +-1 entry, fill the number of other entries in its row.
     Entries of one row share fill, q and i, so the least key overall is the
-    least of the rows' least keys.  Those sit in a lazily invalidated
-    min-heap: a row pushes its least key when it is built and again
-    whenever it changes, and a popped key whose entry, unit flag or fill no
-    longer matches its row is dropped.  A key that still matches is its
-    row's least: the row's newest key is no larger and would have been
-    popped, and the row pivoted away, before it.
+    least of the rows' least keys.  keys[q, i] holds the least key of
+    every nonzero row i of degree q: it is recomputed whenever that row
+    changes and deleted when the row empties.
     """
     depth1 = len(per_q)
     sizes = [len(v) for v in per_q]
-    active = [set(range(s)) for s in sizes]
-    # d[q]: row -> {col: coeff}; cols[q]: col -> rows with a nonzero there
-    d = [dict() for _ in range(depth1 - 1)]
-    cols = [dict() for _ in range(depth1 - 1)]
+    d = [dict() for _ in range(depth1 - 1)]                 # d[q]: row -> {col: coeff}
     for q, ent in enumerate(entries):
-        dq, cq = d[q], cols[q]
         for (i, j), c in ent.items():
-            dq.setdefault(i, {})[j] = c
-            cq.setdefault(j, set()).add(i)
+            d[q].setdefault(i, {})[j] = c
     iota = [{i: {i: 1} for i in range(s)} for s in sizes]   # model row -> chain covector
     rho = [{i: {i: 1} for i in range(s)} for s in sizes]    # model col -> chain vector
     h = [dict() for _ in range(depth1 - 1)]                 # chain(q+1) -> {chain(q): c}
+    keys = {}
 
-    def least_key(q, i, row):
-        units = [j for j, a in row.items() if a in (1, -1)]
-        return (0 if units else 1, len(row) - 1, q, i, min(units or row))
+    def rekey(q, i, row):
+        if row:
+            units = [j for j, a in row.items() if a in (1, -1)]
+            keys[q, i] = (0 if units else 1, len(row) - 1, q, i, min(units or row))
+        else:
+            del d[q][i], keys[q, i]
 
-    heap = [least_key(q, i, row) for q in range(depth1 - 1) for i, row in d[q].items()]
-    heapq.heapify(heap)
+    for q, dq in enumerate(d):
+        for i, row in dq.items():
+            rekey(q, i, row)
 
-    while heap:
-        unit, fill, q, pi, pj = heapq.heappop(heap)
-        dq, cq = d[q], cols[q]
-        row_piv = dq.get(pi)
-        if row_piv is None or pj not in row_piv:
-            continue   # the entry is gone
-        a = row_piv[pj]
-        if unit != (a not in (1, -1)) or fill != len(row_piv) - 1:
-            continue   # the row changed since this key was pushed
+    while keys:
+        _, _, q, pi, pj = min(keys.values())
+        dq = d[q]
+        row_piv = dq.pop(pi)
+        del keys[q, pi]
+        a = row_piv.pop(pj)
         inv_a = a if a in (1, -1) else Fraction(1) / Fraction(a)   # ints stay ints
-        col_entries = [(i, dq[i][pj]) for i in cq.pop(pj) if i != pi]
-        row_entries = [(j, c) for j, c in row_piv.items() if j != pj]
+        col_entries = [(i, r.pop(pj)) for i, r in dq.items() if pj in r]
+        row_entries = list(row_piv.items())
 
-        iota_piv = iota[q][pi]
-        rho_piv = rho[q + 1][pj]
+        # the pivot's row and column leave the models
+        iota_piv = iota[q].pop(pi)
+        rho_piv = rho[q + 1].pop(pj)
+        del rho[q][pi], iota[q + 1][pj]
 
         # homotopy gains 1/a * (rho column at pivot) x (iota row at pivot)
         hq = h[q]
@@ -216,49 +211,28 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
                 else:
                     tgt.pop(c1, None)
 
-        # Schur complement on d[q]; the pivot column leaves every row
+        # Schur complement on d[q]; the pivot column already left every row
         for i, cval in col_entries:
             fi = cval * inv_a
             ri = dq[i]
-            del ri[pj]
             for j, bval in row_entries:
                 s = ri.get(j, 0) - fi * bval
                 if s:
-                    if j not in ri:
-                        cq[j].add(i)
                     ri[j] = cnorm(s)
-                elif j in ri:
-                    del ri[j]
-                    cq[j].discard(i)
-            if ri:
-                heapq.heappush(heap, least_key(q, i, ri))
-            else:
-                del dq[i]
-
-        # drop the pivot row and column everywhere
-        active[q].discard(pi)
-        active[q + 1].discard(pj)
-        iota[q].pop(pi, None)
-        rho[q].pop(pi, None)
-        iota[q + 1].pop(pj, None)
-        rho[q + 1].pop(pj, None)
-        del dq[pi]
-        for j, _ in row_entries:
-            cq[j].discard(pi)
-        if q + 1 < depth1 - 1:
-            for j in d[q + 1].pop(pj, ()):
-                cols[q + 1][j].discard(pj)
-        if q - 1 >= 0:
-            dm = d[q - 1]
-            for i in cols[q - 1].pop(pi, ()):
-                ri = dm[i]
-                del ri[pi]
-                if ri:
-                    heapq.heappush(heap, least_key(q - 1, i, ri))
                 else:
-                    del dm[i]
+                    ri.pop(j, None)
+            rekey(q, i, ri)
 
-    return active, iota, rho, h
+        # the pivot's column pj is a row one degree up, its row pi a column
+        # one degree down
+        if q + 1 < len(d) and pj in d[q + 1]:
+            del d[q + 1][pj], keys[q + 1, pj]
+        if q > 0:
+            for i, r in [(i, r) for i, r in d[q - 1].items() if pi in r]:
+                del r[pi]
+                rekey(q - 1, i, r)
+
+    return [set(level) for level in iota], iota, rho, h
 
 
 def _per_degree(cells: Iterable[int], depth: int) -> list[list[int]]:

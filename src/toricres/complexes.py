@@ -10,6 +10,7 @@ entry in row k, column l is homogeneous of x-degree alpha_p[k] - alpha_{p+1}[l].
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -190,6 +191,21 @@ def generic_sections(problem: SupportProblem, x: ToricVariety,
     return out
 
 
+def _contraction(fs: Sequence[SparsePoly], i: int,
+                 variables: tuple[str, ...]) -> PolyMatrix:
+    """Exterior contraction from the size-i subsets J of range(len(fs)) to
+    the size-(i - 1) ones, both in combinations order:
+    e_J -> sum over l of (-1)^l fs[J[l]] e_(J minus J[l])."""
+    n = len(fs)
+    dom = list(itertools.combinations(range(n), i))
+    pos = {J: r for r, J in enumerate(itertools.combinations(range(n), i - 1))}
+    m = PolyMatrix(len(dom), len(pos), variables)
+    for r, J in enumerate(dom):
+        for l, j in enumerate(J):
+            m.rows[r][pos[J[:l] + J[l + 1:]]] = fs[j] if l % 2 == 0 else -fs[j]
+    return m
+
+
 def koszul_generic(problem: SupportProblem,
                    x: ToricVariety | None = None) -> FreeGradedComplex:
     """Koszul complex of the generic sections, degrees -s..0 for s supports.
@@ -213,26 +229,10 @@ def koszul_generic(problem: SupportProblem,
     s = len(problem.supports)
     d_classes = [divisor_class(x, sup) for sup in problem.supports]
 
-    subsets: dict[int, list[tuple[int, ...]]] = {
-        i: list(itertools.combinations(range(s), i)) for i in range(s + 1)}
-    degrees: dict[int, tuple[Class, ...]] = {}
-    for i in range(s + 1):
-        degrees[-i] = tuple(
-            tuple(sum(d_classes[j][k] for j in J) for k in range(x.class_rank))
-            for J in subsets[i])
-
-    diffs: dict[int, PolyMatrix] = {}
-    for i in range(1, s + 1):
-        dom, cod = subsets[i], subsets[i - 1]
-        pos = {J: r for r, J in enumerate(cod)}
-        m = PolyMatrix(len(dom), len(cod), variables)
-        for r, J in enumerate(dom):
-            for l, j in enumerate(J):
-                J2 = tuple(v for v in J if v != j)
-                f = fs[j] if l % 2 == 0 else -fs[j]
-                m.rows[r][pos[J2]] = f
-        diffs[-i] = m
-
+    degrees = {-i: tuple(
+        tuple(sum(d_classes[j][k] for j in J) for k in range(x.class_rank))
+        for J in itertools.combinations(range(s), i)) for i in range(s + 1)}
+    diffs = {-i: _contraction(fs, i, variables) for i in range(1, s + 1)}
     return FreeGradedComplex(x=x, variables=variables, n_params=n_params,
                              degrees=degrees, diffs=diffs)
 
@@ -304,23 +304,8 @@ def koszul_vs_unit_fixture(n: int) -> ComplexMorphism:
     def cls(k: int) -> Class:
         return tuple(k * c for c in one)
 
-    subsets = {i: list(itertools.combinations(range(n + 1), i))
-               for i in range(n + 2)}
-    degrees: dict[int, tuple[Class, ...]] = {}
-    diffs: dict[int, PolyMatrix] = {}
-    for p in range(-n, 1):
-        i = 1 - p
-        degrees[p] = tuple(cls(i) for _ in subsets[i])
-    for p in range(-n, 0):
-        i = 1 - p
-        dom, cod = subsets[i], subsets[i - 1]
-        pos = {J: r for r, J in enumerate(cod)}
-        m = PolyMatrix(len(dom), len(cod), variables)
-        for r, J in enumerate(dom):
-            for l, j in enumerate(J):
-                J2 = tuple(v for v in J if v != j)
-                m.rows[r][pos[J2]] = xs[j] if l % 2 == 0 else -xs[j]
-        diffs[p] = m
+    degrees = {p: (cls(1 - p),) * math.comb(n + 1, 1 - p) for p in range(-n, 1)}
+    diffs = {p: _contraction(xs, 1 - p, variables) for p in range(-n, 0)}
     source = FreeGradedComplex(x=x, variables=variables, n_params=0,
                                degrees=degrees, diffs=diffs)
     target = FreeGradedComplex(x=x, variables=variables, n_params=0,

@@ -65,11 +65,18 @@ Expo = tuple[int, ...]
 
 def cnorm(c: Coeff) -> Coeff:
     """Collapse Fractions with denominator 1 to int."""
-    if isinstance(c, Fraction):
+    if type(c) is Fraction:   # not isinstance: Fraction's ABC check is slow on ints
         if c.denominator == 1:
             return int(c)
         return c
     return c
+
+
+def _var_index(variables: Sequence[str], name: str) -> int:
+    try:
+        return tuple(variables).index(name)
+    except ValueError:
+        raise InputError(f"unknown variable {name!r}") from None
 
 
 def drl_key(exp: Expo) -> tuple:
@@ -238,7 +245,7 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "SparsePoly":
-        i = tuple(variables).index(name)
+        i = _var_index(variables, name)
         e = [0] * len(variables)
         e[i] = 1
         return cls(variables, {tuple(e): 1})
@@ -265,15 +272,14 @@ class SparsePoly:
         return max(sum(e) for e in self.terms)
 
     def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        """Degree in one variable; -1 for the zero polynomial."""
+        i = _var_index(self.vars, name)
+        return max((e[i] for e in self.terms), default=-1)
 
     def leading(self) -> tuple[Expo, Coeff]:
         """Leading (exponent, coeff) under degrevlex."""
         if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
+            raise InputError("zero polynomial has no leading term")
         e = max(self.terms, key=drl_key)
         return e, self.terms[e]
 
@@ -298,7 +304,7 @@ class SparsePoly:
 
     def _check(self, other: "SparsePoly") -> None:
         if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+            raise InputError(f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check(other)
@@ -337,7 +343,7 @@ class SparsePoly:
 
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
-            raise ValueError("negative power")
+            raise InputError("negative power")
         result = SparsePoly.const(self.vars, 1)
         base = self
         while n:
@@ -348,7 +354,7 @@ class SparsePoly:
         return result
 
     def diff(self, name: str) -> "SparsePoly":
-        i = self.vars.index(name)
+        i = _var_index(self.vars, name)
         out: dict[Expo, Coeff] = {}
         for e, c in self.terms.items():
             if e[i]:
@@ -364,7 +370,7 @@ class SparsePoly:
         quotient would need a negative exponent."""
         self._check(d)
         if not d.terms:
-            raise ZeroDivisionError("division by zero polynomial")
+            raise InputError("division by zero polynomial")
         if not self.terms:
             return SparsePoly.zero(self.vars)
         a, b = self.terms, d.terms
@@ -460,7 +466,7 @@ def kth_root(p: SparsePoly, k: int) -> SparsePoly | None:
     guards against non-power inputs that survive the peeling.
     """
     if k <= 0:
-        raise ValueError("k must be positive")
+        raise InputError("k must be positive")
     if k == 1:
         return p
     if not p.terms:

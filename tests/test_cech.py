@@ -472,7 +472,7 @@ def test_screened_points_match_walking_every_pattern_on_random_supports(supports
         assert cech.contributing_points(x, alpha) == _unscreened_points(x, alpha)
 
 
-# -- the heap pivot order against the full-rescan reduction ---------------------
+# -- the block reduction against the full-rescan reduction ---------------------
 
 def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
                             entries: list[dict[tuple[int, int], int]]):
@@ -593,7 +593,7 @@ def _assert_ints_stay_ints(red):
 
 
 @pytest.mark.parametrize("name", ["P2", "P1P1", "squares", "sturmfels"])
-def test_heap_pivots_match_full_rescan_reference(name):
+def test_block_reduction_matches_full_rescan_reference(name):
     x = VARIETIES[name]()
     depth = cech.cech_depth(x)
     fams = {pattern_family(x, neg) for neg in _all_patterns(x)}
@@ -605,6 +605,28 @@ def test_heap_pivots_match_full_rescan_reference(name):
             got = cech._reduce_block(per_q, entries)
             assert got == want
             _assert_ints_stay_ints(got)
+
+
+def test_block_reduction_matches_full_rescan_reference_on_m33_critical_cells(monkeypatch):
+    """The blocks production reduces: the critical cells of every M33
+    family, as FamilyCerts builds them, up to 64 cells."""
+    from toricres.toric import variety_of
+
+    x = variety_of(_fixture_problem("m33"))
+    reduce_block = cech._reduce_block
+    sizes = []
+
+    def checked(per_q, entries):
+        got = reduce_block(per_q, entries)
+        assert got == _reference_reduce_block(per_q, entries)
+        _assert_ints_stay_ints(got)
+        sizes.append(sum(map(len, per_q)))
+        return got
+
+    monkeypatch.setattr(cech, "_reduce_block", checked)
+    for sigma in sorted({cech._sigma(x, neg) for neg in _all_patterns(x)}, key=sorted):
+        cech.FamilyCerts(sigma, len(x.max_cones))
+    assert max(sizes) == 64
 
 
 @pytest.mark.parametrize("order", ["sorted", "reversed"])
@@ -621,7 +643,7 @@ def test_every_pattern_family_satisfies_the_retract_identities(name, order, requ
             per_q = [level[::-1] for level in per_q]
         entries = family_block(per_q)
         want = family_rank_dims(fam, n)
-        # the whole family by heap elimination
+        # the whole family by block reduction
         red = cech._reduce_block(per_q, entries)
         assert retract_identity_failures(per_q, entries, *red) == [], neg
         assert tuple(map(len, red[0])) == want
@@ -728,7 +750,7 @@ def _random_blocks(draw):
 # column 1
 @example(_block([3, 7], [{(0, 0): 1, (0, 1): 1, (0, 3): 1, (1, 0): 3, (1, 1): 1,
                           (1, 2): 5, (2, 1): 1, (2, 5): 1, (2, 6): 1}]))
-def test_heap_pivots_match_full_rescan_reference_on_random_blocks(block):
+def test_block_reduction_matches_full_rescan_reference_on_random_blocks(block):
     per_q, entries = block
     want = _reference_reduce_block(per_q, entries)
     got = cech._reduce_block(per_q, entries)

@@ -286,6 +286,41 @@ def test_unknown_variable_in_polynomial_text_is_an_input_error():
         P("1 * x * w")
 
 
+def test_arithmetic_on_different_variables_is_an_input_error():
+    other = poly_from_text("1 * u", ("u",))
+    with pytest.raises(InputError, match="variable mismatch"):
+        P("1 * x") + other
+
+
+def test_leading_term_of_zero_is_an_input_error():
+    with pytest.raises(InputError, match="no leading term"):
+        SparsePoly.zero(V).leading()
+
+
+def test_negative_power_is_an_input_error():
+    with pytest.raises(InputError, match="negative power"):
+        P("1 * x") ** -1
+
+
+def test_kth_root_with_k_not_positive_is_an_input_error():
+    for k in (0, -2):
+        with pytest.raises(InputError, match="k must be positive"):
+            kth_root(P("1 * x^2"), k)
+
+
+def test_exact_division_by_zero_is_an_input_error():
+    with pytest.raises(InputError, match="division by zero"):
+        P("1 * x").exact_div(SparsePoly.zero(V))
+
+
+def test_unknown_variable_name_is_an_input_error():
+    p = P("1 * x^2 * y")
+    for call in (lambda: SparsePoly.variable(V, "w"), lambda: p.degree_in("w"),
+                 lambda: SparsePoly.zero(V).degree_in("w"), lambda: p.diff("w")):
+        with pytest.raises(InputError, match="unknown variable 'w'"):
+            call()
+
+
 def test_matmul_row_convention():
     a = PolyMatrix.from_text([["1 * x", "0"], ["1", "1 * y"]], V)
     b = PolyMatrix.from_text([["0", "1"], ["1 * z", "0"]], V)

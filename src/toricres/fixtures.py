@@ -7,6 +7,7 @@ package them as resultant / direct-image problems.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -219,7 +220,9 @@ def _published_rows_for(x: ToricVariety, published_rays, published_grading):
     grading, and a vector of L is fixed by its entries at the echelon
     pivots of L.  So it is enough to place rays at the pivot rows, in
     n!/(n - dim L)! ways: that forces every other row, which must then be
-    one of the rays not yet placed."""
+    one of the rays not yet placed.  The search runs in integers: the
+    basis is scaled by the lcm D of its denominators, so each forced row
+    is D times a ray, and the rays are looked up scaled by D."""
     for s in (1, -1):
         if {tuple(s * v for v in r) for r in published_rays} == set(x.rays):
             break
@@ -232,7 +235,9 @@ def _published_rows_for(x: ToricVariety, published_rays, published_grading):
     gt = [[published_grading[j][c] for j in range(n)]
           for c in range(len(published_grading[0]))]
     pivots, basis = _echelon(int_kernel_basis(gt))
-    ray_at = {r: i for i, r in enumerate(x.rays)}
+    d = math.lcm(*(a.denominator for b in basis for a in b))
+    basis = [[int(a * d) for a in b] for b in basis]
+    ray_at = {tuple(d * c for c in r): i for i, r in enumerate(x.rays)}
     sols = []
     for placed in itertools.permutations(range(n), len(pivots)):
         pi = [None] * n                  # pi[ray] = published row

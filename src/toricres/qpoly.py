@@ -18,12 +18,13 @@ degrevlex and is bit-reproducible:
 
 Example: "2 * a^2 * c + -1/3 * b".
 
-Kernel.  Exact division, the determinant and products whose factors both
-have several terms run on packed monomials (a monomial factor just adds its
-exponents to each term): each call packs the exponent vectors of its
-operands into single ints, works on dicts {packed monomial -> coeff} and
-unpacks only its result.  With n variables and fields of w bits, variable i
-occupies bits i*w to i*w + w - 1 and the packed monomial is
+Kernel.  Exact division, the determinant, matrix products (`matmul`) and
+products whose factors both have several terms run on packed monomials (a
+monomial factor just adds its exponents to each term): each call packs the
+exponent vectors of its operands into single ints, works on dicts
+{packed monomial -> coeff} and unpacks only its result.  With n variables
+and fields of w bits, variable i occupies bits i*w to i*w + w - 1 and the
+packed monomial is
 
     low - (deg << n*w),    low = sum (e_i - o_i) << i*w,    deg = sum (e_i - o_i).
 
@@ -400,15 +401,19 @@ def content_unit(p: SparsePoly) -> Coeff:
     positive leading (degrevlex) coefficient.  Zero polynomial gives 1."""
     if not p.terms:
         return 1
+    _, lc = p.leading()
+    cs = p.terms.values()
+    if all(type(c) is int for c in cs):
+        g = math.gcd(*cs)
+        return -g if lc < 0 else g
     num = 0
     den = 1
-    for c in p.terms.values():
+    for c in cs:
         f = Fraction(c)
         num = math.gcd(num, abs(f.numerator))
         den = den * f.denominator // math.gcd(den, f.denominator)
     u = Fraction(num, den)
-    _, lc = p.leading()
-    if Fraction(lc) < 0:
+    if lc < 0:
         u = -u
     return cnorm(u)
 
@@ -416,7 +421,12 @@ def content_unit(p: SparsePoly) -> Coeff:
 def primitive_part(p: SparsePoly) -> SparsePoly:
     if not p.terms:
         return p
-    u = Fraction(content_unit(p))
+    u = content_unit(p)
+    if type(u) is int:
+        # a coefficient with a denominator would leave one in u, so every
+        # coefficient is an int and u divides it exactly
+        return SparsePoly(p.vars, {e: c // u for e, c in p.terms.items()})
+    u = Fraction(u)
     return SparsePoly(p.vars, {e: cnorm(Fraction(c) / u) for e, c in p.terms.items()})
 
 
@@ -596,18 +606,37 @@ class PolyMatrix:
                           [[self.rows[r][c] for c in cols] for r in rows])
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The product self * other, each entry sum_k a_ik * b_kj.
+
+        Both operands are packed once, with one offset for all their
+        entries; every product a_ik * b_kj then has shifted degree at most
+        the sum of the two matrices' largest shifted top degrees, the
+        packing bound.  Each output entry is accumulated packed and
+        unpacked once."""
         if self.ncols != other.nrows:
             raise InputError("shape mismatch")
+        if self.vars != other.vars and any(
+                p and q for row in self.rows for p, brow in zip(row, other.rows) for q in brow):
+            raise InputError(f"variable mismatch: {self.vars} vs {other.vars}")
         out = PolyMatrix(self.nrows, other.ncols, self.vars)
-        for i in range(self.nrows):
-            for k in range(self.ncols):
-                p = self.rows[i][k]
-                if not p:
-                    continue
-                for j in range(other.ncols):
-                    q = other.rows[k][j]
+        off = _offset(len(self.vars), (p.terms for row in self.rows + other.rows for p in row))
+
+        def top(m: PolyMatrix) -> int:
+            return max((_top_degree(p.terms, off) for row in m.rows for p in row), default=0)
+
+        pk = _Packing(off, top(self) + top(other))
+        a = [[(k, pk.pack(p.terms)) for k, p in enumerate(row) if p] for row in self.rows]
+        b = [[pk.pack(p.terms) for p in row] for row in other.rows]
+        for i, arow in enumerate(a):
+            for j in range(other.ncols):
+                s: Packed = {}
+                for k, p in arow:
+                    q = b[k][j]
                     if q:
-                        out.rows[i][j] = out.rows[i][j] + p * q
+                        _addmul(s, p, q, 1)
+                s = _nonzero(s)
+                if s:
+                    out.rows[i][j] = SparsePoly(self.vars, pk.unpack(s, 2))
         return out
 
     @classmethod

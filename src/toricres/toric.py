@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import InputError, UnsupportedGeometryError
+from .errors import InputError, MathFailure, UnsupportedGeometryError
 from .qlinalg import int_rank, smith_kernel, smith_normal_form, smith_rank, solve_smith
 
 Point = tuple[int, ...]
@@ -28,7 +28,7 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     for x in v:
         g = math.gcd(g, abs(x))
     if g == 0:
-        raise ValueError("zero vector has no primitive form")
+        raise MathFailure("zero vector has no primitive form")
     return tuple(x // g for x in v)
 
 
@@ -248,7 +248,18 @@ def minkowski_points(supports: Sequence[Support]) -> list[Point]:
 
 
 def variety_of(problem: SupportProblem) -> ToricVariety:
-    return variety_from_points(minkowski_points(problem.supports))
+    """The toric variety of the Minkowski sum of the problem's supports.
+
+    It is built on the first call and kept on the problem instance itself
+    (as `ToricVariety.__hash__` keeps its hash), so each later call with
+    the same instance returns the same object.  An equal problem built
+    separately builds its own, equal variety."""
+    try:
+        return problem._variety
+    except AttributeError:
+        x = variety_from_points(minkowski_points(problem.supports))
+        object.__setattr__(problem, "_variety", x)
+        return x
 
 
 def support_levels(x: ToricVariety, support: Support) -> tuple[int, ...]:

@@ -32,6 +32,16 @@ def transpose(m: PolyMatrix) -> PolyMatrix:
     return out
 
 
+def matmul_reference(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Entrywise sum over k of a[i][k] * b[k][j], by SparsePoly + and *."""
+    out = PolyMatrix(a.nrows, b.ncols, a.vars)
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            for k in range(a.ncols):
+                out.rows[i][j] = out.rows[i][j] + a.rows[i][k] * b.rows[k][j]
+    return out
+
+
 def matrix_text(m: PolyMatrix) -> list[list[str]]:
     """The cells of m as `poly_to_text` strings, the input of
     `PolyMatrix.from_text`."""

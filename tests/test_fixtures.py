@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers_reference import published_rows_by_fractions
 from toricres.errors import InputError
 from toricres.fixtures import (
     STURMFELS_PAPER_GRADING,
@@ -66,3 +67,35 @@ def test_pairing_rejects_an_ambiguous_or_impossible_grading():
         _published_rows_for(x, STURMFELS_PAPER_RAYS, broken)
     with pytest.raises(InputError, match="rows"):
         _published_rows_for(x, STURMFELS_PAPER_RAYS, STURMFELS_PAPER_GRADING[:-1])
+
+
+def test_integer_pairing_search_equals_the_fraction_search():
+    """The published chart, a row-permuted copy of it with shuffled negated
+    rays, and the three charts the errors above reject: the integer search
+    returns the same rows, or raises the same error, as the search on the
+    unscaled Fraction basis."""
+    x = variety_of(sturmfels_problem())
+    rng = random.Random(11)
+    rows = list(STURMFELS_PAPER_GRADING)
+    rng.shuffle(rows)
+    rays = [tuple(-v for v in r) for r in STURMFELS_PAPER_RAYS]
+    rng.shuffle(rays)
+    broken = [list(g) for g in STURMFELS_PAPER_GRADING]
+    broken[5][5] += 1
+    sq = variety_from_points(((0, 0), (1, 0), (0, 1), (1, 1)))
+    line = variety_from_points(((0,), (1,)))
+    cases = [(x, STURMFELS_PAPER_RAYS, STURMFELS_PAPER_GRADING),
+             (x, rays, rows),
+             (x, STURMFELS_PAPER_RAYS, broken),
+             (sq, sq.rays, ((1, 0), (1, 0), (0, 1), (0, 1))),
+             (line, line.rays, ((1,), (-1,)))]
+
+    def outcome(search, y, published_rays, grading):
+        try:
+            return search(y, tuple(map(tuple, published_rays)), tuple(map(tuple, grading)))
+        except InputError as err:
+            return str(err)
+
+    got = [outcome(_published_rows_for.__wrapped__, *c) for c in cases]
+    assert got == [outcome(published_rows_by_fractions, *c) for c in cases]
+    assert [type(g) for g in got] == [tuple, tuple, str, str, str]

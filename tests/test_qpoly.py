@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers_poly import matrix_text, transpose
+from helpers_poly import matmul_reference, matrix_text, transpose
 from helpers_reference import substitute
 from toricres import qpoly
 from toricres.errors import InputError, MathFailure
@@ -348,13 +349,13 @@ rational = st.one_of(
 
 
 @st.composite
-def ring_polys(draw, count, max_terms=4):
+def ring_polys(draw, count, max_terms=4, coeff=rational):
     """`count` polynomials over one ring of 0-4 variables."""
     n = draw(st.integers(min_value=0, max_value=4))
     expo = st.one_of(st.integers(min_value=-3, max_value=3), st.sampled_from(WIDE))
     out = []
     for _ in range(count):
-        terms = draw(st.dictionaries(st.tuples(*[expo] * n), rational,
+        terms = draw(st.dictionaries(st.tuples(*[expo] * n), coeff,
                                      max_size=max_terms))
         out.append(SparsePoly(VARS4[:n], terms))
     return out
@@ -387,6 +388,63 @@ def test_division_returns_none_exactly_when_the_reference_does(abr, multiple):
     assume(not d.is_zero())
     num = a * d + r if multiple else a
     assert num.exact_div(d) == ref_exact_div(num, d)
+
+
+@given(st.one_of(ring_polys(1, max_terms=6, coeff=coefficient), ring_polys(1, max_terms=6)))
+@settings(max_examples=100, deadline=None)
+def test_primitive_part_times_content_unit_is_the_polynomial(ps):
+    [p] = ps
+    assume(not p.is_zero())
+    u = content_unit(p)
+    q = primitive_part(p)
+    assert SparsePoly.const(p.vars, u) * q == p
+    cs = list(q.terms.values())
+    assert all(type(c) is int for c in cs)
+    assert math.gcd(*cs) == 1 and q.leading()[1] > 0
+
+
+@st.composite
+def matmul_pairs(draw):
+    """A (n x k) times B (k x m), n, k and m in 0..3, over one ring of 0-4
+    variables, entries with Laurent exponents, Fraction coefficients and
+    zero entries.  When k >= 2 and the flag is drawn, column 1 of A repeats
+    column 0 and row 1 of B negates row 0, so those products cancel."""
+    n, k, m = (draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
+    cells = draw(ring_polys(n * k + k * m + 1, max_terms=3))
+    a = [cells[i * k:(i + 1) * k] for i in range(n)]
+    b = [cells[n * k + r * m:n * k + (r + 1) * m] for r in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        for row in a:
+            row[1] = row[0]
+        b[1] = [-p for p in b[0]]
+    variables = cells[-1].vars
+    return (PolyMatrix.from_rows(a, variables, k), PolyMatrix.from_rows(b, variables, m))
+
+
+def _pm(cells):
+    return PolyMatrix.from_text(cells, V)
+
+
+@given(matmul_pairs())
+# each operand alone packs in fields too narrow for the product's degree
+@example((_pm([["1 * x", "1"]]), _pm([["1"], ["1 * y^6"]])))
+@example((_pm([["1 * y^7 * z^-1", "1"]]), _pm([["1 * x * z"], ["1"]])))
+@settings(max_examples=150, deadline=None)
+def test_matmul_matches_the_entrywise_reference(ab):
+    a, b = ab
+    got = a.matmul(b)
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    assert got == matmul_reference(a, b)
+
+
+def test_matmul_of_different_rings_is_an_input_error_once_a_product_forms():
+    a = PolyMatrix.from_text([["1 * x", "0"]], V)
+    b = PolyMatrix.from_text([["1 * u"], ["0"]], ("u", "v", "w"))
+    with pytest.raises(InputError, match="variable mismatch"):
+        a.matmul(b)
+    b.rows[0][0] = SparsePoly.zero(b.vars)
+    b.rows[1][0] = SparsePoly.variable(b.vars, "v")
+    assert a.matmul(b).is_zero()
 
 
 @st.composite

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers_reference import lattice_points_in_window
-from toricres.errors import InputError, UnsupportedGeometryError
+from toricres import toric
+from toricres.errors import InputError, MathFailure, UnsupportedGeometryError
 from toricres.fixtures import (
     M33_SUPPORTS,
     STURMFELS_PAPER_RAYS,
@@ -123,6 +124,12 @@ def test_codimension_values():
 def test_degenerate_span_rejected():
     with pytest.raises(UnsupportedGeometryError):
         facet_normals([(0, 0), (1, 1), (2, 2)])
+
+
+def test_primitive_of_the_zero_vector_is_a_math_failure():
+    assert toric._primitive((4, -6, 2)) == (2, -3, 1)
+    with pytest.raises(MathFailure, match="zero vector"):
+        toric._primitive((0, 0, 0))
 
 
 def test_lattice_points_projective_plane():
@@ -298,3 +305,18 @@ def test_equal_varieties_built_separately_share_hash_and_memo_entries():
     after = (cech.family_certs.cache_info(), degree_fiber.cache_info())
     for old, new in zip(before, after):
         assert (new.hits, new.misses, new.currsize) == (old.hits + 2, old.misses, old.currsize)
+
+
+def test_variety_of_is_built_once_per_problem_instance(monkeypatch):
+    prob = support_problem(STURMFELS_SUPPORTS)
+    builds = []
+    build = toric.variety_from_points
+    monkeypatch.setattr(toric, "variety_from_points",
+                        lambda pts: builds.append(pts) or build(pts))
+    x = variety_of(prob)
+    assert variety_of(prob) is x and len(builds) == 1
+    again = dataclasses.replace(prob)
+    assert again == prob
+    y = variety_of(again)
+    assert len(builds) == 2 and y is not x and y == x
+    assert variety_of(again) is y and variety_of(prob) is x

@@ -55,10 +55,14 @@ changes are keyed again.
 Which exponents carry cohomology at all is decided per variety and
 negative-support pattern by the family reduction itself, and only for the
 patterns that pass the ray-circuit screen of contributing_points.  The
-screen is integer work: each circuit of the rays becomes, once per
-variety, a bitset over all sign patterns of those it can exclude, and the
-patterns a class's fiber misses are the OR of the bitsets of the circuits
-that fiber violates.
+screen is plain integer work.  The circuits of the rays come, once per
+variety, from integer minors of the degree kernel's columns, which are the
+rays in another basis and so have the same circuits (_ray_circuits).  Each
+circuit becomes a bitset over all sign patterns of those it can exclude.
+Per class, one dot product with the fiber's base point decides both signs
+of a circuit, the excluded patterns are the OR of the bitsets of the
+circuits the fiber violates, and only the set bits of its complement, the
+survivors, are visited.
 
 Family reductions are memoized per process, by Sigma and the number of
 generators (_reduce_memo).
@@ -66,13 +70,13 @@ generators (_reduce_memo).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul, or_
 from typing import Iterable, Sequence
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
-from .qlinalg import int_kernel_basis
 from .qpoly import cnorm
 from .toric import ToricVariety, degree_fiber, fiber_points
 
@@ -235,6 +239,13 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
     return [set(level) for level in iota], iota, rho, h
 
 
+@lru_cache(maxsize=None)
+def _members(T: int) -> tuple[int, ...]:
+    """The set bits of bitmask T in increasing order: the generators of a
+    subset, whose lex order they key, or the rays of a pattern."""
+    return tuple(j for j in range(T.bit_length()) if T >> j & 1)
+
+
 def _per_degree(cells: Iterable[int], depth: int) -> list[list[int]]:
     """Subset bitmasks grouped by Cech degree, each group in lex order of
     the subsets."""
@@ -242,7 +253,7 @@ def _per_degree(cells: Iterable[int], depth: int) -> list[list[int]]:
     for T in cells:
         per_q[T.bit_count() - 1].append(T)
     for group in per_q:
-        group.sort(key=lambda T: [j for j in range(T.bit_length()) if T >> j & 1])
+        group.sort(key=_members)
     return per_q
 
 
@@ -253,20 +264,36 @@ def _block_entries(per_q: list[list[int]]) -> list[dict[tuple[int, int], int]]:
     bits = [1 << j for j in range(gens.bit_length()) if gens >> j & 1]
     entries: list[dict[tuple[int, int], int]] = []
     for lower, upper in zip(per_q, per_q[1:]):
-        index = {T: i for i, T in enumerate(upper)}
         ent = {}
+        entries.append(ent)
+        if not (lower and upper):
+            continue
+        index = {T: i for i, T in enumerate(upper)}
         for i, T in enumerate(lower):
             for b in bits:
-                k = index.get(T | b)   # None when b is in T: T itself is one degree down
-                if k is not None:
-                    ent[(i, k)] = -1 if (T & (b - 1)).bit_count() % 2 else 1
-        entries.append(ent)
+                if not b & T:
+                    k = index.get(T | b)
+                    if k is not None:
+                        ent[(i, k)] = -1 if (T & (b - 1)).bit_count() % 2 else 1
     return entries
 
 
 # -- contributing patterns and points ------------------------------------------
 
 _PATTERN_RAY_CAP = 16
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a small square integer matrix, by cofactors along the
+    first row; the 0x0 determinant is 1."""
+    if len(rows) < 3:
+        if len(rows) == 2:
+            (a, b), (c, d) = rows
+            return a * d - b * c
+        return rows[0][0] if rows else 1
+    rest = rows[1:]
+    return sum((-v if j % 2 else v) * _det([r[:j] + r[j + 1:] for r in rest])
+               for j, v in enumerate(rows[0]) if v)
 
 
 @lru_cache(maxsize=None)
@@ -276,25 +303,49 @@ def _ray_circuits(x: ToricVariety) -> tuple[tuple[tuple[int, ...], int, int, int
     A circuit is a primitive integer relation sum a_rho u_rho = 0 whose
     support holds no smaller relation; it has at most dim + 1 rays.  The
     rays are read as the columns of the degree kernel (the rays in a basis
-    of the character lattice), so a circuit is exactly a minimal-support
-    vector orthogonal to the kernel, and a . u is constant on every degree
-    fiber.  Each entry is (a, positive-support mask, negative-support mask,
-    c_a), with c_a the sum of |a_rho| over a_rho < 0."""
+    of the character lattice).  A change of basis keeps every linear
+    relation, so the circuits of the kernel columns are those of the rays,
+    and a . u is constant on every degree fiber.
+
+    Supports are tried by size, and one that holds a circuit already found
+    is skipped, so every proper subset of a support tried is independent.
+    Such a support S of size s is a circuit exactly when it is dependent.
+    Its relation comes from integer minors: for s - 1 coordinate rows R
+    with some nonzero (s - 1)-minor on S, the Cramer cofactors
+    a_j = (-1)^j det(rows R, columns S - {j}) span the relations of those
+    rows, and S is a circuit when a is orthogonal to the other rows too.
+    a is divided by the gcd of its entries.
+
+    Each entry is (a, positive-support mask, negative-support mask, c_a),
+    with c_a the sum of |a_rho| over a_rho < 0; the two signs of a circuit
+    are adjacent, a first."""
     _, kernel = degree_fiber(x, (0,) * x.class_rank)
-    found: list[int] = []   # supports of the circuits so far, as bitmasks
+    rays = list(zip(*kernel))   # the rays in the kernel basis
+    found: set[int] = set()     # supports of the circuits so far, as bitmasks
     out = []
     for size in range(1, x.dim + 2):
         for S in itertools.combinations(range(x.n_rays), size):
             bits = sum(1 << rho for rho in S)
-            if any(c & bits == c for c in found):
+            sub = (bits - 1) & bits
+            while sub and sub not in found:
+                sub = (sub - 1) & bits
+            if sub:
                 continue   # holds a smaller circuit
-            basis = int_kernel_basis([[k[rho] for rho in S] for k in kernel])
-            if len(basis) != 1 or not all(basis[0]):
-                continue
-            found.append(bits)
+            rows = list(zip(*[rays[rho] for rho in S]))
+            for chosen in itertools.combinations(rows, size - 1):
+                minors = [_det([r[:j] + r[j + 1:] for r in chosen]) for j in range(size)]
+                if any(minors):
+                    break
+            else:
+                continue   # never taken: S less one ray is independent
+            rel = [-v if j % 2 else v for j, v in enumerate(minors)]
+            if any(sum(map(mul, rel, r)) for r in rows):
+                continue   # S is independent
+            found.add(bits)
+            g = math.gcd(*rel)
             a = [0] * x.n_rays
-            for rho, v in zip(S, basis[0]):
-                a[rho] = v
+            for rho, v in zip(S, rel):
+                a[rho] = v // g
             for sa in (a, [-v for v in a]):
                 pos = sum(1 << rho for rho, v in enumerate(sa) if v > 0)
                 out.append((tuple(sa), pos, bits & ~pos, sum(-v for v in sa if v < 0)))
@@ -339,9 +390,10 @@ def contributing_points(x: ToricVariety,
     All 2^#rays patterns are screened by the ray circuits first: the
     patterns excluded for this class are the OR of the pattern bitsets
     (_circuit_patterns, built once per variety) of the circuits the fiber
-    violates, and each pattern is one bit of it.  Only a survivor has its
-    family reduced (family_certs, memoized by Sigma), and a survivor with
-    cohomology in some q <= dim is walked by fiber_points.
+    violates, and each pattern is one bit of it.  Only the survivors are
+    visited, lowest bitmask first; each has its family reduced
+    (family_certs, memoized by Sigma), and one with cohomology in some
+    q <= dim is walked by fiber_points.
     A pattern neg is excluded when a ray circuit shows that its real sign
     polyhedron P = {u <= -1 on neg, u >= 0 off neg} misses the real fiber
     u0 + L, L the span of the degree kernel.
@@ -366,16 +418,24 @@ def contributing_points(x: ToricVariety,
     pts = []
     if u0 is not None:
         q_top = min(x.dim, cech_depth(x))
+        circuits, patterns = _ray_circuits(x), _circuit_patterns(x)
         excluded = 0
-        for (a, _, _, c), patterns in zip(_ray_circuits(x), _circuit_patterns(x)):
-            if sum(map(mul, a, u0)) < c:
-                excluded |= patterns
-        # flags[bits] == "1": some circuit shows the fiber misses pattern bits
-        flags = bin(excluded)[:1:-1].ljust(1 << x.n_rays, "0")
-        for bits, flag in enumerate(flags):
-            if flag == "1":
-                continue   # no real point of the fiber has this pattern
-            neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
+        # one dot product per sign pair: (-a) . u0 = -(a . u0)
+        for (a, _, _, c), (_, _, _, c_minus), p, p_minus in zip(
+                circuits[::2], circuits[1::2], patterns[::2], patterns[1::2]):
+            dot = sum(map(mul, a, u0))
+            if dot < c:
+                excluded |= p
+            if -dot < c_minus:
+                excluded |= p_minus
+        # the survivors, lowest pattern first: no real point of the fiber has
+        # an excluded pattern
+        survivors = ((1 << (1 << x.n_rays)) - 1) & ~excluded
+        while survivors:
+            low = survivors & -survivors
+            survivors ^= low
+            bits = low.bit_length() - 1
+            neg = _members(bits)
             if not any(family_certs(x, neg).dims[:q_top + 1]):
                 continue   # no cohomology in q <= dim
             # w <= -1 on the rays in neg, w >= 0 on the others
@@ -460,6 +520,6 @@ def clear_caches() -> None:
     _reduce_memo.clear()
     for k in cache_counters:
         cache_counters[k] = 0
-    for fn in (_ray_cones, _ray_circuits, _circuit_patterns,
+    for fn in (_ray_cones, _members, _ray_circuits, _circuit_patterns,
                contributing_points, family_certs):
         fn.cache_clear()

@@ -63,13 +63,12 @@ class FreeGradedComplex:
             return PolyMatrix(self.rank(p), self.rank(p + 1), self.variables)
         return d
 
-    def x_degree(self, term_exp: Sequence[int]) -> Class:
-        return self.x.degree_of(term_exp[self.n_params:])
-
     def validate(self) -> None:
         ps = sorted(self.degrees)
         if ps != list(range(ps[0], ps[-1] + 1)):
             raise InputError("degrees must occupy a contiguous range")
+        n = self.n_params
+        x_degree: dict[tuple[int, ...], Class] = {}   # Cox exponent -> class
         for p in ps[:-1]:
             d = self.diffs.get(p)
             if d is None:
@@ -80,7 +79,11 @@ class FreeGradedComplex:
                 for l in range(d.ncols):
                     expect = class_sub(self.degrees[p][k], self.degrees[p + 1][l])
                     for exp in d.rows[k][l].terms:
-                        if self.x_degree(exp) != expect:
+                        xe = exp[n:]
+                        degree = x_degree.get(xe)
+                        if degree is None:
+                            degree = x_degree[xe] = self.x.degree_of(xe)
+                        if degree != expect:
                             raise InputError(
                                 f"inhomogeneous entry at p={p}, ({k},{l})")
         for p in ps[:-2]:

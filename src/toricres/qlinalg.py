@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .errors import InputError
 from .qpoly import Coeff, cnorm
 
 Row = dict[int, Coeff]
@@ -35,7 +36,7 @@ class QMatrix:
             self.rows: list[Row] = [{} for _ in range(nrows)]
         else:
             if len(rows) != nrows:
-                raise ValueError("row count mismatch")
+                raise InputError(f"{len(rows)} rows given for {nrows}")
             self.rows = [{j: cnorm(c) for j, c in r.items() if c} for r in rows]
 
     # -- construction --------------------------------------------------------

@@ -9,6 +9,7 @@ polynomial.
 Multiplicity is recovered afterwards by perfect-power extraction."""
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -302,9 +303,13 @@ def resolve_twist(K: FreeGradedComplex, twist) -> Class:
 
 
 def _multiplicity(delta: SparsePoly) -> tuple[int, SparsePoly]:
-    d = delta.total_degree()
-    for k in range(d, 1, -1):
-        if d % k:
+    """The largest k with delta = root**k, and that root.  A k-th power has
+    k dividing its total degree and every exponent of its leading term, so
+    only the divisors of their gcd are tried, largest first; kth_root
+    proves each."""
+    g = math.gcd(delta.total_degree(), *delta.leading()[0])
+    for k in range(g, 1, -1):
+        if g % k:
             continue
         root = kth_root(delta, k)
         if root is not None:

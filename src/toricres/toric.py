@@ -347,14 +347,15 @@ def _fm_eliminate(ineqs: list[Ineq], var: int) -> list[Ineq] | None:
 
 def _interval(ineqs: list[Ineq], var: int,
               point: list[int]) -> tuple[int | None, int | None]:
-    """Integer range of t_var allowed by the rows, given the other t."""
+    """Integer range of t_var allowed by the rows, given the other t;
+    point[var] must be 0."""
     lo: int | None = None
     hi: int | None = None
     for c, r in ineqs:
         a = c[var]
         if not a:
             continue
-        rest = r - sum(ci * ti for i, (ci, ti) in enumerate(zip(c, point)) if i != var and ci)
+        rest = r - sum(map(operator.mul, c, point))
         if a > 0:
             b = -(-rest // a)
             lo = b if lo is None or b > lo else lo
@@ -392,9 +393,9 @@ def fiber_points(u0: Sequence[int], kernel: Sequence[Sequence[int]],
     each (s, b) = bounds[rho], in increasing order of t.
 
     Fourier-Motzkin elimination on integer rows, then a walk over the
-    nested intervals of t_0, t_1, ..."""
+    nested intervals of t_0, t_1, ... that steps w by one kernel vector
+    per step of t."""
     m = len(kernel)
-    n = len(u0)
     if m == 0:
         ok = all(s * u0[rho] >= b for rho, (s, b) in enumerate(bounds))
         return [tuple(u0)] if ok else []
@@ -411,18 +412,22 @@ def fiber_points(u0: Sequence[int], kernel: Sequence[Sequence[int]],
     out: list[tuple[int, ...]] = []
     point = [0] * m
 
-    def walk(level: int) -> None:
+    def walk(level: int, base: tuple[int, ...]) -> None:
+        # base is u0 + sum_i t_i kernel[i] over i < level; each t_level
+        # steps w by kernel[level]
         lo, hi = _interval(systems[level], level, point)
         if lo is None or hi is None:
             raise UnsupportedGeometryError("unbounded degree window")
+        step = kernel[level]
+        w = tuple([b + lo * k for b, k in zip(base, step)])
         for t in range(lo, hi + 1):
-            point[level] = t
-            if level + 1 == m:
-                out.append(tuple(u0[rho] + sum(kernel[i][rho] * point[i] for i in range(m))
-                                 for rho in range(n)))
+            if level + 1 < m:
+                point[level] = t
+                walk(level + 1, w)
             else:
-                walk(level + 1)
+                out.append(w)
+            w = tuple(map(operator.add, w, step))
         point[level] = 0
 
-    walk(0)
+    walk(0, tuple(u0))
     return out

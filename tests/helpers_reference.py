@@ -1,9 +1,10 @@
 """Plain reference routines that only tests use: matrix products, dense
 inverses and determinants, row-vector products, the published-chart
 pairing searched with `Fraction` rows, polynomial substitution,
-the lattice points of a degree window, the eager Cech support-pattern
-table, explicit Cech subset families, the retract identities of a reduced
-Cech family, and the direct total complex on window-truncated Cech strands.
+the lattice points of a degree window, the ray circuits by Smith forms,
+the eager Cech support-pattern table, explicit Cech subset families, the
+retract identities of a reduced Cech family, and the direct total complex
+on window-truncated Cech strands.
 
 The strand of a class alpha at a truncation level e has, in Cech degree
 q, one basis vector per pair (T, w): T a size-(q+1) set of irrelevant
@@ -193,6 +194,33 @@ def support_patterns(x) -> tuple[tuple[int, ...], ...]:
         if any(cech.family_certs(x, neg).dims[:q_top + 1]):
             out.append(neg)
     return tuple(out)
+
+
+def ray_circuits_by_smith(x: ToricVariety) -> frozenset[tuple[tuple[int, ...], int, int, int]]:
+    """The entries of cech._ray_circuits, as a set: every circuit of the
+    rays in both signs, each support's relation read off the Smith-form
+    kernel of the degree kernel's columns on it.  A support holding a
+    smaller circuit is skipped; one whose kernel is a single vector with
+    no zero entry is a circuit."""
+    _, kernel = degree_fiber(x, (0,) * x.class_rank)
+    found: list[int] = []
+    out = set()
+    for size in range(1, x.dim + 2):
+        for S in itertools.combinations(range(x.n_rays), size):
+            bits = sum(1 << rho for rho in S)
+            if any(c & bits == c for c in found):
+                continue
+            basis = int_kernel_basis([[k[rho] for rho in S] for k in kernel])
+            if len(basis) != 1 or not all(basis[0]):
+                continue
+            found.append(bits)
+            a = [0] * x.n_rays
+            for rho, v in zip(S, basis[0]):
+                a[rho] = v
+            for sa in (a, [-v for v in a]):
+                pos = sum(1 << rho for rho, v in enumerate(sa) if v > 0)
+                out.add((tuple(sa), pos, bits & ~pos, sum(-v for v in sa if v < 0)))
+    return frozenset(out)
 
 
 # -- explicit Cech subset families ------------------------------------------------

@@ -17,6 +17,7 @@ from helpers_reference import (
     generator_subsets,
     pattern_family,
     rank_dims,
+    ray_circuits_by_smith,
     retract_identity_failures,
     stabilization_level,
     strand_blocks,
@@ -397,6 +398,46 @@ def test_ray_circuits_are_the_minimal_primitive_relations(name):
             want.add(frozenset(S))
     assert supports == want
     assert len(circuits) == len(vectors) == 2 * len(want)
+
+
+@st.composite
+def _ray_configurations(draw):
+    """A variety presented by rays alone, in dimension 1-3: the unit
+    vectors (so the rays span the lattice), then 1-5 more rays, each new
+    from a small box or a multiple of one before it (parallel rays, so
+    many subsets are rank deficient), in a random order.  The grading is
+    the class-group presentation of variety_from_points; the cones are
+    never read."""
+    from toricres.qlinalg import smith_normal_form
+    from toricres.toric import ToricVariety
+
+    dim = draw(st.integers(min_value=1, max_value=3))
+    rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    new = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim).filter(any)
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        if draw(st.booleans()):
+            rays.append(draw(new))
+        else:
+            k = draw(st.sampled_from((-2, -1, 1, 2)))
+            rays.append(tuple(k * c for c in draw(st.sampled_from(rays))))
+    rays = draw(st.permutations(rays))
+    _, left, _ = smith_normal_form([list(r) for r in rays])
+    grading = tuple(tuple(row[r] for row in left[dim:]) for r in range(len(rays)))
+    return ToricVariety(dim=dim, rays=tuple(rays), max_cones=(tuple(range(dim)),),
+                        grading=grading)
+
+
+@given(_ray_configurations())
+@settings(max_examples=150, deadline=None)
+def test_ray_circuits_match_the_smith_form_reference(x):
+    from toricres import cech
+
+    circuits = cech._ray_circuits(x)
+    assert len(circuits) == len(set(circuits))
+    assert frozenset(circuits) == ray_circuits_by_smith(x)
+    # the two signs of a circuit are adjacent
+    for (a, pos, negs, _), (b, b_pos, b_negs, _) in zip(circuits[::2], circuits[1::2]):
+        assert b == tuple(-v for v in a) and (b_pos, b_negs) == (negs, pos)
 
 
 @pytest.mark.parametrize("name", ["P1", "P2", "P1P1", "sturmfels", "m33", "m34_1"])

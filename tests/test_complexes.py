@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from helpers_complexes import binary_form, rescale_morphism
 
 from toricres.complexes import (
     ComplexMorphism,
+    FreeGradedComplex,
     cotangent_family_complex,
     generic_sections,
     koszul_generic,
@@ -120,6 +122,31 @@ def test_validate_catches_inhomogeneous_entry():
     k.diffs[-1].rows[0][0] = SparsePoly.const(k.variables, 7)
     with pytest.raises(InputError):
         k.validate()
+
+
+def test_validate_names_the_inhomogeneous_entry_that_shares_a_homogeneous_monomial():
+    """x_0 appears at every position; only the classes of the summands
+    decide where it is homogeneous, so a degree looked up once per monomial
+    must still be compared per entry."""
+    k = koszul_generic(support_problem((((0, 0), (1, 0), (0, 1)),) * 2))
+    e = [0] * len(k.variables)
+    e[k.n_params] = 1
+    x0 = SparsePoly(k.variables, {tuple(e): 1})
+    c = k.x.degree_of(e[k.n_params:])
+    zero, minus_c, two_c = (0,) * len(c), tuple(-v for v in c), tuple(2 * v for v in c)
+
+    def one_map(source, target, rows):
+        return FreeGradedComplex(x=k.x, variables=k.variables, n_params=k.n_params,
+                                 degrees={0: source, 1: target},
+                                 diffs={0: PolyMatrix.from_rows(rows, k.variables)})
+
+    one_map((c,), (zero,), [[x0]]).validate()
+    for source, target, rows, where in [
+            ((c,), (zero, minus_c), [[x0, x0]], "(0,1)"),
+            ((c,), (minus_c, zero), [[x0, x0]], "(0,0)"),
+            ((c, two_c), (zero,), [[x0], [x0]], "(1,0)")]:
+        with pytest.raises(InputError, match=re.escape(f"inhomogeneous entry at p=0, {where}")):
+            one_map(source, target, rows).validate()
 
 
 def test_morphism_validate_rejects_each_broken_morphism():

@@ -15,6 +15,7 @@ from helpers_reference import (
     matmul,
     to_dense,
 )
+from toricres.errors import InputError
 from toricres.qlinalg import (
     QMatrix,
     int_kernel_basis,
@@ -38,6 +39,11 @@ def test_apply_row_matches_matmul():
     v = {0: Fraction(1, 2), 1: 4}
     w = apply_row(m, v)
     assert w == {0: Fraction(1, 2), 1: 1, 2: 12}
+
+
+def test_row_count_mismatch_is_an_input_error():
+    with pytest.raises(InputError, match="3 rows given for 2"):
+        QMatrix(2, 2, [{}, {0: 1}, {}])
 
 
 def test_inverse_round_trip():

@@ -25,6 +25,7 @@ from toricres.qlinalg import QMatrix
 from toricres.qpoly import (
     PolyMatrix,
     SparsePoly,
+    kth_root,
     poly_from_text,
     poly_to_text,
     primitive_part,
@@ -362,6 +363,40 @@ def test_perfect_power_multiplicity_is_extracted():
     assert out.multiplicity == 2
     assert same_up_to_sign(embed(out.root, labs), root)
     assert same_up_to_sign(embed(out.root, labs) ** 2, embed(out.delta, labs))
+
+
+def _multiplicity_trying_every_k(delta):
+    """resultant._multiplicity without its divisibility filter: kth_root
+    for every k from the total degree down to 2."""
+    for k in range(delta.total_degree(), 1, -1):
+        root = kth_root(delta, k)
+        if root is not None:
+            return k, root
+    return 1, delta
+
+
+def test_multiplicity_matches_trying_every_k_on_the_fixture_deltas():
+    x = variety_of(sturmfels_problem())
+    runs = [(support_problem(UNIT_SQUARES), "default"),
+            (support_problem([[(0,), (2,)], [(0,), (2,)]]), "default"),
+            (sturmfels_problem(), sturmfels_twist(x, "unit")),
+            (sturmfels_problem(), sturmfels_twist(x, "stable")),
+            (m34_problem(1), "default")]
+    for prob, twist in runs:
+        out = a_resultant(prob, twist=twist)
+        got = resultant._multiplicity(out.delta)
+        assert got == _multiplicity_trying_every_k(out.delta)
+        assert got[0] == out.multiplicity
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+                       st.integers(min_value=-3, max_value=3).filter(bool),
+                       min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_multiplicity_matches_trying_every_k_on_powers(terms, k):
+    delta = SparsePoly(("a", "b", "c"), terms) ** k
+    assert resultant._multiplicity(delta) == _multiplicity_trying_every_k(delta)
 
 
 def test_codimension_gate_rejects_deficient_supports():

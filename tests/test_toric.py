@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers_reference import lattice_points_in_window
 from toricres import toric
@@ -179,6 +179,70 @@ def test_lattice_points_match_brute_force_in_a_box(points):
             brute = [w for w in itertools.product(*_window_box(x, alpha, lower))
                      if x.degree_of(w) == alpha]
             assert lattice_points_in_window(x, alpha, lower) == brute
+
+
+@st.composite
+def _boxed_fibers(draw):
+    """(u0, kernel, mix, bounds, box) for m = 1, 2 or 3 kernel vectors.  The
+    first 2m coordinates are t_i and -t_i, one-sided bounds that keep t in
+    box (an empty range when some hi < lo, a single point when lo = hi);
+    1-3 more coordinates get random kernel entries and bounds of either
+    sign.  mix is a unimodular m x m matrix, a product of elementary row
+    operations."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    small = st.integers(min_value=-2, max_value=2)
+    box = []
+    for _ in range(m):
+        lo = draw(small)
+        box.append((lo, lo + draw(st.integers(min_value=-1, max_value=2))))
+    cols, bounds, u0 = [], [], []
+    for i, (lo, hi) in enumerate(box):
+        unit = tuple(int(i == j) for j in range(m))
+        for s, bound in ((1, lo), (-1, -hi)):   # t_i >= lo, -t_i >= -hi
+            c = draw(small)
+            if draw(st.booleans()):   # the coordinate is -t_i, its bound negated
+                cols.append(tuple(-v for v in unit))
+                bounds.append((-s, bound - s * c))
+            else:
+                cols.append(unit)
+                bounds.append((s, bound + s * c))
+            u0.append(c)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        cols.append(tuple(draw(small) for _ in range(m)))
+        bounds.append((draw(st.sampled_from((1, -1))), draw(st.integers(-4, 4))))
+        u0.append(draw(small))
+    kernel = [tuple(col[i] for col in cols) for i in range(m)]
+    mix = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4)) if m > 1 else 0):
+        i, j = draw(st.permutations(range(m)))[:2]
+        k = draw(st.sampled_from((-2, -1, 1, 2)))
+        mix[i] = [a + k * b for a, b in zip(mix[i], mix[j])]
+    return tuple(u0), kernel, mix, bounds, box
+
+
+@given(_boxed_fibers())
+@settings(max_examples=200, deadline=None)
+@example(((0, 0, 0, 0, 5), [(1, -1, 0, 0, 1), (0, 0, 1, -1, 1)], [[1, 1], [0, 1]],
+          [(1, 0), (1, -1), (1, 1), (1, 0), (1, 0)], [(0, 1), (1, 0)])).via("an empty box")
+@example(((0,) * 7, [(1, -1, 0, 0, 0, 0, 1), (0, 0, 1, -1, 0, 0, 1), (0, 0, 0, 0, 1, -1, 1)],
+          [[1, 0, 0], [2, 1, 0], [0, -1, 1]],
+          [(1, 1), (1, -1), (1, 0), (1, 0), (1, -2), (1, 2), (-1, -3)],
+          [(1, 1), (0, 0), (-2, -2)])).via("a single point")
+def test_fiber_points_match_brute_force_over_the_box(fiber):
+    u0, kernel, mix, bounds, box = fiber
+
+    def point(t):
+        return tuple(u + sum(ti * k[rho] for ti, k in zip(t, kernel))
+                     for rho, u in enumerate(u0))
+
+    brute = [w for w in map(point, itertools.product(*(range(lo, hi + 1) for lo, hi in box)))
+             if all(s * v >= b for v, (s, b) in zip(w, bounds))]
+    # increasing t is the product order of the box
+    assert toric.fiber_points(u0, kernel, bounds) == brute
+    # a unimodular change of kernel basis keeps the set of points
+    mixed = [tuple(sum(c * k[rho] for c, k in zip(row, kernel)) for rho in range(len(u0)))
+             for row in mix]
+    assert sorted(toric.fiber_points(u0, mixed, bounds)) == sorted(brute)
 
 
 def test_lattice_points_interval():

@@ -65,7 +65,10 @@ circuits the fiber violates, and only the set bits of its complement, the
 survivors, are visited.
 
 Family reductions are memoized per process, by Sigma and the number of
-generators (_reduce_memo).
+generators (_reduce_memo).  On a polytope's normal fan Sigma determines the
+pattern: its maximal sets are the vertex sets of the pattern's facets, and
+distinct facets have incomparable vertex sets.  So two patterns of one
+variety never share a reduction; only another variety with the same key can.
 """
 from __future__ import annotations
 
@@ -496,9 +499,8 @@ class FamilyCerts:
 
 @lru_cache(maxsize=None)
 def family_certs(x: ToricVariety, neg: tuple[int, ...]) -> FamilyCerts:
-    """The certificates of pattern neg's family.  Families are memoized by
-    Sigma and the number of generators, so equal families of different
-    patterns share one reduction."""
+    """The certificates of pattern neg's family, memoized by Sigma and the
+    number of generators (see the module docstring)."""
     key = (_sigma(x, neg), len(x.max_cones))
     hit = _reduce_memo.get(key)
     if hit is not None:

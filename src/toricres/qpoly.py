@@ -383,7 +383,10 @@ class SparsePoly:
     # -- evaluation -------------------------------------------------------
 
     def eval(self, assign: Mapping[str, Coeff]) -> Coeff:
-        idx = [assign[v] for v in self.vars]
+        try:
+            idx = [assign[v] for v in self.vars]
+        except KeyError as err:
+            raise InputError(f"assignment misses {err.args[0]}") from err
         total: Coeff = 0
         for e, c in self.terms.items():
             val: Coeff = c

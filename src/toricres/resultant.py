@@ -57,6 +57,8 @@ def _based_view(C) -> tuple[list[int], dict[int, int], dict[int, PolyMatrix],
     if isinstance(C, dict):
         if not C:
             raise InputError("empty complex")
+        if any(type(i) is not int or not isinstance(m, PolyMatrix) for i, m in C.items()):
+            raise InputError("a based complex maps integer degrees to PolyMatrix instances")
         degs = sorted(C)
         if degs != list(range(degs[0], degs[-1] + 1)):
             raise InputError("differentials must occupy a contiguous range")
@@ -474,63 +476,20 @@ def _binary_degree(p: SparsePoly) -> int:
     return degs.pop()
 
 
-def _gcd_lists(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of two coefficient lists, ascending order."""
-    def trim(c):
-        while c and not c[-1]:
-            c.pop()
-        return c
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        f = a[-1] / b[-1]
-        off = len(a) - len(b)
-        a = trim([c - f * b[i - off] if i >= off else c
-                  for i, c in enumerate(a)])
-        if len(a) < len(b):
-            a, b = b, a
-    return [c / a[-1] for c in a] if a else [Fraction(0)]
-
-
-def _common_factor_generically(forms: list[SparsePoly], params: tuple[str, ...],
-                               rng: random.Random) -> bool:
-    """True when the binary forms share a factor at two random parameter
-    specializations.  Dehomogenizes at first coordinate one; a shared root
-    there covers every common factor apart from a power of that coordinate,
-    which the leading coefficients catch."""
-    for _ in range(2):
-        assign = {v: Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
-                              rng.randint(1, 7)) for v in params}
-        coeffs = []
-        for p in forms:
-            d = _binary_degree(p)
-            c = [Fraction(0)] * (d + 1)
-            for e, val0 in p.terms.items():
-                val = Fraction(val0)
-                for name, k in zip(p.vars[:-2], e):
-                    if k:
-                        val *= assign[name] ** k
-                c[e[-1]] += val
-            coeffs.append(c)
-        g = coeffs[0]
-        for c in coeffs[1:]:
-            g = _gcd_lists(g, c)
-        divisible_by_first = all(not c[-1] for c in coeffs)
-        if len(g) - 1 < 1 and not divisible_by_first:
-            return False
-    return True
-
-
-def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly,
-                      u: str = "u", v: str = "v") -> SparsePoly:
+def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparsePoly:
     """Implicit equation of the plane curve (f1/f0, f2/f0) on the line.
 
     The forms share a variable tuple whose last two entries parametrize the
-    line; any leading entries are free parameters of the family.  Returns
-    the primitive polynomial in (parameters, u, v) cutting out the image in
-    the affine chart (u, v)."""
+    line; any leading entries are free parameters of the family, not named
+    u or v.  Returns the primitive polynomial in (parameters, u, v) cutting
+    out the image in the affine chart (u, v): the determinant of the direct
+    image of the Koszul complex of g1 = u.f0 - f1 and g2 = v.f0 - f2.
+
+    Degeneracy is read off that determinant.  A common factor of g1 (no v)
+    and g2 (no u) is free of u and v, so it divides f0, f1 and f2.  So the
+    forms share a factor for generic parameters exactly when the direct
+    image is not generically exact, and the exactness proof of _det_once
+    then fails at every point."""
     if not (f0.vars == f1.vars == f2.vars) or len(f0.vars) < 2:
         raise InputError("the three forms must share one variable tuple "
                          "ending in the two line variables")
@@ -538,41 +497,38 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly,
         raise InputError("forms must be nonzero")
     params = f0.vars[:-2]
     x = variety_from_simplex(1)
-    taken = set(params) | set(x.var_names())
-    if u in taken or v in taken or u == v:
-        raise InputError("chart variable names collide")
-    if set(params) & set(x.var_names()):
-        raise InputError("parameter names collide with the line coordinates")
+    if set(params) & {"u", "v", *x.var_names()}:
+        raise InputError("parameter names collide with the chart variables "
+                         "u, v or the line coordinates")
     d = _binary_degree(f0)
     if {_binary_degree(f1), _binary_degree(f2)} != {d}:
         raise InputError("forms must share one degree")
     if d < 1:
         raise InputError("degree must be positive")
-    rng = random.Random(1)
-    if _common_factor_generically([f0, f1, f2], params, rng):
-        raise MathFailure("the forms share a common factor; "
-                          "the image curve degenerates")
-    pv = params + (u, v)
+    pv = params + ("u", "v")
     variables = pv + x.var_names()
-    nold = len(f0.vars) - 2
+    nold = len(params)
 
-    def lift(p: SparsePoly, extra: str | None) -> SparsePoly:
-        terms = {}
-        for e, c in p.terms.items():
-            key = (e[:nold] + ((1,) if extra == u else (0,))
-                   + ((1,) if extra == v else (0,)) + e[nold:])
-            terms[key] = terms.get(key, 0) + c
-        return SparsePoly(variables, terms)
+    def lift(p: SparsePoly, chart: tuple[int, int]) -> SparsePoly:
+        return SparsePoly(variables, {e[:nold] + chart + e[nold:]: c
+                                      for e, c in p.terms.items()})
 
-    g1 = lift(f0, u) - lift(f1, None)
-    g2 = lift(f0, v) - lift(f2, None)
+    g1 = lift(f0, (1, 0)) - lift(f1, (0, 0))
+    g2 = lift(f0, (0, 1)) - lift(f2, (0, 0))
     K = FreeGradedComplex(
         x=x, variables=variables, n_params=len(pv),
         degrees={-2: ((2 * d,),), -1: ((d,), (d,)), 0: ((0,),)},
         diffs={-2: PolyMatrix.from_rows([[-g2, g1]], variables, ncols=2),
                -1: PolyMatrix.from_rows([[g1], [g2]], variables)})
     W = weyman_differential(K.twist((2 * d - 1,)))
-    out = primitive_part(determinant_of_complex(W))
+    try:
+        raw = determinant_of_complex(W)
+    except MathFailure as err:
+        if "homology" in str(err):
+            raise MathFailure("the forms share a common factor; "
+                              "the image curve degenerates") from err
+        raise
+    out = primitive_part(raw)
     if out.is_constant():
         raise MathFailure("implicit equation degenerated to a constant")
     return out

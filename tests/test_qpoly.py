@@ -314,6 +314,11 @@ def test_exact_division_by_zero_is_an_input_error():
         P("1 * x").exact_div(SparsePoly.zero(V))
 
 
+def test_eval_with_a_missing_variable_is_an_input_error():
+    with pytest.raises(InputError, match="assignment misses y"):
+        P("1 * x^2 * y + -1/2 * z").eval({"x": 2, "z": 4})
+
+
 def test_unknown_variable_name_is_an_input_error():
     p = P("1 * x^2 * y")
     for call in (lambda: SparsePoly.variable(V, "w"), lambda: p.degree_in("w"),

@@ -284,6 +284,14 @@ def test_determinant_rejects_a_complex_with_homology():
         determinant_of_complex({-1: m})
 
 
+def test_determinant_of_a_malformed_dict_is_an_input_error():
+    vm = ("p",)
+    m = PolyMatrix.from_rows([[poly_from_text("1 * p", vm)]], vm)
+    for bad in ({"-1": m}, {-1.0: m}, {-1: m, "0": m}, {-1: [[1]]}, {-1: m, 0: None}):
+        with pytest.raises(InputError, match="integer degrees to PolyMatrix"):
+            determinant_of_complex(bad)
+
+
 # -- the resultant pipeline --------------------------------------------------------
 
 
@@ -638,6 +646,38 @@ def test_implicitization_rejects_a_common_factor():
         implicitize_curve(f0, f1, f2)
 
 
+@pytest.mark.parametrize("vs, texts", [
+    (LINE, ("1 * s * t", "1 * t^2", "1 * s * t + 1 * t^2")),
+    (LINE, ("1 * s^2 + 1 * s * t", "1 * t^2 + 1 * s * t", "2 * s^2 + 2 * s * t")),
+    (("c", "s", "t"), ("1 * s^2 + 1 * c * s * t", "1 * s * t + 1 * c * t^2",
+                       "1 * s^2 + 1 * s * t + 1 * c * s * t + 1 * c * t^2")),
+], ids=["t", "s+t", "s+ct"])
+def test_forms_sharing_a_factor_fail_the_exactness_proof(vs, texts):
+    """A common factor, here t, s + t, or s + c.t for every value of c, makes
+    the direct image not generically exact; the determinant's proof says so."""
+    with pytest.raises(MathFailure, match="common factor") as err:
+        implicitize_curve(*(poly_from_text(text, vs) for text in texts))
+    assert "homology" in str(err.value.__cause__)
+
+
+def test_a_factor_shared_at_one_parameter_value_only_is_no_degeneration():
+    """At c = 0 the forms s^2, c.t^2 + s.t, s.t share s; for every other c
+    they are coprime, and the image is u = c.v^2 + v.  The resultant at
+    c = 0 vanishes, so the equation carries the factor c."""
+    vs = ("c", "s", "t")
+    f0 = poly_from_text("1 * s^2", vs)
+    f1 = poly_from_text("1 * c * t^2 + 1 * s * t", vs)
+    f2 = poly_from_text("1 * s * t", vs)
+    eq = implicitize_curve(f0, f1, f2)
+    assert same_up_to_sign(eq, poly_from_text(
+        "1 * c * u + -1 * c^2 * v^2 + -1 * c * v", eq.vars))
+    for c, tv in itertools.product((-2, 0, Fraction(3, 5)), (-1, Fraction(1, 3), 4)):
+        point = {"c": Fraction(c), "s": Fraction(1), "t": Fraction(tv)}
+        den = f0.eval(point)
+        assert eq.eval({"c": point["c"], "u": Fraction(f1.eval(point)) / den,
+                        "v": Fraction(f2.eval(point)) / den}) == 0
+
+
 def test_implicitization_validates_its_input():
     f0 = poly_from_text("1 * s^2", LINE)
     f1 = poly_from_text("1 * s * t", LINE)
@@ -647,3 +687,7 @@ def test_implicitization_validates_its_input():
         implicitize_curve(f0, f1, SparsePoly.zero(LINE))
     with pytest.raises(InputError):
         implicitize_curve(f0, f1, renamed(f1, ("s", "u")))
+    for name in ("u", "v", "x1"):
+        with pytest.raises(InputError, match="collide"):
+            implicitize_curve(*(poly_from_text(text, (name, "s", "t"))
+                                for text in ("1 * s^2", "1 * s * t", "1 * t^2")))

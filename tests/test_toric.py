@@ -297,6 +297,16 @@ def test_non_integer_support_point_is_an_input_error():
             support_problem(bad)
 
 
+@pytest.mark.parametrize("label", [1, "a 1", "a^2", "a\n", ""])
+def test_a_coefficient_label_that_is_not_a_name_is_an_input_error(label):
+    """A label must read back through poly_from_text; otherwise to_obj()
+    and repr(delta) of a finished resultant raise TypeError."""
+    sup = [[(0,), (1,)], [(0,), (1,)]]
+    with pytest.raises(InputError, match="not a name"):
+        support_problem(sup, labels=[[label, "a1"], ["b0", "b1"]])
+    assert support_problem(sup, labels=[["_a0", "A1"], ["b0", "b_1"]])
+
+
 def test_empty_point_set_is_an_input_error():
     with pytest.raises(InputError):
         variety_from_points([])

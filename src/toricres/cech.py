@@ -56,9 +56,9 @@ Which exponents carry cohomology at all is decided per variety and
 negative-support pattern by the family reduction itself, and only for the
 patterns that pass the ray-circuit screen of contributing_points.  The
 screen is plain integer work.  The circuits of the rays come, once per
-variety, from integer minors of the degree kernel's columns, which are the
-rays in another basis and so have the same circuits (_ray_circuits).  Each
-circuit becomes a bitset over all sign patterns of those it can exclude.
+variety, from integer minors (qlinalg.cofactor_det) of the columns of the
+degree kernel, the rays in another basis (_ray_circuits).  Each circuit
+becomes a bitset over all sign patterns of those it can exclude.
 Per class, one dot product with the fiber's base point decides both signs
 of a circuit, the excluded patterns are the OR of the bitsets of the
 circuits the fiber violates, and only the set bits of its complement, the
@@ -80,6 +80,7 @@ from operator import mul, or_
 from typing import Iterable, Sequence
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
+from .qlinalg import cofactor_det
 from .qpoly import cnorm
 from .toric import ToricVariety, degree_fiber, fiber_points
 
@@ -286,19 +287,6 @@ def _block_entries(per_q: list[list[int]]) -> list[dict[tuple[int, int], int]]:
 _PATTERN_RAY_CAP = 16
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a small square integer matrix, by cofactors along the
-    first row; the 0x0 determinant is 1."""
-    if len(rows) < 3:
-        if len(rows) == 2:
-            (a, b), (c, d) = rows
-            return a * d - b * c
-        return rows[0][0] if rows else 1
-    rest = rows[1:]
-    return sum((-v if j % 2 else v) * _det([r[:j] + r[j + 1:] for r in rest])
-               for j, v in enumerate(rows[0]) if v)
-
-
 @lru_cache(maxsize=None)
 def _ray_circuits(x: ToricVariety) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
     """Every circuit of the ray configuration, in both signs.
@@ -313,10 +301,10 @@ def _ray_circuits(x: ToricVariety) -> tuple[tuple[tuple[int, ...], int, int, int
     Supports are tried by size, and one that holds a circuit already found
     is skipped, so every proper subset of a support tried is independent.
     Such a support S of size s is a circuit exactly when it is dependent.
-    Its relation comes from integer minors: for s - 1 coordinate rows R
-    with some nonzero (s - 1)-minor on S, the Cramer cofactors
-    a_j = (-1)^j det(rows R, columns S - {j}) span the relations of those
-    rows, and S is a circuit when a is orthogonal to the other rows too.
+    Its relation comes from integer minors (qlinalg.cofactor_det): for
+    s - 1 coordinate rows R with some nonzero (s - 1)-minor on S, the
+    cofactors a_j = (-1)^j det(rows R, columns S - {j}) span the relations
+    of those rows, and S is a circuit when a is orthogonal to the rest too.
     a is divided by the gcd of its entries.
 
     Each entry is (a, positive-support mask, negative-support mask, c_a),
@@ -336,7 +324,8 @@ def _ray_circuits(x: ToricVariety) -> tuple[tuple[tuple[int, ...], int, int, int
                 continue   # holds a smaller circuit
             rows = list(zip(*[rays[rho] for rho in S]))
             for chosen in itertools.combinations(rows, size - 1):
-                minors = [_det([r[:j] + r[j + 1:] for r in chosen]) for j in range(size)]
+                minors = [cofactor_det([r[:j] + r[j + 1:] for r in chosen])
+                          for j in range(size)]
                 if any(minors):
                     break
             else:

@@ -209,19 +209,16 @@ def _contraction(fs: Sequence[SparsePoly], i: int,
     return m
 
 
-def koszul_generic(problem: SupportProblem,
-                   x: ToricVariety | None = None) -> FreeGradedComplex:
+def koszul_generic(problem: SupportProblem) -> FreeGradedComplex:
     """Koszul complex of the generic sections, degrees -s..0 for s supports.
 
     The summand of degree -i indexed by a size-i subset J has class
     sum_{j in J} of the class of the j-th support; the differential is
-    contraction, e_J -> sum (-1)^l f_{j_l} e_{J minus j_l}.
-
-    A coefficient label that is also a Cox variable name of x raises
-    InputError: the two would share one variable of the ring.
+    contraction, e_J -> sum (-1)^l f_{j_l} e_{J minus j_l}, on the fan
+    x = variety_of(problem).  A coefficient label that is also a Cox
+    variable name of x raises InputError: the two would share one variable.
     """
-    if x is None:
-        x = variety_of(problem)
+    x = variety_of(problem)
     params = problem.all_labels()
     clash = sorted(set(params) & set(x.var_names()))
     if clash:

@@ -7,13 +7,11 @@ package them as resultant / direct-image problems.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import InputError
-from .qlinalg import int_kernel_basis, solve_int
+from .qlinalg import cofactor_det, int_kernel_basis, solve_int
 from .qpoly import PolyMatrix, SparsePoly, poly_from_text
 from .toric import SupportProblem, ToricVariety, support_problem
 
@@ -188,27 +186,6 @@ def linear3_problem() -> SupportProblem:
     return support_problem(LINEAR3_SUPPORTS)
 
 
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[Fraction]]]:
-    """Pivot columns and rows of the reduced row echelon form over Q."""
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        v = [Fraction(c) for c in row]
-        for piv, r in zip(pivots, out):
-            if v[piv]:
-                v = [a - v[piv] * b for a, b in zip(v, r)]
-        j = next((j for j, a in enumerate(v) if a), None)
-        if j is None:
-            continue
-        v = [a / v[j] for a in v]
-        for r in out:
-            if r[j]:
-                r[:] = [a - r[j] * b for a, b in zip(r, v)]
-        pivots.append(j)
-        out.append(v)
-    return pivots, out
-
-
 @lru_cache(maxsize=None)
 def _published_rows_for(x: ToricVariety, published_rays, published_grading):
     """Published grading row attached to each of x's rays.
@@ -217,12 +194,15 @@ def _published_rows_for(x: ToricVariety, published_rays, published_grading):
     the pairing is recovered as the unique row assignment under which every
     linear relation among the rays maps to zero.  In published-row order
     each ray coordinate vector then lies in the left kernel L of the
-    grading, and a vector of L is fixed by its entries at the echelon
-    pivots of L.  So it is enough to place rays at the pivot rows, in
-    n!/(n - dim L)! ways: that forces every other row, which must then be
-    one of the rays not yet placed.  The search runs in integers: the
-    basis is scaled by the lcm D of its denominators, so each forced row
-    is D times a ray, and the rays are looked up scaled by D."""
+    grading, and a vector of L is fixed by its entries at the pivot columns
+    P of a basis K of L: the first columns, in combinations order, on which
+    K has a nonzero minor.  So it is enough to place rays at the pivot
+    rows, in n!/(n - dim L)! ways: that forces every other row, which must
+    then be one of the rays not yet placed.  The search runs in integers on
+    the adjugate basis adj(K_P) K (by Cramer's rule, entry (i, c) is
+    det(K_P) with column i replaced by column c of K), whose row i is
+    det(K_P) at the i-th pivot and 0 at the others; so each forced row is
+    det(K_P) times a ray, and the rays are looked up scaled by det(K_P)."""
     for s in (1, -1):
         if {tuple(s * v for v in r) for r in published_rays} == set(x.rays):
             break
@@ -234,9 +214,13 @@ def _published_rows_for(x: ToricVariety, published_rays, published_grading):
             f"published grading has {len(published_grading)} rows for {n} rays")
     gt = [[published_grading[j][c] for j in range(n)]
           for c in range(len(published_grading[0]))]
-    pivots, basis = _echelon(int_kernel_basis(gt))
-    d = math.lcm(*(a.denominator for b in basis for a in b))
-    basis = [[int(a * d) for a in b] for b in basis]
+    kernel = int_kernel_basis(gt)               # K, one row per basis vector
+    cols = list(zip(*kernel))
+    pivots = next(P for P in itertools.combinations(range(n), len(kernel))
+                  if cofactor_det([cols[j] for j in P]))
+    d = cofactor_det([cols[j] for j in pivots])
+    basis = [[cofactor_det([cols[c] if q == i else cols[j] for q, j in enumerate(pivots)])
+              for c in range(n)] for i in range(len(pivots))]
     ray_at = {tuple(d * c for c in r): i for i, r in enumerate(x.rays)}
     sols = []
     for placed in itertools.permutations(range(n), len(pivots)):

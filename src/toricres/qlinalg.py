@@ -11,6 +11,13 @@ returns (D, L, R) with L @ A @ R = D, L and R unimodular and the diagonal
 entries in divisibility order; int_rank, solve_int and int_kernel_basis are
 built on top of it, through smith_rank, solve_smith and smith_kernel, which
 take a Smith form already computed.  Nothing here ranks modulo a prime.
+
+The Smith form is one elimination loop.  A pivot p clears its row and
+column; then a later row with an entry p does not divide is added to the
+pivot row, whose clearing leaves a smaller pivot.  So p is kept only once
+it divides every entry left, and each later pivot is an integer
+combination of those entries: the diagonal is in divisibility order.
+cofactor_det is the one determinant of the lattice code's small minors.
 """
 from __future__ import annotations
 
@@ -137,10 +144,6 @@ def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
         for row in r:
             row[dst] += q * row[src]
 
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        l[i] = [-x for x in l[i]]
-
     k = 0
     while k < n and k < m:
         # locate a pivot: smallest nonzero absolute value in the remaining block
@@ -155,7 +158,7 @@ def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
         swap_cols(k, piv[1])
         while True:
             if d[k][k] < 0:
-                negate_row(k)
+                d[k], l[k] = [-x for x in d[k]], [-x for x in l[k]]
             p = d[k][k]
             dirty = False
             for i in range(k + 1, n):
@@ -176,49 +179,28 @@ def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
                         swap_cols(k, j)
                         dirty = True
                         break
-            if not dirty:
+            if dirty:
+                continue
+            # row and column clear: join a later row with an entry p does not divide
+            i = next((i for i in range(k + 1, n) if any(v % p for v in d[i])), None)
+            if i is None:
                 break
+            add_row(i, k, 1)
         k += 1
-
-    # enforce divisibility d_i | d_{i+1}
-    rank = sum(1 for i in range(min(n, m)) if d[i][i])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            if d[i + 1][i + 1] % d[i][i]:
-                # fold entry i+1 into row i and re-clean the 2x2 block
-                add_col(i + 1, i, 1)
-                g, x, y = _xgcd(d[i][i], d[i + 1][i])
-                # row ops bringing gcd to position (i, i)
-                a_, b_ = d[i][i] // g, d[i + 1][i] // g
-                ri, rj = l[i][:], l[i + 1][:]
-                di, dj = d[i][:], d[i + 1][:]
-                l[i] = [x * u + y * v for u, v in zip(ri, rj)]
-                d[i] = [x * u + y * v for u, v in zip(di, dj)]
-                l[i + 1] = [-b_ * u + a_ * v for u, v in zip(ri, rj)]
-                d[i + 1] = [-b_ * u + a_ * v for u, v in zip(di, dj)]
-                # clear the remaining off-diagonal entries of the block
-                q = -(d[i][i + 1] // d[i][i])
-                add_col(i, i + 1, q)
-                if d[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
     return d, l, r
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, rr = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while rr:
-        q = old_r // rr
-        old_r, rr = rr, old_r - q * rr
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def cofactor_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a small square integer matrix, by cofactors along the
+    first row; the 0x0 determinant is 1."""
+    if len(rows) < 3:
+        if len(rows) == 2:
+            (a, b), (c, d) = rows
+            return a * d - b * c
+        return rows[0][0] if rows else 1
+    rest = rows[1:]
+    return sum((-v if j % 2 else v) * cofactor_det([r[:j] + r[j + 1:] for r in rest])
+               for j, v in enumerate(rows[0]) if v)
 
 
 def solve_int(a: IntMat, b: Sequence[int]) -> list[int] | None:

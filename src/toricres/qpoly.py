@@ -538,6 +538,12 @@ _COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(\^(-?\d+))?$")
 
 
+def _is_name(name) -> bool:
+    """A variable name that poly_from_text reads back: a factor, no power."""
+    m = _FACTOR_RE.fullmatch(name) if isinstance(name, str) else None
+    return m is not None and not m.group(2)
+
+
 def poly_from_text(text: str, variables: Sequence[str]) -> SparsePoly:
     variables = tuple(variables)
     vi = {v: i for i, v in enumerate(variables)}

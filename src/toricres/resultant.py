@@ -23,6 +23,7 @@ from .qpoly import (
     Coeff,
     PolyMatrix,
     SparsePoly,
+    _is_name,
     kth_root,
     poly_to_text,
     primitive_part,
@@ -290,7 +291,7 @@ def resolve_twist(K: FreeGradedComplex, twist) -> Class:
     that need no Cech certificate family or walk, which is why that key
     comes first."""
     x = K.x
-    if twist is None or twist == "default":
+    if twist == "default":
         a = x.anticanonical_class()
         candidates = [tuple(2 * c for c in a), tuple(a), (0,) * len(a)]
         return min(candidates, key=lambda tw: _twist_cost(K, tw))
@@ -345,8 +346,8 @@ def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
         raise MathFailure(
             f"the eliminant variety has codimension {cod}; "
             "the resultant is defined only in codimension one")
-    x = variety_of(problem)
-    K = koszul_generic(problem, x)
+    variety_of(problem)   # stage 1 on its own; the problem keeps the fan
+    K = koszul_generic(problem)
     tw = resolve_twist(K, twist)
     C = K.twist(tw)
     W = weyman_differential(C)
@@ -480,10 +481,11 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparseP
     """Implicit equation of the plane curve (f1/f0, f2/f0) on the line.
 
     The forms share a variable tuple whose last two entries parametrize the
-    line; any leading entries are free parameters of the family, not named
-    u or v.  Returns the primitive polynomial in (parameters, u, v) cutting
-    out the image in the affine chart (u, v): the determinant of the direct
-    image of the Koszul complex of g1 = u.f0 - f1 and g2 = v.f0 - f2.
+    line; any leading entries are free parameters of the family, each a
+    name (as a support_problem label) other than u or v.  No exponent is
+    negative.  Returns the primitive polynomial in (parameters, u, v)
+    cutting out the image in the affine chart (u, v): the determinant of the
+    direct image of the Koszul complex of g1 = u.f0 - f1 and g2 = v.f0 - f2.
 
     Degeneracy is read off that determinant.  A common factor of g1 (no v)
     and g2 (no u) is free of u and v, so it divides f0, f1 and f2.  So the
@@ -495,7 +497,11 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparseP
                          "ending in the two line variables")
     if f0.is_zero() or f1.is_zero() or f2.is_zero():
         raise InputError("forms must be nonzero")
+    if any(min(e) < 0 for f in (f0, f1, f2) for e in f.terms):
+        raise InputError("forms must have no negative exponent")
     params = f0.vars[:-2]
+    if not all(map(_is_name, params)):
+        raise InputError(f"parameters {params!r} are not all names")
     x = variety_from_simplex(1)
     if set(params) & {"u", "v", *x.var_names()}:
         raise InputError("parameter names collide with the chart variables "

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, MathFailure, UnsupportedGeometryError
 from .qlinalg import int_rank, smith_kernel, smith_normal_form, smith_rank, solve_smith
-from .qpoly import _FACTOR_RE
+from .qpoly import _is_name
 
 Point = tuple[int, ...]
 Support = tuple[Point, ...]
@@ -237,9 +237,7 @@ def support_problem(supports: Sequence[Sequence[Sequence[int]]],
             raise InputError("label shape does not match supports")
     flat = [name for g in lab for name in g]
     for name in flat:
-        # a label is a name that poly_from_text reads back: a factor, no power
-        m = _FACTOR_RE.fullmatch(name) if isinstance(name, str) else None
-        if m is None or m.group(2):
+        if not _is_name(name):
             raise InputError(f"coefficient label {name!r} is not a name")
     if len(set(flat)) != len(flat):
         raise InputError("duplicate coefficient label")

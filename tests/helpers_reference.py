@@ -32,7 +32,6 @@ from typing import Mapping, Sequence
 from toricres import cech
 from toricres.complexes import FreeGradedComplex, x_split
 from toricres.errors import InputError, MathFailure, ResourceGuard
-from toricres.fixtures import _echelon
 from toricres.qlinalg import QMatrix, int_kernel_basis
 from toricres.qpoly import PolyMatrix, SparsePoly, cnorm
 from toricres.toric import ToricVariety, degree_fiber, fiber_points
@@ -117,6 +116,27 @@ def int_det(a: Sequence[Sequence[int]]) -> int:
 
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
     return len(a) > 0 and len(a) == len(a[0]) and int_det(a) in (1, -1)
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[Fraction]]]:
+    """Pivot columns and rows of the reduced row echelon form over Q."""
+    out: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for row in rows:
+        v = [Fraction(c) for c in row]
+        for piv, r in zip(pivots, out):
+            if v[piv]:
+                v = [a - v[piv] * b for a, b in zip(v, r)]
+        j = next((j for j, a in enumerate(v) if a), None)
+        if j is None:
+            continue
+        v = [a / v[j] for a in v]
+        for r in out:
+            if r[j]:
+                r[:] = [a - r[j] * b for a, b in zip(r, v)]
+        pivots.append(j)
+        out.append(v)
+    return pivots, out
 
 
 def published_rows_by_fractions(x: ToricVariety, published_rays, published_grading):

@@ -344,7 +344,7 @@ def test_screened_points_match_walking_every_pattern(name, multiples, monkeypatc
 
     problem = _fixture_problem(name)
     x = variety_of(problem)
-    K = koszul_generic(problem, x)
+    K = koszul_generic(problem)
     asked = []
 
     def checked(x_, alpha):

@@ -18,6 +18,7 @@ from helpers_reference import (
 from toricres.errors import InputError
 from toricres.qlinalg import (
     QMatrix,
+    cofactor_det,
     int_kernel_basis,
     int_rank,
     smith_normal_form,
@@ -92,6 +93,23 @@ def test_int_det():
     assert int_det([[0, 1], [1, 0]]) == -1
     assert int_det([[1, 2], [2, 4]]) == 0
     assert int_det([[3]]) == 3
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-5, max_value=5),
+                                min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_cofactor_det_matches_bareiss(a, singular):
+    """The lattice code's determinant against the Bareiss reference, on
+    square matrices of sizes 0 to 4 (0x0 is 1); a copied row makes one
+    singular."""
+    if singular and len(a) > 1:
+        a[-1] = list(a[0])
+        assert cofactor_det(a) == 0
+    assert cofactor_det(a) == int_det(a)
+    if not a:
+        assert cofactor_det(a) == 1
 
 
 def test_smith_small():

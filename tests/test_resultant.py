@@ -150,8 +150,7 @@ def test_determinant_unchanged_by_an_invertible_split_summand():
 
 def test_determinant_is_seed_independent_up_to_sign(monkeypatch):
     prob = linear3_problem()
-    x = variety_of(prob)
-    K = koszul_generic(prob, x)
+    K = koszul_generic(prob)
     W = weyman_differential(K.twist(resolve_twist(K, "default")))
     draw = resultant._rand_assign
     points = []
@@ -241,7 +240,7 @@ def test_a_bad_draw_is_detected_and_drawn_again(monkeypatch):
     assert len(calls) == 2
     monkeypatch.setattr(resultant, "_rand_assign",
                         lambda pv, rng: dict.fromkeys(pv, 0))
-    K = koszul_generic(prob, variety_of(prob))
+    K = koszul_generic(prob)
     W = weyman_differential(K.twist(resolve_twist(K, "default")))
     with pytest.raises(MathFailure, match="homology"):
         determinant_of_complex(W)
@@ -451,7 +450,7 @@ DEFAULT_TWIST_CASES = {
 def test_non_integer_twist_is_an_input_error():
     prob = support_problem([[(0,), (1,)], [(0,), (1,)]])
     K = koszul_generic(prob)
-    for bad in ([0.9], ["a"], [None], 3):
+    for bad in ([0.9], ["a"], [None], 3, None):
         with pytest.raises(InputError, match="twist"):
             resolve_twist(K, bad)
     assert resolve_twist(K, [True]) == (1,)
@@ -463,7 +462,7 @@ def test_default_twist_prefers_summands_without_higher_cohomology():
     anticanonical class has none, and a 9x9 minor."""
     prob = support_problem(UNIT_SQUARES)
     x = variety_of(prob)
-    K = koszul_generic(prob, x)
+    K = koszul_generic(prob)
     assert _twist_cost(K, (0, 0)) == (7, 4, 8)
     assert _twist_cost(K, x.anticanonical_class()) == (0, 9, 24)
     assert resolve_twist(K, "default") == x.anticanonical_class()
@@ -526,7 +525,7 @@ def test_permuting_the_stable_twist_cayley_minor_changes_only_the_sign():
     x = variety_of(prob)
     tw = sturmfels_twist(x, "stable")
     out = a_resultant(prob, twist=tw)
-    W = weyman_differential(koszul_generic(prob, x).twist(tw))
+    W = weyman_differential(koszul_generic(prob).twist(tw))
     [(i, sub)] = [(i, s) for i, s in out.subsets.items() if len(s["cols"]) == 23]
     minor = W.diff_at(i).submatrix(sub["rows"], sub["cols"])
     ref = minor.det()
@@ -691,3 +690,10 @@ def test_implicitization_validates_its_input():
         with pytest.raises(InputError, match="collide"):
             implicitize_curve(*(poly_from_text(text, (name, "s", "t"))
                                 for text in ("1 * s^2", "1 * s * t", "1 * t^2")))
+    # a name poly_to_text would print and poly_from_text refuse
+    with pytest.raises(InputError, match="not all names"):
+        implicitize_curve(*(poly_from_text(text, ("a b", "s", "t"))
+                            for text in ("1 * s^2", "1 * s * t", "1 * t^2")))
+    with pytest.raises(InputError, match="negative exponent"):
+        implicitize_curve(poly_from_text("1 * s^3 * t^-1", LINE), f1,
+                          poly_from_text("1 * t^2", LINE))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -106,6 +107,39 @@ def test_space_example_variety():
     assert x.n_rays == 7
     assert x.class_rank == 4
     assert x.torsion == ()
+
+
+# sha256 prefix of repr((rays, max_cones, grading, torsion)) of each variety
+LATTICE_PINS = {
+    "squares": "1726ff278cdd94ef",
+    "sturmfels": "943f6a9cf34e8d7c",
+    "m33": "6b174daf25a05ebf",
+    "m34 k=1": "361530ac2069d9e3",
+}
+
+
+def test_lattice_data_match_their_pins():
+    """The fan, the class-group grading and the torsion, frozen: a Smith
+    form whose transforms move changes the grading, and fails here by the
+    variety's name."""
+    supports = {"squares": (((0, 0), (1, 0), (0, 1), (1, 1)),) * 3,
+                "sturmfels": STURMFELS_SUPPORTS, "m33": M33_SUPPORTS,
+                "m34 k=1": m34_supports(1)}
+    for name, sup in supports.items():
+        x = variety_of(support_problem(sup))
+        data = repr((x.rays, x.max_cones, x.grading, x.torsion)).encode()
+        assert hashlib.sha256(data).hexdigest()[:16] == LATTICE_PINS[name], name
+
+
+def test_a_torsion_class_group_is_refused():
+    """The triangle's fan has class group Z + Z/2; the degree fibers, and so
+    the resultant, refuse it."""
+    from toricres.resultant import a_resultant
+
+    tri = ((0, 0), (0, 2), (2, 1))
+    assert variety_from_points(tri).torsion == (2,)
+    with pytest.raises(UnsupportedGeometryError, match="torsion"):
+        a_resultant(support_problem([tri] * 3))
 
 
 def test_minkowski_points():

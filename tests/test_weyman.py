@@ -104,15 +104,13 @@ def squares_commute(theta: ComplexMorphism, mats) -> bool:
 def sturmfels_unit():
     prob = sturmfels_problem()
     x = variety_of(prob)
-    C = koszul_generic(prob, x).twist(sturmfels_twist(x, "unit"))
+    C = koszul_generic(prob).twist(sturmfels_twist(x, "unit"))
     return C, weyman_differential(C)
 
 
 @pytest.fixture(scope="module")
 def m33_weyman():
-    prob = m33_problem()
-    x = variety_of(prob)
-    C = koszul_generic(prob, x)
+    C = koszul_generic(m33_problem())
     return C, weyman_differential(C)
 
 
@@ -165,7 +163,7 @@ def test_weyman_differential_builds_no_family_past_weyman_terms():
     cech.clear_caches()
     prob = sturmfels_problem()
     x = variety_of(prob)
-    C = koszul_generic(prob, x).twist(sturmfels_twist(x, "unit"))
+    C = koszul_generic(prob).twist(sturmfels_twist(x, "unit"))
     _, page = weyman_terms(C)
     for q, row in STURMFELS_E1_UNIT.items():
         assert page.row(q, -3, 0) == row
@@ -236,7 +234,7 @@ def test_sturmfels_pivot_order_naturality(sturmfels_unit, request):
 def test_sturmfels_stable_twist_shape():
     prob = sturmfels_problem()
     x = variety_of(prob)
-    C = koszul_generic(prob, x).twist(sturmfels_twist(x, "stable"))
+    C = koszul_generic(prob).twist(sturmfels_twist(x, "stable"))
     W = weyman_differential(C)
     # published shape lists ranks from degree 0 downward
     ranks = tuple(W.rank(i) for i in sorted(W.degrees(), reverse=True))
@@ -279,7 +277,7 @@ def test_m34_k8_ranks_at_twice_the_anticanonical_class():
     default twist keeps 2A there (fewest q > 0 summand dimensions)."""
     prob = m34_problem(8)
     x = variety_of(prob)
-    K = koszul_generic(prob, x)
+    K = koszul_generic(prob)
     two_a = tuple(2 * c for c in x.anticanonical_class())
     assert resolve_twist(K, "default") == two_a
     terms, _ = weyman_terms(K.twist(two_a))
@@ -387,7 +385,7 @@ def test_weyman_complexes_match_their_pins(sturmfels_unit, m33_weyman):
     determinant but moves a pivot, a model order or an entry shows here."""
     prob = sturmfels_problem()
     x = variety_of(prob)
-    stable = weyman_differential(koszul_generic(prob, x).twist(sturmfels_twist(x, "stable")))
+    stable = weyman_differential(koszul_generic(prob).twist(sturmfels_twist(x, "stable")))
     assert _weyman_hash(sturmfels_unit[1]) == "0a9b43dd12175106"
     assert _weyman_hash(stable) == "72ce60113a91decf"
     assert _weyman_hash(m33_weyman[1]) == "bbf41bdbbdf80108"
@@ -409,7 +407,7 @@ def test_walk_exponent_past_its_degree_bound_is_a_typed_error(monkeypatch):
 
     prob = sturmfels_problem()
     x = variety_of(prob)
-    C = koszul_generic(prob, x).twist(sturmfels_twist(x, "unit"))
+    C = koszul_generic(prob).twist(sturmfels_twist(x, "unit"))
     pk = weyman._walk_packing(x, C.diffs.values(), C.n_params)
     # Koszul pieces have parameter degree 1, and a walk takes dim + 1 steps
     assert pk.mask == _Packing((0,) * C.n_params, x.dim + 1).mask

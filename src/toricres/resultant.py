@@ -270,31 +270,35 @@ def _largest_minor(ranks: Mapping[int, int]) -> int:
     return largest
 
 
-def _twist_cost(K: FreeGradedComplex, tw: Class) -> tuple[int, int, int]:
-    """Cost key of a candidate twist, read from its rank-only E1 page."""
+def _twist_cost(K: FreeGradedComplex, tw: Class) -> tuple[int, int]:
+    """Number of nonzero terms and largest Cayley minor of a candidate
+    twist, read from its rank-only E1 page."""
     terms, _ = weyman_terms(K.twist(tw))
     ranks = {i: sum(s.dim for s in ss) for i, ss in terms.items()}
-    higher = sum(s.dim for ss in terms.values() for s in ss if s.q > 0)
-    return higher, _largest_minor(ranks), sum(ranks.values())
+    return sum(1 for n in ranks.values() if n), _largest_minor(ranks)
 
 
 def resolve_twist(K: FreeGradedComplex, twist) -> Class:
     """Accept the "default" keyword or an explicit class vector.
 
     The determinant of the direct image does not depend on the twist; only
-    the size of the complex does.  The default is the cheapest of 2A, A and
-    0 (A the anticanonical class of K's variety), judged from each rank-only
-    E1 page, without building a differential: first the total dimension of
-    the summands with q > 0, then the largest minor of the determinant, then
-    the sum of the term ranks; ties go to the earlier candidate.  Summands
-    with q = 0 are global sections, whose maps are plain multiplications
-    that need no Cech certificate family or walk, which is why that key
-    comes first."""
+    its cost does.  The default scores 0, A and 2A, in that order (A the
+    anticanonical class of K's variety), by the largest Cayley minor of
+    each rank-only E1 page, without building a differential; A or 2A
+    competes only when its complex has exactly two nonzero terms, and ties
+    go to the earlier candidate.  A two-term complex is a determinantal
+    formula: one minor, no extraneous factor.  Where no candidate is
+    two-term, the zero twist measured fastest on every fixture, or tied
+    within noise: there every minor but the largest had a monomial
+    determinant and few entries of degree above one, while at A and 2A a
+    smaller minor can carry a factor that the largest must expand too, and
+    more entries have higher degree."""
     x = K.x
     if twist == "default":
         a = x.anticanonical_class()
-        candidates = [tuple(2 * c for c in a), tuple(a), (0,) * len(a)]
-        return min(candidates, key=lambda tw: _twist_cost(K, tw))
+        costs = {tw: _twist_cost(K, tw) for tw in [(0,) * len(a), a, tuple(2 * c for c in a)]}
+        return min((tw for tw, (n_terms, _) in costs.items() if n_terms == 2 or not any(tw)),
+                   key=lambda tw: costs[tw][1])
     try:
         t = tuple(map(operator.index, twist))
     except TypeError as err:
@@ -326,16 +330,17 @@ def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
     The eliminant variety must be a hypersurface; the determinant of the
     twisted direct-image complex is normalized to a primitive integer
     polynomial and factored as root**multiplicity.  The twist changes only
-    the size of the complex: the default is the cheapest of twice the
-    anticanonical class, the anticanonical class and zero, fewest q > 0
-    summand dimensions first (they alone need Cech certificates), then the
-    smallest largest minor (see resolve_twist); an explicit twist is used
-    as given.  A fixed generator, random.Random(0), draws the integer
-    point at which _det_once proves, by ranks modulo a prime, that the
-    complex is generically exact and that every chosen minor is a nonzero
+    the cost of the complex: the default is the zero twist unless the
+    anticanonical class A or 2A gives a two-term complex (a determinantal
+    formula) with a smaller Cayley minor, the measured fastest choice on
+    every fixture (see resolve_twist); an explicit twist is used as given.
+    A fixed generator, random.Random(0), draws the integer point at which
+    _det_once proves, by ranks modulo a prime, that the complex is
+    generically exact and that every chosen minor is a nonzero
     polynomial.  A bad draw can only lower a rank, so it fails the proof
     and never passes it wrongly; it is repeated once with a fresh point,
-    and a second failure raises MathFailure."""
+    and a second failure raises MathFailure.  At multiplicity 1 the root
+    is delta itself, already primitive."""
     n = len(problem.supports[0][0])
     if len(problem.supports) != n + 1:
         raise InputError(
@@ -362,7 +367,7 @@ def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
         raise MathFailure("degenerate twist or support configuration")
     m, root = _multiplicity(delta)
     return ResultantOutput(
-        delta=delta, multiplicity=m, root=primitive_part(root),
+        delta=delta, multiplicity=m, root=primitive_part(root) if m > 1 else root,
         e1=W.e1, term_ranks={i: W.rank(i) for i in W.degrees()},
         twist=tw, subsets=subsets)
 

@@ -149,9 +149,12 @@ def test_determinant_unchanged_by_an_invertible_split_summand():
 
 
 def test_determinant_is_seed_independent_up_to_sign(monkeypatch):
+    """At the anticanonical class (3,) the complex has four terms, so each
+    draw chooses the rows and columns of three minors; the default twist
+    gives a 1x1 complex, with nothing to choose."""
     prob = linear3_problem()
     K = koszul_generic(prob)
-    W = weyman_differential(K.twist(resolve_twist(K, "default")))
+    W = weyman_differential(K.twist((3,)))
     draw = resultant._rand_assign
     points = []
 
@@ -456,21 +459,63 @@ def test_non_integer_twist_is_an_input_error():
     assert resolve_twist(K, [True]) == (1,)
 
 
-def test_default_twist_prefers_summands_without_higher_cohomology():
-    """Three unit squares: the zero twist has the smallest minor, 4x4, but 7
-    summand dimensions with q > 0, which need certificate families; the
-    anticanonical class has none, and a 9x9 minor."""
+def test_default_twist_is_zero_unless_a_two_term_complex_is_smaller():
+    """Three unit squares: the zero twist is the two-term 4x4 complex.
+    Sturmfels: A is two-term with a 13x13 minor, against 19x19 at zero.
+    M34 k = 1, 2, 3: A and 2A have three or more terms, so zero wins
+    although its minor is the largest."""
     prob = support_problem(UNIT_SQUARES)
-    x = variety_of(prob)
     K = koszul_generic(prob)
-    assert _twist_cost(K, (0, 0)) == (7, 4, 8)
-    assert _twist_cost(K, x.anticanonical_class()) == (0, 9, 24)
-    assert resolve_twist(K, "default") == x.anticanonical_class()
+    assert _twist_cost(K, (0, 0)) == (2, 4)
+    assert _twist_cost(K, variety_of(prob).anticanonical_class()) == (3, 9)
+    assert resolve_twist(K, "default") == (0, 0)
+    prob = sturmfels_problem()
+    K = koszul_generic(prob)
+    a = variety_of(prob).anticanonical_class()
+    assert _twist_cost(K, (0,) * 6) == (3, 19)
+    assert _twist_cost(K, a) == (2, 13)
+    assert resolve_twist(K, "default") == a
+    for k in (1, 2, 3):
+        K = koszul_generic(m34_problem(k))
+        assert resolve_twist(K, "default") == (0,) * K.x.class_rank, k
+
+
+def minor_term_counts(prob, out) -> list[tuple[int, int]]:
+    """(size, terms of its determinant) for each Cayley minor of out,
+    largest first."""
+    W = weyman_differential(koszul_generic(prob).twist(out.twist))
+    return sorted(((len(s["cols"]),
+                    len(W.diff_at(i).submatrix(s["rows"], s["cols"]).det().terms))
+                   for i, s in out.subsets.items()), reverse=True)
+
+
+@pytest.mark.parametrize("make", [lambda: support_problem(UNIT_SQUARES), linear3_problem,
+                                  m33_problem, lambda: m34_problem(1)],
+                         ids=["squares", "linear3", "m33", "m34 k=1"])
+def test_default_twist_has_no_extraneous_factor(make):
+    """Why the zero twist is the default: every Cayley minor but the
+    largest has a monomial determinant, so the largest expands to exactly
+    delta's terms."""
+    prob = make()
+    out = a_resultant(prob)
+    (_, largest), *rest = minor_term_counts(prob, out)
+    assert largest == len(out.delta.terms)
+    assert all(terms == 1 for _, terms in rest)
+
+
+def test_squares_at_the_anticanonical_class_has_an_extraneous_factor():
+    """At A the 3x3 minor of three unit squares has a two-term determinant,
+    which the 9x9 minor carries as an extraneous factor."""
+    prob = support_problem(UNIT_SQUARES)
+    out = a_resultant(prob, twist=variety_of(prob).anticanonical_class())
+    assert minor_term_counts(prob, out) == [(9, 116), (3, 2)]
+    assert len(out.delta.terms) == 66
 
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_TWIST_CASES))
 def test_default_twist_matches_twice_the_anticanonical_class(name):
-    """The chosen twist gives the old default's answer from a minor no larger."""
+    """The default twist gives 2A's delta and multiplicity.  On these cases
+    its minor is also no larger; elsewhere it can be (M34 k = 2, 3 and 8)."""
     prob = support_problem(DEFAULT_TWIST_CASES[name])
     two_a = tuple(2 * c for c in variety_of(prob).anticanonical_class())
     old = a_resultant(prob, twist=two_a)

@@ -274,12 +274,12 @@ def test_m33_resultant_at_the_default_twist(m33_weyman):
 
 def test_m34_k8_ranks_at_twice_the_anticanonical_class():
     """The printed k = 8 ranks, read from degree 1 down, belong to 2A; the
-    default twist keeps 2A there (fewest q > 0 summand dimensions)."""
+    default twist is zero there, since no candidate is two-term."""
     prob = m34_problem(8)
     x = variety_of(prob)
     K = koszul_generic(prob)
     two_a = tuple(2 * c for c in x.anticanonical_class())
-    assert resolve_twist(K, "default") == two_a
+    assert resolve_twist(K, "default") == (0,) * x.class_rank
     terms, _ = weyman_terms(K.twist(two_a))
     ranks = tuple(sum(s.dim for s in terms[i]) for i in sorted(terms, reverse=True))
     assert ranks == M34_K8_RANKS

@@ -113,14 +113,17 @@ def _down_closure(masks: Iterable[int]) -> frozenset[int]:
 @lru_cache(maxsize=None)
 def _ray_cones(x: ToricVariety) -> tuple[int, ...]:
     """For each ray, the bitmask of the max cones (the irrelevant
-    generators) that contain it."""
-    n = len(x.max_cones)
-    if n > _GENERATOR_CAP:
+    generators) that contain it.  _sigma enumerates every submask of each
+    negated ray's mask, so a ray in more than _GENERATOR_CAP max cones is
+    refused; the number of generators alone is not bounded."""
+    out = tuple(sum(1 << j for j, cone in enumerate(x.max_cones) if rho in cone)
+                for rho in range(x.n_rays))
+    k = max(m.bit_count() for m in out)
+    if k > _GENERATOR_CAP:
         raise ResourceGuard(
-            f"{n} irrelevant generators need 2^{n} Cech subsets; "
-            f"cap is 2^{_GENERATOR_CAP}")
-    return tuple(sum(1 << j for j, cone in enumerate(x.max_cones) if rho in cone)
-                 for rho in range(x.n_rays))
+            f"a ray lies in {k} max cones, whose 2^{k} subsets Sigma would "
+            f"enumerate; cap is 2^{_GENERATOR_CAP}")
+    return out
 
 
 def _sigma(x: ToricVariety, neg: tuple[int, ...]) -> frozenset[int]:

@@ -1,17 +1,15 @@
-"""Frozen worked examples used by the test suite and the verify command.
+"""Frozen worked examples used by the test suite; the benchmark takes the
+printed Sturmfels twists from here too.
 
 Everything here is data: point supports, published eliminants, matrices and
 cohomology tables for a handful of named examples, plus constructors that
-package them as resultant / direct-image problems.
+package them as resultant / direct-image problems and the regrading of the
+printed twists to the computed chart.
 """
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
-from typing import Sequence
-
 from .errors import InputError
-from .qlinalg import cofactor_det, int_kernel_basis, solve_int
+from .qlinalg import solve_int
 from .qpoly import PolyMatrix, SparsePoly, poly_from_text
 from .toric import SupportProblem, ToricVariety, support_problem
 
@@ -81,7 +79,7 @@ STURMFELS_MATRIX_CELLS: list[list[str]] = [
 ]
 
 # facet normals and class-group grading of the associated surface, as
-# published (the column-to-ray pairing is recovered from the grading's kernel)
+# published
 STURMFELS_PAPER_RAYS: tuple[tuple[int, int], ...] = (
     (-1, -2), (-2, -1), (-1, -1), (2, -1), (3, -1), (0, 1), (-1, 1), (1, 2),
 )
@@ -96,6 +94,11 @@ STURMFELS_PAPER_GRADING: tuple[tuple[int, ...], ...] = (
     (-1, 1, 0, -1, -1, -2),
     (1, -1, 2, 2, 0, 1),
 )
+
+# the printed grading row of each printed ray: the table does not pair its
+# rows with the rays, and this is the one pairing under which every linear
+# relation among the rays has degree zero
+STURMFELS_PAPER_ROWS: tuple[int, ...] = (0, 6, 5, 3, 2, 4, 7, 1)
 
 STURMFELS_TWIST_UNIT: tuple[int, ...] = (1, 1, 1, 1, 1, 1)
 STURMFELS_TWIST_STABLE: tuple[int, ...] = (4, 7, 16, 12, 3, 2)
@@ -186,83 +189,19 @@ def linear3_problem() -> SupportProblem:
     return support_problem(LINEAR3_SUPPORTS)
 
 
-@lru_cache(maxsize=None)
-def _published_rows_for(x: ToricVariety, published_rays, published_grading):
-    """Published grading row attached to each of x's rays.
-
-    Printed grading tables do not fix which column belongs to which ray, so
-    the pairing is recovered as the unique row assignment under which every
-    linear relation among the rays maps to zero.  In published-row order
-    each ray coordinate vector then lies in the left kernel L of the
-    grading, and a vector of L is fixed by its entries at the pivot columns
-    P of a basis K of L: the first columns, in combinations order, on which
-    K has a nonzero minor.  So it is enough to place rays at the pivot
-    rows, in n!/(n - dim L)! ways: that forces every other row, which must
-    then be one of the rays not yet placed.  The search runs in integers on
-    the adjugate basis adj(K_P) K (by Cramer's rule, entry (i, c) is
-    det(K_P) with column i replaced by column c of K), whose row i is
-    det(K_P) at the i-th pivot and 0 at the others; so each forced row is
-    det(K_P) times a ray, and the rays are looked up scaled by det(K_P)."""
-    for s in (1, -1):
-        if {tuple(s * v for v in r) for r in published_rays} == set(x.rays):
-            break
-    else:
-        raise InputError("published rays do not match this fan")
-    n = x.n_rays
-    if len(published_grading) != n:
-        raise InputError(
-            f"published grading has {len(published_grading)} rows for {n} rays")
-    gt = [[published_grading[j][c] for j in range(n)]
-          for c in range(len(published_grading[0]))]
-    kernel = int_kernel_basis(gt)               # K, one row per basis vector
-    cols = list(zip(*kernel))
-    pivots = next(P for P in itertools.combinations(range(n), len(kernel))
-                  if cofactor_det([cols[j] for j in P]))
-    d = cofactor_det([cols[j] for j in pivots])
-    basis = [[cofactor_det([cols[c] if q == i else cols[j] for q, j in enumerate(pivots)])
-              for c in range(n)] for i in range(len(pivots))]
-    ray_at = {tuple(d * c for c in r): i for i, r in enumerate(x.rays)}
-    sols = []
-    for placed in itertools.permutations(range(n), len(pivots)):
-        pi = [None] * n                  # pi[ray] = published row
-        for j in range(n):
-            forced = tuple(sum(x.rays[i][k] * b[j] for i, b in zip(placed, basis))
-                           for k in range(x.dim))
-            i = ray_at.get(forced)
-            if i is None or pi[i] is not None:
-                break
-            pi[i] = j
-        else:
-            sols.append(pi)
-            if len(sols) > 1:
-                break
-    if not sols:
-        raise InputError("published grading matches no pairing with the rays")
-    if len(sols) > 1:
-        raise InputError("published grading pairing not unique")
-    pi = sols[0]
-    return tuple(tuple(published_grading[pi[i]]) for i in range(n))
-
-
-def class_from_published(x: ToricVariety,
-                         published_rays: Sequence[Sequence[int]],
-                         published_grading: Sequence[Sequence[int]],
-                         c: Sequence[int]) -> tuple[int, ...]:
-    """Convert a class group element from a published chart to x's chart.
-
-    The class is lifted to an integral divisor in the published presentation
-    and regraded; the answer does not depend on the lift because both
-    gradings present the class group of the same fan."""
-    rows = _published_rows_for(x, tuple(tuple(r) for r in published_rays),
-                               tuple(tuple(g) for g in published_grading))
-    gt = [[rows[i][j] for i in range(x.n_rays)] for j in range(len(c))]
-    d = solve_int(gt, list(c))
-    if d is None:
-        raise InputError("class has no integral divisor in the published chart")
-    return x.degree_of(d)
-
-
 def sturmfels_twist(x: ToricVariety, which: str = "unit") -> tuple[int, ...]:
+    """The printed unit or stable twist, regraded to x's chart.
+
+    The printed class is lifted to an integral divisor on the printed rays,
+    each ray graded by its pinned row, and x grades that divisor; the answer
+    does not depend on the lift, because both gradings present the class
+    group of the same fan."""
+    if set(STURMFELS_PAPER_RAYS) != set(x.rays):
+        raise InputError("the printed rays do not match this fan")
     c = STURMFELS_TWIST_UNIT if which == "unit" else STURMFELS_TWIST_STABLE
-    return class_from_published(x, STURMFELS_PAPER_RAYS,
-                                STURMFELS_PAPER_GRADING, c)
+    rows = [STURMFELS_PAPER_GRADING[j] for j in STURMFELS_PAPER_ROWS]
+    d = solve_int([list(col) for col in zip(*rows)], c)
+    divisor = [0] * x.n_rays
+    for r, k in zip(STURMFELS_PAPER_RAYS, d):
+        divisor[x.rays.index(r)] = k
+    return x.degree_of(divisor)

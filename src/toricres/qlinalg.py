@@ -8,9 +8,9 @@ right along arrows.
 
 Integer routines work on plain list-of-list matrices.  smith_normal_form
 returns (D, L, R) with L @ A @ R = D, L and R unimodular and the diagonal
-entries in divisibility order; int_rank, solve_int and int_kernel_basis are
-built on top of it, through smith_rank, solve_smith and smith_kernel, which
-take a Smith form already computed.  Nothing here ranks modulo a prime.
+entries in divisibility order; int_rank and solve_int are built on top of
+it, through smith_rank and solve_smith, which take a Smith form already
+computed, as does smith_kernel.  Nothing here ranks modulo a prime.
 
 The Smith form is one elimination loop.  A pivot p clears its row and
 column; then a later row with an entry p does not divide is added to the
@@ -226,14 +226,9 @@ def solve_smith(snf: tuple[IntMat, IntMat, IntMat], b: Sequence[int]) -> list[in
     return [sum(r[i][j] * y[j] for j in range(m)) for i in range(m)]
 
 
-def int_kernel_basis(a: IntMat) -> list[list[int]]:
-    """Basis of the saturated kernel {x in Z^m : a @ x = 0}, as columns."""
-    return smith_kernel(smith_normal_form(a))
-
-
 def smith_kernel(snf: tuple[IntMat, IntMat, IntMat]) -> list[list[int]]:
-    """int_kernel_basis from snf = smith_normal_form(a): the columns of r
-    past the rank."""
+    """Basis of the saturated kernel {x in Z^m : a @ x = 0}, as columns,
+    from snf = smith_normal_form(a): the columns of r past the rank."""
     d, _, r = snf
     m = len(r)
     return [[r[i][j] for i in range(m)] for j in range(smith_rank(d), m)]

@@ -299,7 +299,10 @@ class SparsePoly:
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
-        return f"SparsePoly({poly_to_text(self)!r})"
+        try:
+            return f"SparsePoly({poly_to_text(self)!r})"
+        except InputError:
+            return f"SparsePoly({self.vars!r}, {self.terms!r})"
 
     # -- arithmetic --------------------------------------------------------
 
@@ -520,6 +523,8 @@ def coeff_to_text(c: Coeff) -> str:
 
 
 def poly_to_text(p: SparsePoly) -> str:
+    if not all(map(_is_name, p.vars)):
+        raise InputError(f"variables {p.vars!r} are not all names poly_from_text reads")
     if not p.terms:
         return "0"
     parts = []

@@ -1,6 +1,7 @@
 """Sparse resultants as determinants of direct-image complexes.
 
-Pipeline: Koszul complex of the generic system, twist, direct image, then
+Pipeline: Koszul complex of the generic system, twist (the zero class
+unless the caller names one; see resolve_twist), direct image, then
 the determinant of the resulting based complex over the coefficient ring.
 The determinant is taken with the Cayley recipe: nested row/column index
 subsets picked, and proven, by rank profiling modulo a prime at one random
@@ -29,7 +30,7 @@ from .qpoly import (
     primitive_part,
 )
 from .toric import SupportProblem, codimension, variety_of
-from .weyman import E1Page, WeymanComplex, weyman_differential, weyman_terms
+from .weyman import E1Page, WeymanComplex, weyman_differential
 
 Class = tuple[int, ...]
 
@@ -259,53 +260,26 @@ class ResultantOutput:
         }
 
 
-def _largest_minor(ranks: Mapping[int, int]) -> int:
-    """Size of the largest minor _det_once takes, from the term ranks alone:
-    every column of the top degree, then at each lower degree the rows that
-    the minor above left over."""
-    largest = cols = 0
-    for i in range(max(ranks, default=0), min(ranks, default=0) - 1, -1):
-        cols = ranks.get(i, 0) - cols
-        largest = max(largest, cols)
-    return largest
-
-
-def _twist_cost(K: FreeGradedComplex, tw: Class) -> tuple[int, int]:
-    """Number of nonzero terms and largest Cayley minor of a candidate
-    twist, read from its rank-only E1 page."""
-    terms, _ = weyman_terms(K.twist(tw))
-    ranks = {i: sum(s.dim for s in ss) for i, ss in terms.items()}
-    return sum(1 for n in ranks.values() if n), _largest_minor(ranks)
-
-
 def resolve_twist(K: FreeGradedComplex, twist) -> Class:
     """Accept the "default" keyword or an explicit class vector.
 
     The determinant of the direct image does not depend on the twist; only
-    its cost does.  The default scores 0, A and 2A, in that order (A the
-    anticanonical class of K's variety), by the largest Cayley minor of
-    each rank-only E1 page, without building a differential; A or 2A
-    competes only when its complex has exactly two nonzero terms, and ties
-    go to the earlier candidate.  A two-term complex is a determinantal
-    formula: one minor, no extraneous factor.  Where no candidate is
-    two-term, the zero twist measured fastest on every fixture, or tied
-    within noise: there every minor but the largest had a monomial
-    determinant and few entries of degree above one, while at A and 2A a
-    smaller minor can carry a factor that the largest must expand too, and
-    more entries have higher degree."""
-    x = K.x
+    its cost does.  The default is the zero class, with no search: scoring
+    0, A and 2A (A the anticanonical class of K's variety) by their
+    rank-only E1 pages cost more end to end, on every fixture, than the
+    smaller minors it found saved, and on random planar supports it won
+    only a few systems (see ROADMAP).  An explicit twist is used as given;
+    A still gives a two-term complex, a determinantal formula, where one
+    exists, as on the Sturmfels example."""
     if twist == "default":
-        a = x.anticanonical_class()
-        costs = {tw: _twist_cost(K, tw) for tw in [(0,) * len(a), a, tuple(2 * c for c in a)]}
-        return min((tw for tw, (n_terms, _) in costs.items() if n_terms == 2 or not any(tw)),
-                   key=lambda tw: costs[tw][1])
+        return (0,) * K.x.class_rank
     try:
         t = tuple(map(operator.index, twist))
     except TypeError as err:
         raise InputError(f"twist must be 'default' or an integer vector: {twist!r}") from err
-    if len(t) != x.class_rank:
+    if len(t) != K.x.class_rank:
         raise InputError(
-            f"twist has {len(t)} entries, the class group has rank {x.class_rank}")
+            f"twist has {len(t)} entries, the class group has rank {K.x.class_rank}")
     return t
 
 
@@ -330,10 +304,8 @@ def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
     The eliminant variety must be a hypersurface; the determinant of the
     twisted direct-image complex is normalized to a primitive integer
     polynomial and factored as root**multiplicity.  The twist changes only
-    the cost of the complex: the default is the zero twist unless the
-    anticanonical class A or 2A gives a two-term complex (a determinantal
-    formula) with a smaller Cayley minor, the measured fastest choice on
-    every fixture (see resolve_twist); an explicit twist is used as given.
+    the cost of the complex: the default is the zero twist, for the
+    measured reason resolve_twist gives; an explicit twist is used as given.
     A fixed generator, random.Random(0), draws the integer point at which
     _det_once proves, by ranks modulo a prime, that the complex is
     generically exact and that every chosen minor is a nonzero

@@ -1,6 +1,6 @@
 """Plain reference routines that only tests use: matrix products, dense
-inverses and determinants, row-vector products, the published-chart
-pairing searched with `Fraction` rows, polynomial substitution,
+inverses and determinants, row-vector products, the saturated integer
+kernel, polynomial substitution,
 the lattice points of a degree window, the ray circuits by Smith forms,
 the eager Cech support-pattern table, explicit Cech subset families, the
 retract identities of a reduced Cech family, and the direct total complex
@@ -31,8 +31,8 @@ from typing import Mapping, Sequence
 
 from toricres import cech
 from toricres.complexes import FreeGradedComplex, x_split
-from toricres.errors import InputError, MathFailure, ResourceGuard
-from toricres.qlinalg import QMatrix, int_kernel_basis
+from toricres.errors import MathFailure, ResourceGuard
+from toricres.qlinalg import QMatrix, smith_kernel, smith_normal_form
 from toricres.qpoly import PolyMatrix, SparsePoly, cnorm
 from toricres.toric import ToricVariety, degree_fiber, fiber_points
 
@@ -118,64 +118,9 @@ def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
     return len(a) > 0 and len(a) == len(a[0]) and int_det(a) in (1, -1)
 
 
-def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[Fraction]]]:
-    """Pivot columns and rows of the reduced row echelon form over Q."""
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        v = [Fraction(c) for c in row]
-        for piv, r in zip(pivots, out):
-            if v[piv]:
-                v = [a - v[piv] * b for a, b in zip(v, r)]
-        j = next((j for j, a in enumerate(v) if a), None)
-        if j is None:
-            continue
-        v = [a / v[j] for a in v]
-        for r in out:
-            if r[j]:
-                r[:] = [a - r[j] * b for a, b in zip(r, v)]
-        pivots.append(j)
-        out.append(v)
-    return pivots, out
-
-
-def published_rows_by_fractions(x: ToricVariety, published_rays, published_grading):
-    """`fixtures._published_rows_for` with its permutation search on the
-    unscaled `Fraction` echelon basis, each forced row compared with the
-    rays themselves."""
-    for s in (1, -1):
-        if {tuple(s * v for v in r) for r in published_rays} == set(x.rays):
-            break
-    else:
-        raise InputError("published rays do not match this fan")
-    n = x.n_rays
-    if len(published_grading) != n:
-        raise InputError(
-            f"published grading has {len(published_grading)} rows for {n} rays")
-    gt = [[published_grading[j][c] for j in range(n)]
-          for c in range(len(published_grading[0]))]
-    pivots, basis = _echelon(int_kernel_basis(gt))
-    ray_at = {r: i for i, r in enumerate(x.rays)}
-    sols = []
-    for placed in itertools.permutations(range(n), len(pivots)):
-        pi = [None] * n                  # pi[ray] = published row
-        for j in range(n):
-            forced = tuple(sum(x.rays[i][k] * b[j] for i, b in zip(placed, basis))
-                           for k in range(x.dim))
-            i = ray_at.get(forced)
-            if i is None or pi[i] is not None:
-                break
-            pi[i] = j
-        else:
-            sols.append(pi)
-            if len(sols) > 1:
-                break
-    if not sols:
-        raise InputError("published grading matches no pairing with the rays")
-    if len(sols) > 1:
-        raise InputError("published grading pairing not unique")
-    pi = sols[0]
-    return tuple(tuple(published_grading[pi[i]]) for i in range(n))
+def int_kernel_basis(a: list[list[int]]) -> list[list[int]]:
+    """Basis of the saturated kernel {x in Z^m : a @ x = 0}, as columns."""
+    return smith_kernel(smith_normal_form(a))
 
 
 def substitute(p: SparsePoly, images: Mapping[str, SparsePoly],

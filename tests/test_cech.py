@@ -355,7 +355,7 @@ def test_screened_points_match_walking_every_pattern(name, multiples, monkeypatc
 
     monkeypatch.setattr(weyman, "contributing_points", checked)
     a = x.anticanonical_class()
-    for k in multiples:   # the default twist's candidates 2A, A and 0
+    for k in multiples:   # the twists 2A, A and 0
         weyman.weyman_terms(K.twist(tuple(k * c for c in a)))
     assert len(asked) >= 8 * len(multiples)
 
@@ -802,12 +802,17 @@ def test_block_reduction_matches_full_rescan_reference_on_random_blocks(block):
 # -- guards and the memos -------------------------------------------------------------
 
 def test_generator_cap_raises_resource_guard(monkeypatch):
+    """The cap bounds the max cones of one ray, whose submasks Sigma
+    enumerates, not the number of generators."""
     from toricres import cech
     from toricres.errors import ResourceGuard
 
     monkeypatch.setattr(cech, "_GENERATOR_CAP", 2)
-    with pytest.raises(ResourceGuard):
-        cech._ray_cones.__wrapped__(P2)   # three generators, past the memo
+    # three generators, each ray in two max cones; past the memo
+    assert cech._ray_cones.__wrapped__(P2) == (0b011, 0b101, 0b110)
+    monkeypatch.setattr(cech, "_GENERATOR_CAP", 1)
+    with pytest.raises(ResourceGuard, match="2 max cones"):
+        cech._ray_cones.__wrapped__(P2)
     # and on the path that builds a family
     monkeypatch.setattr(cech, "_ray_cones", cech._ray_cones.__wrapped__)
     with pytest.raises(ResourceGuard):

@@ -9,6 +9,7 @@ from helpers_reference import (
     apply_row,
     identity,
     int_det,
+    int_kernel_basis,
     int_matmul,
     inverse,
     is_unimodular,
@@ -19,7 +20,6 @@ from toricres.errors import InputError
 from toricres.qlinalg import (
     QMatrix,
     cofactor_det,
-    int_kernel_basis,
     int_rank,
     smith_normal_form,
     solve_int,

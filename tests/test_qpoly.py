@@ -80,6 +80,21 @@ def test_text_round_trip_simple():
     assert poly_from_text("0", V).is_zero()
 
 
+def test_a_name_that_does_not_round_trip_is_refused_by_text_not_by_repr():
+    """poly_to_text would write '2 * a b + 1 * c', which poly_from_text
+    cannot read; it refuses instead.  repr falls back to the raw variables
+    and terms, also on an int name."""
+    p = SparsePoly(("a b", "c"), {(1, 0): 2, (0, 1): 1})
+    with pytest.raises(InputError, match="'a b'"):
+        poly_to_text(p)
+    assert repr(p) == "SparsePoly(('a b', 'c'), {(1, 0): 2, (0, 1): 1})"
+    q = SparsePoly((1, "c"), {(1, 0): 2})
+    with pytest.raises(InputError, match="1"):
+        poly_to_text(q)
+    assert repr(q) == "SparsePoly((1, 'c'), {(1, 0): 2})"
+    assert repr(P("2 * x")) == "SparsePoly('2 * x')"
+
+
 def test_parse_merges_duplicate_monomials():
     assert P("1 * x + 2 * x") == P("3 * x")
     assert P("1 * x + -1 * x").is_zero()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_poly import constant_value, renamed
-from toricres import resultant
+from toricres import cech, resultant
 from toricres.complexes import koszul_generic
 from toricres.errors import InputError, MathFailure
 from toricres.fixtures import (
@@ -32,7 +32,6 @@ from toricres.qpoly import (
     same_up_to_sign,
 )
 from toricres.resultant import (
-    _twist_cost,
     a_resultant,
     determinant_of_complex,
     implicitize_curve,
@@ -355,6 +354,27 @@ def test_incidence_samples_vanish_and_generic_samples_do_not():
             assert not membership_test(delta, random_specialization(prob, rng))
 
 
+def test_a_system_with_more_generators_than_the_cap_solves():
+    """Seventeen irrelevant generators, past the old cap of sixteen on
+    their number, yet no ray lies in more than five max cones: the system
+    solves, and its delta vanishes at incidence samples and not at random
+    specializations."""
+    prob = support_problem([[(1, 0, 1), (0, 0, 0), (0, 1, 1)],
+                            [(0, 1, 0), (0, 0, 0), (1, 0, 1), (1, 1, 1)],
+                            [(1, 0, 1), (1, 1, 1), (0, 1, 0)],
+                            [(1, 0, 0), (1, 0, 1), (0, 1, 1), (0, 0, 0)]])
+    x = variety_of(prob)
+    assert (len(x.max_cones), x.n_rays) == (17, 14)
+    assert max(m.bit_count() for m in cech._ray_cones(x)) == 5
+    out = a_resultant(prob)
+    assert out.term_ranks == {-1: 10, 0: 12, 1: 2}
+    rng = random.Random(3)
+    for _ in range(5):
+        assert membership_test(out.delta, incidence_sample(prob, rng))
+    for _ in range(5):
+        assert not membership_test(out.delta, random_specialization(prob, rng))
+
+
 def test_membership_requires_a_full_specialization():
     prob = univariate_problem(1, 1)
     delta = a_resultant(prob).delta
@@ -435,10 +455,6 @@ def test_resultant_does_not_depend_on_the_twist():
         assert same_up_to_sign(embed(out.delta, ref.delta.vars), ref.delta)
 
 
-def largest_minor(out) -> int:
-    return max((len(s["cols"]) for s in out.subsets.values()), default=0)
-
-
 UNIT_SQUARES = [[(0, 0), (1, 0), (0, 1), (1, 1)]] * 3
 
 DEFAULT_TWIST_CASES = {
@@ -459,25 +475,13 @@ def test_non_integer_twist_is_an_input_error():
     assert resolve_twist(K, [True]) == (1,)
 
 
-def test_default_twist_is_zero_unless_a_two_term_complex_is_smaller():
-    """Three unit squares: the zero twist is the two-term 4x4 complex.
-    Sturmfels: A is two-term with a 13x13 minor, against 19x19 at zero.
-    M34 k = 1, 2, 3: A and 2A have three or more terms, so zero wins
-    although its minor is the largest."""
-    prob = support_problem(UNIT_SQUARES)
-    K = koszul_generic(prob)
-    assert _twist_cost(K, (0, 0)) == (2, 4)
-    assert _twist_cost(K, variety_of(prob).anticanonical_class()) == (3, 9)
-    assert resolve_twist(K, "default") == (0, 0)
-    prob = sturmfels_problem()
-    K = koszul_generic(prob)
-    a = variety_of(prob).anticanonical_class()
-    assert _twist_cost(K, (0,) * 6) == (3, 19)
-    assert _twist_cost(K, a) == (2, 13)
-    assert resolve_twist(K, "default") == a
-    for k in (1, 2, 3):
-        K = koszul_generic(m34_problem(k))
-        assert resolve_twist(K, "default") == (0,) * K.x.class_rank, k
+def test_default_twist_is_the_zero_class():
+    """No candidate is scored: the default is the zero class on every
+    variety, Sturmfels included, where A gives a two-term complex."""
+    for prob in (support_problem(UNIT_SQUARES), sturmfels_problem(), m33_problem(),
+                 m34_problem(1), m34_problem(2), m34_problem(3)):
+        K = koszul_generic(prob)
+        assert resolve_twist(K, "default") == (0,) * K.x.class_rank
 
 
 def minor_term_counts(prob, out) -> list[tuple[int, int]]:
@@ -490,12 +494,13 @@ def minor_term_counts(prob, out) -> list[tuple[int, int]]:
 
 
 @pytest.mark.parametrize("make", [lambda: support_problem(UNIT_SQUARES), linear3_problem,
-                                  m33_problem, lambda: m34_problem(1)],
-                         ids=["squares", "linear3", "m33", "m34 k=1"])
+                                  m33_problem, lambda: m34_problem(1), sturmfels_problem],
+                         ids=["squares", "linear3", "m33", "m34 k=1", "sturmfels"])
 def test_default_twist_has_no_extraneous_factor(make):
-    """Why the zero twist is the default: every Cayley minor but the
-    largest has a monomial determinant, so the largest expands to exactly
-    delta's terms."""
+    """At the zero twist every Cayley minor but the largest has a monomial
+    determinant, so the largest expands to exactly delta's terms: on
+    Sturmfels a 19x19 minor expands to the eliminant's 20 terms beside a
+    2x2 minor."""
     prob = make()
     out = a_resultant(prob)
     (_, largest), *rest = minor_term_counts(prob, out)
@@ -514,15 +519,13 @@ def test_squares_at_the_anticanonical_class_has_an_extraneous_factor():
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_TWIST_CASES))
 def test_default_twist_matches_twice_the_anticanonical_class(name):
-    """The default twist gives 2A's delta and multiplicity.  On these cases
-    its minor is also no larger; elsewhere it can be (M34 k = 2, 3 and 8)."""
+    """The default twist gives 2A's delta and multiplicity."""
     prob = support_problem(DEFAULT_TWIST_CASES[name])
     two_a = tuple(2 * c for c in variety_of(prob).anticanonical_class())
     old = a_resultant(prob, twist=two_a)
     new = a_resultant(prob)
     assert poly_to_text(new.delta) == poly_to_text(old.delta)
     assert new.multiplicity == old.multiplicity
-    assert largest_minor(new) <= largest_minor(old)
 
 
 def test_resultant_output_serializes():
@@ -590,12 +593,14 @@ DELTA_PINS = {
     "m33": ("b6b0a8107ab89b2c", 14),
     "m34 k=1": ("7c07cece59af03c3", 1),
     "m34 k=2": ("ed11df8f4a31806c", 1),
+    "sturmfels": ("9c93f61499ad08e3", 1),
 }
 
 
 def test_delta_hashes_match_their_pins():
     problems = {"squares": support_problem(UNIT_SQUARES), "m33": m33_problem(),
-                "m34 k=1": m34_problem(1), "m34 k=2": m34_problem(2)}
+                "m34 k=1": m34_problem(1), "m34 k=2": m34_problem(2),
+                "sturmfels": sturmfels_problem()}
     for name, prob in problems.items():
         out = a_resultant(prob)
         assert (delta_hash(out), out.multiplicity) == DELTA_PINS[name], name

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers_reference import lattice_points_in_window
+from helpers_reference import int_kernel_basis, lattice_points_in_window
 from toricres import toric
 from toricres.errors import InputError, MathFailure, UnsupportedGeometryError
 from toricres.fixtures import (
@@ -17,7 +17,7 @@ from toricres.fixtures import (
     STURMFELS_SUPPORTS,
     m34_supports,
 )
-from toricres.qlinalg import int_kernel_basis, solve_int
+from toricres.qlinalg import solve_int
 from toricres.toric import (
     ToricVariety,
     codimension,

@@ -262,8 +262,9 @@ def test_m33_multiplicity_and_eliminant(m33_weyman):
 
 
 def test_m33_resultant_at_the_default_twist(m33_weyman):
-    """The default twist picks the fixture's zero-twist complex and gives
-    the printed root with multiplicity 14."""
+    """The default twist is the zero class, so a_resultant builds the
+    fixture's zero-twist complex and gives the printed root with
+    multiplicity 14."""
     C, W = m33_weyman
     out = a_resultant(m33_problem())
     assert out.term_ranks == {i: W.rank(i) for i in W.degrees()}
@@ -274,7 +275,7 @@ def test_m33_resultant_at_the_default_twist(m33_weyman):
 
 def test_m34_k8_ranks_at_twice_the_anticanonical_class():
     """The printed k = 8 ranks, read from degree 1 down, belong to 2A; the
-    default twist is zero there, since no candidate is two-term."""
+    default twist is zero there, as everywhere."""
     prob = m34_problem(8)
     x = variety_of(prob)
     K = koszul_generic(prob)

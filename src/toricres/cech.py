@@ -53,9 +53,10 @@ least key, so a pivot is the least of those keys, and only the rows a pivot
 changes are keyed again.
 
 Which exponents carry cohomology at all is decided per variety and
-negative-support pattern by the family reduction itself, and only for the
-patterns that pass the ray-circuit screen of contributing_points.  The
-screen is plain integer work.  The circuits of the rays come, once per
+negative-support pattern by the family reduction itself, for the patterns
+that pass the ray-circuit screen of contributing_points and whose negated
+rays share no max cone (such a pattern has an acyclic family).  The screen
+is plain integer work.  The circuits of the rays come, once per
 variety, from integer minors (qlinalg.cofactor_det) of the columns of the
 degree kernel, the rays in another basis (_ray_circuits).  Each circuit
 becomes a bitset over all sign patterns of those it can exclude.
@@ -76,7 +77,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import mul, or_
+from operator import and_, mul, or_
 from typing import Iterable, Sequence
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
@@ -386,9 +387,12 @@ def contributing_points(x: ToricVariety,
     patterns excluded for this class are the OR of the pattern bitsets
     (_circuit_patterns, built once per variety) of the circuits the fiber
     violates, and each pattern is one bit of it.  Only the survivors are
-    visited, lowest bitmask first; each has its family reduced
-    (family_certs, memoized by Sigma), and one with cohomology in some
-    q <= dim is walked by fiber_points.
+    visited, lowest bitmask first.  One whose negated rays share a max cone
+    is skipped unreduced: Sigma is then a cone, contractible like the full
+    simplex, so the family, their difference, carries the cohomology of the
+    pair, which is zero.  Every other has its family reduced (family_certs,
+    memoized by Sigma), and one with cohomology in some q <= dim is walked
+    by fiber_points.
     A pattern neg is excluded when a ray circuit shows that its real sign
     polyhedron P = {u <= -1 on neg, u >= 0 off neg} misses the real fiber
     u0 + L, L the span of the degree kernel.
@@ -413,7 +417,7 @@ def contributing_points(x: ToricVariety,
     pts = []
     if u0 is not None:
         q_top = min(x.dim, cech_depth(x))
-        circuits, patterns = _ray_circuits(x), _circuit_patterns(x)
+        circuits, patterns, cones = _ray_circuits(x), _circuit_patterns(x), _ray_cones(x)
         excluded = 0
         # one dot product per sign pair: (-a) . u0 = -(a . u0)
         for (a, _, _, c), (_, _, _, c_minus), p, p_minus in zip(
@@ -431,6 +435,8 @@ def contributing_points(x: ToricVariety,
             survivors ^= low
             bits = low.bit_length() - 1
             neg = _members(bits)
+            if neg and reduce(and_, [cones[rho] for rho in neg]):
+                continue   # Sigma is a cone: no cohomology at all
             if not any(family_certs(x, neg).dims[:q_top + 1]):
                 continue   # no cohomology in q <= dim
             # w <= -1 on the rays in neg, w >= 0 on the others

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InputError
 from .qpoly import PolyMatrix, SparsePoly
@@ -32,8 +31,7 @@ def class_sub(a: Class, b: Class) -> Class:
     return tuple(x - y for x, y in zip(a, b))
 
 
-@dataclass
-class FreeGradedComplex:
+class FreeGradedComplex(NamedTuple):
     """Finite complex of free graded modules, differentials of degree +1."""
 
     x: ToricVariety
@@ -102,8 +100,7 @@ class FreeGradedComplex:
         )
 
 
-@dataclass
-class ComplexMorphism:
+class ComplexMorphism(NamedTuple):
     """Degreewise map between complexes over the same ring, commuting with
     the differentials.  maps[p]: rows = source summands, cols = target."""
 

@@ -196,9 +196,11 @@ def sturmfels_twist(x: ToricVariety, which: str = "unit") -> tuple[int, ...]:
     each ray graded by its pinned row, and x grades that divisor; the answer
     does not depend on the lift, because both gradings present the class
     group of the same fan."""
+    c = {"unit": STURMFELS_TWIST_UNIT, "stable": STURMFELS_TWIST_STABLE}.get(which)
+    if c is None:
+        raise InputError(f"which must be 'unit' or 'stable', not {which!r}")
     if set(STURMFELS_PAPER_RAYS) != set(x.rays):
         raise InputError("the printed rays do not match this fan")
-    c = STURMFELS_TWIST_UNIT if which == "unit" else STURMFELS_TWIST_STABLE
     rows = [STURMFELS_PAPER_GRADING[j] for j in STURMFELS_PAPER_ROWS]
     d = solve_int([list(col) for col in zip(*rows)], c)
     divisor = [0] * x.n_rays

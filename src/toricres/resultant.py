@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .complexes import FreeGradedComplex, koszul_generic, variety_from_simplex
 from .errors import InputError, MathFailure
@@ -237,8 +236,7 @@ def determinant_of_complex(C) -> SparsePoly:
 
 # -- the resultant pipeline ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResultantOutput:
+class ResultantOutput(NamedTuple):
     delta: SparsePoly                 # primitive integer polynomial
     multiplicity: int
     root: SparsePoly                  # root**multiplicity == +-delta

@@ -35,7 +35,6 @@ gives d_W(M) F = F d_W(N) exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Iterable, NamedTuple
 
@@ -56,8 +55,7 @@ class Summand(NamedTuple):
     alpha: Class
 
 
-@dataclass(frozen=True)
-class E1Page:
+class E1Page(NamedTuple):
     """Ranks of the direct-image sheaves, one per (p, q)."""
 
     table: dict[tuple[int, int], int]
@@ -72,8 +70,7 @@ class E1Page:
         return [[p, q, r] for (p, q), r in sorted(self.table.items())]
 
 
-@dataclass
-class WeymanComplex:
+class WeymanComplex(NamedTuple):
     source: FreeGradedComplex
     terms: dict[int, tuple[Summand, ...]]
     e1: E1Page

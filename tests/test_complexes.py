@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import pytest
@@ -149,6 +148,25 @@ def test_validate_names_the_inhomogeneous_entry_that_shares_a_homogeneous_monomi
             one_map(source, target, rows).validate()
 
 
+def test_complex_records_are_named_tuples_in_field_order():
+    """FreeGradedComplex and ComplexMorphism are NamedTuples, not
+    dataclasses, and construct by keyword with their fields in order."""
+    import dataclasses
+
+    K = koszul_generic(support_problem((((0, 0), (1, 0), (0, 1)),) * 3))
+    theta = rescale_morphism(binary_form([2, -1]), binary_form([1, 3, 2]),
+                             binary_form([1, 1]), 1, 2, 2)
+    for cls in (FreeGradedComplex, ComplexMorphism):
+        assert not dataclasses.is_dataclass(cls)
+    C = FreeGradedComplex(x=K.x, variables=K.variables, n_params=K.n_params,
+                          degrees=K.degrees, diffs=K.diffs)
+    assert FreeGradedComplex._fields == ("x", "variables", "n_params", "degrees", "diffs")
+    assert tuple(C) == tuple(K) == (K.x, K.variables, K.n_params, K.degrees, K.diffs)
+    m = ComplexMorphism(source=theta.source, target=theta.target, maps=theta.maps)
+    assert ComplexMorphism._fields == ("source", "target", "maps")
+    assert tuple(m) == tuple(theta) == (theta.source, theta.target, theta.maps)
+
+
 def test_morphism_validate_rejects_each_broken_morphism():
     u = binary_form([1, 1])
     f = binary_form([2, -1])
@@ -162,12 +180,12 @@ def test_morphism_validate_rejects_each_broken_morphism():
     def broken(changed, target=N):
         return ComplexMorphism(source=M, target=target, maps={**maps, **changed})
 
-    other_ring = dataclasses.replace(N, variables=("y0", "y1"))
+    other_ring = N._replace(variables=("y0", "y1"))
     with pytest.raises(InputError, match="different rings"):
         broken({}, other_ring).validate()
     with pytest.raises(InputError, match="shape mismatch"):
         broken({-1: PolyMatrix.from_rows([[one]], xv)}).validate()
-    no_d1 = dataclasses.replace(N, diffs={-2: N.diffs[-2]})
+    no_d1 = N._replace(diffs={-2: N.diffs[-2]})
     with pytest.raises(InputError, match="missing differential"):
         broken({}, no_d1).validate()
     # x0 has degree 1, but theta^0 must have degree 0

@@ -41,3 +41,12 @@ def test_pairing_matches_the_permutation_scan_on_sturmfels():
     assert sturmfels_twist(x, "stable") == (2, 2, 3, 9, 8, 12)
     with pytest.raises(InputError, match="rays"):
         sturmfels_twist(variety_from_points(((0, 0), (1, 0), (0, 1), (1, 1))))
+
+
+@pytest.mark.parametrize("which", ["unti", "Stable"])
+def test_sturmfels_twist_refuses_an_unknown_name(which):
+    """Only "unit" and "stable" name a printed twist; a misspelt name raises
+    instead of giving the stable class."""
+    x = variety_of(sturmfels_problem())
+    with pytest.raises(InputError, match="'unit' or 'stable'"):
+        sturmfels_twist(x, which)

@@ -36,6 +36,37 @@ def test_every_module_imports_without_numpy_sympy_or_hypothesis():
     assert out["third_party"] == []
 
 
+SOLVE_PATH_DATACLASSES = """
+import dataclasses, json, sys
+from toricres import cech
+fresh = [m for m in ("toricres.resultant", "toricres.fixtures") if m not in sys.modules]
+made = []
+real = dataclasses.dataclass
+
+def counted(*args, **kwargs):
+    made.append(sys._getframe(1).f_globals["__name__"])
+    return real(*args, **kwargs)
+
+dataclasses.dataclass = counted
+import toricres.resultant, toricres.fixtures
+print(json.dumps({"fresh": fresh, "made": made}))
+"""
+
+
+def test_the_solve_path_creates_no_dataclass():
+    """What the solve imports past `toricres.cech` (the benchmark child's
+    import before its timer) creates no dataclass: each one generates and
+    execs its methods on every import, a fixed cost of every process."""
+    src = str(Path(toricres.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-B", "-c", SOLVE_PATH_DATACLASSES],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["fresh"] == ["toricres.resultant", "toricres.fixtures"]
+    assert out["made"] == []
+
+
 RESULTANT_RUN = """
 import hashlib
 from toricres.fixtures import sturmfels_problem

@@ -157,9 +157,42 @@ def test_e1_page_round_trip():
     assert e1_page_from_obj(page.to_obj()).table == page.table
 
 
-def test_weyman_differential_builds_no_family_past_weyman_terms():
-    """The summand dims are read off the certificate families, so the
-    walks that follow find every family already built."""
+def test_pipeline_records_are_named_tuples_in_field_order(sturmfels_unit):
+    """E1Page, WeymanComplex and ResultantOutput are NamedTuples, not
+    dataclasses: they construct by keyword with their fields in order, and
+    E1Page and ResultantOutput refuse attribute assignment."""
+    import dataclasses
+    from toricres.resultant import ResultantOutput
+    from toricres.toric import support_problem
+    from toricres.weyman import WeymanComplex
+
+    _, W = sturmfels_unit
+    square = ((0, 0), (1, 0), (0, 1), (1, 1))
+    out = a_resultant(support_problem((square,) * 3))
+    for cls in (E1Page, WeymanComplex, ResultantOutput):
+        assert not dataclasses.is_dataclass(cls)
+    assert tuple(E1Page(table=W.e1.table)) == (W.e1.table,)
+    assert WeymanComplex._fields == ("source", "terms", "e1", "basis", "diffs")
+    again = WeymanComplex(source=W.source, terms=W.terms, e1=W.e1, basis=W.basis,
+                          diffs=W.diffs)
+    assert tuple(again) == tuple(W)
+    assert ResultantOutput._fields == ("delta", "multiplicity", "root", "e1",
+                                       "term_ranks", "twist", "subsets")
+    again = ResultantOutput(delta=out.delta, multiplicity=out.multiplicity, root=out.root,
+                            e1=out.e1, term_ranks=out.term_ranks, twist=out.twist,
+                            subsets=out.subsets)
+    assert again.to_obj() == out.to_obj()
+    for record, name, value in ((out, "multiplicity", 2), (out, "extra", 0),
+                                (out.e1, "table", {}), (out.e1, "extra", 0)):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    assert out.multiplicity == 1 and out.e1.table
+
+
+def test_weyman_differential_builds_only_acyclic_families_past_weyman_terms():
+    """The summand dims are read off the certificate families, so the walks
+    that follow build only the families the cone-apex screen skipped: each
+    has a cone for Sigma and every dim 0."""
     cech.clear_caches()
     prob = sturmfels_problem()
     x = variety_of(prob)
@@ -167,10 +200,14 @@ def test_weyman_differential_builds_no_family_past_weyman_terms():
     _, page = weyman_terms(C)
     for q, row in STURMFELS_E1_UNIT.items():
         assert page.row(q, -3, 0) == row
-    built = cech.cache_counters["built"]
-    assert built > 0
+    before = set(cech._reduce_memo)
+    assert before
     weyman_differential(C)
-    assert cech.cache_counters["built"] == built
+    late = set(cech._reduce_memo) - before
+    assert late   # a walk chain lands in a skipped pattern's family
+    for sigma, n in late:
+        assert any(all(S | 1 << j in sigma for S in sigma) for j in range(n))
+        assert not any(cech._reduce_memo[(sigma, n)].dims)
 
 
 def test_sturmfels_unit_page_and_ranks(sturmfels_unit):

@@ -10,7 +10,6 @@ entry in row k, column l is homogeneous of x-degree alpha_p[k] - alpha_{p+1}[l].
 from __future__ import annotations
 
 import itertools
-import math
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
@@ -100,64 +99,6 @@ class FreeGradedComplex(NamedTuple):
         )
 
 
-class ComplexMorphism(NamedTuple):
-    """Degreewise map between complexes over the same ring, commuting with
-    the differentials.  maps[p]: rows = source summands, cols = target."""
-
-    source: FreeGradedComplex
-    target: FreeGradedComplex
-    maps: dict[int, PolyMatrix]
-
-    def map_at(self, p: int) -> PolyMatrix:
-        m = self.maps.get(p)
-        if m is not None:
-            return m
-        return PolyMatrix(self.source.rank(p), self.target.rank(p),
-                          self.source.variables)
-
-    def cone(self) -> FreeGradedComplex:
-        """The mapping cone: degree p holds M^(p+1) + N^p, M's summands
-        first, with differential [[-d_M, theta], [0, d_N]].  Degrees inside
-        the range that neither complex fills are zero-rank terms.  Raises
-        InputError when the rings or a map's shape disagree, or when M or N
-        fails its own validate."""
-        s, t = self.source, self.target
-        if (s.x, s.variables, s.n_params) != (t.x, t.variables, t.n_params):
-            raise InputError("source and target live over different rings")
-        for p, m in self.maps.items():
-            if (m.nrows, m.ncols) != (s.rank(p), t.rank(p)):
-                raise InputError(f"map shape mismatch at {p}")
-        for c in (s, t):   # the cone reads an absent differential as zero
-            c.validate()
-        lo, hi = min(s.p_min - 1, t.p_min), max(s.p_max - 1, t.p_max)
-        zero = SparsePoly.zero(s.variables)
-        diffs = {}
-        for p in range(lo, hi):
-            dm, dn = s.diff_at(p + 1), t.diff_at(p)
-            rows = [[-e for e in a] + b for a, b in zip(dm.rows, self.map_at(p + 1).rows)]
-            rows += [[zero] * dm.ncols + c for c in dn.rows]
-            diffs[p] = PolyMatrix.from_rows(rows, s.variables, ncols=dm.ncols + dn.ncols)
-        return FreeGradedComplex(
-            x=s.x, variables=s.variables, n_params=s.n_params,
-            degrees={p: s.degrees.get(p + 1, ()) + t.degrees.get(p, ())
-                     for p in range(lo, hi + 1)},
-            diffs=diffs)
-
-    def validate(self) -> None:
-        """The cone's homogeneity and d.d = 0 are theta's homogeneity and
-        the chain-map squares d_M theta = theta d_N."""
-        self.cone().validate()
-
-    def then(self, other: "ComplexMorphism") -> "ComplexMorphism":
-        """Composite morphism: this map followed by other."""
-        maps = {}
-        for p in set(self.source.degrees) | set(other.target.degrees):
-            if self.source.rank(p) or other.target.rank(p):
-                maps[p] = self.map_at(p).matmul(other.map_at(p))
-        return ComplexMorphism(source=self.source, target=other.target,
-                               maps=maps)
-
-
 def x_split(p: SparsePoly, n_params: int,
             param_vars: Sequence[str]) -> dict[tuple[int, ...], SparsePoly]:
     """Group the terms of a combined-ring polynomial by Cox exponent;
@@ -232,83 +173,6 @@ def koszul_generic(problem: SupportProblem) -> FreeGradedComplex:
     diffs = {-i: _contraction(fs, i, variables) for i in range(1, s + 1)}
     return FreeGradedComplex(x=x, variables=variables, n_params=n_params,
                              degrees=degrees, diffs=diffs)
-
-
-# -- fixture: a four-term complex built from one hypersurface -------------------
-
-def cotangent_family_complex(d: int) -> FreeGradedComplex:
-    """Complex S[-2d] -> S[-d] + S[-d-1]^3 -> S[-d] + S[-1]^3 -> S on the
-    projective plane, for the generic degree-d form F; exactness of the
-    squares rests on the Euler identity sum x_i dF/dx_i = d F.
-
-    Twisted so that the rightmost class is -floor(2d/3)."""
-    x = variety_from_simplex(2)
-    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d - a + 1)]
-    monos.sort()
-    params = tuple(f"a{i + 1}" for i in range(len(monos)))
-    xv = x.var_names()
-    variables = params + xv
-    n_params = len(params)
-
-    def term(i: int, xe: tuple[int, int, int]) -> tuple[int, ...]:
-        e = [0] * len(variables)
-        e[i] = 1
-        for r, k in enumerate(xe):
-            e[n_params + r] = k
-        return tuple(e)
-
-    f = SparsePoly(variables, {term(i, m): 1 for i, m in enumerate(monos)})
-    fx = [f.diff(v) for v in xv]
-    xs = [SparsePoly.variable(variables, v) for v in xv]
-    czero = SparsePoly.zero(variables)
-
-    h = x.degree_of([1, 0, 0])  # hyperplane class in this presentation
-    def cls(k: int) -> Class:
-        return tuple(k * c for c in h)
-
-    degrees = {
-        -3: (cls(2 * d),),
-        -2: (cls(d), cls(d + 1), cls(d + 1), cls(d + 1)),
-        -1: (cls(d), cls(1), cls(1), cls(1)),
-        0: (cls(0),),
-    }
-    d3 = PolyMatrix.from_rows([[f, -fx[0], -fx[1], -fx[2]]], variables)
-    d2 = PolyMatrix.from_rows([
-        [SparsePoly.const(variables, -d), fx[0], fx[1], fx[2]],
-        [-xs[0], f, czero, czero],
-        [-xs[1], czero, f, czero],
-        [-xs[2], czero, czero, f],
-    ], variables)
-    d1 = PolyMatrix.from_rows([[f], [xs[0]], [xs[1]], [xs[2]]], variables)
-    cpx = FreeGradedComplex(x=x, variables=variables, n_params=n_params,
-                            degrees=degrees, diffs={-3: d3, -2: d2, -1: d1})
-    tau = (2 * d) // 3
-    return cpx.twist(cls(tau))
-
-
-# -- fixture: exterior-power resolution mapped onto the structure sheaf ----------
-
-def koszul_vs_unit_fixture(n: int) -> ComplexMorphism:
-    """Source: contraction complex with degree-p term the (1-p)-th exterior
-    power of S(-1)^(n+1) on projective n-space, p = -n..0.  Target: S in
-    degree 0.  The map sends e_j to x_j."""
-    x = variety_from_simplex(n)
-    xv = x.var_names()
-    variables = xv  # no parameters
-    xs = [SparsePoly.variable(variables, v) for v in xv]
-
-    one = x.degree_of([1] + [0] * (x.n_rays - 1))
-    def cls(k: int) -> Class:
-        return tuple(k * c for c in one)
-
-    degrees = {p: (cls(1 - p),) * math.comb(n + 1, 1 - p) for p in range(-n, 1)}
-    diffs = {p: _contraction(xs, 1 - p, variables) for p in range(-n, 0)}
-    source = FreeGradedComplex(x=x, variables=variables, n_params=0,
-                               degrees=degrees, diffs=diffs)
-    target = FreeGradedComplex(x=x, variables=variables, n_params=0,
-                               degrees={0: (cls(0),)}, diffs={})
-    theta0 = PolyMatrix.from_rows([[xs[j]] for j in range(n + 1)], variables)
-    return ComplexMorphism(source=source, target=target, maps={0: theta0})
 
 
 def variety_from_simplex(n: int) -> ToricVariety:

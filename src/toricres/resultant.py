@@ -7,23 +7,26 @@ The determinant is taken with the Cayley recipe: nested row/column index
 subsets picked, and proven, by rank profiling modulo a prime at one random
 integer point, exact polynomial minors, alternating product cleared to a
 polynomial.
-Multiplicity is recovered afterwards by perfect-power extraction."""
+Multiplicity is recovered afterwards by perfect-power extraction.
+
+This module holds that pipeline and nothing else, so that a process which
+solves imports (and, without cached bytecode, compiles) no more than it
+runs.  Implicitization of plane curves, which reuses the determinant, is in
+`implicit`; the functor on morphisms is in `morphisms`."""
 from __future__ import annotations
 
 import math
 import operator
 import random
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Mapping, NamedTuple, Sequence
 
-from .complexes import FreeGradedComplex, koszul_generic, variety_from_simplex
+from .complexes import FreeGradedComplex, koszul_generic
 from .errors import InputError, MathFailure
 from .qpoly import (
     Coeff,
     PolyMatrix,
     SparsePoly,
-    _is_name,
     kth_root,
     poly_to_text,
     primitive_part,
@@ -340,176 +343,3 @@ def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
         delta=delta, multiplicity=m, root=primitive_part(root) if m > 1 else root,
         e1=W.e1, term_ranks={i: W.rank(i) for i in W.degrees()},
         twist=tw, subsets=subsets)
-
-
-# -- univariate oracle ---------------------------------------------------------------
-
-def _coeffs_in(p: SparsePoly, var: str) -> list[SparsePoly]:
-    """Coefficient polynomials of the powers of one variable."""
-    vi = p.vars.index(var)
-    d = p.degree_in(var)
-    buckets: list[dict] = [dict() for _ in range(d + 1)]
-    for e, c in p.terms.items():
-        rest = list(e)
-        k = rest[vi]
-        rest[vi] = 0
-        buckets[k][tuple(rest)] = buckets[k].get(tuple(rest), 0) + c
-    return [SparsePoly(p.vars, b) for b in buckets]
-
-
-def sylvester_resultant(f: SparsePoly, g: SparsePoly, var: str) -> SparsePoly:
-    """Determinant of the Sylvester matrix in the named variable.
-
-    Coefficients are laid out in ascending order, so the 2x2 case gives
-    a0*b1 - a1*b0 exactly."""
-    if f.is_zero() or g.is_zero():
-        raise InputError("resultant of the zero polynomial")
-    if f.vars != g.vars:
-        raise InputError("operands live over different rings")
-    if var not in f.vars:
-        raise InputError(f"unknown variable {var!r}")
-    d1 = f.degree_in(var)
-    d2 = g.degree_in(var)
-    if d1 < 1 or d2 < 1:
-        raise InputError("both operands must have positive degree")
-    fc = _coeffs_in(f, var)
-    gc = _coeffs_in(g, var)
-    n = d1 + d2
-    m = PolyMatrix(n, n, f.vars)
-    for s in range(d2):
-        for k in range(d1 + 1):
-            m.rows[s][s + k] = fc[k]
-    for s in range(d1):
-        for k in range(d2 + 1):
-            m.rows[d2 + s][s + k] = gc[k]
-    return m.det()
-
-
-# -- incidence sampling --------------------------------------------------------------
-
-def _mono_value(z: Sequence[Fraction], nu: Sequence[int]) -> Fraction:
-    out = Fraction(1)
-    for a, k in zip(z, nu):
-        if k:
-            out *= a ** k
-    return out
-
-
-def incidence_sample(problem: SupportProblem,
-                     rng: random.Random) -> dict[str, Fraction]:
-    """Random coefficient specialization with a shared torus zero.
-
-    Picks a random rational torus point, gives every coefficient but one
-    per support a random value, and solves the remaining one so that every
-    polynomial of the system vanishes at the point."""
-    m = len(problem.supports[0][0])
-    z = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
-         for _ in range(m)]
-    assign: dict[str, Fraction] = {}
-    for sup, labs in zip(problem.supports, problem.labels):
-        vals = [_mono_value(z, nu) for nu in sup]
-        k0 = rng.randrange(len(sup))
-        total = Fraction(0)
-        for k, lab in enumerate(labs):
-            if k == k0:
-                continue
-            c = Fraction(rng.randint(-9, 9))
-            assign[lab] = c
-            total += c * vals[k]
-        assign[labs[k0]] = -total / vals[k0]
-    return assign
-
-
-def random_specialization(problem: SupportProblem,
-                          rng: random.Random) -> dict[str, Fraction]:
-    """Fully random coefficient values, nonzero to stay clear of faces."""
-    return {lab: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
-                          rng.randint(1, 9))
-            for labs in problem.labels for lab in labs}
-
-
-def membership_test(delta: SparsePoly, spec: Mapping[str, Fraction]) -> bool:
-    """Exact zero test of delta at a full coefficient specialization."""
-    used = set()
-    for e in delta.terms:
-        for v, k in zip(delta.vars, e):
-            if k:
-                used.add(v)
-    missing = sorted(used - set(spec))
-    if missing:
-        raise InputError(f"specialization misses {missing[0]}")
-    full = {v: Fraction(spec[v]) if v in spec else Fraction(0)
-            for v in delta.vars}
-    return delta.eval(full) == 0
-
-
-# -- implicitization of rational plane curves ----------------------------------------
-
-def _binary_degree(p: SparsePoly) -> int:
-    degs = {e[-2] + e[-1] for e in p.terms}
-    if len(degs) != 1:
-        raise InputError("form is not homogeneous in the last two variables")
-    return degs.pop()
-
-
-def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparsePoly:
-    """Implicit equation of the plane curve (f1/f0, f2/f0) on the line.
-
-    The forms share a variable tuple whose last two entries parametrize the
-    line; any leading entries are free parameters of the family, each a
-    name (as a support_problem label) other than u or v.  No exponent is
-    negative.  Returns the primitive polynomial in (parameters, u, v)
-    cutting out the image in the affine chart (u, v): the determinant of the
-    direct image of the Koszul complex of g1 = u.f0 - f1 and g2 = v.f0 - f2.
-
-    Degeneracy is read off that determinant.  A common factor of g1 (no v)
-    and g2 (no u) is free of u and v, so it divides f0, f1 and f2.  So the
-    forms share a factor for generic parameters exactly when the direct
-    image is not generically exact, and the exactness proof of _det_once
-    then fails at every point."""
-    if not (f0.vars == f1.vars == f2.vars) or len(f0.vars) < 2:
-        raise InputError("the three forms must share one variable tuple "
-                         "ending in the two line variables")
-    if f0.is_zero() or f1.is_zero() or f2.is_zero():
-        raise InputError("forms must be nonzero")
-    if any(min(e) < 0 for f in (f0, f1, f2) for e in f.terms):
-        raise InputError("forms must have no negative exponent")
-    params = f0.vars[:-2]
-    if not all(map(_is_name, params)):
-        raise InputError(f"parameters {params!r} are not all names")
-    x = variety_from_simplex(1)
-    if set(params) & {"u", "v", *x.var_names()}:
-        raise InputError("parameter names collide with the chart variables "
-                         "u, v or the line coordinates")
-    d = _binary_degree(f0)
-    if {_binary_degree(f1), _binary_degree(f2)} != {d}:
-        raise InputError("forms must share one degree")
-    if d < 1:
-        raise InputError("degree must be positive")
-    pv = params + ("u", "v")
-    variables = pv + x.var_names()
-    nold = len(params)
-
-    def lift(p: SparsePoly, chart: tuple[int, int]) -> SparsePoly:
-        return SparsePoly(variables, {e[:nold] + chart + e[nold:]: c
-                                      for e, c in p.terms.items()})
-
-    g1 = lift(f0, (1, 0)) - lift(f1, (0, 0))
-    g2 = lift(f0, (0, 1)) - lift(f2, (0, 0))
-    K = FreeGradedComplex(
-        x=x, variables=variables, n_params=len(pv),
-        degrees={-2: ((2 * d,),), -1: ((d,), (d,)), 0: ((0,),)},
-        diffs={-2: PolyMatrix.from_rows([[-g2, g1]], variables, ncols=2),
-               -1: PolyMatrix.from_rows([[g1], [g2]], variables)})
-    W = weyman_differential(K.twist((2 * d - 1,)))
-    try:
-        raw = determinant_of_complex(W)
-    except MathFailure as err:
-        if "homology" in str(err):
-            raise MathFailure("the forms share a common factor; "
-                              "the image curve degenerates") from err
-        raise
-    out = primitive_part(raw)
-    if out.is_constant():
-        raise MathFailure("implicit equation degenerated to a constant")
-    return out

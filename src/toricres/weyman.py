@@ -21,17 +21,8 @@ the (p+r, q-r+1) summands and enters the matrix with sign
 one pattern family per exponent; only the phi steps carry R
 coefficients.
 
-A morphism theta: M -> N acts through its mapping cone C, whose degree p
-holds M^(p+1) + N^p with differential [[-d_M, theta], [0, d_N]]: the
-transfer argument of the homological perturbation lemma (Crainic, "On the
-perturbation lemma, and deformations", 2004).  The M-type summands of C at
-degree i - 1 are those of W(M)^i, and its N-type summands at degree i those
-of W(N)^i.  A walk inside M takes r steps of -d_M, a factor (-1)^r, and the
-staircase sign at degree i - 1 differs from the one at i by (-1)^(r-1); so
-that block of W(C) is -d_W(M).  A walk inside N sees d_N at its own degree,
-so that block is d_W(N), and no walk goes from N to M.  The block F from
-the M-type to the N-type summands is the induced map, and d.d = 0 on W(C)
-gives d_W(M) F = F d_W(N) exactly.
+The functor on morphisms, which reads the same walks through a mapping
+cone, is in `morphisms`.
 """
 from __future__ import annotations
 
@@ -39,7 +30,7 @@ from operator import add
 from typing import Iterable, NamedTuple
 
 from .cech import contributing_points, family_certs, pattern_of
-from .complexes import ComplexMorphism, FreeGradedComplex, x_split
+from .complexes import FreeGradedComplex, x_split
 from .errors import MathFailure
 from .qpoly import PolyMatrix, SparsePoly, _Packing
 from .toric import ToricVariety
@@ -360,42 +351,6 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
         diffs[i] = m
 
     return WeymanComplex(source=C, terms=terms, e1=page, basis=basis, diffs=diffs)
-
-
-def staircase_block(W: WeymanComplex, p: int, q: int, r: int) -> PolyMatrix:
-    """Submatrix of the differential from the (p, q) summands of W^(p+q)
-    to the (p+r, q-r+1) summands of W^(p+q+1)."""
-    i = p + q
-    rows = [n for n, lab in enumerate(W.basis.get(i, []))
-            if lab[0] == p and lab[1] == q]
-    cols = [n for n, lab in enumerate(W.basis.get(i + 1, []))
-            if lab[0] == p + r and lab[1] == q - r + 1]
-    return W.diff_at(i).submatrix(rows, cols)
-
-
-# -- the functor on morphisms --------------------------------------------------------
-
-def weyman_on_morphism(theta: ComplexMorphism) -> dict[int, PolyMatrix]:
-    """Matrices of the induced map W(M)^i -> W(N)^i, one per degree i where
-    either side is nonzero, read off the direct image of the cone of theta.
-
-    The cone's M-type summands (k below the rank of M^(p+1)) at degree
-    i - 1 are the summands of W(M)^i, and its N-type summands at degree i
-    those of W(N)^i, in the same basis order; the induced map is the block
-    of the cone's differential between them (see the module docstring)."""
-    M = theta.source
-    W = weyman_differential(theta.cone())
-
-    def positions(i: int, m_type: bool) -> list[int]:
-        return [n for n, (p, _, k, _, _) in enumerate(W.basis.get(i, []))
-                if (k < M.rank(p + 1)) == m_type]
-
-    out: dict[int, PolyMatrix] = {}
-    for i in sorted({j + 1 for j in W.terms} | set(W.terms)):
-        rows, cols = positions(i - 1, True), positions(i, False)
-        if rows or cols:
-            out[i] = W.diff_at(i - 1).submatrix(rows, cols)
-    return out
 
 
 def _fill_row(m: PolyMatrix, rown: int, entries: dict[int, dict], pk: _Packing) -> None:

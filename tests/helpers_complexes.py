@@ -1,13 +1,19 @@
-"""Random small complexes and morphism fixtures over the projective line."""
+"""Complex and morphism fixtures that only tests use: random small
+complexes and morphisms over the projective line, the four-term complex of
+one generic plane curve (the cotangent-family oracle), and the exterior-power
+resolution of projective n-space mapped onto its structure sheaf."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from toricres.complexes import (
-    ComplexMorphism,
+    Class,
     FreeGradedComplex,
+    _contraction,
     variety_from_simplex,
 )
+from toricres.morphisms import ComplexMorphism
 from toricres.qpoly import PolyMatrix, SparsePoly
 
 P1 = variety_from_simplex(1)
@@ -96,3 +102,80 @@ def identity_morphism(C: FreeGradedComplex) -> ComplexMorphism:
             m.rows[k][k] = SparsePoly.const(C.variables, 1)
         maps[p] = m
     return ComplexMorphism(source=C, target=C, maps=maps)
+
+
+# -- fixture: a four-term complex built from one hypersurface -------------------
+
+def cotangent_family_complex(d: int) -> FreeGradedComplex:
+    """Complex S[-2d] -> S[-d] + S[-d-1]^3 -> S[-d] + S[-1]^3 -> S on the
+    projective plane, for the generic degree-d form F; exactness of the
+    squares rests on the Euler identity sum x_i dF/dx_i = d F.
+
+    Twisted so that the rightmost class is -floor(2d/3)."""
+    x = variety_from_simplex(2)
+    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d - a + 1)]
+    monos.sort()
+    params = tuple(f"a{i + 1}" for i in range(len(monos)))
+    xv = x.var_names()
+    variables = params + xv
+    n_params = len(params)
+
+    def term(i: int, xe: tuple[int, int, int]) -> tuple[int, ...]:
+        e = [0] * len(variables)
+        e[i] = 1
+        for r, k in enumerate(xe):
+            e[n_params + r] = k
+        return tuple(e)
+
+    f = SparsePoly(variables, {term(i, m): 1 for i, m in enumerate(monos)})
+    fx = [f.diff(v) for v in xv]
+    xs = [SparsePoly.variable(variables, v) for v in xv]
+    czero = SparsePoly.zero(variables)
+
+    h = x.degree_of([1, 0, 0])  # hyperplane class in this presentation
+    def cls(k: int) -> Class:
+        return tuple(k * c for c in h)
+
+    degrees = {
+        -3: (cls(2 * d),),
+        -2: (cls(d), cls(d + 1), cls(d + 1), cls(d + 1)),
+        -1: (cls(d), cls(1), cls(1), cls(1)),
+        0: (cls(0),),
+    }
+    d3 = PolyMatrix.from_rows([[f, -fx[0], -fx[1], -fx[2]]], variables)
+    d2 = PolyMatrix.from_rows([
+        [SparsePoly.const(variables, -d), fx[0], fx[1], fx[2]],
+        [-xs[0], f, czero, czero],
+        [-xs[1], czero, f, czero],
+        [-xs[2], czero, czero, f],
+    ], variables)
+    d1 = PolyMatrix.from_rows([[f], [xs[0]], [xs[1]], [xs[2]]], variables)
+    cpx = FreeGradedComplex(x=x, variables=variables, n_params=n_params,
+                            degrees=degrees, diffs={-3: d3, -2: d2, -1: d1})
+    tau = (2 * d) // 3
+    return cpx.twist(cls(tau))
+
+
+# -- fixture: exterior-power resolution mapped onto the structure sheaf ----------
+
+def koszul_vs_unit_fixture(n: int) -> ComplexMorphism:
+    """Source: contraction complex with degree-p term the (1-p)-th exterior
+    power of S(-1)^(n+1) on projective n-space, p = -n..0.  Target: S in
+    degree 0.  The map sends e_j to x_j."""
+    x = variety_from_simplex(n)
+    xv = x.var_names()
+    variables = xv  # no parameters
+    xs = [SparsePoly.variable(variables, v) for v in xv]
+
+    one = x.degree_of([1] + [0] * (x.n_rays - 1))
+    def cls(k: int) -> Class:
+        return tuple(k * c for c in one)
+
+    degrees = {p: (cls(1 - p),) * math.comb(n + 1, 1 - p) for p in range(-n, 1)}
+    diffs = {p: _contraction(xs, 1 - p, variables) for p in range(-n, 0)}
+    source = FreeGradedComplex(x=x, variables=variables, n_params=0,
+                               degrees=degrees, diffs=diffs)
+    target = FreeGradedComplex(x=x, variables=variables, n_params=0,
+                               degrees={0: (cls(0),)}, diffs={})
+    theta0 = PolyMatrix.from_rows([[xs[j]] for j in range(n + 1)], variables)
+    return ComplexMorphism(source=source, target=target, maps={0: theta0})

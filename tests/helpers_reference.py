@@ -3,8 +3,11 @@ inverses and determinants, row-vector products, the saturated integer
 kernel, polynomial substitution,
 the lattice points of a degree window, the ray circuits by Smith forms,
 the eager Cech support-pattern table, explicit Cech subset families, the
-retract identities of a reduced Cech family, and the direct total complex
-on window-truncated Cech strands.
+retract identities of a reduced Cech family, the direct total complex
+on window-truncated Cech strands, the named staircase blocks of a direct
+image, the univariate resultant by the Sylvester matrix, and the
+incidence oracle: coefficient samples with a shared torus zero, fully
+random ones, and the exact zero test of delta at either.
 
 The strand of a class alpha at a truncation level e has, in Cech degree
 q, one basis vector per pair (T, w): T a size-(q+1) set of irrelevant
@@ -24,6 +27,7 @@ complex, the independent check of the staircase construction.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,10 +35,11 @@ from typing import Mapping, Sequence
 
 from toricres import cech
 from toricres.complexes import FreeGradedComplex, x_split
-from toricres.errors import MathFailure, ResourceGuard
+from toricres.errors import InputError, MathFailure, ResourceGuard
 from toricres.qlinalg import QMatrix, smith_kernel, smith_normal_form
 from toricres.qpoly import PolyMatrix, SparsePoly, cnorm
-from toricres.toric import ToricVariety, degree_fiber, fiber_points
+from toricres.toric import SupportProblem, ToricVariety, degree_fiber, fiber_points
+from toricres.weyman import WeymanComplex
 
 
 def identity(n: int) -> QMatrix:
@@ -555,3 +560,117 @@ def total_complex_direct(C: FreeGradedComplex, e: Sequence[int]) -> TotalComplex
                         m.rows[rown][col] = m.rows[rown][col] + g
         diffs[i] = m
     return TotalComplex(source=C, e=e, basis=basis, diffs=diffs)
+
+
+# -- named staircase blocks of a direct image ------------------------------------
+
+def staircase_block(W: WeymanComplex, p: int, q: int, r: int) -> PolyMatrix:
+    """Submatrix of the differential from the (p, q) summands of W^(p+q)
+    to the (p+r, q-r+1) summands of W^(p+q+1)."""
+    i = p + q
+    rows = [n for n, lab in enumerate(W.basis.get(i, []))
+            if lab[0] == p and lab[1] == q]
+    cols = [n for n, lab in enumerate(W.basis.get(i + 1, []))
+            if lab[0] == p + r and lab[1] == q - r + 1]
+    return W.diff_at(i).submatrix(rows, cols)
+
+
+# -- univariate oracle ---------------------------------------------------------------
+
+def _coeffs_in(p: SparsePoly, var: str) -> list[SparsePoly]:
+    """Coefficient polynomials of the powers of one variable."""
+    vi = p.vars.index(var)
+    d = p.degree_in(var)
+    buckets: list[dict] = [dict() for _ in range(d + 1)]
+    for e, c in p.terms.items():
+        rest = list(e)
+        k = rest[vi]
+        rest[vi] = 0
+        buckets[k][tuple(rest)] = buckets[k].get(tuple(rest), 0) + c
+    return [SparsePoly(p.vars, b) for b in buckets]
+
+
+def sylvester_resultant(f: SparsePoly, g: SparsePoly, var: str) -> SparsePoly:
+    """Determinant of the Sylvester matrix in the named variable.
+
+    Coefficients are laid out in ascending order, so the 2x2 case gives
+    a0*b1 - a1*b0 exactly."""
+    if f.is_zero() or g.is_zero():
+        raise InputError("resultant of the zero polynomial")
+    if f.vars != g.vars:
+        raise InputError("operands live over different rings")
+    if var not in f.vars:
+        raise InputError(f"unknown variable {var!r}")
+    d1 = f.degree_in(var)
+    d2 = g.degree_in(var)
+    if d1 < 1 or d2 < 1:
+        raise InputError("both operands must have positive degree")
+    fc = _coeffs_in(f, var)
+    gc = _coeffs_in(g, var)
+    n = d1 + d2
+    m = PolyMatrix(n, n, f.vars)
+    for s in range(d2):
+        for k in range(d1 + 1):
+            m.rows[s][s + k] = fc[k]
+    for s in range(d1):
+        for k in range(d2 + 1):
+            m.rows[d2 + s][s + k] = gc[k]
+    return m.det()
+
+
+# -- incidence sampling --------------------------------------------------------------
+
+def _mono_value(z: Sequence[Fraction], nu: Sequence[int]) -> Fraction:
+    out = Fraction(1)
+    for a, k in zip(z, nu):
+        if k:
+            out *= a ** k
+    return out
+
+
+def incidence_sample(problem: SupportProblem,
+                     rng: random.Random) -> dict[str, Fraction]:
+    """Random coefficient specialization with a shared torus zero.
+
+    Picks a random rational torus point, gives every coefficient but one
+    per support a random value, and solves the remaining one so that every
+    polynomial of the system vanishes at the point."""
+    m = len(problem.supports[0][0])
+    z = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+         for _ in range(m)]
+    assign: dict[str, Fraction] = {}
+    for sup, labs in zip(problem.supports, problem.labels):
+        vals = [_mono_value(z, nu) for nu in sup]
+        k0 = rng.randrange(len(sup))
+        total = Fraction(0)
+        for k, lab in enumerate(labs):
+            if k == k0:
+                continue
+            c = Fraction(rng.randint(-9, 9))
+            assign[lab] = c
+            total += c * vals[k]
+        assign[labs[k0]] = -total / vals[k0]
+    return assign
+
+
+def random_specialization(problem: SupportProblem,
+                          rng: random.Random) -> dict[str, Fraction]:
+    """Fully random coefficient values, nonzero to stay clear of faces."""
+    return {lab: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                          rng.randint(1, 9))
+            for labs in problem.labels for lab in labs}
+
+
+def membership_test(delta: SparsePoly, spec: Mapping[str, Fraction]) -> bool:
+    """Exact zero test of delta at a full coefficient specialization."""
+    used = set()
+    for e in delta.terms:
+        for v, k in zip(delta.vars, e):
+            if k:
+                used.add(v)
+    missing = sorted(used - set(spec))
+    if missing:
+        raise InputError(f"specialization misses {missing[0]}")
+    full = {v: Fraction(spec[v]) if v in spec else Fraction(0)
+            for v in delta.vars}
+    return delta.eval(full) == 0

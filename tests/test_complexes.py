@@ -4,19 +4,22 @@ import re
 
 import pytest
 
-from helpers_complexes import binary_form, rescale_morphism
+from helpers_complexes import (
+    binary_form,
+    cotangent_family_complex,
+    koszul_vs_unit_fixture,
+    rescale_morphism,
+)
 
 from toricres.complexes import (
-    ComplexMorphism,
     FreeGradedComplex,
-    cotangent_family_complex,
     generic_sections,
     koszul_generic,
-    koszul_vs_unit_fixture,
     x_split,
 )
 from toricres.errors import InputError
 from toricres.fixtures import STURMFELS_LABELS, STURMFELS_SUPPORTS
+from toricres.morphisms import ComplexMorphism
 from toricres.qpoly import PolyMatrix, SparsePoly
 from toricres.toric import support_problem, variety_of
 

@@ -2,6 +2,7 @@
 file, and every declared console script imports."""
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -32,7 +33,7 @@ def test_every_module_imports_without_numpy_sympy_or_hypothesis():
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
-    assert "toricres.cech" in out["modules"] and len(out["modules"]) >= 8
+    assert {"toricres.cech", "toricres.morphisms", "toricres.implicit"} <= set(out["modules"])
     assert out["third_party"] == []
 
 
@@ -65,6 +66,60 @@ def test_the_solve_path_creates_no_dataclass():
     out = json.loads(run.stdout)
     assert out["fresh"] == ["toricres.resultant", "toricres.fixtures"]
     assert out["made"] == []
+
+
+SOLVE_PATH_MODULES = """
+import json, sys
+from toricres import cech
+before = set(sys.modules)
+from toricres import resultant, weyman
+added = sorted(m for m in set(sys.modules) - before if m.startswith("toricres"))
+from toricres import qlinalg
+wrapped = {resultant: ("a_resultant", "variety_of", "koszul_generic", "primitive_part",
+                       "kth_root", "weyman_differential"),
+           weyman: ("weyman_terms", "contributing_points", "family_certs"),
+           qlinalg: ("QMatrix",)}
+print(json.dumps({"added": added,
+                  "missing": [f"{m.__name__}.{n}" for m, names in wrapped.items()
+                              for n in names if not hasattr(m, n)]}))
+"""
+
+
+def test_the_solve_path_loads_only_the_pipeline():
+    """Past `toricres.cech` (the benchmark child's import before its timer),
+    the solve imports exactly the three pipeline modules, never `morphisms`
+    or `implicit`: without cached bytecode each module loaded is compiled
+    in every process.  The names `perfbench/trace.py` wraps stay where it
+    looks for them."""
+    src = str(Path(toricres.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-B", "-c", SOLVE_PATH_MODULES],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["added"] == ["toricres.complexes", "toricres.resultant", "toricres.weyman"]
+    assert out["missing"] == []
+
+
+def test_every_top_level_import_in_src_is_used():
+    """Each name a module of `src/toricres` imports at top level is used in
+    that module or listed in its `__all__`: a dead import loads, and
+    without cached bytecode compiles, code for nothing."""
+    dead = []
+    for path in sorted(Path(toricres.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [(a.asname or a.name).partition(".")[0]
+                    for node in tree.body
+                    if isinstance(node, ast.Import) or (
+                        isinstance(node, ast.ImportFrom) and node.module != "__future__")
+                    for a in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        dead += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert dead == []
 
 
 RESULTANT_RUN = """

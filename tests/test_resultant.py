@@ -9,6 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_poly import constant_value, renamed
+from helpers_reference import (
+    incidence_sample,
+    membership_test,
+    random_specialization,
+    sylvester_resultant,
+)
 from toricres import cech, resultant
 from toricres.complexes import koszul_generic
 from toricres.errors import InputError, MathFailure
@@ -31,15 +37,11 @@ from toricres.qpoly import (
     primitive_part,
     same_up_to_sign,
 )
+from toricres.implicit import implicitize_curve
 from toricres.resultant import (
     a_resultant,
     determinant_of_complex,
-    implicitize_curve,
-    incidence_sample,
-    membership_test,
-    random_specialization,
     resolve_twist,
-    sylvester_resultant,
 )
 from toricres.toric import support_problem, variety_of
 from toricres.weyman import weyman_differential

@@ -13,8 +13,10 @@ from helpers_cohomology import bott_pn, cls_of_degree, kunneth_p1p1, p1p1_class
 from helpers_complexes import (
     P1,
     binary_form,
+    cotangent_family_complex,
     identity_morphism,
     koszul_two,
+    koszul_vs_unit_fixture,
     random_specialization,
     random_two_term,
     rescale_morphism,
@@ -26,14 +28,12 @@ from helpers_reference import (
     retract_identity_failures,
     specialized_homology,
     stabilization_level,
+    staircase_block,
     total_complex_direct,
 )
 from toricres.complexes import (
-    ComplexMorphism,
     FreeGradedComplex,
-    cotangent_family_complex,
     koszul_generic,
-    koszul_vs_unit_fixture,
     variety_from_simplex,
 )
 from toricres import cech, weyman
@@ -51,6 +51,7 @@ from toricres.fixtures import (
     sturmfels_problem,
     sturmfels_twist,
 )
+from toricres.morphisms import ComplexMorphism, weyman_on_morphism
 from toricres.qlinalg import QMatrix
 from toricres.qpoly import (
     PolyMatrix,
@@ -69,9 +70,7 @@ from toricres.resultant import (
 from toricres.toric import variety_from_points, variety_of
 from toricres.weyman import (
     E1Page,
-    staircase_block,
     weyman_differential,
-    weyman_on_morphism,
     weyman_terms,
 )
 

@@ -65,11 +65,12 @@ of a circuit, the excluded patterns are the OR of the bitsets of the
 circuits the fiber violates, and only the set bits of its complement, the
 survivors, are visited.
 
-Family reductions are memoized per process, by Sigma and the number of
-generators (_reduce_memo).  On a polytope's normal fan Sigma determines the
-pattern: its maximal sets are the vertex sets of the pattern's facets, and
-distinct facets have incomparable vertex sets.  So two patterns of one
-variety never share a reduction; only another variety with the same key can.
+Family reductions are memoized per process, by variety and pattern
+(family_certs).  A memo by Sigma would save nothing more within a variety:
+on a polytope's normal fan Sigma determines the pattern, as its maximal
+sets are the vertex sets of the pattern's facets and distinct facets have
+incomparable vertex sets, so two patterns of one variety never share a
+reduction.
 """
 from __future__ import annotations
 
@@ -447,10 +448,9 @@ def contributing_points(x: ToricVariety,
 
 # -- block-level access ------------------------------------------------------------
 
-_reduce_memo: dict = {}
-
-# Family reductions by source.  Nothing is kept on disk, so "disk" is always
-# 0; it stays because perfbench/trace.py reads all three keys.
+# Family reductions by source.  Only family_certs memoizes them, so every
+# miss is a build: "memory" and "disk" are always 0, and stay because
+# perfbench/trace.py reads all three keys.
 cache_counters = {"memory": 0, "disk": 0, "built": 0}
 
 
@@ -497,16 +497,11 @@ class FamilyCerts:
 
 @lru_cache(maxsize=None)
 def family_certs(x: ToricVariety, neg: tuple[int, ...]) -> FamilyCerts:
-    """The certificates of pattern neg's family, memoized by Sigma and the
-    number of generators (see the module docstring)."""
-    key = (_sigma(x, neg), len(x.max_cones))
-    hit = _reduce_memo.get(key)
-    if hit is not None:
-        cache_counters["memory"] += 1
-        return hit
-    hit = _reduce_memo[key] = FamilyCerts(*key)
+    """The certificates of pattern neg's family, memoized by variety and
+    pattern (see the module docstring)."""
+    certs = FamilyCerts(_sigma(x, neg), len(x.max_cones))
     cache_counters["built"] += 1
-    return hit
+    return certs
 
 
 def pattern_of(w: Sequence[int]) -> tuple[int, ...]:
@@ -517,7 +512,6 @@ def clear_caches() -> None:
     """Empty every in-process memo of this module and zero cache_counters.
 
     The memos grow for the life of the process."""
-    _reduce_memo.clear()
     for k in cache_counters:
         cache_counters[k] = 0
     for fn in (_ray_cones, _members, _ray_circuits, _circuit_patterns,

@@ -19,7 +19,6 @@ from .toric import (
     ToricVariety,
     divisor_class,
     homogenized_exponent,
-    variety_from_points,
     variety_of,
 )
 
@@ -174,9 +173,3 @@ def koszul_generic(problem: SupportProblem) -> FreeGradedComplex:
     return FreeGradedComplex(x=x, variables=variables, n_params=n_params,
                              degrees=degrees, diffs=diffs)
 
-
-def variety_from_simplex(n: int) -> ToricVariety:
-    pts = [tuple(0 for _ in range(n))]
-    for k in range(n):
-        pts.append(tuple(1 if i == k else 0 for i in range(n)))
-    return variety_from_points(pts)

@@ -24,3 +24,8 @@ class ResourceGuard(ToricresError):
 
 class UnsupportedGeometryError(MathFailure):
     """Geometry outside the supported range (torsion classes, bad span...)."""
+
+
+class ExactnessFailure(MathFailure):
+    """A complex's determinant was asked for, but its exactness proof
+    failed: the complex has nonzero generic homology."""

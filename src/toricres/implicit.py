@@ -8,10 +8,11 @@ pushed down by `weyman`, then the Cayley determinant of `resultant`.  The
 solve path never imports this module."""
 from __future__ import annotations
 
-from .complexes import FreeGradedComplex, variety_from_simplex
-from .errors import InputError, MathFailure
+from .complexes import FreeGradedComplex
+from .errors import ExactnessFailure, InputError, MathFailure
 from .qpoly import PolyMatrix, SparsePoly, _is_name, primitive_part
 from .resultant import determinant_of_complex
+from .toric import variety_from_simplex
 from .weyman import weyman_differential
 
 
@@ -40,7 +41,7 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparseP
     and g2 (no u) is free of u and v, so it divides f0, f1 and f2.  So the
     forms share a factor for generic parameters exactly when the direct
     image is not generically exact, and the exactness proof of _det_once
-    then fails at every point."""
+    then fails at every point with ExactnessFailure."""
     if not (f0.vars == f1.vars == f2.vars) or len(f0.vars) < 2:
         raise InputError("the three forms must share one variable tuple "
                          "ending in the two line variables")
@@ -78,11 +79,9 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparseP
     W = weyman_differential(K.twist((2 * d - 1,)))
     try:
         raw = determinant_of_complex(W)
-    except MathFailure as err:
-        if "homology" in str(err):
-            raise MathFailure("the forms share a common factor; "
-                              "the image curve degenerates") from err
-        raise
+    except ExactnessFailure as err:
+        raise MathFailure("the forms share a common factor; "
+                          "the image curve degenerates") from err
     out = primitive_part(raw)
     if out.is_constant():
         raise MathFailure("implicit equation degenerated to a constant")

@@ -2,11 +2,13 @@
 
 Pipeline: Koszul complex of the generic system, twist (the zero class
 unless the caller names one; see resolve_twist), direct image, then
-the determinant of the resulting based complex over the coefficient ring.
+the determinant of that direct image, a WeymanComplex: a based complex
+over the coefficient ring, and the only input the determinant takes.
 The determinant is taken with the Cayley recipe: nested row/column index
 subsets picked, and proven, by rank profiling modulo a prime at one random
 integer point, exact polynomial minors, alternating product cleared to a
-polynomial.
+polynomial.  A failed exactness proof raises ExactnessFailure, the type
+callers catch to tell a degenerate input from other failures.
 Multiplicity is recovered afterwards by perfect-power extraction.
 
 This module holds that pipeline and nothing else, so that a process which
@@ -22,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from typing import Mapping, NamedTuple, Sequence
 
 from .complexes import FreeGradedComplex, koszul_generic
-from .errors import InputError, MathFailure
+from .errors import ExactnessFailure, InputError, MathFailure
 from .qpoly import (
     Coeff,
     PolyMatrix,
@@ -41,44 +43,6 @@ FIRST_PRIME = (1 << 61) - 1
 
 
 # -- determinant of a based complex --------------------------------------------------
-
-class _Retry(Exception):
-    """Internal: the current specialization pair failed; resample once."""
-
-
-def _based_view(C) -> tuple[list[int], dict[int, int], dict[int, PolyMatrix],
-                            tuple[str, ...]]:
-    """Degrees, term ranks and differentials of a based complex over R.
-
-    Accepts a WeymanComplex or a plain dict {degree -> PolyMatrix} with
-    composable shapes (the matrix at i maps term i to term i+1)."""
-    if isinstance(C, WeymanComplex):
-        degs = C.degrees()
-        span = list(range(degs[0], degs[-1] + 1)) if degs else []
-        ranks = {i: C.rank(i) for i in span}
-        diffs = {i: C.diff_at(i) for i in span[:-1]}
-        return span, ranks, diffs, tuple(C.source.param_vars)
-    if isinstance(C, dict):
-        if not C:
-            raise InputError("empty complex")
-        if any(type(i) is not int or not isinstance(m, PolyMatrix) for i, m in C.items()):
-            raise InputError("a based complex maps integer degrees to PolyMatrix instances")
-        degs = sorted(C)
-        if degs != list(range(degs[0], degs[-1] + 1)):
-            raise InputError("differentials must occupy a contiguous range")
-        variables = C[degs[0]].vars
-        ranks = {}
-        for i in degs:
-            m = C[i]
-            if m.vars != variables:
-                raise InputError("matrices live over different rings")
-            if i + 1 in C and m.ncols != C[i + 1].nrows:
-                raise InputError(f"shape mismatch between degrees {i} and {i + 1}")
-            ranks[i] = m.nrows
-        ranks[degs[-1] + 1] = C[degs[-1]].ncols
-        return degs + [degs[-1] + 1], ranks, dict(C), tuple(variables)
-    raise InputError("not a based complex")
-
 
 def _rand_assign(pv: Sequence[str], rng: random.Random) -> dict[str, int]:
     return {v: rng.randrange(1, FIRST_PRIME) for v in pv}
@@ -162,9 +126,7 @@ def _row_profile(rows: Sequence[Mapping[int, int]], cols: Sequence[int],
     return None
 
 
-def _det_once(span: list[int], ranks: dict[int, int],
-              diffs: dict[int, PolyMatrix], pv: tuple[str, ...],
-              a_profile: Mapping[str, int],
+def _det_once(W: WeymanComplex, span: list[int], a_profile: Mapping[str, int],
               ) -> tuple[SparsePoly, dict[int, dict[str, list[int]]]]:
     """One attempt at the Cayley determinant, its index subsets chosen and
     proven at one integer point.
@@ -180,27 +142,30 @@ def _det_once(span: list[int], ranks: dict[int, int],
     generically exact, and every chosen minor's determinant is nonzero.
 
     A bad draw, where some minor vanishes mod p, can only lower a rank, so
-    the profile fails and raises _Retry; it never yields wrong subsets.  By
-    Schwartz-Zippel a minor of degree deg vanishes at a random point with
-    probability at most deg/(p - 1)."""
-    spec = {i: _eval_mod(diffs[i], a_profile) for i in span[:-1]}
+    the profile fails and raises ExactnessFailure; it never yields wrong
+    subsets.  By Schwartz-Zippel a minor of degree deg vanishes at a random
+    point with probability at most deg/(p - 1).  Once the subsets are
+    proven, the alternating product does not depend on them (up to sign),
+    so a product that does not clear to a polynomial is no bad draw."""
+    diffs = {i: W.diff_at(i) for i in span[:-1]}
+    spec = {i: _eval_mod(d, a_profile) for i, d in diffs.items()}
     # nested subsets from the right end leftwards
-    cols = list(range(ranks[span[-1]]))
+    cols = list(range(W.rank(span[-1])))
     subsets: dict[int, dict[str, list[int]]] = {}
     minors: list[tuple[int, PolyMatrix]] = []
     for i in reversed(span[:-1]):
         rows = _row_profile(spec[i], cols, len(cols))
         if rows is None:
-            raise _Retry("complex has nonzero generic homology")
+            raise ExactnessFailure("complex has nonzero generic homology")
         if cols:
             minors.append((i, diffs[i].submatrix(rows, cols)))
             subsets[i] = {"rows": list(rows), "cols": list(cols)}
         taken = set(rows)
-        cols = [c for c in range(ranks[i]) if c not in taken]
+        cols = [c for c in range(W.rank(i)) if c not in taken]
     if cols:
-        raise _Retry("complex has nonzero generic homology")
+        raise ExactnessFailure("complex has nonzero generic homology")
     # the determinant is prod det(M_i)^((-1)^(i+1)): odd degrees multiply
-    one = SparsePoly.const(pv, 1)
+    one = SparsePoly.const(W.source.param_vars, 1)
     num, den = one, one
     for i, minor in minors:
         d = minor.det()
@@ -210,31 +175,40 @@ def _det_once(span: list[int], ranks: dict[int, int],
             den = den * d
     out = num.exact_div(den)
     if out is None:
-        raise _Retry("alternating product of minors did not clear to a polynomial")
+        raise MathFailure("alternating product of minors did not clear to a polynomial")
     return out, subsets
 
 
-def _determinant_with_subsets(C) -> tuple[SparsePoly, dict[int, dict[str, list[int]]]]:
-    span, ranks, diffs, pv = _based_view(C)
-    if not span or all(ranks.get(i, 0) == 0 for i in span):
+def _determinant_with_subsets(W: WeymanComplex,
+                              ) -> tuple[SparsePoly, dict[int, dict[str, list[int]]]]:
+    pv = W.source.param_vars
+    degs = W.degrees()
+    if not any(map(W.rank, degs)):
         return SparsePoly.const(pv, 1), {}
+    span = list(range(degs[0], degs[-1] + 1))
     rng = random.Random(0)
-    last = "unreachable"
-    for _ in range(2):
-        try:
-            return _det_once(span, ranks, diffs, pv, _rand_assign(pv, rng))
-        except _Retry as err:
-            last = str(err)
-    raise MathFailure(last)
+    try:
+        return _det_once(W, span, _rand_assign(pv, rng))
+    except ExactnessFailure:
+        return _det_once(W, span, _rand_assign(pv, rng))
 
 
-def determinant_of_complex(C) -> SparsePoly:
-    """Determinant of a generically exact based complex, up to sign.
+def determinant_of_complex(W: WeymanComplex) -> SparsePoly:
+    """Determinant of a generically exact direct-image complex, up to sign.
 
-    For a two-term square complex this is the plain matrix determinant;
-    in general it is the alternating product of the exact minors attached
-    to nested index subsets, cleared to a polynomial."""
-    return _determinant_with_subsets(C)[0]
+    The input is a WeymanComplex, the based complex weyman_differential
+    returns; anything else raises InputError.  For a two-term square
+    complex this is the plain matrix determinant; in general it is the
+    alternating product of the exact minors attached to nested index
+    subsets, cleared to a polynomial.  A based complex of hand-made
+    matrices over R is its own direct image on the projective line at
+    class zero: put every summand at class 0 on variety_from_simplex(1),
+    lift each entry with zero Cox exponents, and pass the complex through
+    weyman_differential, which returns those matrices.  A complex that is
+    not generically exact raises ExactnessFailure."""
+    if not isinstance(W, WeymanComplex):
+        raise InputError(f"not a WeymanComplex: {type(W).__name__}")
+    return _determinant_with_subsets(W)[0]
 
 
 # -- the resultant pipeline ----------------------------------------------------------
@@ -331,10 +305,8 @@ def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
     W = weyman_differential(C)
     try:
         raw, subsets = _determinant_with_subsets(W)
-    except MathFailure as err:
-        if "homology" in str(err):
-            raise MathFailure("degenerate twist or support configuration") from err
-        raise
+    except ExactnessFailure as err:
+        raise MathFailure("degenerate twist or support configuration") from err
     delta = primitive_part(raw)
     if delta.is_constant():
         raise MathFailure("degenerate twist or support configuration")

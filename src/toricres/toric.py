@@ -194,6 +194,14 @@ def variety_from_points(points: Iterable[Point]) -> ToricVariety:
                         grading=grading, torsion=torsion)
 
 
+def variety_from_simplex(n: int) -> ToricVariety:
+    """Projective n-space, the normal fan of the standard n-simplex."""
+    pts = [tuple(0 for _ in range(n))]
+    for k in range(n):
+        pts.append(tuple(1 if i == k else 0 for i in range(n)))
+    return variety_from_points(pts)
+
+
 # -- problems given by supports ---------------------------------------------------
 
 def default_label(j: int, point: Point) -> str:

@@ -32,3 +32,22 @@ def reversed_subset_order(monkeypatch):
     cech.clear_caches()
     yield
     cech.clear_caches()
+
+
+@pytest.fixture
+def built_families(monkeypatch):
+    """Every family reduction built while the fixture is active, as
+    {(Sigma, n): FamilyCerts}, recorded as cech.FamilyCerts constructs it."""
+    from toricres import cech
+
+    built = {}
+
+    class Recorded(cech.FamilyCerts):
+        __slots__ = ()
+
+        def __init__(self, sigma, n):
+            super().__init__(sigma, n)
+            built[(sigma, n)] = self
+
+    monkeypatch.setattr(cech, "FamilyCerts", Recorded)
+    return built

@@ -1,4 +1,5 @@
-"""Complex and morphism fixtures that only tests use: random small
+"""Complex and morphism fixtures that only tests use: based complexes of
+given matrices as direct images on the projective line, random small
 complexes and morphisms over the projective line, the four-term complex of
 one generic plane curve (the cotangent-family oracle), and the exterior-power
 resolution of projective n-space mapped onto its structure sheaf."""
@@ -7,18 +8,34 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from toricres.complexes import (
-    Class,
-    FreeGradedComplex,
-    _contraction,
-    variety_from_simplex,
-)
+from toricres.complexes import Class, FreeGradedComplex, _contraction
 from toricres.morphisms import ComplexMorphism
 from toricres.qpoly import PolyMatrix, SparsePoly
+from toricres.toric import variety_from_simplex
+from toricres.weyman import WeymanComplex, weyman_differential
 
 P1 = variety_from_simplex(1)
 PARAMS = ("s", "t")
 VARIABLES = PARAMS + P1.var_names()
+
+
+def on_the_line(diffs: dict[int, PolyMatrix]) -> WeymanComplex:
+    """The based complex over R with the given differentials (the matrix at
+    i maps term i to term i + 1), as its own direct image on the line:
+    every summand at class 0, every entry lifted with zero Cox exponents.
+    H^0 of the structure sheaf is one-dimensional and nothing else is, so
+    weyman_differential returns the same matrices."""
+    pv = tuple(next(iter(diffs.values())).vars)
+    variables = pv + P1.var_names()
+    zero = (0,) * len(P1.var_names())
+    last = max(diffs)
+    ranks = {i: m.nrows for i, m in diffs.items()} | {last + 1: diffs[last].ncols}
+    lifted = {i: PolyMatrix.from_rows(
+        [[SparsePoly(variables, {e + zero: c for e, c in p.terms.items()}) for p in row]
+         for row in m.rows], variables, ncols=m.ncols) for i, m in diffs.items()}
+    return weyman_differential(FreeGradedComplex(
+        x=P1, variables=variables, n_params=len(pv),
+        degrees={i: ((0,),) * n for i, n in ranks.items()}, diffs=lifted))
 
 
 def random_form(rng, deg: int) -> SparsePoly:

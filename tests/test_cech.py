@@ -27,10 +27,9 @@ from helpers_reference import (
 )
 from toricres import cech
 from toricres.cech import cech_depth
-from toricres.complexes import variety_from_simplex
 from toricres.errors import MathFailure
 from toricres.qpoly import cnorm
-from toricres.toric import variety_from_points
+from toricres.toric import variety_from_points, variety_from_simplex
 
 
 P2 = variety_from_simplex(2)
@@ -503,7 +502,7 @@ def test_circuit_pattern_bitsets_match_enumerating_the_patterns(name):
         assert got == want
 
 
-def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch):
+def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch, built_families):
     from toricres import cech, resultant
     from toricres.fixtures import sturmfels_problem, sturmfels_twist
     from toricres.toric import fiber_points, variety_of
@@ -528,7 +527,8 @@ def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch):
     # rays share no max cone, as its dims size W, and for each pattern where
     # a walk chain lands; every walk chain holds generator 0, as the
     # certificates live on the critical cells
-    assert cech.cache_counters["built"] == len(cech._reduce_memo) == 39
+    assert len(built_families) == 39
+    assert cech.cache_counters == {"memory": 0, "disk": 0, "built": 39}
 
 
 @st.composite
@@ -929,7 +929,7 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs():
     built = cech.cache_counters["built"]
     assert built > 0
     cech.clear_caches()
-    assert not (cech._reduce_memo or any(cech.cache_counters.values()))
+    assert not any(cech.cache_counters.values())
     for fn in (cech._ray_cones, cech._ray_circuits, cech._circuit_patterns,
                cech.contributing_points, cech.family_certs):
         assert fn.cache_info().currsize == 0

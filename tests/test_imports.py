@@ -122,6 +122,22 @@ def test_every_top_level_import_in_src_is_used():
     assert dead == []
 
 
+def test_no_module_in_src_reads_an_error_message():
+    """No `... in str(name)` test in `src/toricres`: a failure that a caller
+    must tell apart has its own exception type (ExactnessFailure), so no
+    module parses another's message."""
+    found = []
+    for path in sorted(Path(toricres.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.In, ast.NotIn)) and isinstance(c, ast.Call)
+                    and isinstance(c.func, ast.Name) and c.func.id == "str"
+                    and len(c.args) == 1 and isinstance(c.args[0], ast.Name)
+                    for op, c in zip(node.ops, node.comparators)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 RESULTANT_RUN = """
 import hashlib
 from toricres.fixtures import sturmfels_problem

@@ -1,6 +1,7 @@
 """Determinants of based complexes and the resultant pipeline."""
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_complexes import on_the_line
 from helpers_poly import constant_value, renamed
 from helpers_reference import (
     incidence_sample,
@@ -17,7 +19,7 @@ from helpers_reference import (
 )
 from toricres import cech, resultant
 from toricres.complexes import koszul_generic
-from toricres.errors import InputError, MathFailure
+from toricres.errors import ExactnessFailure, InputError, MathFailure
 from toricres.fixtures import (
     M33_ELIMINANT_TEXT,
     linear3_problem,
@@ -135,7 +137,19 @@ def two_by_two():
 
 def test_two_term_square_determinant_is_the_plain_determinant():
     vm, m = two_by_two()
-    assert same_up_to_sign(determinant_of_complex({-1: m}), m.det())
+    W = on_the_line({-1: m})
+    assert W.diff_at(-1) == m
+    assert same_up_to_sign(determinant_of_complex(W), m.det())
+
+
+def test_determinant_takes_only_a_weyman_complex():
+    """A plain dict of matrices and a complex not yet pushed down are both
+    refused; hand-made matrices go through on_the_line."""
+    vm, m = two_by_two()
+    K = koszul_generic(linear3_problem())
+    for bad in ({-1: m}, K, m):
+        with pytest.raises(InputError, match="not a WeymanComplex"):
+            determinant_of_complex(bad)
 
 
 def test_determinant_unchanged_by_an_invertible_split_summand():
@@ -145,7 +159,7 @@ def test_determinant_unchanged_by_an_invertible_split_summand():
     one = SparsePoly.const(vm, 1)
     head = PolyMatrix.from_rows([[one, zero, zero]], vm)
     body = PolyMatrix.from_rows([[zero, zero], list(m.rows[0]), list(m.rows[1])], vm)
-    padded = determinant_of_complex({-2: head, -1: body})
+    padded = determinant_of_complex(on_the_line({-2: head, -1: body}))
     assert same_up_to_sign(padded, m.det())
 
 
@@ -258,7 +272,7 @@ def test_a_coefficient_the_modulus_cannot_invert_is_refused():
     m = PolyMatrix.from_rows(
         [[SparsePoly(vm, {(1,): Fraction(1, resultant.FIRST_PRIME)})]], vm)
     with pytest.raises(MathFailure, match="modulus"):
-        determinant_of_complex({-1: m})
+        determinant_of_complex(on_the_line({-1: m}))
 
 
 def test_first_prime_is_the_prime_2_61_minus_1():
@@ -283,16 +297,8 @@ def test_determinant_rejects_a_complex_with_homology():
     p = poly_from_text("1 * p", vm)
     q = poly_from_text("1 * q", vm)
     m = PolyMatrix.from_rows([[p, q], [p, q]], vm)
-    with pytest.raises(MathFailure, match="homology"):
-        determinant_of_complex({-1: m})
-
-
-def test_determinant_of_a_malformed_dict_is_an_input_error():
-    vm = ("p",)
-    m = PolyMatrix.from_rows([[poly_from_text("1 * p", vm)]], vm)
-    for bad in ({"-1": m}, {-1.0: m}, {-1: m, "0": m}, {-1: [[1]]}, {-1: m, 0: None}):
-        with pytest.raises(InputError, match="integer degrees to PolyMatrix"):
-            determinant_of_complex(bad)
+    with pytest.raises(ExactnessFailure, match="homology"):
+        determinant_of_complex(on_the_line({-1: m}))
 
 
 # -- the resultant pipeline --------------------------------------------------------
@@ -606,6 +612,27 @@ def test_delta_hashes_match_their_pins():
     for name, prob in problems.items():
         out = a_resultant(prob)
         assert (delta_hash(out), out.multiplicity) == DELTA_PINS[name], name
+
+
+# sha256 prefix of json.dumps(out.to_obj(), sort_keys=True): delta, root,
+# multiplicity, E1 page, term ranks, twist and index subsets
+OUTPUT_PINS = {
+    "sturmfels unit": "9067482e84e5fb76",
+    "sturmfels stable": "657eac72283ac036",
+    "m33 zero": "c30f6dd2f5ea9dd3",
+}
+
+
+def test_full_outputs_match_their_pins():
+    prob, m33 = sturmfels_problem(), m33_problem()
+    x = variety_of(prob)
+    runs = {"sturmfels unit": (prob, sturmfels_twist(x, "unit")),
+            "sturmfels stable": (prob, sturmfels_twist(x, "stable")),
+            "m33 zero": (m33, (0,) * variety_of(m33).class_rank)}
+    for name, (problem, twist) in runs.items():
+        obj = a_resultant(problem, twist=twist).to_obj()
+        digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+        assert digest[:16] == OUTPUT_PINS[name], name
 
 
 def test_m33_eliminant_vanishes_on_incidence_samples():

@@ -31,11 +31,7 @@ from helpers_reference import (
     staircase_block,
     total_complex_direct,
 )
-from toricres.complexes import (
-    FreeGradedComplex,
-    koszul_generic,
-    variety_from_simplex,
-)
+from toricres.complexes import FreeGradedComplex, koszul_generic
 from toricres import cech, weyman
 from toricres.errors import MathFailure, ResourceGuard
 from toricres.fixtures import (
@@ -67,7 +63,7 @@ from toricres.resultant import (
     determinant_of_complex,
     resolve_twist,
 )
-from toricres.toric import variety_from_points, variety_of
+from toricres.toric import variety_from_points, variety_from_simplex, variety_of
 from toricres.weyman import (
     E1Page,
     weyman_differential,
@@ -188,7 +184,7 @@ def test_pipeline_records_are_named_tuples_in_field_order(sturmfels_unit):
     assert out.multiplicity == 1 and out.e1.table
 
 
-def test_weyman_differential_builds_only_acyclic_families_past_weyman_terms():
+def test_weyman_differential_builds_only_acyclic_families_past_weyman_terms(built_families):
     """The summand dims are read off the certificate families, so the walks
     that follow build only the families the cone-apex screen skipped: each
     has a cone for Sigma and every dim 0."""
@@ -199,14 +195,14 @@ def test_weyman_differential_builds_only_acyclic_families_past_weyman_terms():
     _, page = weyman_terms(C)
     for q, row in STURMFELS_E1_UNIT.items():
         assert page.row(q, -3, 0) == row
-    before = set(cech._reduce_memo)
+    before = set(built_families)
     assert before
     weyman_differential(C)
-    late = set(cech._reduce_memo) - before
+    late = set(built_families) - before
     assert late   # a walk chain lands in a skipped pattern's family
     for sigma, n in late:
         assert any(all(S | 1 << j in sigma for S in sigma) for j in range(n))
-        assert not any(cech._reduce_memo[(sigma, n)].dims)
+        assert not any(built_families[(sigma, n)].dims)
 
 
 def test_sturmfels_unit_page_and_ranks(sturmfels_unit):
@@ -254,9 +250,11 @@ def test_sturmfels_pivot_order_naturality(sturmfels_unit, request):
     negs = sorted({cech.pattern_of(lab[3]) for labs in W.basis.values() for lab in labs})
     before = [_labelled_certs(cech.family_certs(x, neg)) for neg in negs]
     request.getfixturevalue("reversed_subset_order")
+    built = request.getfixturevalue("built_families")
     W2 = weyman_differential(C)
     after = [_labelled_certs(cech.family_certs(x, neg)) for neg in negs]
-    for (sigma, _), c in cech._reduce_memo.items():
+    assert built
+    for (sigma, _), c in built.items():
         assert retract_identity_failures(*expanded_certs(c, sigma)) == []
     assert W2.e1.table == W.e1.table
     assert {i: W2.rank(i) for i in W2.degrees()} == \
@@ -348,14 +346,14 @@ def test_m33_named_staircase_blocks(m33_weyman):
         assert staircase_block(W, -4, 3, r).is_zero()
 
 
-def test_m33_family_certificates_satisfy_the_retract_identities(m33_weyman):
+def test_m33_family_certificates_satisfy_the_retract_identities(m33_weyman, built_families):
     """Every family the M33 complex reduces, built cold: 72 families on 10
     generators, each an exact deformation retract onto its cohomology."""
     C, W = m33_weyman
     cech.clear_caches()
     assert weyman_differential(C).e1.table == W.e1.table
-    assert len(cech._reduce_memo) == cech.cache_counters["built"] == 72
-    for (sigma, n), c in cech._reduce_memo.items():
+    assert len(built_families) == cech.cache_counters["built"] == 72
+    for (sigma, n), c in built_families.items():
         assert n == 10
         assert retract_identity_failures(*expanded_certs(c, sigma)) == []
 

@@ -1,11 +1,12 @@
-"""Projective toric geometry from point supports, in dimensions 1 to 3.
+"""Projective toric geometry from point supports, in any dimension.
 
 The variety never appears as anything but combinatorics: primitive inner
-facet normals of the Minkowski sum of the supports (the rays), the sets of
-normals active at each vertex (the maximal cones), and a free presentation
-of the class group obtained from the Smith form of the ray matrix.  Degrees
-of monomials, divisor classes of the input supports and homogenized
-exponent vectors are all computed against that presentation.
+facet normals of the Minkowski sum of the supports (the rays, by double
+description), the sets of normals active at each vertex (the maximal
+cones), and a free presentation of the class group obtained from the
+Smith form of the ray matrix.  Degrees of monomials, divisor classes of
+the input supports and homogenized exponent vectors are all computed
+against that presentation.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InputError, MathFailure, UnsupportedGeometryError
-from .qlinalg import int_rank, smith_kernel, smith_normal_form, smith_rank, solve_smith
+from .qlinalg import int_rank, smith_kernel, smith_normal_form, solve_smith
 from .qpoly import _is_name
 
 Point = tuple[int, ...]
@@ -37,77 +38,71 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-# -- convex hull facets, dimensions 1..3 --------------------------------------
+# -- convex hull facets, by double description ----------------------------------
 
-def facet_normals(points: list[Point]) -> list[tuple[int, ...]]:
-    """Primitive inner normals of the facets of conv(points).
+def facet_normals(points: list[Point]) -> list[tuple[tuple[int, ...], int]]:
+    """Primitive inner normal of each facet of conv(points), sorted, with the
+    bitmask of the points of sorted(set(points)) that lie on it.
 
-    Requires the points to span the ambient space affinely.
+    The pairs (u, c) with <p, u> + c >= 0 for every point p form a cone C,
+    the dual of the cone K over the points lifted to height one.  When the
+    points span the ambient space affinely, K is pointed and full, so C is
+    too; the extreme rays of C are then the normals of the facets of K,
+    which are the cones over the facets of the polytope.  (0, 1) lies
+    inside C, so no extreme ray has u = 0.
+
+    The double description method (Motzkin et al. 1953; Fukuda and Prodon
+    1996) finds those rays in exact integers.  It starts from d + 1
+    affinely independent points, whose cone is simplicial: each ray spans
+    the kernel of the other d lifted points.  Then it adds the points one
+    at a time.  A ray on the wrong side of the new point is dropped, and
+    each pair of adjacent rays on opposite sides gives the new ray between
+    them.  Each ray keeps the mask of the points it is tight at, and two
+    rays are adjacent exactly when the face they span, cut out by their
+    common mask, holds no third ray.  That face is the least face holding
+    both, its extreme rays are the rays whose masks contain the common
+    mask, and a pointed cone with only two extreme rays is two-dimensional.
+    (A ray is the face its mask cuts out, so no two rays share a mask.)
+    A common mask of fewer than d - 1 points cannot cut out a face of
+    dimension two, so those pairs are skipped before the search.
     """
     pts = sorted(set(points))
-    if not pts:
-        raise InputError("empty point set")
+    if not pts or not pts[0]:
+        raise InputError("need a nonempty set of points of positive length")
     dim = len(pts[0])
-    diffs = [[p[i] - pts[0][i] for i in range(dim)] for p in pts[1:]]
-    if int_rank(diffs) != dim:
+    lifted = [[*p, 1] for p in pts]
+    start: list[int] = []
+    for k, row in enumerate(lifted):
+        if int_rank([lifted[j] for j in start] + [row]) > len(start):
+            start.append(k)
+            if len(start) > dim:
+                break
+    else:
         raise UnsupportedGeometryError("points do not span the ambient space")
-    if dim == 1:
-        return [(-1,), (1,)]
-    if dim == 2:
-        hull = _hull2d(pts)
-        normals = []
-        for i in range(len(hull)):
-            x1, y1 = hull[i]
-            x2, y2 = hull[(i + 1) % len(hull)]
-            normals.append(_primitive((-(y2 - y1), x2 - x1)))
-        return sorted(set(normals))
-    if dim == 3:
-        return _facets3d(pts)
-    raise UnsupportedGeometryError(f"dimension {dim} not supported")
-
-
-def _hull2d(pts: list[Point]) -> list[Point]:
-    """Counterclockwise convex hull, monotone chain."""
-    pts = sorted(set(pts))
-    if len(pts) < 3:
-        raise UnsupportedGeometryError("degenerate planar point set")
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _facets3d(pts: list[Point]) -> list[tuple[int, ...]]:
-    normals: set[tuple[int, ...]] = set()
-    n = len(pts)
-    for i, j, k in itertools.combinations(range(n), 3):
-        a, b, c = pts[i], pts[j], pts[k]
-        u = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        v = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-        nv = (u[1] * v[2] - u[2] * v[1],
-              u[2] * v[0] - u[0] * v[2],
-              u[0] * v[1] - u[1] * v[0])
-        if nv == (0, 0, 0):
-            continue
-        nv = _primitive(nv)
-        for cand in (nv, tuple(-x for x in nv)):
-            if cand in normals:
-                continue
-            base = _dot(cand, a)
-            if all(_dot(cand, p) >= base for p in pts):
-                normals.add(cand)
-    return sorted(normals)
+    rays = []   # (ray, mask of the points it is tight at)
+    for k in start:
+        (ray,) = smith_kernel(smith_normal_form([lifted[j] for j in start if j != k]))
+        sign = 1 if _dot(ray, lifted[k]) > 0 else -1
+        rays.append((tuple(sign * x for x in ray), sum(1 << j for j in start if j != k)))
+    # a start point adds nothing: it is tight at every ray but its own
+    for k, row in enumerate(lifted):
+        bit, masks = 1 << k, [mask for _, mask in rays]
+        pos, neg, kept = [], [], []
+        for ray, mask in rays:
+            s = _dot(ray, row)
+            if s:
+                (pos if s > 0 else neg).append((ray, mask, s))
+            else:
+                kept.append((ray, mask | bit))
+        for r1, m1, s1 in pos:
+            for r2, m2, s2 in neg:
+                common = m1 & m2
+                if common.bit_count() >= dim - 1 and not any(
+                        m & common == common for m in masks if m != m1 and m != m2):
+                    kept.append((_primitive([s1 * b - s2 * a for a, b in zip(r1, r2)]),
+                                 common | bit))
+        rays = [(ray, mask) for ray, mask, _ in pos] + kept
+    return sorted((_primitive(ray[:dim]), mask) for ray, mask in rays)
 
 
 # -- the variety ----------------------------------------------------------------
@@ -161,32 +156,29 @@ class ToricVariety:
 
 
 def variety_from_points(points: Iterable[Point]) -> ToricVariety:
-    """Normal fan of conv(points) with its class-group presentation."""
+    """Normal fan of conv(points) with its class-group presentation.
+
+    A point is a vertex exactly when the facets through it meet in it
+    alone, that is when the AND of their masks is its own bit; its max
+    cone is the set of those facets."""
     pts = sorted(set(points))
-    if not pts:
-        raise InputError("empty point set")
+    facets = facet_normals(pts)
     dim = len(pts[0])
-    rays = tuple(facet_normals(pts))
-
-    # support levels: a_rho = -min <p, u_rho>
-    levels = [min(_dot(p, u) for p in pts) for u in rays]
-
-    max_cones: set[tuple[int, ...]] = set()
-    for p in pts:
-        active = [r for r, u in enumerate(rays) if _dot(p, u) == levels[r]]
-        if len(active) >= dim and int_rank([list(rays[r]) for r in active]) == dim:
-            max_cones.add(tuple(sorted(active)))
-    if not max_cones:
-        raise UnsupportedGeometryError("no vertices found")
+    rays = tuple(u for u, _ in facets)
+    max_cones = []
+    for k in range(len(pts)):
+        bit, meet, active = 1 << k, -1, []
+        for r, (_, mask) in enumerate(facets):
+            if mask & bit:
+                meet &= mask
+                active.append(r)
+        if meet == bit:
+            max_cones.append(tuple(active))
 
     # grading: free part of coker(M -> Z^rays) via the Smith form of the
     # ray matrix; rows m..R-1 of the left transform present the class group
-    b = [list(r) for r in rays]
-    d, l, _ = smith_normal_form(b)
-    rank = smith_rank(d)
-    if rank != dim:
-        raise UnsupportedGeometryError("rays do not span the dual lattice")
-    torsion = tuple(d[i][i] for i in range(rank) if d[i][i] > 1)
+    d, l, _ = smith_normal_form([list(r) for r in rays])
+    torsion = tuple(d[i][i] for i in range(dim) if d[i][i] > 1)
     grading_rows = l[dim:]
     grading = tuple(tuple(row[r] for row in grading_rows) for r in range(len(rays)))
 
@@ -228,6 +220,8 @@ def support_problem(supports: Sequence[Sequence[Sequence[int]]],
         raise InputError(f"support points must be integer vectors: {err}") from err
     if not sup or not sup[0]:
         raise InputError("need at least one nonempty support")
+    if not sup[0][0]:
+        raise InputError("support points must have at least one coordinate")
     dim = len(sup[0][0])
     for s in sup:
         if not s:

@@ -1,13 +1,14 @@
 """Plain reference routines that only tests use: matrix products, dense
 inverses and determinants, row-vector products, the saturated integer
-kernel, polynomial substitution,
-the lattice points of a degree window, the ray circuits by Smith forms,
-the eager Cech support-pattern table, explicit Cech subset families, the
-retract identities of a reduced Cech family, the direct total complex
-on window-truncated Cech strands, the named staircase blocks of a direct
-image, the univariate resultant by the Sylvester matrix, and the
-incidence oracle: coefficient samples with a shared torus zero, fully
-random ones, and the exact zero test of delta at either.
+kernel, polynomial substitution, the facets and vertices of a point set
+by brute force, the lattice points of a degree window, the ray circuits
+by Smith forms, the eager Cech support-pattern table, explicit Cech
+subset families, the retract identities of a reduced Cech family, the
+direct total complex on window-truncated Cech strands, the named
+staircase blocks of a direct image, the univariate resultant by the
+Sylvester matrix, and the incidence oracle: coefficient samples with a
+shared torus zero, fully random ones, and the exact zero test of delta
+at either.
 
 The strand of a class alpha at a truncation level e has, in Cech degree
 q, one basis vector per pair (T, w): T a size-(q+1) set of irrelevant
@@ -27,6 +28,7 @@ complex, the independent check of the staircase construction.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +38,7 @@ from typing import Mapping, Sequence
 from toricres import cech
 from toricres.complexes import FreeGradedComplex, x_split
 from toricres.errors import InputError, MathFailure, ResourceGuard
-from toricres.qlinalg import QMatrix, smith_kernel, smith_normal_form
+from toricres.qlinalg import QMatrix, int_rank, smith_kernel, smith_normal_form
 from toricres.qpoly import PolyMatrix, SparsePoly, cnorm
 from toricres.toric import SupportProblem, ToricVariety, degree_fiber, fiber_points
 from toricres.weyman import WeymanComplex
@@ -142,6 +144,43 @@ def substitute(p: SparsePoly, images: Mapping[str, SparsePoly],
                 term = term * images[v]
         out = out + term
     return out
+
+
+def facets_by_brute_force(points) -> list[tuple[tuple[int, ...], int]]:
+    """toric.facet_normals by brute force: through every d-subset of the
+    points, the cofactor normal of its difference vectors (the i-th entry
+    is (-1)^i times the minor without column i), kept with either sign when
+    every point lies on its nonnegative side.  Each normal comes with the
+    mask of the points of sorted(set(points)) it is tight at."""
+    pts = sorted(set(points))
+    d = len(pts[0])
+    out = set()
+    for sub in itertools.combinations(pts, d):
+        diffs = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
+        n = [(-1) ** i * int_det([row[:i] + row[i + 1:] for row in diffs]) for i in range(d)]
+        if not any(n):
+            continue
+        g = math.gcd(*n)
+        for u in (tuple(v // g for v in n), tuple(-v // g for v in n)):
+            values = [sum(a * b for a, b in zip(u, p)) for p in pts]
+            level = sum(a * b for a, b in zip(u, sub[0]))
+            if min(values) == level:
+                out.add((u, sum(1 << k for k, v in enumerate(values) if v == level)))
+    return sorted(out)
+
+
+def max_cones_by_rank(points, normals) -> tuple[tuple[int, ...], ...]:
+    """The max cones of the normal fan: at each point, the normals whose
+    minimum it attains, kept when they have full rank (a vertex)."""
+    pts = sorted(set(points))
+    levels = [min(sum(a * b for a, b in zip(u, p)) for p in pts) for u in normals]
+    cones = set()
+    for p in pts:
+        active = [r for r, u in enumerate(normals)
+                  if sum(a * b for a, b in zip(u, p)) == levels[r]]
+        if active and int_rank([list(normals[r]) for r in active]) == len(p):
+            cones.add(tuple(active))
+    return tuple(sorted(cones))
 
 
 def lattice_points_in_window(x, alpha: Sequence[int],

@@ -450,7 +450,7 @@ def test_ray_circuits_are_the_minimal_primitive_relations(name):
 
 @st.composite
 def _ray_configurations(draw):
-    """A variety presented by rays alone, in dimension 1-3: the unit
+    """A variety presented by rays alone, in dimension 1-4: the unit
     vectors (so the rays span the lattice), then 1-5 more rays, each new
     from a small box or a multiple of one before it (parallel rays, so
     many subsets are rank deficient), in a random order.  The grading is
@@ -459,7 +459,7 @@ def _ray_configurations(draw):
     from toricres.qlinalg import smith_normal_form
     from toricres.toric import ToricVariety
 
-    dim = draw(st.integers(min_value=1, max_value=3))
+    dim = draw(st.integers(min_value=1, max_value=4))
     rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     new = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim).filter(any)
     for _ in range(draw(st.integers(min_value=1, max_value=5))):

@@ -352,6 +352,35 @@ def test_linear_system_resultant_is_the_coefficient_determinant():
     assert same_up_to_sign(embed(out.delta, labs), m.det())
 
 
+SIMPLEX4 = ((0, 0, 0, 0),) + tuple(tuple(int(i == k) for i in range(4)) for k in range(4))
+
+
+def test_five_linear_forms_on_p4_give_the_coefficient_determinant():
+    prob = support_problem([SIMPLEX4] * 5)
+    out = a_resultant(prob)
+    labs = prob.all_labels()
+    m = PolyMatrix(5, 5, labs)
+    for j in range(5):
+        for k in range(5):
+            m.rows[j][k] = SparsePoly(
+                labs, {tuple(1 if i == 5 * j + k else 0 for i in range(25)): 1})
+    assert out.multiplicity == 1 and len(out.delta.terms) == 120
+    assert same_up_to_sign(embed(out.delta, labs), m.det())
+
+
+def test_a_4d_system_has_the_mixed_volumes_as_group_degrees():
+    """Four linear forms and one form with the extra monomial x1^2: delta
+    has degree MV(others) in each coefficient group, 2 in each of the four
+    linear groups and 1 in the last."""
+    prob = support_problem([SIMPLEX4] * 4 + [SIMPLEX4 + ((2, 0, 0, 0),)])
+    out = a_resultant(prob)
+    assert out.multiplicity == 1 and len(out.delta.terms) == 2484
+    at = {v: i for i, v in enumerate(out.delta.vars)}
+    degrees = [{sum(e[at[v]] for v in group) for e in out.delta.terms}
+               for group in prob.labels]
+    assert degrees == [{2}, {2}, {2}, {2}, {1}]
+
+
 def test_incidence_samples_vanish_and_generic_samples_do_not():
     rng = random.Random(41)
     for prob in (linear3_problem(), univariate_problem(2, 2)):

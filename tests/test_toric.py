@@ -8,7 +8,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers_reference import int_kernel_basis, lattice_points_in_window
+from helpers_reference import (
+    facets_by_brute_force,
+    int_kernel_basis,
+    lattice_points_in_window,
+    max_cones_by_rank,
+)
 from toricres import toric
 from toricres.errors import InputError, MathFailure, UnsupportedGeometryError
 from toricres.fixtures import (
@@ -17,7 +22,7 @@ from toricres.fixtures import (
     STURMFELS_SUPPORTS,
     m34_supports,
 )
-from toricres.qlinalg import solve_int
+from toricres.qlinalg import int_rank, solve_int
 from toricres.toric import (
     ToricVariety,
     codimension,
@@ -28,6 +33,7 @@ from toricres.toric import (
     minkowski_points,
     support_problem,
     variety_from_points,
+    variety_from_simplex,
     variety_of,
 )
 
@@ -156,8 +162,73 @@ def test_codimension_values():
 
 
 def test_degenerate_span_rejected():
-    with pytest.raises(UnsupportedGeometryError):
-        facet_normals([(0, 0), (1, 1), (2, 2)])
+    for points in ([(3,)], [(0, 0), (1, 1), (2, 2)],
+                   [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)]):
+        with pytest.raises(UnsupportedGeometryError, match="do not span"):
+            facet_normals(points)
+        with pytest.raises(UnsupportedGeometryError, match="do not span"):
+            variety_from_points(points)
+
+
+@st.composite
+def _point_sets(draw):
+    """2-10 distinct points in a small box of dimension 1-4 (at most 8 in
+    4D, where the reference tries every 4-subset); many are coplanar, and
+    some do not span."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    coord = st.integers(min_value=-2, max_value=2)
+    return draw(st.lists(st.tuples(*[coord] * dim), min_size=2,
+                         max_size=8 if dim == 4 else 10, unique=True))
+
+
+@given(_point_sets())
+@settings(max_examples=150, deadline=None)
+@example(list(itertools.product(range(3), repeat=1))).via("the segment [0, 2]")
+@example(list(itertools.product(range(3), repeat=2))).via("the 3 x 3 grid")
+@example(list(itertools.product(range(3), repeat=3))).via("the 3 x 3 x 3 box")
+@example(list(itertools.product(range(2), repeat=4))).via("the 4-cube")
+@example([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+          (1, 1, 1, 1), (2, 0, 0, 0)]).via("a 4D simplex with two more points")
+def test_facets_and_max_cones_match_the_brute_force_reference(points):
+    dim = len(points[0])
+    if int_rank([[a - b for a, b in zip(p, points[0])] for p in points]) < dim:
+        with pytest.raises(UnsupportedGeometryError):
+            facet_normals(points)
+        return
+    facets = facet_normals(points)
+    assert facets == facets_by_brute_force(points)
+    x = variety_from_points(points)
+    assert x.rays == tuple(u for u, _ in facets)
+    assert x.max_cones == max_cones_by_rank(points, x.rays)
+
+
+def test_facets_of_the_4d_box_of_side_two():
+    """Eight facets, each holding the 27 points of a 3D face; the max cones
+    are the 16 corners, each meeting four facets."""
+    pts = sorted(itertools.product(range(3), repeat=4))
+    facets = facet_normals(pts)
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert [u for u, _ in facets] == sorted(units + [tuple(-v for v in e) for e in units])
+    for u, mask in facets:
+        i = next(i for i, v in enumerate(u) if v)
+        side = 0 if u[i] > 0 else 2
+        assert mask == sum(1 << k for k, p in enumerate(pts) if p[i] == side)
+    x = variety_from_points(pts)
+    assert len(x.max_cones) == 16 and {len(c) for c in x.max_cones} == {4}
+
+
+def test_projective_four_space_fan():
+    x = variety_from_simplex(4)
+    assert x.dim == 4 and x.n_rays == 5 and len(x.max_cones) == 5
+    assert x.class_rank == 1 and x.torsion == ()
+    assert sorted(x.max_cones) == sorted(itertools.combinations(range(5), 4))
+
+
+def test_zero_length_support_points_are_an_input_error():
+    with pytest.raises(InputError, match="at least one coordinate"):
+        support_problem([[()]])
+    with pytest.raises(InputError):
+        facet_normals([()])
 
 
 def test_primitive_of_the_zero_vector_is_a_math_failure():

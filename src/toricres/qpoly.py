@@ -45,9 +45,9 @@ Comput. 46, 2011).  `exact_div` returns None as soon as the leading
 remainder term is not a multiple of the divisor's leading term, that is
 when the divisor does not divide, or when the quotient would need a
 negative exponent; a one-term divisor needs no heap.  The determinant
-packs the matrix once and runs fraction-free Bareiss elimination on packed
-dicts, leaving each row alone while it has a zero in the pivot column (see
-`PolyMatrix.det`).
+packs the nonzero entries once and runs fraction-free Bareiss elimination
+on rows that hold only their nonzeros, leaving each row alone while it has
+a zero in the pivot column (see `PolyMatrix.det`).
 """
 from __future__ import annotations
 
@@ -71,13 +71,6 @@ def cnorm(c: Coeff) -> Coeff:
             return int(c)
         return c
     return c
-
-
-def _var_index(variables: Sequence[str], name: str) -> int:
-    try:
-        return tuple(variables).index(name)
-    except ValueError:
-        raise InputError(f"unknown variable {name!r}") from None
 
 
 def drl_key(exp: Expo) -> tuple:
@@ -245,13 +238,6 @@ class SparsePoly:
         return cls(variables, {z: c})
 
     @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "SparsePoly":
-        i = _var_index(variables, name)
-        e = [0] * len(variables)
-        e[i] = 1
-        return cls(variables, {tuple(e): 1})
-
-    @classmethod
     def monomial(cls, variables: Sequence[str], exp: Expo, c: Coeff = 1) -> "SparsePoly":
         return cls(variables, {tuple(exp): c})
 
@@ -271,11 +257,6 @@ class SparsePoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        """Degree in one variable; -1 for the zero polynomial."""
-        i = _var_index(self.vars, name)
-        return max((e[i] for e in self.terms), default=-1)
 
     def leading(self) -> tuple[Expo, Coeff]:
         """Leading (exponent, coeff) under degrevlex."""
@@ -357,16 +338,6 @@ class SparsePoly:
             n >>= 1
         return result
 
-    def diff(self, name: str) -> "SparsePoly":
-        i = _var_index(self.vars, name)
-        out: dict[Expo, Coeff] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = c * e[i]
-        return SparsePoly(self.vars, out)
-
     # -- division ----------------------------------------------------------
 
     def exact_div(self, d: "SparsePoly") -> "SparsePoly | None":
@@ -382,22 +353,6 @@ class SparsePoly:
         pk = _Packing(off, max(_top_degree(a, off), _top_degree(b, off)))
         q = _exact_div(pk.pack(a), pk.pack(b), pk.guards)
         return None if q is None else SparsePoly(self.vars, pk.unpack(q, 0))
-
-    # -- evaluation -------------------------------------------------------
-
-    def eval(self, assign: Mapping[str, Coeff]) -> Coeff:
-        try:
-            idx = [assign[v] for v in self.vars]
-        except KeyError as err:
-            raise InputError(f"assignment misses {err.args[0]}") from err
-        total: Coeff = 0
-        for e, c in self.terms.items():
-            val: Coeff = c
-            for x, k in zip(idx, e):
-                if k:
-                    val = val * x ** k
-            total = total + val
-        return cnorm(Fraction(total)) if isinstance(total, Fraction) else total
 
 
 # -- content and normalization ---------------------------------------------
@@ -434,10 +389,6 @@ def primitive_part(p: SparsePoly) -> SparsePoly:
         return SparsePoly(p.vars, {e: c // u for e, c in p.terms.items()})
     u = Fraction(u)
     return SparsePoly(p.vars, {e: cnorm(Fraction(c) / u) for e, c in p.terms.items()})
-
-
-def same_up_to_sign(p: SparsePoly, q: SparsePoly) -> bool:
-    return p == q or p == -q
 
 
 # -- integer k-th roots ------------------------------------------------------
@@ -680,28 +631,40 @@ class PolyMatrix:
         is the last diagonal entry, is first brought up to date: each
         entry times p_(t-1), divided by its recorded pivot.
 
-        The pivot is the nonzero entry of the active submatrix with the
-        smallest len(a_ij) * ((r_i - 1) * (c_j - 1) + 1), r_i and c_j the
-        nonzero counts of its row and column there (Markowitz's fill
-        count, weighted by term count), ties to the smaller (i, j).  Rows
-        and columns are swapped into place, each swap flipping the sign.
+        Each row is a dict {column: packed entry} of its nonzeros, so a
+        step visits only the nonzeros of the active rows and a zero is
+        never packed.  A count per column of its nonzeros in the active
+        rows is kept as the pivot row leaves them, as fill appears and as
+        entries cancel.  The pivot is the nonzero entry of the active
+        submatrix with the smallest len(a_ij) * ((r_i - 1) * (c_j - 1) + 1),
+        r_i and c_j the nonzero counts of its row and column there
+        (Markowitz's fill count, weighted by term count), ties to the
+        smaller position (i, j).  Rows and column positions are swapped
+        into place, each swap flipping the sign.
 
         The entries are packed once, with one offset for the whole matrix:
         that multiplies every entry by the monomial x^-offset, so the
         packed determinant carries offset n*offset.  Every stored entry,
         lazy or not, is a minor of the shifted matrix, so its degree is at
         most B, the smaller of the sums of the row and of the column top
-        degrees; every product formed before an exact division has two
-        such factors, so degree at most 2B, the packing bound."""
+        degrees (a zero counts 0); every product formed before an exact
+        division has two such factors, so degree at most 2B, the packing
+        bound."""
         n = self.nrows
         if n != self.ncols:
             raise InputError("determinant of a non-square matrix")
         if n == 0:
             return SparsePoly.const(self.vars, 1)
-        off = _offset(len(self.vars), (p.terms for row in self.rows for p in row))
-        tops = [[_top_degree(p.terms, off) for p in row] for row in self.rows]
-        bound = min(sum(map(max, tops)), sum(map(max, zip(*tops))))
-        pk = _Packing(off, 2 * bound)
+        nz = [{j: p.terms for j, p in enumerate(row) if p.terms} for row in self.rows]
+        off = _offset(len(self.vars), (t for row in nz for t in row.values()))
+        rtop, ctop = [0] * n, [0] * n
+        count = [0] * n                     # nonzeros per column in the active rows
+        for i, row in enumerate(nz):
+            for j, t in row.items():
+                d = _top_degree(t, off)
+                rtop[i], ctop[j] = max(rtop[i], d), max(ctop[j], d)
+                count[j] += 1
+        pk = _Packing(off, 2 * min(sum(rtop), sum(ctop)))
         guards = pk.guards
 
         def exact(num: Packed, d: Packed | None) -> Packed:
@@ -712,56 +675,59 @@ class PolyMatrix:
                 raise MathFailure("non-exact division in fraction-free elimination")
             return q
 
-        a = [[pk.pack(p.terms) for p in row] for row in self.rows]
+        a = [{j: pk.pack(t) for j, t in row.items()} for row in nz]
+        pos, col = list(range(n)), list(range(n))   # column -> position, position -> column
         lag: list[Packed | None] = [None] * n   # pivot each row was brought up to
         sign = 1
         prev: Packed | None = None          # the previous pivot; None is 1
         for k in range(n):
-            active = [row[k:] for row in a[k:]]
-            rcount = [sum(map(bool, row)) - 1 for row in active]
-            ccount = [sum(map(bool, col)) - 1 for col in zip(*active)]
             best = None
-            for i, row in enumerate(active):
-                ri = rcount[i]
-                for j, p in enumerate(row):
-                    if p:
-                        score = (len(p) * (ri * ccount[j] + 1), i, j)
-                        if best is None or score < best:
-                            best = score
+            for i in range(k, n):
+                ri = len(a[i]) - 1
+                for j, p in a[i].items():
+                    score = (len(p) * (ri * (count[j] - 1) + 1), i, pos[j])
+                    if best is None or score < best:
+                        best = score
             if best is None:
                 return SparsePoly.zero(self.vars)
             _, pi, pj = best
-            pi += k
-            pj += k
             if pi != k:
                 a[k], a[pi] = a[pi], a[k]
                 lag[k], lag[pi] = lag[pi], lag[k]
                 sign = -sign
             if pj != k:
-                for row in a:
-                    row[k], row[pj] = row[pj], row[k]
+                col[k], col[pj] = col[pj], col[k]
+                pos[col[k]], pos[col[pj]] = k, pj
                 sign = -sign
             prow = a[k]
+            for j in prow:
+                count[j] -= 1
             if lag[k] is not prev:
-                for j in range(k, n):
-                    if prow[j]:
-                        num: Packed = {}
-                        _addmul(num, prow[j], prev, 1)
-                        prow[j] = exact(_nonzero(num), lag[k])
-            piv = prow[k]
+                for j, p in prow.items():
+                    num: Packed = {}
+                    _addmul(num, p, prev, 1)
+                    prow[j] = exact(_nonzero(num), lag[k])
+            piv = prow.pop(col[k])
             for i in range(k + 1, n):
                 row = a[i]
-                x = row[k]
-                if not x:
+                x = row.pop(col[k], None)
+                if x is None:
                     continue
-                for j in range(k + 1, n):
+                new: dict[int, Packed] = {}
+                for j in row.keys() | prow.keys():
                     num = {}
-                    if row[j]:
+                    if j in row:
                         _addmul(num, row[j], piv, 1)
-                    if prow[j]:
+                    if j in prow:
                         _addmul(num, x, prow[j], -1)
-                    row[j] = exact(_nonzero(num), lag[i])
-                row[k] = {}
+                    num = exact(_nonzero(num), lag[i])
+                    if num:
+                        new[j] = num
+                for j in row.keys() - new.keys():
+                    count[j] -= 1
+                for j in new.keys() - row.keys():
+                    count[j] += 1
+                a[i] = new
                 lag[i] = piv
             prev = piv
         return SparsePoly(self.vars, pk.unpack(prev if sign > 0 else

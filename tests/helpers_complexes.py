@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from helpers_poly import diff, variable
 from toricres.complexes import Class, FreeGradedComplex, _contraction
 from toricres.morphisms import ComplexMorphism
 from toricres.qpoly import PolyMatrix, SparsePoly
@@ -145,8 +146,8 @@ def cotangent_family_complex(d: int) -> FreeGradedComplex:
         return tuple(e)
 
     f = SparsePoly(variables, {term(i, m): 1 for i, m in enumerate(monos)})
-    fx = [f.diff(v) for v in xv]
-    xs = [SparsePoly.variable(variables, v) for v in xv]
+    fx = [diff(f, v) for v in xv]
+    xs = [variable(variables, v) for v in xv]
     czero = SparsePoly.zero(variables)
 
     h = x.degree_of([1, 0, 0])  # hyperplane class in this presentation
@@ -182,7 +183,7 @@ def koszul_vs_unit_fixture(n: int) -> ComplexMorphism:
     x = variety_from_simplex(n)
     xv = x.var_names()
     variables = xv  # no parameters
-    xs = [SparsePoly.variable(variables, v) for v in xv]
+    xs = [variable(variables, v) for v in xv]
 
     one = x.degree_of([1] + [0] * (x.n_rays - 1))
     def cls(k: int) -> Class:

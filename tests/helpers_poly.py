@@ -1,10 +1,64 @@
 """Polynomial accessors and serialization that only the tests read."""
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Mapping, Sequence
 
-from toricres.qpoly import Coeff, PolyMatrix, SparsePoly, poly_to_text
+from toricres.errors import InputError
+from toricres.qpoly import Coeff, PolyMatrix, SparsePoly, cnorm, poly_to_text
 from toricres.weyman import E1Page
+
+
+def _var_index(variables: Sequence[str], name: str) -> int:
+    try:
+        return tuple(variables).index(name)
+    except ValueError:
+        raise InputError(f"unknown variable {name!r}") from None
+
+
+def variable(variables: Sequence[str], name: str) -> SparsePoly:
+    """The polynomial `name` over the ring of `variables`."""
+    e = [0] * len(variables)
+    e[_var_index(variables, name)] = 1
+    return SparsePoly(variables, {tuple(e): 1})
+
+
+def degree_in(p: SparsePoly, name: str) -> int:
+    """Degree of p in one variable; -1 for the zero polynomial."""
+    i = _var_index(p.vars, name)
+    return max((e[i] for e in p.terms), default=-1)
+
+
+def diff(p: SparsePoly, name: str) -> SparsePoly:
+    """The partial derivative of p by one variable."""
+    i = _var_index(p.vars, name)
+    out = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            e2 = list(e)
+            e2[i] -= 1
+            out[tuple(e2)] = c * e[i]
+    return SparsePoly(p.vars, out)
+
+
+def evaluate(p: SparsePoly, assign: Mapping[str, Coeff]) -> Coeff:
+    """The value of p at a point that assigns every variable."""
+    try:
+        idx = [assign[v] for v in p.vars]
+    except KeyError as err:
+        raise InputError(f"assignment misses {err.args[0]}") from err
+    total: Coeff = 0
+    for e, c in p.terms.items():
+        val: Coeff = c
+        for x, k in zip(idx, e):
+            if k:
+                val = val * x ** k
+        total = total + val
+    return cnorm(Fraction(total)) if isinstance(total, Fraction) else total
+
+
+def same_up_to_sign(p: SparsePoly, q: SparsePoly) -> bool:
+    return p == q or p == -q
 
 
 def constant_value(p: SparsePoly) -> Coeff:

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from helpers_poly import degree_in, evaluate
 from toricres import cech
 from toricres.complexes import FreeGradedComplex, x_split
 from toricres.errors import InputError, MathFailure, ResourceGuard
@@ -511,7 +512,7 @@ def _specialized_rank(d: PolyMatrix, assign: Mapping[str, Fraction]) -> int:
     for r in range(d.nrows):
         for c, p in enumerate(d.rows[r]):
             if p:
-                v = p.eval(assign)
+                v = evaluate(p, assign)
                 if v:
                     m.rows[r][c] = Fraction(v)
     return m.rank()
@@ -619,7 +620,7 @@ def staircase_block(W: WeymanComplex, p: int, q: int, r: int) -> PolyMatrix:
 def _coeffs_in(p: SparsePoly, var: str) -> list[SparsePoly]:
     """Coefficient polynomials of the powers of one variable."""
     vi = p.vars.index(var)
-    d = p.degree_in(var)
+    d = degree_in(p, var)
     buckets: list[dict] = [dict() for _ in range(d + 1)]
     for e, c in p.terms.items():
         rest = list(e)
@@ -640,8 +641,8 @@ def sylvester_resultant(f: SparsePoly, g: SparsePoly, var: str) -> SparsePoly:
         raise InputError("operands live over different rings")
     if var not in f.vars:
         raise InputError(f"unknown variable {var!r}")
-    d1 = f.degree_in(var)
-    d2 = g.degree_in(var)
+    d1 = degree_in(f, var)
+    d2 = degree_in(g, var)
     if d1 < 1 or d2 < 1:
         raise InputError("both operands must have positive degree")
     fc = _coeffs_in(f, var)
@@ -712,4 +713,4 @@ def membership_test(delta: SparsePoly, spec: Mapping[str, Fraction]) -> bool:
         raise InputError(f"specialization misses {missing[0]}")
     full = {v: Fraction(spec[v]) if v in spec else Fraction(0)
             for v in delta.vars}
-    return delta.eval(full) == 0
+    return evaluate(delta, full) == 0

@@ -130,7 +130,7 @@ def test_strand_determinism():
 
 
 def test_sturmfels_variety_strand_smoke():
-    from toricres.fixtures import STURMFELS_SUPPORTS
+    from helpers_examples import STURMFELS_SUPPORTS
     from toricres.toric import divisor_class, support_problem, variety_of
 
     prob = support_problem(STURMFELS_SUPPORTS)
@@ -232,7 +232,7 @@ def _squares_variety():
 
 
 def _sturmfels_variety():
-    from toricres.fixtures import STURMFELS_SUPPORTS
+    from helpers_examples import STURMFELS_SUPPORTS
     from toricres.toric import support_problem, variety_of
     return variety_of(support_problem(STURMFELS_SUPPORTS))
 
@@ -302,7 +302,7 @@ M33_PATTERNS = (
 
 
 def test_m33_pattern_table_is_frozen():
-    from toricres.fixtures import m33_problem
+    from helpers_examples import m33_problem
     from toricres.toric import variety_of
 
     assert support_patterns(variety_of(m33_problem())) == M33_PATTERNS
@@ -325,11 +325,11 @@ def _unscreened_points(x, alpha):
 
 
 def _fixture_problem(name):
-    from toricres import fixtures
-    return {"sturmfels": fixtures.sturmfels_problem, "m33": fixtures.m33_problem,
-            "m34_1": lambda: fixtures.m34_problem(1),
-            "m34_2": lambda: fixtures.m34_problem(2),
-            "m34_8": lambda: fixtures.m34_problem(8)}[name]()
+    import helpers_examples as ex
+    return {"sturmfels": ex.sturmfels_problem, "m33": ex.m33_problem,
+            "m34_1": lambda: ex.m34_problem(1),
+            "m34_2": lambda: ex.m34_problem(2),
+            "m34_8": lambda: ex.m34_problem(8)}[name]()
 
 
 @pytest.mark.parametrize("name,multiples", [
@@ -504,7 +504,8 @@ def test_circuit_pattern_bitsets_match_enumerating_the_patterns(name):
 
 def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch, built_families):
     from toricres import cech, resultant
-    from toricres.fixtures import sturmfels_problem, sturmfels_twist
+    from helpers_examples import sturmfels_problem
+    from toricres.fixtures import sturmfels_twist
     from toricres.toric import fiber_points, variety_of
 
     problem = sturmfels_problem()

@@ -10,6 +10,8 @@ from helpers_complexes import (
     koszul_vs_unit_fixture,
     rescale_morphism,
 )
+from helpers_examples import STURMFELS_LABELS, STURMFELS_SUPPORTS
+from helpers_poly import variable
 
 from toricres.complexes import (
     FreeGradedComplex,
@@ -18,7 +20,6 @@ from toricres.complexes import (
     x_split,
 )
 from toricres.errors import InputError
-from toricres.fixtures import STURMFELS_LABELS, STURMFELS_SUPPORTS
 from toricres.morphisms import ComplexMorphism
 from toricres.qpoly import PolyMatrix, SparsePoly
 from toricres.toric import support_problem, variety_of
@@ -193,7 +194,7 @@ def test_morphism_validate_rejects_each_broken_morphism():
         broken({}, no_d1).validate()
     # x0 has degree 1, but theta^0 must have degree 0
     with pytest.raises(InputError, match="inhomogeneous"):
-        broken({0: PolyMatrix.from_rows([[SparsePoly.variable(xv, xv[0])]], xv)}).validate()
+        broken({0: PolyMatrix.from_rows([[variable(xv, xv[0])]], xv)}).validate()
     # homogeneous, but d_M theta^(-1) != theta^(-2) d_N
     with pytest.raises(InputError, match="compose to zero"):
         broken({-2: PolyMatrix.from_rows([[u + u]], xv)}).validate()

@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
+from helpers_examples import sturmfels_problem
+
 from toricres.errors import InputError
 from toricres.fixtures import (
     STURMFELS_PAPER_GRADING,
     STURMFELS_PAPER_RAYS,
     STURMFELS_PAPER_ROWS,
-    sturmfels_problem,
     sturmfels_twist,
 )
 from toricres.toric import variety_from_points, variety_of

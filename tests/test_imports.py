@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import toricres
+from helpers_examples import STURMFELS_LABELS, STURMFELS_SUPPORTS
 
 THIRD_PARTY = ("numpy", "sympy", "hypothesis")
 
@@ -101,6 +102,28 @@ def test_the_solve_path_loads_only_the_pipeline():
     assert out["missing"] == []
 
 
+FIXTURES_AFTER_CECH = """
+import json, sys
+from toricres import cech
+before = set(sys.modules)
+from toricres import fixtures
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith("toricres"))))
+"""
+
+
+def test_the_printed_twists_need_nothing_past_cech():
+    """`toricres.fixtures`, which the printed-Sturmfels solve imports after
+    `toricres.cech`, loads no other module of the package: it holds only
+    the printed twists and their regrading, and the worked examples live
+    with the tests."""
+    src = str(Path(toricres.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-B", "-c", FIXTURES_AFTER_CECH],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == ["toricres.fixtures"]
+
+
 def test_every_top_level_import_in_src_is_used():
     """Each name a module of `src/toricres` imports at top level is used in
     that module or listed in its `__all__`: a dead import loads, and
@@ -138,12 +161,12 @@ def test_no_module_in_src_reads_an_error_message():
     assert found == []
 
 
-RESULTANT_RUN = """
+RESULTANT_RUN = f"""
 import hashlib
-from toricres.fixtures import sturmfels_problem
 from toricres.qpoly import poly_to_text
 from toricres.resultant import a_resultant
-delta = a_resultant(sturmfels_problem()).delta
+from toricres.toric import support_problem
+delta = a_resultant(support_problem({STURMFELS_SUPPORTS!r}, {STURMFELS_LABELS!r})).delta
 print(hashlib.sha256(poly_to_text(delta).encode()).hexdigest()[:16])
 """
 

@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers_poly import matmul_reference, matrix_text, transpose
+from helpers_poly import (
+    degree_in,
+    diff,
+    evaluate,
+    matmul_reference,
+    matrix_text,
+    transpose,
+    variable,
+)
 from helpers_reference import substitute
 from toricres import qpoly
 from toricres.errors import InputError, MathFailure
@@ -108,7 +116,7 @@ def test_arithmetic_identities():
 
 
 def test_pow_small_cases():
-    x = SparsePoly.variable(V, "x")
+    x = variable(V, "x")
     one = SparsePoly.const(V, 1)
     assert x ** 0 == one
     assert x ** 1 == x
@@ -117,9 +125,9 @@ def test_pow_small_cases():
 
 def test_diff():
     p = P("1 * x^3 * y + 2 * y^2 + 7")
-    assert p.diff("x") == P("3 * x^2 * y")
-    assert p.diff("y") == P("1 * x^3 + 4 * y")
-    assert p.diff("z").is_zero()
+    assert diff(p, "x") == P("3 * x^2 * y")
+    assert diff(p, "y") == P("1 * x^3 + 4 * y")
+    assert diff(p, "z").is_zero()
 
 
 def test_exact_div():
@@ -132,8 +140,8 @@ def test_exact_div():
 
 def test_eval_and_substitute():
     p = P("1 * x^2 * y + -1/2 * z")
-    assert p.eval({"x": 2, "y": 3, "z": 4}) == 10
-    assert p.eval({"x": Fraction(1, 2), "y": 4, "z": 0}) == 1
+    assert evaluate(p, {"x": 2, "y": 3, "z": 4}) == 10
+    assert evaluate(p, {"x": Fraction(1, 2), "y": 4, "z": 0}) == 1
     w = ("u", "v")
     images = {
         "x": poly_from_text("1 * u + 1 * v", w),
@@ -170,7 +178,7 @@ def test_kth_root_fractional_leading():
 
 
 def test_kth_root_of_coefficients_beyond_float_range():
-    h = SparsePoly.variable(V, "x") * SparsePoly.const(V, 10 ** 200) + SparsePoly.const(V, 7)
+    h = variable(V, "x") * SparsePoly.const(V, 10 ** 200) + SparsePoly.const(V, 7)
     assert kth_root(h ** 2, 2) == h
     assert kth_root(h ** 3, 3) == h
     assert kth_root(h ** 2 + SparsePoly.const(V, 1), 2) is None
@@ -331,13 +339,13 @@ def test_exact_division_by_zero_is_an_input_error():
 
 def test_eval_with_a_missing_variable_is_an_input_error():
     with pytest.raises(InputError, match="assignment misses y"):
-        P("1 * x^2 * y + -1/2 * z").eval({"x": 2, "z": 4})
+        evaluate(P("1 * x^2 * y + -1/2 * z"), {"x": 2, "z": 4})
 
 
 def test_unknown_variable_name_is_an_input_error():
     p = P("1 * x^2 * y")
-    for call in (lambda: SparsePoly.variable(V, "w"), lambda: p.degree_in("w"),
-                 lambda: SparsePoly.zero(V).degree_in("w"), lambda: p.diff("w")):
+    for call in (lambda: variable(V, "w"), lambda: degree_in(p, "w"),
+                 lambda: degree_in(SparsePoly.zero(V), "w"), lambda: diff(p, "w")):
         with pytest.raises(InputError, match="unknown variable 'w'"):
             call()
 
@@ -351,7 +359,7 @@ def test_matmul_row_convention():
 
 def test_published_matrix_determinant_is_eliminant():
     # determinant of the frozen 15x15 matrix vs the frozen 20-term eliminant
-    from toricres.fixtures import sturmfels_eliminant, sturmfels_matrix
+    from helpers_examples import sturmfels_eliminant, sturmfels_matrix
 
     d = sturmfels_matrix().det()
     e = sturmfels_eliminant()
@@ -463,7 +471,7 @@ def test_matmul_of_different_rings_is_an_input_error_once_a_product_forms():
     with pytest.raises(InputError, match="variable mismatch"):
         a.matmul(b)
     b.rows[0][0] = SparsePoly.zero(b.vars)
-    b.rows[1][0] = SparsePoly.variable(b.vars, "v")
+    b.rows[1][0] = variable(b.vars, "v")
     assert a.matmul(b).is_zero()
 
 
@@ -485,27 +493,79 @@ def test_det_matches_cofactor_expansion_property(m):
 
 @st.composite
 def sparse_matrices(draw):
-    """Up to 7x7, a half to two thirds of the entries zero, the others
-    monomials and binomials with rational coefficients and exponents in
-    -2..3; a quarter of them made singular by replacing a row with a
-    monomial multiple of another."""
-    n = draw(st.integers(min_value=1, max_value=7))
+    """Up to 10x10, the entries monomials and binomials with rational
+    coefficients and exponents in -2..3, nonzero on a random transversal;
+    off it a half or two thirds of the entries are zero up to 7x7, and four
+    fifths beyond (a dense 10x10 of binomials takes Bareiss seconds).  A
+    quarter of them made singular by replacing a row with a monomial
+    multiple of another, and a sixth by zeroing a row or a column."""
+    n = draw(st.integers(min_value=1, max_value=10))
     expo = st.tuples(*[st.integers(min_value=-2, max_value=3)] * len(V))
     nonzero = st.dictionaries(expo, rational.filter(bool), min_size=1, max_size=2)
-    cell = st.one_of(*[st.just({})] * draw(st.integers(min_value=1, max_value=2)),
-                     nonzero)
-    rows = [[SparsePoly(V, draw(cell)) for _ in range(n)] for _ in range(n)]
+    # sampled_from, not one_of: one_of does not weight a repeated branch
+    zeros = draw(st.integers(min_value=1, max_value=2)) if n <= 7 else 4
+    is_zero = st.sampled_from([True] * zeros + [False])
+    diagonal = draw(st.permutations(range(n)))
+    rows = [[SparsePoly(V, draw(nonzero) if j == diagonal[i] or not draw(is_zero) else {})
+             for j in range(n)] for i in range(n)]
     if n > 1 and draw(st.integers(min_value=0, max_value=3)) == 0:
         src, dst = draw(st.permutations(range(n)))[:2]
         f = SparsePoly.monomial(V, draw(expo), draw(rational.filter(bool)))
         rows[dst] = [f * p for p in rows[src]]
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        if draw(st.booleans()):
+            rows[k] = [SparsePoly.zero(V)] * n
+        else:
+            for row in rows:
+                row[k] = SparsePoly.zero(V)
     return PolyMatrix.from_rows(rows, V)
 
 
-@given(sparse_matrices())
+def _parity(perm) -> int:
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2
+
+
+@given(sparse_matrices(), st.data())
 @settings(max_examples=120, deadline=None)
-def test_sparse_det_matches_cofactor_expansion(m):
-    assert m.det() == _naive_det(m.rows)
+def test_sparse_det_matches_cofactor_expansion(m, data):
+    """The determinant is the cofactor expansion, zero with a zero row or
+    column, and permuting rows and columns changes only its sign."""
+    d = m.det()
+    assert d == _naive_det(m.rows)
+    if not all(any(row) for row in m.rows) or not all(any(col) for col in zip(*m.rows)):
+        assert d.is_zero()
+    rp = data.draw(st.permutations(range(m.nrows)))
+    cp = data.draw(st.permutations(range(m.ncols)))
+    moved = PolyMatrix.from_rows([[m.rows[r][c] for c in cp] for r in rp], V)
+    assert moved.det() == (-d if _parity(rp) != _parity(cp) else d)
+
+
+def test_det_packs_each_nonzero_entry_once_and_never_a_zero(monkeypatch):
+    """On a 14x14 matrix with 42 nonzeros, `_Packing.pack` runs once per
+    nonzero entry, on that entry's terms, and never on a zero."""
+    n = 14
+    x, y, z = (SparsePoly.monomial(V, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    rows = [[SparsePoly.zero(V)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = x + SparsePoly.const(V, i + 1)
+        rows[i][(i + 1) % n] = y
+        rows[i][(i + 5) % n] = z * z if i % 2 else -z
+    m = PolyMatrix.from_rows(rows, V)
+    packed = []
+    real = qpoly._Packing.pack
+
+    def counting(self, terms):
+        packed.append(dict(terms))
+        return real(self, terms)
+
+    monkeypatch.setattr(qpoly._Packing, "pack", counting)
+    d = m.det()
+    monkeypatch.undo()
+    entries = [p.terms for row in m.rows for p in row if p]
+    assert len(entries) == 42
+    assert sorted(map(sorted, packed)) == sorted(map(sorted, entries))
+    assert d == _naive_det(m.rows)
 
 
 def test_block_diagonal_det_is_the_product_of_the_block_dets():

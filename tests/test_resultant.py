@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_complexes import on_the_line
-from helpers_poly import constant_value, renamed
+from helpers_examples import (
+    M33_ELIMINANT_TEXT,
+    linear3_problem,
+    m33_problem,
+    m34_problem,
+    sturmfels_eliminant,
+    sturmfels_problem,
+)
+from helpers_poly import constant_value, evaluate, renamed, same_up_to_sign
 from helpers_reference import (
     incidence_sample,
     membership_test,
@@ -20,15 +28,7 @@ from helpers_reference import (
 from toricres import cech, resultant
 from toricres.complexes import koszul_generic
 from toricres.errors import ExactnessFailure, InputError, MathFailure
-from toricres.fixtures import (
-    M33_ELIMINANT_TEXT,
-    linear3_problem,
-    m33_problem,
-    m34_problem,
-    sturmfels_eliminant,
-    sturmfels_problem,
-    sturmfels_twist,
-)
+from toricres.fixtures import sturmfels_twist
 from toricres.qlinalg import QMatrix
 from toricres.qpoly import (
     PolyMatrix,
@@ -37,7 +37,6 @@ from toricres.qpoly import (
     poly_from_text,
     poly_to_text,
     primitive_part,
-    same_up_to_sign,
 )
 from toricres.implicit import implicitize_curve
 from toricres.resultant import (
@@ -725,12 +724,12 @@ def test_implicit_equation_vanishes_on_the_image():
     for k in range(10):
         tv = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
         point = {"s": Fraction(1), "t": tv}
-        den = f0.eval(point)
+        den = evaluate(f0, point)
         if not den:
             continue
-        spec = {"u": Fraction(f1.eval(point)) / den,
-                "v": Fraction(f2.eval(point)) / den}
-        assert eq.eval({w: spec.get(w, Fraction(0)) for w in eq.vars}) == 0
+        spec = {"u": Fraction(evaluate(f1, point)) / den,
+                "v": Fraction(evaluate(f2, point)) / den}
+        assert evaluate(eq, {w: spec.get(w, Fraction(0)) for w in eq.vars}) == 0
         hits += 1
     assert hits >= 8
 
@@ -780,9 +779,9 @@ def test_a_factor_shared_at_one_parameter_value_only_is_no_degeneration():
         "1 * c * u + -1 * c^2 * v^2 + -1 * c * v", eq.vars))
     for c, tv in itertools.product((-2, 0, Fraction(3, 5)), (-1, Fraction(1, 3), 4)):
         point = {"c": Fraction(c), "s": Fraction(1), "t": Fraction(tv)}
-        den = f0.eval(point)
-        assert eq.eval({"c": point["c"], "u": Fraction(f1.eval(point)) / den,
-                        "v": Fraction(f2.eval(point)) / den}) == 0
+        den = evaluate(f0, point)
+        assert evaluate(eq, {"c": point["c"], "u": Fraction(evaluate(f1, point)) / den,
+                             "v": Fraction(evaluate(f2, point)) / den}) == 0
 
 
 def test_implicitization_validates_its_input():

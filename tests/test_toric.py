@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers_examples import M33_SUPPORTS, STURMFELS_SUPPORTS, m34_supports
 from helpers_reference import (
     facets_by_brute_force,
     int_kernel_basis,
@@ -16,12 +17,7 @@ from helpers_reference import (
 )
 from toricres import toric
 from toricres.errors import InputError, MathFailure, UnsupportedGeometryError
-from toricres.fixtures import (
-    M33_SUPPORTS,
-    STURMFELS_PAPER_RAYS,
-    STURMFELS_SUPPORTS,
-    m34_supports,
-)
+from toricres.fixtures import STURMFELS_PAPER_RAYS
 from toricres.qlinalg import int_rank, solve_int
 from toricres.toric import (
     ToricVariety,

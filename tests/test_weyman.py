@@ -21,7 +21,19 @@ from helpers_complexes import (
     random_two_term,
     rescale_morphism,
 )
-from helpers_poly import constant_value, e1_page_from_obj, matrix_text
+from helpers_examples import (
+    M33_E1,
+    M33_ELIMINANT_TEXT,
+    M33_MULTIPLICITY,
+    M34_K8_RANKS,
+    STURMFELS_E1_UNIT,
+    STURMFELS_STABLE_SHAPE,
+    m33_problem,
+    m34_problem,
+    sturmfels_eliminant,
+    sturmfels_problem,
+)
+from helpers_poly import constant_value, e1_page_from_obj, matrix_text, same_up_to_sign
 import helpers_reference
 from helpers_reference import (
     expanded_certs,
@@ -34,19 +46,7 @@ from helpers_reference import (
 from toricres.complexes import FreeGradedComplex, koszul_generic
 from toricres import cech, weyman
 from toricres.errors import MathFailure, ResourceGuard
-from toricres.fixtures import (
-    M33_E1,
-    M33_ELIMINANT_TEXT,
-    M33_MULTIPLICITY,
-    M34_K8_RANKS,
-    STURMFELS_E1_UNIT,
-    STURMFELS_STABLE_SHAPE,
-    m33_problem,
-    m34_problem,
-    sturmfels_eliminant,
-    sturmfels_problem,
-    sturmfels_twist,
-)
+from toricres.fixtures import sturmfels_twist
 from toricres.morphisms import ComplexMorphism, weyman_on_morphism
 from toricres.qlinalg import QMatrix
 from toricres.qpoly import (
@@ -55,7 +55,6 @@ from toricres.qpoly import (
     poly_from_text,
     poly_to_text,
     primitive_part,
-    same_up_to_sign,
 )
 from toricres.resultant import (
     _multiplicity,

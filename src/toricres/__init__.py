@@ -1,6 +1,6 @@
 """Sparse resultants and direct images of complexes on toric varieties.
 
-Exact rational arithmetic end to end: no floating point, no term-order
+Exact integer arithmetic end to end: no floating point, no term-order
 machinery beyond a fixed degrevlex, no external computer-algebra systems.
 """
 from .qpoly import SparsePoly, PolyMatrix, poly_from_text, poly_to_text

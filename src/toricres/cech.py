@@ -45,12 +45,15 @@ chain's bitmask.  So a chain outside the current family's K never
 contributes to a later projection, and a walk drops it.  The tests compose
 iota1 and h1 back in and check the identities above on the whole family.
 
-K is reduced by Gauss elimination over Q (_reduce_block), one pivot at a
-time, the least nonzero entry under a fixed rule: a unit entry first, then
-the sparsest row, then the least (degree, row, column), rows and columns
-indexed by K's cells in (size, lex) order.  Each nonzero row keeps its
-least key, so a pivot is the least of those keys, and only the rows a pivot
-changes are keyed again.
+K is reduced by Gauss elimination over Z (_reduce_block), one pivot at a
+time, the least unit entry under a fixed rule: the sparsest row, then the
+least (degree, row, column), rows and columns indexed by K's cells in
+(size, lex) order.  Each nonzero row keeps its least key, so a pivot is the
+least of those keys, and only the rows a pivot changes are keyed again.
+Each pivot matches two cells with a unit incidence, as algebraic Morse
+theory over Z asks (Skoldberg, above), so every certificate is integral.
+No proof says that a unit is left while any entry is; that is checked at
+run time, and a reduction that runs out of units raises MathFailure.
 
 Which exponents carry cohomology at all is decided per variety and
 negative-support pattern by the family reduction itself, for the patterns
@@ -76,14 +79,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import and_, mul, or_
 from typing import Iterable, Sequence
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
 from .qlinalg import cofactor_det
-from .qpoly import cnorm
 from .toric import ToricVariety, degree_fiber, fiber_points
 
 Class = tuple[int, ...]
@@ -138,20 +139,23 @@ def _sigma(x: ToricVariety, neg: tuple[int, ...]) -> frozenset[int]:
 
 
 def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
-    """Fully reduce one block over Q, tracking the retract certificates.
+    """Fully reduce one block of integer maps over Z, pivoting on units
+    only, and track the retract certificates.
 
     A family reduction runs it on the critical cells K (see the module
-    docstring); it reduces any block of sparse maps, complex or not.
-    Coordinates are kept by original local index throughout.  Returns the
-    surviving indices per degree and the certificates as index-keyed sparse
-    structures.
+    docstring).  A unit is its own inverse, so every certificate and every
+    updated entry stays an int.  Coordinates are kept by original local
+    index throughout.  Returns the surviving indices per degree and the
+    certificates as index-keyed sparse structures.
 
     The pivot is the nonzero entry with the least key (unit, fill, q, i, j):
     unit 0 for a +-1 entry, fill the number of other entries in its row.
     Entries of one row share fill, q and i, so the least key overall is the
     least of the rows' least keys.  keys[q, i] holds the least key of
     every nonzero row i of degree q: it is recomputed whenever that row
-    changes and deleted when the row empties.
+    changes and deleted when the row empties.  A least key that is not a
+    unit's means that no unit is left: that raises MathFailure, checked at
+    run time rather than proven.
     """
     depth1 = len(per_q)
     sizes = [len(v) for v in per_q]
@@ -176,12 +180,13 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
             rekey(q, i, row)
 
     while keys:
-        _, _, q, pi, pj = min(keys.values())
+        non_unit, _, q, pi, pj = min(keys.values())
+        if non_unit:
+            raise MathFailure("no unit pivot left in a family reduction")
         dq = d[q]
         row_piv = dq.pop(pi)
         del keys[q, pi]
-        a = row_piv.pop(pj)
-        inv_a = a if a in (1, -1) else Fraction(1) / Fraction(a)   # ints stay ints
+        a = row_piv.pop(pj)   # +-1, its own inverse
         col_entries = [(i, r.pop(pj)) for i, r in dq.items() if pj in r]
         row_entries = list(row_piv.items())
 
@@ -195,9 +200,9 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
         for c1, v1 in rho_piv.items():
             dst = hq.setdefault(c1, {})
             for c0, v0 in iota_piv.items():
-                s = dst.get(c0, 0) + v1 * v0 * inv_a
+                s = dst.get(c0, 0) + v1 * v0 * a
                 if s:
-                    dst[c0] = cnorm(s)
+                    dst[c0] = s
                 else:
                     del dst[c0]
             if not dst:
@@ -205,33 +210,33 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
 
         # iota rows at q: subtract (C/a) * pivot row
         for i, cval in col_entries:
-            f = cval * inv_a
+            f = cval * a
             tgt = iota[q][i]
             for c0, v0 in iota_piv.items():
                 s = tgt.get(c0, 0) - f * v0
                 if s:
-                    tgt[c0] = cnorm(s)
+                    tgt[c0] = s
                 else:
                     tgt.pop(c0, None)
         # rho columns at q+1: subtract (B/a) * pivot column
         for j, bval in row_entries:
-            f = bval * inv_a
+            f = bval * a
             tgt = rho[q + 1][j]
             for c1, v1 in rho_piv.items():
                 s = tgt.get(c1, 0) - f * v1
                 if s:
-                    tgt[c1] = cnorm(s)
+                    tgt[c1] = s
                 else:
                     tgt.pop(c1, None)
 
         # Schur complement on d[q]; the pivot column already left every row
         for i, cval in col_entries:
-            fi = cval * inv_a
+            fi = cval * a
             ri = dq[i]
             for j, bval in row_entries:
                 s = ri.get(j, 0) - fi * bval
                 if s:
-                    ri[j] = cnorm(s)
+                    ri[j] = s
                 else:
                     ri.pop(j, None)
             rekey(q, i, ri)
@@ -486,7 +491,7 @@ class FamilyCerts:
         self.iota = [[cells(q, iota_k[q][i]) for i in m] for q, m in enumerate(models)]
         self.rho_t = []
         for q, m in enumerate(models):
-            t: dict[int, list[tuple[int, Fraction]]] = {}
+            t: dict[int, list[tuple[int, int]]] = {}
             for mpos, i in enumerate(m):
                 for k, v in rho_k[q][i].items():
                     t.setdefault(per_k[q][k], []).append((mpos, v))

@@ -1,6 +1,6 @@
 """Bounded complexes of free graded modules over a parametric Cox ring.
 
-The ring is Q[parameters][x_1..x_R] with the Cox variables graded by the
+The ring is Z[parameters][x_1..x_R] with the Cox variables graded by the
 class group of a toric variety and the parameters in degree zero.  A
 complex stores, per cohomological degree p, the tuple of summand classes
 (S[-alpha] has class alpha) and the differential to degree p+1 as a
@@ -60,6 +60,10 @@ class FreeGradedComplex(NamedTuple):
         return d
 
     def validate(self) -> None:
+        """The input boundary of the pipeline: contiguous degrees,
+        differentials of the right shapes, homogeneous entries whose
+        coefficients are ints (the ring is over Z, see qpoly), and d.d = 0.
+        Any failure raises InputError."""
         ps = sorted(self.degrees)
         if ps != list(range(ps[0], ps[-1] + 1)):
             raise InputError("degrees must occupy a contiguous range")
@@ -74,7 +78,10 @@ class FreeGradedComplex(NamedTuple):
             for k in range(d.nrows):
                 for l in range(d.ncols):
                     expect = class_sub(self.degrees[p][k], self.degrees[p + 1][l])
-                    for exp in d.rows[k][l].terms:
+                    for exp, c in d.rows[k][l].terms.items():
+                        if type(c) is not int:
+                            raise InputError(
+                                f"coefficient {c!r} at p={p}, ({k},{l}) is not an int")
                         xe = exp[n:]
                         degree = x_degree.get(xe)
                         if degree is None:

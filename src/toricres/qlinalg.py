@@ -25,9 +25,16 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError
-from .qpoly import Coeff, cnorm
 
+Coeff = int | Fraction
 Row = dict[int, Coeff]
+
+
+def cnorm(c: Coeff) -> Coeff:
+    """Collapse a Fraction with denominator 1 to int."""
+    if type(c) is Fraction and c.denominator == 1:   # type, not isinstance: faster on ints
+        return int(c)
+    return c
 
 
 class QMatrix:

@@ -1,10 +1,14 @@
-"""Sparse multivariate polynomials over Q, exact.
+"""Sparse multivariate polynomials over Z, exact.
 
-Polynomials are dicts mapping exponent tuples to nonzero coefficients.
-Coefficients are int or fractions.Fraction, normalized to int whenever the
-denominator is 1 so that the common all-integer case stays on fast paths.
-The variable list is part of every polynomial; arithmetic requires equal
-variable tuples.
+Polynomials are dicts mapping exponent tuples to nonzero int
+coefficients.  The coefficient ring is Z everywhere past the input
+boundary: FreeGradedComplex.validate, which every complex passes before
+its direct image is taken, refuses a coefficient that is not an int; the
+Cech certificates are integral, as cech._reduce_block pivots only on
+units; and every division here is exact division over Z, a remainder
+meaning that the divisor does not divide.  Only qlinalg.QMatrix, the
+tests' rank reference, works over Q.  The variable list is part of every
+polynomial; arithmetic requires equal variable tuples.
 
 Monomial order is degrevlex throughout: higher total degree first, ties
 broken so that the last nonzero entry of the exponent difference is
@@ -13,10 +17,10 @@ degrevlex and is bit-reproducible:
 
     poly   := "0" | term (" + " term)*
     term   := coeff | coeff (" * " factor)*
-    coeff  := ["-"] digits | ["-"] digits "/" digits
+    coeff  := ["-"] digits
     factor := name | name "^" exponent
 
-Example: "2 * a^2 * c + -1/3 * b".
+Example: "2 * a^2 * c + -3 * b".
 
 Kernel.  Exact division, the determinant, matrix products (`matmul`) and
 products whose factors both have several terms run on packed monomials (a
@@ -53,24 +57,13 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, MathFailure
 
-Coeff = int | Fraction
 Expo = tuple[int, ...]
-
-
-def cnorm(c: Coeff) -> Coeff:
-    """Collapse Fractions with denominator 1 to int."""
-    if type(c) is Fraction:   # not isinstance: Fraction's ABC check is slow on ints
-        if c.denominator == 1:
-            return int(c)
-        return c
-    return c
 
 
 def drl_key(exp: Expo) -> tuple:
@@ -80,10 +73,10 @@ def drl_key(exp: Expo) -> tuple:
 
 # -- packed monomials -------------------------------------------------------------
 
-Packed = dict[int, Coeff]
+Packed = dict[int, int]
 
 
-def _offset(n: int, polys: Iterable[Mapping[Expo, Coeff]]) -> Expo:
+def _offset(n: int, polys: Iterable[Mapping[Expo, int]]) -> Expo:
     """Per-variable min(0, smallest exponent) over the terms of polys."""
     off = (0,) * n
     for terms in polys:
@@ -93,7 +86,7 @@ def _offset(n: int, polys: Iterable[Mapping[Expo, Coeff]]) -> Expo:
     return off
 
 
-def _top_degree(terms: Mapping[Expo, Coeff], offset: Expo) -> int:
+def _top_degree(terms: Mapping[Expo, int], offset: Expo) -> int:
     """Largest total degree of the terms once shifted by -offset (0 if none)."""
     return max(map(sum, terms), default=sum(offset)) - sum(offset)
 
@@ -113,7 +106,7 @@ class _Packing:
         self.mask = (1 << w) - 1
         self.guards = sum(1 << (s + w - 1) for s in self.shifts)
 
-    def pack(self, terms: Mapping[Expo, Coeff]) -> Packed:
+    def pack(self, terms: Mapping[Expo, int]) -> Packed:
         shifts, offset, top = self.shifts, self.offset, self.top
         out: Packed = {}
         for e, c in terms.items():
@@ -125,11 +118,11 @@ class _Packing:
             out[low - (deg << top)] = c
         return out
 
-    def unpack(self, packed: Packed, times: int) -> dict[Expo, Coeff]:
+    def unpack(self, packed: Packed, times: int) -> dict[Expo, int]:
         """Exponent tuples of packed monomials whose offset is times*offset."""
         offset = [o * times for o in self.offset]
         shifts, low, mask = self.shifts, self.low, self.mask
-        out: dict[Expo, Coeff] = {}
+        out: dict[Expo, int] = {}
         for m, c in packed.items():
             m &= low
             out[tuple(((m >> s) & mask) + o for s, o in zip(shifts, offset))] = c
@@ -154,16 +147,10 @@ def _nonzero(p: Packed) -> Packed:
     return {m: c for m, c in p.items() if c}
 
 
-def _cdiv(a: Coeff, b: Coeff) -> Coeff:
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return cnorm(Fraction(a) / b)
-
-
 def _exact_div(a: Packed, d: Packed, guards: int) -> Packed | None:
-    """Quotient a/d with offset zero, or None when d does not divide a.
+    """Quotient a/d with offset zero, or None when d does not divide a:
+    a quotient term would need a negative exponent or a coefficient that
+    leaves a remainder over Z.
 
     The remainder's monomials sit in a min-heap, so its top is the leading
     term; a monomial cancelled to zero leaves a stale heap entry that is
@@ -175,9 +162,10 @@ def _exact_div(a: Packed, d: Packed, guards: int) -> Packed | None:
         for m, c in a.items():
             if c:
                 t = m - lead
-                if t & guards:
+                tc, r = divmod(c, lc)
+                if r or t & guards:
                     return None
-                q[t] = _cdiv(c, lc)
+                q[t] = tc
         return q
     lead = min(d)
     lc = d[lead]
@@ -193,9 +181,9 @@ def _exact_div(a: Packed, d: Packed, guards: int) -> Packed | None:
         if not c:
             continue
         t = m - lead
-        if t & guards:
+        tc, r = divmod(c, lc)
+        if r or t & guards:
             return None
-        tc = _cdiv(c, lc)
         q[t] = tc
         for dm, dc in rest:
             mm = m + dm
@@ -217,14 +205,9 @@ class SparsePoly:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Expo, Coeff]):
+    def __init__(self, variables: Sequence[str], terms: Mapping[Expo, int]):
         self.vars: tuple[str, ...] = tuple(variables)
-        clean: dict[Expo, Coeff] = {}
-        for e, c in terms.items():
-            c = cnorm(c)
-            if c:
-                clean[tuple(e)] = c
-        self.terms: dict[Expo, Coeff] = clean
+        self.terms: dict[Expo, int] = {tuple(e): c for e, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -233,12 +216,12 @@ class SparsePoly:
         return cls(variables, {})
 
     @classmethod
-    def const(cls, variables: Sequence[str], c: Coeff) -> "SparsePoly":
+    def const(cls, variables: Sequence[str], c: int) -> "SparsePoly":
         z: Expo = (0,) * len(variables)
         return cls(variables, {z: c})
 
     @classmethod
-    def monomial(cls, variables: Sequence[str], exp: Expo, c: Coeff = 1) -> "SparsePoly":
+    def monomial(cls, variables: Sequence[str], exp: Expo, c: int = 1) -> "SparsePoly":
         return cls(variables, {tuple(exp): c})
 
     # -- basic queries -----------------------------------------------------
@@ -258,7 +241,7 @@ class SparsePoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def leading(self) -> tuple[Expo, Coeff]:
+    def leading(self) -> tuple[Expo, int]:
         """Leading (exponent, coeff) under degrevlex."""
         if not self.terms:
             raise InputError("zero polynomial has no leading term")
@@ -268,7 +251,7 @@ class SparsePoly:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def sorted_terms(self) -> list[tuple[Expo, Coeff]]:
+    def sorted_terms(self) -> list[tuple[Expo, int]]:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=drl_key, reverse=True)]
 
     def __eq__(self, other: object) -> bool:
@@ -341,8 +324,9 @@ class SparsePoly:
     # -- division ----------------------------------------------------------
 
     def exact_div(self, d: "SparsePoly") -> "SparsePoly | None":
-        """Exact quotient self/d, or None when d does not divide self or the
-        quotient would need a negative exponent."""
+        """Exact quotient self/d over Z, or None when d does not divide self
+        with integer coefficients or the quotient would need a negative
+        exponent."""
         self._check(d)
         if not d.terms:
             raise InputError("division by zero polynomial")
@@ -357,38 +341,19 @@ class SparsePoly:
 
 # -- content and normalization ---------------------------------------------
 
-def content_unit(p: SparsePoly) -> Coeff:
-    """Rational unit u with p/u primitive: integer coprime coefficients and
-    positive leading (degrevlex) coefficient.  Zero polynomial gives 1."""
+def content_unit(p: SparsePoly) -> int:
+    """The signed content u of p: the gcd of its coefficients, negated when
+    the leading (degrevlex) coefficient is negative, so that p/u is
+    primitive with a positive leading coefficient.  Zero polynomial gives 1."""
     if not p.terms:
         return 1
-    _, lc = p.leading()
-    cs = p.terms.values()
-    if all(type(c) is int for c in cs):
-        g = math.gcd(*cs)
-        return -g if lc < 0 else g
-    num = 0
-    den = 1
-    for c in cs:
-        f = Fraction(c)
-        num = math.gcd(num, abs(f.numerator))
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    u = Fraction(num, den)
-    if lc < 0:
-        u = -u
-    return cnorm(u)
+    g = math.gcd(*p.terms.values())
+    return -g if p.leading()[1] < 0 else g
 
 
 def primitive_part(p: SparsePoly) -> SparsePoly:
-    if not p.terms:
-        return p
     u = content_unit(p)
-    if type(u) is int:
-        # a coefficient with a denominator would leave one in u, so every
-        # coefficient is an int and u divides it exactly
-        return SparsePoly(p.vars, {e: c // u for e, c in p.terms.items()})
-    u = Fraction(u)
-    return SparsePoly(p.vars, {e: cnorm(Fraction(c) / u) for e, c in p.terms.items()})
+    return SparsePoly(p.vars, {e: c // u for e, c in p.terms.items()})
 
 
 # -- integer k-th roots ------------------------------------------------------
@@ -396,7 +361,7 @@ def primitive_part(p: SparsePoly) -> SparsePoly:
 def _int_kth_root(n: int, k: int) -> int | None:
     """Exact k-th root of n >= 0, or None."""
     if n < 2:
-        return n if n >= 0 else None
+        return n
     if k == 2:
         r = math.isqrt(n)
     else:
@@ -411,26 +376,16 @@ def _int_kth_root(n: int, k: int) -> int | None:
     return r if r ** k == n else None
 
 
-def _coeff_kth_root(c: Coeff, k: int) -> Coeff | None:
-    f = Fraction(c)
-    neg = f < 0
-    if neg and k % 2 == 0:
-        return None
-    rn = _int_kth_root(abs(f.numerator), k)
-    rd = _int_kth_root(f.denominator, k)
-    if rn is None or rd is None:
-        return None
-    r = Fraction(rn, rd)
-    return cnorm(-r if neg else r)
-
-
 def kth_root(p: SparsePoly, k: int) -> SparsePoly | None:
     """Exact polynomial q with q**k == p, or None.
 
     Peels leading terms under degrevlex: the leading term of q is the k-th
     root of the leading term of p, and each further term t of q satisfies
     LT(p - q_partial**k) = k * LT(q)^(k-1) * t.  A final q**k == p check
-    guards against non-power inputs that survive the peeling.
+    guards against non-power inputs that survive the peeling.  A k-th root
+    over Q of an integer polynomial has integer coefficients (Gauss's
+    lemma), so a peeled coefficient that leaves a remainder over Z means
+    there is no root.
     """
     if k <= 0:
         raise InputError("k must be positive")
@@ -441,10 +396,12 @@ def kth_root(p: SparsePoly, k: int) -> SparsePoly | None:
     le, lc = p.leading()
     if any(x % k for x in le):
         return None
-    rc = _coeff_kth_root(lc, k)
+    if lc < 0 and not k % 2:
+        return None
+    rc = _int_kth_root(abs(lc), k)
     if rc is None:
         return None
-    q = SparsePoly.monomial(p.vars, tuple(x // k for x in le), rc)
+    q = SparsePoly.monomial(p.vars, tuple(x // k for x in le), -rc if lc < 0 else rc)
     lead_pow = q ** (k - 1)
     lpe, lpc = lead_pow.leading()
     # one peeling round per term of the root; generous bail-out bound
@@ -456,7 +413,9 @@ def kth_root(p: SparsePoly, k: int) -> SparsePoly | None:
         te = tuple(a - b for a, b in zip(re_, lpe))
         if any(x < 0 for x in te):
             return None
-        tc = cnorm(Fraction(rc_) / (k * Fraction(lpc)))
+        tc, rem = divmod(rc_, k * lpc)
+        if rem:
+            return None
         t = SparsePoly.monomial(p.vars, te, tc)
         if drl_key(te) >= drl_key(q.leading()[0]):
             return None
@@ -466,13 +425,6 @@ def kth_root(p: SparsePoly, k: int) -> SparsePoly | None:
 
 # -- serialization -----------------------------------------------------------
 
-def coeff_to_text(c: Coeff) -> str:
-    f = Fraction(c)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def poly_to_text(p: SparsePoly) -> str:
     if not all(map(_is_name, p.vars)):
         raise InputError(f"variables {p.vars!r} are not all names poly_from_text reads")
@@ -480,7 +432,7 @@ def poly_to_text(p: SparsePoly) -> str:
         return "0"
     parts = []
     for e, c in p.sorted_terms():
-        factors = [coeff_to_text(c)]
+        factors = [str(c)]
         for name, k in zip(p.vars, e):
             if k == 1:
                 factors.append(name)
@@ -490,7 +442,7 @@ def poly_to_text(p: SparsePoly) -> str:
     return " + ".join(parts)
 
 
-_COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
+_COEFF_RE = re.compile(r"^-?\d+$")
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(\^(-?\d+))?$")
 
 
@@ -506,13 +458,13 @@ def poly_from_text(text: str, variables: Sequence[str]) -> SparsePoly:
     text = text.strip()
     if text == "0":
         return SparsePoly.zero(variables)
-    terms: dict[Expo, Coeff] = {}
+    terms: dict[Expo, int] = {}
     for raw in text.split(" + "):
         factors = [f.strip() for f in raw.strip().split("*")]
         head = factors[0]
         if not _COEFF_RE.match(head):
-            raise InputError(f"bad coefficient token {head!r}")
-        c: Coeff = Fraction(head) if "/" in head else int(head)
+            raise InputError(f"bad coefficient token {head!r}: coefficients are integers")
+        c = int(head)
         e = [0] * len(variables)
         for f in factors[1:]:
             m = _FACTOR_RE.match(f)

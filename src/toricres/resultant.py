@@ -26,7 +26,6 @@ from typing import Mapping, NamedTuple, Sequence
 from .complexes import FreeGradedComplex, koszul_generic
 from .errors import ExactnessFailure, InputError, MathFailure
 from .qpoly import (
-    Coeff,
     PolyMatrix,
     SparsePoly,
     kth_root,
@@ -46,14 +45,6 @@ FIRST_PRIME = (1 << 61) - 1
 
 def _rand_assign(pv: Sequence[str], rng: random.Random) -> dict[str, int]:
     return {v: rng.randrange(1, FIRST_PRIME) for v in pv}
-
-
-def _coeff_mod(c: Coeff) -> int:
-    if type(c) is int:
-        return c
-    if not c.denominator % FIRST_PRIME:
-        raise MathFailure("a coefficient's denominator is divisible by the modulus")
-    return c.numerator * pow(c.denominator, -1, FIRST_PRIME)
 
 
 def _eval_mod(m: PolyMatrix, assign: Mapping[str, int]) -> list[dict[int, int]]:
@@ -76,7 +67,7 @@ def _eval_mod(m: PolyMatrix, assign: Mapping[str, int]) -> list[dict[int, int]]:
                         if k:
                             mono = mono * pow(a, k, p) % p
                     monos[e] = mono
-                v += _coeff_mod(coef) * mono
+                v += coef * mono
             v %= p
             if v:
                 vals[c] = v
@@ -204,8 +195,10 @@ def determinant_of_complex(W: WeymanComplex) -> SparsePoly:
     matrices over R is its own direct image on the projective line at
     class zero: put every summand at class 0 on variety_from_simplex(1),
     lift each entry with zero Cox exponents, and pass the complex through
-    weyman_differential, which returns those matrices.  A complex that is
-    not generically exact raises ExactnessFailure."""
+    weyman_differential, which returns those matrices.  Their entries must
+    have integer coefficients, as everywhere past the input boundary (see
+    qpoly); weyman_differential refuses others with InputError.  A complex
+    that is not generically exact raises ExactnessFailure."""
     if not isinstance(W, WeymanComplex):
         raise InputError(f"not a WeymanComplex: {type(W).__name__}")
     return _determinant_with_subsets(W)[0]

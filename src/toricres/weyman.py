@@ -17,7 +17,7 @@ where phi is the complex differential acting on chains (shifting exponents
 upward, so every chain subset stays inside its destination's pattern
 family) and h is the reduction homotopy.  The r-th projection w_r lands in
 the (p+r, q-r+1) summands and enters the matrix with sign
-(-1)^((i-1)(r-1)).  The certificates iota, h and rho act blockwise over Q,
+(-1)^((i-1)(r-1)).  The certificates iota, h and rho act blockwise over Z,
 one pattern family per exponent; only the phi steps carry R
 coefficients.
 
@@ -146,8 +146,9 @@ class _Certs(dict):
 # critical cells of a family (see the cech module docstring).  A parameter
 # exponent is one packed int of a qpoly._Packing with offset 0
 # (_walk_packing), so a product of monomials is an int add; exponent tuples
-# come back only in _fill_row.  Coefficients are ints, or Fractions where a
-# certificate has one; a SparsePoly is built only for a matrix entry.
+# come back only in _fill_row.  Every coefficient is an int, as every
+# certificate is integral (cech._reduce_block pivots on units); a SparsePoly
+# is built only for a matrix entry.
 
 def _walk_packing(x: ToricVariety, mats: Iterable[PolyMatrix], n_params: int) -> _Packing:
     """Packing of the parameter exponents of every walk through the

@@ -5,7 +5,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from toricres.errors import InputError
-from toricres.qpoly import Coeff, PolyMatrix, SparsePoly, cnorm, poly_to_text
+from toricres.qlinalg import Coeff, cnorm
+from toricres.qpoly import PolyMatrix, SparsePoly, poly_to_text
 from toricres.weyman import E1Page
 
 

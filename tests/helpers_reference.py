@@ -39,8 +39,8 @@ from helpers_poly import degree_in, evaluate
 from toricres import cech
 from toricres.complexes import FreeGradedComplex, x_split
 from toricres.errors import InputError, MathFailure, ResourceGuard
-from toricres.qlinalg import QMatrix, int_rank, smith_kernel, smith_normal_form
-from toricres.qpoly import PolyMatrix, SparsePoly, cnorm
+from toricres.qlinalg import QMatrix, cnorm, int_rank, smith_kernel, smith_normal_form
+from toricres.qpoly import PolyMatrix, SparsePoly
 from toricres.toric import SupportProblem, ToricVariety, degree_fiber, fiber_points
 from toricres.weyman import WeymanComplex
 

@@ -28,7 +28,7 @@ from helpers_reference import (
 from toricres import cech
 from toricres.cech import cech_depth
 from toricres.errors import MathFailure
-from toricres.qpoly import cnorm
+from toricres.qlinalg import cnorm
 from toricres.toric import variety_from_points, variety_from_simplex
 
 
@@ -568,7 +568,9 @@ def test_screened_points_match_walking_every_pattern_on_random_supports(supports
 
 def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
                             entries: list[dict[tuple[int, int], int]]):
-    """The block reduction with a full rescan of every nonzero per pivot."""
+    """The block reduction over Q with a full rescan of every nonzero per
+    pivot, a non-unit pivot taken like any other: the reduction, and its
+    pivots in the order taken."""
     depth1 = len(per_q)
     sizes = [len(v) for v in per_q]
     active = [set(range(s)) for s in sizes]
@@ -581,6 +583,7 @@ def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
     iota = [{i: {i: 1} for i in range(s)} for s in sizes]   # model row -> chain covector
     rho = [{i: {i: 1} for i in range(s)} for s in sizes]    # model col -> chain vector
     h = [dict() for _ in range(depth1 - 1)]                 # chain(q+1) -> {chain(q): c}
+    pivots = []
 
     def pick_pivot():
         best = None
@@ -597,6 +600,7 @@ def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
         if piv is None:
             break
         _, _, q, pi, pj, a = piv
+        pivots.append(a)
         inv_a = Fraction(1, 1) / Fraction(a)
         row_piv = d[q].get(pi, {})
         col_entries = [(i, r[pj]) for i, r in d[q].items() if pj in r and i != pi]
@@ -672,31 +676,42 @@ def _reference_reduce_block(per_q: list[list[tuple[int, ...]]],
                 if not d[q - 1][i]:
                     del d[q - 1][i]
 
-    return active, iota, rho, h
+    return (active, iota, rho, h), pivots
 
 
-def _assert_ints_stay_ints(red):
-    """Every certificate value of a reduction is an int or a non-integer
-    Fraction."""
+def _assert_every_certificate_value_is_an_int(red):
     values = [v for certs in red[1:] for level in certs
               for row in level.values() for v in row.values()]
-    assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
-               for v in values)
+    assert all(type(v) is int for v in values)
+
+
+def _check_against_reference(per_q, entries) -> bool:
+    """_reduce_block against the rescan reference: where every pivot the
+    reference takes is +-1 the two reductions are equal, with integer
+    certificates, and the result is True; otherwise _reduce_block refuses
+    the block, and the result is False."""
+    want, pivots = _reference_reduce_block(per_q, entries)
+    if all(a in (1, -1) for a in pivots):
+        got = cech._reduce_block(per_q, entries)
+        assert got == want
+        _assert_every_certificate_value_is_an_int(got)
+        return True
+    with pytest.raises(MathFailure, match="no unit pivot"):
+        cech._reduce_block(per_q, entries)
+    return False
 
 
 @pytest.mark.parametrize("name", ["P2", "P1P1", "squares", "sturmfels"])
 def test_block_reduction_matches_full_rescan_reference(name):
+    """Every pattern family of the fixtures, reduced whole, pivots on units
+    alone."""
     x = VARIETIES[name]()
     depth = cech.cech_depth(x)
     fams = {pattern_family(x, neg) for neg in _all_patterns(x)}
     for fam in sorted(fams):
         if fam:
             per_q = by_degree(fam, depth + 1)
-            entries = family_block(per_q)
-            want = _reference_reduce_block(per_q, entries)
-            got = cech._reduce_block(per_q, entries)
-            assert got == want
-            _assert_ints_stay_ints(got)
+            assert _check_against_reference(per_q, family_block(per_q))
 
 
 def test_block_reduction_matches_full_rescan_reference_on_m33_critical_cells(monkeypatch):
@@ -710,8 +725,9 @@ def test_block_reduction_matches_full_rescan_reference_on_m33_critical_cells(mon
 
     def checked(per_q, entries):
         got = reduce_block(per_q, entries)
-        assert got == _reference_reduce_block(per_q, entries)
-        _assert_ints_stay_ints(got)
+        want, pivots = _reference_reduce_block(per_q, entries)
+        assert got == want and all(a in (1, -1) for a in pivots)
+        _assert_every_certificate_value_is_an_int(got)
         sizes.append(sum(map(len, per_q)))
         return got
 
@@ -765,7 +781,7 @@ def test_cone_reduction_of_random_upward_closed_families(drawn):
     per_q, entries, *red = expanded_certs(c, sigma)
     assert retract_identity_failures(per_q, entries, *red) == []
     assert c.dims == tuple(map(len, red[0])) == rank_dims(per_q, entries)
-    _assert_ints_stay_ints(red)
+    _assert_every_certificate_value_is_an_int(red)
 
 
 def test_cone_reduction_rejects_a_family_not_closed_under_generator_0():
@@ -820,8 +836,8 @@ def _block(sizes, entries):
 
 @st.composite
 def _random_blocks(draw):
-    """Blocks of random sparse integer maps (not complexes): non-unit pivots
-    and Fraction entries occur."""
+    """Blocks of random sparse integer maps (not complexes): many run out of
+    unit pivots, which _reduce_block refuses."""
     sizes = draw(_SIZES)
     entries = []
     for q in range(len(sizes) - 1):
@@ -834,7 +850,9 @@ def _random_blocks(draw):
 @given(_random_blocks())
 @settings(max_examples=200, deadline=None)
 # a row grows under a pivot while the entry of its old key is still a unit:
-# the key's stale fill must not let that entry pivot early
+# the key's stale fill must not let that entry pivot early.  This example and
+# the next take two unit pivots and then need a non-unit one (6, then 5), so
+# both are refused
 @example(_block([4, 5], [{(0, 2): 2, (0, 3): -1, (0, 4): 1, (1, 0): 2, (1, 1): 2,
                           (1, 2): 2, (1, 3): -1, (2, 1): 1, (2, 3): 1, (2, 4): 2,
                           (3, 3): 2}]))
@@ -842,12 +860,24 @@ def _random_blocks(draw):
 # column 1
 @example(_block([3, 7], [{(0, 0): 1, (0, 1): 1, (0, 3): 1, (1, 0): 3, (1, 1): 1,
                           (1, 2): 5, (2, 1): 1, (2, 5): 1, (2, 6): 1}]))
+# the same two faults on blocks that pivot on units throughout, so the
+# reductions are compared: keeping a row's key while its entry is still a
+# unit (stale fill), and re-keying a row only when its fill changes (stale
+# unit flag), each gives a reduction other than the reference's
+@example(_block([4, 2], [{(0, 0): -1, (1, 0): -2, (1, 1): 1, (2, 1): -1, (3, 0): 1,
+                          (3, 1): -1}]))
+@example(_block([3, 6], [{(0, 1): -1, (0, 3): 2, (0, 4): 2, (0, 5): 2, (1, 0): -1,
+                          (1, 1): 1, (1, 3): 2, (1, 5): -1, (2, 0): -1, (2, 2): 2,
+                          (2, 3): -1, (2, 4): 1}]))
 def test_block_reduction_matches_full_rescan_reference_on_random_blocks(block):
-    per_q, entries = block
-    want = _reference_reduce_block(per_q, entries)
-    got = cech._reduce_block(per_q, entries)
-    assert got == want
-    _assert_ints_stay_ints(got)
+    _check_against_reference(*block)
+
+
+def test_block_reduction_refuses_a_non_unit_pivot():
+    """The 1x1 block [[2]] has no unit to pivot on: over Z it has no
+    retract by unit pivots, so the reduction refuses it."""
+    with pytest.raises(MathFailure, match="no unit pivot"):
+        cech._reduce_block(*_block([1, 1], [{(0, 0): 2}]))
 
 
 # -- guards and the memos -------------------------------------------------------------

@@ -145,6 +145,24 @@ def test_every_top_level_import_in_src_is_used():
     assert dead == []
 
 
+def test_only_qlinalg_imports_fractions():
+    """The coefficient ring is Z past the input boundary (see `qpoly`): of
+    the modules in `src/toricres`, only `qlinalg`, whose QMatrix is the
+    tests' rank reference over Q, imports `fractions`, at any level."""
+    importers = []
+    for path in sorted(Path(toricres.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.partition(".")[0] == "fractions" for m in modules):
+                importers.append(path.name)
+    assert importers == ["qlinalg.py"]
+
+
 def test_no_module_in_src_reads_an_error_message():
     """No `... in str(name)` test in `src/toricres`: a failure that a caller
     must tell apart has its own exception type (ExactnessFailure), so no

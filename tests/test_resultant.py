@@ -266,12 +266,18 @@ def test_a_bad_draw_is_detected_and_drawn_again(monkeypatch):
     assert "homology" in str(err.value.__cause__)
 
 
-def test_a_coefficient_the_modulus_cannot_invert_is_refused():
+def test_a_coefficient_that_is_not_an_int_is_refused_at_the_boundary():
+    """The coefficients are integers past the input boundary,
+    FreeGradedComplex.validate: weyman_differential, and implicitization
+    through it, refuse a Fraction before any walk or determinant."""
     vm = ("p",)
-    m = PolyMatrix.from_rows(
-        [[SparsePoly(vm, {(1,): Fraction(1, resultant.FIRST_PRIME)})]], vm)
-    with pytest.raises(MathFailure, match="modulus"):
-        determinant_of_complex(on_the_line({-1: m}))
+    m = PolyMatrix.from_rows([[SparsePoly(vm, {(1,): Fraction(1, 2)})]], vm)
+    with pytest.raises(InputError, match="not an int"):
+        on_the_line({-1: m})
+    half_s2 = SparsePoly(LINE, {(2, 0): Fraction(1, 2)})
+    s_t, t2 = SparsePoly(LINE, {(1, 1): 1}), SparsePoly(LINE, {(0, 2): 1})
+    with pytest.raises(InputError, match="not an int"):
+        implicitize_curve(half_s2, s_t, t2)
 
 
 def test_first_prime_is_the_prime_2_61_minus_1():

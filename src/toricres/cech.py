@@ -47,9 +47,12 @@ iota1 and h1 back in and check the identities above on the whole family.
 
 K is reduced by Gauss elimination over Z (_reduce_block), one pivot at a
 time, the least unit entry under a fixed rule: the sparsest row, then the
-least (degree, row, column), rows and columns indexed by K's cells in
-(size, lex) order.  Each nonzero row keeps its least key, so a pivot is the
-least of those keys, and only the rows a pivot changes are keyed again.
+least (row, column) by rank, each cell of K ranked by its place in
+(size, lex) order, so rows of lower degree come first.  Rows, columns and
+certificates are keyed by the cells' bitmasks themselves, and a
+column-to-rows index finds the rows each pivot touches.  Each nonzero row
+keeps its least key, so a pivot is the least of those keys, and only the
+rows a pivot changes are keyed again.
 Each pivot matches two cells with a unit incidence, as algebraic Morse
 theory over Z asks (Skoldberg, above), so every certificate is integral.
 No proof says that a unit is left while any entry is; that is checked at
@@ -68,20 +71,26 @@ of a circuit, the excluded patterns are the OR of the bitsets of the
 circuits the fiber violates, and only the set bits of its complement, the
 survivors, are visited.
 
-Family reductions are memoized per process, by variety and pattern
-(family_certs).  A memo by Sigma would save nothing more within a variety:
-on a polytope's normal fan Sigma determines the pattern, as its maximal
-sets are the vertex sets of the pattern's facets and distinct facets have
-incomparable vertex sets, so two patterns of one variety never share a
-reduction.
+Family reductions are memoized per process in one pattern table per
+variety (pattern_table), by pattern bitmask; family_certs and the walks
+look them up there.  The table also keeps, for every class of the variety
+at once, which patterns the screen has decided and which of those carry
+cohomology in q <= dim, so a pattern that survives the screen of many
+classes is decided once, and each class walks only its survivors that
+carry cohomology.  A memo by Sigma would save nothing more within a
+variety: on a polytope's normal fan Sigma determines the pattern, as its
+maximal sets are the vertex sets of the pattern's facets and distinct
+facets have incomparable vertex sets, so two patterns of one variety never
+share a reduction.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from functools import lru_cache, reduce
-from operator import and_, mul, or_
-from typing import Iterable, Sequence
+from operator import and_, mul
+from types import SimpleNamespace
+from typing import Iterable
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
 from .qlinalg import cofactor_det
@@ -138,67 +147,85 @@ def _sigma(x: ToricVariety, neg: tuple[int, ...]) -> frozenset[int]:
     return _down_closure(cones[rho] for rho in neg)
 
 
-def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
+def _reduce_block(per_q: list[list], entries: dict[tuple, int]):
     """Fully reduce one block of integer maps over Z, pivoting on units
     only, and track the retract certificates.
 
-    A family reduction runs it on the critical cells K (see the module
-    docstring).  A unit is its own inverse, so every certificate and every
-    updated entry stays an int.  Coordinates are kept by original local
-    index throughout.  Returns the surviving indices per degree and the
-    certificates as index-keyed sparse structures.
+    per_q[q] lists the cells of degree q, any hashables distinct across
+    degrees, each degree in the order the pivot rule reads (_per_degree);
+    entries maps (cell of degree q, cell of degree q + 1) to the nonzero
+    entries of the maps.  A family reduction runs it on the critical cells
+    K, subset bitmasks (see the module docstring).  A unit is its own
+    inverse, so every certificate and every updated entry stays an int.
+    Returns models, iota, rho and h, all in cells: models[q] the surviving
+    cells of degree q in per_q order, iota[q][m] and rho[q][m] the chain
+    covector and chain vector of model models[q][m], and h[q] (chain of
+    degree q + 1 -> chain covector of degree q).
 
-    The pivot is the nonzero entry with the least key (unit, fill, q, i, j):
-    unit 0 for a +-1 entry, fill the number of other entries in its row.
-    Entries of one row share fill, q and i, so the least key overall is the
-    least of the rows' least keys.  keys[q, i] holds the least key of
-    every nonzero row i of degree q: it is recomputed whenever that row
-    changes and deleted when the row empties.  A least key that is not a
-    unit's means that no unit is left: that raises MathFailure, checked at
-    run time rather than proven.
+    Every cell has one rank, its place in per_q read degree after degree.
+    The pivot is the nonzero entry with the least key (unit, fill, rank of
+    its row, rank of its column): unit 0 for a +-1 entry, fill the number
+    of other entries in its row.  Ranks order cells by degree first, so
+    this is the least (unit, fill, degree, row, column) of the positions in
+    per_q.  Entries of one row share fill and row, so the least key overall
+    is the least of the rows' least keys.  keys[i] holds the least key of
+    every nonzero row i: it is recomputed whenever that row changes and
+    deleted when the row empties.  A column-to-rows index finds the rows a
+    pivot touches.  A least key that is not a unit's means that no unit is
+    left: that raises MathFailure, checked at run time rather than proven.
     """
-    depth1 = len(per_q)
-    sizes = [len(v) for v in per_q]
-    d = [dict() for _ in range(depth1 - 1)]                 # d[q]: row -> {col: coeff}
-    for q, ent in enumerate(entries):
-        for (i, j), c in ent.items():
-            d[q].setdefault(i, {})[j] = c
-    iota = [{i: {i: 1} for i in range(s)} for s in sizes]   # model row -> chain covector
-    rho = [{i: {i: 1} for i in range(s)} for s in sizes]    # model col -> chain vector
-    h = [dict() for _ in range(depth1 - 1)]                 # chain(q+1) -> {chain(q): c}
+    cells = list(itertools.chain.from_iterable(per_q))
+    rank = {c: r for r, c in enumerate(cells)}
+    d: dict = {}          # row cell -> {column cell: coeff}
+    rows_of: dict = {}    # column cell -> the row cells with an entry there
+    for (i, j), c in entries.items():
+        if i in d:
+            d[i][j] = c
+        else:
+            d[i] = {j: c}
+        if j in rows_of:
+            rows_of[j].add(i)
+        else:
+            rows_of[j] = {i}
+    iota = {c: {c: 1} for c in cells}   # model row -> chain covector
+    rho = {c: {c: 1} for c in cells}    # model col -> chain vector
+    h: dict = {}                        # chain(q+1) -> {chain(q): c}
     keys = {}
 
-    def rekey(q, i, row):
+    def rekey(i, row):
         if row:
-            units = [j for j, a in row.items() if a in (1, -1)]
-            keys[q, i] = (0 if units else 1, len(row) - 1, q, i, min(units or row))
+            units = [rank[j] for j, a in row.items() if a == 1 or a == -1]
+            keys[i] = ((0, len(row) - 1, rank[i], min(units)) if units else
+                       (1, len(row) - 1, rank[i], min([rank[j] for j in row])))
         else:
-            del d[q][i], keys[q, i]
+            del d[i], keys[i]
 
-    for q, dq in enumerate(d):
-        for i, row in dq.items():
-            rekey(q, i, row)
+    for i, row in d.items():
+        rekey(i, row)
 
     while keys:
-        non_unit, _, q, pi, pj = min(keys.values())
+        non_unit, _, rank_i, rank_j = min(keys.values())
         if non_unit:
             raise MathFailure("no unit pivot left in a family reduction")
-        dq = d[q]
-        row_piv = dq.pop(pi)
-        del keys[q, pi]
+        pi, pj = cells[rank_i], cells[rank_j]
+        row_piv = d.pop(pi)
+        del keys[pi]
         a = row_piv.pop(pj)   # +-1, its own inverse
-        col_entries = [(i, r.pop(pj)) for i, r in dq.items() if pj in r]
+        for j in row_piv:
+            rows_of[j].discard(pi)
+        col_rows = rows_of.pop(pj)
+        col_rows.discard(pi)
+        col_entries = [(i, d[i].pop(pj)) for i in col_rows]
         row_entries = list(row_piv.items())
 
         # the pivot's row and column leave the models
-        iota_piv = iota[q].pop(pi)
-        rho_piv = rho[q + 1].pop(pj)
-        del rho[q][pi], iota[q + 1][pj]
+        iota_piv = iota.pop(pi)
+        rho_piv = rho.pop(pj)
+        del rho[pi], iota[pj]
 
         # homotopy gains 1/a * (rho column at pivot) x (iota row at pivot)
-        hq = h[q]
         for c1, v1 in rho_piv.items():
-            dst = hq.setdefault(c1, {})
+            dst = h.setdefault(c1, {})
             for c0, v0 in iota_piv.items():
                 s = dst.get(c0, 0) + v1 * v0 * a
                 if s:
@@ -206,12 +233,12 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
                 else:
                     del dst[c0]
             if not dst:
-                del hq[c1]
+                del h[c1]
 
         # iota rows at q: subtract (C/a) * pivot row
         for i, cval in col_entries:
             f = cval * a
-            tgt = iota[q][i]
+            tgt = iota[i]
             for c0, v0 in iota_piv.items():
                 s = tgt.get(c0, 0) - f * v0
                 if s:
@@ -221,7 +248,7 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
         # rho columns at q+1: subtract (B/a) * pivot column
         for j, bval in row_entries:
             f = bval * a
-            tgt = rho[q + 1][j]
+            tgt = rho[j]
             for c1, v1 in rho_piv.items():
                 s = tgt.get(c1, 0) - f * v1
                 if s:
@@ -229,28 +256,37 @@ def _reduce_block(per_q: list[list], entries: list[dict[tuple[int, int], int]]):
                 else:
                     tgt.pop(c1, None)
 
-        # Schur complement on d[q]; the pivot column already left every row
+        # Schur complement; the pivot column already left every row
         for i, cval in col_entries:
             fi = cval * a
-            ri = dq[i]
+            ri = d[i]
             for j, bval in row_entries:
                 s = ri.get(j, 0) - fi * bval
                 if s:
+                    if j not in ri:
+                        rows_of[j].add(i)
                     ri[j] = s
                 else:
-                    ri.pop(j, None)
-            rekey(q, i, ri)
+                    del ri[j]
+                    rows_of[j].discard(i)
+            rekey(i, ri)
 
         # the pivot's column pj is a row one degree up, its row pi a column
         # one degree down
-        if q + 1 < len(d) and pj in d[q + 1]:
-            del d[q + 1][pj], keys[q + 1, pj]
-        if q > 0:
-            for i, r in [(i, r) for i, r in d[q - 1].items() if pi in r]:
-                del r[pi]
-                rekey(q - 1, i, r)
+        row = d.pop(pj, None)
+        if row is not None:
+            del keys[pj]
+            for j in row:
+                rows_of[j].discard(pj)
+        for i in rows_of.pop(pi, ()):
+            r = d[i]
+            del r[pi]
+            rekey(i, r)
 
-    return [set(level) for level in iota], iota, rho, h
+    models = [[c for c in level if c in iota] for level in per_q]
+    return (models, [[iota[c] for c in m] for m in models],
+            [[rho[c] for c in m] for m in models],
+            [{c: h[c] for c in level if c in h} for level in per_q[1:]])
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +298,7 @@ def _members(T: int) -> tuple[int, ...]:
 
 def _per_degree(cells: Iterable[int], depth: int) -> list[list[int]]:
     """Subset bitmasks grouped by Cech degree, each group in lex order of
-    the subsets."""
+    the subsets: the order of the pivot rule."""
     per_q: list[list[int]] = [[] for _ in range(depth + 1)]
     for T in cells:
         per_q[T.bit_count() - 1].append(T)
@@ -271,25 +307,20 @@ def _per_degree(cells: Iterable[int], depth: int) -> list[list[int]]:
     return per_q
 
 
-def _block_entries(per_q: list[list[int]]) -> list[dict[tuple[int, int], int]]:
-    """Signed incidence entries of a block of subset bitmasks, by position in
-    per_q: inserting generator j into T has sign (-1)^#{t in T : t < j}."""
-    gens = reduce(or_, (T for level in per_q for T in level), 0)
-    bits = [1 << j for j in range(gens.bit_length()) if gens >> j & 1]
-    entries: list[dict[tuple[int, int], int]] = []
-    for lower, upper in zip(per_q, per_q[1:]):
-        ent = {}
-        entries.append(ent)
-        if not (lower and upper):
-            continue
-        index = {T: i for i, T in enumerate(upper)}
-        for i, T in enumerate(lower):
-            for b in bits:
-                if not b & T:
-                    k = index.get(T | b)
-                    if k is not None:
-                        ent[(i, k)] = -1 if (T & (b - 1)).bit_count() % 2 else 1
-    return entries
+def _block_entries(per_q: list[list[int]]) -> dict[tuple[int, int], int]:
+    """Signed incidence entries of a block of subset bitmasks, keyed by
+    (T, U) for T = U - {j} in the block: inserting generator j into T has
+    sign (-1)^#{t in T : t < j}."""
+    cells = set(itertools.chain.from_iterable(per_q))
+    out = {}
+    for level in per_q[1:]:
+        for U in level:
+            for j in _members(U):
+                b = 1 << j
+                T = U ^ b
+                if T in cells:
+                    out[(T, U)] = -1 if (T & (b - 1)).bit_count() % 2 else 1
+    return out
 
 
 # -- contributing patterns and points ------------------------------------------
@@ -392,13 +423,14 @@ def contributing_points(x: ToricVariety,
     All 2^#rays patterns are screened by the ray circuits first: the
     patterns excluded for this class are the OR of the pattern bitsets
     (_circuit_patterns, built once per variety) of the circuits the fiber
-    violates, and each pattern is one bit of it.  Only the survivors are
-    visited, lowest bitmask first.  One whose negated rays share a max cone
-    is skipped unreduced: Sigma is then a cone, contractible like the full
+    violates, and each pattern is one bit of it.  Of the survivors, only
+    those the variety's pattern table has not decided yet are looked at,
+    lowest bitmask first.  One whose negated rays share a max cone is
+    decided unreduced: Sigma is then a cone, contractible like the full
     simplex, so the family, their difference, carries the cohomology of the
-    pair, which is zero.  Every other has its family reduced (family_certs,
-    memoized by Sigma), and one with cohomology in some q <= dim is walked
-    by fiber_points.
+    pair, which is zero.  Every other has its family reduced, and the table
+    records whether it has cohomology in some q <= dim.  The survivors with
+    such cohomology are walked by fiber_points.
     A pattern neg is excluded when a ray circuit shows that its real sign
     polyhedron P = {u <= -1 on neg, u >= 0 off neg} misses the real fiber
     u0 + L, L the span of the degree kernel.
@@ -422,8 +454,7 @@ def contributing_points(x: ToricVariety,
     u0, kernel = degree_fiber(x, target)
     pts = []
     if u0 is not None:
-        q_top = min(x.dim, cech_depth(x))
-        circuits, patterns, cones = _ray_circuits(x), _circuit_patterns(x), _ray_cones(x)
+        circuits, patterns = _ray_circuits(x), _circuit_patterns(x)
         excluded = 0
         # one dot product per sign pair: (-a) . u0 = -(a . u0)
         for (a, _, _, c), (_, _, _, c_minus), p, p_minus in zip(
@@ -433,18 +464,15 @@ def contributing_points(x: ToricVariety,
                 excluded |= p
             if -dot < c_minus:
                 excluded |= p_minus
-        # the survivors, lowest pattern first: no real point of the fiber has
-        # an excluded pattern
+        # no real point of the fiber has an excluded pattern
         survivors = ((1 << (1 << x.n_rays)) - 1) & ~excluded
-        while survivors:
-            low = survivors & -survivors
-            survivors ^= low
-            bits = low.bit_length() - 1
-            neg = _members(bits)
-            if neg and reduce(and_, [cones[rho] for rho in neg]):
-                continue   # Sigma is a cone: no cohomology at all
-            if not any(family_certs(x, neg).dims[:q_top + 1]):
-                continue   # no cohomology in q <= dim
+        table = pattern_table(x)
+        table.decide(survivors)
+        walk = survivors & table.contributing
+        while walk:
+            low = walk & -walk
+            walk ^= low
+            neg = _members(low.bit_length() - 1)
             # w <= -1 on the rays in neg, w >= 0 on the others
             signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
             pts.extend((w, neg) for w in fiber_points(u0, kernel, signs))
@@ -453,7 +481,7 @@ def contributing_points(x: ToricVariety,
 
 # -- block-level access ------------------------------------------------------------
 
-# Family reductions by source.  Only family_certs memoizes them, so every
+# Family reductions by source.  Only the pattern tables hold them, so every
 # miss is a build: "memory" and "disk" are always 0, and stay because
 # perfbench/trace.py reads all three keys.
 cache_counters = {"memory": 0, "disk": 0, "built": 0}
@@ -463,11 +491,13 @@ class FamilyCerts:
     """Reduction certificates of the family of one Sigma on n generators,
     on its critical cells K alone (see the module docstring).
 
-    Every chain is a subset bitmask in K.  Model coordinates of degree q
-    are positions in active[q], the surviving cells of K in the order the
-    reduction saw them.  iota[q][m] is model m's covector iota_K,
-    rho_t[q] maps a chain to its (model, value) pairs, and h[q] holds the
-    nonzero rows of h_K, from cells of degree q + 1 to cells of degree q.
+    K is reduced by _reduce_block, its cells the subset bitmasks in
+    (size, lex) order, so every certificate comes out keyed by bitmask.
+    Model coordinates of degree q are positions in active[q], the
+    surviving cells of K of degree q in that order.  iota[q][m] is model
+    m's covector iota_K, rho_t[q] maps a chain to its (model, value) pairs,
+    and h[q] holds the nonzero rows of h_K, from cells of degree q + 1 to
+    cells of degree q.
 
     A Sigma that holds some U with generator 0 but not U - {0} raises
     MathFailure: its family is then not closed under adding generator 0,
@@ -480,45 +510,97 @@ class FamilyCerts:
         if any(U & 1 and U != 1 and U ^ 1 not in sigma for U in sigma):
             raise MathFailure("subset family not closed under adding generator 0")
         per_k = _per_degree({S | 1 for S in (0, *sigma)} - sigma, n - 1)
-        active, iota_k, rho_k, h_k = _reduce_block(per_k, _block_entries(per_k))
-
-        def cells(q, row):
-            return {per_k[q][k]: v for k, v in row.items()}
-
-        models = [sorted(a) for a in active]   # positions in per_k
-        self.active = [[per_k[q][i] for i in m] for q, m in enumerate(models)]
-        self.dims = tuple(map(len, models))
-        self.iota = [[cells(q, iota_k[q][i]) for i in m] for q, m in enumerate(models)]
+        self.active, self.iota, rho, self.h = _reduce_block(per_k, _block_entries(per_k))
+        self.dims = tuple(map(len, self.active))
         self.rho_t = []
-        for q, m in enumerate(models):
+        for rho_q in rho:
             t: dict[int, list[tuple[int, int]]] = {}
-            for mpos, i in enumerate(m):
-                for k, v in rho_k[q][i].items():
-                    t.setdefault(per_k[q][k], []).append((mpos, v))
+            for mpos, vec in enumerate(rho_q):
+                for c, v in vec.items():
+                    t.setdefault(c, []).append((mpos, v))
             self.rho_t.append(t)
-        self.h = [{per_k[q + 1][t]: cells(q, row) for t, row in level.items()}
-                  for q, level in enumerate(h_k)]
 
 
-@lru_cache(maxsize=None)
+class _PatternTable(dict):
+    """The family reductions of one variety, by pattern bitmask (bit rho
+    for a negated ray rho), built on first lookup: the only family memo.
+
+    It also keeps two bitsets over the patterns, as the screen of
+    contributing_points finds them, whatever the class: decided, the
+    patterns it has settled, and contributing, those among them whose
+    family has cohomology in some q <= dim.  A memo by Sigma would save
+    nothing more within a variety (see the module docstring)."""
+
+    __slots__ = ("x", "decided", "contributing")
+
+    def __init__(self, x: ToricVariety):
+        super().__init__()
+        self.x = x
+        self.decided = self.contributing = 0
+
+    def __missing__(self, bits: int) -> FamilyCerts:
+        certs = self[bits] = FamilyCerts(_sigma(self.x, _members(bits)),
+                                         len(self.x.max_cones))
+        cache_counters["built"] += 1
+        return certs
+
+    def decide(self, patterns: int) -> None:
+        """Settle every pattern of the bitset patterns not decided yet,
+        lowest first: one whose negated rays share a max cone has no
+        cohomology at all, and every other is reduced."""
+        x = self.x
+        cones = _ray_cones(x)
+        q_top = min(x.dim, cech_depth(x))
+        new = patterns & ~self.decided
+        while new:
+            low = new & -new
+            new ^= low
+            bits = low.bit_length() - 1
+            neg = _members(bits)
+            if neg and reduce(and_, [cones[rho] for rho in neg]):
+                continue   # Sigma is a cone: no cohomology at all
+            if any(self[bits].dims[:q_top + 1]):
+                self.contributing |= low
+        self.decided |= patterns
+
+
+_TABLES: dict[ToricVariety, _PatternTable] = {}
+
+
+def pattern_table(x: ToricVariety) -> _PatternTable:
+    """The pattern table of x, one per variety for the life of the process
+    (or until clear_caches); equal varieties share it."""
+    table = _TABLES.get(x)
+    if table is None:
+        table = _TABLES[x] = _PatternTable(x)
+    return table
+
+
 def family_certs(x: ToricVariety, neg: tuple[int, ...]) -> FamilyCerts:
-    """The certificates of pattern neg's family, memoized by variety and
-    pattern (see the module docstring)."""
-    certs = FamilyCerts(_sigma(x, neg), len(x.max_cones))
-    cache_counters["built"] += 1
-    return certs
+    """The certificates of pattern neg's family: its entry in the pattern
+    table of x."""
+    return pattern_table(x)[sum(1 << rho for rho in neg)]
 
 
-def pattern_of(w: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i, v in enumerate(w) if v < 0)
+def _memo_info() -> SimpleNamespace:
+    """The memo of family_certs in the terms of functools.lru_cache's
+    cache_info, which perfbench/trace.py reads: every miss is a build, and
+    currsize counts the families of every pattern table."""
+    return SimpleNamespace(misses=cache_counters["built"],
+                           currsize=sum(map(len, _TABLES.values())))
+
+
+family_certs.cache_info = _memo_info
 
 
 def clear_caches() -> None:
-    """Empty every in-process memo of this module and zero cache_counters.
+    """Empty every in-process memo of this module, the pattern tables
+    among them, and zero cache_counters.
 
     The memos grow for the life of the process."""
     for k in cache_counters:
         cache_counters[k] = 0
+    _TABLES.clear()
     for fn in (_ray_cones, _members, _ray_circuits, _circuit_patterns,
-               contributing_points, family_certs):
+               contributing_points):
         fn.cache_clear()

@@ -286,13 +286,20 @@ def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
         raise InputError(
             f"resultants need {n + 1} supports in dimension {n}, "
             f"got {len(problem.supports)}")
-    cod = codimension(problem.supports)
-    if cod != 1:
-        raise MathFailure(
-            f"the eliminant variety has codimension {cod}; "
-            "the resultant is defined only in codimension one")
+    # the Koszul complex, and the codimension one it needs, depend on the
+    # problem alone, so the problem instance keeps the complex, as
+    # variety_of keeps the fan
+    K = getattr(problem, "_koszul", None)
+    if K is None:
+        cod = codimension(problem.supports)
+        if cod != 1:
+            raise MathFailure(
+                f"the eliminant variety has codimension {cod}; "
+                "the resultant is defined only in codimension one")
     variety_of(problem)   # stage 1 on its own; the problem keeps the fan
-    K = koszul_generic(problem)
+    if K is None:
+        K = koszul_generic(problem)
+        object.__setattr__(problem, "_koszul", K)
     tw = resolve_twist(K, twist)
     C = K.twist(tw)
     W = weyman_differential(C)

@@ -7,9 +7,8 @@ cohomology model of the class of the k-th summand of C^p, tensored with R.
 Summands are ordered by descending q, so the differential matrices are block
 lower triangular.
 
-The differential is assembled one model basis element at a time.  A basis
-element u of the (p, q, k) summand embeds into Cech chains via iota, then
-walks down the staircase
+A basis element u of the (p, q, k) summand embeds into Cech chains via
+iota, then walks down the staircase
 
     v_1 = phi(iota(u)),   v_{t+1} = phi(h(v_t)),   w_r = rho(v_r),
 
@@ -21,15 +20,21 @@ the (p+r, q-r+1) summands and enters the matrix with sign
 one pattern family per exponent; only the phi steps carry R
 coefficients.
 
+The walk is linear, so the differential is assembled by one batched walk
+per group of rows with the same (i, p, q): every basis element of the
+group walks at once, each term tagged with the element's place in the
+group, and the walks of a group share their exponent blocks.
+
 The functor on morphisms, which reads the same walks through a mapping
 cone, is in `morphisms`.
 """
 from __future__ import annotations
 
+from itertools import groupby
 from operator import add
 from typing import Iterable, NamedTuple
 
-from .cech import contributing_points, family_certs, pattern_of
+from .cech import contributing_points, family_certs, pattern_table
 from .complexes import FreeGradedComplex, x_split
 from .errors import MathFailure
 from .qpoly import PolyMatrix, SparsePoly, _Packing
@@ -127,28 +132,35 @@ def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], 
 
 class _Certs(dict):
     """Certificate families by exponent w, for one variety: one assembly
-    walks the same exponents many times, so each is looked up once."""
+    walks the same exponents many times, so each is looked up once, in the
+    variety's pattern table by the bitmask of w's negative entries."""
 
     def __init__(self, x: ToricVariety):
         super().__init__()
-        self.x = x
+        self.table = pattern_table(x)
+        self.n = len(x.max_cones)
 
     def __missing__(self, w: tuple[int, ...]):
-        fam = self[w] = family_certs(self.x, pattern_of(w))
+        bits = 0
+        for rho, v in enumerate(w):
+            if v < 0:
+                bits |= 1 << rho
+        fam = self[w] = self.table[bits]
         return fam
 
 
-# Walk vectors are dicts (k, w) -> {chain -> {parameter exponent ->
-# coefficient}}, grouped by summand index and exponent so every certificate
-# lookup is block-local.  A chain is the bitmask of its generator subset, the
-# same coordinate in every family, so a phi step keeps it as it is.  Every
-# chain holds generator 0: it enters through iota or h, whose chains are the
-# critical cells of a family (see the cech module docstring).  A parameter
-# exponent is one packed int of a qpoly._Packing with offset 0
-# (_walk_packing), so a product of monomials is an int add; exponent tuples
-# come back only in _fill_row.  Every coefficient is an int, as every
-# certificate is integral (cech._reduce_block pivots on units); a SparsePoly
-# is built only for a matrix entry.
+# A walk vector is a dict (k, w) -> {key -> coefficient}, one block per
+# summand index and exponent, so every certificate lookup is block-local.
+# A key is tag << #generators | chain.  The chain is the bitmask of its
+# generator subset, the same coordinate in every family, so a phi step keeps
+# it and an h step swaps it.  Every chain holds generator 0: it enters through
+# iota or h, whose chains are the critical cells of a family (see the cech
+# module docstring).  The tag is (t << _stride(pk)) + a packed parameter
+# exponent: t is the walk's place in its group, and the exponent is one int
+# of a qpoly._Packing with offset 0 (_walk_packing), so a phi step, a product
+# of monomials, is one int add on the key.  Every coefficient is an int, as
+# every certificate is integral (cech._reduce_block pivots on units); tags
+# are decoded, and a SparsePoly built, only for a matrix entry (_fill_rows).
 
 def _walk_packing(x: ToricVariety, mats: Iterable[PolyMatrix], n_params: int) -> _Packing:
     """Packing of the parameter exponents of every walk through the
@@ -172,10 +184,17 @@ def _walk_packing(x: ToricVariety, mats: Iterable[PolyMatrix], n_params: int) ->
     return _Packing((0,) * n_params, top * (x.dim + 1))
 
 
-def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing):
+def _stride(pk: _Packing) -> int:
+    """Bit position of a walk's place t in its tag: above the exponent
+    fields of pk, and above a field as wide as one of them for the total
+    degree, which a packed exponent keeps negated above its fields."""
+    return pk.top + pk.mask.bit_length()
+
+
+def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing, shift: int):
     """Per-entry x-exponent splits of a matrix over the full ring, each
-    piece's coefficient in R as a list of (packed parameter exponent,
-    coeff).
+    piece's coefficient in R as a list of (packed parameter exponent <<
+    shift, coeff): a walk key's increment.
 
     A walk keeps a chain's subset across a step by x^nu, which is sound
     because nu >= 0 makes the pattern of w + nu part of the pattern of w,
@@ -191,113 +210,103 @@ def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing):
                 for nu, _ in pieces:
                     if min(nu, default=0) < 0:
                         raise MathFailure(f"negative Cox exponent {nu} in a walk matrix")
-                row[c] = [(nu, list(pk.pack(g.terms).items())) for nu, g in pieces]
+                row[c] = [(nu, [(e << shift, a) for e, a in pk.pack(g.terms).items()])
+                          for nu, g in pieces]
         if row:
             out[r] = row
     return out
 
 
-def _add_scaled(acc: dict, terms: dict, c) -> None:
-    """acc += c * terms, on {parameter exponent -> coefficient} dicts."""
-    for e, a in terms.items():
-        acc[e] = acc.get(e, 0) + a * c
-
-
-def _apply_split(splits, v: dict) -> dict:
-    """Push a walk vector through one matrix of the source complex.
-
-    Multiplication by a polynomial shifts exponents upward, so every chain
-    stays inside its (larger) destination family (see _split_matrix)."""
-    out: dict = {}
-    for (k, w), chains in v.items():
-        row = splits.get(k)
-        if not row:
-            continue
-        for l, pieces in row.items():
-            for nu, g in pieces:
-                w2 = tuple(map(add, w, nu))
-                blk = out.setdefault((l, w2), {})
-                for c, terms in chains.items():
-                    acc = blk.setdefault(c, {})
-                    for e1, a in terms.items():
-                        for e2, b in g:
-                            e = e1 + e2
-                            acc[e] = acc.get(e, 0) + a * b
-    return _drop_zeros(out)
-
-
-def _apply_h(certs: _Certs, v: dict, q: int) -> dict:
-    """Homotopy step from Cech degree q down to q - 1, blockwise.
-
-    A chain takes its stored row of h_K.  A chain without one is dropped:
-    either h_K's row there is zero, or the chain lies outside the critical
-    cells of w's family, where the full homotopy gives only chains that no
-    later projection sees (see the cech module docstring)."""
-    out: dict = {}
-    for (k, w), chains in v.items():
-        hq = certs[w].h[q - 1]
-        blk: dict = {}
-        for c, terms in chains.items():
-            row = hq.get(c)
-            if row is None:
-                continue
-            for c0, coef in row.items():
-                _add_scaled(blk.setdefault(c0, {}), terms, coef)
-        out[(k, w)] = blk
-    return _drop_zeros(out)
-
-
-def _project(certs: _Certs, v: dict, q: int) -> dict:
-    """Project a walk vector onto the cohomology models at Cech degree q:
-    a dict (k, w, mpos) -> {packed parameter exponent -> coefficient}."""
-    out: dict = {}
-    for (k, w), chains in v.items():
-        rho_t = certs[w].rho_t[q]
-        for c, terms in chains.items():
-            for mpos, coef in rho_t.get(c, []):
-                _add_scaled(out.setdefault((k, w, mpos), {}), terms, coef)
-    out = {key: {e: a for e, a in terms.items() if a} for key, terms in out.items()}
-    return {key: terms for key, terms in out.items() if terms}
-
-
-def _drop_zeros(v: dict) -> dict:
+def _nonzero(v: dict) -> dict:
+    """A walk vector or projection without its zero coefficients and empty
+    blocks; only a cancellation leaves a zero."""
     out = {}
-    for key, chains in v.items():
-        blk = {}
-        for c, terms in chains.items():
-            if 0 in terms.values():   # only a cancellation leaves a zero
-                terms = {e: a for e, a in terms.items() if a}
-                if not terms:
-                    continue
-            blk[c] = terms
+    for key, blk in v.items():
+        if 0 in blk.values():
+            blk = {k: a for k, a in blk.items() if a}
         if blk:
             out[key] = blk
     return out
 
 
-def _embed(certs: _Certs, k: int, w: tuple[int, ...], mpos: int, q: int) -> dict:
-    # 0 packs the exponent of the constant monomial
-    return {(k, w): {c: {0: coef} for c, coef in certs[w].iota[q][mpos].items()}}
-
-
-def _staircase(certs: _Certs, splits, label: tuple):
-    """The staircase walk of one model basis element (p0, q0, k0, w0, m0).
+def _walk(certs: _Certs, splits, pk: _Packing, p0: int, q0: int, members: list[tuple]):
+    """The staircase walks of the basis elements members[t] = (k, w, mpos)
+    of the (p0, q0) summands, all at once: the walk is linear, and each
+    element's terms carry its place t in their tags.
 
     Yields (r, projection) for r = 1..q0 + 1 with a nonzero projection:
-    an unsigned dict (k, w, mpos) -> {packed parameter exponent -> coefficient} in
-    the degree-(q0-r+1) models of the summands of C^(p0+r)."""
-    p0, q0, k0, w0, m0 = label
-    v = _embed(certs, k0, w0, m0, q0)
+    an unsigned dict (k, w, mpos) -> {tag -> coefficient} in the
+    degree-(q0-r+1) models of the summands of C^(p0+r)."""
+    n = certs.n
+    chains = (1 << n) - 1
+    at = _stride(pk) + n
+    v: dict = {}
+    for t, (k, w, mpos) in enumerate(members):
+        blk = v.setdefault((k, w), {})
+        # 0 packs the exponent of the constant monomial
+        for c, coef in certs[w].iota[q0][mpos].items():
+            blk[t << at | c] = coef
     q = q0
     for r in range(1, q0 + 2):
-        if not v or (p0 + r - 1) not in splits:
+        split = splits.get(p0 + r - 1)
+        if not v or split is None:
             return
-        v = _apply_split(splits[p0 + r - 1], v)
-        proj = _project(certs, v, q)
+        # phi: multiplication by a polynomial shifts exponents upward, so
+        # every chain stays inside its (larger) destination family (see
+        # _split_matrix)
+        out: dict = {}
+        for (k, w), blk in v.items():
+            row = split.get(k)
+            if not row:
+                continue
+            terms = blk.items()
+            for l, pieces in row.items():
+                for nu, g in pieces:
+                    w2 = tuple(map(add, w, nu))
+                    acc = out.get((l, w2))
+                    if acc is None:
+                        acc = out[(l, w2)] = {}
+                    for e, b in g:
+                        for key, a in terms:
+                            moved = key + e
+                            acc[moved] = acc.get(moved, 0) + a * b
+        v = _nonzero(out)
+        # projection onto the cohomology models at Cech degree q
+        proj: dict = {}
+        for (k, w), blk in v.items():
+            rho_t = certs[w].rho_t[q]
+            for key, a in blk.items():
+                pairs = rho_t.get(key & chains)
+                if pairs:
+                    tag = key >> n
+                    for mpos, coef in pairs:
+                        dst = proj.get((k, w, mpos))
+                        if dst is None:
+                            dst = proj[(k, w, mpos)] = {}
+                        dst[tag] = dst.get(tag, 0) + a * coef
+        proj = _nonzero(proj)
         if proj:
             yield r, proj
         if q:
-            v = _apply_h(certs, v, q)
+            # homotopy from Cech degree q down to q - 1: a chain takes its
+            # stored row of h_K.  A chain without one is dropped: either h_K's
+            # row there is zero, or the chain lies outside the critical cells
+            # of w's family, where the full homotopy gives only chains that
+            # no later projection sees (see the cech module docstring)
+            out = {}
+            for (k, w), blk in v.items():
+                hq = certs[w].h[q - 1]
+                acc = out[(k, w)] = {}
+                for key, a in blk.items():
+                    c = key & chains
+                    h_row = hq.get(c)
+                    if h_row is None:
+                        continue
+                    base = key - c
+                    for c0, coef in h_row.items():
+                        moved = base | c0
+                        acc[moved] = acc.get(moved, 0) + a * coef
+            v = _nonzero(out)
             q -= 1
 
 
@@ -306,8 +315,9 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
 
     Every basis element of every summand is embedded into the certificate
     family of its exponent's pattern, walked down the staircase, and
-    projected; the (p, q) -> (p+r, q-r+1) block enters with sign
-    (-1)^((i-1)(r-1)), i = p + q.
+    projected, one batched walk per group of rows with the same (p, q);
+    the (p, q) -> (p+r, q-r+1) block enters with sign (-1)^((i-1)(r-1)),
+    i = p + q.
 
     A pattern's family is the Cech block of each of its exponents at every
     uniform level past that exponent's depth, so the result does not depend
@@ -328,43 +338,60 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
         basis[i] = labels
         pos[i] = {lab: n for n, lab in enumerate(labels)}
 
-    pk = _walk_packing(x, C.diffs.values(), C.n_params)
-    splits = {p: _split_matrix(C.diff_at(p), C.n_params, pk) for p in C.diffs}
     certs = _Certs(x)
+    pk = _walk_packing(x, C.diffs.values(), C.n_params)
+    splits = {p: _split_matrix(C.diff_at(p), C.n_params, pk, certs.n) for p in C.diffs}
     diffs: dict[int, PolyMatrix] = {}
     for i in sorted(terms):
         if i + 1 not in terms:
             continue
         m = PolyMatrix(len(basis[i]), len(basis[i + 1]), pv)
         tpos = pos[i + 1]
-        for rown, label in enumerate(basis[i]):
-            p0, q0 = label[:2]
-            entries: dict[int, dict] = {}
-            for r, proj in _staircase(certs, splits, label):
+        # the summands of degree i are in descending q, so each (p, q) group
+        # of rows is a run
+        for (p0, q0), group in groupby(enumerate(basis[i]), key=lambda nl: nl[1][:2]):
+            group = list(group)
+            entries: dict[int, dict[int, int]] = {}
+            for r, proj in _walk(certs, splits, pk, p0, q0, [lab[2:] for _, lab in group]):
                 sgn = -1 if ((i - 1) * (r - 1)) % 2 else 1
                 for (k2, w2, mpos2), part in proj.items():
                     col = tpos.get((p0 + r, q0 - r + 1, k2, w2, mpos2))
                     if col is None:
                         raise MathFailure(
                             "staircase projection left the recorded models")
-                    _add_scaled(entries.setdefault(col, {}), part, sgn)
-            _fill_row(m, rown, entries, pk)
+                    acc = entries.setdefault(col, {})
+                    for tag, a in part.items():
+                        acc[tag] = acc.get(tag, 0) + a * sgn
+            _fill_rows(m, [rown for rown, _ in group], entries, pk)
         diffs[i] = m
 
     return WeymanComplex(source=C, terms=terms, e1=page, basis=basis, diffs=diffs)
 
 
-def _fill_row(m: PolyMatrix, rown: int, entries: dict[int, dict], pk: _Packing) -> None:
-    """Write one row's accumulated {column -> packed parameter terms} into m.
+def _fill_rows(m: PolyMatrix, rows: list[int], entries: dict[int, dict[int, int]],
+               pk: _Packing) -> None:
+    """Write one group's accumulated {column -> {tag -> coefficient}} into
+    m, the walk of place t in row rows[t] (see _walk for the tags).
 
-    A packed exponent whose fields do not add up to the total degree above
-    them, or that sets a guard bit, passed the degree bound of pk: that
-    raises MathFailure instead of reading a carried field as an exponent."""
-    for col, terms in entries.items():
+    A tag is (t << _stride(pk)) + a packed exponent, which holds its
+    negated total degree in the field just below t.  A tag whose t is no
+    place of the group, or whose exponent fields do not add up to the total
+    degree above them or set a guard bit, passed the degree bound of pk:
+    the degree overran its field into t, or a field carried.  That raises
+    MathFailure instead of reading a carried field as an exponent."""
+    top, mask, at = pk.top, pk.mask, _stride(pk)
+    by_entry: dict[tuple[int, int], dict[int, int]] = {}
+    for col, tagged in entries.items():
+        for tag, a in tagged.items():
+            t = ((tag >> top) + mask) >> (at - top)
+            if not 0 <= t < len(rows):
+                raise MathFailure("a walk's parameter exponent passed its degree bound")
+            by_entry.setdefault((t, col), {})[tag - (t << at)] = a
+    for (t, col), terms in by_entry.items():
         unpacked = pk.unpack(terms, 0)
         # unpack keeps the order, so without a collision the pairs line up
         if len(unpacked) != len(terms) or any(
-                packed & pk.guards or sum(e) != -(packed >> pk.top)
+                packed & pk.guards or sum(e) != -(packed >> top)
                 for packed, e in zip(terms, unpacked)):
             raise MathFailure("a walk's parameter exponent passed its degree bound")
-        m.rows[rown][col] = SparsePoly(m.vars, unpacked)
+        m.rows[rows[t]][col] = SparsePoly(m.vars, unpacked)

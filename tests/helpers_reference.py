@@ -281,6 +281,46 @@ def by_degree(fam, n: int) -> list[list[tuple[int, ...]]]:
     return [sorted(T for T in fam if len(T) == q + 1) for q in range(n)]
 
 
+def by_cell(per_q, entries) -> dict:
+    """Incidence entries given per degree by position, as family_block
+    gives them, keyed by (row cell, column cell) instead: the entries
+    cech._reduce_block takes.  The cells of per_q must be distinct across
+    degrees."""
+    return {(per_q[q][i], per_q[q + 1][j]): c
+            for q, ent in enumerate(entries) for (i, j), c in ent.items()}
+
+
+def by_position_entries(per_q, entries: Mapping) -> list[dict[tuple[int, int], int]]:
+    """The inverse of by_cell: entries keyed by cell, per degree by
+    position."""
+    pos = [{c: i for i, c in enumerate(level)} for level in per_q]
+    degree = {c: q for q, level in enumerate(per_q) for c in level}
+    out: list[dict[tuple[int, int], int]] = [{} for _ in per_q[1:]]
+    for (a, b), c in entries.items():
+        q = degree[a]
+        out[q][(pos[q][a], pos[q + 1][b])] = c
+    return out
+
+
+def by_position(per_q, red):
+    """A cech._reduce_block reduction, whose models and certificates are
+    in cells, keyed by position in per_q instead: the surviving
+    positions per degree as sets, and iota, rho and h, as the rescan
+    reference of the tests returns them and retract_identity_failures
+    takes them."""
+    models, iota, rho, h = red
+    pos = [{c: i for i, c in enumerate(level)} for level in per_q]
+
+    def at(q, vec):
+        return {pos[q][c]: v for c, v in vec.items()}
+
+    return ([{pos[q][c] for c in m} for q, m in enumerate(models)],
+            [{pos[q][c]: at(q, v) for c, v in zip(m, iota[q])} for q, m in enumerate(models)],
+            [{pos[q][c]: at(q, v) for c, v in zip(m, rho[q])} for q, m in enumerate(models)],
+            [{pos[q + 1][c]: at(q, row) for c, row in level.items()}
+             for q, level in enumerate(h)])
+
+
 def rank_dims(per_q, entries) -> tuple[int, ...]:
     """Cohomology dimensions of a block given per degree with its incidence
     entries (family_block), every rank taken over Q by QMatrix.rank:
@@ -387,9 +427,10 @@ def retract_identity_failures(per_q, entries, active, iota, rho, h) -> list[str]
 
     The family is given as its per-degree chain subsets and incidence
     entries (D_q: chains_q -> chains_(q+1), entries[q][(i, j)]) and as the
-    reduction of _reduce_block: surviving indices, iota (model row ->
-    chain covector), rho (model column -> chain vector) and h (chain of
-    degree q+1 -> chain covector of degree q).  In the row convention,
+    reduction of _reduce_block by position (by_position): surviving
+    indices, iota (model row -> chain covector), rho (model column ->
+    chain vector) and h (chain of degree q+1 -> chain covector of
+    degree q).  In the row convention,
     with I_q = iota, R_q = rho and H_q = h as matrices, it checks
     D_q D_(q+1) = 0, I D = 0, D R = 0, I R = id,
     D_q H_q + H_(q-1) D_(q-1) = id - R_q I_q, I H = 0, H R = 0 and

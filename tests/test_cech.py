@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from helpers_cohomology import bott_pn, cls_of_degree, kunneth_p1p1, p1p1_class
 from helpers_reference import (
+    by_cell,
     by_degree,
+    by_position,
+    by_position_entries,
     expanded_certs,
     family_block,
     family_rank_dims,
@@ -124,8 +127,8 @@ def test_strand_determinism():
     depth, blocks = strand_blocks(P2, cls_of_degree(P2, 3), (1, 1, 1))
     assert blocks
     pers = [by_degree(fam, depth + 1) for _, fam in blocks]
-    first = [cech._reduce_block(per_q, family_block(per_q)) for per_q in pers]
-    again = [cech._reduce_block(per_q, family_block(per_q)) for per_q in pers]
+    first = [cech._reduce_block(per_q, by_cell(per_q, family_block(per_q))) for per_q in pers]
+    again = [cech._reduce_block(per_q, by_cell(per_q, family_block(per_q))) for per_q in pers]
     assert first == again
 
 
@@ -532,6 +535,39 @@ def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch, built_fam
     assert cech.cache_counters == {"memory": 0, "disk": 0, "built": 39}
 
 
+def test_screening_the_sturmfels_classes_in_either_order_decides_the_same():
+    """The pattern table decides each pattern once, for whichever class
+    reaches it first: after clear_caches, which empties the tables,
+    screening the 16 Koszul classes of the printed Sturmfels twists in
+    forward and in reverse order gives the same points per class, builds
+    the same number of families, and leaves the same decided and
+    contributing bitsets."""
+    from helpers_examples import sturmfels_problem
+    from toricres.complexes import koszul_generic
+    from toricres.fixtures import sturmfels_twist
+    from toricres.toric import variety_of
+
+    problem = sturmfels_problem()
+    x = variety_of(problem)
+    K = koszul_generic(problem)
+    classes = [alpha for which in ("unit", "stable")
+               for alphas in K.twist(sturmfels_twist(x, which)).degrees.values()
+               for alpha in alphas]
+    assert len(classes) == 16
+    runs = []
+    for order in (classes, classes[::-1]):
+        cech.clear_caches()
+        assert cech.family_certs.cache_info().currsize == 0
+        points = [cech.contributing_points(x, alpha) for alpha in order]
+        table = cech.pattern_table(x)
+        runs.append((dict(zip(order, points)), cech.cache_counters["built"],
+                     table.decided, table.contributing))
+    assert runs[0] == runs[1]
+    _, built, decided, contributing = runs[0]
+    # four patterns carry cohomology, and each was decided
+    assert built and contributing.bit_count() == 4 and contributing & ~decided == 0
+
+
 @st.composite
 def _small_supports(draw):
     """n + 1 supports of 2-3 distinct points in [0, 3]^n, n = 1 or 2 (mostly
@@ -689,15 +725,16 @@ def _check_against_reference(per_q, entries) -> bool:
     """_reduce_block against the rescan reference: where every pivot the
     reference takes is +-1 the two reductions are equal, with integer
     certificates, and the result is True; otherwise _reduce_block refuses
-    the block, and the result is False."""
+    the block, and the result is False.  _reduce_block keys its entries
+    and its reduction by cell, the reference by position."""
     want, pivots = _reference_reduce_block(per_q, entries)
     if all(a in (1, -1) for a in pivots):
-        got = cech._reduce_block(per_q, entries)
+        got = by_position(per_q, cech._reduce_block(per_q, by_cell(per_q, entries)))
         assert got == want
         _assert_every_certificate_value_is_an_int(got)
         return True
     with pytest.raises(MathFailure, match="no unit pivot"):
-        cech._reduce_block(per_q, entries)
+        cech._reduce_block(per_q, by_cell(per_q, entries))
     return False
 
 
@@ -725,9 +762,9 @@ def test_block_reduction_matches_full_rescan_reference_on_m33_critical_cells(mon
 
     def checked(per_q, entries):
         got = reduce_block(per_q, entries)
-        want, pivots = _reference_reduce_block(per_q, entries)
-        assert got == want and all(a in (1, -1) for a in pivots)
-        _assert_every_certificate_value_is_an_int(got)
+        want, pivots = _reference_reduce_block(per_q, by_position_entries(per_q, entries))
+        assert by_position(per_q, got) == want and all(a in (1, -1) for a in pivots)
+        _assert_every_certificate_value_is_an_int(by_position(per_q, got))
         sizes.append(sum(map(len, per_q)))
         return got
 
@@ -752,7 +789,7 @@ def test_every_pattern_family_satisfies_the_retract_identities(name, order, requ
         entries = family_block(per_q)
         want = family_rank_dims(fam, n)
         # the whole family by block reduction
-        red = cech._reduce_block(per_q, entries)
+        red = by_position(per_q, cech._reduce_block(per_q, by_cell(per_q, entries)))
         assert retract_identity_failures(per_q, entries, *red) == [], neg
         assert tuple(map(len, red[0])) == want
         # the production reduction, on the critical cells of Sigma alone
@@ -877,7 +914,8 @@ def test_block_reduction_refuses_a_non_unit_pivot():
     """The 1x1 block [[2]] has no unit to pivot on: over Z it has no
     retract by unit pivots, so the reduction refuses it."""
     with pytest.raises(MathFailure, match="no unit pivot"):
-        cech._reduce_block(*_block([1, 1], [{(0, 0): 2}]))
+        per_q, entries = _block([1, 1], [{(0, 0): 2}])
+        cech._reduce_block(per_q, by_cell(per_q, entries))
 
 
 # -- guards and the memos -------------------------------------------------------------
@@ -894,10 +932,11 @@ def test_generator_cap_raises_resource_guard(monkeypatch):
     monkeypatch.setattr(cech, "_GENERATOR_CAP", 1)
     with pytest.raises(ResourceGuard, match="2 max cones"):
         cech._ray_cones.__wrapped__(P2)
-    # and on the path that builds a family
+    # and on the path that builds a family: a fresh pattern table, past
+    # the memo
     monkeypatch.setattr(cech, "_ray_cones", cech._ray_cones.__wrapped__)
     with pytest.raises(ResourceGuard):
-        cech.family_certs.__wrapped__(P2, (0,))
+        cech._PatternTable(P2)[0b1]
 
 
 def test_pattern_ray_cap_raises_unsupported_geometry(monkeypatch):
@@ -921,7 +960,7 @@ def test_pattern_ray_cap_stops_contributing_points_before_any_circuit(monkeypatc
     x = variety_from_points(((0, 0), (3, 0), (4, 1), (2, 3), (0, 2)))
     enumerated = []
     monkeypatch.setattr(cech, "_ray_circuits", lambda x_: enumerated.append(x_) or ())
-    monkeypatch.setattr(cech, "family_certs", lambda *a: enumerated.append(a))
+    monkeypatch.setattr(cech, "pattern_table", lambda *a: enumerated.append(a))
     monkeypatch.setattr(cech, "_PATTERN_RAY_CAP", 2)
     with pytest.raises(UnsupportedGeometryError):
         cech.contributing_points(x, x.anticanonical_class())

@@ -477,6 +477,27 @@ def test_codimension_gate_rejects_deficient_supports():
         a_resultant(prob)
 
 
+def test_the_koszul_complex_is_built_once_per_problem_instance(monkeypatch):
+    """The codimension gate and the Koszul complex depend on the problem
+    alone: solving one instance at two twists computes each once, and the
+    gate still refuses a deficient problem on every call."""
+    calls = []
+    for name in ("codimension", "koszul_generic"):
+        fn = getattr(resultant, name)
+        monkeypatch.setattr(resultant, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    problem = sturmfels_problem()
+    x = variety_of(problem)
+    outs = [a_resultant(problem, twist=sturmfels_twist(x, which))
+            for which in ("unit", "stable")]
+    assert calls == ["codimension", "koszul_generic"]
+    assert same_up_to_sign(outs[0].delta, outs[1].delta)
+    deficient = support_problem([[(0,)], [(0,)]])
+    for _ in range(2):
+        with pytest.raises(MathFailure, match="codimension"):
+            a_resultant(deficient)
+
+
 def test_support_count_must_match_the_dimension():
     prob = support_problem([[(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)]])
     with pytest.raises(InputError, match="supports"):

@@ -475,11 +475,15 @@ def test_equal_varieties_built_separately_share_hash_and_memo_entries():
     cech.family_certs(a, neg)
     degree_fiber(a, (0,) * a.class_rank)
     before = (cech.family_certs.cache_info(), degree_fiber.cache_info())
+    assert cech.pattern_table(b) is cech.pattern_table(a)
     assert cech.family_certs(b, neg) is cech.family_certs(a, neg)
     assert degree_fiber(b, (0,) * b.class_rank) == degree_fiber(a, (0,) * a.class_rank)
     after = (cech.family_certs.cache_info(), degree_fiber.cache_info())
-    for old, new in zip(before, after):
-        assert (new.hits, new.misses, new.currsize) == (old.hits + 2, old.misses, old.currsize)
+    # the family memo, a pattern table per variety, counts no hits: both
+    # lookups found the family without building it
+    assert (after[0].misses, after[0].currsize) == (before[0].misses, before[0].currsize)
+    assert (after[1].hits, after[1].misses, after[1].currsize) == \
+        (before[1].hits + 2, before[1].misses, before[1].currsize)
 
 
 def test_variety_of_is_built_once_per_problem_instance(monkeypatch):

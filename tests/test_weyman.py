@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -246,7 +247,8 @@ def test_sturmfels_pivot_order_naturality(sturmfels_unit, request):
     of basis: the same page, term ranks and determinant up to sign."""
     C, W = sturmfels_unit
     x = C.x
-    negs = sorted({cech.pattern_of(lab[3]) for labs in W.basis.values() for lab in labs})
+    negs = sorted({tuple(rho for rho, v in enumerate(lab[3]) if v < 0)
+                   for labs in W.basis.values() for lab in labs})
     before = [_labelled_certs(cech.family_certs(x, neg)) for neg in negs]
     request.getfixturevalue("reversed_subset_order")
     built = request.getfixturevalue("built_families")
@@ -366,9 +368,11 @@ def test_staircase_stops_at_the_bottom_row(m33_weyman):
             lab = (p, q, k, w, mpos)
             break
     assert lab is not None
+    certs = weyman._Certs(C.x)
     pk = weyman._walk_packing(C.x, C.diffs.values(), C.n_params)
-    splits = {p: weyman._split_matrix(C.diff_at(p), C.n_params, pk) for p in C.diffs}
-    projs = dict(weyman._staircase(weyman._Certs(C.x), splits, lab))
+    splits = {p: weyman._split_matrix(C.diff_at(p), C.n_params, pk, certs.n)
+              for p in C.diffs}
+    projs = dict(weyman._walk(certs, splits, pk, lab[0], lab[1], [lab[2:]]))
     assert projs and set(projs) <= {1, 2}
 
 
@@ -397,9 +401,61 @@ def test_split_matrix_rejects_a_negative_cox_exponent():
     # a x1 + 2a x2 / x1
     d = PolyMatrix.from_rows([[SparsePoly(v, {(1, 1, 0): 1, (1, -1, 1): 2})]], v)
     with pytest.raises(MathFailure, match="negative Cox exponent"):
-        weyman._split_matrix(d, 1, pk)
+        weyman._split_matrix(d, 1, pk, 2)
     d = PolyMatrix.from_rows([[SparsePoly(v, {(1, 1, 0): 1, (1, 0, 1): 2})]], v)
-    assert [nu for nu, _ in weyman._split_matrix(d, 1, pk)[0][0]] == [(0, 1), (1, 0)]
+    assert [nu for nu, _ in weyman._split_matrix(d, 1, pk, 2)[0][0]] == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("name", ["sturmfels_unit", "m33_weyman"])
+def test_walking_each_basis_element_alone_reproduces_its_row(name, request):
+    """A batched walk tags each term with its walk's place in the group,
+    and weyman_differential decodes the tags of whole groups: walked alone,
+    as a group of one, every basis element gives its row again."""
+    C, W = request.getfixturevalue(name)
+    certs = weyman._Certs(C.x)
+    pk = weyman._walk_packing(C.x, C.diffs.values(), C.n_params)
+    splits = {p: weyman._split_matrix(C.diff_at(p), C.n_params, pk, certs.n)
+              for p in C.diffs}
+    # not vacuous: some group holds several rows, whose tags differ
+    assert any(len(list(g)) > 1 for labs in W.basis.values()
+               for _, g in itertools.groupby(labs, key=lambda lab: lab[:2]))
+    walked = 0
+    for i, d in W.diffs.items():
+        tpos = {lab: n for n, lab in enumerate(W.basis[i + 1])}
+        for rown, (p0, q0, k, w, mpos) in enumerate(W.basis[i]):
+            entries: dict = {}
+            for r, proj in weyman._walk(certs, splits, pk, p0, q0, [(k, w, mpos)]):
+                sgn = -1 if ((i - 1) * (r - 1)) % 2 else 1
+                for (k2, w2, mpos2), part in proj.items():
+                    acc = entries.setdefault(tpos[(p0 + r, q0 - r + 1, k2, w2, mpos2)], {})
+                    for tag, a in part.items():
+                        acc[tag] = acc.get(tag, 0) + sgn * a
+            m = PolyMatrix(1, d.ncols, d.vars)
+            weyman._fill_rows(m, [0], entries, pk)
+            assert [p.terms for p in m.rows[0]] == [p.terms for p in d.rows[rown]]
+            walked += 1
+    assert walked == sum(W.rank(i) for i in W.diffs)
+
+
+def test_a_row_tag_that_overruns_its_field_is_a_typed_error():
+    """A tag holds its walk's place t above the negated total degree of its
+    exponent, in a field as wide as one exponent field.  A degree past that
+    field borrows from t, and a t outside the group names no row: both are
+    refused, never written into another row."""
+    from toricres.qpoly import _Packing
+
+    pk = _Packing((0, 0), 1)   # two-bit fields, the high one a guard
+    at = weyman._stride(pk)
+    m = PolyMatrix(2, 1, ("a", "b"))
+    weyman._fill_rows(m, [0, 1], {0: {(1 << at) + e: c
+                                       for e, c in pk.pack({(1, 0): 5}).items()}}, pk)
+    assert m.rows[1][0].terms == {(1, 0): 5} and not m.rows[0][0].terms
+    # degree 4 borrows from t = 1 and from t = 0; degree 4 in guarded fields;
+    # a third place in a group of two
+    for t, past in ((1, (4, 0)), (0, (4, 0)), (1, (2, 2)), (2, (0, 0))):
+        tagged = {(t << at) + e: c for e, c in pk.pack({past: 1}).items()}
+        with pytest.raises(MathFailure, match="degree bound"):
+            weyman._fill_rows(m, [0, 1], {0: tagged}, pk)
 
 
 def _weyman_hash(W) -> str:
@@ -433,10 +489,11 @@ def test_walk_exponent_past_its_degree_bound_is_a_typed_error(monkeypatch):
 
     pk = _Packing((0, 0), 1)   # two-bit fields, the high one a guard
     m = PolyMatrix(1, 1, ("a", "b"))
+    # the tag of a group's first walk is its packed exponent
     for past in ((2, 0), (0, 3), (4, 0)):   # guard bit, guard bit, carry
         with pytest.raises(MathFailure, match="degree bound"):
-            weyman._fill_row(m, 0, {0: pk.pack({past: 1})}, pk)
-    weyman._fill_row(m, 0, {0: pk.pack({(1, 1): 3, (0, 0): -1})}, pk)
+            weyman._fill_rows(m, [0], {0: pk.pack({past: 1})}, pk)
+    weyman._fill_rows(m, [0], {0: pk.pack({(1, 1): 3, (0, 0): -1})}, pk)
     assert m.rows[0][0].terms == {(1, 1): 3, (0, 0): -1}
 
     prob = sturmfels_problem()

@@ -39,14 +39,6 @@ class FreeGradedComplex(NamedTuple):
     diffs: dict[int, PolyMatrix]
 
     @property
-    def p_min(self) -> int:
-        return min(self.degrees)
-
-    @property
-    def p_max(self) -> int:
-        return max(self.degrees)
-
-    @property
     def param_vars(self) -> tuple[str, ...]:
         return self.variables[:self.n_params]
 

@@ -14,7 +14,7 @@ Multiplicity is recovered afterwards by perfect-power extraction.
 This module holds that pipeline and nothing else, so that a process which
 solves imports (and, without cached bytecode, compiles) no more than it
 runs.  Implicitization of plane curves, which reuses the determinant, is in
-`implicit`; the functor on morphisms is in `morphisms`."""
+`implicit`."""
 from __future__ import annotations
 
 import math
@@ -32,7 +32,7 @@ from .qpoly import (
     poly_to_text,
     primitive_part,
 )
-from .toric import SupportProblem, codimension, variety_of
+from .toric import SupportProblem, codimension, support_problem, variety_of
 from .weyman import E1Page, WeymanComplex, weyman_differential
 
 Class = tuple[int, ...]
@@ -281,6 +281,8 @@ def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
     and never passes it wrongly; it is repeated once with a fresh point,
     and a second failure raises MathFailure.  At multiplicity 1 the root
     is delta itself, already primitive."""
+    # a problem built directly, not by support_problem, passes its checks
+    support_problem(problem.supports, problem.labels)
     n = len(problem.supports[0][0])
     if len(problem.supports) != n + 1:
         raise InputError(

@@ -24,9 +24,6 @@ The walk is linear, so the differential is assembled by one batched walk
 per group of rows with the same (i, p, q): every basis element of the
 group walks at once, each term tagged with the element's place in the
 group, and the walks of a group share their exponent blocks.
-
-The functor on morphisms, which reads the same walks through a mapping
-cone, is in `morphisms`.
 """
 from __future__ import annotations
 

@@ -1,8 +1,13 @@
-"""Complex and morphism fixtures that only tests use: based complexes of
-given matrices as direct images on the projective line, random small
-complexes and morphisms over the projective line, the four-term complex of
-one generic plane curve (the cotangent-family oracle), and the exterior-power
-resolution of projective n-space mapped onto its structure sheaf."""
+"""Complex fixtures that only tests use: based complexes of given matrices
+as direct images on the projective line, random small complexes over the
+projective line, chain maps between Koszul complexes on the line and the
+mapping cones they span, the four-term complex of one generic plane curve
+(the cotangent-family oracle), and the exterior-power resolution of
+projective n-space mapped onto its structure sheaf.
+
+A chain map is a triple (M, N, maps): maps[p] is the degree-p map from M^p
+to N^p in the row convention (rows index M's summands), and a degree that
+maps omits carries the zero map."""
 from __future__ import annotations
 
 import math
@@ -10,7 +15,6 @@ from fractions import Fraction
 
 from helpers_poly import diff, variable
 from toricres.complexes import Class, FreeGradedComplex, _contraction
-from toricres.morphisms import ComplexMorphism
 from toricres.qpoly import PolyMatrix, SparsePoly
 from toricres.toric import variety_from_simplex
 from toricres.weyman import WeymanComplex, weyman_differential
@@ -18,6 +22,7 @@ from toricres.weyman import WeymanComplex, weyman_differential
 P1 = variety_from_simplex(1)
 PARAMS = ("s", "t")
 VARIABLES = PARAMS + P1.var_names()
+ChainMap = tuple[FreeGradedComplex, FreeGradedComplex, dict[int, PolyMatrix]]
 
 
 def on_the_line(diffs: dict[int, PolyMatrix]) -> WeymanComplex:
@@ -98,7 +103,7 @@ def koszul_two(fa: SparsePoly, ga: SparsePoly, da: int, db: int,
 
 
 def rescale_morphism(f: SparsePoly, g: SparsePoly, u: SparsePoly,
-                     df: int, dg: int, twist: int) -> ComplexMorphism:
+                     df: int, dg: int, twist: int) -> ChainMap:
     """The map K(f*u, g) -> K(f, g) dividing the first generator by u."""
     xv = P1.var_names()
     du = u.total_degree()
@@ -106,20 +111,50 @@ def rescale_morphism(f: SparsePoly, g: SparsePoly, u: SparsePoly,
     N = koszul_two(f, g, df, dg, twist)
     one = SparsePoly.const(xv, 1)
     zero = SparsePoly.zero(xv)
-    return ComplexMorphism(source=M, target=N, maps={
+    return M, N, {
         -2: PolyMatrix.from_rows([[u]], xv),
         -1: PolyMatrix.from_rows([[u, zero], [zero, one]], xv, ncols=2),
-        0: PolyMatrix.from_rows([[one]], xv)})
+        0: PolyMatrix.from_rows([[one]], xv)}
 
 
-def identity_morphism(C: FreeGradedComplex) -> ComplexMorphism:
+def identity_morphism(C: FreeGradedComplex) -> ChainMap:
     maps = {}
     for p in C.degrees:
         m = PolyMatrix(C.rank(p), C.rank(p), C.variables)
         for k in range(C.rank(p)):
             m.rows[k][k] = SparsePoly.const(C.variables, 1)
         maps[p] = m
-    return ComplexMorphism(source=C, target=C, maps=maps)
+    return C, C, maps
+
+
+def mapping_cone(M: FreeGradedComplex, N: FreeGradedComplex,
+                 maps: dict[int, PolyMatrix]) -> FreeGradedComplex:
+    """The mapping cone of the chain map theta: M -> N given by maps: degree
+    p holds M^(p+1) + N^p, M's summands first, with differential
+    [[-d_M, theta], [0, d_N]].  Degrees inside the range that neither
+    complex fills are zero-rank terms.  It is block triangular, and not a
+    Koszul complex, so its direct image checks the staircase signs of
+    weyman_differential: a walk inside M takes r steps of -d_M and sees the
+    staircase sign of degree i - 1, so the M block of W(cone) is -d_W(M);
+    a walk inside N sees d_N at its own degree, so that block is d_W(N);
+    and no walk goes from N to M."""
+    lo = min(min(M.degrees) - 1, min(N.degrees))
+    hi = max(max(M.degrees) - 1, max(N.degrees))
+    zero = SparsePoly.zero(M.variables)
+    diffs = {}
+    for p in range(lo, hi):
+        dm, dn = M.diff_at(p + 1), N.diff_at(p)
+        theta = maps.get(p + 1)
+        if theta is None:
+            theta = PolyMatrix(M.rank(p + 1), N.rank(p + 1), M.variables)
+        rows = [[-e for e in a] + b for a, b in zip(dm.rows, theta.rows)]
+        rows += [[zero] * dm.ncols + c for c in dn.rows]
+        diffs[p] = PolyMatrix.from_rows(rows, M.variables, ncols=dm.ncols + dn.ncols)
+    return FreeGradedComplex(
+        x=M.x, variables=M.variables, n_params=M.n_params,
+        degrees={p: M.degrees.get(p + 1, ()) + N.degrees.get(p, ())
+                 for p in range(lo, hi + 1)},
+        diffs=diffs)
 
 
 # -- fixture: a four-term complex built from one hypersurface -------------------
@@ -176,7 +211,7 @@ def cotangent_family_complex(d: int) -> FreeGradedComplex:
 
 # -- fixture: exterior-power resolution mapped onto the structure sheaf ----------
 
-def koszul_vs_unit_fixture(n: int) -> ComplexMorphism:
+def koszul_vs_unit_fixture(n: int) -> ChainMap:
     """Source: contraction complex with degree-p term the (1-p)-th exterior
     power of S(-1)^(n+1) on projective n-space, p = -n..0.  Target: S in
     degree 0.  The map sends e_j to x_j."""
@@ -196,4 +231,4 @@ def koszul_vs_unit_fixture(n: int) -> ComplexMorphism:
     target = FreeGradedComplex(x=x, variables=variables, n_params=0,
                                degrees={0: (cls(0),)}, diffs={})
     theta0 = PolyMatrix.from_rows([[xs[j]] for j in range(n + 1)], variables)
-    return ComplexMorphism(source=source, target=target, maps={0: theta0})
+    return source, target, {0: theta0}

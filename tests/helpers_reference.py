@@ -6,7 +6,8 @@ by Smith forms, the eager Cech support-pattern table, explicit Cech
 subset families, the retract identities of a reduced Cech family, the
 direct total complex on window-truncated Cech strands, the named
 staircase blocks of a direct image, the univariate resultant by the
-Sylvester matrix, and the incidence oracle: coefficient samples with a
+Sylvester matrix, the initial monomial of the resultant under a lifting
+by mixed cells, and the incidence oracle: coefficient samples with a
 shared torus zero, fully random ones, and the exact zero test of delta
 at either.
 
@@ -697,6 +698,83 @@ def sylvester_resultant(f: SparsePoly, g: SparsePoly, var: str) -> SparsePoly:
         for k in range(d2 + 1):
             m.rows[d2 + s][s + k] = gc[k]
     return m.det()
+
+
+# -- initial monomials from mixed cells ----------------------------------------------
+
+class NonGenericLifting(ValueError):
+    """A lifting under which some candidate cell has a tie beyond its own
+    points, so the mixed subdivision it induces need not be fine."""
+
+
+def initial_monomial(problem: SupportProblem, omega: Mapping[str, int]
+                     ) -> tuple[dict[str, int], tuple[int, ...]]:
+    """The omega-initial monomial of the resultant and its degree in each
+    coefficient group, from the mixed cells of the lifting omega (a weight
+    per coefficient label).
+
+    For a generic lifting the omega-initial form of the resultant is
+    +-prod_i prod_C c_{i, C_i}^vol(C), over the i-mixed cells C of the
+    coherent mixed subdivision of the Minkowski sum: C_i is one point,
+    every other C_j an edge, and vol is the normalized volume, |det| of the
+    edge vectors (Sturmfels, "On the Newton polytope of the resultant",
+    J. Algebraic Combin. 3, 1994, Thm. 2.1).  The cells are found by brute
+    force: for each i and one edge of every other support, with independent
+    edge vectors, the inner normal u makes each edge level, u.b + omega(b)
+    = u.b' + omega(b'); Cramer's rule gives D*u over Z, D the edge
+    determinant.  The cell is kept when each edge is the omega-minimal pair
+    of its support under u, and support i then has one minimal point.  Any
+    further point at the minimum is a tie, and raises NonGenericLifting.
+    The per-group degrees are the sums of the cell volumes, the mixed
+    volumes of the other supports."""
+    sup, labels = problem.supports, problem.labels
+    n = len(sup[0][0])
+    exps: dict[str, int] = {}
+    degrees = [0] * len(sup)
+    for i in range(len(sup)):
+        others = [j for j in range(len(sup)) if j != i]
+        for edges in itertools.product(
+                *(itertools.combinations(range(len(sup[j])), 2) for j in others)):
+            E = [[b - a for a, b in zip(sup[j][k0], sup[j][k1])]
+                 for j, (k0, k1) in zip(others, edges)]
+            D = int_det(E)
+            if D == 0:
+                continue
+            rhs = [omega[labels[j][k0]] - omega[labels[j][k1]]
+                   for j, (k0, k1) in zip(others, edges)]
+            U = [int_det([row[:c] + [r] + row[c + 1:] for row, r in zip(E, rhs)])
+                 for c in range(n)]
+            sign = 1 if D > 0 else -1
+
+            def minimal(j: int) -> set[int]:
+                # |D| (u.a + omega(a)) at every point a of support j
+                vals = [sign * (sum(x * y for x, y in zip(U, a)) + D * omega[lab])
+                        for a, lab in zip(sup[j], labels[j])]
+                low = min(vals)
+                return {k for k, v in enumerate(vals) if v == low}
+
+            mins = [minimal(j) for j in others]
+            if not all(set(e) <= m for e, m in zip(edges, mins)):
+                continue
+            at_i = minimal(i)
+            if len(at_i) > 1 or any(len(m) > 2 for m in mins):
+                raise NonGenericLifting(f"tie at the cell normal of group {i}")
+            lab = labels[i][at_i.pop()]
+            exps[lab] = exps.get(lab, 0) + abs(D)
+            degrees[i] += abs(D)
+    return exps, tuple(degrees)
+
+
+def generic_initial_monomial(problem: SupportProblem, rng: random.Random):
+    """Draw liftings in [1, 10^6] from rng until one is generic, at most ten;
+    return the lifting with its initial_monomial."""
+    for _ in range(10):
+        omega = {lab: rng.randint(1, 10 ** 6) for lab in problem.all_labels()}
+        try:
+            return omega, *initial_monomial(problem, omega)
+        except NonGenericLifting:
+            continue
+    raise MathFailure("no generic lifting in 10 draws")
 
 
 # -- incidence sampling --------------------------------------------------------------

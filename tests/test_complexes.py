@@ -1,17 +1,16 @@
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
 
 from helpers_complexes import (
-    binary_form,
     cotangent_family_complex,
     koszul_vs_unit_fixture,
-    rescale_morphism,
+    mapping_cone,
 )
 from helpers_examples import STURMFELS_LABELS, STURMFELS_SUPPORTS
-from helpers_poly import variable
 
 from toricres.complexes import (
     FreeGradedComplex,
@@ -20,7 +19,6 @@ from toricres.complexes import (
     x_split,
 )
 from toricres.errors import InputError
-from toricres.morphisms import ComplexMorphism
 from toricres.qpoly import PolyMatrix, SparsePoly
 from toricres.toric import support_problem, variety_of
 
@@ -28,7 +26,7 @@ from toricres.toric import support_problem, variety_of
 def test_koszul_unit_simplices_shape():
     prob = support_problem((((0, 0), (1, 0), (0, 1)),) * 3)
     k = koszul_generic(prob)
-    assert k.p_min == -3 and k.p_max == 0
+    assert sorted(k.degrees) == [-3, -2, -1, 0]
     assert [k.rank(p) for p in range(-3, 1)] == [1, 3, 3, 1]
     k.validate()
 
@@ -88,13 +86,14 @@ def test_cotangent_family_complex_is_complex():
 
 def test_koszul_vs_unit_fixture_commutes():
     for n in (1, 2, 3):
-        theta = koszul_vs_unit_fixture(n)
-        theta.source.validate()
-        theta.target.validate()
-        theta.validate()
-        assert [theta.source.rank(p) for p in range(-n, 1)] == \
-            [len(list(__import__('itertools').combinations(range(n + 1), 1 - p)))
-             for p in range(-n, 1)]
+        M, N, maps = koszul_vs_unit_fixture(n)
+        M.validate()
+        N.validate()
+        # the cone's homogeneity and d.d = 0 are the chain map's
+        # homogeneity and its squares d_M theta = theta d_N
+        mapping_cone(M, N, maps).validate()
+        assert [M.rank(p) for p in range(-n, 1)] == \
+            [math.comb(n + 1, 1 - p) for p in range(-n, 1)]
 
 
 def test_coefficient_label_equal_to_a_cox_variable_is_an_input_error():
@@ -153,48 +152,13 @@ def test_validate_names_the_inhomogeneous_entry_that_shares_a_homogeneous_monomi
 
 
 def test_complex_records_are_named_tuples_in_field_order():
-    """FreeGradedComplex and ComplexMorphism are NamedTuples, not
-    dataclasses, and construct by keyword with their fields in order."""
+    """FreeGradedComplex is a NamedTuple, not a dataclass, and constructs
+    by keyword with its fields in order."""
     import dataclasses
 
     K = koszul_generic(support_problem((((0, 0), (1, 0), (0, 1)),) * 3))
-    theta = rescale_morphism(binary_form([2, -1]), binary_form([1, 3, 2]),
-                             binary_form([1, 1]), 1, 2, 2)
-    for cls in (FreeGradedComplex, ComplexMorphism):
-        assert not dataclasses.is_dataclass(cls)
+    assert not dataclasses.is_dataclass(FreeGradedComplex)
     C = FreeGradedComplex(x=K.x, variables=K.variables, n_params=K.n_params,
                           degrees=K.degrees, diffs=K.diffs)
     assert FreeGradedComplex._fields == ("x", "variables", "n_params", "degrees", "diffs")
     assert tuple(C) == tuple(K) == (K.x, K.variables, K.n_params, K.degrees, K.diffs)
-    m = ComplexMorphism(source=theta.source, target=theta.target, maps=theta.maps)
-    assert ComplexMorphism._fields == ("source", "target", "maps")
-    assert tuple(m) == tuple(theta) == (theta.source, theta.target, theta.maps)
-
-
-def test_morphism_validate_rejects_each_broken_morphism():
-    u = binary_form([1, 1])
-    f = binary_form([2, -1])
-    g = binary_form([1, 3, 2])
-    theta = rescale_morphism(f, g, u, 1, 2, 2)
-    theta.validate()
-    M, N, maps = theta.source, theta.target, theta.maps
-    xv = M.variables
-    one = SparsePoly.const(xv, 1)
-
-    def broken(changed, target=N):
-        return ComplexMorphism(source=M, target=target, maps={**maps, **changed})
-
-    other_ring = N._replace(variables=("y0", "y1"))
-    with pytest.raises(InputError, match="different rings"):
-        broken({}, other_ring).validate()
-    with pytest.raises(InputError, match="shape mismatch"):
-        broken({-1: PolyMatrix.from_rows([[one]], xv)}).validate()
-    no_d1 = N._replace(diffs={-2: N.diffs[-2]})
-    with pytest.raises(InputError, match="missing differential"):
-        broken({}, no_d1).validate()
-    # x0 has degree 1, but theta^0 must have degree 0
-    with pytest.raises(InputError, match="inhomogeneous"):
-        broken({0: PolyMatrix.from_rows([[variable(xv, xv[0])]], xv)}).validate()
-    # homogeneous, but d_M theta^(-1) != theta^(-2) d_N
-    with pytest.raises(InputError, match="compose to zero"):
-        broken({-2: PolyMatrix.from_rows([[u + u]], xv)}).validate()

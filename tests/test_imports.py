@@ -34,7 +34,7 @@ def test_every_module_imports_without_numpy_sympy_or_hypothesis():
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
-    assert {"toricres.cech", "toricres.morphisms", "toricres.implicit"} <= set(out["modules"])
+    assert {"toricres.cech", "toricres.implicit"} <= set(out["modules"])
     assert out["third_party"] == []
 
 
@@ -88,9 +88,9 @@ print(json.dumps({"added": added,
 
 def test_the_solve_path_loads_only_the_pipeline():
     """Past `toricres.cech` (the benchmark child's import before its timer),
-    the solve imports exactly the three pipeline modules, never `morphisms`
-    or `implicit`: without cached bytecode each module loaded is compiled
-    in every process.  The names `perfbench/trace.py` wraps stay where it
+    the solve imports exactly the three pipeline modules, never `implicit`:
+    without cached bytecode each module loaded is compiled in every
+    process.  The names `perfbench/trace.py` wraps stay where it
     looks for them."""
     src = str(Path(toricres.__file__).resolve().parent.parent)
     run = subprocess.run([sys.executable, "-B", "-c", SOLVE_PATH_MODULES],

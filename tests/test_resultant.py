@@ -20,7 +20,10 @@ from helpers_examples import (
 )
 from helpers_poly import constant_value, evaluate, renamed, same_up_to_sign
 from helpers_reference import (
+    NonGenericLifting,
+    generic_initial_monomial,
     incidence_sample,
+    initial_monomial,
     membership_test,
     random_specialization,
     sylvester_resultant,
@@ -44,7 +47,7 @@ from toricres.resultant import (
     determinant_of_complex,
     resolve_twist,
 )
-from toricres.toric import support_problem, variety_of
+from toricres.toric import SupportProblem, support_problem, variety_of
 from toricres.weyman import weyman_differential
 
 
@@ -328,6 +331,32 @@ def test_univariate_resultants_match_the_sylvester_oracle():
         assert same_up_to_sign(embed(out.delta, uvars), syl), (d1, d2)
 
 
+@pytest.mark.parametrize("first, second", [
+    ((0, 1, 2), (0, 1)),
+    ((0, 2), (0, 3)),
+    ((1, 3), (0, 2, 5)),
+])
+def test_line_supports_match_the_primitive_sylvester_resultant(first, second):
+    """Sparse supports on a line whose point differences generate Z: delta
+    is the primitive part of the Sylvester resultant of the generic
+    polynomials, each support translated to start at 0."""
+    prob = support_problem([[(k,) for k in first], [(k,) for k in second]])
+    out = a_resultant(prob)
+    labs = prob.all_labels()
+    uvars = labs + ("x",)
+    generic = []
+    for sup, group in zip(prob.supports, prob.labels):
+        terms = {}
+        for (k,), lab in zip(sup, group):
+            e = [0] * len(uvars)
+            e[labs.index(lab)], e[-1] = 1, k - min(sup)[0]
+            terms[tuple(e)] = 1
+        generic.append(SparsePoly(uvars, terms))
+    syl = primitive_part(sylvester_resultant(*generic, "x"))
+    assert out.multiplicity == 1
+    assert same_up_to_sign(embed(out.delta, uvars), syl)
+
+
 def test_relabeled_problems_give_the_same_resultant():
     rng = random.Random(23)
     base = univariate_problem(2, 3)
@@ -504,6 +533,24 @@ def test_support_count_must_match_the_dimension():
         a_resultant(prob)
 
 
+@pytest.mark.parametrize("supports, labels, match", [
+    ((), (), "nonempty support"),
+    ((((0,), (1,)), ()), (("a", "b"), ()), "empty support"),
+    ((((),), ((),)), (("a",), ("b",)), "at least one coordinate"),
+    ((((0,), (1,)), ((0,), ())), (("a", "b"), ("c", "d")), "mixed dimension"),
+    ((((0,), (1,)), ((0,), (1, 1))), (("a", "b"), ("c", "d")), "mixed dimension"),
+    ((((0,), (0,)), ((0,), (1,))), (("a", "b"), ("c", "d")), "repeated point"),
+    ((((0,), (1,)), ((0,), (1,))), (("a", "b"), ("a", "d")), "duplicate"),
+    ((((0,), (1,)), ((0,), (1,))), (("a",), ("c", "d")), "label shape"),
+])
+def test_a_problem_built_directly_is_checked_at_the_boundary(supports, labels, match):
+    """SupportProblem built directly skips support_problem; the resultant
+    runs the same checks, so a malformed problem raises InputError, not an
+    IndexError or a wrong delta."""
+    with pytest.raises(InputError, match=match):
+        a_resultant(SupportProblem(supports=supports, labels=labels))
+
+
 def test_resultant_does_not_depend_on_the_twist():
     """Three unit squares: shapes change with the twist, the determinant not."""
     sq = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -660,13 +707,73 @@ DELTA_PINS = {
 }
 
 
-def test_delta_hashes_match_their_pins():
+@pytest.fixture(scope="module")
+def pinned_runs():
+    """Each DELTA_PINS fixture with its output at the default twist, solved
+    once for the module."""
     problems = {"squares": support_problem(UNIT_SQUARES), "m33": m33_problem(),
                 "m34 k=1": m34_problem(1), "m34 k=2": m34_problem(2),
                 "sturmfels": sturmfels_problem()}
-    for name, prob in problems.items():
-        out = a_resultant(prob)
+    return {name: (prob, a_resultant(prob)) for name, prob in problems.items()}
+
+
+def test_delta_hashes_match_their_pins(pinned_runs):
+    for name, (_, out) in pinned_runs.items():
         assert (delta_hash(out), out.multiplicity) == DELTA_PINS[name], name
+
+
+def test_delta_initial_terms_are_the_mixed_cell_monomials(pinned_runs):
+    """Under a generic lifting omega, delta has one omega-minimal term: the
+    product of c_{i,a}^vol over the mixed cells, with coefficient +-1
+    (Sturmfels 1994, Thm. 2.1).  At M33 the exponent carries the power 14
+    of delta = root^14."""
+    assert set(pinned_runs) == set(DELTA_PINS)
+    rng = random.Random(1994)
+    for name, (prob, out) in pinned_runs.items():
+        delta = out.delta
+        for _ in range(2):
+            omega, exps, _ = generic_initial_monomial(prob, rng)
+            weights = [omega[v] for v in delta.vars]
+
+            def weight(e):
+                return sum(w * k for w, k in zip(weights, e))
+
+            low = min(map(weight, delta.terms))
+            [(e, c)] = [(e, c) for e, c in delta.terms.items() if weight(e) == low]
+            assert {v: k for v, k in zip(delta.vars, e) if k} == exps, name
+            assert c in (1, -1), name
+
+
+def test_m34_degrees_from_mixed_cells(pinned_runs):
+    """The mixed-cell group degrees: at k = 2 those of the expanded delta,
+    at k = 3 and k = 8 pinned without expanding."""
+    rng = random.Random(34)
+    prob, out = pinned_runs["m34 k=2"]
+    at = {v: n for n, v in enumerate(out.delta.vars)}
+    expanded = [{sum(e[at[v]] for v in group if v in at) for e in out.delta.terms}
+                for group in prob.labels]
+    assert expanded == [{17}, {37}, {12}]
+    assert generic_initial_monomial(prob, rng)[2] == (17, 37, 12)
+    assert generic_initial_monomial(m34_problem(3), rng)[2] == (30, 48, 24)
+    assert generic_initial_monomial(m34_problem(8), rng)[2] == (95, 120, 168)
+
+
+def test_a_tied_lifting_is_refused_and_never_misleads():
+    """Small liftings tie often at M34 k = 2.  Every one of them either
+    raises NonGenericLifting or gives the right degrees."""
+    prob = m34_problem(2)
+    rng = random.Random(9)
+    ties = 0
+    for _ in range(200):
+        omega = {lab: rng.randint(1, 9) for lab in prob.all_labels()}
+        try:
+            assert initial_monomial(prob, omega)[1] == (17, 37, 12)
+        except NonGenericLifting:
+            ties += 1
+    assert ties
+    squares = support_problem(UNIT_SQUARES)
+    with pytest.raises(NonGenericLifting):
+        initial_monomial(squares, dict.fromkeys(squares.all_labels(), 1))
 
 
 # sha256 prefix of json.dumps(out.to_obj(), sort_keys=True): delta, root,

@@ -72,8 +72,10 @@ circuits the fiber violates, and only the set bits of its complement, the
 survivors, are visited.
 
 Family reductions are memoized per process in one pattern table per
-variety (pattern_table), by pattern bitmask; family_certs and the walks
-look them up there.  The table also keeps, for every class of the variety
+variety (pattern_table), by pattern bitmask.  The bitmask and the table
+stay inside this module: contributing_points hands out each point with
+its family, and family_certs, the one lookup from outside, takes an
+exponent.  The table also keeps, for every class of the variety
 at once, which patterns the screen has decided and which of those carry
 cohomology in q <= dim, so a pattern that survives the screen of many
 classes is decided once, and each class walks only its survivors that
@@ -88,9 +90,9 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache, reduce
-from operator import and_, mul
+from operator import and_, itemgetter, mul
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
 from .qlinalg import cofactor_det
@@ -412,8 +414,9 @@ def _circuit_patterns(x: ToricVariety) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def contributing_points(x: ToricVariety,
-                        alpha: Class) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All (exponent, pattern) pairs whose blocks carry cohomology.
+                        alpha: Class) -> tuple[tuple[tuple[int, ...], FamilyCerts], ...]:
+    """All (exponent, family) pairs whose blocks carry cohomology, sorted by
+    exponent; the family is the one reduced to decide the pattern.
 
     These exponents support every cohomology model of the class: the block
     of each is the family of its pattern, and every other exponent of the
@@ -472,11 +475,12 @@ def contributing_points(x: ToricVariety,
         while walk:
             low = walk & -walk
             walk ^= low
-            neg = _members(low.bit_length() - 1)
+            bits = low.bit_length() - 1
+            family, neg = table[bits], _members(bits)
             # w <= -1 on the rays in neg, w >= 0 on the others
             signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
-            pts.extend((w, neg) for w in fiber_points(u0, kernel, signs))
-    return tuple(sorted(pts))
+            pts.extend((w, family) for w in fiber_points(u0, kernel, signs))
+    return tuple(sorted(pts, key=itemgetter(0)))
 
 
 # -- block-level access ------------------------------------------------------------
@@ -576,10 +580,10 @@ def pattern_table(x: ToricVariety) -> _PatternTable:
     return table
 
 
-def family_certs(x: ToricVariety, neg: tuple[int, ...]) -> FamilyCerts:
-    """The certificates of pattern neg's family: its entry in the pattern
-    table of x."""
-    return pattern_table(x)[sum(1 << rho for rho in neg)]
+def family_certs(x: ToricVariety, w: Sequence[int]) -> FamilyCerts:
+    """The certificates of the family of exponent w's negative-support
+    pattern: its entry in the pattern table of x, built on first lookup."""
+    return pattern_table(x)[sum(1 << rho for rho, v in enumerate(w) if v < 0)]
 
 
 def _memo_info() -> SimpleNamespace:

@@ -54,12 +54,23 @@ class FreeGradedComplex(NamedTuple):
     def validate(self) -> None:
         """The input boundary of the pipeline: contiguous degrees,
         differentials of the right shapes, homogeneous entries whose
-        coefficients are ints (the ring is over Z, see qpoly), and d.d = 0.
-        Any failure raises InputError."""
+        coefficients are ints (the ring is over Z, see qpoly), and d.d = 0;
+        also one variable per parameter and Cox variable, one entry per
+        variable in every exponent, and one per class-group generator in
+        every summand class.  Any failure raises InputError."""
         ps = sorted(self.degrees)
+        if not ps:
+            raise InputError("a complex needs at least one degree")
         if ps != list(range(ps[0], ps[-1] + 1)):
             raise InputError("degrees must occupy a contiguous range")
-        n = self.n_params
+        n, nv = self.n_params, len(self.variables)
+        if nv != n + self.x.n_rays:
+            raise InputError(f"{nv} variables for {n} parameters "
+                             f"and {self.x.n_rays} Cox variables")
+        for a in itertools.chain.from_iterable(self.degrees.values()):
+            if len(a) != self.x.class_rank:
+                raise InputError(f"summand class {a} has {len(a)} entries; "
+                                 f"the class group has rank {self.x.class_rank}")
         x_degree: dict[tuple[int, ...], Class] = {}   # Cox exponent -> class
         for p in ps[:-1]:
             d = self.diffs.get(p)
@@ -74,6 +85,10 @@ class FreeGradedComplex(NamedTuple):
                         if type(c) is not int:
                             raise InputError(
                                 f"coefficient {c!r} at p={p}, ({k},{l}) is not an int")
+                        if len(exp) != nv:
+                            raise InputError(
+                                f"exponent {exp} at p={p}, ({k},{l}) has {len(exp)} "
+                                f"entries for {nv} variables")
                         xe = exp[n:]
                         degree = x_degree.get(xe)
                         if degree is None:
@@ -95,18 +110,6 @@ class FreeGradedComplex(NamedTuple):
                      for p, pa in self.degrees.items()},
             diffs=dict(self.diffs),
         )
-
-
-def x_split(p: SparsePoly, n_params: int,
-            param_vars: Sequence[str]) -> dict[tuple[int, ...], SparsePoly]:
-    """Group the terms of a combined-ring polynomial by Cox exponent;
-    values are polynomials in the parameters alone."""
-    out: dict[tuple[int, ...], dict] = {}
-    for e, c in p.terms.items():
-        xe = e[n_params:]
-        pe = e[:n_params]
-        out.setdefault(xe, {})[pe] = c
-    return {xe: SparsePoly(param_vars, t) for xe, t in out.items()}
 
 
 # -- generic Koszul complex of a support problem -------------------------------
@@ -148,11 +151,10 @@ def _contraction(fs: Sequence[SparsePoly], i: int,
 def koszul_generic(problem: SupportProblem) -> FreeGradedComplex:
     """Koszul complex of the generic sections, degrees -s..0 for s supports.
 
-    The summand of degree -i indexed by a size-i subset J has class
-    sum_{j in J} of the class of the j-th support; the differential is
-    contraction, e_J -> sum (-1)^l f_{j_l} e_{J minus j_l}, on the fan
-    x = variety_of(problem).  A coefficient label that is also a Cox
-    variable name of x raises InputError: the two would share one variable.
+    The j-th form has the class of the j-th support (koszul_complex), on
+    the fan x = variety_of(problem).  A coefficient label that is also a
+    Cox variable name of x raises InputError: the two would share one
+    variable.
     """
     x = variety_of(problem)
     params = problem.all_labels()
@@ -162,11 +164,19 @@ def koszul_generic(problem: SupportProblem) -> FreeGradedComplex:
     variables = params + x.var_names()
     n_params = len(params)
     fs = generic_sections(problem, x, variables)
-    s = len(problem.supports)
-    d_classes = [divisor_class(x, sup) for sup in problem.supports]
+    return koszul_complex(x, variables, n_params, fs,
+                          [divisor_class(x, sup) for sup in problem.supports])
 
+
+def koszul_complex(x: ToricVariety, variables: tuple[str, ...], n_params: int,
+                   fs: Sequence[SparsePoly], classes: Sequence[Class]) -> FreeGradedComplex:
+    """Koszul complex of the forms fs, of the given classes, degrees -s..0
+    for s forms: the summand of degree -i indexed by a size-i subset J has
+    class sum_{j in J} classes[j], and the differential is contraction,
+    e_J -> sum (-1)^l fs[J[l]] e_(J minus J[l])."""
+    s = len(fs)
     degrees = {-i: tuple(
-        tuple(sum(d_classes[j][k] for j in J) for k in range(x.class_rank))
+        tuple(sum(classes[j][k] for j in J) for k in range(x.class_rank))
         for J in itertools.combinations(range(s), i)) for i in range(s + 1)}
     diffs = {-i: _contraction(fs, i, variables) for i in range(1, s + 1)}
     return FreeGradedComplex(x=x, variables=variables, n_params=n_params,

@@ -8,9 +8,9 @@ pushed down by `weyman`, then the Cayley determinant of `resultant`.  The
 solve path never imports this module."""
 from __future__ import annotations
 
-from .complexes import FreeGradedComplex
+from .complexes import koszul_complex
 from .errors import ExactnessFailure, InputError, MathFailure
-from .qpoly import PolyMatrix, SparsePoly, _is_name, primitive_part
+from .qpoly import SparsePoly, _is_name, primitive_part
 from .resultant import determinant_of_complex
 from .toric import variety_from_simplex
 from .weyman import weyman_differential
@@ -71,11 +71,7 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparseP
 
     g1 = lift(f0, (1, 0)) - lift(f1, (0, 0))
     g2 = lift(f0, (0, 1)) - lift(f2, (0, 0))
-    K = FreeGradedComplex(
-        x=x, variables=variables, n_params=len(pv),
-        degrees={-2: ((2 * d,),), -1: ((d,), (d,)), 0: ((0,),)},
-        diffs={-2: PolyMatrix.from_rows([[-g2, g1]], variables, ncols=2),
-               -1: PolyMatrix.from_rows([[g1], [g2]], variables)})
+    K = koszul_complex(x, variables, len(pv), [g1, g2], [(d,), (d,)])
     W = weyman_differential(K.twist((2 * d - 1,)))
     try:
         raw = determinant_of_complex(W)

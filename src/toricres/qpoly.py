@@ -499,6 +499,8 @@ class PolyMatrix:
         if rows is None:
             z = SparsePoly.zero(self.vars)
             rows = [[z] * ncols for _ in range(nrows)]
+        elif len(rows) != nrows or any(type(r) is not list or len(r) != ncols for r in rows):
+            raise InputError(f"rows must be {nrows} lists of {ncols} entries")
         self.rows = rows
 
     @classmethod

@@ -281,7 +281,10 @@ def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
     and never passes it wrongly; it is repeated once with a fresh point,
     and a second failure raises MathFailure.  At multiplicity 1 the root
     is delta itself, already primitive."""
-    # a problem built directly, not by support_problem, passes its checks
+    # a problem built directly, not by support_problem, passes its checks;
+    # support_problem would make default labels the problem itself lacks
+    if problem.labels is None:
+        raise InputError("a problem built directly needs its coefficient labels")
     support_problem(problem.supports, problem.labels)
     n = len(problem.supports[0][0])
     if len(problem.supports) != n + 1:

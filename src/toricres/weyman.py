@@ -31,8 +31,8 @@ from itertools import groupby
 from operator import add
 from typing import Iterable, NamedTuple
 
-from .cech import contributing_points, family_certs, pattern_table
-from .complexes import FreeGradedComplex, x_split
+from .cech import contributing_points, family_certs
+from .complexes import FreeGradedComplex
 from .errors import MathFailure
 from .qpoly import PolyMatrix, SparsePoly, _Packing
 from .toric import ToricVariety
@@ -109,8 +109,8 @@ def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], 
     for p in sorted(C.degrees):
         for k, alpha in enumerate(C.degrees[p]):
             dims = [0] * (x.dim + 1)
-            for w, neg in contributing_points(x, alpha):
-                fd = family_certs(x, neg).dims
+            for _, family in contributing_points(x, alpha):
+                fd = family.dims
                 for q in range(x.dim + 1):
                     dims[q] += fd[q]
             for q in range(x.dim + 1):
@@ -129,20 +129,16 @@ def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], 
 
 class _Certs(dict):
     """Certificate families by exponent w, for one variety: one assembly
-    walks the same exponents many times, so each is looked up once, in the
-    variety's pattern table by the bitmask of w's negative entries."""
+    walks the same exponents many times, so each is looked up once, by
+    family_certs."""
 
     def __init__(self, x: ToricVariety):
         super().__init__()
-        self.table = pattern_table(x)
+        self.x = x
         self.n = len(x.max_cones)
 
     def __missing__(self, w: tuple[int, ...]):
-        bits = 0
-        for rho, v in enumerate(w):
-            if v < 0:
-                bits |= 1 << rho
-        fam = self[w] = self.table[bits]
+        fam = self[w] = family_certs(self.x, w)
         return fam
 
 
@@ -189,25 +185,28 @@ def _stride(pk: _Packing) -> int:
 
 
 def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing, shift: int):
-    """Per-entry x-exponent splits of a matrix over the full ring, each
-    piece's coefficient in R as a list of (packed parameter exponent <<
-    shift, coeff): a walk key's increment.
+    """Per-entry x-exponent splits of a matrix over the full ring: each
+    entry's terms grouped by Cox exponent nu, in increasing nu, and each
+    group's coefficient in R packed as a list of (packed parameter
+    exponent << shift, coeff), a walk key's increment.
 
     A walk keeps a chain's subset across a step by x^nu, which is sound
     because nu >= 0 makes the pattern of w + nu part of the pattern of w,
     so the source family sits inside the destination family.  A piece with
     a negative Cox exponent raises MathFailure."""
     out: dict[int, dict[int, list[tuple[tuple[int, ...], list]]]] = {}
-    param_vars = m.vars[:n_params]
     for r in range(m.nrows):
         row = {}
         for c, p in enumerate(m.rows[r]):
             if p:
-                pieces = sorted(x_split(p, n_params, param_vars).items())
+                by_nu: dict[tuple[int, ...], dict] = {}
+                for e, a in p.terms.items():
+                    by_nu.setdefault(e[n_params:], {})[e[:n_params]] = a
+                pieces = sorted(by_nu.items())
                 for nu, _ in pieces:
                     if min(nu, default=0) < 0:
                         raise MathFailure(f"negative Cox exponent {nu} in a walk matrix")
-                row[c] = [(nu, [(e << shift, a) for e, a in pk.pack(g.terms).items()])
+                row[c] = [(nu, [(e << shift, a) for e, a in pk.pack(g).items()])
                           for nu, g in pieces]
         if row:
             out[r] = row
@@ -329,9 +328,9 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
     for i, summands in terms.items():
         labels = []
         for s in summands:
-            for w, neg in contributing_points(x, s.alpha):
+            for w, family in contributing_points(x, s.alpha):
                 labels.extend((s.p, s.q, s.k, w, mpos)
-                              for mpos in range(family_certs(x, neg).dims[s.q]))
+                              for mpos in range(family.dims[s.q]))
         basis[i] = labels
         pos[i] = {lab: n for n, lab in enumerate(labels)}
 

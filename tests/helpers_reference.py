@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 from helpers_poly import degree_in, evaluate
 from toricres import cech
-from toricres.complexes import FreeGradedComplex, x_split
+from toricres.complexes import FreeGradedComplex
 from toricres.errors import InputError, MathFailure, ResourceGuard
 from toricres.qlinalg import QMatrix, cnorm, int_rank, smith_kernel, smith_normal_form
 from toricres.qpoly import PolyMatrix, SparsePoly
@@ -194,6 +194,13 @@ def lattice_points_in_window(x, alpha: Sequence[int],
     return sorted(fiber_points(u0, kernel, [(1, b) for b in lower]))
 
 
+def pattern_certs(x, neg) -> cech.FamilyCerts:
+    """cech.family_certs of the family of pattern neg, looked up by the
+    exponent with that pattern that is -1 on the rays of neg and 0 on the
+    others."""
+    return cech.family_certs(x, [-1 if rho in neg else 0 for rho in range(x.n_rays)])
+
+
 def support_patterns(x) -> tuple[tuple[int, ...], ...]:
     """Every negative-support pattern whose family carries cohomology in some
     degree q <= dim, in bitmask order: the certificate family of each of
@@ -202,7 +209,7 @@ def support_patterns(x) -> tuple[tuple[int, ...], ...]:
     out = []
     for bits in range(1 << x.n_rays):
         neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
-        if any(cech.family_certs(x, neg).dims[:q_top + 1]):
+        if any(pattern_certs(x, neg).dims[:q_top + 1]):
             out.append(neg)
     return tuple(out)
 
@@ -539,7 +546,7 @@ def stabilization_level(x: ToricVariety, alpha: Sequence[int]) -> tuple[int, ...
     pattern carries cohomology.  That depth is computed exactly: enumerate
     each contributing pattern's fiber polytope and take the max depth."""
     c = 0
-    for w, neg in cech.contributing_points(x, alpha):
+    for w, _ in cech.contributing_points(x, alpha):
         c = max(c, -min(w))
     return (c,) * len(x.max_cones)
 
@@ -632,14 +639,15 @@ def total_complex_direct(C: FreeGradedComplex, e: Sequence[int]) -> TotalComplex
             # horizontal: multiply by the complex differential entries
             if p in C.diffs:
                 for l, f in enumerate(C.diff_at(p).rows[k]):
-                    if not f:
-                        continue
-                    for nu, g in x_split(f, C.n_params, pv).items():
+                    by_nu: dict = {}   # the terms of f grouped by Cox exponent
+                    for e, coef in f.terms.items():
+                        by_nu.setdefault(e[C.n_params:], {})[e[:C.n_params]] = coef
+                    for nu, g in by_nu.items():
                         w2 = tuple(a + b for a, b in zip(w, nu))
                         col = tpos.get((p + 1, l, T, w2))
                         if col is None:
                             raise MathFailure("exponent left the window")
-                        m.rows[rown][col] = m.rows[rown][col] + g
+                        m.rows[rown][col] = m.rows[rown][col] + SparsePoly(pv, g)
         diffs[i] = m
     return TotalComplex(source=C, e=e, basis=basis, diffs=diffs)
 

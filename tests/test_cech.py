@@ -18,6 +18,7 @@ from helpers_reference import (
     family_rank_dims,
     family_sigma,
     generator_subsets,
+    pattern_certs,
     pattern_family,
     rank_dims,
     ray_circuits_by_smith,
@@ -277,7 +278,7 @@ def test_pattern_table_and_points_match_fraction_reference(name):
     depth = cech.cech_depth(x)
     for neg in _all_patterns(x):
         want = family_rank_dims(pattern_family(x, neg), depth + 1)
-        assert cech.family_certs(x, neg).dims == want
+        assert pattern_certs(x, neg).dims == want
     # classes: multiples of the anticanonical class and of each ray's class
     classes = {x.anticanonical_class()}
     for r in range(x.n_rays):
@@ -291,7 +292,8 @@ def test_pattern_table_and_points_match_fraction_reference(name):
         u0, kernel = degree_fiber(x, tuple(-a for a in alpha))
         want = sorted((w, neg) for neg in ref
                       for w in _reference_fiber_points(x, u0, kernel, set(neg)))
-        assert list(cech.contributing_points(x, alpha)) == want
+        assert list(cech.contributing_points(x, alpha)) == \
+            [(w, pattern_certs(x, neg)) for w, neg in want]
 
 
 # M33's pattern table as computed from the ranks of the full Cech families
@@ -323,8 +325,8 @@ def _unscreened_points(x, alpha):
     if u0 is not None:
         for neg in support_patterns(x):
             signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
-            pts.extend((w, neg) for w in fiber_points(u0, kernel, signs))
-    return tuple(sorted(pts))
+            pts.extend((w, pattern_certs(x, neg)) for w in fiber_points(u0, kernel, signs))
+    return tuple(sorted(pts, key=lambda pt: pt[0]))
 
 
 def _fixture_problem(name):
@@ -558,7 +560,9 @@ def test_screening_the_sturmfels_classes_in_either_order_decides_the_same():
     for order in (classes, classes[::-1]):
         cech.clear_caches()
         assert cech.family_certs.cache_info().currsize == 0
-        points = [cech.contributing_points(x, alpha) for alpha in order]
+        # the families are rebuilt after clear_caches, so compare their contents
+        points = [[(w, _certs_obj(c)) for w, c in cech.contributing_points(x, alpha)]
+                  for alpha in order]
         table = cech.pattern_table(x)
         runs.append((dict(zip(order, points)), cech.cache_counters["built"],
                      table.decided, table.contributing))
@@ -793,7 +797,7 @@ def test_every_pattern_family_satisfies_the_retract_identities(name, order, requ
         assert retract_identity_failures(per_q, entries, *red) == [], neg
         assert tuple(map(len, red[0])) == want
         # the production reduction, on the critical cells of Sigma alone
-        per_q, entries, *red = expanded_certs(cech.family_certs(x, neg), cech._sigma(x, neg))
+        per_q, entries, *red = expanded_certs(pattern_certs(x, neg), cech._sigma(x, neg))
         assert per_q == by_degree(fam, n)
         assert retract_identity_failures(per_q, entries, *red) == [], neg
         assert tuple(map(len, red[0])) == want
@@ -840,7 +844,7 @@ def test_every_certificate_chain_is_a_critical_cell(name):
     seen = 0
     for neg in _all_patterns(x):
         sigma = cech._sigma(x, neg)
-        c = cech.family_certs(x, neg)
+        c = pattern_certs(x, neg)
         chains = {T for level in c.iota for row in level for T in row}
         chains.update(T for level in c.rho_t for T in level)
         for level in c.h:
@@ -992,8 +996,8 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs():
     x = _sturmfels_variety()
     negs = support_patterns(x)[:12]
     cech.clear_caches()
-    before = {neg: cech.family_certs(x, neg) for neg in negs}
-    points = cech.contributing_points(x, x.anticanonical_class())
+    before = {neg: pattern_certs(x, neg) for neg in negs}
+    points = [(w, _certs_obj(c)) for w, c in cech.contributing_points(x, x.anticanonical_class())]
     circuits = cech._ray_circuits(x)
     patterns = cech._circuit_patterns(x)
     built = cech.cache_counters["built"]
@@ -1004,10 +1008,11 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs():
                cech.contributing_points, cech.family_certs):
         assert fn.cache_info().currsize == 0
     for neg, c in before.items():
-        again = cech.family_certs(x, neg)
+        again = pattern_certs(x, neg)
         assert again is not c
         assert _certs_obj(again) == _certs_obj(c)
-    assert cech.contributing_points(x, x.anticanonical_class()) == points
+    assert [(w, _certs_obj(c))
+            for w, c in cech.contributing_points(x, x.anticanonical_class())] == points
     assert cech.cache_counters["built"] == built   # everything is built again
     assert cech._ray_circuits(x) == circuits
     assert cech._circuit_patterns(x) == patterns

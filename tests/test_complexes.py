@@ -16,11 +16,10 @@ from toricres.complexes import (
     FreeGradedComplex,
     generic_sections,
     koszul_generic,
-    x_split,
 )
 from toricres.errors import InputError
 from toricres.qpoly import PolyMatrix, SparsePoly
-from toricres.toric import support_problem, variety_of
+from toricres.toric import support_problem, variety_from_simplex, variety_of
 
 
 def test_koszul_unit_simplices_shape():
@@ -65,16 +64,6 @@ def test_sections_are_homogeneous():
         assert f.num_terms() == len(sup)
         for e in f.terms:
             assert x.degree_of(e[len(prob.all_labels()):]) == want
-
-
-def test_x_split_groups_by_cox_exponent():
-    variables = ("a", "b", "x1", "x2")
-    p = SparsePoly(variables, {
-        (1, 0, 2, 0): 1, (0, 1, 2, 0): -3, (1, 1, 0, 1): 2})
-    parts = x_split(p, 2, ("a", "b"))
-    assert set(parts) == {(2, 0), (0, 1)}
-    assert parts[(2, 0)] == SparsePoly(("a", "b"), {(1, 0): 1, (0, 1): -3})
-    assert parts[(0, 1)] == SparsePoly(("a", "b"), {(1, 1): 2})
 
 
 def test_cotangent_family_complex_is_complex():
@@ -162,3 +151,32 @@ def test_complex_records_are_named_tuples_in_field_order():
                           degrees=K.degrees, diffs=K.diffs)
     assert FreeGradedComplex._fields == ("x", "variables", "n_params", "degrees", "diffs")
     assert tuple(C) == tuple(K) == (K.x, K.variables, K.n_params, K.degrees, K.diffs)
+
+
+def _on_the_line(variables, n_params, degrees, diffs):
+    return FreeGradedComplex(x=variety_from_simplex(1), variables=variables,
+                             n_params=n_params, degrees=degrees, diffs=diffs)
+
+
+_XS = ("x1", "x2")
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: _on_the_line(_XS, 0, {}, {}), "at least one degree"),
+    (lambda: _on_the_line(_XS, 0, {0: ((1,),), 1: ((0,),)},
+                          {0: PolyMatrix.from_rows([[SparsePoly(_XS, {(1,): 1})]], _XS)}),
+     "has 1 entries for 2 variables"),
+    (lambda: _on_the_line(_XS, 5, {0: ((0,),)}, {}), "2 variables for 5 parameters"),
+    (lambda: _on_the_line(_XS, 0, {0: ((0, 0),)}, {}), "class group has rank 1"),
+], ids=["no-degrees", "exponent-length", "variable-count", "class-length"])
+def test_validate_refuses_a_malformed_complex(make, match):
+    """Each malformed complex raised IndexError, or was accepted and pushed
+    down by weyman_differential; validate, the pipeline's input boundary,
+    refuses it with InputError, and so does weyman_differential."""
+    from toricres.weyman import weyman_differential
+
+    C = make()
+    with pytest.raises(InputError, match=match):
+        C.validate()
+    with pytest.raises(InputError, match=match):
+        weyman_differential(C)

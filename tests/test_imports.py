@@ -80,9 +80,23 @@ wrapped = {resultant: ("a_resultant", "variety_of", "koszul_generic", "primitive
                        "kth_root", "weyman_differential"),
            weyman: ("weyman_terms", "contributing_points", "family_certs"),
            qlinalg: ("QMatrix",)}
+# what perfbench/trace.py reads of them: the memo's misses, the three
+# counter keys, and 2-tuple points whose second items tell the patterns
+# apart; on the squares each class has one pattern, so four classes are read
+from toricres.toric import support_problem, variety_of
+square = ((0, 0), (1, 0), (0, 1), (1, 1))
+x = variety_of(support_problem([square] * 3))
+results = [weyman.contributing_points(x, alpha) for alpha in ((-2, -2), (-2, 2), (2, -2), (2, 2))]
+points = [p for pts in results for p in pts]
 print(json.dumps({"added": added,
                   "missing": [f"{m.__name__}.{n}" for m, names in wrapped.items()
-                              for n in names if not hasattr(m, n)]}))
+                              for n in names if not hasattr(m, n)],
+                  "misses_is_int": type(weyman.family_certs.cache_info().misses) is int,
+                  "counters": sorted(cech.cache_counters),
+                  "pairs": all(type(pts) is tuple for pts in results) and all(
+                      type(p) is tuple and len(p) == 2 for p in points),
+                  "seconds": len({f for _, f in points}),
+                  "patterns": len({tuple(v < 0 for v in w) for w, _ in points})}))
 """
 
 
@@ -91,7 +105,7 @@ def test_the_solve_path_loads_only_the_pipeline():
     the solve imports exactly the three pipeline modules, never `implicit`:
     without cached bytecode each module loaded is compiled in every
     process.  The names `perfbench/trace.py` wraps stay where it
-    looks for them."""
+    looks for them, with the shapes it reads."""
     src = str(Path(toricres.__file__).resolve().parent.parent)
     run = subprocess.run([sys.executable, "-B", "-c", SOLVE_PATH_MODULES],
                          capture_output=True, text=True,
@@ -100,6 +114,8 @@ def test_the_solve_path_loads_only_the_pipeline():
     out = json.loads(run.stdout)
     assert out["added"] == ["toricres.complexes", "toricres.resultant", "toricres.weyman"]
     assert out["missing"] == []
+    assert out["misses_is_int"] and out["counters"] == ["built", "disk", "memory"]
+    assert out["pairs"] and out["seconds"] == out["patterns"] == 4
 
 
 FIXTURES_AFTER_CECH = """

@@ -301,6 +301,16 @@ def test_det_of_a_non_square_matrix_is_an_input_error():
         m.det()
 
 
+def test_rows_of_the_wrong_shape_are_an_input_error():
+    """PolyMatrix refuses rows that are not nrows lists of ncols entries, as
+    QMatrix does; one short row made det raise IndexError."""
+    one = SparsePoly.const(("a",), 1)
+    for rows in ([[one]], [[one, one], [one]], [[one, one]] * 3, [(one, one), [one, one]]):
+        with pytest.raises(InputError, match="rows must be 2 lists of 2 entries"):
+            PolyMatrix(2, 2, ("a",), rows)
+    assert PolyMatrix(2, 2, ("a",), [[one, one], [one, one]]).det().is_zero()
+
+
 def test_matmul_shape_mismatch_is_an_input_error():
     a = PolyMatrix.from_text([["1 * x", "1"]], V)
     with pytest.raises(InputError, match="shape mismatch"):

@@ -542,6 +542,7 @@ def test_support_count_must_match_the_dimension():
     ((((0,), (0,)), ((0,), (1,))), (("a", "b"), ("c", "d")), "repeated point"),
     ((((0,), (1,)), ((0,), (1,))), (("a", "b"), ("a", "d")), "duplicate"),
     ((((0,), (1,)), ((0,), (1,))), (("a",), ("c", "d")), "label shape"),
+    ((((0,), (1,)), ((0,), (1,))), None, "needs its coefficient labels"),
 ])
 def test_a_problem_built_directly_is_checked_at_the_boundary(supports, labels, match):
     """SupportProblem built directly skips support_problem; the resultant

@@ -38,6 +38,7 @@ from helpers_poly import e1_page_from_obj, matrix_text, same_up_to_sign
 import helpers_reference
 from helpers_reference import (
     expanded_certs,
+    pattern_certs,
     retract_identity_failures,
     specialized_homology,
     stabilization_level,
@@ -235,11 +236,11 @@ def test_sturmfels_pivot_order_naturality(sturmfels_unit, request):
     x = C.x
     negs = sorted({tuple(rho for rho, v in enumerate(lab[3]) if v < 0)
                    for labs in W.basis.values() for lab in labs})
-    before = [_labelled_certs(cech.family_certs(x, neg)) for neg in negs]
+    before = [_labelled_certs(pattern_certs(x, neg)) for neg in negs]
     request.getfixturevalue("reversed_subset_order")
     built = request.getfixturevalue("built_families")
     W2 = weyman_differential(C)
-    after = [_labelled_certs(cech.family_certs(x, neg)) for neg in negs]
+    after = [_labelled_certs(pattern_certs(x, neg)) for neg in negs]
     assert built
     for (sigma, _), c in built.items():
         assert retract_identity_failures(*expanded_certs(c, sigma)) == []
@@ -390,6 +391,22 @@ def test_split_matrix_rejects_a_negative_cox_exponent():
         weyman._split_matrix(d, 1, pk, 2)
     d = PolyMatrix.from_rows([[SparsePoly(v, {(1, 1, 0): 1, (1, 0, 1): 2})]], v)
     assert [nu for nu, _ in weyman._split_matrix(d, 1, pk, 2)[0][0]] == [(0, 1), (1, 0)]
+
+
+def test_split_matrix_groups_by_cox_exponent():
+    """Each entry's terms are grouped by Cox exponent, in increasing order,
+    and each group's parameter part is packed and shifted: a walk key's
+    increment."""
+    from toricres.qpoly import _Packing
+
+    v = ("a", "b", "x1", "x2")
+    p = SparsePoly(v, {(1, 0, 2, 0): 1, (0, 1, 2, 0): -3, (1, 1, 0, 1): 2})
+    pk, shift = _Packing((0, 0), 2), 5
+    pieces = weyman._split_matrix(PolyMatrix.from_rows([[p]], v), 2, pk, shift)[0][0]
+    assert [nu for nu, _ in pieces] == [(0, 1), (2, 0)]
+    assert all(e % (1 << shift) == 0 for _, g in pieces for e, _ in g)
+    assert [pk.unpack({e >> shift: a for e, a in g}, 0) for _, g in pieces] == \
+        [{(1, 1): 2}, {(1, 0): 1, (0, 1): -3}]
 
 
 @pytest.mark.parametrize("name", ["sturmfels_unit", "m33_weyman"])

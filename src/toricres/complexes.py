@@ -1,7 +1,8 @@
 """Bounded complexes of free graded modules over a parametric Cox ring.
 
 The ring is Z[parameters][x_1..x_R] with the Cox variables graded by the
-class group of a toric variety and the parameters in degree zero.  A
+class group of a toric variety and the parameters in degree zero; it is a
+polynomial ring, so no exponent of an entry is negative.  A
 complex stores, per cohomological degree p, the tuple of summand classes
 (S[-alpha] has class alpha) and the differential to degree p+1 as a
 PolyMatrix in the row convention: rows index the domain summands, and the
@@ -52,12 +53,15 @@ class FreeGradedComplex(NamedTuple):
         return d
 
     def validate(self) -> None:
-        """The input boundary of the pipeline: contiguous degrees,
-        differentials of the right shapes, homogeneous entries whose
-        coefficients are ints (the ring is over Z, see qpoly), and d.d = 0;
-        also one variable per parameter and Cox variable, one entry per
-        variable in every exponent, and one per class-group generator in
-        every summand class.  Any failure raises InputError."""
+        """The input boundary of the pipeline, and the one place that says
+        what a complex may hold: contiguous degrees, a differential at each
+        degree but the last and none elsewhere, over the complex's variables
+        and of the right shape, and d.d = 0; homogeneous entries with int
+        coefficients (the ring is over Z, see qpoly) and no negative
+        exponent (the ring is polynomial); one variable per parameter and
+        Cox variable, one entry per variable in every exponent, and one per
+        class-group generator in every summand class.  Any failure raises
+        InputError, and the direct-image walk trusts the rest."""
         ps = sorted(self.degrees)
         if not ps:
             raise InputError("a complex needs at least one degree")
@@ -71,11 +75,16 @@ class FreeGradedComplex(NamedTuple):
             if len(a) != self.x.class_rank:
                 raise InputError(f"summand class {a} has {len(a)} entries; "
                                  f"the class group has rank {self.x.class_rank}")
+        stray = set(self.diffs) - set(ps[:-1])
+        if stray:
+            raise InputError(f"stray differential at {min(stray)}")
         x_degree: dict[tuple[int, ...], Class] = {}   # Cox exponent -> class
         for p in ps[:-1]:
             d = self.diffs.get(p)
             if d is None:
                 raise InputError(f"missing differential at {p}")
+            if d.vars != self.variables:
+                raise InputError(f"differential at {p} is over {d.vars}")
             if (d.nrows, d.ncols) != (self.rank(p), self.rank(p + 1)):
                 raise InputError(f"differential shape mismatch at {p}")
             for k in range(d.nrows):
@@ -89,6 +98,9 @@ class FreeGradedComplex(NamedTuple):
                             raise InputError(
                                 f"exponent {exp} at p={p}, ({k},{l}) has {len(exp)} "
                                 f"entries for {nv} variables")
+                        if min(exp, default=0) < 0:
+                            raise InputError(
+                                f"negative exponent {exp} at p={p}, ({k},{l})")
                         xe = exp[n:]
                         degree = x_degree.get(xe)
                         if degree is None:

@@ -28,11 +28,13 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparseP
 
     The forms share a variable tuple whose last two entries parametrize the
     line; any leading entries are free parameters of the family, each a
-    name (as a support_problem label) other than u or v.  No exponent is
-    negative.  Returns a polynomial in (parameters, u, v) that vanishes on
-    the image in the affine chart (u, v): the determinant of the direct
-    image of the Koszul complex of g1 = u.f0 - f1 and g2 = v.f0 - f2, with
-    its integer content cleared by primitive_part.  Only the integer content
+    name (as a support_problem label) other than u or v.  The forms have
+    one positive degree and no negative exponent; the Koszul complex's
+    FreeGradedComplex.validate refuses others with InputError.  Returns
+    a polynomial in (parameters, u, v) that vanishes on the image in the
+    affine chart (u, v): the determinant of the direct image of the
+    Koszul complex of g1 = u.f0 - f1 and g2 = v.f0 - f2, with its integer
+    content cleared by primitive_part.  Only the integer content
     is cleared, so a factor in the parameters alone can remain: for
     (s^2, c.t^2 + s.t, s.t) the result is c.(u - c.v^2 - v), up to sign,
     not the image's equation u - c.v^2 - v.
@@ -47,8 +49,6 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparseP
                          "ending in the two line variables")
     if f0.is_zero() or f1.is_zero() or f2.is_zero():
         raise InputError("forms must be nonzero")
-    if any(min(e) < 0 for f in (f0, f1, f2) for e in f.terms):
-        raise InputError("forms must have no negative exponent")
     params = f0.vars[:-2]
     if not all(map(_is_name, params)):
         raise InputError(f"parameters {params!r} are not all names")
@@ -57,8 +57,6 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparseP
         raise InputError("parameter names collide with the chart variables "
                          "u, v or the line coordinates")
     d = _binary_degree(f0)
-    if {_binary_degree(f1), _binary_degree(f2)} != {d}:
-        raise InputError("forms must share one degree")
     if d < 1:
         raise InputError("degree must be positive")
     pv = params + ("u", "v")

@@ -196,9 +196,11 @@ def determinant_of_complex(W: WeymanComplex) -> SparsePoly:
     class zero: put every summand at class 0 on variety_from_simplex(1),
     lift each entry with zero Cox exponents, and pass the complex through
     weyman_differential, which returns those matrices.  Their entries must
-    have integer coefficients, as everywhere past the input boundary (see
-    qpoly); weyman_differential refuses others with InputError.  A complex
-    that is not generically exact raises ExactnessFailure."""
+    be polynomials with int coefficients, as everywhere past the input
+    boundary (see qpoly): FreeGradedComplex.validate, which
+    weyman_differential runs first, refuses a negative exponent or another
+    coefficient with InputError.  A complex that is not generically exact
+    raises ExactnessFailure."""
     if not isinstance(W, WeymanComplex):
         raise InputError(f"not a WeymanComplex: {type(W).__name__}")
     return _determinant_with_subsets(W)[0]

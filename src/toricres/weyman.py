@@ -144,16 +144,17 @@ class _Certs(dict):
 
 # A walk vector is a dict (k, w) -> {key -> coefficient}, one block per
 # summand index and exponent, so every certificate lookup is block-local.
-# A key is tag << #generators | chain.  The chain is the bitmask of its
-# generator subset, the same coordinate in every family, so a phi step keeps
-# it and an h step swaps it.  Every chain holds generator 0: it enters through
-# iota or h, whose chains are the critical cells of a family (see the cech
-# module docstring).  The tag is (t << _stride(pk)) + a packed parameter
-# exponent: t is the walk's place in its group, and the exponent is one int
-# of a qpoly._Packing with offset 0 (_walk_packing), so a phi step, a product
-# of monomials, is one int add on the key.  Every coefficient is an int, as
-# every certificate is integral (cech._reduce_block pivots on units); tags
-# are decoded, and a SparsePoly built, only for a matrix entry (_fill_rows).
+# A key is ((packed << tb) | t) << #generators | chain.  The chain is the
+# bitmask of its generator subset, the same coordinate in every family, so a
+# phi step keeps it and an h step swaps it.  Every chain holds generator 0: it
+# enters through iota or h, whose chains are the critical cells of a family
+# (see the cech module docstring).  t < 2^tb is the walk's place in its group
+# (tb is the bit length of W's largest rank), and packed is the parameter
+# exponent as one int of a qpoly._Packing with offset 0 (_walk_packing): a
+# phi step, a product of monomials, adds a multiple of 2^(#generators + tb),
+# so t and the chain never change.  Every coefficient is an int, as every
+# certificate is integral (cech._reduce_block pivots on units); tags (key >>
+# #generators) are decoded, and a SparsePoly built, only for a matrix entry.
 
 def _walk_packing(x: ToricVariety, mats: Iterable[PolyMatrix], n_params: int) -> _Packing:
     """Packing of the parameter exponents of every walk through the
@@ -163,25 +164,11 @@ def _walk_packing(x: ToricVariety, mats: Iterable[PolyMatrix], n_params: int) ->
     step (q0 <= dim X), and each application adds one piece's parameter
     exponent.  So the largest piece degree times dim X + 1 bounds the total
     degree of every walk exponent, and fields sized for it never carry.
-    The packing has no offset, so a negative parameter exponent raises
-    MathFailure."""
-    top = 0
-    for m in mats:
-        for row in m.rows:
-            for p in row:
-                for e in p.terms:
-                    pe = e[:n_params]
-                    if min(pe, default=0) < 0:
-                        raise MathFailure(f"negative parameter exponent {pe} in a walk matrix")
-                    top = max(top, sum(pe))
+    The packing has no offset: FreeGradedComplex.validate has refused every
+    negative exponent."""
+    top = max((sum(e[:n_params]) for m in mats for row in m.rows for p in row
+               for e in p.terms), default=0)
     return _Packing((0,) * n_params, top * (x.dim + 1))
-
-
-def _stride(pk: _Packing) -> int:
-    """Bit position of a walk's place t in its tag: above the exponent
-    fields of pk, and above a field as wide as one of them for the total
-    degree, which a packed exponent keeps negated above its fields."""
-    return pk.top + pk.mask.bit_length()
 
 
 def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing, shift: int):
@@ -191,9 +178,9 @@ def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing, shift: int):
     exponent << shift, coeff), a walk key's increment.
 
     A walk keeps a chain's subset across a step by x^nu, which is sound
-    because nu >= 0 makes the pattern of w + nu part of the pattern of w,
-    so the source family sits inside the destination family.  A piece with
-    a negative Cox exponent raises MathFailure."""
+    because nu >= 0 (FreeGradedComplex.validate refuses a negative
+    exponent) makes the pattern of w + nu part of the pattern of w, so the
+    source family sits inside the destination family."""
     out: dict[int, dict[int, list[tuple[tuple[int, ...], list]]]] = {}
     for r in range(m.nrows):
         row = {}
@@ -202,12 +189,8 @@ def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing, shift: int):
                 by_nu: dict[tuple[int, ...], dict] = {}
                 for e, a in p.terms.items():
                     by_nu.setdefault(e[n_params:], {})[e[:n_params]] = a
-                pieces = sorted(by_nu.items())
-                for nu, _ in pieces:
-                    if min(nu, default=0) < 0:
-                        raise MathFailure(f"negative Cox exponent {nu} in a walk matrix")
                 row[c] = [(nu, [(e << shift, a) for e, a in pk.pack(g).items()])
-                          for nu, g in pieces]
+                          for nu, g in sorted(by_nu.items())]
         if row:
             out[r] = row
     return out
@@ -225,7 +208,7 @@ def _nonzero(v: dict) -> dict:
     return out
 
 
-def _walk(certs: _Certs, splits, pk: _Packing, p0: int, q0: int, members: list[tuple]):
+def _walk(certs: _Certs, splits, p0: int, q0: int, members: list[tuple]):
     """The staircase walks of the basis elements members[t] = (k, w, mpos)
     of the (p0, q0) summands, all at once: the walk is linear, and each
     element's terms carry its place t in their tags.
@@ -235,13 +218,12 @@ def _walk(certs: _Certs, splits, pk: _Packing, p0: int, q0: int, members: list[t
     degree-(q0-r+1) models of the summands of C^(p0+r)."""
     n = certs.n
     chains = (1 << n) - 1
-    at = _stride(pk) + n
     v: dict = {}
     for t, (k, w, mpos) in enumerate(members):
         blk = v.setdefault((k, w), {})
         # 0 packs the exponent of the constant monomial
         for c, coef in certs[w].iota[q0][mpos].items():
-            blk[t << at | c] = coef
+            blk[t << n | c] = coef
     q = q0
     for r in range(1, q0 + 2):
         split = splits.get(p0 + r - 1)
@@ -336,7 +318,9 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
 
     certs = _Certs(x)
     pk = _walk_packing(x, C.diffs.values(), C.n_params)
-    splits = {p: _split_matrix(C.diff_at(p), C.n_params, pk, certs.n) for p in C.diffs}
+    tb = max(map(len, basis.values()), default=0).bit_length()
+    splits = {p: _split_matrix(C.diff_at(p), C.n_params, pk, certs.n + tb)
+              for p in C.diffs}
     diffs: dict[int, PolyMatrix] = {}
     for i in sorted(terms):
         if i + 1 not in terms:
@@ -348,7 +332,7 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
         for (p0, q0), group in groupby(enumerate(basis[i]), key=lambda nl: nl[1][:2]):
             group = list(group)
             entries: dict[int, dict[int, int]] = {}
-            for r, proj in _walk(certs, splits, pk, p0, q0, [lab[2:] for _, lab in group]):
+            for r, proj in _walk(certs, splits, p0, q0, [lab[2:] for _, lab in group]):
                 sgn = -1 if ((i - 1) * (r - 1)) % 2 else 1
                 for (k2, w2, mpos2), part in proj.items():
                     col = tpos.get((p0 + r, q0 - r + 1, k2, w2, mpos2))
@@ -358,31 +342,27 @@ def weyman_differential(C: FreeGradedComplex) -> WeymanComplex:
                     acc = entries.setdefault(col, {})
                     for tag, a in part.items():
                         acc[tag] = acc.get(tag, 0) + a * sgn
-            _fill_rows(m, [rown for rown, _ in group], entries, pk)
+            _fill_rows(m, [rown for rown, _ in group], entries, pk, tb)
         diffs[i] = m
 
     return WeymanComplex(source=C, terms=terms, e1=page, basis=basis, diffs=diffs)
 
 
 def _fill_rows(m: PolyMatrix, rows: list[int], entries: dict[int, dict[int, int]],
-               pk: _Packing) -> None:
+               pk: _Packing, tb: int) -> None:
     """Write one group's accumulated {column -> {tag -> coefficient}} into
-    m, the walk of place t in row rows[t] (see _walk for the tags).
+    m, the walk of place t in row rows[t].
 
-    A tag is (t << _stride(pk)) + a packed exponent, which holds its
-    negated total degree in the field just below t.  A tag whose t is no
-    place of the group, or whose exponent fields do not add up to the total
-    degree above them or set a guard bit, passed the degree bound of pk:
-    the degree overran its field into t, or a field carried.  That raises
+    A tag is (packed << tb) | t (see the comment above _walk_packing), and
+    a packed exponent holds its negated total degree above its fields.  An
+    exponent whose fields do not add up to that total degree, or set a
+    guard bit, passed the degree bound of pk: a field carried.  That raises
     MathFailure instead of reading a carried field as an exponent."""
-    top, mask, at = pk.top, pk.mask, _stride(pk)
+    top, low = pk.top, (1 << tb) - 1
     by_entry: dict[tuple[int, int], dict[int, int]] = {}
     for col, tagged in entries.items():
         for tag, a in tagged.items():
-            t = ((tag >> top) + mask) >> (at - top)
-            if not 0 <= t < len(rows):
-                raise MathFailure("a walk's parameter exponent passed its degree bound")
-            by_entry.setdefault((t, col), {})[tag - (t << at)] = a
+            by_entry.setdefault((tag & low, col), {})[tag >> tb] = a
     for (t, col), terms in by_entry.items():
         unpacked = pk.unpack(terms, 0)
         # unpack keeps the order, so without a collision the pairs line up

@@ -168,15 +168,41 @@ _XS = ("x1", "x2")
      "has 1 entries for 2 variables"),
     (lambda: _on_the_line(_XS, 5, {0: ((0,),)}, {}), "2 variables for 5 parameters"),
     (lambda: _on_the_line(_XS, 0, {0: ((0, 0),)}, {}), "class group has rank 1"),
-], ids=["no-degrees", "exponent-length", "variable-count", "class-length"])
-def test_validate_refuses_a_malformed_complex(make, match):
-    """Each malformed complex raised IndexError, or was accepted and pushed
-    down by weyman_differential; validate, the pipeline's input boundary,
-    refuses it with InputError, and so does weyman_differential."""
-    from toricres.weyman import weyman_differential
+    # x1 / x2, homogeneous of class 0
+    (lambda: _on_the_line(_XS, 0, {0: ((0,),), 1: ((0,),)},
+                          {0: PolyMatrix.from_rows([[SparsePoly(_XS, {(1, -1): 1})]], _XS)}),
+     re.escape("negative exponent (1, -1) at p=0, (0,0)")),
+    # x1 / a
+    (lambda: _on_the_line(("a",) + _XS, 1, {-1: ((1,),), 0: ((0,),)},
+                          {-1: PolyMatrix.from_rows(
+                              [[SparsePoly(("a",) + _XS, {(-1, 1, 0): 1})]], ("a",) + _XS)}),
+     re.escape("negative exponent (-1, 1, 0) at p=-1, (0,0)")),
+    # a well-formed matrix, but at a degree the complex does not reach
+    (lambda: _on_the_line(_XS, 0, {0: ((0,),)},
+                          {3: PolyMatrix.from_rows([[SparsePoly(_XS, {(1, 0): 1})]], _XS)}),
+     "stray differential at 3"),
+    # y1 is homogeneous of class 1 when read as x1 by position
+    (lambda: _on_the_line(_XS, 0, {0: ((1,),), 1: ((0,),)},
+                          {0: PolyMatrix.from_rows([[SparsePoly(("y1", "y2"), {(1, 0): 1})]],
+                                                   ("y1", "y2"))}),
+     re.escape("differential at 0 is over ('y1', 'y2')")),
+], ids=["no-degrees", "exponent-length", "variable-count", "class-length",
+        "negative-cox-exponent", "negative-parameter-exponent", "stray-differential",
+        "foreign-variables"])
+def test_validate_refuses_a_malformed_complex(make, match, monkeypatch):
+    """validate, the pipeline's input boundary, refuses each malformed
+    complex with InputError, and weyman_differential raises the same error
+    before any walk: none reaches an IndexError, a failure inside a walk,
+    or a direct image of a complex the ring does not hold."""
+    from toricres import weyman
 
+    def no_walk(*args):
+        raise AssertionError("walked a complex validate refuses")
+
+    monkeypatch.setattr(weyman, "_walk", no_walk)
     C = make()
-    with pytest.raises(InputError, match=match):
+    with pytest.raises(InputError, match=match) as refused:
         C.validate()
-    with pytest.raises(InputError, match=match):
-        weyman_differential(C)
+    with pytest.raises(InputError, match=match) as pushed:
+        weyman.weyman_differential(C)
+    assert str(pushed.value) == str(refused.value)

@@ -359,38 +359,8 @@ def test_staircase_stops_at_the_bottom_row(m33_weyman):
     pk = weyman._walk_packing(C.x, C.diffs.values(), C.n_params)
     splits = {p: weyman._split_matrix(C.diff_at(p), C.n_params, pk, certs.n)
               for p in C.diffs}
-    projs = dict(weyman._walk(certs, splits, pk, lab[0], lab[1], [lab[2:]]))
+    projs = dict(weyman._walk(certs, splits, lab[0], lab[1], [lab[2:]]))
     assert projs and set(projs) <= {1, 2}
-
-
-def test_walk_packing_rejects_a_negative_parameter_exponent():
-    """Walk exponents are packed with no offset, so a Laurent parameter in a
-    differential is refused before any walk, as a typed error."""
-    v = ("a",) + P1.var_names()
-    d = PolyMatrix.from_rows([[SparsePoly(v, {(-1, 1, 0): 1})]], v)   # x1 / a
-    with pytest.raises(MathFailure, match="negative parameter exponent"):
-        weyman._walk_packing(P1, [d], 1)
-    C = FreeGradedComplex(x=P1, variables=v, n_params=1,
-                          degrees={-1: ((1,),), 0: ((0,),)}, diffs={-1: d})
-    C.validate()
-    with pytest.raises(MathFailure, match="negative parameter exponent"):
-        weyman_differential(C)
-
-
-def test_split_matrix_rejects_a_negative_cox_exponent():
-    """A walk keeps each chain's subset across a step by x^nu, which needs
-    nu >= 0: then the source family sits inside the destination family.
-    A Laurent Cox exponent is refused as a typed error."""
-    from toricres.qpoly import _Packing
-
-    v = ("a",) + P1.var_names()
-    pk = _Packing((0,), 1)
-    # a x1 + 2a x2 / x1
-    d = PolyMatrix.from_rows([[SparsePoly(v, {(1, 1, 0): 1, (1, -1, 1): 2})]], v)
-    with pytest.raises(MathFailure, match="negative Cox exponent"):
-        weyman._split_matrix(d, 1, pk, 2)
-    d = PolyMatrix.from_rows([[SparsePoly(v, {(1, 1, 0): 1, (1, 0, 1): 2})]], v)
-    assert [nu for nu, _ in weyman._split_matrix(d, 1, pk, 2)[0][0]] == [(0, 1), (1, 0)]
 
 
 def test_split_matrix_groups_by_cox_exponent():
@@ -407,6 +377,11 @@ def test_split_matrix_groups_by_cox_exponent():
     assert all(e % (1 << shift) == 0 for _, g in pieces for e, _ in g)
     assert [pk.unpack({e >> shift: a for e, a in g}, 0) for _, g in pieces] == \
         [{(1, 1): 2}, {(1, 0): 1, (0, 1): -3}]
+    # a x1 + 2a x2: one parameter, the pieces still in increasing Cox exponent
+    v = ("a",) + P1.var_names()
+    d = PolyMatrix.from_rows([[SparsePoly(v, {(1, 1, 0): 1, (1, 0, 1): 2})]], v)
+    assert [nu for nu, _ in weyman._split_matrix(d, 1, _Packing((0,), 1), 2)[0][0]] == \
+        [(0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("name", ["sturmfels_unit", "m33_weyman"])
@@ -417,7 +392,8 @@ def test_walking_each_basis_element_alone_reproduces_its_row(name, request):
     C, W = request.getfixturevalue(name)
     certs = weyman._Certs(C.x)
     pk = weyman._walk_packing(C.x, C.diffs.values(), C.n_params)
-    splits = {p: weyman._split_matrix(C.diff_at(p), C.n_params, pk, certs.n)
+    tb = max(map(len, W.basis.values())).bit_length()
+    splits = {p: weyman._split_matrix(C.diff_at(p), C.n_params, pk, certs.n + tb)
               for p in C.diffs}
     # not vacuous: some group holds several rows, whose tags differ
     assert any(len(list(g)) > 1 for labs in W.basis.values()
@@ -427,38 +403,39 @@ def test_walking_each_basis_element_alone_reproduces_its_row(name, request):
         tpos = {lab: n for n, lab in enumerate(W.basis[i + 1])}
         for rown, (p0, q0, k, w, mpos) in enumerate(W.basis[i]):
             entries: dict = {}
-            for r, proj in weyman._walk(certs, splits, pk, p0, q0, [(k, w, mpos)]):
+            for r, proj in weyman._walk(certs, splits, p0, q0, [(k, w, mpos)]):
                 sgn = -1 if ((i - 1) * (r - 1)) % 2 else 1
                 for (k2, w2, mpos2), part in proj.items():
                     acc = entries.setdefault(tpos[(p0 + r, q0 - r + 1, k2, w2, mpos2)], {})
                     for tag, a in part.items():
                         acc[tag] = acc.get(tag, 0) + sgn * a
             m = PolyMatrix(1, d.ncols, d.vars)
-            weyman._fill_rows(m, [0], entries, pk)
+            weyman._fill_rows(m, [0], entries, pk, tb)
             assert [p.terms for p in m.rows[0]] == [p.terms for p in d.rows[rown]]
             walked += 1
     assert walked == sum(W.rank(i) for i in W.diffs)
 
 
-def test_a_row_tag_that_overruns_its_field_is_a_typed_error():
-    """A tag holds its walk's place t above the negated total degree of its
-    exponent, in a field as wide as one exponent field.  A degree past that
-    field borrows from t, and a t outside the group names no row: both are
-    refused, never written into another row."""
+def test_the_last_place_of_a_full_tag_field_reads_back_its_row():
+    """A tag holds its walk's place t in its low tb bits, below the packed
+    exponent, which is negative: with t = 2^tb - 1 and exponents at the
+    degree bound, every walk's terms land in its own row, none in another."""
     from toricres.qpoly import _Packing
 
-    pk = _Packing((0, 0), 1)   # two-bit fields, the high one a guard
-    at = weyman._stride(pk)
-    m = PolyMatrix(2, 1, ("a", "b"))
-    weyman._fill_rows(m, [0, 1], {0: {(1 << at) + e: c
-                                       for e, c in pk.pack({(1, 0): 5}).items()}}, pk)
-    assert m.rows[1][0].terms == {(1, 0): 5} and not m.rows[0][0].terms
-    # degree 4 borrows from t = 1 and from t = 0; degree 4 in guarded fields;
-    # a third place in a group of two
-    for t, past in ((1, (4, 0)), (0, (4, 0)), (1, (2, 2)), (2, (0, 0))):
-        tagged = {(t << at) + e: c for e, c in pk.pack({past: 1}).items()}
-        with pytest.raises(MathFailure, match="degree bound"):
-            weyman._fill_rows(m, [0, 1], {0: tagged}, pk)
+    pk, tb = _Packing((0, 0), 1), 2   # two-bit exponent fields, t < 4
+    m = PolyMatrix(4, 2, ("a", "b"))
+    walks = {3: {(1, 0): 5, (0, 1): -2}, 2: {(0, 0): 7}, 0: {(0, 1): 1}}
+    entries: dict = {}
+    for t, terms in walks.items():
+        for col in (0, 1):
+            for e, c in pk.pack(terms).items():
+                entries.setdefault(col, {})[(e << tb) | t] = c * (col + 1)
+    weyman._fill_rows(m, [3, 2, 1, 0], entries, pk, tb)
+    assert [[p.terms for p in row] for row in m.rows] == [
+        [{(1, 0): 5, (0, 1): -2}, {(1, 0): 10, (0, 1): -4}],
+        [{(0, 0): 7}, {(0, 0): 14}],
+        [{}, {}],
+        [{(0, 1): 1}, {(0, 1): 2}]]
 
 
 def _weyman_hash(W) -> str:
@@ -473,15 +450,20 @@ def _weyman_hash(W) -> str:
 
 
 def test_weyman_complexes_match_their_pins(sturmfels_unit, m33_weyman):
-    """The basis labels and every matrix entry of three direct-image
+    """The basis labels and every matrix entry of five direct-image
     complexes, frozen: a change of certificate or walk that keeps the
-    determinant but moves a pivot, a model order or an entry shows here."""
+    determinant but moves a pivot, a model order or an entry shows here.
+    M34 k = 1 and 2 at the zero twist have ranks up to 60 and 92, so their
+    walk tags hold t in wider fields than the others'."""
     prob = sturmfels_problem()
     x = variety_of(prob)
     stable = weyman_differential(koszul_generic(prob).twist(sturmfels_twist(x, "stable")))
     assert _weyman_hash(sturmfels_unit[1]) == "0a9b43dd12175106"
     assert _weyman_hash(stable) == "72ce60113a91decf"
     assert _weyman_hash(m33_weyman[1]) == "bbf41bdbbdf80108"
+    m34 = [weyman_differential(koszul_generic(m34_problem(k))) for k in (1, 2)]
+    assert [max(map(len, W.basis.values())) for W in m34] == [60, 92]
+    assert [_weyman_hash(W) for W in m34] == ["2c5cbfd1dbfb23a1", "d4076897f288b6b7"]
 
 
 def test_walk_exponent_past_its_degree_bound_is_a_typed_error(monkeypatch):
@@ -492,11 +474,11 @@ def test_walk_exponent_past_its_degree_bound_is_a_typed_error(monkeypatch):
 
     pk = _Packing((0, 0), 1)   # two-bit fields, the high one a guard
     m = PolyMatrix(1, 1, ("a", "b"))
-    # the tag of a group's first walk is its packed exponent
+    # with tb = 0 the tag of a group's only walk is its packed exponent
     for past in ((2, 0), (0, 3), (4, 0)):   # guard bit, guard bit, carry
         with pytest.raises(MathFailure, match="degree bound"):
-            weyman._fill_rows(m, [0], {0: pk.pack({past: 1})}, pk)
-    weyman._fill_rows(m, [0], {0: pk.pack({(1, 1): 3, (0, 0): -1})}, pk)
+            weyman._fill_rows(m, [0], {0: pk.pack({past: 1})}, pk, 0)
+    weyman._fill_rows(m, [0], {0: pk.pack({(1, 1): 3, (0, 0): -1})}, pk, 0)
     assert m.rows[0][0].terms == {(1, 1): 3, (0, 0): -1}
 
     prob = sturmfels_problem()

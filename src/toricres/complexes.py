@@ -1,12 +1,13 @@
 """Bounded complexes of free graded modules over a parametric Cox ring.
 
 The ring is Z[parameters][x_1..x_R] with the Cox variables graded by the
-class group of a toric variety and the parameters in degree zero; it is a
-polynomial ring, so no exponent of an entry is negative.  A
-complex stores, per cohomological degree p, the tuple of summand classes
-(S[-alpha] has class alpha) and the differential to degree p+1 as a
-PolyMatrix in the row convention: rows index the domain summands, and the
-entry in row k, column l is homogeneous of x-degree alpha_p[k] - alpha_{p+1}[l].
+class group of a toric variety and the parameters in degree zero.  Every
+entry is a SparsePoly, a polynomial of Z[variables] by construction (see
+qpoly): int coefficients and no negative exponent.  A complex stores, per
+cohomological degree p, the tuple of summand classes (S[-alpha] has class
+alpha) and the differential to degree p+1 as a PolyMatrix in the row
+convention: rows index the domain summands, and the entry in row k,
+column l is homogeneous of x-degree alpha_p[k] - alpha_{p+1}[l].
 """
 from __future__ import annotations
 
@@ -55,13 +56,13 @@ class FreeGradedComplex(NamedTuple):
     def validate(self) -> None:
         """The input boundary of the pipeline, and the one place that says
         what a complex may hold: contiguous degrees, a differential at each
-        degree but the last and none elsewhere, over the complex's variables
-        and of the right shape, and d.d = 0; homogeneous entries with int
-        coefficients (the ring is over Z, see qpoly) and no negative
-        exponent (the ring is polynomial); one variable per parameter and
-        Cox variable, one entry per variable in every exponent, and one per
-        class-group generator in every summand class.  Any failure raises
-        InputError, and the direct-image walk trusts the rest."""
+        degree but the last and none elsewhere, over the complex's
+        variables as a matrix and in every entry, of the right shape, and
+        d.d = 0; homogeneous entries; one variable per parameter and Cox
+        variable, and one entry per class-group generator in every summand
+        class.  Any failure raises InputError, and the direct-image walk
+        trusts the rest.  That an entry has int coefficients and no
+        negative exponent SparsePoly checks where it is built."""
         ps = sorted(self.degrees)
         if not ps:
             raise InputError("a complex needs at least one degree")
@@ -89,18 +90,11 @@ class FreeGradedComplex(NamedTuple):
                 raise InputError(f"differential shape mismatch at {p}")
             for k in range(d.nrows):
                 for l in range(d.ncols):
+                    entry = d.rows[k][l]
+                    if entry.vars != self.variables:
+                        raise InputError(f"entry at p={p}, ({k},{l}) is over {entry.vars}")
                     expect = class_sub(self.degrees[p][k], self.degrees[p + 1][l])
-                    for exp, c in d.rows[k][l].terms.items():
-                        if type(c) is not int:
-                            raise InputError(
-                                f"coefficient {c!r} at p={p}, ({k},{l}) is not an int")
-                        if len(exp) != nv:
-                            raise InputError(
-                                f"exponent {exp} at p={p}, ({k},{l}) has {len(exp)} "
-                                f"entries for {nv} variables")
-                        if min(exp, default=0) < 0:
-                            raise InputError(
-                                f"negative exponent {exp} at p={p}, ({k},{l})")
+                    for exp in entry.terms:
                         xe = exp[n:]
                         degree = x_degree.get(xe)
                         if degree is None:
@@ -165,14 +159,11 @@ def koszul_generic(problem: SupportProblem) -> FreeGradedComplex:
 
     The j-th form has the class of the j-th support (koszul_complex), on
     the fan x = variety_of(problem).  A coefficient label that is also a
-    Cox variable name of x raises InputError: the two would share one
-    variable.
+    Cox variable name of x repeats a variable, which SparsePoly refuses
+    with InputError.
     """
     x = variety_of(problem)
     params = problem.all_labels()
-    clash = sorted(set(params) & set(x.var_names()))
-    if clash:
-        raise InputError(f"coefficient labels {clash} are Cox variable names")
     variables = params + x.var_names()
     n_params = len(params)
     fs = generic_sections(problem, x, variables)

@@ -28,9 +28,10 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparseP
 
     The forms share a variable tuple whose last two entries parametrize the
     line; any leading entries are free parameters of the family, each a
-    name (as a support_problem label) other than u or v.  The forms have
-    one positive degree and no negative exponent; the Koszul complex's
-    FreeGradedComplex.validate refuses others with InputError.  Returns
+    name (as a support_problem label) other than u, v, x1 or x2: the lifted
+    forms are over (parameters, u, v, x1, x2), and SparsePoly refuses a
+    repeated name with InputError.  The forms have one positive degree; a
+    SparsePoly has int coefficients and no negative exponent.  Returns
     a polynomial in (parameters, u, v) that vanishes on the image in the
     affine chart (u, v): the determinant of the direct image of the
     Koszul complex of g1 = u.f0 - f1 and g2 = v.f0 - f2, with its integer
@@ -53,9 +54,6 @@ def implicitize_curve(f0: SparsePoly, f1: SparsePoly, f2: SparsePoly) -> SparseP
     if not all(map(_is_name, params)):
         raise InputError(f"parameters {params!r} are not all names")
     x = variety_from_simplex(1)
-    if set(params) & {"u", "v", *x.var_names()}:
-        raise InputError("parameter names collide with the chart variables "
-                         "u, v or the line coordinates")
     d = _binary_degree(f0)
     if d < 1:
         raise InputError("degree must be positive")

@@ -1,14 +1,14 @@
 """Sparse multivariate polynomials over Z, exact.
 
-Polynomials are dicts mapping exponent tuples to nonzero int
-coefficients.  The coefficient ring is Z everywhere past the input
-boundary: FreeGradedComplex.validate, which every complex passes before
-its direct image is taken, refuses a coefficient that is not an int; the
-Cech certificates are integral, as cech._reduce_block pivots only on
-units; and every division here is exact division over Z, a remainder
-meaning that the divisor does not divide.  Only qlinalg.QMatrix, the
-tests' rank reference, works over Q.  The variable list is part of every
-polynomial; arithmetic requires equal variable tuples.
+A SparsePoly is a polynomial of Z[vars]: a dict mapping exponent tuples
+to nonzero int coefficients, over a tuple of distinct variable names.  Its
+constructor refuses, with InputError, a coefficient whose type is not int,
+an exponent of the wrong length or with a negative entry, and a repeated
+variable name, so the ring holds wherever a polynomial exists.  The Cech
+certificates are integral, as cech._reduce_block pivots only on units,
+and every division here is exact division over Z, a remainder meaning that
+the divisor does not divide.  Only qlinalg.QMatrix, the tests' rank
+reference, works over Q.  Arithmetic requires equal variable tuples.
 
 Monomial order is degrevlex throughout: higher total degree first, ties
 broken so that the last nonzero entry of the exponent difference is
@@ -18,9 +18,9 @@ degrevlex and is bit-reproducible:
     poly   := "0" | term (" + " term)*
     term   := coeff | coeff (" * " factor)*
     coeff  := ["-"] digits
-    factor := name | name "^" exponent
+    factor := name | name "^" digits
 
-Example: "2 * a^2 * c + -3 * b".
+Exponents are nonnegative.  Example: "2 * a^2 * c + -3 * b".
 
 Kernel.  Exact division, the determinant, matrix products (`matmul`) and
 products whose factors both have several terms run on packed monomials (a
@@ -30,10 +30,8 @@ exponent vectors of its operands into single ints, works on dicts
 and fields of w bits, variable i occupies bits i*w to i*w + w - 1 and the
 packed monomial is
 
-    low - (deg << n*w),    low = sum (e_i - o_i) << i*w,    deg = sum (e_i - o_i).
+    low - (deg << n*w),    low = sum e_i << i*w,    deg = sum e_i.
 
-The offset o_i = min(0, smallest exponent of variable i among the operands)
-makes every field nonnegative, so negative (Laurent) exponents pack too.
 The field width is sized from a bound on the total degree of every
 monomial the call can form, so the top bit of each field (its guard) stays
 clear and no carry crosses fields.  Then the product of two monomials is
@@ -59,7 +57,7 @@ import math
 import re
 from heapq import heapify, heappop, heappush
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InputError, MathFailure
 
@@ -76,56 +74,41 @@ def drl_key(exp: Expo) -> tuple:
 Packed = dict[int, int]
 
 
-def _offset(n: int, polys: Iterable[Mapping[Expo, int]]) -> Expo:
-    """Per-variable min(0, smallest exponent) over the terms of polys."""
-    off = (0,) * n
-    for terms in polys:
-        for e in terms:
-            if min(e, default=0) < 0:
-                off = tuple(map(min, off, e))
-    return off
-
-
-def _top_degree(terms: Mapping[Expo, int], offset: Expo) -> int:
-    """Largest total degree of the terms once shifted by -offset (0 if none)."""
-    return max(map(sum, terms), default=sum(offset)) - sum(offset)
+def _top_degree(terms: Mapping[Expo, int]) -> int:
+    """Largest total degree of the terms (0 if none)."""
+    return max(map(sum, terms), default=0)
 
 
 class _Packing:
-    """Field layout of one kernel call: offset per variable and field width
-    sized so that total degree `bound` fits below each field's guard bit."""
+    """Field layout of one kernel call over n variables: field width sized
+    so that total degree `bound` fits below each field's guard bit."""
 
-    __slots__ = ("offset", "shifts", "top", "low", "mask", "guards")
+    __slots__ = ("shifts", "top", "low", "mask", "guards")
 
-    def __init__(self, offset: Expo, bound: int):
+    def __init__(self, n: int, bound: int):
         w = bound.bit_length() + 1
-        self.offset = offset
-        self.shifts = tuple(range(0, len(offset) * w, w))
-        self.top = len(offset) * w
+        self.shifts = tuple(range(0, n * w, w))
+        self.top = n * w
         self.low = (1 << self.top) - 1
         self.mask = (1 << w) - 1
         self.guards = sum(1 << (s + w - 1) for s in self.shifts)
 
     def pack(self, terms: Mapping[Expo, int]) -> Packed:
-        shifts, offset, top = self.shifts, self.offset, self.top
+        shifts, top = self.shifts, self.top
         out: Packed = {}
         for e, c in terms.items():
-            low = deg = 0
-            for x, o, s in zip(e, offset, shifts):
-                x -= o
+            low = 0
+            for x, s in zip(e, shifts):
                 low |= x << s
-                deg += x
-            out[low - (deg << top)] = c
+            out[low - (sum(e) << top)] = c
         return out
 
-    def unpack(self, packed: Packed, times: int) -> dict[Expo, int]:
-        """Exponent tuples of packed monomials whose offset is times*offset."""
-        offset = [o * times for o in self.offset]
+    def unpack(self, packed: Packed) -> dict[Expo, int]:
         shifts, low, mask = self.shifts, self.low, self.mask
         out: dict[Expo, int] = {}
         for m, c in packed.items():
             m &= low
-            out[tuple(((m >> s) & mask) + o for s, o in zip(shifts, offset))] = c
+            out[tuple((m >> s) & mask for s in shifts)] = c
         return out
 
 
@@ -148,9 +131,9 @@ def _nonzero(p: Packed) -> Packed:
 
 
 def _exact_div(a: Packed, d: Packed, guards: int) -> Packed | None:
-    """Quotient a/d with offset zero, or None when d does not divide a:
-    a quotient term would need a negative exponent or a coefficient that
-    leaves a remainder over Z.
+    """Quotient a/d, or None when d does not divide a: a quotient term
+    would need a negative exponent or a coefficient that leaves a
+    remainder over Z.
 
     The remainder's monomials sit in a min-heap, so its top is the leading
     term; a monomial cancelled to zero leaves a stale heap entry that is
@@ -201,13 +184,24 @@ def _exact_div(a: Packed, d: Packed, guards: int) -> Packed | None:
 
 
 class SparsePoly:
-    """Immutable-by-convention sparse polynomial."""
+    """Immutable-by-convention sparse polynomial of Z[variables]."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Expo, int]):
         self.vars: tuple[str, ...] = tuple(variables)
-        self.terms: dict[Expo, int] = {tuple(e): c for e, c in terms.items() if c}
+        n = len(self.vars)
+        if len(set(self.vars)) != n:
+            raise InputError(f"repeated variable name in {self.vars}")
+        self.terms: dict[Expo, int] = {}
+        for e, c in terms.items():
+            e = tuple(e)
+            if type(c) is not int:
+                raise InputError(f"coefficient {c!r} of {e} is not an int")
+            if len(e) != n or min(e, default=0) < 0:
+                raise InputError(f"exponent {e} is not a monomial of {self.vars}")
+            if c:
+                self.terms[e] = c
 
     # -- constructors ------------------------------------------------------
 
@@ -303,11 +297,10 @@ class SparsePoly:
             [(ea, ca)] = a.items()
             return SparsePoly(self.vars, {tuple(map(add, ea, e)): ca * c
                                           for e, c in b.items()})
-        off = _offset(len(self.vars), (a, b))
-        pk = _Packing(off, _top_degree(a, off) + _top_degree(b, off))
+        pk = _Packing(len(self.vars), _top_degree(a) + _top_degree(b))
         out: Packed = {}
         _addmul(out, pk.pack(a), pk.pack(b), 1)
-        return SparsePoly(self.vars, pk.unpack(_nonzero(out), 2))
+        return SparsePoly(self.vars, pk.unpack(_nonzero(out)))
 
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
@@ -333,10 +326,9 @@ class SparsePoly:
         if not self.terms:
             return SparsePoly.zero(self.vars)
         a, b = self.terms, d.terms
-        off = _offset(len(self.vars), (a, b))
-        pk = _Packing(off, max(_top_degree(a, off), _top_degree(b, off)))
+        pk = _Packing(len(self.vars), max(_top_degree(a), _top_degree(b)))
         q = _exact_div(pk.pack(a), pk.pack(b), pk.guards)
-        return None if q is None else SparsePoly(self.vars, pk.unpack(q, 0))
+        return None if q is None else SparsePoly(self.vars, pk.unpack(q))
 
 
 # -- content and normalization ---------------------------------------------
@@ -443,7 +435,7 @@ def poly_to_text(p: SparsePoly) -> str:
 
 
 _COEFF_RE = re.compile(r"^-?\d+$")
-_FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(\^(-?\d+))?$")
+_FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(\^(\d+))?$")
 
 
 def _is_name(name) -> bool:
@@ -527,9 +519,8 @@ class PolyMatrix:
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         """The product self * other, each entry sum_k a_ik * b_kj.
 
-        Both operands are packed once, with one offset for all their
-        entries; every product a_ik * b_kj then has shifted degree at most
-        the sum of the two matrices' largest shifted top degrees, the
+        Both operands are packed once; every product a_ik * b_kj has degree
+        at most the sum of the two matrices' largest top degrees, the
         packing bound.  Each output entry is accumulated packed and
         unpacked once."""
         if self.ncols != other.nrows:
@@ -538,12 +529,11 @@ class PolyMatrix:
                 p and q for row in self.rows for p, brow in zip(row, other.rows) for q in brow):
             raise InputError(f"variable mismatch: {self.vars} vs {other.vars}")
         out = PolyMatrix(self.nrows, other.ncols, self.vars)
-        off = _offset(len(self.vars), (p.terms for row in self.rows + other.rows for p in row))
 
         def top(m: PolyMatrix) -> int:
-            return max((_top_degree(p.terms, off) for row in m.rows for p in row), default=0)
+            return max((_top_degree(p.terms) for row in m.rows for p in row), default=0)
 
-        pk = _Packing(off, top(self) + top(other))
+        pk = _Packing(len(self.vars), top(self) + top(other))
         a = [[(k, pk.pack(p.terms)) for k, p in enumerate(row) if p] for row in self.rows]
         b = [[pk.pack(p.terms) for p in row] for row in other.rows]
         for i, arow in enumerate(a):
@@ -555,7 +545,7 @@ class PolyMatrix:
                         _addmul(s, p, q, 1)
                 s = _nonzero(s)
                 if s:
-                    out.rows[i][j] = SparsePoly(self.vars, pk.unpack(s, 2))
+                    out.rows[i][j] = SparsePoly(self.vars, pk.unpack(s))
         return out
 
     @classmethod
@@ -596,29 +586,25 @@ class PolyMatrix:
         smaller position (i, j).  Rows and column positions are swapped
         into place, each swap flipping the sign.
 
-        The entries are packed once, with one offset for the whole matrix:
-        that multiplies every entry by the monomial x^-offset, so the
-        packed determinant carries offset n*offset.  Every stored entry,
-        lazy or not, is a minor of the shifted matrix, so its degree is at
-        most B, the smaller of the sums of the row and of the column top
-        degrees (a zero counts 0); every product formed before an exact
-        division has two such factors, so degree at most 2B, the packing
-        bound."""
+        The entries are packed once.  Every stored entry, lazy or not, is
+        a minor of the matrix, so its degree is at most B, the smaller of
+        the sums of the row and of the column top degrees (a zero counts
+        0); every product formed before an exact division has two such
+        factors, so degree at most 2B, the packing bound."""
         n = self.nrows
         if n != self.ncols:
             raise InputError("determinant of a non-square matrix")
         if n == 0:
             return SparsePoly.const(self.vars, 1)
         nz = [{j: p.terms for j, p in enumerate(row) if p.terms} for row in self.rows]
-        off = _offset(len(self.vars), (t for row in nz for t in row.values()))
         rtop, ctop = [0] * n, [0] * n
         count = [0] * n                     # nonzeros per column in the active rows
         for i, row in enumerate(nz):
             for j, t in row.items():
-                d = _top_degree(t, off)
+                d = _top_degree(t)
                 rtop[i], ctop[j] = max(rtop[i], d), max(ctop[j], d)
                 count[j] += 1
-        pk = _Packing(off, 2 * min(sum(rtop), sum(ctop)))
+        pk = _Packing(len(self.vars), 2 * min(sum(rtop), sum(ctop)))
         guards = pk.guards
 
         def exact(num: Packed, d: Packed | None) -> Packed:
@@ -685,4 +671,4 @@ class PolyMatrix:
                 lag[i] = piv
             prev = piv
         return SparsePoly(self.vars, pk.unpack(prev if sign > 0 else
-                                               {m: -c for m, c in prev.items()}, n))
+                                               {m: -c for m, c in prev.items()}))

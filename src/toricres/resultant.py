@@ -195,12 +195,10 @@ def determinant_of_complex(W: WeymanComplex) -> SparsePoly:
     matrices over R is its own direct image on the projective line at
     class zero: put every summand at class 0 on variety_from_simplex(1),
     lift each entry with zero Cox exponents, and pass the complex through
-    weyman_differential, which returns those matrices.  Their entries must
-    be polynomials with int coefficients, as everywhere past the input
-    boundary (see qpoly): FreeGradedComplex.validate, which
-    weyman_differential runs first, refuses a negative exponent or another
-    coefficient with InputError.  A complex that is not generically exact
-    raises ExactnessFailure."""
+    weyman_differential, which returns those matrices.  Their entries are
+    SparsePolys, so polynomials with int coefficients and no negative
+    exponent, refused with InputError where they are built (see qpoly).  A
+    complex that is not generically exact raises ExactnessFailure."""
     if not isinstance(W, WeymanComplex):
         raise InputError(f"not a WeymanComplex: {type(W).__name__}")
     return _determinant_with_subsets(W)[0]

@@ -140,14 +140,6 @@ class ToricVariety:
         return tuple(sum(g[i] * u[r] for r, g in enumerate(self.grading))
                      for i in range(self.class_rank))
 
-    def irrelevant_exponents(self) -> tuple[tuple[int, ...], ...]:
-        """Exponent vector of the monomial generator attached to each cone."""
-        out = []
-        for cone in self.max_cones:
-            inside = set(cone)
-            out.append(tuple(0 if r in inside else 1 for r in range(self.n_rays)))
-        return tuple(out)
-
     def anticanonical_class(self) -> tuple[int, ...]:
         return self.degree_of([1] * self.n_rays)
 

@@ -56,9 +56,6 @@ class E1Page(NamedTuple):
     def rank(self, p: int, q: int) -> int:
         return self.table.get((p, q), 0)
 
-    def row(self, q: int, p_lo: int, p_hi: int) -> tuple[int, ...]:
-        return tuple(self.rank(p, q) for p in range(p_lo, p_hi + 1))
-
     def to_obj(self) -> list[list[int]]:
         return [[p, q, r] for (p, q), r in sorted(self.table.items())]
 
@@ -150,9 +147,9 @@ class _Certs(dict):
 # enters through iota or h, whose chains are the critical cells of a family
 # (see the cech module docstring).  t < 2^tb is the walk's place in its group
 # (tb is the bit length of W's largest rank), and packed is the parameter
-# exponent as one int of a qpoly._Packing with offset 0 (_walk_packing): a
-# phi step, a product of monomials, adds a multiple of 2^(#generators + tb),
-# so t and the chain never change.  Every coefficient is an int, as every
+# exponent as one int of the qpoly._Packing of _walk_packing: a phi step, a
+# product of monomials, adds a multiple of 2^(#generators + tb), so t and
+# the chain never change.  Every coefficient is an int, as every
 # certificate is integral (cech._reduce_block pivots on units); tags (key >>
 # #generators) are decoded, and a SparsePoly built, only for a matrix entry.
 
@@ -163,12 +160,10 @@ def _walk_packing(x: ToricVariety, mats: Iterable[PolyMatrix], n_params: int) ->
     A walk applies at most dim X + 1 of the matrices, one per staircase
     step (q0 <= dim X), and each application adds one piece's parameter
     exponent.  So the largest piece degree times dim X + 1 bounds the total
-    degree of every walk exponent, and fields sized for it never carry.
-    The packing has no offset: FreeGradedComplex.validate has refused every
-    negative exponent."""
+    degree of every walk exponent, and fields sized for it never carry."""
     top = max((sum(e[:n_params]) for m in mats for row in m.rows for p in row
                for e in p.terms), default=0)
-    return _Packing((0,) * n_params, top * (x.dim + 1))
+    return _Packing(n_params, top * (x.dim + 1))
 
 
 def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing, shift: int):
@@ -178,8 +173,7 @@ def _split_matrix(m: PolyMatrix, n_params: int, pk: _Packing, shift: int):
     exponent << shift, coeff), a walk key's increment.
 
     A walk keeps a chain's subset across a step by x^nu, which is sound
-    because nu >= 0 (FreeGradedComplex.validate refuses a negative
-    exponent) makes the pattern of w + nu part of the pattern of w, so the
+    because nu >= 0 (a SparsePoly has no negative exponent) makes the pattern of w + nu part of the pattern of w, so the
     source family sits inside the destination family."""
     out: dict[int, dict[int, list[tuple[tuple[int, ...], list]]]] = {}
     for r in range(m.nrows):
@@ -364,7 +358,7 @@ def _fill_rows(m: PolyMatrix, rows: list[int], entries: dict[int, dict[int, int]
         for tag, a in tagged.items():
             by_entry.setdefault((tag & low, col), {})[tag >> tb] = a
     for (t, col), terms in by_entry.items():
-        unpacked = pk.unpack(terms, 0)
+        unpacked = pk.unpack(terms)
         # unpack keeps the order, so without a collision the pairs line up
         if len(unpacked) != len(terms) or any(
                 packed & pk.guards or sum(e) != -(packed >> top)

@@ -5,6 +5,11 @@ from __future__ import annotations
 from math import comb
 
 
+def e1_row(page, q: int, p_lo: int, p_hi: int) -> tuple[int, ...]:
+    """The ranks of an E1Page in row q, for p = p_lo..p_hi."""
+    return tuple(page.rank(p, q) for p in range(p_lo, p_hi + 1))
+
+
 def bott_pn(n: int, d: int) -> list[int]:
     """Dimensions of H^q(P^n, O(d)) for q = 0..n."""
     out = [0] * (n + 1)

@@ -488,6 +488,15 @@ def retract_identity_failures(per_q, entries, active, iota, rho, h) -> list[str]
 
 # -- window-truncated Cech strands ------------------------------------------------
 
+def irrelevant_exponents(x: ToricVariety) -> tuple[tuple[int, ...], ...]:
+    """Exponent vector of the monomial generator attached to each cone."""
+    out = []
+    for cone in x.max_cones:
+        inside = set(cone)
+        out.append(tuple(0 if r in inside else 1 for r in range(x.n_rays)))
+    return tuple(out)
+
+
 def _window_bound(gens, subset: tuple[int, ...], e: Sequence[int]) -> tuple[int, ...]:
     # lcm of the f_j^{e_j} over j in the subset, negated: the term for the
     # subset is Hom of the corresponding Taylor summand, not the product
@@ -504,7 +513,7 @@ def _window_bound(gens, subset: tuple[int, ...], e: Sequence[int]) -> tuple[int,
 def strand_blocks(x: ToricVariety, alpha: Sequence[int], e: Sequence[int]):
     """Per-exponent blocks of the strand: for each w, the upward-closed
     family of subsets whose window contains w, grouped by Cech degree."""
-    gens, depth = x.irrelevant_exponents(), cech.cech_depth(x)
+    gens, depth = irrelevant_exponents(x), cech.cech_depth(x)
     subsets = generator_subsets(depth + 1)
     target = tuple(-a for a in alpha)
     u0, kernel = degree_fiber(x, target)

@@ -111,6 +111,39 @@ def test_a_rational_coefficient_in_text_is_an_input_error():
         poly_from_text("-1/3 * y", V)
 
 
+def test_a_negative_exponent_in_text_is_an_input_error():
+    """The grammar's exponents are digits: "x^-1" is not a factor."""
+    with pytest.raises(InputError, match=r"bad factor token 'x\^-1'"):
+        poly_from_text("1 * x^-1", V)
+
+
+@pytest.mark.parametrize("variables, terms, match", [
+    (V, {(1, 0, 0): True}, "True of .* is not an int"),
+    (V, {(1, 0, 0): Fraction(1, 2)}, "Fraction.* is not an int"),
+    (V, {(1, 0, 0): 2.0}, "2.0 of .* is not an int"),
+    # x1 / x2 and x1 / a, the Cox and the parameter exponent negative
+    (("x1", "x2"), {(1, -1): 1}, r"exponent \(1, -1\) is not a monomial"),
+    (("a", "x1", "x2"), {(-1, 1, 0): 1}, r"exponent \(-1, 1, 0\) is not a monomial"),
+    (("x1", "x2"), {(1,): 1}, r"exponent \(1,\) is not a monomial"),
+    (V, {(1, 0, 0, 0): 1}, r"exponent \(1, 0, 0, 0\) is not a monomial"),
+    (("a", "x", "a"), {(0, 1, 0): 1}, "repeated variable name"),
+], ids=["bool", "fraction", "float", "negative-cox-exponent", "negative-parameter-exponent",
+        "short-exponent", "long-exponent", "repeated-name"])
+def test_a_term_outside_the_integer_polynomial_ring_is_refused_where_it_is_built(
+        variables, terms, match):
+    """A SparsePoly is a polynomial of Z[variables]: a coefficient whose
+    type is not int, an exponent of the wrong length or with a negative
+    entry, and a repeated variable name raise InputError at construction."""
+    with pytest.raises(InputError, match=match):
+        SparsePoly(variables, terms)
+
+
+def test_the_empty_ring_and_zero_coefficients_still_construct():
+    assert SparsePoly.const((), 3).terms == {(): 3}
+    assert SparsePoly(V, {(1, 0, 0): 0, (0, 1, 0): 2}).terms == {(0, 1, 0): 2}
+    assert SparsePoly.zero(()).is_zero()
+
+
 def test_parse_merges_duplicate_monomials():
     assert P("1 * x + 2 * x") == P("3 * x")
     assert P("1 * x + -1 * x").is_zero()
@@ -388,24 +421,20 @@ def test_published_matrix_determinant_is_eliminant():
 
 VARS4 = ("w", "x", "y", "z")
 # exponents on both sides of the packed field widths 2^k
-WIDE = sorted({s * (2 ** k + d) for k in range(1, 7) for d in (-1, 0, 1) for s in (1, -1)})
+WIDE = sorted({2 ** k + d for k in range(1, 7) for d in (-1, 0, 1)})
 
 
 @st.composite
 def ring_polys(draw, count, max_terms=4):
     """`count` polynomials over one ring of 0-4 variables."""
     n = draw(st.integers(min_value=0, max_value=4))
-    expo = st.one_of(st.integers(min_value=-3, max_value=3), st.sampled_from(WIDE))
+    expo = st.one_of(st.integers(min_value=0, max_value=6), st.sampled_from(WIDE))
     out = []
     for _ in range(count):
         terms = draw(st.dictionaries(st.tuples(*[expo] * n), coefficient,
                                      max_size=max_terms))
         out.append(SparsePoly(VARS4[:n], terms))
     return out
-
-
-def nonnegative(p: SparsePoly) -> bool:
-    return all(x >= 0 for e in p.terms for x in e)
 
 
 @given(ring_polys(2))
@@ -420,11 +449,12 @@ def test_product_matches_reference(ab):
 def test_product_divided_by_a_factor_gives_the_other(ab):
     a, b = ab
     assume(not b.is_zero())
-    # a quotient with a negative exponent is not a polynomial: None
-    assert (a * b).exact_div(b) == (a if nonnegative(a) else None)
+    assert (a * b).exact_div(b) == a
 
 
 @given(ring_polys(3), st.booleans())
+# x / y would need y^-1: both sides are None
+@example([P("1 * x"), P("1 * y"), SparsePoly.zero(V)], False)
 @settings(max_examples=150, deadline=None)
 def test_division_returns_none_exactly_when_the_reference_does(abr, multiple):
     a, d, r = abr
@@ -449,9 +479,9 @@ def test_primitive_part_times_content_unit_is_the_polynomial(ps):
 @st.composite
 def matmul_pairs(draw):
     """A (n x k) times B (k x m), n, k and m in 0..3, over one ring of 0-4
-    variables, entries with Laurent exponents, integer coefficients and
-    zero entries.  When k >= 2 and the flag is drawn, column 1 of A repeats
-    column 0 and row 1 of B negates row 0, so those products cancel."""
+    variables, entries with integer coefficients and zero entries.  When
+    k >= 2 and the flag is drawn, column 1 of A repeats column 0 and row 1
+    of B negates row 0, so those products cancel."""
     n, k, m = (draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
     cells = draw(ring_polys(n * k + k * m + 1, max_terms=3))
     a = [cells[i * k:(i + 1) * k] for i in range(n)]
@@ -471,7 +501,7 @@ def _pm(cells):
 @given(matmul_pairs())
 # each operand alone packs in fields too narrow for the product's degree
 @example((_pm([["1 * x", "1"]]), _pm([["1"], ["1 * y^6"]])))
-@example((_pm([["1 * y^7 * z^-1", "1"]]), _pm([["1 * x * z"], ["1"]])))
+@example((_pm([["1 * y^7", "1"]]), _pm([["1 * y * z"], ["1"]])))
 @settings(max_examples=150, deadline=None)
 def test_matmul_matches_the_entrywise_reference(ab):
     a, b = ab
@@ -509,13 +539,13 @@ def test_det_matches_cofactor_expansion_property(m):
 @st.composite
 def sparse_matrices(draw):
     """Up to 10x10, the entries monomials and binomials with integer
-    coefficients and exponents in -2..3, nonzero on a random transversal;
+    coefficients and exponents in 0..5, nonzero on a random transversal;
     off it a half or two thirds of the entries are zero up to 7x7, and four
     fifths beyond (a dense 10x10 of binomials takes Bareiss seconds).  A
     quarter of them made singular by replacing a row with a monomial
     multiple of another, and a sixth by zeroing a row or a column."""
     n = draw(st.integers(min_value=1, max_value=10))
-    expo = st.tuples(*[st.integers(min_value=-2, max_value=3)] * len(V))
+    expo = st.tuples(*[st.integers(min_value=0, max_value=5)] * len(V))
     nonzero = st.dictionaries(expo, coefficient.filter(bool), min_size=1, max_size=2)
     # sampled_from, not one_of: one_of does not weight a repeated branch
     zeros = draw(st.integers(min_value=1, max_value=2)) if n <= 7 else 4
@@ -592,8 +622,8 @@ def test_block_diagonal_det_is_the_product_of_the_block_dets():
          ["1 * y^2", "1 * x * z", "1"],
          ["1 * z", "1 * x^2", "1 * y * z"]]
     b = [["1 * x + 1", "1 * y + -2", "1 * z + 1 * x"],
-         ["2 * y + 1", "1 * x * y + 1 * z", "2 * x + -1 * y^-1"],
-         ["3 * z + 1 * y", "3 * x + -1", "1 * z^2 + 1 * x^-1"]]
+         ["2 * y + 1", "1 * x * y + 1 * z", "2 * x + -1 * y^2"],
+         ["3 * z + 1 * y", "3 * x + -1", "1 * z^2 + 1 * x^3"]]
     zero = ["0"] * 3
     blocks = [r + zero for r in a] + [zero + r for r in b]
     am, bm = PolyMatrix.from_text(a, V), PolyMatrix.from_text(b, V)

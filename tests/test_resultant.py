@@ -270,17 +270,13 @@ def test_a_bad_draw_is_detected_and_drawn_again(monkeypatch):
 
 
 def test_a_coefficient_that_is_not_an_int_is_refused_at_the_boundary():
-    """The coefficients are integers past the input boundary,
-    FreeGradedComplex.validate: weyman_differential, and implicitization
-    through it, refuse a Fraction before any walk or determinant."""
-    vm = ("p",)
-    m = PolyMatrix.from_rows([[SparsePoly(vm, {(1,): Fraction(1, 2)})]], vm)
+    """The coefficients are integers wherever a polynomial exists:
+    SparsePoly refuses a Fraction where it is built, so neither a matrix
+    entry for weyman_differential nor a form to implicitize holds one."""
     with pytest.raises(InputError, match="not an int"):
-        on_the_line({-1: m})
-    half_s2 = SparsePoly(LINE, {(2, 0): Fraction(1, 2)})
-    s_t, t2 = SparsePoly(LINE, {(1, 1): 1}), SparsePoly(LINE, {(0, 2): 1})
+        SparsePoly(("p",), {(1,): Fraction(1, 2)})
     with pytest.raises(InputError, match="not an int"):
-        implicitize_curve(half_s2, s_t, t2)
+        SparsePoly(LINE, {(2, 0): Fraction(1, 2)})
 
 
 def test_first_prime_is_the_prime_2_61_minus_1():
@@ -928,14 +924,27 @@ def test_implicitization_validates_its_input():
         implicitize_curve(f0, f1, SparsePoly.zero(LINE))
     with pytest.raises(InputError):
         implicitize_curve(f0, f1, renamed(f1, ("s", "u")))
+    # a parameter named as a chart variable or a line coordinate repeats a
+    # variable of the lifted forms
     for name in ("u", "v", "x1"):
-        with pytest.raises(InputError, match="collide"):
+        with pytest.raises(InputError, match="repeated variable name"):
             implicitize_curve(*(poly_from_text(text, (name, "s", "t"))
                                 for text in ("1 * s^2", "1 * s * t", "1 * t^2")))
     # a name poly_to_text would print and poly_from_text refuse
     with pytest.raises(InputError, match="not all names"):
         implicitize_curve(*(poly_from_text(text, ("a b", "s", "t"))
                             for text in ("1 * s^2", "1 * s * t", "1 * t^2")))
-    with pytest.raises(InputError, match="negative exponent"):
-        implicitize_curve(poly_from_text("1 * s^3 * t^-1", LINE), f1,
-                          poly_from_text("1 * t^2", LINE))
+    # a form with a negative exponent is refused where it is read
+    with pytest.raises(InputError, match="bad factor token"):
+        poly_from_text("1 * s^3 * t^-1", LINE)
+
+
+def test_forms_over_a_repeated_variable_name_are_refused():
+    """Over ("a", "a", "s", "t"), with f0 = s^2, f1 = a.s.t on the first a
+    and f2 = a.t^2 on the second, the implicit equation came out as
+    "1 * a^2 * u^2 + -1 * a^2 * a * v", which poly_from_text reads back as
+    another polynomial.  The forms cannot be built."""
+    va = ("a", "a", "s", "t")
+    for e in ((0, 0, 2, 0), (1, 0, 1, 1), (0, 1, 0, 2)):
+        with pytest.raises(InputError, match="repeated variable name"):
+            SparsePoly(va, {e: 1})

@@ -164,8 +164,21 @@ _XS = ("x1", "x2")
 
 @pytest.mark.parametrize("make, match", [
     (lambda: _on_the_line(_XS, 0, {}, {}), "at least one degree"),
+    # an entry outside Z[x1, x2] is refused where it is built
+    (lambda: _on_the_line(_XS, 0, {0: ((1,),), 1: ((0,),)},
+                          {0: PolyMatrix.from_rows([[SparsePoly(_XS, {(1,): 1})]], _XS)}),
+     re.escape("exponent (1,) is not a monomial of ('x1', 'x2')")),
     (lambda: _on_the_line(_XS, 5, {0: ((0,),)}, {}), "2 variables for 5 parameters"),
     (lambda: _on_the_line(_XS, 0, {0: ((0, 0),)}, {}), "class group has rank 1"),
+    # x1 / x2, homogeneous of class 0
+    (lambda: _on_the_line(_XS, 0, {0: ((0,),), 1: ((0,),)},
+                          {0: PolyMatrix.from_rows([[SparsePoly(_XS, {(1, -1): 1})]], _XS)}),
+     re.escape("exponent (1, -1) is not a monomial of ('x1', 'x2')")),
+    # x1 / a
+    (lambda: _on_the_line(("a",) + _XS, 1, {-1: ((1,),), 0: ((0,),)},
+                          {-1: PolyMatrix.from_rows(
+                              [[SparsePoly(("a",) + _XS, {(-1, 1, 0): 1})]], ("a",) + _XS)}),
+     re.escape("exponent (-1, 1, 0) is not a monomial of ('a', 'x1', 'x2')")),
     # a well-formed matrix, but at a degree the complex does not reach
     (lambda: _on_the_line(_XS, 0, {0: ((0,),)},
                           {3: PolyMatrix.from_rows([[SparsePoly(_XS, {(1, 0): 1})]], _XS)}),
@@ -181,22 +194,23 @@ _XS = ("x1", "x2")
                           {0: PolyMatrix.from_rows([[SparsePoly(("y1", "y2"), {(1, 0): 1})]],
                                                    _XS)}),
      re.escape("entry at p=0, (0,0) is over ('y1', 'y2')")),
-], ids=["no-degrees", "variable-count", "class-length", "stray-differential",
+], ids=["no-degrees", "exponent-length", "variable-count", "class-length",
+        "negative-cox-exponent", "negative-parameter-exponent", "stray-differential",
         "foreign-variables", "foreign-entry-variables"])
 def test_validate_refuses_a_malformed_complex(make, match, monkeypatch):
-    """validate, the pipeline's input boundary, refuses each malformed
-    complex with InputError, and weyman_differential raises the same error
-    before any walk: none reaches an IndexError, a failure inside a walk,
-    or a direct image of a complex the ring does not hold."""
+    """Each malformed complex is refused with InputError, by validate, the
+    pipeline's input boundary, or, for an entry outside Z[variables], by
+    SparsePoly where the entry is built; weyman_differential raises the
+    same error before any walk: none reaches an IndexError, a failure
+    inside a walk, or a direct image of a complex the ring does not hold."""
     from toricres import weyman
 
     def no_walk(*args):
         raise AssertionError("walked a complex validate refuses")
 
     monkeypatch.setattr(weyman, "_walk", no_walk)
-    C = make()
     with pytest.raises(InputError, match=match) as refused:
-        C.validate()
+        make().validate()
     with pytest.raises(InputError, match=match) as pushed:
-        weyman.weyman_differential(C)
+        weyman.weyman_differential(make())
     assert str(pushed.value) == str(refused.value)

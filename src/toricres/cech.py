@@ -75,12 +75,7 @@ Family reductions are memoized per process in one pattern table per
 variety (pattern_table), by pattern bitmask.  The bitmask and the table
 stay inside this module: contributing_points hands out each point with
 its family, and family_certs, the one lookup from outside, takes an
-exponent.  The table also keeps, for every class of the variety
-at once, which patterns the screen has decided and which of those carry
-cohomology in q <= dim, so a pattern that survives the screen of many
-classes is decided once, and each class walks only its survivors that
-carry cohomology.  A memo by Sigma would save nothing more within a
-variety: on a polytope's normal fan Sigma determines the pattern, as its
+exponent.  A memo by Sigma would save nothing more within a variety: on a polytope's normal fan Sigma determines the pattern, as its
 maximal sets are the vertex sets of the pattern's facets and distinct
 facets have incomparable vertex sets, so two patterns of one variety never
 share a reduction.
@@ -102,14 +97,6 @@ Class = tuple[int, ...]
 
 
 _GENERATOR_CAP = 16
-
-
-def cech_depth(x: ToricVariety) -> int:
-    """Largest Cech degree: #generators - 1 (the full subset range).
-
-    No size truncation: model dimensions above dim X vanish at exact levels,
-    and keeping every subset keeps all homotopies honest."""
-    return len(x.max_cones) - 1
 
 
 def _down_closure(masks: Iterable[int]) -> frozenset[int]:
@@ -426,14 +413,13 @@ def contributing_points(x: ToricVariety,
     All 2^#rays patterns are screened by the ray circuits first: the
     patterns excluded for this class are the OR of the pattern bitsets
     (_circuit_patterns, built once per variety) of the circuits the fiber
-    violates, and each pattern is one bit of it.  Of the survivors, only
-    those the variety's pattern table has not decided yet are looked at,
-    lowest bitmask first.  One whose negated rays share a max cone is
-    decided unreduced: Sigma is then a cone, contractible like the full
-    simplex, so the family, their difference, carries the cohomology of the
-    pair, which is zero.  Every other has its family reduced, and the table
-    records whether it has cohomology in some q <= dim.  The survivors with
-    such cohomology are walked by fiber_points.
+    violates, and each pattern is one bit of it.  The survivors are looked
+    at lowest bitmask first.  One whose negated rays share a max cone is
+    skipped: Sigma is then a cone, contractible like the full simplex, so
+    the family, their difference, carries the cohomology of the pair, which
+    is zero.  Every other has its family looked up in the variety's pattern
+    table, and is walked by fiber_points when the family has cohomology in
+    some q <= dim.
     A pattern neg is excluded when a ray circuit shows that its real sign
     polyhedron P = {u <= -1 on neg, u >= 0 off neg} misses the real fiber
     u0 + L, L the span of the degree kernel.
@@ -469,17 +455,19 @@ def contributing_points(x: ToricVariety,
                 excluded |= p_minus
         # no real point of the fiber has an excluded pattern
         survivors = ((1 << (1 << x.n_rays)) - 1) & ~excluded
-        table = pattern_table(x)
-        table.decide(survivors)
-        walk = survivors & table.contributing
-        while walk:
-            low = walk & -walk
-            walk ^= low
+        table, cones = pattern_table(x), _ray_cones(x)
+        while survivors:
+            low = survivors & -survivors
+            survivors ^= low
             bits = low.bit_length() - 1
-            family, neg = table[bits], _members(bits)
-            # w <= -1 on the rays in neg, w >= 0 on the others
-            signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
-            pts.extend((w, family) for w in fiber_points(u0, kernel, signs))
+            neg = _members(bits)
+            if neg and reduce(and_, [cones[rho] for rho in neg]):
+                continue   # Sigma is a cone: no cohomology at all
+            family = table[bits]
+            if any(family.dims[:x.dim + 1]):
+                # w <= -1 on the rays in neg, w >= 0 on the others
+                signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
+                pts.extend((w, family) for w in fiber_points(u0, kernel, signs))
     return tuple(sorted(pts, key=itemgetter(0)))
 
 
@@ -527,45 +515,19 @@ class FamilyCerts:
 
 class _PatternTable(dict):
     """The family reductions of one variety, by pattern bitmask (bit rho
-    for a negated ray rho), built on first lookup: the only family memo.
+    for a negated ray rho), built on first lookup: the only family memo."""
 
-    It also keeps two bitsets over the patterns, as the screen of
-    contributing_points finds them, whatever the class: decided, the
-    patterns it has settled, and contributing, those among them whose
-    family has cohomology in some q <= dim.  A memo by Sigma would save
-    nothing more within a variety (see the module docstring)."""
-
-    __slots__ = ("x", "decided", "contributing")
+    __slots__ = ("x",)
 
     def __init__(self, x: ToricVariety):
         super().__init__()
         self.x = x
-        self.decided = self.contributing = 0
 
     def __missing__(self, bits: int) -> FamilyCerts:
         certs = self[bits] = FamilyCerts(_sigma(self.x, _members(bits)),
                                          len(self.x.max_cones))
         cache_counters["built"] += 1
         return certs
-
-    def decide(self, patterns: int) -> None:
-        """Settle every pattern of the bitset patterns not decided yet,
-        lowest first: one whose negated rays share a max cone has no
-        cohomology at all, and every other is reduced."""
-        x = self.x
-        cones = _ray_cones(x)
-        q_top = min(x.dim, cech_depth(x))
-        new = patterns & ~self.decided
-        while new:
-            low = new & -new
-            new ^= low
-            bits = low.bit_length() - 1
-            neg = _members(bits)
-            if neg and reduce(and_, [cones[rho] for rho in neg]):
-                continue   # Sigma is a cone: no cohomology at all
-            if any(self[bits].dims[:q_top + 1]):
-                self.contributing |= low
-        self.decided |= patterns
 
 
 _TABLES: dict[ToricVariety, _PatternTable] = {}

@@ -3,12 +3,13 @@
 A SparsePoly is a polynomial of Z[vars]: a dict mapping exponent tuples
 to nonzero int coefficients, over a tuple of distinct variable names.  Its
 constructor refuses, with InputError, a coefficient whose type is not int,
-an exponent of the wrong length or with a negative entry, and a repeated
-variable name, so the ring holds wherever a polynomial exists.  The Cech
-certificates are integral, as cech._reduce_block pivots only on units,
-and every division here is exact division over Z, a remainder meaning that
-the divisor does not divide.  Only qlinalg.QMatrix, the tests' rank
-reference, works over Q.  Arithmetic requires equal variable tuples.
+an exponent of the wrong length or with an entry that is not a nonnegative
+int, and a repeated variable name, so the ring holds wherever a polynomial
+exists.  The Cech certificates are integral, as cech._reduce_block pivots
+only on units, and every division here is exact division over Z, a
+remainder meaning that the divisor does not divide.  Only qlinalg.QMatrix,
+the tests' rank reference, works over Q.  Arithmetic requires equal
+variable tuples.
 
 Monomial order is degrevlex throughout: higher total degree first, ties
 broken so that the last nonzero entry of the exponent difference is
@@ -198,7 +199,7 @@ class SparsePoly:
             e = tuple(e)
             if type(c) is not int:
                 raise InputError(f"coefficient {c!r} of {e} is not an int")
-            if len(e) != n or min(e, default=0) < 0:
+            if len(e) != n or not all(type(v) is int and v >= 0 for v in e):
                 raise InputError(f"exponent {e} is not a monomial of {self.vars}")
             if c:
                 self.terms[e] = c
@@ -479,7 +480,8 @@ def poly_from_text(text: str, variables: Sequence[str]) -> SparsePoly:
 
 class PolyMatrix:
     """Dense matrix of SparsePoly entries.  Row convention: vectors act on
-    the left, v -> v @ M, so rows index the domain."""
+    the left, v -> v @ M, so rows index the domain.  Given rows, every
+    entry must be a SparsePoly over the matrix's own variables."""
 
     __slots__ = ("nrows", "ncols", "vars", "rows")
 
@@ -493,6 +495,11 @@ class PolyMatrix:
             rows = [[z] * ncols for _ in range(nrows)]
         elif len(rows) != nrows or any(type(r) is not list or len(r) != ncols for r in rows):
             raise InputError(f"rows must be {nrows} lists of {ncols} entries")
+        else:
+            for i, r in enumerate(rows):
+                for j, p in enumerate(r):
+                    if not isinstance(p, SparsePoly) or p.vars != self.vars:
+                        raise InputError(f"entry ({i},{j}) is not a polynomial over {self.vars}")
         self.rows = rows
 
     @classmethod

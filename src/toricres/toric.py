@@ -195,10 +195,49 @@ def default_label(j: int, point: Point) -> str:
 
 @dataclass(frozen=True)
 class SupportProblem:
-    """A tuple of finite point supports with named generic coefficients."""
+    """A tuple of finite point supports with named generic coefficients.
+
+    Every problem is checked where it is built, directly or by
+    support_problem: the supports become tuples of int tuples, labels None
+    becomes the default labels (default_label), and a malformed problem
+    raises InputError."""
 
     supports: tuple[Support, ...]
     labels: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        try:
+            sup = tuple(tuple(tuple(map(operator.index, p)) for p in s)
+                        for s in self.supports)
+        except TypeError as err:
+            raise InputError(f"support points must be integer vectors: {err}") from err
+        if not sup or not sup[0]:
+            raise InputError("need at least one nonempty support")
+        if not sup[0][0]:
+            raise InputError("support points must have at least one coordinate")
+        dim = len(sup[0][0])
+        for s in sup:
+            if not s:
+                raise InputError("empty support")
+            for p in s:
+                if len(p) != dim:
+                    raise InputError("support points of mixed dimension")
+            if len(set(s)) != len(s):
+                raise InputError("repeated point in a support")
+        if self.labels is None:
+            lab = tuple(tuple(default_label(j, p) for p in s) for j, s in enumerate(sup))
+        else:
+            lab = tuple(tuple(g) for g in self.labels)
+            if tuple(len(g) for g in lab) != tuple(len(s) for s in sup):
+                raise InputError("label shape does not match supports")
+        flat = [name for g in lab for name in g]
+        for name in flat:
+            if not _is_name(name):
+                raise InputError(f"coefficient label {name!r} is not a name")
+        if len(set(flat)) != len(flat):
+            raise InputError("duplicate coefficient label")
+        object.__setattr__(self, "supports", sup)
+        object.__setattr__(self, "labels", lab)
 
     def all_labels(self) -> tuple[str, ...]:
         return tuple(name for group in self.labels for name in group)
@@ -206,36 +245,9 @@ class SupportProblem:
 
 def support_problem(supports: Sequence[Sequence[Sequence[int]]],
                     labels: Sequence[Sequence[str]] | None = None) -> SupportProblem:
-    try:
-        sup = tuple(tuple(tuple(map(operator.index, p)) for p in s) for s in supports)
-    except TypeError as err:
-        raise InputError(f"support points must be integer vectors: {err}") from err
-    if not sup or not sup[0]:
-        raise InputError("need at least one nonempty support")
-    if not sup[0][0]:
-        raise InputError("support points must have at least one coordinate")
-    dim = len(sup[0][0])
-    for s in sup:
-        if not s:
-            raise InputError("empty support")
-        for p in s:
-            if len(p) != dim:
-                raise InputError("support points of mixed dimension")
-        if len(set(s)) != len(s):
-            raise InputError("repeated point in a support")
-    if labels is None:
-        lab = tuple(tuple(default_label(j, p) for p in s) for j, s in enumerate(sup))
-    else:
-        lab = tuple(tuple(g) for g in labels)
-        if tuple(len(g) for g in lab) != tuple(len(s) for s in sup):
-            raise InputError("label shape does not match supports")
-    flat = [name for g in lab for name in g]
-    for name in flat:
-        if not _is_name(name):
-            raise InputError(f"coefficient label {name!r} is not a name")
-    if len(set(flat)) != len(flat):
-        raise InputError("duplicate coefficient label")
-    return SupportProblem(supports=sup, labels=lab)
+    """The checked problem of these supports; labels None gives the default
+    labels."""
+    return SupportProblem(supports, labels)
 
 
 def minkowski_points(supports: Sequence[Support]) -> list[Point]:

@@ -205,7 +205,7 @@ def support_patterns(x) -> tuple[tuple[int, ...], ...]:
     """Every negative-support pattern whose family carries cohomology in some
     degree q <= dim, in bitmask order: the certificate family of each of
     the 2^#rays patterns reduced, with no screen."""
-    q_top = min(x.dim, cech.cech_depth(x))
+    q_top = min(x.dim, len(x.max_cones) - 1)
     out = []
     for bits in range(1 << x.n_rays):
         neg = tuple(rho for rho in range(x.n_rays) if bits >> rho & 1)
@@ -513,7 +513,7 @@ def _window_bound(gens, subset: tuple[int, ...], e: Sequence[int]) -> tuple[int,
 def strand_blocks(x: ToricVariety, alpha: Sequence[int], e: Sequence[int]):
     """Per-exponent blocks of the strand: for each w, the upward-closed
     family of subsets whose window contains w, grouped by Cech degree."""
-    gens, depth = irrelevant_exponents(x), cech.cech_depth(x)
+    gens, depth = irrelevant_exponents(x), len(x.max_cones) - 1
     subsets = generator_subsets(depth + 1)
     target = tuple(-a for a in alpha)
     u0, kernel = degree_fiber(x, target)

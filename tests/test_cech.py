@@ -30,7 +30,6 @@ from helpers_reference import (
     support_patterns,
 )
 from toricres import cech
-from toricres.cech import cech_depth
 from toricres.errors import MathFailure
 from toricres.qlinalg import cnorm
 from toricres.toric import variety_from_points, variety_from_simplex
@@ -39,12 +38,6 @@ from toricres.toric import variety_from_points, variety_from_simplex
 P2 = variety_from_simplex(2)
 P1 = variety_from_simplex(1)
 P1P1 = variety_from_points(((0, 0), (1, 0), (0, 1), (1, 1)))
-
-
-def test_cech_depth():
-    assert cech_depth(P1) == 1
-    assert cech_depth(P2) == 2
-    assert cech_depth(P1P1) == 3
 
 
 @pytest.mark.parametrize("a", list(range(-6, 7)))
@@ -165,7 +158,7 @@ def _reference_families(x):
 
 def _reference_patterns(x):
     """The support pattern table with every rank taken over Q (QMatrix)."""
-    depth = cech.cech_depth(x)
+    depth = len(x.max_cones) - 1
     q_top = min(x.dim, depth)
     out = {}
     for neg, fam in _reference_families(x).items():
@@ -275,7 +268,7 @@ def test_pattern_table_and_points_match_fraction_reference(name):
     assert support_patterns(x) == tuple(sorted(ref, key=lambda neg: sum(1 << r for r in neg)))
     # the certificates of every pattern, in the table or not, have the
     # Fraction reference's dims in every degree
-    depth = cech.cech_depth(x)
+    depth = len(x.max_cones) - 1
     for neg in _all_patterns(x):
         want = family_rank_dims(pattern_family(x, neg), depth + 1)
         assert pattern_certs(x, neg).dims == want
@@ -538,12 +531,11 @@ def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch, built_fam
 
 
 def test_screening_the_sturmfels_classes_in_either_order_decides_the_same():
-    """The pattern table decides each pattern once, for whichever class
-    reaches it first: after clear_caches, which empties the tables,
+    """The pattern table reduces each pattern once, for whichever class
+    looks it up first: after clear_caches, which empties the tables,
     screening the 16 Koszul classes of the printed Sturmfels twists in
-    forward and in reverse order gives the same points per class, builds
-    the same number of families, and leaves the same decided and
-    contributing bitsets."""
+    forward and in reverse order gives the same points per class and
+    builds the same number of families."""
     from helpers_examples import sturmfels_problem
     from toricres.complexes import koszul_generic
     from toricres.fixtures import sturmfels_twist
@@ -563,13 +555,13 @@ def test_screening_the_sturmfels_classes_in_either_order_decides_the_same():
         # the families are rebuilt after clear_caches, so compare their contents
         points = [[(w, _certs_obj(c)) for w, c in cech.contributing_points(x, alpha)]
                   for alpha in order]
-        table = cech.pattern_table(x)
-        runs.append((dict(zip(order, points)), cech.cache_counters["built"],
-                     table.decided, table.contributing))
+        runs.append((dict(zip(order, points)), cech.cache_counters["built"]))
     assert runs[0] == runs[1]
-    _, built, decided, contributing = runs[0]
-    # four patterns carry cohomology, and each was decided
-    assert built and contributing.bit_count() == 4 and contributing & ~decided == 0
+    per_class, built = runs[0]
+    # four patterns carry cohomology, read off the points' negative supports
+    patterns = {tuple(rho for rho, v in enumerate(w) if v < 0)
+                for pts in per_class.values() for w, _ in pts}
+    assert built and len(patterns) == 4
 
 
 @st.composite
@@ -747,7 +739,7 @@ def test_block_reduction_matches_full_rescan_reference(name):
     """Every pattern family of the fixtures, reduced whole, pivots on units
     alone."""
     x = VARIETIES[name]()
-    depth = cech.cech_depth(x)
+    depth = len(x.max_cones) - 1
     fams = {pattern_family(x, neg) for neg in _all_patterns(x)}
     for fam in sorted(fams):
         if fam:

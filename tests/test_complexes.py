@@ -19,7 +19,7 @@ from toricres.complexes import (
 )
 from toricres.errors import InputError
 from toricres.qpoly import PolyMatrix, SparsePoly
-from toricres.toric import support_problem, variety_from_simplex, variety_of
+from toricres.toric import SupportProblem, support_problem, variety_from_simplex, variety_of
 
 
 def test_koszul_unit_simplices_shape():
@@ -97,6 +97,16 @@ def test_coefficient_label_equal_to_a_cox_variable_is_an_input_error():
     assert koszul_generic(prob).n_params == 4
 
 
+@pytest.mark.parametrize("stage", [koszul_generic, variety_of])
+def test_a_mixed_dimension_problem_is_refused_before_any_stage(stage):
+    """A SupportProblem built directly over points of mixed dimension is
+    refused where it is built: koszul_generic returned a complex for it,
+    and variety_of a variety."""
+    with pytest.raises(InputError, match="mixed dimension"):
+        stage(SupportProblem(supports=(((0,), (1,)), ((0, 0), (1, 0))),
+                             labels=(("a", "b"), ("c", "d"))))
+
+
 def test_validate_catches_bad_square():
     prob = support_problem((((0, 0), (1, 0), (0, 1)),) * 2)
     k = koszul_generic(prob)
@@ -162,6 +172,13 @@ def _on_the_line(variables, n_params, degrees, diffs):
 _XS = ("x1", "x2")
 
 
+def _written_into(m, entry):
+    """m with entry written into its rows at (0, 0), past the constructor,
+    which refuses a foreign entry given with the rows."""
+    m.rows[0][0] = entry
+    return m
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda: _on_the_line(_XS, 0, {}, {}), "at least one degree"),
     # an entry outside Z[x1, x2] is refused where it is built
@@ -188,11 +205,12 @@ _XS = ("x1", "x2")
                           {0: PolyMatrix.from_rows([[SparsePoly(("y1", "y2"), {(1, 0): 1})]],
                                                    ("y1", "y2"))}),
      re.escape("differential at 0 is over ('y1', 'y2')")),
-    # a matrix over the complex's variables holding an entry over others:
-    # read as x1 by position, y1 would give the direct image of x1
+    # a matrix over the complex's variables holding an entry over others,
+    # written into its rows: read as x1 by position, y1 would give the
+    # direct image of x1
     (lambda: _on_the_line(_XS, 0, {0: ((-1,),), 1: ((-2,),)},
-                          {0: PolyMatrix.from_rows([[SparsePoly(("y1", "y2"), {(1, 0): 1})]],
-                                                   _XS)}),
+                          {0: _written_into(PolyMatrix(1, 1, _XS),
+                                            SparsePoly(("y1", "y2"), {(1, 0): 1}))}),
      re.escape("entry at p=0, (0,0) is over ('y1', 'y2')")),
 ], ids=["no-degrees", "exponent-length", "variable-count", "class-length",
         "negative-cox-exponent", "negative-parameter-exponent", "stray-differential",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -127,13 +128,18 @@ def test_a_negative_exponent_in_text_is_an_input_error():
     (("x1", "x2"), {(1,): 1}, r"exponent \(1,\) is not a monomial"),
     (V, {(1, 0, 0, 0): 1}, r"exponent \(1, 0, 0, 0\) is not a monomial"),
     (("a", "x", "a"), {(0, 1, 0): 1}, "repeated variable name"),
+    # multiplying x^1.5 + 1 by itself raised AttributeError in the kernel
+    (("x",), {(1.5,): 1, (0,): 1}, r"exponent \(1\.5,\) is not a monomial"),
+    (("x",), {(True,): 1}, r"exponent \(True,\) is not a monomial"),
 ], ids=["bool", "fraction", "float", "negative-cox-exponent", "negative-parameter-exponent",
-        "short-exponent", "long-exponent", "repeated-name"])
+        "short-exponent", "long-exponent", "repeated-name", "float-exponent-entry",
+        "bool-exponent-entry"])
 def test_a_term_outside_the_integer_polynomial_ring_is_refused_where_it_is_built(
         variables, terms, match):
     """A SparsePoly is a polynomial of Z[variables]: a coefficient whose
     type is not int, an exponent of the wrong length or with a negative
-    entry, and a repeated variable name raise InputError at construction."""
+    entry, an exponent entry that is not an int, and a repeated variable
+    name raise InputError at construction."""
     with pytest.raises(InputError, match=match):
         SparsePoly(variables, terms)
 
@@ -342,6 +348,19 @@ def test_rows_of_the_wrong_shape_are_an_input_error():
         with pytest.raises(InputError, match="rows must be 2 lists of 2 entries"):
             PolyMatrix(2, 2, ("a",), rows)
     assert PolyMatrix(2, 2, ("a",), [[one, one], [one, one]]).det().is_zero()
+
+
+def test_a_matrix_refuses_an_entry_over_other_variables():
+    """y1 + 2 y2 in a matrix over (x1, x2) was read by position: its
+    determinant came out x1 + 2 x2.  An entry that is not a polynomial over
+    the matrix's own variables is refused where the rows are given."""
+    y = SparsePoly(("y1", "y2"), {(1, 0): 1, (0, 1): 2})
+    for entry in (y, 1):
+        with pytest.raises(InputError, match=re.escape("entry (0,0) is not a polynomial over")):
+            PolyMatrix(1, 1, ("x1", "x2"), [[entry]])
+    with pytest.raises(InputError, match=re.escape("entry (0,0) is not a polynomial over")):
+        PolyMatrix.from_rows([[y]], ("x1", "x2"))
+    assert PolyMatrix(1, 1, ("y1", "y2"), [[y]]).det() == y
 
 
 def test_matmul_shape_mismatch_is_an_input_error():

@@ -538,14 +538,20 @@ def test_support_count_must_match_the_dimension():
     ((((0,), (0,)), ((0,), (1,))), (("a", "b"), ("c", "d")), "repeated point"),
     ((((0,), (1,)), ((0,), (1,))), (("a", "b"), ("a", "d")), "duplicate"),
     ((((0,), (1,)), ((0,), (1,))), (("a",), ("c", "d")), "label shape"),
-    ((((0,), (1,)), ((0,), (1,))), None, "needs its coefficient labels"),
+    ((((0,), (1,)), ((0,), (1,))), None, None),
 ])
 def test_a_problem_built_directly_is_checked_at_the_boundary(supports, labels, match):
-    """SupportProblem built directly skips support_problem; the resultant
-    runs the same checks, so a malformed problem raises InputError, not an
-    IndexError or a wrong delta."""
+    """A SupportProblem built directly is checked where it is built, as one
+    from support_problem is, so a malformed problem raises InputError before
+    any stage sees it, not an IndexError or a wrong delta.  Labels None get
+    the default labels."""
+    if match is None:
+        problem = SupportProblem(supports=supports, labels=labels)
+        assert problem == support_problem(supports)
+        assert problem.labels == (("a0_0", "a0_1"), ("a1_0", "a1_1"))
+        return
     with pytest.raises(InputError, match=match):
-        a_resultant(SupportProblem(supports=supports, labels=labels))
+        SupportProblem(supports=supports, labels=labels)
 
 
 def test_resultant_does_not_depend_on_the_twist():

@@ -71,14 +71,14 @@ of a circuit, the excluded patterns are the OR of the bitsets of the
 circuits the fiber violates, and only the set bits of its complement, the
 survivors, are visited.
 
-Family reductions are memoized per process in one pattern table per
-variety (pattern_table), by pattern bitmask.  The bitmask and the table
-stay inside this module: contributing_points hands out each point with
-its family, and family_certs, the one lookup from outside, takes an
-exponent.  A memo by Sigma would save nothing more within a variety: on a polytope's normal fan Sigma determines the pattern, as its
-maximal sets are the vertex sets of the pattern's facets and distinct
-facets have incomparable vertex sets, so two patterns of one variety never
-share a reduction.
+Family reductions are memoized per process by variety and pattern bitmask
+(_family).  The bitmask and the memo stay inside this module:
+contributing_points hands out each point with its family, and
+family_certs, the one lookup from outside, takes an exponent.  A memo by
+Sigma would save nothing more within a variety: on a polytope's normal fan
+Sigma determines the pattern, as its maximal sets are the vertex sets of
+the pattern's facets and distinct facets have incomparable vertex sets, so
+two patterns of one variety never share a reduction.
 """
 from __future__ import annotations
 
@@ -86,7 +86,6 @@ import itertools
 import math
 from functools import lru_cache, reduce
 from operator import and_, itemgetter, mul
-from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .errors import MathFailure, ResourceGuard, UnsupportedGeometryError
@@ -417,9 +416,9 @@ def contributing_points(x: ToricVariety,
     at lowest bitmask first.  One whose negated rays share a max cone is
     skipped: Sigma is then a cone, contractible like the full simplex, so
     the family, their difference, carries the cohomology of the pair, which
-    is zero.  Every other has its family looked up in the variety's pattern
-    table, and is walked by fiber_points when the family has cohomology in
-    some q <= dim.
+    is zero.  Every other has its family looked up in the family memo, and
+    is walked by fiber_points when the family has cohomology in some
+    q <= dim.
     A pattern neg is excluded when a ray circuit shows that its real sign
     polyhedron P = {u <= -1 on neg, u >= 0 off neg} misses the real fiber
     u0 + L, L the span of the degree kernel.
@@ -455,7 +454,7 @@ def contributing_points(x: ToricVariety,
                 excluded |= p_minus
         # no real point of the fiber has an excluded pattern
         survivors = ((1 << (1 << x.n_rays)) - 1) & ~excluded
-        table, cones = pattern_table(x), _ray_cones(x)
+        cones = _ray_cones(x)
         while survivors:
             low = survivors & -survivors
             survivors ^= low
@@ -463,7 +462,7 @@ def contributing_points(x: ToricVariety,
             neg = _members(bits)
             if neg and reduce(and_, [cones[rho] for rho in neg]):
                 continue   # Sigma is a cone: no cohomology at all
-            family = table[bits]
+            family = _family(x, bits)
             if any(family.dims[:x.dim + 1]):
                 # w <= -1 on the rays in neg, w >= 0 on the others
                 signs = [(-1, 1) if rho in neg else (1, 0) for rho in range(x.n_rays)]
@@ -473,8 +472,8 @@ def contributing_points(x: ToricVariety,
 
 # -- block-level access ------------------------------------------------------------
 
-# Family reductions by source.  Only the pattern tables hold them, so every
-# miss is a build: "memory" and "disk" are always 0, and stay because
+# Family reductions by source.  Only the family memo (_family) holds them,
+# so every miss is a build: "memory" and "disk" are always 0, and stay because
 # perfbench/trace.py reads all three keys.
 cache_counters = {"memory": 0, "disk": 0, "built": 0}
 
@@ -513,60 +512,33 @@ class FamilyCerts:
             self.rho_t.append(t)
 
 
-class _PatternTable(dict):
-    """The family reductions of one variety, by pattern bitmask (bit rho
-    for a negated ray rho), built on first lookup: the only family memo."""
-
-    __slots__ = ("x",)
-
-    def __init__(self, x: ToricVariety):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, bits: int) -> FamilyCerts:
-        certs = self[bits] = FamilyCerts(_sigma(self.x, _members(bits)),
-                                         len(self.x.max_cones))
-        cache_counters["built"] += 1
-        return certs
-
-
-_TABLES: dict[ToricVariety, _PatternTable] = {}
-
-
-def pattern_table(x: ToricVariety) -> _PatternTable:
-    """The pattern table of x, one per variety for the life of the process
-    (or until clear_caches); equal varieties share it."""
-    table = _TABLES.get(x)
-    if table is None:
-        table = _TABLES[x] = _PatternTable(x)
-    return table
+@lru_cache(maxsize=None)
+def _family(x: ToricVariety, bits: int) -> FamilyCerts:
+    """The certificates of the family of pattern bits (bit rho for a
+    negated ray rho) on x, built on first lookup: the only family memo.
+    Equal varieties share its entries."""
+    certs = FamilyCerts(_sigma(x, _members(bits)), len(x.max_cones))
+    cache_counters["built"] += 1
+    return certs
 
 
 def family_certs(x: ToricVariety, w: Sequence[int]) -> FamilyCerts:
     """The certificates of the family of exponent w's negative-support
-    pattern: its entry in the pattern table of x, built on first lookup."""
-    return pattern_table(x)[sum(1 << rho for rho, v in enumerate(w) if v < 0)]
+    pattern, from the family memo of x, built on first lookup."""
+    return _family(x, sum(1 << rho for rho, v in enumerate(w) if v < 0))
 
 
-def _memo_info() -> SimpleNamespace:
-    """The memo of family_certs in the terms of functools.lru_cache's
-    cache_info, which perfbench/trace.py reads: every miss is a build, and
-    currsize counts the families of every pattern table."""
-    return SimpleNamespace(misses=cache_counters["built"],
-                           currsize=sum(map(len, _TABLES.values())))
-
-
-family_certs.cache_info = _memo_info
+# every miss of the family memo is a build, which perfbench/trace.py reads
+family_certs.cache_info = _family.cache_info
 
 
 def clear_caches() -> None:
-    """Empty every in-process memo of this module, the pattern tables
-    among them, and zero cache_counters.
+    """Empty every in-process memo of this module, the family memo among
+    them, and zero cache_counters.
 
     The memos grow for the life of the process."""
     for k in cache_counters:
         cache_counters[k] = 0
-    _TABLES.clear()
     for fn in (_ray_cones, _members, _ray_circuits, _circuit_patterns,
-               contributing_points):
+               contributing_points, _family):
         fn.cache_clear()

@@ -291,7 +291,7 @@ def a_resultant(problem: SupportProblem, twist="default") -> ResultantOutput:
     # variety_of keeps the fan
     K = getattr(problem, "_koszul", None)
     if K is None:
-        cod = codimension(problem.supports)
+        cod = codimension(problem)
         if cod != 1:
             raise MathFailure(
                 f"the eliminant variety has codimension {cod}; "

@@ -227,6 +227,8 @@ class SupportProblem:
         if self.labels is None:
             lab = tuple(tuple(default_label(j, p) for p in s) for j, s in enumerate(sup))
         else:
+            if any(isinstance(g, str) for g in self.labels):
+                raise InputError("a label group is a sequence of names, not a string")
             lab = tuple(tuple(g) for g in self.labels)
             if tuple(len(g) for g in lab) != tuple(len(s) for s in sup):
                 raise InputError("label shape does not match supports")
@@ -290,12 +292,14 @@ def homogenized_exponent(x: ToricVariety, support: Support, point: Point) -> tup
     return e
 
 
-def codimension(supports: Sequence[Support]) -> int:
+def codimension(problem: SupportProblem) -> int:
     """Codimension of the eliminant variety of a generic system.
 
     max over nonempty index sets J of |J| minus the rank of the lattice of
-    differences of points of the union of the J-supports.
+    differences of points of the union of the J-supports.  The problem is
+    checked where it is built, so every support is nonempty.
     """
+    supports = problem.supports
     best = 0
     idx = range(len(supports))
     for size in range(1, len(supports) + 1):

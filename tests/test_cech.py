@@ -528,11 +528,12 @@ def test_warm_sturmfels_walks_only_the_fibers_with_points(monkeypatch, built_fam
     # certificates live on the critical cells
     assert len(built_families) == 39
     assert cech.cache_counters == {"memory": 0, "disk": 0, "built": 39}
+    assert cech.family_certs.cache_info().currsize == 39
 
 
 def test_screening_the_sturmfels_classes_in_either_order_decides_the_same():
-    """The pattern table reduces each pattern once, for whichever class
-    looks it up first: after clear_caches, which empties the tables,
+    """The family memo reduces each pattern once, for whichever class
+    looks it up first: after clear_caches, which empties the memo,
     screening the 16 Koszul classes of the printed Sturmfels twists in
     forward and in reverse order gives the same points per class and
     builds the same number of families."""
@@ -928,11 +929,10 @@ def test_generator_cap_raises_resource_guard(monkeypatch):
     monkeypatch.setattr(cech, "_GENERATOR_CAP", 1)
     with pytest.raises(ResourceGuard, match="2 max cones"):
         cech._ray_cones.__wrapped__(P2)
-    # and on the path that builds a family: a fresh pattern table, past
-    # the memo
+    # and on the path that builds a family, past the memo
     monkeypatch.setattr(cech, "_ray_cones", cech._ray_cones.__wrapped__)
     with pytest.raises(ResourceGuard):
-        cech._PatternTable(P2)[0b1]
+        cech._family.__wrapped__(P2, 0b1)
 
 
 def test_pattern_ray_cap_raises_unsupported_geometry(monkeypatch):
@@ -952,11 +952,11 @@ def test_pattern_ray_cap_stops_contributing_points_before_any_circuit(monkeypatc
     from toricres import cech
     from toricres.errors import UnsupportedGeometryError
 
-    # a pentagon no other test builds, so no memo holds its pattern table
+    # a pentagon no other test builds, so no memo holds its families
     x = variety_from_points(((0, 0), (3, 0), (4, 1), (2, 3), (0, 2)))
     enumerated = []
     monkeypatch.setattr(cech, "_ray_circuits", lambda x_: enumerated.append(x_) or ())
-    monkeypatch.setattr(cech, "pattern_table", lambda *a: enumerated.append(a))
+    monkeypatch.setattr(cech, "_family", lambda *a: enumerated.append(a))
     monkeypatch.setattr(cech, "_PATTERN_RAY_CAP", 2)
     with pytest.raises(UnsupportedGeometryError):
         cech.contributing_points(x, x.anticanonical_class())
@@ -996,8 +996,13 @@ def test_clear_caches_then_rebuild_gives_identical_family_certs():
     assert built > 0
     cech.clear_caches()
     assert not any(cech.cache_counters.values())
-    for fn in (cech._ray_cones, cech._ray_circuits, cech._circuit_patterns,
-               cech.contributing_points, cech.family_certs):
+    # every memo defined in the module, so none escapes clear_caches
+    memos = [fn for fn in vars(cech).values()
+             if hasattr(fn, "cache_clear") and fn.__module__ == cech.__name__]
+    assert cech._family in memos and cech.contributing_points in memos
+    # family_certs reports the family memo's counts
+    assert cech.family_certs.cache_info == cech._family.cache_info
+    for fn in memos:
         assert fn.cache_info().currsize == 0
     for neg, c in before.items():
         again = pattern_certs(x, neg)

@@ -539,6 +539,7 @@ def test_support_count_must_match_the_dimension():
     ((((0,), (1,)), ((0,), (1,))), (("a", "b"), ("a", "d")), "duplicate"),
     ((((0,), (1,)), ((0,), (1,))), (("a",), ("c", "d")), "label shape"),
     ((((0,), (1,)), ((0,), (1,))), None, None),
+    ((((0,), (1,)), ((0,), (1,))), ("ab", "cd"), "not a string"),
 ])
 def test_a_problem_built_directly_is_checked_at_the_boundary(supports, labels, match):
     """A SupportProblem built directly is checked where it is built, as one

@@ -8,7 +8,15 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers_examples import M33_SUPPORTS, STURMFELS_SUPPORTS, m34_supports
+from helpers_examples import (
+    M33_SUPPORTS,
+    STURMFELS_SUPPORTS,
+    linear3_problem,
+    m33_problem,
+    m34_problem,
+    m34_supports,
+    sturmfels_problem,
+)
 from helpers_reference import (
     facets_by_brute_force,
     int_kernel_basis,
@@ -151,11 +159,23 @@ def test_minkowski_points():
 
 
 def test_codimension_values():
-    assert codimension(STURMFELS_SUPPORTS) == 1
-    assert codimension(M33_SUPPORTS) == 1
-    assert codimension((((0, 0), (1, 0), (0, 1)),) * 3) == 1
+    assert codimension(support_problem(STURMFELS_SUPPORTS)) == 1
+    assert codimension(support_problem(M33_SUPPORTS)) == 1
+    assert codimension(support_problem((((0, 0), (1, 0), (0, 1)),) * 3)) == 1
     # three univariate supports: one too many equations
-    assert codimension((((0,), (1,)),) * 3) == 2
+    assert codimension(support_problem((((0,), (1,)),) * 3)) == 2
+
+
+def test_codimension_takes_the_checked_problem():
+    """codimension reads a SupportProblem, so supports with an empty member,
+    or none at all, are refused with InputError where the problem is built,
+    not read as an IndexError or as codimension 0."""
+    for problem in (sturmfels_problem(), m33_problem(), m34_problem(2),
+                    linear3_problem()):
+        assert codimension(problem) == 1
+    for supports in ([[(0,), (1,)], []], []):
+        with pytest.raises(InputError):
+            codimension(support_problem(supports))
 
 
 def test_degenerate_span_rejected():
@@ -476,11 +496,10 @@ def test_equal_varieties_built_separately_share_hash_and_memo_entries():
     cech.family_certs(a, w)
     degree_fiber(a, (0,) * a.class_rank)
     before = (cech.family_certs.cache_info(), degree_fiber.cache_info())
-    assert cech.pattern_table(b) is cech.pattern_table(a)
     assert cech.family_certs(b, w) is cech.family_certs(a, w)
     assert degree_fiber(b, (0,) * b.class_rank) == degree_fiber(a, (0,) * a.class_rank)
     after = (cech.family_certs.cache_info(), degree_fiber.cache_info())
-    # the family memo, a pattern table per variety, counts no hits: both
+    # the family memo, keyed by variety and pattern, misses no more: both
     # lookups found the family without building it
     assert (after[0].misses, after[0].currsize) == (before[0].misses, before[0].currsize)
     assert (after[1].hits, after[1].misses, after[1].currsize) == \

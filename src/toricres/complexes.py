@@ -12,7 +12,8 @@ column l is homogeneous of x-degree alpha_p[k] - alpha_{p+1}[l].
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 from .errors import InputError
 from .qpoly import PolyMatrix, SparsePoly
@@ -31,14 +32,11 @@ def class_sub(a: Class, b: Class) -> Class:
     return tuple(x - y for x, y in zip(a, b))
 
 
-class FreeGradedComplex(NamedTuple):
-    """Finite complex of free graded modules, differentials of degree +1."""
+class FreeGradedComplex(namedtuple("FreeGradedComplex", "x variables n_params degrees diffs")):
+    """Finite complex of free graded modules, differentials of degree +1;
+    variables: parameter names, then Cox variable names."""
 
-    x: ToricVariety
-    variables: tuple[str, ...]    # parameter names, then Cox variable names
-    n_params: int
-    degrees: dict[int, tuple[Class, ...]]
-    diffs: dict[int, PolyMatrix]
+    __slots__ = ()
 
     @property
     def param_vars(self) -> tuple[str, ...]:

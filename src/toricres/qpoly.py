@@ -345,8 +345,10 @@ def content_unit(p: SparsePoly) -> int:
 
 
 def primitive_part(p: SparsePoly) -> SparsePoly:
+    """p / content_unit(p): primitive, with a positive leading coefficient.
+    An input that is already so is returned itself, not copied."""
     u = content_unit(p)
-    return SparsePoly(p.vars, {e: c // u for e, c in p.terms.items()})
+    return p if u == 1 else SparsePoly(p.vars, {e: c // u for e, c in p.terms.items()})
 
 
 # -- integer k-th roots ------------------------------------------------------

@@ -7,8 +7,10 @@ over the coefficient ring, and the only input the determinant takes.
 The determinant is taken with the Cayley recipe: nested row/column index
 subsets picked, and proven, by rank profiling modulo a prime at one random
 integer point, exact polynomial minors, alternating product cleared to a
-polynomial.  A failed exactness proof raises ExactnessFailure, the type
-callers catch to tell a degenerate input from other failures.
+polynomial, each side from its first minor, so that a complex with no
+minor at an even degree divides by nothing.  A failed exactness proof
+raises ExactnessFailure, the type callers catch to tell a degenerate input
+from other failures.
 Multiplicity is recovered afterwards by perfect-power extraction.
 
 This module holds that pipeline and nothing else, so that a process which
@@ -20,8 +22,10 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import namedtuple
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .complexes import FreeGradedComplex, koszul_generic
 from .errors import ExactnessFailure, InputError, MathFailure
@@ -33,7 +37,7 @@ from .qpoly import (
     primitive_part,
 )
 from .toric import SupportProblem, codimension, variety_of
-from .weyman import E1Page, WeymanComplex, weyman_differential
+from .weyman import WeymanComplex, weyman_differential
 
 Class = tuple[int, ...]
 
@@ -137,7 +141,10 @@ def _det_once(W: WeymanComplex, span: list[int], a_profile: Mapping[str, int],
     subsets.  By Schwartz-Zippel a minor of degree deg vanishes at a random
     point with probability at most deg/(p - 1).  Once the subsets are
     proven, the alternating product does not depend on them (up to sign),
-    so a product that does not clear to a polynomial is no bad draw."""
+    so a product that does not clear to a polynomial is no bad draw.  Each
+    side of the product starts from its first minor, not from 1, and the
+    exact division runs only when an even degree has a minor: a two-term
+    complex with its one minor at an odd degree divides by nothing."""
     diffs = {i: W.diff_at(i) for i in span[:-1]}
     spec = {i: _eval_mod(d, a_profile) for i, d in diffs.items()}
     # nested subsets from the right end leftwards
@@ -155,16 +162,15 @@ def _det_once(W: WeymanComplex, span: list[int], a_profile: Mapping[str, int],
         cols = [c for c in range(W.rank(i)) if c not in taken]
     if cols:
         raise ExactnessFailure("complex has nonzero generic homology")
-    # the determinant is prod det(M_i)^((-1)^(i+1)): odd degrees multiply
-    one = SparsePoly.const(W.source.param_vars, 1)
-    num, den = one, one
-    for i, minor in minors:
-        d = minor.det()
-        if i % 2:
-            num = num * d
-        else:
-            den = den * d
-    out = num.exact_div(den)
+    # the determinant is prod det(M_i)^((-1)^(i+1)): odd degrees multiply;
+    # each side starts from its first minor, and with no even one, no division
+    dets = {i: minor.det() for i, minor in minors}
+    odd = [d for i, d in dets.items() if i % 2]
+    even = [d for i, d in dets.items() if not i % 2]
+    num = reduce(operator.mul, odd) if odd else SparsePoly.const(W.source.param_vars, 1)
+    if not even:
+        return num, subsets
+    out = num.exact_div(reduce(operator.mul, even))
     if out is None:
         raise MathFailure("alternating product of minors did not clear to a polynomial")
     return out, subsets
@@ -206,14 +212,15 @@ def determinant_of_complex(W: WeymanComplex) -> SparsePoly:
 
 # -- the resultant pipeline ----------------------------------------------------------
 
-class ResultantOutput(NamedTuple):
-    delta: SparsePoly                 # primitive integer polynomial
-    multiplicity: int
-    root: SparsePoly                  # root**multiplicity == +-delta
-    e1: E1Page
-    term_ranks: dict[int, int]
-    twist: Class
-    subsets: dict[int, dict[str, list[int]]]
+class ResultantOutput(namedtuple("ResultantOutput", "delta multiplicity root e1 "
+                                 "term_ranks twist subsets")):
+    """The resultant of a support problem and how it was found.
+
+    delta: primitive integer polynomial; root: root**multiplicity == +-delta;
+    e1: the E1Page; term_ranks: i -> rank of W^i; twist: the class used;
+    subsets: i -> the Cayley "rows" and "cols" of d_i."""
+
+    __slots__ = ()
 
     def to_obj(self) -> dict:
         return {

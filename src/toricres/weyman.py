@@ -27,9 +27,10 @@ group, and the walks of a group share their exponent blocks.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import groupby
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .cech import contributing_points, family_certs
 from .complexes import FreeGradedComplex
@@ -37,21 +38,14 @@ from .errors import MathFailure
 from .qpoly import PolyMatrix, SparsePoly, _Packing
 from .toric import ToricVariety
 
-Class = tuple[int, ...]
+# the degree-q cohomology of the class alpha of the k-th summand of C^p
+Summand = namedtuple("Summand", "p q k dim alpha")
 
 
-class Summand(NamedTuple):
-    p: int
-    q: int
-    k: int
-    dim: int
-    alpha: Class
+class E1Page(namedtuple("E1Page", "table")):
+    """Ranks of the direct-image sheaves: table maps (p, q) to a rank."""
 
-
-class E1Page(NamedTuple):
-    """Ranks of the direct-image sheaves, one per (p, q)."""
-
-    table: dict[tuple[int, int], int]
+    __slots__ = ()
 
     def rank(self, p: int, q: int) -> int:
         return self.table.get((p, q), 0)
@@ -60,12 +54,10 @@ class E1Page(NamedTuple):
         return [[p, q, r] for (p, q), r in sorted(self.table.items())]
 
 
-class WeymanComplex(NamedTuple):
-    source: FreeGradedComplex
-    terms: dict[int, tuple[Summand, ...]]
-    e1: E1Page
-    basis: dict[int, list[tuple]]            # i -> [(p, q, k, w, mpos)]
-    diffs: dict[int, PolyMatrix]             # i -> W^i x W^{i+1} over R
+class WeymanComplex(namedtuple("WeymanComplex", "source terms e1 basis diffs")):
+    """Based direct image; basis: i -> [(p, q, k, w, mpos)]; diffs: i -> W^i x W^{i+1} over R."""
+
+    __slots__ = ()
 
     def rank(self, i: int) -> int:
         return sum(s.dim for s in self.terms.get(i, ()))
@@ -90,7 +82,6 @@ class WeymanComplex(NamedTuple):
                 prod = self.diff_at(i).matmul(self.diff_at(i + 1))
                 if not prod.is_zero():
                     raise MathFailure("direct-image differential does not square to zero")
-
 
 
 def weyman_terms(C: FreeGradedComplex) -> tuple[dict[int, tuple[Summand, ...]], E1Page]:

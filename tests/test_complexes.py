@@ -152,7 +152,7 @@ def test_validate_names_the_inhomogeneous_entry_that_shares_a_homogeneous_monomi
 
 
 def test_complex_records_are_named_tuples_in_field_order():
-    """FreeGradedComplex is a NamedTuple, not a dataclass, and constructs
+    """FreeGradedComplex is a named tuple, not a dataclass, and constructs
     by keyword with its fields in order."""
     import dataclasses
 

@@ -69,6 +69,43 @@ def test_the_solve_path_creates_no_dataclass():
     assert out["made"] == []
 
 
+SOLVE_PATH_TYPING_RECORDS = """
+import json, sys, typing
+from toricres import cech
+fresh = [m for m in ("toricres.resultant", "toricres.fixtures") if m not in sys.modules]
+made = {"forward_refs": 0, "named_tuple_classes": 0}
+ref_init, meta_new = typing.ForwardRef.__init__, typing.NamedTupleMeta.__new__
+
+def counted_ref(self, *args, **kwargs):
+    made["forward_refs"] += 1
+    ref_init(self, *args, **kwargs)
+
+def counted_meta(cls, *args, **kwargs):
+    made["named_tuple_classes"] += 1
+    return meta_new(cls, *args, **kwargs)
+
+typing.ForwardRef.__init__ = counted_ref
+typing.NamedTupleMeta.__new__ = staticmethod(counted_meta)
+import toricres.resultant, toricres.fixtures
+print(json.dumps({"fresh": fresh, "made": made}))
+"""
+
+
+def test_the_solve_path_creates_no_typing_record():
+    """What the solve imports past `toricres.cech` creates no
+    `typing.NamedTuple` class and compiles no `ForwardRef`: a NamedTuple
+    turns each string annotation of its fields into a ForwardRef, which
+    compiles it, on every import."""
+    src = str(Path(toricres.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-B", "-c", SOLVE_PATH_TYPING_RECORDS],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["fresh"] == ["toricres.resultant", "toricres.fixtures"]
+    assert out["made"] == {"forward_refs": 0, "named_tuple_classes": 0}
+
+
 SOLVE_PATH_MODULES = """
 import json, sys
 from toricres import cech

@@ -212,6 +212,16 @@ def test_content_and_primitive():
     assert primitive_part(q).leading()[1] > 0
 
 
+def test_primitive_part_returns_a_normalized_input_itself():
+    """A primitive input with a positive leading coefficient is returned
+    itself; a negative or non-primitive one gets its normalized copy."""
+    p = P("2 * x + 3 * y")
+    assert primitive_part(p) is p
+    for text in ("-2 * x + -3 * y", "4 * x + 6 * y"):
+        q = P(text)
+        assert primitive_part(q) is not q and primitive_part(q) == p
+
+
 def test_kth_root_exact():
     h = P("1 * x^2 + -3 * y + 1 * z^2")
     for k in (2, 3, 5):

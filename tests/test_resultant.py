@@ -674,6 +674,43 @@ def test_stable_twist_gives_the_same_determinant():
     assert same_up_to_sign(embed(out.delta, eli.vars), eli)
 
 
+@pytest.mark.parametrize("which, degrees, divisions", [
+    (None, [-1], 0), ("unit", [-1], 0), ("stable", [-1, -2], 1)],
+    ids=["squares", "sturmfels unit", "sturmfels stable"])
+def test_the_cayley_epilogue_does_no_arithmetic_with_one(monkeypatch, which, degrees,
+                                                         divisions):
+    """Each side of the alternating product starts from its first minor,
+    and the exact division runs only when an even degree has a minor: the
+    two-term complexes (squares at the default twist, Sturmfels at the
+    unit twist) neither multiply nor divide, and the stable twist, with
+    one minor at -1 and one at -2, divides once."""
+    if which is None:
+        prob, tw = support_problem(UNIT_SQUARES), (0, 0)
+    else:
+        prob = sturmfels_problem()
+        tw = sturmfels_twist(variety_of(prob), which)
+    W = weyman_differential(koszul_generic(prob).twist(tw))
+    calls = {"exact_div": 0, "__mul__": 0}
+    for name in calls:
+        def counted(self, other, real=getattr(SparsePoly, name), name=name):
+            calls[name] += 1
+            return real(self, other)
+        monkeypatch.setattr(SparsePoly, name, counted)
+    _, subsets = resultant._determinant_with_subsets(W)
+    assert list(subsets) == degrees
+    assert calls == {"exact_div": divisions, "__mul__": 0}
+
+
+def test_a_product_that_does_not_clear_still_raises(monkeypatch):
+    """With the exact division refused, the stable twist's alternating
+    product does not clear, and a_resultant says so."""
+    prob = sturmfels_problem()
+    tw = sturmfels_twist(variety_of(prob), "stable")
+    monkeypatch.setattr(SparsePoly, "exact_div", lambda self, d: None)
+    with pytest.raises(MathFailure, match="did not clear"):
+        a_resultant(prob, twist=tw)
+
+
 def _permutation_sign(p) -> int:
     inversions = sum(a > b for a, b in itertools.combinations(p, 2))
     return -1 if inversions % 2 else 1

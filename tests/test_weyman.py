@@ -140,13 +140,13 @@ def test_e1_page_round_trip():
 
 
 def test_pipeline_records_are_named_tuples_in_field_order(sturmfels_unit):
-    """E1Page, WeymanComplex and ResultantOutput are NamedTuples, not
+    """E1Page, WeymanComplex and ResultantOutput are named tuples, not
     dataclasses: they construct by keyword with their fields in order, and
     E1Page and ResultantOutput refuse attribute assignment."""
     import dataclasses
     from toricres.resultant import ResultantOutput
     from toricres.toric import support_problem
-    from toricres.weyman import WeymanComplex
+    from toricres.weyman import Summand, WeymanComplex
 
     _, W = sturmfels_unit
     square = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -155,6 +155,7 @@ def test_pipeline_records_are_named_tuples_in_field_order(sturmfels_unit):
         assert not dataclasses.is_dataclass(cls)
     assert tuple(E1Page(table=W.e1.table)) == (W.e1.table,)
     assert WeymanComplex._fields == ("source", "terms", "e1", "basis", "diffs")
+    assert Summand._fields == ("p", "q", "k", "dim", "alpha")
     again = WeymanComplex(source=W.source, terms=W.terms, e1=W.e1, basis=W.basis,
                           diffs=W.diffs)
     assert tuple(again) == tuple(W)
